@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"hash/fnv"
-
 	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/sketch"
@@ -12,19 +10,26 @@ import (
 )
 
 // Partition returns the reduce partition for a key: hash(key) mod R,
-// Hadoop's default HashPartitioner.
+// Hadoop's default HashPartitioner. The hash is FNV-1a 32 (hash/fnv's
+// New32a values), inlined so a call allocates neither a hasher nor a
+// byte copy of the key.
+//
+//approx:hotpath
 func Partition(key string, reduces int) int {
-	h := fnv.New32a()
-	//lint:ignore errcheck hash.Hash documents that Write never returns an error
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(reduces))
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(reduces))
 }
 
 // mapResult is the in-memory product of executing one map task.
 type mapResult struct {
 	measure    cluster.TaskMeasure
 	partitions []*MapOutput // one per reduce partition
-	pairs      int64        // total pairs emitted
+	pairs      int64        // total pairs emitted, sketch folds included
+	emitted    int64        // pairs that went through the pair arenas (sizes the next attempt's)
 }
 
 // mapEmitter partitions emitted pairs, optionally combining.
@@ -41,7 +46,8 @@ type mapEmitter struct {
 	reduces int
 	combine bool
 	meter   vtime.Meter
-	pairs   int64
+	pairs   int64 // pairs through Emit/emitAt
+	folds   int64 // elements folded into sketches
 
 	// arena representation (default)
 	intern    *keyTable
@@ -58,12 +64,16 @@ type mapEmitter struct {
 	// also memoizes each group's partition — proto is the empty sketch
 	// cloned per new group, sketches is dense by group ID, and
 	// sketchIDs lists each partition's group IDs in first-emit order.
-	plan      *SketchPlan
-	proto     sketch.Sketch
-	groups    *keyTable
-	sketches  []sketch.Sketch
-	sketchIDs [][]int32
-	ekey      []byte // composite-key scratch for the pairs fallback
+	// lastGroup/lastSketch remember the previous fold's group (its
+	// interned copy) so a repeated group skips the table lookup.
+	plan       *SketchPlan
+	proto      sketch.Sketch
+	groups     *keyTable
+	sketches   []sketch.Sketch
+	sketchIDs  [][]int32
+	lastGroup  string
+	lastSketch sketch.Sketch
+	ekey       []byte // composite-key scratch for the pairs fallback
 }
 
 // newMapEmitter builds the per-attempt emitter. pairsHint, when > 0,
@@ -184,17 +194,20 @@ func (e *mapEmitter) EmitElement(group, element string, weight float64) {
 		e.emitAt(zerocopy.String(e.ekey), weight, p)
 		return
 	}
-	e.pairs++
-	id, p := e.groups.Intern(group)
-	if int(id) == len(e.sketches) {
-		e.sketches = append(e.sketches, e.proto.Clone())
-		e.sketchIDs[p] = append(e.sketchIDs[p], id)
+	e.folds++
+	if e.lastSketch == nil || group != e.lastGroup {
+		id, p := e.groups.Intern(group)
+		if int(id) == len(e.sketches) {
+			e.sketches = append(e.sketches, e.proto.Clone())
+			e.sketchIDs[p] = append(e.sketchIDs[p], id)
+		}
+		e.lastGroup, e.lastSketch = e.groups.Resolve(id), e.sketches[id]
 	}
 	n := uint64(1)
 	if weight > 1 {
 		n = uint64(weight + 0.5)
 	}
-	e.sketches[id].Fold(element, n)
+	e.lastSketch.Fold(element, n)
 }
 
 // emitAt is Emit with the partition already decided (the composite-pair
@@ -330,7 +343,8 @@ func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int6
 			ProcSecs:  procSecs,
 			SetupSecs: setup,
 		},
-		pairs: emitter.pairs,
+		pairs:   emitter.pairs + emitter.folds,
+		emitted: emitter.pairs,
 	}
 	res.partitions = make([]*MapOutput, job.Reduces)
 	outs := make([]MapOutput, job.Reduces) // one allocation for all partitions

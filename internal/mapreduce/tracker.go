@@ -62,6 +62,7 @@ type tracker struct {
 
 	measures  []cluster.TaskMeasure
 	counters  Counters
+	emitted   int64 // pairs completed maps put through the pair arenas (pairsHint)
 	launched  int
 	completed int
 	dropped   int
@@ -669,14 +670,16 @@ func (t *tracker) enqueueAttempt(idx int, srv *cluster.Server, ratio float64, sp
 }
 
 // pairsHint estimates the pair count of the next map attempt from
-// completed maps, for emitter preallocation. It reads only
+// completed maps, for emitter preallocation. Elements folded into
+// sketches never reach the pair arenas and are not counted, so a
+// sketch job preallocates nothing it will not fill. It reads only
 // decide-time scheduler state, so the hint — like everything else —
 // is independent of pool size.
 func (t *tracker) pairsHint() int {
 	if t.counters.MapsCompleted == 0 {
 		return 0
 	}
-	return int(t.counters.PairsShuffled / int64(t.counters.MapsCompleted))
+	return int(t.emitted / int64(t.counters.MapsCompleted))
 }
 
 // flushLaunches resolves the compute of every launch decided during
@@ -785,6 +788,7 @@ func (t *tracker) onMapDone(idx int, handle *cluster.RunningTask, res *mapResult
 	t.counters.ItemsProcessed += res.measure.Processed
 	t.counters.BytesRead += res.measure.Bytes
 	t.counters.PairsShuffled += res.pairs
+	t.emitted += res.emitted
 	// Kill losing speculative siblings.
 	for _, a := range live {
 		t.eng.Kill(a)

@@ -52,12 +52,7 @@ func (c *CMS) Fold(element string, count uint64) {
 	if count == 0 {
 		return
 	}
-	c.weight += count
-	h := hash64(c.seed, element)
-	w := uint64(c.width)
-	for r := uint64(0); r < uint64(c.depth); r++ {
-		c.counts[r*w+doubleHash(h, r, w)] += count
-	}
+	c.foldHash(hash64(c.seed, element), count)
 }
 
 // Count returns the (over-)estimate of element's folded weight: the
@@ -65,11 +60,37 @@ func (c *CMS) Fold(element string, count uint64) {
 //
 //approx:hotpath
 func (c *CMS) Count(element string) uint64 {
-	h := hash64(c.seed, element)
-	w := uint64(c.width)
+	return c.countHash(hash64(c.seed, element))
+}
+
+// foldHash adds count to the cell of element hash h in every row and
+// returns the smallest updated cell, which is Count of that element
+// after the fold: TopK.Fold gets its estimate without a second hash.
+// Row r's cell is doubleHash(h, r, width), walked incrementally.
+//
+//approx:hotpath
+func (c *CMS) foldHash(h, count uint64) uint64 {
+	c.weight += count
+	h2, w := (h&0xffffffff)|1, uint64(c.width)
 	min := ^uint64(0)
-	for r := uint64(0); r < uint64(c.depth); r++ {
-		if v := c.counts[r*w+doubleHash(h, r, w)]; v < min {
+	for x, row := h>>32, c.counts; len(row) > 0; x, row = x+h2, row[w:] {
+		cell := &row[x%w]
+		*cell += count
+		if *cell < min {
+			min = *cell
+		}
+	}
+	return min
+}
+
+// countHash is Count for an element whose hash64 the caller kept.
+//
+//approx:hotpath
+func (c *CMS) countHash(h uint64) uint64 {
+	h2, w := (h&0xffffffff)|1, uint64(c.width)
+	min := ^uint64(0)
+	for x, row := h>>32, c.counts; len(row) > 0; x, row = x+h2, row[w:] {
+		if v := row[x%w]; v < min {
 			min = v
 		}
 	}

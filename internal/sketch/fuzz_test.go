@@ -35,6 +35,11 @@ func FuzzSketchMerge(f *testing.F) {
 	f.Add([]byte("approx"), uint8(3))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 250, 251, 252}, uint8(5))
 	f.Add(bytes.Repeat([]byte{0xa5}, 300), uint8(2))
+	// The reference-model test's streams: long enough that every shard
+	// fills its candidate set and evicts before the merges.
+	for i, skewed := range []bool{true, false} {
+		f.Add(rankBytes(rankStream(skewed, 3000, 6000, 80*7919+256)), uint8(i))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, nshard uint8) {
 		shards := int(nshard%8) + 2
 		es, ws := fuzzElements(data)

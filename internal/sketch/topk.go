@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"encoding/binary"
 	"sort"
 	"strings"
 )
@@ -23,12 +24,33 @@ type TopK struct {
 	k       uint32
 	maxCand uint32
 	cms     *CMS
-	cand    map[string]struct{}
-	// minEst caches a lower bound on the weakest candidate's estimate
-	// so Fold can skip the eviction scan for clearly-light elements.
-	// CMS counters only grow, so the bound stays valid until the set
-	// changes; Merge resets it.
-	minEst uint64
+	// cand answers membership; list holds the same keys, each beside
+	// its hash64 and a lower bound on its estimate, so the eviction
+	// scan compares integers and reads the CMS only for candidates that
+	// could rank last. Every mutator keeps the two in step.
+	cand map[string]struct{}
+	list []candidate
+	// floor ranks at or below every candidate in the keep order, so Fold
+	// drops an element that ranks below it without a lookup or a scan.
+	// Counters only grow, so it holds until a key joins unchecked:
+	// filling the set and Merge reset it to zero (no floor), a scan sets
+	// it to the weakest candidate, evicted or not (see Fold).
+	floor candidate
+}
+
+// candidate is one tracked key with its hash64 under the CMS seed and
+// est, its estimate when last read — a lower bound on it ever after,
+// because Fold and Merge only add to counters.
+type candidate struct {
+	key  string
+	hash uint64
+	est  uint64
+}
+
+// track adds a key known to be absent from the candidate set.
+func (t *TopK) track(c candidate) {
+	t.cand[c.key] = struct{}{}
+	t.list = append(t.list, c)
 }
 
 // NewTopK builds a heavy-hitter sketch returning the k top elements,
@@ -70,35 +92,50 @@ func weaker(aEst uint64, aKey string, bEst uint64, bKey string) bool {
 // buffer view (the push-mode record contract); retained candidates are
 // cloned.
 //
+// Cost: one hash64 of the element, whose Count-Min pass also yields its
+// estimate. An element ranking below floor stops there. Otherwise one
+// map lookup finds it already tracked, or the scan for the weakest
+// candidate runs: a candidate's est never exceeds its estimate, so one
+// whose est ranks above the weakest exact estimate seen so far cannot
+// rank last and is passed over without a CMS read. The weakest becomes
+// the floor even when it is then evicted: every survivor ranked above
+// it, so does the newcomer, and estimates only grow. Both shortcuts are
+// exact — the set is the one a full scan on every fold would keep.
+//
 //approx:hotpath
 func (t *TopK) Fold(element string, count uint64) {
-	t.cms.Fold(element, count)
+	h := hash64(t.cms.seed, element)
+	est := t.cms.foldHash(h, count)
+	// est 0 ranks below nothing: the zero floor means no floor.
+	if est != 0 && weaker(est, element, t.floor.est, t.floor.key) {
+		return
+	}
 	if _, ok := t.cand[element]; ok {
 		return
 	}
-	if len(t.cand) < int(t.maxCand) {
-		t.cand[strings.Clone(element)] = struct{}{}
-		t.minEst = 0
-		return
-	}
-	est := t.cms.Count(element)
-	if est < t.minEst {
+	if len(t.list) < int(t.maxCand) {
+		t.track(candidate{key: strings.Clone(element), hash: h, est: est})
+		t.floor = candidate{}
 		return
 	}
 	// Scan for the weakest candidate under the total order.
-	wEst := ^uint64(0)
-	wKey := ""
-	for c := range t.cand {
-		ce := t.cms.Count(c)
-		if wEst == ^uint64(0) || weaker(ce, c, wEst, wKey) {
-			wEst, wKey = ce, c
+	w := &t.list[0]
+	w.est = t.cms.countHash(w.hash)
+	for i := 1; i < len(t.list); i++ {
+		c := &t.list[i]
+		if !weaker(c.est, c.key, w.est, w.key) {
+			continue
+		}
+		c.est = t.cms.countHash(c.hash)
+		if weaker(c.est, c.key, w.est, w.key) {
+			w = c
 		}
 	}
-	t.minEst = wEst
-	if weaker(wEst, wKey, est, element) {
-		delete(t.cand, wKey)
-		t.cand[strings.Clone(element)] = struct{}{}
-		t.minEst = 0
+	t.floor = *w
+	if weaker(w.est, w.key, est, element) {
+		delete(t.cand, w.key)
+		*w = candidate{key: strings.Clone(element), hash: h, est: est}
+		t.cand[w.key] = struct{}{}
 	}
 }
 
@@ -112,10 +149,12 @@ func (t *TopK) Merge(other Sketch) error {
 	if err := t.cms.Merge(o.cms); err != nil {
 		return err
 	}
-	for c := range o.cand {
-		t.cand[c] = struct{}{}
+	for _, c := range o.list {
+		if _, ok := t.cand[c.key]; !ok {
+			t.track(c) // c.est bounds the merged estimate too: the sum is no smaller
+		}
 	}
-	t.minEst = 0
+	t.floor = candidate{}
 	return nil
 }
 
@@ -127,9 +166,9 @@ type Entry struct {
 
 // Top returns up to k entries sorted by (estimate desc, key asc).
 func (t *TopK) Top(k int) []Entry {
-	out := make([]Entry, 0, len(t.cand))
-	for c := range t.cand {
-		out = append(out, Entry{Key: c, Count: t.cms.Count(c)})
+	out := make([]Entry, 0, len(t.list))
+	for _, c := range t.list {
+		out = append(out, Entry{Key: c.key, Count: t.cms.countHash(c.hash)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {
@@ -145,9 +184,13 @@ func (t *TopK) Top(k int) []Entry {
 
 // Clone implements Sketch.
 func (t *TopK) Clone() Sketch {
-	c := &TopK{k: t.k, maxCand: t.maxCand, cms: t.cms.Clone().(*CMS), cand: make(map[string]struct{}, len(t.cand))}
-	for k := range t.cand {
-		c.cand[k] = struct{}{}
+	// Room for a full candidate set: a map task clones the empty
+	// prototype and fills it, a reducer clones to merge more in.
+	n := max(len(t.list), int(t.maxCand))
+	c := &TopK{k: t.k, maxCand: t.maxCand, cms: t.cms.Clone().(*CMS), cand: make(map[string]struct{}, n),
+		list: append(make([]candidate, 0, n), t.list...), floor: t.floor}
+	for _, k := range t.list {
+		c.cand[k.key] = struct{}{}
 	}
 	return c
 }
@@ -168,12 +211,12 @@ func (t *TopK) AppendBinary(dst []byte) []byte {
 	dst = append(dst, byte(KindTopK), serialVersion)
 	dst = appendU32(dst, t.k)
 	dst = appendU32(dst, t.maxCand)
-	cms := t.cms.AppendBinary(nil)
-	dst = appendU32(dst, uint32(len(cms)))
-	dst = append(dst, cms...)
-	keys := make([]string, 0, len(t.cand))
-	for c := range t.cand {
-		keys = append(keys, c)
+	lenAt := len(dst)
+	dst = t.cms.AppendBinary(appendU32(dst, 0))
+	binary.LittleEndian.PutUint32(dst[lenAt:], uint32(len(dst)-lenAt-4))
+	keys := make([]string, 0, len(t.list))
+	for _, c := range t.list {
+		keys = append(keys, c.key)
 	}
 	sort.Strings(keys)
 	dst = appendU32(dst, uint32(len(keys)))
@@ -187,8 +230,8 @@ func (t *TopK) AppendBinary(dst []byte) []byte {
 // SizeBytes implements Sketch.
 func (t *TopK) SizeBytes() int {
 	n := 2 + 4 + 4 + 4 + t.cms.SizeBytes() + 4
-	for c := range t.cand {
-		n += uvarintLen(uint64(len(c))) + len(c)
+	for _, c := range t.list {
+		n += uvarintLen(uint64(len(c.key))) + len(c.key)
 	}
 	return n
 }
@@ -237,7 +280,7 @@ func decodeTopK(b []byte) (Sketch, error) {
 			return nil, ErrCorrupt
 		}
 		prev = c
-		t.cand[c] = struct{}{}
+		t.track(candidate{key: c, hash: hash64(cms.seed, c)})
 	}
 	if off != len(b) {
 		return nil, ErrCorrupt

@@ -355,11 +355,12 @@ func TestPlanComponentsAndPrediction(t *testing.T) {
 		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 100, Sampled: 50,
 			Combined: map[string]stats.RunningStat{"k": rs}})
 	}
-	comps := r.PlanComponents(view)
+	comps := r.appendPlanStats(nil, 0, view.TotalMaps)
 	if len(comps) != 1 {
 		t.Fatalf("want 1 component, got %d", len(comps))
 	}
-	pc := comps[0]
+	pc := PlanComponent{Key: "k", Tau: comps[0].tau, SU2: comps[0].su2,
+		WithinDone: comps[0].withinDone, AvgWithin: comps[0].avgWithin}
 	if pc.Tau <= 0 || pc.AvgWithin < 0 || pc.WithinDone < 0 {
 		t.Errorf("bad components: %+v", pc)
 	}

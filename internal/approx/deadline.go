@@ -64,6 +64,7 @@ type DeadlineSLO struct {
 	planned   int     // total maps to launch; 0 = not yet planned
 	solved    bool
 	solveAt   int // completed count that triggers the next re-solve
+	plan      planTable
 }
 
 // Name implements mapreduce.Controller.
@@ -170,7 +171,7 @@ func (c *DeadlineSLO) solve(v *mapreduce.JobView) mapreduce.Directive {
 	mbar := v.AvgItems
 	n1 := v.Completed
 	committed := v.Running // already launched, will complete regardless
-	comps := gatherPlanComponents(v)
+	c.plan.gather(v)
 	grid := c.RatioGrid
 	if len(grid) == 0 {
 		grid = defaultRatioGrid()
@@ -215,8 +216,8 @@ func (c *DeadlineSLO) solve(v *mapreduce.JobView) mapreduce.Directive {
 		if mbar <= 0 {
 			cand.ratio = ratio
 		}
-		if len(comps) > 0 && n1 >= 2 && mbar > 0 {
-			cand.err = worstRelError(comps, v, n1, committed+extra, mbar, m)
+		if len(c.plan.stats) > 0 && n1 >= 2 && mbar > 0 {
+			cand.err = c.plan.worstRelError(newProbe(v.TotalMaps, n1, committed+extra, mbar, m, v.Confidence))
 		} else {
 			// No variance statistics yet (e.g. precise reducers):
 			// surrogate objective — prefer more coverage, then more
@@ -263,19 +264,19 @@ func (c *DeadlineSLO) outOfBudget(v *mapreduce.JobView) mapreduce.Directive {
 		c.Deadline, v.Elapsed, v.Completed)}
 }
 
-// worstRelError evaluates Equation 7 for every key and returns the
-// worst predicted relative half-width at the candidate plan (n1
-// completed plus n2 further clusters at per-task sample size m).
-func worstRelError(comps []PlanComponent, v *mapreduce.JobView, n1, n2 int, mbar, m float64) float64 {
+// worstRelError evaluates Equation 7 for every gathered key and returns
+// the worst predicted relative half-width at the probe's plan.
+func (t *planTable) worstRelError(p probe) float64 {
 	worst := 0.0
-	for _, pc := range comps {
-		errHalf := PredictError(pc, v.TotalMaps, n1, n2, mbar, m, v.Confidence)
+	for i := range t.stats {
+		k := &t.stats[i]
+		errHalf := p.errHalf(k.su2, k.withinDone, k.avgWithin)
 		if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
 			return math.Inf(1)
 		}
 		rel := errHalf
-		if pc.Tau != 0 {
-			rel = errHalf / math.Abs(pc.Tau)
+		if k.tau != 0 {
+			rel = errHalf / math.Abs(k.tau)
 		}
 		if rel > worst {
 			worst = rel
@@ -284,24 +285,46 @@ func worstRelError(comps []PlanComponent, v *mapreduce.JobView, n1, n2 int, mbar
 	return worst
 }
 
-// gatherPlanComponents pulls Equation 7 planning statistics from every
-// partition's MultiStageReducer (shared by the TargetError and
-// DeadlineSLO planners).
-func gatherPlanComponents(v *mapreduce.JobView) []PlanComponent {
+// planTable is the dense table of Equation 7 planning statistics the
+// TargetError and DeadlineSLO planners fill from every partition's
+// MultiStageReducer and reuse across solves.
+type planTable struct {
+	reducers []*MultiStageReducer // by partition; nil for any other logic
+	stats    []planStat
+}
+
+// gather refills the table from the job's reduces, sizing it once from
+// their key counts.
+func (t *planTable) gather(v *mapreduce.JobView) {
+	t.reducers, t.stats = t.reducers[:0], t.stats[:0]
 	if v.Logics == nil {
-		return nil
+		return
 	}
-	view := mapreduce.EstimateView{
-		TotalMaps:  v.TotalMaps,
-		Consumed:   v.Completed,
-		Dropped:    v.Dropped,
-		Confidence: v.Confidence,
-	}
-	var all []PlanComponent
+	keys := 0
 	for _, logic := range v.Logics() {
-		if msr, ok := logic.(*MultiStageReducer); ok {
-			all = append(all, msr.PlanComponents(view)...)
+		msr, _ := logic.(*MultiStageReducer)
+		t.reducers = append(t.reducers, msr)
+		if msr != nil {
+			keys += len(msr.table)
 		}
 	}
-	return all
+	if cap(t.stats) < keys {
+		t.stats = make([]planStat, 0, keys)
+	}
+	for part, msr := range t.reducers {
+		if msr != nil {
+			t.stats = msr.appendPlanStats(t.stats, int32(part), v.TotalMaps)
+		}
+	}
+}
+
+// before reports whether gathered key i precedes key j in (partition,
+// key) order.
+func (t *planTable) before(i, j int) bool {
+	a, b := t.stats[i], t.stats[j]
+	if a.part != b.part {
+		return a.part < b.part
+	}
+	keys := t.reducers[a.part].table
+	return keys[a.slot].key < keys[b.slot].key
 }

@@ -83,7 +83,9 @@ func TestTargetErrorGEVNoEstimates(t *testing.T) {
 func TestTargetErrorRealizedMetStrict(t *testing.T) {
 	ctl := &TargetError{Target: 0.1, Strict: true}
 	mk := func(ests []mapreduce.KeyEstimate) *mapreduce.JobView {
-		return &mapreduce.JobView{Estimates: func() []mapreduce.KeyEstimate { return ests }}
+		return &mapreduce.JobView{Logics: func() []mapreduce.ReduceLogic {
+			return []mapreduce.ReduceLogic{fixedEstimates(ests)}
+		}}
 	}
 	ok := []mapreduce.KeyEstimate{
 		{Key: "a", Est: stats.Estimate{Value: 100, Err: 5}},
@@ -96,8 +98,21 @@ func TestTargetErrorRealizedMetStrict(t *testing.T) {
 	if ctl.realizedMet(mk(bad)) {
 		t.Error("a 50% key should fail strict mode")
 	}
-	// Nil estimates treated as met (barrier mode).
-	if !ctl.realizedMet(&mapreduce.JobView{}) {
-		t.Error("nil estimates should be treated as met")
+	// No reduces, or reduces with nothing to report (barrier mode),
+	// read as met.
+	if !ctl.realizedMet(&mapreduce.JobView{}) || !ctl.realizedMet(mk(nil)) {
+		t.Error("no estimates should be treated as met")
 	}
+}
+
+// fixedEstimates is a ReduceLogic that is not a MultiStageReducer: it
+// reports the same estimates whatever it is asked.
+type fixedEstimates []mapreduce.KeyEstimate
+
+func (fixedEstimates) Consume(*mapreduce.MapOutput) {}
+func (f fixedEstimates) Estimates(mapreduce.EstimateView) []mapreduce.KeyEstimate {
+	return f
+}
+func (f fixedEstimates) Finalize(mapreduce.EstimateView) []mapreduce.KeyEstimate {
+	return f
 }

@@ -91,14 +91,14 @@ func (r *MultiStageReducer) FinalizeWithKnownKeys(view mapreduce.EstimateView, k
 // bias-corrected form d + f1(f1-1)/2 is used.
 func (r *MultiStageReducer) DistinctKeys(view mapreduce.EstimateView) stats.Estimate {
 	est := stats.Estimate{Conf: view.Confidence}
-	d := float64(len(r.keys))
+	d := float64(len(r.table))
 	if r.exact(view) {
 		est.Value = d
 		return est
 	}
 	var f1, f2 float64
-	for _, agg := range r.keys {
-		switch agg.units {
+	for i := range r.table {
+		switch r.table[i].units {
 		case 1:
 			f1++
 		case 2:

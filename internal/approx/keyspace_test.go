@@ -113,7 +113,7 @@ func TestDistinctKeysChao(t *testing.T) {
 		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 500, Sampled: 120, Combined: combined})
 	}
 	est := r.DistinctKeys(view)
-	observed := float64(len(r.keys))
+	observed := float64(len(r.table))
 	if est.Value < observed {
 		t.Errorf("Chao estimate %v cannot be below observed %v", est.Value, observed)
 	}

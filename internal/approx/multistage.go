@@ -38,7 +38,7 @@ func (op AggOp) String() string {
 // many map tasks the job has. This matters for jobs like the
 // year-of-logs Page Popularity run with thousands of clusters.
 type keyAgg struct {
-	appear  int64   // clusters in which the key appeared
+	key     string
 	units   int64   // sampled units that produced a value for the key
 	sumTau  float64 // sum of cluster total estimates tau_i = M_i * ybar_i
 	sumTau2 float64 // sum of tau_i^2 (for s_u^2)
@@ -63,13 +63,17 @@ type MultiStageReducer struct {
 	sumM         float64 // sum of M_i over consumed clusters
 	sumM2        float64 // sum of M_i^2
 	sampledUnits int64   // sum of m_i over consumed clusters
-	keys         map[string]*keyAgg
-	sampled      bool // any cluster with m_i < M_i seen
+	// table holds one keyAgg per key seen and index maps a key to its
+	// slot. Slot order is insertion order, which for legacy map-backed
+	// outputs is Go map order: nothing observable may depend on it.
+	table   []keyAgg
+	index   map[string]int32
+	sampled bool // any cluster with m_i < M_i seen
 }
 
 // NewMultiStageReducer builds a reducer for the given aggregation.
 func NewMultiStageReducer(op AggOp) *MultiStageReducer {
-	return &MultiStageReducer{Op: op, keys: make(map[string]*keyAgg)}
+	return &MultiStageReducer{Op: op, index: make(map[string]int32)}
 }
 
 // Consume implements mapreduce.ReduceLogic.
@@ -84,17 +88,18 @@ func (r *MultiStageReducer) Consume(out *mapreduce.MapOutput) {
 		r.sampled = true
 	}
 	consumeOne := func(key string, rs stats.RunningStat) {
-		agg := r.keys[key]
-		if agg == nil {
-			agg = &keyAgg{}
-			r.keys[key] = agg
+		slot, ok := r.index[key]
+		if !ok {
+			slot = int32(len(r.table))
+			r.index[key] = slot
+			r.table = append(r.table, keyAgg{key: key})
 		}
+		agg := &r.table[slot]
 		if m <= 0 {
 			return
 		}
 		tau := M * rs.MeanOverN(m)
 		s2 := rs.VarianceOverN(m)
-		agg.appear++
 		agg.units += rs.Count
 		agg.sumTau += tau
 		agg.sumTau2 += tau * tau
@@ -140,7 +145,18 @@ func (r *MultiStageReducer) su2(agg *keyAgg) float64 {
 	return v
 }
 
-func (r *MultiStageReducer) estimate(agg *keyAgg, view mapreduce.EstimateView) stats.Estimate {
+// tCrit returns t_{n-1,1-alpha/2}, the quantile every key's interval
+// shares; estimate reads it only for inexact data over two or more
+// clusters.
+func (r *MultiStageReducer) tCrit(view mapreduce.EstimateView) float64 {
+	if r.n < 2 || r.exact(view) {
+		return 0
+	}
+	return stats.TwoSidedT(view.Confidence, float64(r.n)-1)
+}
+
+// estimate evaluates one key's estimator; t is r.tCrit(view).
+func (r *MultiStageReducer) estimate(agg *keyAgg, view mapreduce.EstimateView, t float64) stats.Estimate {
 	N := float64(view.TotalMaps)
 	n := float64(r.n)
 	est := stats.Estimate{Conf: view.Confidence, DF: n - 1}
@@ -179,7 +195,7 @@ func (r *MultiStageReducer) estimate(agg *keyAgg, view mapreduce.EstimateView) s
 		}
 		tx := N / n * r.sumM
 		est.StdErr = math.Sqrt(varTot) / tx
-		est.Err = stats.TwoSidedT(view.Confidence, n-1) * est.StdErr
+		est.Err = t * est.StdErr
 		return est
 	default: // OpSum, OpCount
 		est.Value = N / n * agg.sumTau
@@ -197,7 +213,7 @@ func (r *MultiStageReducer) estimate(agg *keyAgg, view mapreduce.EstimateView) s
 		}
 		variance := between + N/n*agg.within
 		est.StdErr = math.Sqrt(variance)
-		est.Err = stats.TwoSidedT(view.Confidence, n-1) * est.StdErr
+		est.Err = t * est.StdErr
 		return est
 	}
 }
@@ -210,10 +226,11 @@ func (r *MultiStageReducer) Estimates(view mapreduce.EstimateView) []mapreduce.K
 // Finalize implements mapreduce.ReduceLogic.
 func (r *MultiStageReducer) Finalize(view mapreduce.EstimateView) []mapreduce.KeyEstimate {
 	exact := r.exact(view)
-	out := make([]mapreduce.KeyEstimate, 0, len(r.keys))
-	for key, agg := range r.keys {
-		est := r.estimate(agg, view)
-		out = append(out, mapreduce.KeyEstimate{Key: key, Est: est, Exact: exact})
+	t := r.tCrit(view)
+	out := make([]mapreduce.KeyEstimate, 0, len(r.table))
+	for i := range r.table {
+		agg := &r.table[i]
+		out = append(out, mapreduce.KeyEstimate{Key: agg.key, Est: r.estimate(agg, view, t), Exact: exact})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
@@ -230,37 +247,53 @@ type PlanComponent struct {
 	AvgWithin  float64 // mean within-cluster variance s_i^2
 }
 
-// PlanComponents returns planning statistics for every key seen so
-// far. It requires at least two consumed clusters; otherwise nil.
-func (r *MultiStageReducer) PlanComponents(view mapreduce.EstimateView) []PlanComponent {
-	if r.n < 2 {
-		return nil
-	}
-	N := float64(view.TotalMaps)
-	n := float64(r.n)
-	out := make([]PlanComponent, 0, len(r.keys))
-	for key, agg := range r.keys {
-		out = append(out, PlanComponent{
-			Key:        key,
-			Tau:        N / n * agg.sumTau,
-			SU2:        r.su2(agg),
-			WithinDone: agg.within,
-			AvgWithin:  agg.sumS2 / n,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+// planStat is one key's PlanComponent in a controller's planTable, with
+// the key's partition and table slot in place of a copy of the key.
+type planStat struct {
+	tau, su2, withinDone, avgWithin float64
+	part, slot                      int32
 }
 
-// PredictError evaluates the paper's Equations 4, 6 and 7: the
-// predicted confidence-interval half width for a key if, on top of the
-// n1 consumed clusters, n2 more clusters of Mbar units are executed
-// with m of their units sampled each.
-func PredictError(pc PlanComponent, totalMaps, n1, n2 int, mbar, m float64, confidence float64) float64 {
-	n := n1 + n2
-	if n < 2 {
-		return math.Inf(1)
+// appendPlanStats appends planning statistics for every key seen so
+// far; with fewer than two consumed clusters there are none.
+//
+//approx:hotpath
+func (r *MultiStageReducer) appendPlanStats(dst []planStat, part int32, totalMaps int) []planStat {
+	if r.n < 2 {
+		return dst
 	}
+	N := float64(totalMaps)
+	n := float64(r.n)
+	for i := range r.table {
+		agg := &r.table[i]
+		dst = append(dst, planStat{
+			tau:        N / n * agg.sumTau,
+			su2:        r.su2(agg),
+			withinDone: agg.within,
+			avgWithin:  agg.sumS2 / n,
+			part:       part,
+			slot:       int32(i),
+		})
+	}
+	return dst
+}
+
+// probe is the part of Equations 4, 6 and 7 every key shares at one
+// candidate plan: n2 more clusters of mbar units, m of them sampled, on
+// top of n1 consumed ones. The products keep the operand order of the
+// one-pass formula they were hoisted from, so errHalf rounds as it did.
+// With fewer than two clusters there is no quantile: t, and so every
+// half-width, is NaN, which the planners read as infeasible.
+type probe struct {
+	n      float64 // n1 + n2
+	t      float64 // t_{n-1,1-alpha/2}
+	spread float64 // N*(N-n), the factor of s_u^2
+	scale  float64 // N/n
+	extra  float64 // n2*mbar*(mbar-m), the factor of AvgWithin
+	m      float64 // clamped to [1, mbar]
+}
+
+func newProbe(totalMaps, n1, n2 int, mbar, m, confidence float64) probe {
 	if m <= 0 {
 		m = 1
 	}
@@ -268,15 +301,42 @@ func PredictError(pc PlanComponent, totalMaps, n1, n2 int, mbar, m float64, conf
 		m = mbar
 	}
 	N := float64(totalMaps)
-	fn := float64(n)
-	between := N * (N - fn) * pc.SU2 / fn
+	n := float64(n1 + n2)
+	return probe{
+		n:      n,
+		t:      stats.TwoSidedT(confidence, n-1),
+		spread: N * (N - n),
+		scale:  N / n,
+		extra:  float64(n2) * mbar * (mbar - m),
+		m:      m,
+	}
+}
+
+// errHalf is the predicted confidence-interval half width of a key with
+// the given variance components at the probe's plan.
+//
+//approx:hotpath
+func (p *probe) errHalf(su2, withinDone, avgWithin float64) float64 {
+	between := p.spread * su2 / p.n
 	if between < 0 {
 		between = 0
 	}
-	cvar := pc.WithinDone + float64(n2)*mbar*(mbar-m)*pc.AvgWithin/m
-	variance := between + N/fn*cvar
+	cvar := withinDone + p.extra*avgWithin/p.m
+	variance := between + p.scale*cvar
 	if variance < 0 {
 		variance = 0
 	}
-	return stats.TwoSidedT(confidence, fn-1) * math.Sqrt(variance)
+	return p.t * math.Sqrt(variance)
+}
+
+// PredictError evaluates the paper's Equations 4, 6 and 7: the
+// predicted confidence-interval half width for a key if, on top of the
+// n1 consumed clusters, n2 more clusters of Mbar units are executed
+// with m of their units sampled each.
+func PredictError(pc PlanComponent, totalMaps, n1, n2 int, mbar, m float64, confidence float64) float64 {
+	if n1+n2 < 2 {
+		return math.Inf(1)
+	}
+	p := newProbe(totalMaps, n1, n2, mbar, m, confidence)
+	return p.errHalf(pc.SU2, pc.WithinDone, pc.AvgWithin)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"approxhadoop/internal/mapreduce"
+	"approxhadoop/internal/stats"
 )
 
 // TargetError is the controller for user-specified target error bounds
@@ -60,6 +61,7 @@ type TargetError struct {
 	planned   int     // total maps to launch; 0 = unbounded
 	solved    bool
 	solveAt   int // completed count that triggers the next re-solve
+	plan      planTable
 }
 
 // Name implements mapreduce.Controller.
@@ -161,51 +163,56 @@ func (c *TargetError) Completed(v *mapreduce.JobView) mapreduce.Directive {
 }
 
 // realizedMet checks the job's current (realized) error bounds against
-// the user's targets, without the planning slack.
+// the user's targets, without the planning slack. With no estimate to
+// check (barrier mode: the reduces have consumed nothing) they read as
+// met.
 func (c *TargetError) realizedMet(v *mapreduce.JobView) bool {
-	if v.Estimates == nil {
+	if v.Logics == nil {
 		return true
 	}
-	ests := v.Estimates()
-	if len(ests) == 0 {
-		return true // no online estimates (e.g. barrier mode)
+	view := mapreduce.EstimateView{
+		TotalMaps:  v.TotalMaps,
+		Consumed:   v.Completed,
+		Dropped:    v.Dropped,
+		Confidence: v.Confidence,
 	}
-	metRaw := func(errHalf, value float64) bool {
-		if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
+	// The bound that counts by default is that of the key with the
+	// greatest half-width, an exact tie going to the first key in
+	// (partition, key) order as a scan of the sorted snapshot would pick
+	// it; wPart is negative until a key has a positive half-width.
+	wErr, wVal, wPart, wKey := 0.0, 0.0, -1, ""
+	// met folds in one key; false settles the verdict as "not met".
+	met := func(part int, key string, est stats.Estimate) bool {
+		if c.Strict {
+			return c.meets(est.Err, est.Value, 1)
+		}
+		if math.IsInf(est.Err, 1) || math.IsNaN(est.Err) {
 			return false
 		}
-		if c.Target > 0 {
-			if value == 0 {
-				if errHalf > 0 {
+		//lint:ignore nofloateq see above: exact ties have a defined winner
+		if est.Err > wErr || est.Err == wErr && wPart >= 0 && (part < wPart || part == wPart && key < wKey) {
+			wErr, wVal, wPart, wKey = est.Err, est.Value, part, key
+		}
+		return true
+	}
+	for part, logic := range v.Logics() {
+		if msr, ok := logic.(*MultiStageReducer); ok {
+			t := msr.tCrit(view)
+			for i := range msr.table {
+				agg := &msr.table[i]
+				if !met(part, agg.key, msr.estimate(agg, view, t)) {
 					return false
 				}
-			} else if errHalf > c.Target*math.Abs(value) {
+			}
+			continue
+		}
+		for _, e := range logic.Estimates(view) {
+			if !met(part, e.Key, e.Est) {
 				return false
 			}
 		}
-		if c.Absolute > 0 && errHalf > c.Absolute {
-			return false
-		}
-		return true
 	}
-	if c.Strict {
-		for _, e := range ests {
-			if !metRaw(e.Est.Err, e.Est.Value) {
-				return false
-			}
-		}
-		return true
-	}
-	worstErr, worstVal := 0.0, 0.0
-	for _, e := range ests {
-		if math.IsInf(e.Est.Err, 1) || math.IsNaN(e.Est.Err) {
-			return false
-		}
-		if e.Est.Err > worstErr {
-			worstErr, worstVal = e.Est.Err, e.Est.Value
-		}
-	}
-	return metRaw(worstErr, worstVal)
+	return c.meets(wErr, wVal, 1)
 }
 
 // solve runs the Section 4.4 optimization and stores the plan.
@@ -216,8 +223,8 @@ func (c *TargetError) solve(v *mapreduce.JobView) {
 	c.ratio = 1
 	c.planned = 0
 
-	comps := c.gatherComponents(v)
-	if len(comps) == 0 || v.Completed < 2 || v.AvgItems <= 0 {
+	c.plan.gather(v)
+	if len(c.plan.stats) == 0 || v.Completed < 2 || v.AvgItems <= 0 {
 		return
 	}
 	t0, tr, tp := v.CostParams()
@@ -233,32 +240,6 @@ func (c *TargetError) solve(v *mapreduce.JobView) {
 		grid = defaultRatioGrid()
 	}
 
-	feasible := func(n2 int, m float64) bool {
-		if c.Strict {
-			for _, pc := range comps {
-				errHalf := PredictError(pc, v.TotalMaps, n1, n2, mbar, m, v.Confidence)
-				if !c.meets(errHalf, pc.Tau) {
-					return false
-				}
-			}
-			return true
-		}
-		// Default: bound the key with the maximum predicted absolute
-		// error (the paper's reported key).
-		worstErr := 0.0
-		worstTau := 0.0
-		for _, pc := range comps {
-			errHalf := PredictError(pc, v.TotalMaps, n1, n2, mbar, m, v.Confidence)
-			if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
-				return false
-			}
-			if errHalf > worstErr {
-				worstErr, worstTau = errHalf, pc.Tau
-			}
-		}
-		return c.meets(worstErr, worstTau)
-	}
-
 	bestRET := math.Inf(1)
 	found := false
 	var bestExtra int
@@ -266,14 +247,14 @@ func (c *TargetError) solve(v *mapreduce.JobView) {
 	for _, ratio := range grid {
 		m := math.Max(1, math.Round(ratio*mbar))
 		hi := committed + maxExtra
-		if !feasible(hi, m) {
+		if !c.feasible(newProbe(v.TotalMaps, n1, hi, mbar, m, v.Confidence)) {
 			continue
 		}
 		// Binary search the minimal feasible n2 in [committed, hi].
 		lo := committed
 		for lo < hi {
 			mid := (lo + hi) / 2
-			if feasible(mid, m) {
+			if c.feasible(newProbe(v.TotalMaps, n1, mid, mbar, m, v.Confidence)) {
 				hi = mid
 			} else {
 				lo = mid + 1
@@ -303,22 +284,50 @@ func (c *TargetError) solve(v *mapreduce.JobView) {
 	}
 }
 
-// meets checks one key's predicted half-width against the targets,
-// tightened by the planning slack.
-func (c *TargetError) meets(errHalf, tau float64) bool {
-	if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
-		return false
-	}
+// feasible reports whether the gathered keys meet the slack-tightened
+// targets at the probe's plan: every key in Strict mode, otherwise the
+// key with the maximum predicted absolute error (the paper's reported
+// key), exact ties going to the first key in (partition, key) order.
+func (c *TargetError) feasible(p probe) bool {
 	slack := c.Slack
 	if slack <= 0 || slack > 1 {
 		slack = 0.8
 	}
+	keys := c.plan.stats
+	worst, worstErr := -1, 0.0
+	for i := range keys {
+		k := &keys[i]
+		errHalf := p.errHalf(k.su2, k.withinDone, k.avgWithin)
+		if c.Strict {
+			if !c.meets(errHalf, k.tau, slack) {
+				return false
+			}
+			continue
+		}
+		if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
+			return false
+		}
+		//lint:ignore nofloateq an exact tie goes to the first key in (partition, key) order, as a sorted scan would pick
+		if errHalf > worstErr || errHalf == worstErr && worst >= 0 && c.plan.before(i, worst) {
+			worst, worstErr = i, errHalf
+		}
+	}
+	return worst < 0 || c.meets(worstErr, keys[worst].tau, slack)
+}
+
+// meets checks one key's half-width against the targets scaled by
+// slack: the planning slack for a predicted half-width, 1 for a
+// realized one.
+func (c *TargetError) meets(errHalf, value, slack float64) bool {
+	if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
+		return false
+	}
 	if c.Target > 0 {
-		if tau == 0 {
+		if value == 0 {
 			if errHalf > 0 {
 				return false
 			}
-		} else if errHalf > slack*c.Target*math.Abs(tau) {
+		} else if errHalf > slack*c.Target*math.Abs(value) {
 			return false
 		}
 	}
@@ -326,10 +335,4 @@ func (c *TargetError) meets(errHalf, tau float64) bool {
 		return false
 	}
 	return true
-}
-
-// gatherComponents pulls planning statistics from every partition's
-// MultiStageReducer.
-func (c *TargetError) gatherComponents(v *mapreduce.JobView) []PlanComponent {
-	return gatherPlanComponents(v)
 }

@@ -1,0 +1,758 @@
+package approx
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"approxhadoop/internal/mapreduce"
+	"approxhadoop/internal/stats"
+)
+
+// Reference model: the planner as it stood at commit 24a4464, before
+// the per-probe/per-key split, the dense key table and the snapshot-free
+// realizedMet. refPredictError, refPlanComponents, refWorstRelError and
+// the refTargetError methods are that commit's code with only the
+// receiver type renamed (and PlanComponents reading the reducer's table
+// through its index map, which keeps the Go-map iteration order it had).
+// The tests below drive the shipped code and this model over the same
+// inputs and demand identical bits.
+
+func refPredictError(pc PlanComponent, totalMaps, n1, n2 int, mbar, m float64, confidence float64) float64 {
+	n := n1 + n2
+	if n < 2 {
+		return math.Inf(1)
+	}
+	if m <= 0 {
+		m = 1
+	}
+	if m > mbar {
+		m = mbar
+	}
+	N := float64(totalMaps)
+	fn := float64(n)
+	between := N * (N - fn) * pc.SU2 / fn
+	if between < 0 {
+		between = 0
+	}
+	cvar := pc.WithinDone + float64(n2)*mbar*(mbar-m)*pc.AvgWithin/m
+	variance := between + N/fn*cvar
+	if variance < 0 {
+		variance = 0
+	}
+	return stats.TwoSidedT(confidence, fn-1) * math.Sqrt(variance)
+}
+
+func refPlanComponents(r *MultiStageReducer, view mapreduce.EstimateView) []PlanComponent {
+	if r.n < 2 {
+		return nil
+	}
+	N := float64(view.TotalMaps)
+	n := float64(r.n)
+	out := make([]PlanComponent, 0, len(r.index))
+	for key, slot := range r.index {
+		agg := &r.table[slot]
+		out = append(out, PlanComponent{
+			Key:        key,
+			Tau:        N / n * agg.sumTau,
+			SU2:        r.su2(agg),
+			WithinDone: agg.within,
+			AvgWithin:  agg.sumS2 / n,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
+func refGatherPlanComponents(v *mapreduce.JobView) []PlanComponent {
+	if v.Logics == nil {
+		return nil
+	}
+	view := mapreduce.EstimateView{
+		TotalMaps:  v.TotalMaps,
+		Consumed:   v.Completed,
+		Dropped:    v.Dropped,
+		Confidence: v.Confidence,
+	}
+	var all []PlanComponent
+	for _, logic := range v.Logics() {
+		if msr, ok := logic.(*MultiStageReducer); ok {
+			all = append(all, refPlanComponents(msr, view)...)
+		}
+	}
+	return all
+}
+
+func refWorstRelError(comps []PlanComponent, v *mapreduce.JobView, n1, n2 int, mbar, m float64) float64 {
+	worst := 0.0
+	for _, pc := range comps {
+		errHalf := refPredictError(pc, v.TotalMaps, n1, n2, mbar, m, v.Confidence)
+		if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
+			return math.Inf(1)
+		}
+		rel := errHalf
+		if pc.Tau != 0 {
+			rel = errHalf / math.Abs(pc.Tau)
+		}
+		if rel > worst {
+			worst = rel
+		}
+	}
+	return worst
+}
+
+type refTargetError struct {
+	Target     float64
+	Absolute   float64
+	Pilot      bool
+	PilotTasks int
+	PilotRatio float64
+	RatioGrid  []float64
+	Slack      float64
+	Strict     bool
+
+	firstWave int
+	ratio     float64
+	planned   int
+	solved    bool
+	solveAt   int
+}
+
+func (c *refTargetError) init(v *mapreduce.JobView) {
+	if c.firstWave > 0 {
+		return
+	}
+	if c.Pilot {
+		if c.PilotTasks <= 0 {
+			c.PilotTasks = v.TotalMapSlots / 4
+			if c.PilotTasks < 2 {
+				c.PilotTasks = 2
+			}
+		}
+		if c.PilotTasks > v.TotalMaps {
+			c.PilotTasks = v.TotalMaps
+		}
+		if c.PilotRatio <= 0 || c.PilotRatio > 1 {
+			c.PilotRatio = 0.01
+		}
+		c.firstWave = c.PilotTasks
+	} else {
+		c.firstWave = v.TotalMapSlots
+		if c.firstWave > v.TotalMaps {
+			c.firstWave = v.TotalMaps
+		}
+	}
+}
+
+func (c *refTargetError) Completed(v *mapreduce.JobView) mapreduce.Directive {
+	c.init(v)
+	switch {
+	case !c.solved:
+		if v.Completed < c.firstWave {
+			return mapreduce.Directive{}
+		}
+		c.solve(v)
+	case c.planned > 0 && v.Launched >= c.planned && v.Running == 0:
+		if c.realizedMet(v) || v.Pending == 0 {
+			return mapreduce.Directive{DropPending: true, SampleRatio: c.ratio}
+		}
+		c.solve(v)
+		if c.planned <= v.Launched {
+			extra := v.TotalMapSlots / 4
+			if extra < 1 {
+				extra = 1
+			}
+			c.planned = v.Launched + extra
+			c.ratio = 1
+		}
+	case v.Completed >= c.solveAt && (c.planned == 0 || v.Launched < c.planned):
+		c.solve(v)
+	default:
+		return mapreduce.Directive{}
+	}
+	return mapreduce.Directive{SampleRatio: c.ratio}
+}
+
+func (c *refTargetError) realizedMet(v *mapreduce.JobView) bool {
+	if v.Estimates == nil {
+		return true
+	}
+	ests := v.Estimates()
+	if len(ests) == 0 {
+		return true // no online estimates (e.g. barrier mode)
+	}
+	metRaw := func(errHalf, value float64) bool {
+		if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
+			return false
+		}
+		if c.Target > 0 {
+			if value == 0 {
+				if errHalf > 0 {
+					return false
+				}
+			} else if errHalf > c.Target*math.Abs(value) {
+				return false
+			}
+		}
+		if c.Absolute > 0 && errHalf > c.Absolute {
+			return false
+		}
+		return true
+	}
+	if c.Strict {
+		for _, e := range ests {
+			if !metRaw(e.Est.Err, e.Est.Value) {
+				return false
+			}
+		}
+		return true
+	}
+	worstErr, worstVal := 0.0, 0.0
+	for _, e := range ests {
+		if math.IsInf(e.Est.Err, 1) || math.IsNaN(e.Est.Err) {
+			return false
+		}
+		if e.Est.Err > worstErr {
+			worstErr, worstVal = e.Est.Err, e.Est.Value
+		}
+	}
+	return metRaw(worstErr, worstVal)
+}
+
+func (c *refTargetError) solve(v *mapreduce.JobView) {
+	c.solved = true
+	c.solveAt = v.Completed + v.TotalMapSlots // next wave boundary
+	// Fallback: no approximation possible — run everything precisely.
+	c.ratio = 1
+	c.planned = 0
+
+	comps := refGatherPlanComponents(v)
+	if len(comps) == 0 || v.Completed < 2 || v.AvgItems <= 0 {
+		return
+	}
+	t0, tr, tp := v.CostParams()
+	mbar := v.AvgItems
+	n1 := v.Completed
+	committed := v.Running // already launched, will complete regardless
+	maxExtra := v.TotalMaps - v.Launched
+	if maxExtra < 0 {
+		maxExtra = 0
+	}
+	grid := c.RatioGrid
+	if len(grid) == 0 {
+		grid = defaultRatioGrid()
+	}
+
+	feasible := func(n2 int, m float64) bool {
+		if c.Strict {
+			for _, pc := range comps {
+				errHalf := refPredictError(pc, v.TotalMaps, n1, n2, mbar, m, v.Confidence)
+				if !c.meets(errHalf, pc.Tau) {
+					return false
+				}
+			}
+			return true
+		}
+		// Default: bound the key with the maximum predicted absolute
+		// error (the paper's reported key).
+		worstErr := 0.0
+		worstTau := 0.0
+		for _, pc := range comps {
+			errHalf := refPredictError(pc, v.TotalMaps, n1, n2, mbar, m, v.Confidence)
+			if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
+				return false
+			}
+			if errHalf > worstErr {
+				worstErr, worstTau = errHalf, pc.Tau
+			}
+		}
+		return c.meets(worstErr, worstTau)
+	}
+
+	bestRET := math.Inf(1)
+	found := false
+	var bestExtra int
+	var bestRatio float64
+	for _, ratio := range grid {
+		m := math.Max(1, math.Round(ratio*mbar))
+		hi := committed + maxExtra
+		if !feasible(hi, m) {
+			continue
+		}
+		// Binary search the minimal feasible n2 in [committed, hi].
+		lo := committed
+		for lo < hi {
+			mid := (lo + hi) / 2
+			if feasible(mid, m) {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		extra := lo - committed
+		ret := float64(extra) * (t0 + mbar*tr + m*tp)
+		if ret < bestRET {
+			bestRET = ret
+			bestExtra = extra
+			bestRatio = m / mbar
+			found = true
+		}
+	}
+	if !found {
+		return // keep precise fallback
+	}
+	if bestRatio > 1 {
+		bestRatio = 1
+	}
+	c.ratio = bestRatio
+	// planned == launched means everything still pending is dropped.
+	// MaxLaunch must stay positive to take effect, hence the floor.
+	c.planned = v.Launched + bestExtra
+	if c.planned < 1 {
+		c.planned = 1
+	}
+}
+
+func (c *refTargetError) meets(errHalf, tau float64) bool {
+	if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
+		return false
+	}
+	slack := c.Slack
+	if slack <= 0 || slack > 1 {
+		slack = 0.8
+	}
+	if c.Target > 0 {
+		if tau == 0 {
+			if errHalf > 0 {
+				return false
+			}
+		} else if errHalf > slack*c.Target*math.Abs(tau) {
+			return false
+		}
+	}
+	if c.Absolute > 0 && errHalf > slack*c.Absolute {
+		return false
+	}
+	return true
+}
+
+// refJob is a synthetic job: a fixed number of map tasks whose outputs
+// are consumed wave by wave into one MultiStageReducer per partition,
+// and the JobView a controller would see at each boundary.
+type refJob struct {
+	totalMaps, slots int
+	reducers         []*MultiStageReducer
+	logics           []mapreduce.ReduceLogic
+	sumItems         int64
+	completed        int
+	rng              *rand.Rand
+	draw             func() int // next key rank in [0, keys)
+	keys             int
+}
+
+// newRefJob builds a job over `keys` keys drawn Zipf(1.2) or uniformly,
+// hash-partitioned over `parts` reduces.
+func newRefJob(seed int64, keys, parts, totalMaps, slots int, zipf bool) *refJob {
+	rng := stats.NewRand(seed)
+	j := &refJob{totalMaps: totalMaps, slots: slots, rng: rng, keys: keys}
+	if zipf && keys > 1 {
+		z := stats.NewZipf(rng, 1.2, uint64(keys))
+		j.draw = func() int { return int(z.Next()) - 1 }
+	} else {
+		j.draw = func() int { return rng.Intn(keys) }
+	}
+	for p := 0; p < parts; p++ {
+		r := NewMultiStageReducer(OpSum)
+		j.reducers = append(j.reducers, r)
+		j.logics = append(j.logics, r)
+	}
+	return j
+}
+
+// complete consumes n more map outputs sampled at the given ratio. Each
+// output reaches the reducers through the legacy Combined map, so keys
+// enter a reducer's table in Go map order, never sorted order.
+func (j *refJob) complete(n int, ratio float64) {
+	parts := len(j.reducers)
+	for i := 0; i < n; i++ {
+		items := int64(900 + int(j.rng.Float64()*200)) // mean is not an integer
+		sampled := int64(math.Max(1, math.Round(ratio*float64(items))))
+		combined := make([]map[string]stats.RunningStat, parts)
+		for p := range combined {
+			combined[p] = map[string]stats.RunningStat{}
+		}
+		for u := int64(0); u < sampled; u++ {
+			k := j.draw()
+			key := fmt.Sprintf("key%05d", k)
+			rs := combined[k%parts][key]
+			rs.Add(1 + float64(k%3))
+			combined[k%parts][key] = rs
+		}
+		for p, r := range j.reducers {
+			r.Consume(&mapreduce.MapOutput{TaskID: j.completed, Items: items, Sampled: sampled, Combined: combined[p]})
+		}
+		j.sumItems += items
+		j.completed++
+	}
+}
+
+// view is the JobView after the completions so far, with `launched`
+// tasks launched and `running` of them still running.
+func (j *refJob) view(launched, running int) *mapreduce.JobView {
+	v := &mapreduce.JobView{
+		TotalMaps:     j.totalMaps,
+		TotalMapSlots: j.slots,
+		Launched:      launched,
+		Completed:     j.completed,
+		Running:       running,
+		Pending:       j.totalMaps - launched,
+		Confidence:    0.95,
+		Logics:        func() []mapreduce.ReduceLogic { return j.logics },
+		CostParams:    func() (float64, float64, float64) { return 1.5, 0.006, 0.024 },
+	}
+	if j.completed > 0 {
+		v.AvgItems = float64(j.sumItems) / float64(j.completed)
+	}
+	// The snapshot the tracker hands out: every partition's sorted
+	// estimates, concatenated in partition order.
+	v.Estimates = func() []mapreduce.KeyEstimate {
+		view := mapreduce.EstimateView{TotalMaps: v.TotalMaps, Consumed: v.Completed, Dropped: v.Dropped, Confidence: v.Confidence}
+		var all []mapreduce.KeyEstimate
+		for _, l := range j.logics {
+			all = append(all, l.Estimates(view)...)
+		}
+		return all
+	}
+	return v
+}
+
+// pair is one shipped controller and its reference twin.
+type pair struct {
+	name string
+	got  *TargetError
+	ref  *refTargetError
+}
+
+func newPair(name string, cfg TargetError) pair {
+	return pair{name, &cfg, &refTargetError{
+		Target: cfg.Target, Absolute: cfg.Absolute, Pilot: cfg.Pilot, PilotTasks: cfg.PilotTasks,
+		PilotRatio: cfg.PilotRatio, RatioGrid: cfg.RatioGrid, Slack: cfg.Slack, Strict: cfg.Strict,
+	}}
+}
+
+// step hands both controllers the same view and demands the same
+// directive and the same plan state.
+func (p pair) step(t *testing.T, at string, v *mapreduce.JobView) mapreduce.Directive {
+	t.Helper()
+	got, want := p.got.Completed(v), p.ref.Completed(v)
+	if got.DropPending != want.DropPending || got.KillRunning != want.KillRunning || got.MaxLaunch != want.MaxLaunch ||
+		math.Float64bits(got.SampleRatio) != math.Float64bits(want.SampleRatio) || (got.Abort == nil) != (want.Abort == nil) {
+		t.Fatalf("%s %s: directive %+v, reference %+v", p.name, at, got, want)
+	}
+	if math.Float64bits(p.got.ratio) != math.Float64bits(p.ref.ratio) || p.got.planned != p.ref.planned ||
+		p.got.solved != p.ref.solved || p.got.solveAt != p.ref.solveAt {
+		t.Fatalf("%s %s: plan (ratio %v, planned %d, solveAt %d), reference (%v, %d, %d)", p.name, at,
+			p.got.ratio, p.got.planned, p.got.solveAt, p.ref.ratio, p.ref.planned, p.ref.solveAt)
+	}
+	if got, want := p.got.realizedMet(v), p.ref.realizedMet(v); got != want {
+		t.Fatalf("%s %s: realizedMet %v, reference %v", p.name, at, got, want)
+	}
+	return got
+}
+
+// refConfigs are the controller modes the issue names.
+func refConfigs() []pair {
+	return []pair{
+		newPair("worst-key", TargetError{Target: 0.02}),
+		newPair("strict", TargetError{Target: 0.5, Strict: true}),
+		newPair("strict-tight", TargetError{Target: 0.02, Strict: true}),
+		newPair("absolute", TargetError{Absolute: 300}),
+		newPair("both", TargetError{Target: 0.05, Absolute: 500, Slack: 0.9}),
+		newPair("strict-absolute", TargetError{Absolute: 300, Strict: true}),
+		newPair("pilot", TargetError{Target: 0.05, Pilot: true, PilotRatio: 0.2}),
+		newPair("grid", TargetError{Target: 0.03, RatioGrid: []float64{1, 0.3, 0.03}}),
+	}
+}
+
+// TestPlannerMatchesReference drives every mode through the life of a
+// job — first wave, solve, the planned tasks finishing in two batches,
+// the realized check, a re-solve per wave — over seeded key sets.
+func TestPlannerMatchesReference(t *testing.T) {
+	sets := []struct {
+		keys, parts int
+		zipf        bool
+		modes       int // first n of refConfigs
+	}{
+		{1, 1, false, 8}, {2, 2, true, 8}, {2, 1, false, 8},
+		{400, 1, true, 8}, {400, 3, false, 8}, {400, 8, true, 8},
+		{20000, 5, true, 3}, {20000, 8, false, 2},
+	}
+	if testing.Short() {
+		sets = sets[:6]
+	}
+	for si, set := range sets {
+		for _, p := range refConfigs()[:set.modes] {
+			name := fmt.Sprintf("%s/%dkeys/%dparts/zipf=%v", p.name, set.keys, set.parts, set.zipf)
+			const totalMaps, slots = 200, 24
+			j := newRefJob(int64(100+si), set.keys, set.parts, totalMaps, slots, set.zipf)
+			first, ratio := slots, 1.0
+			if p.got.Pilot {
+				first, ratio = slots/4, p.got.PilotRatio
+			}
+			// Mid first wave: quiet.
+			j.complete(first-1, ratio)
+			p.step(t, name+" mid-wave", j.view(first, 1))
+			j.complete(1, ratio)
+			launched, stuck := first, 0
+			for round := 0; round < 8 && launched < totalMaps; round++ {
+				d := p.step(t, fmt.Sprintf("%s round %d", name, round), j.view(launched, 0))
+				if d.DropPending {
+					break
+				}
+				// Launch toward the plan, a wave at most, and finish
+				// it in two batches so a solve sees running tasks.
+				next := launched + slots
+				if p.got.planned > 0 && p.got.planned < next {
+					next = p.got.planned
+				}
+				if next > totalMaps {
+					next = totalMaps
+				}
+				batch := next - launched
+				if batch <= 0 {
+					// Plan reached: the next call is the realized check,
+					// which drops the rest or extends the plan.
+					if stuck++; stuck > 1 {
+						break
+					}
+					continue
+				}
+				r := p.got.ratio
+				j.complete(batch/2, r)
+				p.step(t, fmt.Sprintf("%s round %d half", name, round), j.view(next, batch-batch/2))
+				j.complete(batch-batch/2, r)
+				launched = next
+			}
+		}
+	}
+}
+
+// handReducer builds a reducer over n consumed clusters whose table
+// holds exactly the given aggregates, in the given slot order.
+func handReducer(n int, aggs ...keyAgg) *MultiStageReducer {
+	r := NewMultiStageReducer(OpSum)
+	r.n = n
+	r.sumM = 1000 * float64(n)
+	r.sumM2 = 1e6 * float64(n)
+	r.sampledUnits = 1000 * int64(n)
+	for i, a := range aggs {
+		r.table = append(r.table, a)
+		r.index[a.key] = int32(i)
+	}
+	return r
+}
+
+// handView is a first-wave-complete view over hand-built reducers.
+func handView(n int, rs ...*MultiStageReducer) *mapreduce.JobView {
+	j := &refJob{totalMaps: 200, slots: n, completed: n, sumItems: int64(n)*1000 + 7}
+	for _, r := range rs {
+		j.reducers = append(j.reducers, r)
+		j.logics = append(j.logics, r)
+	}
+	return j.view(n, 0)
+}
+
+// tied returns an aggregate whose s_u^2 rounds negative and is clamped
+// to zero, so its predicted and realized half-widths depend on `within`
+// and sumS2 alone: two such keys with different totals tie exactly.
+func tied(key string, sumTau, within float64) keyAgg {
+	return keyAgg{key: key, units: 100, sumTau: sumTau, sumTau2: 0, within: within, sumS2: 40}
+}
+
+// TestPlannerTieRule constructs exact ties in errHalf between the key
+// that meets the target and one that cannot, in every arrangement in
+// which the first key in (partition, key) order is not the first key in
+// table order, and checks them against the reference's sorted scan.
+func TestPlannerTieRule(t *testing.T) {
+	const n = 24
+	big, small := 1e9, 10.0 // tau: the bound is 2% of it
+	light := keyAgg{key: "light", units: 9, sumTau: 50, sumTau2: 200, within: 1, sumS2: 1}
+	cases := []struct {
+		name string
+		rs   []*MultiStageReducer
+	}{
+		{"same partition, later slot sorts first, meets", []*MultiStageReducer{
+			handReducer(n, light, tied("zz", small, 5e7), tied("aa", big, 5e7))}},
+		{"same partition, later slot sorts first, fails", []*MultiStageReducer{
+			handReducer(n, light, tied("zz", big, 5e7), tied("aa", small, 5e7))}},
+		{"same partition, earlier slot sorts first", []*MultiStageReducer{
+			handReducer(n, tied("aa", big, 5e7), light, tied("zz", small, 5e7))}},
+		{"different partitions, earlier partition wins over smaller key", []*MultiStageReducer{
+			handReducer(n, light, tied("zz", big, 5e7)), handReducer(n, tied("aa", small, 5e7))}},
+		{"different partitions, earlier partition fails", []*MultiStageReducer{
+			handReducer(n, tied("zz", small, 5e7)), handReducer(n, light, tied("aa", big, 5e7))}},
+		{"three-way tie across and within partitions", []*MultiStageReducer{
+			handReducer(n, light), handReducer(n, tied("mm", small, 5e7), tied("bb", big, 5e7)), handReducer(n, tied("aa", small, 5e7))}},
+		{"three-way tie, failing key sorts first", []*MultiStageReducer{
+			handReducer(n, light), handReducer(n, tied("mm", big, 5e7), tied("bb", small, 5e7)), handReducer(n, tied("aa", big, 5e7))}},
+		{"all half-widths zero", []*MultiStageReducer{
+			handReducer(n, tied("zz", small, 0), tied("aa", big, 0))}},
+	}
+	differ := 0
+	for _, tc := range cases {
+		for _, cfg := range []TargetError{{Target: 0.02}, {Target: 0.02, Absolute: 1e12}, {Absolute: 1e5}} {
+			p := newPair(tc.name, cfg)
+			v := handView(n, tc.rs...)
+			p.step(t, "solve", v)
+			if p.got.planned > 0 {
+				differ++
+			}
+			// The realized check at the plan's end, same tie.
+			p.got.planned, p.ref.planned = n, n
+			p.step(t, "realized", v)
+		}
+	}
+	if differ == 0 || differ == len(cases)*3 {
+		t.Errorf("tie cases do not discriminate: %d of %d found a plan", differ, len(cases)*3)
+	}
+}
+
+// sameBits reports whether two results are the same float64: equal bit
+// patterns, or both NaN (which operand's payload an x86 add of two NaNs
+// keeps is the register allocator's choice, and nothing reads it).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// TestPredictErrorBits compares PredictError with the reference bit for
+// bit over seeded components and plans, and over the edge values.
+func TestPredictErrorBits(t *testing.T) {
+	check := func(pc PlanComponent, totalMaps, n1, n2 int, mbar, m, conf float64) {
+		t.Helper()
+		got := PredictError(pc, totalMaps, n1, n2, mbar, m, conf)
+		want := refPredictError(pc, totalMaps, n1, n2, mbar, m, conf)
+		if !sameBits(got, want) {
+			t.Fatalf("PredictError(%+v, %d, %d, %d, %v, %v, %v) = %v (%#x), reference %v (%#x)",
+				pc, totalMaps, n1, n2, mbar, m, conf, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	rng := stats.NewRand(5)
+	for i := 0; i < 20000; i++ {
+		pc := PlanComponent{Key: "k", Tau: rng.Float64() * 1e6, SU2: rng.ExpFloat64() * 300,
+			WithinDone: rng.ExpFloat64() * 1e6, AvgWithin: rng.Float64()}
+		mbar := 500 + rng.Float64()*3000
+		m := math.Max(1, math.Round(rng.Float64()*1.2*mbar)) // sometimes above mbar: the clamp
+		check(pc, 740, 2+rng.Intn(80), rng.Intn(660), mbar, m, 0.95)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	edge := []float64{0, -1e-9, 1e-300, 1, 250, 1e300, inf, -inf, nan}
+	for _, su2 := range edge {
+		for _, within := range edge {
+			for _, avg := range edge {
+				pc := PlanComponent{SU2: su2, WithinDone: within, AvgWithin: avg}
+				for _, plan := range []struct {
+					n1, n2  int
+					mbar, m float64
+				}{
+					{80, 40, 2000.4, 500}, {80, 0, 2000.4, 2000}, {80, 40, 2000.6, 2001}, // m > mbar
+					{80, 660, 2000, 2000},                                 // n = N: no between-cluster term
+					{80, 40, 2000, 0}, {80, 40, 2000, -3}, {80, 40, 0, 5}, // m <= 0, mbar = 0
+					{1, 0, 2000, 100}, {0, 1, 2000, 100}, {0, 0, 2000, 100}, {1, 1, 2000, 100}, // n < 2, n = 2
+				} {
+					check(pc, 740, plan.n1, plan.n2, plan.mbar, plan.m, 0.95)
+				}
+			}
+		}
+	}
+	// A confidence outside (0, 1) makes the quantile NaN.
+	check(PlanComponent{SU2: 250, WithinDone: 4e6, AvgWithin: 0.09}, 740, 80, 40, 2000, 500, 1)
+}
+
+// TestPlannerEdgeComponents plants zero totals, negative-rounding and
+// non-finite statistics in a real key set and checks plans and verdicts
+// against the reference in every mode.
+func TestPlannerEdgeComponents(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	plants := map[string]func(a *keyAgg){
+		"tau=0":        func(a *keyAgg) { a.sumTau, a.sumTau2 = 0, 0 },
+		"tau=0,spread": func(a *keyAgg) { a.sumTau, a.sumTau2 = 0, 9 },
+		"su2<0":        func(a *keyAgg) { a.sumTau2 = 0 },
+		"within=0":     func(a *keyAgg) { a.within, a.sumS2 = 0, 0 },
+		"within<0":     func(a *keyAgg) { a.within = -1e12 },
+		"su2=inf":      func(a *keyAgg) { a.sumTau2 = inf },
+		"su2=nan":      func(a *keyAgg) { a.sumTau2 = nan },
+		"within=nan":   func(a *keyAgg) { a.within = nan },
+		"tau=inf":      func(a *keyAgg) { a.sumTau = inf },
+	}
+	for name, plant := range plants {
+		for _, p := range refConfigs() {
+			j := newRefJob(77, 400, 3, 200, 24, true)
+			first, ratio := 24, 1.0
+			if p.got.Pilot {
+				first, ratio = 6, p.got.PilotRatio
+			}
+			j.complete(first, ratio)
+			plant(&j.reducers[1].table[len(j.reducers[1].table)/2])
+			v := j.view(first, 0)
+			p.step(t, name+" solve", v)
+			p.got.planned, p.ref.planned = first, first
+			p.step(t, name+" realized", v)
+
+			comps := refGatherPlanComponents(v)
+			p.got.plan.gather(v)
+			for _, n2 := range []int{0, 30, 176} {
+				got := p.got.plan.worstRelError(newProbe(v.TotalMaps, first, n2, v.AvgItems, 200, v.Confidence))
+				want := refWorstRelError(comps, v, first, n2, v.AvgItems, 200)
+				if !sameBits(got, want) {
+					t.Fatalf("%s %s: worstRelError(n2=%d) = %v, reference %v", p.name, name, n2, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestPlannerNoAllocs checks that once a controller's buffers are warm a
+// probe, a gather and a realized check allocate nothing.
+func TestPlannerNoAllocs(t *testing.T) {
+	j := newRefJob(3, 400, 4, 200, 24, true)
+	j.complete(24, 1)
+	v := j.view(24, 0)
+	for _, c := range []*TargetError{{Target: 0.02}, {Target: 0.5, Strict: true}} {
+		c.solve(v)
+		if n := testing.AllocsPerRun(50, func() {
+			c.feasible(newProbe(v.TotalMaps, 24, 60, v.AvgItems, 200, v.Confidence))
+		}); n != 0 {
+			t.Errorf("strict=%v: %v allocations per probe, want 0", c.Strict, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { c.plan.gather(v) }); n != 0 {
+			t.Errorf("strict=%v: %v allocations per gather, want 0", c.Strict, n)
+		}
+		if n := testing.AllocsPerRun(50, func() { c.realizedMet(v) }); n != 0 {
+			t.Errorf("strict=%v: %v allocations per realizedMet, want 0", c.Strict, n)
+		}
+	}
+	d := &DeadlineSLO{Deadline: 1000}
+	d.plan.gather(v)
+	if n := testing.AllocsPerRun(50, func() {
+		d.plan.worstRelError(newProbe(v.TotalMaps, 24, 60, v.AvgItems, 200, v.Confidence))
+	}); n != 0 {
+		t.Errorf("%v allocations per worstRelError, want 0", n)
+	}
+}
+
+// BenchmarkTargetSolve is one solve of the default grid over 20 k keys
+// in 10 partitions after a first wave of 80 maps, the shape of the
+// keys-target benchmark workload.
+func BenchmarkTargetSolve(b *testing.B) {
+	j := newRefJob(1, 20000, 10, 740, 80, true)
+	j.complete(80, 1)
+	v := j.view(80, 0)
+	c := &TargetError{Target: 0.02}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.solve(v)
+	}
+}

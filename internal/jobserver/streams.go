@@ -165,7 +165,9 @@ type streamEntry struct {
 	canceled bool         // guarded by StreamSet.mu
 	// frames is the encode-once wire form of state.Windows: one shared
 	// buffer per Seq (see frames.go). Appends happen on the stream's
-	// pipeline goroutine; reads anywhere under StreamSet.mu.
+	// pipeline goroutine; reads anywhere under StreamSet.mu. Published
+	// elements are never overwritten, so a watcher may keep reading the
+	// sub-slice it was handed after it drops the lock.
 	frames []*encFrame
 }
 
@@ -251,6 +253,12 @@ func (s *StreamSet) run(e *streamEntry, p *stream.Pipeline) {
 		s.cond.Broadcast()
 		return nil
 	})
+	s.finish(e, err)
+}
+
+// finish publishes a stream's terminal status from its pipeline's
+// outcome and wakes the watchers.
+func (s *StreamSet) finish(e *streamEntry, err error) {
 	s.mu.Lock()
 	switch {
 	case errors.Is(err, errStreamCanceled):
@@ -265,8 +273,13 @@ func (s *StreamSet) run(e *streamEntry, p *stream.Pipeline) {
 	if n := len(e.frames); n > 0 {
 		// The last published frame carries the terminal status (and
 		// final=true for a normal drain), in the same critical section
-		// as the status flip, so watchers observe both or neither.
-		e.frames[n-1] = restampWindowFrame(e.frames[n-1], e.state.Status)
+		// as the status flip, so watchers observe both or neither. It
+		// goes into a copy of the slice: a watcher may still be reading,
+		// outside the lock, the frames WatchFramesFrom handed it.
+		frames := make([]*encFrame, n)
+		copy(frames, e.frames)
+		frames[n-1] = restampWindowFrame(frames[n-1], e.state.Status)
+		e.frames = frames
 	}
 	s.running--
 	s.mu.Unlock()

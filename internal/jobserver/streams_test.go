@@ -201,3 +201,46 @@ func watchHTTP(t *testing.T, srv *httptest.Server, id string, from int) []WireWi
 	}
 	return frames
 }
+
+// TestStreamTerminalFrameLeavesSnapshotsAlone: a watcher reads the
+// frames WatchFramesFrom handed it after dropping the set's lock, so
+// publishing the terminal frame must not write to that slice. The read
+// below and finish's write are unordered (no lock, no channel between
+// them), so under -race an in-place restamp is reported however the
+// goroutines are scheduled; without -race the pointer check catches it.
+func TestStreamTerminalFrameLeavesSnapshotsAlone(t *testing.T) {
+	s := NewStreamSet(1, 1)
+	defer s.Close()
+	const id = "stream-0000"
+	e := &streamEntry{state: &StreamState{ID: id, Status: StreamRunning}}
+	for seq := 0; seq < 3; seq++ {
+		e.frames = append(e.frames, newWindowFrameEnc(WireWindow{Seq: seq, Status: StreamRunning, Records: 10}))
+	}
+	s.streams[id] = e
+	s.running = 1
+
+	held, status, next, err := s.WatchFramesFrom(id, 1, 0)
+	if err != nil || status != StreamRunning || next != 3 || len(held) != 2 {
+		t.Fatalf("live watch: %d frames, status %s, next %d, err %v", len(held), status, next, err)
+	}
+	last := held[1]
+	done := make(chan struct{})
+	go func() {
+		s.finish(e, nil)
+		close(done)
+	}()
+	if got := held[1]; got != last { // unordered with finish's write
+		t.Errorf("held snapshot changed under the watcher")
+	}
+	<-done
+	if held[1] != last || held[1].src.(*WireWindow).Final {
+		t.Errorf("terminal transition wrote to a watcher's snapshot: %+v", held[1].src)
+	}
+	fresh, status, _, err := s.WatchFramesFrom(id, 2, 0)
+	if err != nil || status != StreamDone || len(fresh) != 1 {
+		t.Fatalf("terminal watch: %d frames, status %s, err %v", len(fresh), status, err)
+	}
+	if ww := fresh[0].src.(*WireWindow); !ww.Final || ww.Status != StreamDone || ww.Seq != 2 {
+		t.Errorf("terminal frame %+v; want seq 2, done, final", ww)
+	}
+}

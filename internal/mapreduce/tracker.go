@@ -59,8 +59,11 @@ type tracker struct {
 
 	reduces     []*reduceTask
 	reducesLeft int
+	// viewBase holds the JobView fields fixed for the job's life (the
+	// totals and the accessor closures), built once by startReduces.
+	viewBase JobView
 
-	measures  []cluster.TaskMeasure
+	measures  []cluster.TaskMeasure // their Items sum to counters.ItemsTotal
 	counters  Counters
 	emitted   int64 // pairs completed maps put through the pair arenas (pairsHint)
 	launched  int
@@ -300,6 +303,17 @@ func (t *tracker) startReduces() error {
 		t.reduces = append(t.reduces, r)
 	}
 	t.reducesLeft = len(t.reduces)
+	logics := make([]ReduceLogic, len(t.reduces))
+	for i, r := range t.reduces {
+		logics[i] = r.logic
+	}
+	t.viewBase = JobView{
+		TotalMaps:  len(t.blocks),
+		Confidence: t.job.Confidence,
+		Estimates:  t.snapshot,
+		Logics:     func() []ReduceLogic { return logics },
+		CostParams: func() (float64, float64, float64) { return t.job.Cost.Params(t.measures) },
+	}
 	return nil
 }
 
@@ -1067,43 +1081,23 @@ func (t *tracker) snapshot() []KeyEstimate {
 
 // view builds the controller's JobView.
 func (t *tracker) view() *JobView {
-	avgItems := 0.0
+	v := t.viewBase
 	if len(t.measures) > 0 {
-		var s int64
-		for _, m := range t.measures {
-			s += m.Items
-		}
-		avgItems = float64(s) / float64(len(t.measures))
+		v.AvgItems = float64(t.counters.ItemsTotal) / float64(len(t.measures))
 	}
-	slots := t.eng.TotalSlots(cluster.MapSlot)
-	if q := t.arb.MapQuota(t.job); q > 0 && q < slots {
+	v.TotalMapSlots = t.eng.TotalSlots(cluster.MapSlot)
+	if q := t.arb.MapQuota(t.job); q > 0 && q < v.TotalMapSlots {
 		// Under multi-tenancy the job's effective wave width is its
 		// fair share, not the whole cluster; controllers plan waves
 		// against what the arbiter will actually grant.
-		slots = q
+		v.TotalMapSlots = q
 	}
-	return &JobView{
-		TotalMaps:     len(t.blocks),
-		TotalMapSlots: slots,
-		Elapsed:       t.eng.Now() - t.startTime,
-		Launched:      t.launched,
-		Completed:     t.completed,
-		Dropped:       t.dropped,
-		Running:       t.runningCount(),
-		Pending:       t.pendingCount(),
-		Confidence:    t.job.Confidence,
-		Measures:      t.measures,
-		Estimates:     t.snapshot,
-		Logics: func() []ReduceLogic {
-			logics := make([]ReduceLogic, len(t.reduces))
-			for i, r := range t.reduces {
-				logics[i] = r.logic
-			}
-			return logics
-		},
-		CostParams: func() (float64, float64, float64) {
-			return t.job.Cost.Params(t.measures)
-		},
-		AvgItems: avgItems,
-	}
+	v.Elapsed = t.eng.Now() - t.startTime
+	v.Launched = t.launched
+	v.Completed = t.completed
+	v.Dropped = t.dropped
+	v.Running = t.runningCount()
+	v.Pending = t.pendingCount()
+	v.Measures = t.measures
+	return &v
 }

@@ -435,7 +435,8 @@ type JobView struct {
 	Estimates func() []KeyEstimate
 	// Logics exposes the per-partition ReduceLogic instances so
 	// controllers can extract richer planning statistics (e.g. the
-	// variance components of Equation 7) via type assertion.
+	// variance components of Equation 7) via type assertion. The slice
+	// is the tracker's own, indexed by partition: read it, never write.
 	Logics func() []ReduceLogic
 	// CostParams returns (t0, tr, tp) fitted from completed maps.
 	CostParams func() (t0, tr, tp float64)

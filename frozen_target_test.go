@@ -134,6 +134,28 @@ var frozenTarget = map[string]string{
 	"projectpop/deadline30/7/online/faults":           "23be2838f7bdfa9e47a0bbbb88b874991a3b681cfc5476193c1e5504ebfed74f",
 	"projectpop/deadline30/7/barrier/clean":           "91bd99e25e1361d9926172cf054c14d2c3b090c00a327b43a0e07230863dc6ef",
 	"projectpop/deadline30/7/barrier/faults":          "85f02f79b25888d4a43cac1efa6a262df492e1bdad6f89cc724d517af035b6d1",
+	"projectpop/precise/1/online/clean":               "237a1731913440845afaca7d731142c385f4485e5f9cd93d826a64aadbe2aa88",
+	"projectpop/precise/1/online/faults":              "a1daeb2b2580e8716739dcc8dbafb1c3410c1649786819bedc926a05dcd83f7a",
+	"projectpop/precise/1/barrier/clean":              "237a1731913440845afaca7d731142c385f4485e5f9cd93d826a64aadbe2aa88",
+	"projectpop/precise/1/barrier/faults":             "a1daeb2b2580e8716739dcc8dbafb1c3410c1649786819bedc926a05dcd83f7a",
+	"projectpop/precise/7/online/clean":               "c27afaa18ab10d88de5e3e370e103cf3830373d08deb4283d31db0de702fe6c7",
+	"projectpop/precise/7/online/faults":              "61dd10cd0c42fc48140fe9be79757b5d94b4ffca695f0eb26eebf2b0d8ca820f",
+	"projectpop/precise/7/barrier/clean":              "c27afaa18ab10d88de5e3e370e103cf3830373d08deb4283d31db0de702fe6c7",
+	"projectpop/precise/7/barrier/faults":             "61dd10cd0c42fc48140fe9be79757b5d94b4ffca695f0eb26eebf2b0d8ca820f",
+	"projectpop/static0.1-0.25/1/online/clean":        "bfe9ff5b14941e947b385aa6915714cf1fbeb2846e437705be4d134285eb8914",
+	"projectpop/static0.1-0.25/1/online/faults":       "7303d1112e43a1cd1966a4a8ae889c32e998d7b25bedc13125e4d28d86e2c292",
+	"projectpop/static0.1-0.25/1/barrier/clean":       "bfe9ff5b14941e947b385aa6915714cf1fbeb2846e437705be4d134285eb8914",
+	"projectpop/static0.1-0.25/1/barrier/faults":      "7303d1112e43a1cd1966a4a8ae889c32e998d7b25bedc13125e4d28d86e2c292",
+	"projectpop/static0.1-0.25/7/online/clean":        "8f7b386abedc082cf7f99e9dac9b2c8c2a2a1e4a05acc82d4c5fcf53c68fa12c",
+	"projectpop/static0.1-0.25/7/online/faults":       "dd7b5accd0bdf11751fbe3b6736ca92a61d274b87dde399648d86fc3b33cae38",
+	"projectpop/static0.1-0.25/7/barrier/clean":       "8f7b386abedc082cf7f99e9dac9b2c8c2a2a1e4a05acc82d4c5fcf53c68fa12c",
+	"projectpop/static0.1-0.25/7/barrier/faults":      "dd7b5accd0bdf11751fbe3b6736ca92a61d274b87dde399648d86fc3b33cae38",
+}
+
+// frozenController names one controller shape of the frozen table.
+type frozenController struct {
+	name string
+	make func() approxhadoop.Controller
 }
 
 // frozenControllers builds a fresh controller per run (they carry plan
@@ -142,10 +164,7 @@ var frozenTarget = map[string]string{
 // fallback, re-solved every wave); the 100% strict target, the 20%
 // pilot, the absolute bound and the deadline are sized so that their
 // plans drop part of the input.
-var frozenControllers = []struct {
-	name string
-	make func() approxhadoop.Controller
-}{
+var frozenControllers = []frozenController{
 	{"target0.02", func() approxhadoop.Controller { return &approx.TargetError{Target: 0.02} }},
 	{"target0.05-strict", func() approxhadoop.Controller { return &approx.TargetError{Target: 0.05, Strict: true} }},
 	{"target1-strict", func() approxhadoop.Controller { return &approx.TargetError{Target: 1, Strict: true} }},
@@ -157,11 +176,24 @@ var frozenControllers = []struct {
 	{"deadline30", func() approxhadoop.Controller { return &approx.DeadlineSLO{Deadline: 30} }},
 }
 
+// frozenOpenLoop are the shapes without a feedback loop — no controller
+// and fixed ratios — run over ProjectPopularity only. Their hashes were
+// recorded at commit 1716e38, before map-compute readahead decoupled the
+// worker pool from virtual-time batching.
+var frozenOpenLoop = []frozenController{
+	{"precise", func() approxhadoop.Controller { return nil }},
+	{"static0.1-0.25", func() approxhadoop.Controller { return approx.NewStatic(0.10, 0.25) }},
+}
+
 // TestFrozenTargetBytes runs every frozen configuration at Workers 1
 // and 4 and compares the hash with the recorded one.
 func TestFrozenTargetBytes(t *testing.T) {
 	for _, app := range []string{"pagepop", "projectpop"} {
-		for _, ctl := range frozenControllers {
+		ctls := frozenControllers
+		if app == "projectpop" {
+			ctls = append(ctls[:len(ctls):len(ctls)], frozenOpenLoop...)
+		}
+		for _, ctl := range ctls {
 			app, ctl := app, ctl
 			t.Run(app+"/"+ctl.name, func(t *testing.T) {
 				t.Parallel()

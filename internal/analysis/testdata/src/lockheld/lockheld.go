@@ -131,3 +131,32 @@ func (s *svc) flushAfterUnlock(j *journal) error {
 	s.mu.Unlock()
 	return j.commit()
 }
+
+// future doubles for a pool future: wait blocks until a worker has
+// resolved it.
+type future struct {
+	done chan struct{}
+}
+
+func (f *future) wait() { <-f.done }
+
+// collectUnderLock waits for a future while holding mu. The worker
+// resolving it publishes under the same mutex, so this never returns.
+func (s *svc) collectUnderLock(f *future) {
+	s.mu.Lock()
+	f.wait() // want: lockheld
+	s.n++
+	s.mu.Unlock()
+}
+
+// collectAfterUnlock is the compliant order: release, wait, re-acquire
+// to apply.
+func (s *svc) collectAfterUnlock(f *future) {
+	s.mu.Lock()
+	s.n++
+	s.mu.Unlock()
+	f.wait()
+	s.mu.Lock()
+	s.n++
+	s.mu.Unlock()
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"approxhadoop/internal/cluster"
@@ -133,12 +134,27 @@ func TestSamplingReaderDeterministic(t *testing.T) {
 			t.Fatal("sample differs between reads with same seed")
 		}
 	}
+	// The sample is line i iff the i-th draw of the seeded source falls
+	// below the ratio: one draw per line, none before the first line.
+	rng := stats.NewRand(7)
+	var want []string
+	for i := 0; i < 200; i++ {
+		if rng.Float64() < 0.5 {
+			want = append(want, fmt.Sprintf("%s:%d", f.Blocks[0].ID(), i))
+		}
+	}
+	if !reflect.DeepEqual(a, want) {
+		t.Errorf("sample is not the seeded source's draw sequence:\n got %v\nwant %v", a, want)
+	}
 }
 
 func TestSamplingRatioOneIsExhaustive(t *testing.T) {
 	f, _ := countInput(1, 100, 5)
 	rr, _ := ApproxTextInput{}.Open(f.Blocks[0], 1.0, 7)
 	defer rr.Close()
+	if rr.(*samplingReader).rng != nil {
+		t.Error("ratio 1 seeded a source it never draws from")
+	}
 	n := 0
 	for {
 		_, ok, _ := rr.Next()

@@ -36,13 +36,18 @@ func (ApproxTextInput) Open(b *dfs.Block, sampleRatio float64, seed int64) (mapr
 	if sampleRatio <= 0 || sampleRatio > 1 {
 		sampleRatio = 1
 	}
-	return &samplingReader{
+	r := &samplingReader{
 		block:     b,
 		keyPrefix: b.ID() + ":",
 		ratio:     sampleRatio,
-		rng:       stats.NewRand(seed),
 		meter:     vtime.NewDeterministic(),
-	}, nil
+	}
+	if sampleRatio < 1 {
+		// sampleLine draws only below ratio 1; seeding the 607-word
+		// source for a reader that never draws cost more than opening it.
+		r.rng = stats.NewRand(seed)
+	}
+	return r, nil
 }
 
 type samplingReader struct {
@@ -51,7 +56,7 @@ type samplingReader struct {
 	rc        io.ReadCloser // pull mode only, opened lazily
 	scan      *bufio.Scanner
 	ratio     float64
-	rng       *rand.Rand
+	rng       *rand.Rand // nil at ratio 1, where no line is ever drawn
 	meter     vtime.Meter
 	m         mapreduce.ReaderMeasure
 	bufs      *mapreduce.BufList

@@ -87,7 +87,7 @@ func BenchmarkMapEmitterHinted(b *testing.B) {
 	const pairs = 4096
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := newMapEmitter(8, false, false, vtime.NewDeterministic(), pairs)
+		e := newMapEmitter(8, false, false, vtime.NewDeterministic(), emitHint{n: pairs})
 		benchEmit(e, pairs)
 	}
 }
@@ -99,7 +99,7 @@ func BenchmarkMapEmitterUnhinted(b *testing.B) {
 	const pairs = 4096
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := newMapEmitter(8, false, false, vtime.NewDeterministic(), 0)
+		e := newMapEmitter(8, false, false, vtime.NewDeterministic(), emitHint{})
 		benchEmit(e, pairs)
 	}
 }
@@ -110,7 +110,7 @@ func BenchmarkMapEmitterCombined(b *testing.B) {
 	const pairs = 4096
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := newMapEmitter(8, true, false, vtime.NewDeterministic(), pairs)
+		e := newMapEmitter(8, true, false, vtime.NewDeterministic(), emitHint{n: pairs})
 		benchEmit(e, pairs)
 	}
 }
@@ -121,7 +121,7 @@ func BenchmarkMapEmitterLegacy(b *testing.B) {
 	const pairs = 4096
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := newMapEmitter(8, false, true, vtime.NewDeterministic(), pairs)
+		e := newMapEmitter(8, false, true, vtime.NewDeterministic(), emitHint{n: pairs})
 		benchEmit(e, pairs)
 	}
 }
@@ -166,7 +166,7 @@ func TestMapEmitterHintedAllocs(t *testing.T) {
 	// Legacy path: emitter struct + partition header slice + one backing
 	// array, plus one of slack for runtime accounting noise.
 	legacy := testing.AllocsPerRun(20, func() {
-		emitAll(newMapEmitter(reduces, false, true, meter, pairs))
+		emitAll(newMapEmitter(reduces, false, true, meter, emitHint{n: pairs}))
 	})
 	if legacy > 4 {
 		t.Errorf("legacy hinted emit path allocates %.0f times per attempt, want <= 4 (preallocation regressed)", legacy)
@@ -174,13 +174,13 @@ func TestMapEmitterHintedAllocs(t *testing.T) {
 	// Arena path adds the interner's fixed-size state (id map, dense
 	// key/partition slices, one arena chunk) but still nothing per emit.
 	hinted := testing.AllocsPerRun(20, func() {
-		emitAll(newMapEmitter(reduces, false, false, meter, pairs))
+		emitAll(newMapEmitter(reduces, false, false, meter, emitHint{n: pairs}))
 	})
 	if hinted > 12 {
 		t.Errorf("arena hinted emit path allocates %.0f times per attempt, want <= 12 (preallocation regressed)", hinted)
 	}
 	unhinted := testing.AllocsPerRun(20, func() {
-		emitAll(newMapEmitter(reduces, false, false, meter, 0))
+		emitAll(newMapEmitter(reduces, false, false, meter, emitHint{}))
 	})
 	if hinted >= unhinted {
 		t.Errorf("hinted path allocates %.0f times vs %.0f unhinted; hint should eliminate append growth", hinted, unhinted)
@@ -211,7 +211,7 @@ func shuffleKeys(n int) []string {
 // partition through EachPair the way a reducer does. Returns the value
 // sum as a cheap output check.
 func shuffleRound(legacy bool, keys []string, reduces, pairs int) float64 {
-	e := newMapEmitter(reduces, false, legacy, vtime.NewDeterministic(), pairs)
+	e := newMapEmitter(reduces, false, legacy, vtime.NewDeterministic(), emitHint{n: pairs})
 	for i := 0; i < pairs; i++ {
 		e.Emit(keys[i%len(keys)], float64(i))
 	}

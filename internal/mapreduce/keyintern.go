@@ -29,10 +29,12 @@ type keyTable struct {
 const keyArenaChunk = 16 << 10
 
 // newKeyTable builds an interner for the given partition count. hint
-// (an upper bound: the attempt's expected pair count) pre-sizes the id
-// map and the dense id-indexed slices so interning new keys never
-// reallocates mid-attempt.
-func newKeyTable(reduces, hint int) *keyTable {
+// (an upper bound on the attempt's distinct keys) pre-sizes the id map
+// and the dense id-indexed slices so interning new keys never
+// reallocates mid-attempt; arenaBytes > 0 sizes the first arena chunk
+// to the key bytes the attempt is expected to intern, in place of a
+// full keyArenaChunk.
+func newKeyTable(reduces, hint, arenaBytes int) *keyTable {
 	// Cap the map pre-size: distinct keys are usually far fewer than
 	// pairs, and the runtime allocates large pre-sized maps in many
 	// overflow-bucket pieces (measured: hint 4096 costs 18 allocations,
@@ -48,6 +50,9 @@ func newKeyTable(reduces, hint int) *keyTable {
 	if hint > 0 {
 		t.keys = make([]string, 0, hint)
 		t.parts = make([]int32, 0, hint)
+	}
+	if arenaBytes > 0 {
+		t.arena = make([]byte, 0, arenaBytes)
 	}
 	return t
 }
@@ -113,3 +118,12 @@ func (t *keyTable) Resolve(id int32) string { return t.keys[id] }
 
 // Len returns the number of distinct keys interned so far.
 func (t *keyTable) Len() int { return len(t.keys) }
+
+// Bytes returns the total length of the interned keys.
+func (t *keyTable) Bytes() int {
+	n := 0
+	for _, k := range t.keys {
+		n += len(k)
+	}
+	return n
+}

@@ -12,7 +12,7 @@ import (
 // bytes, and the memoized partition matches the live hash.
 func TestKeyTableRoundTrip(t *testing.T) {
 	const reduces = 7
-	tab := newKeyTable(reduces, 0)
+	tab := newKeyTable(reduces, 0, 0)
 	keys := make([]string, 300)
 	ids := make([]int32, len(keys))
 	for i := range keys {
@@ -40,7 +40,7 @@ func TestKeyTableRoundTrip(t *testing.T) {
 // when Intern is handed views of a buffer that is rewritten afterwards
 // — the push-mode record contract.
 func TestKeyTableTransientKeys(t *testing.T) {
-	tab := newKeyTable(4, 0)
+	tab := newKeyTable(4, 0, 0)
 	buf := make([]byte, 0, 64)
 	var ids []int32
 	var want []string
@@ -65,7 +65,7 @@ func TestKeyTableTransientKeys(t *testing.T) {
 // TestKeyTableArenaBoundaries crosses chunk boundaries and the
 // oversized-key escape hatch.
 func TestKeyTableArenaBoundaries(t *testing.T) {
-	tab := newKeyTable(3, 0)
+	tab := newKeyTable(3, 0, 0)
 	long := strings.Repeat("L", keyArenaChunk+1) // dedicated allocation path
 	medium := strings.Repeat("m", keyArenaChunk/2+1)
 	inputs := []string{long, medium, strings.Repeat("n", keyArenaChunk/2+1), "tiny", long, medium}
@@ -97,7 +97,7 @@ func TestKeyTableConcurrentAttempts(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tab := newKeyTable(5, 0)
+			tab := newKeyTable(5, 0, 0)
 			for i := 0; i < 2000; i++ {
 				key := "attempt" + strconv.Itoa(a) + "-key" + strconv.Itoa(i%500)
 				id, part := tab.Intern(key)
@@ -131,7 +131,7 @@ func FuzzInternResolve(f *testing.F) {
 	f.Add([]byte("a\tb\nc"), []byte("a\tb\nc"))
 	f.Add([]byte(strings.Repeat("k", keyArenaChunk)), []byte("k"))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
-		tab := newKeyTable(4, 0)
+		tab := newKeyTable(4, 0, 0)
 		ka, kb := string(a), string(b)
 		ia, pa := tab.Intern(ka)
 		ib, pb := tab.Intern(kb)

@@ -29,7 +29,16 @@ type mapResult struct {
 	measure    cluster.TaskMeasure
 	partitions []*MapOutput // one per reduce partition
 	pairs      int64        // total pairs emitted, sketch folds included
-	emitted    int64        // pairs that went through the pair arenas (sizes the next attempt's)
+	emitted    int64        // pairs that went through the pair arenas
+	keys       emitHint     // distinct keys interned and their bytes
+}
+
+// emitHint pre-sizes one attempt's emitter from what completed maps of
+// the job needed (tracker.emitHint). It only moves allocations: no
+// result byte depends on it.
+type emitHint struct {
+	n        int // distinct keys expected under Combine, pairs otherwise
+	keyBytes int // total bytes of the distinct keys
 }
 
 // mapEmitter partitions emitted pairs, optionally combining.
@@ -76,17 +85,18 @@ type mapEmitter struct {
 	ekey       []byte // composite-key scratch for the pairs fallback
 }
 
-// newMapEmitter builds the per-attempt emitter. pairsHint, when > 0,
-// is the expected total pair count for the attempt: partition runs are
+// newMapEmitter builds the per-attempt emitter. hint.n, when > 0, is
+// the attempt's expected pair count — or, when combining, its expected
+// distinct keys, which is all a combiner holds: partition runs are
 // carved zero-length from one preallocated backing array (disjoint
-// capacities, so in-capacity appends never interfere), the interner's
-// id map is pre-sized, and combiner state is pre-sized, which keeps
-// growth reallocations off the emit hot path.
-func newMapEmitter(reduces int, combine, legacy bool, meter vtime.Meter, pairsHint int) *mapEmitter {
+// capacities, so in-capacity appends never interfere), the interner is
+// pre-sized, and combiner state is pre-sized, which keeps growth
+// reallocations off the emit hot path.
+func newMapEmitter(reduces int, combine, legacy bool, meter vtime.Meter, hint emitHint) *mapEmitter {
 	e := &mapEmitter{reduces: reduces, combine: combine, meter: meter}
 	perPart := 0
-	if pairsHint > 0 {
-		perPart = pairsHint/reduces + 1
+	if hint.n > 0 {
+		perPart = hint.n/reduces + 1
 	}
 	if legacy {
 		if combine {
@@ -105,11 +115,11 @@ func newMapEmitter(reduces int, combine, legacy bool, meter vtime.Meter, pairsHi
 		}
 		return e
 	}
-	e.intern = newKeyTable(reduces, pairsHint)
+	e.intern = newKeyTable(reduces, hint.n, hint.keyBytes)
 	if combine {
 		e.combIDs = make([][]int32, reduces)
-		if pairsHint > 0 {
-			e.combStats = make([]stats.RunningStat, 0, pairsHint)
+		if hint.n > 0 {
+			e.combStats = make([]stats.RunningStat, 0, hint.n)
 		}
 	} else {
 		e.runs = make([][]idPair, reduces)
@@ -132,7 +142,7 @@ func (e *mapEmitter) enableSketch(plan *SketchPlan) error {
 	}
 	e.plan = plan
 	e.proto = proto
-	e.groups = newKeyTable(e.reduces, 64)
+	e.groups = newKeyTable(e.reduces, 64, 0)
 	e.sketchIDs = make([][]int32, e.reduces)
 	return nil
 }
@@ -274,7 +284,7 @@ func (e *mapEmitter) ChargeCompute(units float64) { e.meter.Charge(units) }
 // goroutine scheduling.
 //
 //approx:compute
-func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int64, meter vtime.Meter, pairsHint int) (*mapResult, error) {
+func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int64, meter vtime.Meter, hint emitHint) (*mapResult, error) {
 	meter.Begin(vtime.OpSetup)
 	reader, err := job.Format.Open(block, ratio, seed)
 	if err != nil {
@@ -298,7 +308,7 @@ func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int6
 	} else {
 		mapper = job.NewMapper()
 	}
-	emitter := newMapEmitter(job.Reduces, job.Combine, job.LegacyDataPlane, meter, pairsHint)
+	emitter := newMapEmitter(job.Reduces, job.Combine, job.LegacyDataPlane, meter, hint)
 	if job.Sketch != nil {
 		if err := emitter.enableSketch(job.Sketch); err != nil {
 			return nil, err
@@ -345,6 +355,9 @@ func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int6
 		},
 		pairs:   emitter.pairs + emitter.folds,
 		emitted: emitter.pairs,
+	}
+	if emitter.intern != nil {
+		res.keys = emitHint{n: emitter.intern.Len(), keyBytes: emitter.intern.Bytes()}
 	}
 	res.partitions = make([]*MapOutput, job.Reduces)
 	outs := make([]MapOutput, job.Reduces) // one allocation for all partitions

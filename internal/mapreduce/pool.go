@@ -9,12 +9,13 @@
 // may execute on any goroutine at any wall-clock moment without
 // affecting the simulation.
 //
-// The tracker exploits that purity: within one scheduling pass it only
-// *decides* launches (occupying slots via StartOpenTask), queues their
-// compute as pendingLaunch entries, and then flushes the batch through
-// this pool. Results are applied in launch order on the scheduler
-// goroutine, so the virtual timeline — and therefore every Result
-// byte — is identical whether the pool has 1 or N workers.
+// The tracker exploits that purity: every (task, ratio) it computes is
+// one mapFuture, created on the scheduler goroutine — for a launch it
+// just decided, or for one it predicts (tracker.readAhead) — and run by
+// whichever goroutine claims it first. Results are collected in launch
+// order on the scheduler goroutine, so the virtual timeline — and
+// therefore every Result byte — is identical whether the pool has 1 or
+// N workers and whatever was computed early.
 package mapreduce
 
 import (
@@ -22,23 +23,186 @@ import (
 	"sync"
 
 	"approxhadoop/internal/cluster"
+	"approxhadoop/internal/dfs"
+	"approxhadoop/internal/vtime"
 )
 
-// pendingLaunch is one decided-but-not-yet-computed map attempt.
+// pendingLaunch is one decided map attempt awaiting its result.
 type pendingLaunch struct {
-	idx    int
-	ratio  float64
-	spec   bool                       // speculative: duration is not re-perturbed
-	handle *cluster.RunningTask       // slot occupied at decide time
-	run    func() (*mapResult, error) // nil on a cache hit
-	res    *mapResult                 // filled by the pool (or the cache)
-	err    error
+	spec   bool // speculative: duration is not re-perturbed
+	handle *cluster.RunningTask
+	f      *mapFuture
 }
 
-// computePool executes map-attempt compute on a bounded set of
-// persistent worker goroutines. Workers start lazily on the first
+// futureState is a mapFuture's progress, guarded by futurePool.mu.
+type futureState uint8
+
+const (
+	futureNew      futureState = iota // nobody has started it
+	futureRunning                     // claimed by a worker or the scheduler
+	futureDone                        // res/err are final
+	futureCanceled                    // mispredicted before anyone started it
+)
+
+// mapFuture is the compute of one (task, ratio). The fields above state
+// are fixed at creation; res and err are written by the one goroutine
+// that claims it and read by the scheduler once wait returns.
+type mapFuture struct {
+	job   *Job
+	block *dfs.Block
+	idx   int
+	ratio float64
+	meter vtime.Meter // forked at creation, owned by the computation
+	hint  emitHint
+
+	state futureState
+	res   *mapResult
+	err   error
+}
+
+// matches reports whether f computes task idx at ratio.
+func (f *mapFuture) matches(idx int, ratio float64) bool {
+	//lint:ignore nofloateq ratios reach here as verbatim copies: a retry or speculative attempt re-uses t.ratios[idx], and a prediction repeats the last launch's float
+	return f.idx == idx && f.ratio == ratio
+}
+
+// compute is the pool's only entry into the compute plane; everything
+// it reads was captured at creation.
+//
+//approx:compute
+func (f *mapFuture) compute() {
+	f.res, f.err = executeMap(f.job, f.block, f.idx, f.ratio, f.job.Seed*1000003+int64(f.idx), f.meter, f.hint)
+}
+
+// futurePool runs mapFutures on persistent worker goroutines, started
+// by the first submit and stopped by close. Everything but the worker
+// loop is called from the scheduler goroutine, which never blocks to
+// hand work over: submit appends to a queue and wakes at most one parked
+// worker per future (none while all are busy), and wait runs an
+// unstarted future itself.
+type futurePool struct {
+	workers int
+
+	mu      sync.Mutex
+	work    sync.Cond    // workers park here while the queue is empty
+	done    sync.Cond    // the scheduler parks here while awaited runs on a worker
+	queue   []*mapFuture // submitted, in issue order; [:head] are taken
+	head    int
+	awaited *mapFuture // what the scheduler is parked on, if anything
+	started bool
+	closed  bool
+	wg      sync.WaitGroup
+}
+
+// newFuturePool sizes a pool; workers <= 0 means GOMAXPROCS.
+func newFuturePool(workers int) *futurePool {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	p := &futurePool{workers: workers}
+	p.work.L, p.done.L = &p.mu, &p.mu
+	return p
+}
+
+// submit makes futures available to the workers. A single-worker pool
+// keeps nothing: wait runs every future inline, in wait order.
+func (p *futurePool) submit(fs []*mapFuture) {
+	if p.workers <= 1 || len(fs) == 0 {
+		return
+	}
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return
+	}
+	p.queue = append(p.queue, fs...)
+	start := !p.started
+	p.started = true
+	p.mu.Unlock()
+	for i := 0; start && i < p.workers; i++ {
+		p.wg.Add(1)
+		go p.worker()
+	}
+	for range fs {
+		p.work.Signal() // wakes one parked worker, if any is
+	}
+}
+
+func (p *futurePool) worker() {
+	defer p.wg.Done()
+	p.mu.Lock()
+	for !p.closed {
+		if p.head == len(p.queue) {
+			p.queue, p.head = p.queue[:0], 0
+			p.work.Wait()
+			continue
+		}
+		f := p.queue[p.head]
+		p.head++
+		if f.state != futureNew {
+			continue // the scheduler ran or canceled it meanwhile
+		}
+		f.state = futureRunning
+		p.mu.Unlock()
+		f.compute()
+		p.mu.Lock()
+		f.state = futureDone
+		if p.awaited == f {
+			p.awaited = nil
+			p.done.Signal()
+		}
+	}
+	p.mu.Unlock()
+}
+
+// wait returns once f is done, running it on the calling (scheduler)
+// goroutine if no worker has started it.
+func (p *futurePool) wait(f *mapFuture) {
+	p.mu.Lock()
+	if f.state == futureNew || f.state == futureCanceled {
+		f.state = futureRunning
+		p.mu.Unlock()
+		f.compute()
+		p.mu.Lock()
+		f.state = futureDone
+	}
+	for f.state != futureDone {
+		p.awaited = f
+		p.done.Wait()
+	}
+	p.mu.Unlock()
+}
+
+// cancel withdraws futures the scheduler no longer wants; one a worker
+// has started runs to completion and is never collected.
+func (p *futurePool) cancel(fs []*mapFuture) {
+	p.mu.Lock()
+	for _, f := range fs {
+		if f.state == futureNew {
+			f.state = futureCanceled
+		}
+	}
+	p.mu.Unlock()
+}
+
+// close discards the queue and returns once every worker has exited.
+func (p *futurePool) close() {
+	p.mu.Lock()
+	p.closed = true
+	p.queue, p.head = nil, 0
+	p.mu.Unlock()
+	p.work.Broadcast()
+	p.wg.Wait()
+}
+
+// ComputePool is the compute-plane worker pool for subsystems outside
+// the batch tracker (the streaming plane's per-shard reservoir folds)
+// that follow the same two-plane contract: a single-threaded scheduler
+// decides batches of pure, disjoint-state tasks, runs them through the
+// pool, and applies the outcomes in decide order so the worker count is
+// byte-invisible in every result. Workers start lazily on the first
 // parallel batch and exit when the pool is closed.
-type computePool struct {
+type ComputePool struct {
 	workers int
 	once    sync.Once
 	jobs    chan func()
@@ -46,16 +210,17 @@ type computePool struct {
 	closed  bool
 }
 
-// newComputePool sizes a pool; workers <= 0 means GOMAXPROCS.
-func newComputePool(workers int) *computePool {
+// NewComputePool sizes a pool; workers <= 0 means GOMAXPROCS and
+// workers == 1 executes everything inline on the caller's goroutine.
+func NewComputePool(workers int) *ComputePool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &computePool{workers: workers}
+	return &ComputePool{workers: workers}
 }
 
 // start spins up the worker goroutines (called once, lazily).
-func (p *computePool) start() {
+func (p *ComputePool) start() {
 	p.jobs = make(chan func(), p.workers)
 	for i := 0; i < p.workers; i++ {
 		p.wg.Add(1)
@@ -68,29 +233,14 @@ func (p *computePool) start() {
 	}
 }
 
-// runAll resolves every unresolved entry of batch, in parallel when
-// the pool has more than one worker and the batch more than one entry.
-// It returns only when all entries have res or err set; callers then
-// apply results in batch order, which is what keeps the virtual
-// timeline independent of pool size.
-func (p *computePool) runAll(batch []*pendingLaunch) {
-	var todo []func()
-	for _, pl := range batch {
-		if pl.res == nil && pl.run != nil {
-			pl := pl
-			todo = append(todo, func() { pl.res, pl.err = pl.run() })
-		}
-	}
-	p.runFuncs(todo)
-}
-
-// runFuncs executes every task and returns when all have finished.
-// Single-worker pools, single-task batches, and pools already torn
-// down (a fail() mid-pass) all resolve inline on the caller's
-// goroutine; otherwise tasks fan out across the persistent workers.
-// Tasks must be independent: they may not submit to the pool
-// themselves and must confine writes to state no other task touches.
-func (p *computePool) runFuncs(tasks []func()) {
+// Run executes every task and returns when all have finished.
+// Single-worker pools, single-task batches, and closed pools all
+// resolve inline on the caller's goroutine; otherwise tasks fan out
+// across the persistent workers. Tasks must be independent: no two may
+// touch the same state, and none may call back into the pool. Results
+// must be gathered by the caller in a deterministic order of its own
+// (never completion order).
+func (p *ComputePool) Run(tasks []func()) {
 	if len(tasks) == 0 {
 		return
 	}
@@ -113,36 +263,11 @@ func (p *computePool) runFuncs(tasks []func()) {
 	wg.Wait()
 }
 
-// ComputePool is the exported face of the compute-plane worker pool,
-// for subsystems outside the batch tracker (the streaming plane's
-// per-shard reservoir folds) that follow the same two-plane contract:
-// a single-threaded scheduler decides batches of pure, disjoint-state
-// tasks, runs them through the pool, and applies the outcomes in
-// decide order so the worker count is byte-invisible in every result.
-type ComputePool struct {
-	p *computePool
-}
-
-// NewComputePool sizes a pool; workers <= 0 means GOMAXPROCS and
-// workers == 1 executes everything inline on the caller's goroutine.
-func NewComputePool(workers int) *ComputePool {
-	return &ComputePool{p: newComputePool(workers)}
-}
-
-// Run executes every task, returning once all have finished. Tasks
-// must be independent: no two may touch the same state, and none may
-// call back into the pool. Results must be gathered by the caller in
-// a deterministic order of its own (never completion order).
-func (c *ComputePool) Run(tasks []func()) { c.p.runFuncs(tasks) }
-
 // Workers reports the resolved pool size.
-func (c *ComputePool) Workers() int { return c.p.workers }
+func (p *ComputePool) Workers() int { return p.workers }
 
 // Close shuts the workers down; later Run calls execute inline.
-func (c *ComputePool) Close() { c.p.close() }
-
-// close shuts the workers down; later runAll calls execute inline.
-func (p *computePool) close() {
+func (p *ComputePool) Close() {
 	if p.closed {
 		return
 	}

@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"approxhadoop/internal/cluster"
@@ -174,43 +175,59 @@ func TestPoolSizeInvisible(t *testing.T) {
 }
 
 // TestPoolResultCacheReusesCompute verifies that retries and
-// speculative duplicates of a (task, ratio) reuse the memoized pure
-// result instead of recomputing: mapper constructions are bounded by
-// the number of distinct tasks even when attempts exceed it.
+// speculative duplicates of a (task, ratio) collect the task's one
+// future instead of recomputing — whether an earlier attempt created it
+// or readahead did before the first attempt was decided: mapper
+// constructions are bounded by the number of distinct tasks even when
+// attempts exceed it.
 func TestPoolResultCacheReusesCompute(t *testing.T) {
 	input, _ := wordCountInput(t, 64)
 	var faults []cluster.Fault
 	for i := 0; i < 6; i++ {
 		faults = append(faults, cluster.Fault{At: 0.5 + 0.3*float64(i), Kind: cluster.FaultTask, Server: i % 4})
 	}
-	built := 0
-	job := &Job{
-		Name:  "pool-cache",
-		Input: input,
-		NewMapper: func() Mapper {
-			built++
-			return wordCountMapper()
-		},
-		NewReduce:     func(int) ReduceLogic { return SumReduce() },
-		Reduces:       2,
-		Cost:          cluster.AnalyticCost{T0: 1, Tr: 0.001, Tp: 0.001},
-		Seed:          17,
-		Workers:       1, // inline so the counter needs no synchronization
-		Retry:         RetryPolicy{MaxAttemptsPerTask: 3, Backoff: 0.25},
-		DegradeToDrop: true,
-		Faults:        &cluster.FaultPlan{Faults: faults},
-	}
-	res, err := Run(testEngine(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := res.Counters
-	if c.MapsRetried == 0 {
-		t.Fatal("scenario produced no retries; cache not exercised")
-	}
-	if built > c.MapsTotal {
-		t.Errorf("built %d mappers for %d tasks (%d retries): retries must reuse cached results",
-			built, c.MapsTotal, c.MapsRetried)
+	faults = append(faults, cluster.Fault{At: 0.1, Kind: cluster.FaultSlow, Server: 1, Factor: 0.1})
+	for _, workers := range []int{1, 4} {
+		var built atomic.Int64
+		job := &Job{
+			Name:  "pool-cache",
+			Input: input,
+			NewMapper: func() Mapper {
+				built.Add(1)
+				return wordCountMapper()
+			},
+			NewReduce:     func(int) ReduceLogic { return SumReduce() },
+			Reduces:       2,
+			Cost:          cluster.AnalyticCost{T0: 1, Tr: 0.001, Tp: 0.001},
+			Seed:          17,
+			Workers:       workers,
+			Retry:         RetryPolicy{MaxAttemptsPerTask: 3, Backoff: 0.25},
+			DegradeToDrop: true,
+			Speculation:   true,
+			SpecFactor:    1.5,
+			Faults:        &cluster.FaultPlan{Faults: faults},
+		}
+		eng := testEngine()
+		h, err := Start(eng, job, StartOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		res, err := h.Outcome()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := res.Counters
+		if c.MapsRetried == 0 || c.MapsSpeculated == 0 {
+			t.Fatalf("workers=%d: %d retries, %d speculative attempts; cache not exercised", workers, c.MapsRetried, c.MapsSpeculated)
+		}
+		if workers > 1 && h.t.aheadHits < 2 {
+			t.Fatalf("workers=%d: readahead never armed (%d hits); its futures not exercised", workers, h.t.aheadHits)
+		}
+		if n := int(built.Load()); n > c.MapsTotal {
+			t.Errorf("workers=%d: built %d mappers for %d tasks (%d retries, %d speculative): every attempt of a task must collect one future",
+				workers, n, c.MapsTotal, c.MapsRetried, c.MapsSpeculated)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func TestEmitElementSteadyStateDoesNotAllocate(t *testing.T) {
 	if err := plan.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	e := newMapEmitter(4, false, false, vtime.NewDeterministic(), 0)
+	e := newMapEmitter(4, false, false, vtime.NewDeterministic(), emitHint{})
 	if err := e.enableSketch(plan); err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSketchJobSizesNoPairArenas(t *testing.T) {
 	if err := job.Validate(testEngine()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := executeMap(job, input.Blocks[0], 0, 1, 1, vtime.NewDeterministic(), 0)
+	res, err := executeMap(job, input.Blocks[0], 0, 1, 1, vtime.NewDeterministic(), emitHint{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestSketchJobSizesNoPairArenas(t *testing.T) {
 		t.Errorf("sketch map: pairs = %d, emitted = %d, want %d counted and 0 through the arenas", res.pairs, res.emitted, records)
 	}
 	job.Sketch = nil
-	res, err = executeMap(job, input.Blocks[0], 0, 1, 1, vtime.NewDeterministic(), 0)
+	res, err = executeMap(job, input.Blocks[0], 0, 1, 1, vtime.NewDeterministic(), emitHint{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,7 +65,8 @@ type tracker struct {
 
 	measures  []cluster.TaskMeasure // their Items sum to counters.ItemsTotal
 	counters  Counters
-	emitted   int64 // pairs completed maps put through the pair arenas (pairsHint)
+	emitted   int64    // pairs completed maps put through the pair arenas (emitHint)
+	maxKeys   emitHint // most distinct keys, and key bytes, of any completed map (emitHint)
 	launched  int
 	completed int
 	dropped   int
@@ -87,19 +88,22 @@ type tracker struct {
 	// Compute-plane state (see pool.go): launches decided during the
 	// current scheduling pass await their map compute, which runs on
 	// the worker pool; results apply in decide order at flush.
-	pool    *computePool
+	pool    *futurePool
 	pending []*pendingLaunch
-	// resCache holds the first computed result per task. executeMap is
-	// a pure function of (job, block, ratio, seed) and the seed is
-	// per-task, so retries and speculative re-attempts at the same
-	// ratio reuse the computation instead of re-running the kernel.
-	resCache map[int]cachedMap
-}
-
-// cachedMap is one memoized map computation.
-type cachedMap struct {
-	ratio float64
-	res   *mapResult
+	// futures holds the latest future per task. executeMap is a pure
+	// function of (job, block, ratio, seed) and the seed is per-task, so
+	// retries and speculative re-attempts at the same ratio collect the
+	// first attempt's computation instead of re-running the kernel — and
+	// a first attempt collects what readAhead started for it.
+	futures map[int]*mapFuture
+	issue   []*mapFuture // created since the last flush, not yet submitted
+	// Readahead (see readAhead): ahead are the futures of the launches
+	// predicted next, in t.order up to aheadOrd, all at lastRatio;
+	// aheadHits counts consecutive launches that matched.
+	ahead     []*mapFuture
+	aheadOrd  int
+	aheadHits int
+	lastRatio float64 // ratio of the most recent first launch of a task
 }
 
 // Run executes job on the simulated cluster and returns its result.
@@ -204,7 +208,7 @@ func Start(eng *cluster.Engine, job *Job, opts StartOptions) (*Handle, error) {
 		serverByID:   make(map[string]*cluster.Server),
 		serverFaults: make(map[string]int),
 		blacklist:    make(map[string]bool),
-		resCache:     make(map[int]cachedMap),
+		futures:      make(map[int]*mapFuture),
 	}
 	if t.arb == nil {
 		t.arb = newGreedyArbiter(eng)
@@ -215,7 +219,7 @@ func Start(eng *cluster.Engine, job *Job, opts StartOptions) (*Handle, error) {
 		// across pool workers; run such jobs inline instead.
 		workers = 1
 	}
-	t.pool = newComputePool(workers)
+	t.pool = newFuturePool(workers)
 	n := len(t.blocks)
 	t.state = make([]taskState, n)
 	t.ratios = make([]float64, n)
@@ -256,8 +260,9 @@ func Start(eng *cluster.Engine, job *Job, opts StartOptions) (*Handle, error) {
 }
 
 // fireDone runs the end-of-job bookkeeping exactly once: the compute
-// pool is torn down (late flushes fall back to inline execution) and
-// the OnDone hook observes the outcome at the current virtual time.
+// pool is torn down — whatever readahead has in flight finishes and is
+// discarded — and the OnDone hook observes the outcome at the current
+// virtual time.
 func (t *tracker) fireDone() {
 	if t.doneFired {
 		return
@@ -492,6 +497,7 @@ func (t *tracker) degrade(idx int, server string) {
 		return
 	}
 	t.state[idx] = taskDropped
+	t.unpredict(idx)
 	t.dropped++
 	t.counters.MapsDegraded++
 	t.emit(EventMapDegraded, idx, server, 0)
@@ -643,10 +649,13 @@ func (t *tracker) onDeadline() {
 
 // launch decides a map task attempt: the slot is occupied and all
 // bookkeeping done now, in virtual-time order, while the attempt's
-// real compute is queued for the worker pool and applied at flush.
+// real compute is a future collected at flush.
 func (t *tracker) launch(idx int, srv *cluster.Server, ratio float64) {
 	if ratio <= 0 || ratio > 1 {
 		ratio = 1
+	}
+	if t.attemptsMade[idx] == 0 {
+		t.observe(idx, ratio)
 	}
 	t.ratios[idx] = ratio
 	t.state[idx] = taskRunning
@@ -657,71 +666,156 @@ func (t *tracker) launch(idx int, srv *cluster.Server, ratio float64) {
 }
 
 // enqueueAttempt occupies a map slot for one attempt of task idx and
-// queues its compute. On a cache hit (an earlier attempt of the same
-// task at the same ratio) the memoized result is reused — executeMap
-// is pure, so re-running it could only waste cycles.
+// queues the collection of its compute: the task's existing future when
+// it is for the same ratio (an earlier attempt, or readahead), a new
+// one otherwise.
 func (t *tracker) enqueueAttempt(idx int, srv *cluster.Server, ratio float64, spec bool) {
-	pl := &pendingLaunch{idx: idx, ratio: ratio, spec: spec}
-	//lint:ignore nofloateq the cached ratio is the verbatim float stored by a previous attempt of this task; retries and speculation re-use t.ratios[idx] unchanged
-	if c, ok := t.resCache[idx]; ok && c.ratio == ratio {
-		pl.res = c.res
-	} else {
-		job, block := t.job, t.blocks[idx]
-		seed := job.Seed*1000003 + int64(idx)
-		meter := vtime.Fork(job.Meter)
-		hint := t.pairsHint()
-		pl.run = func() (*mapResult, error) {
-			return executeMap(job, block, idx, ratio, seed, meter, hint)
-		}
+	f := t.futures[idx]
+	if f == nil || !f.matches(idx, ratio) {
+		f = t.newFuture(idx, ratio)
+		t.issue = append(t.issue, f)
 	}
-	var handle *cluster.RunningTask
-	handle = t.eng.StartOpenTask(srv, cluster.MapSlot, func(killed bool) {
-		t.onMapDone(idx, handle, pl.res, killed)
-	})
-	pl.handle = handle
-	t.attempts[idx] = append(t.attempts[idx], handle)
+	pl := &pendingLaunch{spec: spec, f: f}
+	pl.handle = t.eng.StartOpenTask(srv, cluster.MapSlot, func(killed bool) { t.onMapDone(pl, killed) })
+	t.attempts[idx] = append(t.attempts[idx], pl.handle)
 	t.pending = append(t.pending, pl)
 }
 
-// pairsHint estimates the pair count of the next map attempt from
-// completed maps, for emitter preallocation. Elements folded into
-// sketches never reach the pair arenas and are not counted, so a
-// sketch job preallocates nothing it will not fill. It reads only
-// decide-time scheduler state, so the hint — like everything else —
-// is independent of pool size.
-func (t *tracker) pairsHint() int {
-	if t.counters.MapsCompleted == 0 {
-		return 0
+// newFuture makes the compute of (idx, ratio) the task's current
+// future, capturing all it will read — a forked meter included — here
+// on the scheduler goroutine.
+func (t *tracker) newFuture(idx int, ratio float64) *mapFuture {
+	f := &mapFuture{
+		job:   t.job,
+		block: t.blocks[idx],
+		idx:   idx,
+		ratio: ratio,
+		meter: vtime.Fork(t.job.Meter),
+		hint:  t.emitHint(),
 	}
-	return int(t.emitted / int64(t.counters.MapsCompleted))
+	t.futures[idx] = f
+	return f
 }
 
-// flushLaunches resolves the compute of every launch decided during
-// the current pass (in parallel on the pool) and applies the results
-// in decide order: realSecs accrual, duration perturbation draws, and
-// completion events all happen in exactly the sequence the sequential
-// simulator would produce, which is what makes pool size invisible to
-// the virtual timeline.
+// emitHint sizes the next map attempt's emitter from completed maps: a
+// combiner holds one aggregate per distinct key, so it is sized by the
+// most keys any map needed (growth stays rare); raw runs hold every
+// pair and are sized by the mean pair count. Elements folded into
+// sketches never reach the pair arenas and are not counted, so a sketch
+// job preallocates nothing it will not fill. The hint moves
+// allocations only, never a result byte.
+func (t *tracker) emitHint() emitHint {
+	h := t.maxKeys
+	if !t.job.Combine && t.counters.MapsCompleted > 0 {
+		h.n = int(t.emitted / int64(t.counters.MapsCompleted))
+	}
+	return h
+}
+
+// observe scores the standing prediction against the first launch of a
+// task: a match is a hit, anything else a miss.
+func (t *tracker) observe(idx int, ratio float64) {
+	t.lastRatio = ratio
+	if len(t.ahead) == 0 {
+		return
+	}
+	if !t.ahead[0].matches(idx, ratio) {
+		t.disarm()
+		return
+	}
+	t.ahead = t.ahead[:copy(t.ahead, t.ahead[1:])]
+	t.aheadHits++
+}
+
+// unpredict is observe for a task dropped instead of launched.
+func (t *tracker) unpredict(idx int) {
+	if len(t.ahead) > 0 && t.ahead[0].idx == idx {
+		t.disarm()
+	}
+}
+
+// disarm forgets every prediction after a miss: futures no worker has
+// started are withdrawn, the rest finish uncollected.
+func (t *tracker) disarm() {
+	t.pool.cancel(t.ahead)
+	for _, f := range t.ahead {
+		delete(t.futures, f.idx)
+	}
+	t.ahead = t.ahead[:0]
+	t.aheadHits = 0
+}
+
+// readAhead keeps the pool busy between scheduling passes: once tasks
+// finish at distinct virtual times a pass launches one or two, and the
+// workers would idle while the scheduler applies results. The launch
+// order is fixed at job start and executeMap is pure, so the tracker
+// predicts that the next pending tasks in t.order will be launched at
+// the last launch's ratio. Until two consecutive launches have matched,
+// the prediction is dry: one future, held back from the pool, so a job
+// that runs one wave and drops its tail computes nothing extra. After
+// that the futures are submitted, and the window grows by one per hit
+// from the pool width to four times it — the most a miss can waste. A
+// predicted future is only collected by the launch it predicted, in
+// decide order like any other, so nothing computed early can reach a
+// result byte.
+func (t *tracker) readAhead() {
+	w := t.pool.workers
+	if w <= 1 {
+		return
+	}
+	armed := t.aheadHits >= 2
+	want := 1
+	if armed {
+		want = min(w+t.aheadHits-2, 4*w)
+	}
+	if len(t.ahead) == 0 {
+		t.aheadOrd = t.nextOrd
+	}
+	for ; len(t.ahead) < want && t.aheadOrd < len(t.order); t.aheadOrd++ {
+		idx := t.order[t.aheadOrd]
+		if t.state[idx] != taskPending {
+			continue
+		}
+		f := t.newFuture(idx, t.lastRatio)
+		t.ahead = append(t.ahead, f)
+		if armed {
+			t.issue = append(t.issue, f)
+		}
+	}
+}
+
+// flushLaunches submits the futures created during the current pass,
+// readahead included, then collects those of the launches it decided
+// and applies them in decide order: realSecs accrual, duration
+// perturbation draws, and completion events all happen in exactly the
+// sequence the sequential simulator would produce, which is what makes
+// pool size invisible to the virtual timeline.
 func (t *tracker) flushLaunches() {
 	if len(t.pending) == 0 {
 		return
 	}
 	batch := t.pending
 	t.pending = nil
-	t.pool.runAll(batch)
+	// The first future this pass's launches created is needed first: the
+	// scheduler runs it itself rather than wake a worker and wait for it.
+	held := min(len(t.issue), 1)
+	t.readAhead()
+	t.pool.submit(t.issue[held:])
+	t.issue = t.issue[:0]
 	for _, pl := range batch {
-		if t.failErr == nil && pl.err != nil {
-			t.fail(pl.err)
+		if t.failErr == nil {
+			t.pool.wait(pl.f)
+			if pl.f.err != nil {
+				t.fail(pl.f.err)
+			}
 		}
 		if t.failErr != nil {
 			t.eng.Kill(pl.handle) // no-op for attempts fail() already killed
 			continue
 		}
-		if _, ok := t.resCache[pl.idx]; !ok {
-			t.resCache[pl.idx] = cachedMap{ratio: pl.ratio, res: pl.res}
-		}
-		t.realSecs += pl.res.measure.RealSecs()
-		dur := t.job.Cost.MapDuration(pl.res.measure)
+		res := pl.f.res
+		t.realSecs += res.measure.RealSecs()
+		dur := t.job.Cost.MapDuration(res.measure)
 		if !pl.spec {
 			dur = t.eng.PerturbDuration(dur)
 		}
@@ -732,8 +826,11 @@ func (t *tracker) flushLaunches() {
 	}
 }
 
-// onMapDone handles completion or kill of one map attempt.
-func (t *tracker) onMapDone(idx int, handle *cluster.RunningTask, res *mapResult, killed bool) {
+// onMapDone handles completion or kill of one map attempt. Only a
+// completed attempt has had its future collected; a killed one's may
+// still be running.
+func (t *tracker) onMapDone(pl *pendingLaunch, killed bool) {
+	idx, handle := pl.f.idx, pl.handle
 	// Every attempt end releases its arbiter grant, even on the abort
 	// path below — the engine has already freed the physical slot, and
 	// multi-job arbiters kick waiting jobs from this notification.
@@ -790,6 +887,7 @@ func (t *tracker) onMapDone(idx int, handle *cluster.RunningTask, res *mapResult
 		return
 	}
 	t.state[idx] = taskDone
+	res := pl.f.res
 	// Forget remaining attempts before killing them: the nested kill
 	// callbacks must not re-filter the slice we are iterating.
 	t.attempts[idx] = nil
@@ -803,6 +901,8 @@ func (t *tracker) onMapDone(idx int, handle *cluster.RunningTask, res *mapResult
 	t.counters.BytesRead += res.measure.Bytes
 	t.counters.PairsShuffled += res.pairs
 	t.emitted += res.emitted
+	t.maxKeys.n = max(t.maxKeys.n, res.keys.n)
+	t.maxKeys.keyBytes = max(t.maxKeys.keyBytes, res.keys.keyBytes)
 	// Kill losing speculative siblings.
 	for _, a := range live {
 		t.eng.Kill(a)
@@ -881,6 +981,7 @@ func (t *tracker) dropTask(idx int) {
 		return
 	}
 	t.state[idx] = taskDropped
+	t.unpredict(idx)
 	t.dropped++
 	t.counters.MapsDropped++
 	t.emit(EventMapDropped, idx, "", 0)

@@ -118,6 +118,7 @@ func FuzzSketchDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 6, 0})
+	f.Add(paddedCMS())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {
@@ -127,4 +128,40 @@ func FuzzSketchDecode(f *testing.F) {
 			t.Fatalf("accepted non-canonical encoding (kind %s)", s.Kind())
 		}
 	})
+}
+
+// paddedCMS is the input FuzzSketchDecode found the padded-varint
+// acceptance with: an empty 2x1 Count-Min sketch whose last zero
+// counter is spelled 0x80 0x00 instead of 0x00.
+func paddedCMS() []byte {
+	c, _ := NewCMS(2, 1, 11)
+	b := c.AppendBinary(nil)
+	return append(b[:len(b)-1:len(b)-1], 0x80, 0x00)
+}
+
+// TestDecodeRejectsPaddedVarints: every value's minimal encoding is
+// read back, and the same value padded out to any length up to the
+// ten-byte maximum is refused — by readUvarint, and by Decode when it
+// sits inside an otherwise valid sketch.
+func TestDecodeRejectsPaddedVarints(t *testing.T) {
+	for _, v := range []uint64{0, 1, 127, 128, 300, 1 << 21, 1<<56 - 1, 1 << 63, ^uint64(0)} {
+		min := appendUvarint(nil, v)
+		if got, next, ok := readUvarint(min, 0); !ok || got != v || next != len(min) {
+			t.Errorf("minimal %d-byte encoding of %d: got %d, next %d, ok %v", len(min), v, got, next, ok)
+		}
+		for n := len(min) + 1; n <= 10; n++ {
+			padded := append([]byte(nil), min...)
+			padded[len(padded)-1] |= 0x80
+			for len(padded) < n-1 {
+				padded = append(padded, 0x80)
+			}
+			padded = append(padded, 0x00)
+			if got, _, ok := readUvarint(padded, 0); ok {
+				t.Errorf("%d padded to %d bytes accepted as %d", v, n, got)
+			}
+		}
+	}
+	if s, err := Decode(paddedCMS()); err == nil {
+		t.Errorf("Decode accepted a padded varint (kind %s)", s.Kind())
+	}
 }

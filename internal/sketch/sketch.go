@@ -173,13 +173,16 @@ func uvarintLen(v uint64) int {
 }
 
 // readUvarint decodes a uvarint from b, returning the value and the new
-// offset, or ok=false on truncation.
+// offset, or ok=false on truncation, overflow or a padded encoding: a
+// multi-byte varint ending in a zero group re-encodes shorter than it
+// was read, so accepting it would break Decode's canonical-form
+// contract (two byte strings for one sketch).
 func readUvarint(b []byte, off int) (v uint64, next int, ok bool) {
 	if off < 0 || off > len(b) {
 		return 0, 0, false
 	}
 	v, n := binary.Uvarint(b[off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && b[off+n-1] == 0) {
 		return 0, 0, false
 	}
 	return v, off + n, true

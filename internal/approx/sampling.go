@@ -43,8 +43,8 @@ func (ApproxTextInput) Open(b *dfs.Block, sampleRatio float64, seed int64) (mapr
 		meter:     vtime.NewDeterministic(),
 	}
 	if sampleRatio < 1 {
-		// sampleLine draws only below ratio 1; seeding the 607-word
-		// source for a reader that never draws cost more than opening it.
+		// sampleLine draws only below ratio 1; a reader that never
+		// draws skips the source's 5.4 KB register.
 		r.rng = stats.NewRand(seed)
 	}
 	return r, nil

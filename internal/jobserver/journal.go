@@ -65,8 +65,8 @@ const (
 
 // JournalRecord is one JSONL line of the write-ahead journal.
 type JournalRecord struct {
-	Op       JournalOp      `json:"op"`
-	ID       string         `json:"id,omitempty"`
+	Op JournalOp `json:"op"`
+	ID string    `json:"id,omitempty"`
 	// Shard is the engine shard the job was placed on at submit time.
 	// Recovery asserts each journal segment replays onto the shard that
 	// wrote it, so a sharded restart reproduces the original placement

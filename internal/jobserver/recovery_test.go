@@ -377,4 +377,3 @@ func TestDrainHTTP503RetryAfter(t *testing.T) {
 		t.Fatalf("healthz during drain: %d, want 200", code)
 	}
 }
-

@@ -1,12 +1,65 @@
 package stats
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
 func BenchmarkTQuantile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = TQuantile(0.975, float64(1+i%100))
+	}
+}
+
+// randImpls puts NewRand beside the math/rand construction it
+// replaced, so one run shows both ends of the trade: what seeding costs
+// by how much the source goes on to draw, and what a draw costs once
+// the register is resident.
+var randImpls = []struct {
+	name string
+	new  func(seed int64) *rand.Rand
+}{
+	{"stats", NewRand},
+	{"mathrand", func(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }},
+}
+
+var randSink float64
+
+func BenchmarkNewRand(b *testing.B) {
+	for _, draws := range []int{0, 1, 80, 400, 2000} {
+		for _, impl := range randImpls {
+			b.Run(fmt.Sprintf("draws=%d/%s", draws, impl.name), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					r := impl.new(int64(i))
+					for d := 0; d < draws; d++ {
+						randSink += r.Float64()
+					}
+				}
+			})
+		}
+	}
+}
+
+func BenchmarkRandSteady(b *testing.B) {
+	for _, impl := range randImpls {
+		r := impl.new(1)
+		for i := 0; i < 2*rngLen; i++ {
+			r.Int63()
+		}
+		b.Run("Float64/"+impl.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				randSink += r.Float64()
+			}
+		})
+		b.Run("Int63/"+impl.name, func(b *testing.B) {
+			var x int64
+			for i := 0; i < b.N; i++ {
+				x ^= r.Int63()
+			}
+			randSink += float64(x)
+		})
 	}
 }
 

@@ -21,5 +21,6 @@
 //
 // Everything is pure Go with no dependencies outside the standard
 // library, and all randomized routines accept explicit *rand.Rand
-// sources so simulations stay deterministic.
+// sources so simulations stay deterministic. NewRand makes them: its
+// stream is math/rand's, seeded lazily so a source costs what it draws.
 package stats

@@ -7,9 +7,13 @@ import (
 
 // NewRand returns a deterministic PRNG seeded with seed. All simulator
 // and workload randomness flows through explicitly seeded sources so
-// experiments are reproducible.
+// experiments are reproducible. The stream is that of
+// rand.New(rand.NewSource(seed)), bit for bit; the source behind it
+// pays for seeding in proportion to what is drawn (source.go).
 func NewRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+	s := new(source)
+	s.Seed(seed)
+	return rand.New(s)
 }
 
 // Zipf draws ranks in [1, n] with P(rank = k) proportional to

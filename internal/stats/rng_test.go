@@ -1,0 +1,196 @@
+package stats
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// newSource seeds a source directly, so these tests compare the
+// generator itself with math/rand's whatever NewRand is wired to.
+func newSource(seed int64) *source {
+	s := new(source)
+	s.Seed(seed)
+	return s
+}
+
+func mathRand(seed int64) rand.Source64 { return rand.NewSource(seed).(rand.Source64) }
+
+// sameDraws fails unless the next n Uint64s of got and want agree.
+func sameDraws(t *testing.T, got *source, want rand.Source64, n int, what string) {
+	t.Helper()
+	for i := 1; i <= n; i++ {
+		if g, w := got.Uint64(), want.Uint64(); g != w {
+			t.Fatalf("%s, draw %d: Uint64 = %#x, math/rand %#x", what, i, g, w)
+		}
+	}
+}
+
+// edgeSeeds are the seeds where math/rand's normalisation (mod 2^31-1,
+// negatives shifted up, 0 replaced by 89482311) changes branch.
+var edgeSeeds = []int64{
+	0, 1, -1, 2, lehmerM, -lehmerM, 2 * lehmerM, -2 * lehmerM, 3*lehmerM + 1, -(5*lehmerM + 1),
+	lehmerM - 1, lehmerM + 1, 1 << 31, 1<<31 + 1, 89482311, -89482311, 89482311 + lehmerM,
+	1 << 32, 1<<62 - 1, math.MinInt64, math.MinInt64 + 1, math.MaxInt64, math.MaxInt64 - 1,
+}
+
+func testSeeds() []int64 {
+	seeds := append([]int64(nil), edgeSeeds...)
+	r := rand.New(rand.NewSource(20261002))
+	for i := 0; i < 300; i++ {
+		seeds = append(seeds, int64(r.Uint64()))
+	}
+	return seeds
+}
+
+func TestLehmerPowIsSeedChain(t *testing.T) {
+	// The chain as math/rand steps it (Schrage's method), from x0 = 1.
+	x := int32(1)
+	step := func() {
+		hi, lo := x/44488, x%44488
+		if x = 48271*lo - 3399*hi; x < 0 {
+			x += lehmerM
+		}
+	}
+	for i := 0; i < 20; i++ {
+		step()
+	}
+	for i := 0; i < rngLen; i++ {
+		step()
+		if lehmerPow[i] != uint32(x) {
+			t.Fatalf("lehmerPow[%d] = %d, chain value %d is %d", i, lehmerPow[i], 21+3*i, x)
+		}
+		step()
+		step()
+	}
+}
+
+func TestLehmerMulFoldsExactly(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	check := func(a, b uint64) {
+		if got, want := lehmerMul(a, b), a*b%lehmerM; got != want {
+			t.Fatalf("lehmerMul(%d, %d) = %d, want %d", a, b, got, want)
+		}
+	}
+	for _, a := range []uint64{1, 2, lehmerA, 1 << 30, lehmerM - 2, lehmerM - 1} {
+		for _, b := range []uint64{1, 2, lehmerA, 1 << 30, lehmerM - 2, lehmerM - 1} {
+			check(a, b)
+		}
+	}
+	for i := 0; i < 100000; i++ {
+		check(1+uint64(r.Int63n(lehmerM-1)), 1+uint64(r.Int63n(lehmerM-1)))
+	}
+}
+
+func TestSourceMatchesMathRand(t *testing.T) {
+	for _, seed := range testSeeds() {
+		sameDraws(t, newSource(seed), mathRand(seed), 5000, fmt.Sprint("seed ", seed))
+	}
+}
+
+// TestSourceResumesOnEveryBoundary stops at each draw count where the
+// implementation changes state — batch edges of the lazy pass, the tap
+// lag, the last lazily built word, both wraps — and resumes through
+// Int63, which carries its own copy of the draw and so must call fill
+// at the same counts Uint64 does.
+func TestSourceResumesOnEveryBoundary(t *testing.T) {
+	stops := map[int]bool{273: true, 941: true}
+	for _, edge := range []int{rngFeed, rngLen, rngLen + rngFeed, 2 * rngLen} {
+		for b := edge; b > edge-rngFeed && b >= 0; b -= rngBatch {
+			stops[b] = true
+		}
+	}
+	for stop := range stops {
+		for n := max(stop-1, 0); n <= stop+1; n++ {
+			got, want := newSource(int64(n)+7), mathRand(int64(n)+7)
+			sameDraws(t, got, want, n, fmt.Sprint("towards a stop at ", n))
+			for i := 1; i <= 2*rngLen; i += 2 {
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("after %d draws, draw +%d: Int63 = %#x, math/rand %#x", n, i, g, w)
+				}
+				sameDraws(t, got, want, 1, fmt.Sprintf("after %d draws and %d more", n, i))
+			}
+		}
+	}
+}
+
+func TestSourceReseedRestartsStream(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 200, 333, 334, 335, 607, 1000} {
+		got := newSource(99)
+		for i := 0; i < n; i++ {
+			got.Uint64()
+		}
+		got.Seed(-12345)
+		sameDraws(t, got, mathRand(-12345), 1500, fmt.Sprintf("reseeded after %d draws", n))
+	}
+}
+
+// TestRandMethodsMatchMathRand drives rand.New over both sources
+// through every *rand.Rand method the tree calls, interleaved so that
+// each method starts from many register positions.
+func TestRandMethodsMatchMathRand(t *testing.T) {
+	for _, seed := range testSeeds()[:60] {
+		got, want := rand.New(newSource(seed)), rand.New(rand.NewSource(seed))
+		gz, wz := rand.NewZipf(got, 1.2, 1, 99999), rand.NewZipf(want, 1.2, 1, 99999)
+		eq := func(what string, g, w any) {
+			t.Helper()
+			if g != w {
+				t.Fatalf("seed %d: %s = %v, math/rand %v", seed, what, g, w)
+			}
+		}
+		for round := 0; round < 40; round++ {
+			eq("Float64", got.Float64(), want.Float64())
+			eq("Int63", got.Int63(), want.Int63())
+			eq("Int63n", got.Int63n(1<<40+int64(round)), want.Int63n(1<<40+int64(round)))
+			eq("Int63n(pow2)", got.Int63n(1<<20), want.Int63n(1<<20))
+			eq("Intn", got.Intn(1000+round), want.Intn(1000+round))
+			eq("Intn(big)", got.Intn(1<<40+round), want.Intn(1<<40+round))
+			eq("NormFloat64", got.NormFloat64(), want.NormFloat64())
+			eq("ExpFloat64", got.ExpFloat64(), want.ExpFloat64())
+			eq("Uint64", got.Uint64(), want.Uint64())
+			eq("Zipf", gz.Uint64(), wz.Uint64())
+			gp, wp := got.Perm(17+round), want.Perm(17+round)
+			for i := range wp {
+				eq("Perm", gp[i], wp[i])
+			}
+			got.Shuffle(len(gp), func(i, j int) { gp[i], gp[j] = gp[j], gp[i] })
+			want.Shuffle(len(wp), func(i, j int) { wp[i], wp[j] = wp[j], wp[i] })
+			for i := range wp {
+				eq("Shuffle", gp[i], wp[i])
+			}
+		}
+		got.Seed(seed + 1)
+		want.Seed(seed + 1)
+		eq("Float64 after Rand.Seed", got.Float64(), want.Float64())
+	}
+}
+
+var keptRand *rand.Rand // makes NewRand's result escape, as it does at every call site that stores it
+
+// TestNewRandIsTheSource pins what NewRand hands out: the stream of
+// rand.New(rand.NewSource(seed)), in the same two allocations.
+func TestNewRandIsTheSource(t *testing.T) {
+	for _, seed := range edgeSeeds {
+		got, want := NewRand(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 1000; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d draw %d: %#x, math/rand %#x", seed, i+1, g, w)
+			}
+		}
+	}
+	if n := int(testing.AllocsPerRun(100, func() { keptRand = NewRand(5); keptRand.Int63() })); n != 2 {
+		t.Errorf("NewRand + 1 draw: %v allocations, want 2 (source, Rand)", n)
+	}
+}
+
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	for i, seed := range edgeSeeds {
+		f.Add(seed, uint16(i*97))
+	}
+	f.Add(int64(1), uint16(334))
+	f.Add(int64(7), uint16(65535))
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
+		sameDraws(t, newSource(seed), mathRand(seed), int(draws)+1, fmt.Sprint("seed ", seed))
+	})
+}

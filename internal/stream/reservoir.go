@@ -19,7 +19,8 @@ import (
 // simple-random-sample the within-stratum variance term assumes.
 type reservoir struct {
 	cap  int
-	rng  *rand.Rand
+	seed int64
+	rng  *rand.Rand // nil until the first record past cap; most strata never get there
 	vals []float64
 	seen int64
 }
@@ -28,7 +29,7 @@ func newReservoir(capacity int, seed int64) *reservoir {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &reservoir{cap: capacity, rng: stats.NewRand(seed)}
+	return &reservoir{cap: capacity, seed: seed}
 }
 
 // admit registers one offered record and returns the slot its value
@@ -42,6 +43,9 @@ func (r *reservoir) admit() int {
 	if len(r.vals) < r.cap {
 		r.vals = append(r.vals, 0)
 		return len(r.vals) - 1
+	}
+	if r.rng == nil {
+		r.rng = stats.NewRand(r.seed)
 	}
 	j := r.rng.Int63n(r.seen)
 	if j < int64(r.cap) {

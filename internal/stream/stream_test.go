@@ -248,9 +248,9 @@ func TestMaxWindowsStopsEarly(t *testing.T) {
 func TestQueryValidation(t *testing.T) {
 	src := workload.StreamFrom(smallEdits().File("x"), workload.StreamOptions{Rate: workload.ConstantRate(10)})
 	cases := []stream.Query{
-		{},                        // no window
+		{}, // no window
 		{Window: stream.Window{Size: 10, Slide: 20}, Stratify: func([]byte) []byte { return nil }}, // gapping slide
-		{Window: stream.Window{Size: 10}},                                                          // no stratify
+		{Window: stream.Window{Size: 10}}, // no stratify
 		{Window: stream.Window{Size: 10}, Stratify: func([]byte) []byte { return nil }, Op: stream.OpSum}, // sum without Value
 	}
 	for i, q := range cases {

@@ -103,7 +103,7 @@ func parseFixtureDir(t *testing.T, fset *token.FileSet, dir string, want map[str
 }
 
 // fixtureImports lists the stdlib packages fixtures may import.
-var fixtureImports = []string{"time", "math/rand", "fmt", "strings", "errors", "sync", "strconv", "os"}
+var fixtureImports = []string{"time", "math/rand", "fmt", "strings", "errors", "sync", "strconv", "os", "hash/crc32", "hash/maphash"}
 
 // loadFixture typechecks one fixture case (dep packages first, wired
 // through a registering importer) and returns the packages in

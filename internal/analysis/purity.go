@@ -11,7 +11,9 @@ import (
 // matches the package itself and everything below it ("math" covers
 // math/rand and math/bits). Notably absent: os, net, time, sync,
 // runtime — calling those from the compute plane is exactly what the
-// analyzer exists to catch.
+// analyzer exists to catch. hash/maphash is carved out of "hash": its
+// seeds are drawn per process, so anything keyed by it (a table's probe
+// order, a sketch's registers) differs from run to run for one input.
 var pureStdlibPrefixes = []string{
 	"bufio",
 	"bytes",
@@ -28,6 +30,9 @@ var pureStdlibPrefixes = []string{
 }
 
 func pureStdlibPkg(path string) bool {
+	if path == "hash/maphash" {
+		return false
+	}
 	for _, p := range pureStdlibPrefixes {
 		if path == p || strings.HasPrefix(path, p+"/") {
 			return true

@@ -6,6 +6,8 @@
 package purity
 
 import (
+	"hash/crc32"
+	"hash/maphash"
 	"os"
 	"strconv"
 
@@ -61,4 +63,25 @@ func ifaces(m Meter, r Raw) {
 func external(n int) string {
 	pid := os.Getpid() // want: purity
 	return strconv.Itoa(n + pid)
+}
+
+// seededInterner is the key interner not to write: hash/maphash draws
+// its seed per process, so slot order — and every timing and profile
+// that follows from probe lengths — changes from run to run for one
+// input. Package hash is otherwise trusted (crc32 below is a fixed
+// function of its bytes).
+type seededInterner struct {
+	seed  maphash.Seed
+	slots []int32
+}
+
+//approx:compute
+func (t *seededInterner) slot(key string) int {
+	h := maphash.String(t.seed, key) // want: purity
+	return int(h % uint64(len(t.slots)))
+}
+
+//approx:compute
+func fixedHash(key string) uint32 {
+	return crc32.ChecksumIEEE([]byte(key))
 }

@@ -121,7 +121,7 @@ func TestSamplingReaderDeterministic(t *testing.T) {
 			if !ok {
 				break
 			}
-			keys = append(keys, rec.Key)
+			keys = append(keys, rec.Key())
 		}
 		return keys
 	}

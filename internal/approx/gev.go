@@ -2,7 +2,6 @@ package approx
 
 import (
 	"math"
-	"sort"
 
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
@@ -168,6 +167,6 @@ func (r *ExtremeValueReducer) Finalize(view mapreduce.EstimateView) []mapreduce.
 		est, exact := r.estimate(vals, view)
 		out = append(out, mapreduce.KeyEstimate{Key: key, Est: est, Exact: exact})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	mapreduce.SortByKey(out)
 	return out
 }

@@ -2,7 +2,6 @@ package approx
 
 import (
 	"math"
-	"sort"
 
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
@@ -75,7 +74,7 @@ func (r *MultiStageReducer) FinalizeWithKnownKeys(view mapreduce.EstimateView, k
 			out = append(out, mapreduce.KeyEstimate{Key: k, Est: missingBound, Exact: r.exact(view)})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	mapreduce.SortByKey(out)
 	return out
 }
 

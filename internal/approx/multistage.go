@@ -2,7 +2,6 @@ package approx
 
 import (
 	"math"
-	"sort"
 
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
@@ -232,7 +231,7 @@ func (r *MultiStageReducer) Finalize(view mapreduce.EstimateView) []mapreduce.Ke
 		agg := &r.table[i]
 		out = append(out, mapreduce.KeyEstimate{Key: agg.key, Est: r.estimate(agg, view, t), Exact: exact})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	mapreduce.SortByKey(out)
 	return out
 }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strconv"
 
 	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/mapreduce"
@@ -36,12 +35,7 @@ func (ApproxTextInput) Open(b *dfs.Block, sampleRatio float64, seed int64) (mapr
 	if sampleRatio <= 0 || sampleRatio > 1 {
 		sampleRatio = 1
 	}
-	r := &samplingReader{
-		block:     b,
-		keyPrefix: b.ID() + ":",
-		ratio:     sampleRatio,
-		meter:     vtime.NewDeterministic(),
-	}
+	r := &samplingReader{block: b, ratio: sampleRatio, meter: vtime.NewDeterministic()}
 	if sampleRatio < 1 {
 		// sampleLine draws only below ratio 1; a reader that never
 		// draws skips the source's 5.4 KB register.
@@ -51,16 +45,14 @@ func (ApproxTextInput) Open(b *dfs.Block, sampleRatio float64, seed int64) (mapr
 }
 
 type samplingReader struct {
-	block     *dfs.Block
-	keyPrefix string
-	rc        io.ReadCloser // pull mode only, opened lazily
-	scan      *bufio.Scanner
-	ratio     float64
-	rng       *rand.Rand // nil at ratio 1, where no line is ever drawn
-	meter     vtime.Meter
-	m         mapreduce.ReaderMeasure
-	bufs      *mapreduce.BufList
-	keyBuf    []byte // "blockID:" prefix resident, offset digits rewritten per record
+	block *dfs.Block
+	rc    io.ReadCloser // pull mode only, opened lazily
+	scan  *bufio.Scanner
+	ratio float64
+	rng   *rand.Rand // nil at ratio 1, where no line is ever drawn
+	meter vtime.Meter
+	m     mapreduce.ReaderMeasure
+	bufs  *mapreduce.BufList
 }
 
 // SetMeter implements mapreduce.MeterSetter.
@@ -68,24 +60,6 @@ func (r *samplingReader) SetMeter(m vtime.Meter) { r.meter = m }
 
 // SetBuffers implements mapreduce.BufferLender.
 func (r *samplingReader) SetBuffers(l *mapreduce.BufList) { r.bufs = l }
-
-// key formats the record key for the given record index into keyBuf and
-// returns a view of it, valid until the next call.
-//
-//approx:hotpath
-func (r *samplingReader) key(idx int64) []byte {
-	if r.keyBuf == nil {
-		min := len(r.keyPrefix) + 20
-		if r.bufs != nil {
-			r.keyBuf = r.bufs.Get(min)
-		} else {
-			r.keyBuf = make([]byte, 0, min)
-		}
-		r.keyBuf = append(r.keyBuf, r.keyPrefix...)
-	}
-	r.keyBuf = strconv.AppendInt(r.keyBuf[:len(r.keyPrefix)], idx, 10)
-	return r.keyBuf
-}
 
 // sampleLine accounts one scanned line and reports whether it is in the
 // sample. Skipped lines still count toward Items and Bytes — and toward
@@ -120,13 +94,12 @@ func (r *samplingReader) Next() (mapreduce.Record, bool, error) {
 		if !r.sampleLine(int64(len(line)), &units, &bytes) {
 			continue
 		}
-		key := r.key(idx)
 		r.m.ReadSecs += r.meter.End(vtime.OpRead, units, bytes)
-		return mapreduce.Record{Key: string(key), Value: line}, true, nil
+		return mapreduce.Record{Block: r.block, Index: idx, Value: line}, true, nil
 	}
 	r.m.ReadSecs += r.meter.End(vtime.OpRead, units, bytes)
 	if err := r.scan.Err(); err != nil {
-		return mapreduce.Record{}, false, fmt.Errorf("approx: reading %s: %w", r.keyPrefix, err)
+		return mapreduce.Record{}, false, fmt.Errorf("approx: reading %s: %w", r.block.ID(), err)
 	}
 	return mapreduce.Record{}, false, nil
 }
@@ -142,8 +115,8 @@ func newLineScanner(rd io.Reader) *bufio.Scanner {
 // The meter call sequence replicates the Next loop exactly: one
 // Begin(OpRead) per sampled-record segment, with skipped lines'
 // units/bytes accumulating into the segment's End — so virtual timings
-// are bit-identical across modes. Record Key/Value are views of
-// reusable buffers, valid only inside fn.
+// are bit-identical across modes. Record.Value is a view of a reusable
+// buffer, valid only inside fn.
 //
 //approx:compute
 //approx:hotpath
@@ -162,10 +135,9 @@ func (r *samplingReader) Push(fn func(rec mapreduce.Record)) (bool, error) {
 		if !r.sampleLine(int64(len(line)), &units, &bytes) {
 			return nil
 		}
-		key := r.key(idx)
 		r.m.ReadSecs += r.meter.End(vtime.OpRead, units, bytes)
 		units, bytes = 0, 0
-		fn(mapreduce.Record{Key: zerocopy.String(key), Value: zerocopy.String(line)})
+		fn(mapreduce.Record{Block: r.block, Index: idx, Value: zerocopy.String(line)})
 		r.meter.Begin(vtime.OpRead)
 		return nil
 	})
@@ -175,7 +147,7 @@ func (r *samplingReader) Push(fn func(rec mapreduce.Record)) (bool, error) {
 	r.m.ReadSecs += r.meter.End(vtime.OpRead, units, bytes)
 	if err != nil {
 		//lint:ignore hotpath error path, taken at most once per block
-		return true, fmt.Errorf("approx: reading %s: %w", r.keyPrefix, err)
+		return true, fmt.Errorf("approx: reading %s: %w", r.block.ID(), err)
 	}
 	return true, nil
 }
@@ -184,10 +156,6 @@ func (r *samplingReader) Measure() mapreduce.ReaderMeasure { return r.m }
 
 //approx:compute
 func (r *samplingReader) Close() error {
-	if r.bufs != nil && r.keyBuf != nil {
-		r.bufs.Put(r.keyBuf)
-		r.keyBuf = nil
-	}
 	if r.rc != nil {
 		return r.rc.Close()
 	}

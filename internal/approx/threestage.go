@@ -1,8 +1,6 @@
 package approx
 
 import (
-	"sort"
-
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
 )
@@ -91,6 +89,6 @@ func (r *ThreeStageReducer) Finalize(view mapreduce.EstimateView) []mapreduce.Ke
 		}
 		out = append(out, mapreduce.KeyEstimate{Key: key, Est: est, Exact: exact})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	mapreduce.SortByKey(out)
 	return out
 }

@@ -85,8 +85,8 @@ const topPagesK = 10
 func WikiTopPages(input *dfs.File, opts SketchOptions) *mapreduce.Job {
 	mapper := func() mapreduce.Mapper {
 		return mapreduce.MapperFunc(func(rec mapreduce.Record, emit mapreduce.Emitter) {
-			a, ok := workload.ParseAccess(rec.Value)
-			if !ok {
+			var a workload.Access
+			if !a.Parse(rec.Value) {
 				return
 			}
 			mapreduce.EmitElement(emit, "", a.Page, 1)

@@ -44,7 +44,8 @@ func WikiPageRank(input *dfs.File, opts Options) *mapreduce.Job {
 func ProjectPopularity(input *dfs.File, opts Options) *mapreduce.Job {
 	mapper := func() mapreduce.Mapper {
 		return mapreduce.MapperFunc(func(rec mapreduce.Record, emit mapreduce.Emitter) {
-			if a, ok := workload.ParseAccess(rec.Value); ok {
+			var a workload.Access
+			if a.Parse(rec.Value) {
 				emit.Emit(a.Project, 1)
 			}
 		})
@@ -58,7 +59,8 @@ func ProjectPopularity(input *dfs.File, opts Options) *mapreduce.Job {
 func PagePopularity(input *dfs.File, opts Options) *mapreduce.Job {
 	mapper := func() mapreduce.Mapper {
 		return mapreduce.MapperFunc(func(rec mapreduce.Record, emit mapreduce.Emitter) {
-			if a, ok := workload.ParseAccess(rec.Value); ok {
+			var a workload.Access
+			if a.Parse(rec.Value) {
 				emit.Emit(a.Page, 1)
 			}
 		})
@@ -71,7 +73,8 @@ func PagePopularity(input *dfs.File, opts Options) *mapreduce.Job {
 func PageTraffic(input *dfs.File, opts Options) *mapreduce.Job {
 	mapper := func() mapreduce.Mapper {
 		return mapreduce.MapperFunc(func(rec mapreduce.Record, emit mapreduce.Emitter) {
-			if a, ok := workload.ParseAccess(rec.Value); ok {
+			var a workload.Access
+			if a.Parse(rec.Value) {
 				emit.Emit(a.Page, float64(a.Bytes))
 			}
 		})
@@ -84,7 +87,8 @@ func PageTraffic(input *dfs.File, opts Options) *mapreduce.Job {
 func WikiRequestRate(input *dfs.File, opts Options) *mapreduce.Job {
 	mapper := func() mapreduce.Mapper {
 		return mapreduce.MapperFunc(func(rec mapreduce.Record, emit mapreduce.Emitter) {
-			if a, ok := workload.ParseAccess(rec.Value); ok {
+			var a workload.Access
+			if a.Parse(rec.Value) {
 				hour := (a.Epoch / 3600) % 24
 				emit.Emit(fmt.Sprintf("hour%02d", hour), 1)
 			}

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"math"
+	"math/rand"
 	"strconv"
 	"strings"
 	"testing"
@@ -171,7 +172,7 @@ func TestMapEmitterHintedAllocs(t *testing.T) {
 	if legacy > 4 {
 		t.Errorf("legacy hinted emit path allocates %.0f times per attempt, want <= 4 (preallocation regressed)", legacy)
 	}
-	// Arena path adds the interner's fixed-size state (id map, dense
+	// Arena path adds the interner's fixed-size state (slot table, dense
 	// key/partition slices, one arena chunk) but still nothing per emit.
 	hinted := testing.AllocsPerRun(20, func() {
 		emitAll(newMapEmitter(reduces, false, false, meter, emitHint{n: pairs}))
@@ -257,7 +258,7 @@ func BenchmarkShuffleLegacy(b *testing.B) {
 // 8192 pairs, no hint). Re-record it deliberately when the shuffle
 // layout changes; TestShuffleArenaAllocGuard fails CI when the live
 // number drifts more than 15% above it.
-const arenaShuffleAllocBaseline = 40
+const arenaShuffleAllocBaseline = 10
 
 // TestShuffleArenaAllocGuard is the allocation regression guard for the
 // arena shuffle, run by the CI bench job.
@@ -307,4 +308,69 @@ func BenchmarkTextReader(b *testing.B) {
 		rr.Close()
 	}
 	b.SetBytes(block.Size)
+}
+
+// internStream is a Zipf-ordered emit stream over n distinct keys, the
+// order a block of the access log presents its projects (400) or its
+// pages (20 000) in.
+func internStream(n, length int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = "page" + strconv.Itoa(i)
+	}
+	rng := rand.New(rand.NewSource(1))
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(n-1))
+	stream := make([]string, length)
+	for i := range stream {
+		stream[i] = keys[zipf.Uint64()]
+	}
+	return stream
+}
+
+// BenchmarkIntern measures the hit path — every key already interned —
+// which is what all but the first sight of a key costs an emit.
+func BenchmarkIntern(b *testing.B) {
+	for _, n := range []int{400, 20000} {
+		b.Run(strconv.Itoa(n)+"keys", func(b *testing.B) {
+			stream := internStream(n, 1<<16)
+			tab := newKeyTable(4, n, 0)
+			for _, k := range stream {
+				tab.Intern(k)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink int32
+			for i := 0; i < b.N; i++ {
+				id, _ := tab.Intern(stream[i&(1<<16-1)])
+				sink += id
+			}
+			_ = sink
+		})
+	}
+}
+
+// BenchmarkInternFill measures one attempt's worth of first sights:
+// build a table and intern 1000 distinct keys, with the count known
+// (one slot allocation, no growth) and unknown (growth from empty).
+func BenchmarkInternFill(b *testing.B) {
+	keys := make([]string, 1000)
+	bytes := 0
+	for i := range keys {
+		keys[i] = "page" + strconv.Itoa(i)
+		bytes += len(keys[i])
+	}
+	for _, c := range []struct {
+		name        string
+		hint, arena int
+	}{{"hinted", len(keys), bytes}, {"unhinted", 0, 0}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tab := newKeyTable(4, c.hint, c.arena)
+				for _, k := range keys {
+					tab.Intern(k)
+				}
+			}
+		})
+	}
 }

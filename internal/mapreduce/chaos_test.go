@@ -75,7 +75,7 @@ func TestChaosControllerInvariants(t *testing.T) {
 			SleepIdle:   trial%3 == 0,
 			Trace:       func(e Event) { events = append(events, e) },
 		}
-		res, err := Run(eng, job)
+		res, err := runCounted(t, eng, job)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -192,7 +192,7 @@ func TestChaosUnderFaultPlan(t *testing.T) {
 			},
 			Trace: func(e Event) { events = append(events, e) },
 		}
-		res, err := Run(eng, job)
+		res, err := runCounted(t, eng, job)
 		if err != nil {
 			t.Fatalf("trial %d (seed %d): %v", trial, seed, err)
 		}
@@ -273,7 +273,7 @@ func TestChaosFaultPlanDeterministic(t *testing.T) {
 			Retry:         RetryPolicy{MaxAttemptsPerTask: 2, Backoff: 0.5, BlacklistAfter: 3},
 			Trace:         func(e Event) { events = append(events, e) },
 		}
-		if _, err := Run(eng, job); err != nil {
+		if _, err := runCounted(t, eng, job); err != nil {
 			t.Fatal(err)
 		}
 		return events
@@ -333,4 +333,45 @@ func TestDeterministicTrace(t *testing.T) {
 			t.Fatalf("trace diverges at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
+}
+
+// runCounted is Run with the tracker's per-state task counts — what
+// pendingCount and runningCount now read — compared with a fresh scan
+// of the task states at every trace event the job emits and after every
+// engine event. The chaos, failure and degrade tests run through it, so
+// all eight setState call sites are crossed.
+func runCounted(t *testing.T, eng *cluster.Engine, job *Job) (*Result, error) {
+	t.Helper()
+	var tr *tracker
+	check := func(when string) {
+		if tr == nil {
+			return // still inside Start
+		}
+		var scan [4]int
+		for _, st := range tr.state {
+			scan[st]++
+		}
+		if scan != tr.inState {
+			t.Fatalf("%s: state counts %v, a scan of the %d task states gives %v", when, tr.inState, len(tr.state), scan)
+		}
+	}
+	inner := job.Trace
+	job.Trace = func(e Event) {
+		check(e.String())
+		if inner != nil {
+			inner(e)
+		}
+	}
+	defer func() { job.Trace = inner }()
+	h, err := Start(eng, job, StartOptions{})
+	if err != nil {
+		return nil, err
+	}
+	tr = h.t
+	check("after Start")
+	for eng.Step() {
+		check("after an engine event")
+	}
+	eng.Run() // the queue is empty: this only settles energy accrual, as Run would
+	return h.Outcome()
 }

@@ -38,7 +38,7 @@ func TestDegradeToDropOnExhaustedRetries(t *testing.T) {
 	}
 	job := faultJob(input, RetryPolicy{MaxAttemptsPerTask: 1}, true)
 	job.Faults = &cluster.FaultPlan{Faults: faults}
-	res, err := Run(eng, job)
+	res, err := runCounted(t, eng, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestExhaustedRetriesFailWithoutDegrade(t *testing.T) {
 	job.Faults = &cluster.FaultPlan{Faults: []cluster.Fault{
 		{At: 0.5, Kind: cluster.FaultTask, Server: 0},
 	}}
-	_, err := Run(eng, job)
+	_, err := runCounted(t, eng, job)
 	if err == nil {
 		t.Fatal("exhausted attempts without DegradeToDrop must fail the job")
 	}
@@ -95,7 +95,7 @@ func TestRetryBackoffDelaysReexecution(t *testing.T) {
 	job.Faults = &cluster.FaultPlan{Faults: []cluster.Fault{
 		{At: 0.5, Kind: cluster.FaultTask, Server: 0},
 	}}
-	res, err := Run(eng, job)
+	res, err := runCounted(t, eng, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestBlacklistAfterRepeatedFaults(t *testing.T) {
 			}
 		}
 	}
-	res, err := Run(eng, job)
+	res, err := runCounted(t, eng, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestAllServersBlacklistedCleanError(t *testing.T) {
 		{At: 0.5, Kind: cluster.FaultTask, Server: 0},
 		{At: 0.7, Kind: cluster.FaultTask, Server: 1},
 	}}
-	_, err := Run(eng, job)
+	_, err := runCounted(t, eng, job)
 	if err == nil {
 		t.Fatal("fully blacklisted cluster with pending maps must error, not stall")
 	}
@@ -211,7 +211,7 @@ func TestAllServersBlacklistedDegrades(t *testing.T) {
 		{At: 0.5, Kind: cluster.FaultTask, Server: 0},
 		{At: 0.7, Kind: cluster.FaultTask, Server: 1},
 	}}
-	res, err := Run(eng, job)
+	res, err := runCounted(t, eng, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestUnrunnableBlockDegrades(t *testing.T) {
 	job.Faults = &cluster.FaultPlan{Faults: []cluster.Fault{
 		{At: 0.5, Kind: cluster.FaultServer, Server: 3},
 	}}
-	res, err := Run(eng, job)
+	res, err := runCounted(t, eng, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestUnrunnableBlockDegrades(t *testing.T) {
 	job2.Faults = &cluster.FaultPlan{Faults: []cluster.Fault{
 		{At: 0.5, Kind: cluster.FaultServer, Server: 3},
 	}}
-	_, err = Run(eng2, job2)
+	_, err = runCounted(t, eng2, job2)
 	if err == nil {
 		t.Fatal("unrunnable block without DegradeToDrop must fail the job")
 	}
@@ -296,7 +296,7 @@ func TestJobDeadline(t *testing.T) {
 	cfg.MapSlotsPerServer = 1 // many waves: the deadline cuts mid-job
 	eng := cluster.New(cfg)
 	job := faultJob(input, RetryPolicy{JobDeadline: 5}, true)
-	res, err := Run(eng, job)
+	res, err := runCounted(t, eng, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestJobDeadline(t *testing.T) {
 
 	eng2 := cluster.New(cfg)
 	job2 := faultJob(input, RetryPolicy{JobDeadline: 5}, false)
-	_, err = Run(eng2, job2)
+	_, err = runCounted(t, eng2, job2)
 	if err == nil {
 		t.Fatal("deadline without DegradeToDrop must fail the job")
 	}
@@ -326,7 +326,7 @@ func TestJobDeadline(t *testing.T) {
 	// A generous deadline changes nothing.
 	eng3 := cluster.New(cfg)
 	job3 := faultJob(input, RetryPolicy{JobDeadline: 1e6}, false)
-	res3, err := Run(eng3, job3)
+	res3, err := runCounted(t, eng3, job3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestServerRecoveryRestoresCapacity(t *testing.T) {
 			launchedOn3AfterRecovery = true
 		}
 	}
-	res, err := Run(eng, job)
+	res, err := runCounted(t, eng, job)
 	if err != nil {
 		t.Fatal(err)
 	}

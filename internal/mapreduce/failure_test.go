@@ -36,7 +36,7 @@ func TestMapTaskReexecutionOnServerFailure(t *testing.T) {
 			}
 		},
 	}
-	res, err := Run(eng, job)
+	res, err := runCounted(t, eng, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestReduceServerFailureFailsJob(t *testing.T) {
 		Reduces:   1,
 		Cost:      cluster.AnalyticCost{T0: 5, Tr: 0.001, Tp: 0.001},
 	}
-	_, err := Run(eng, job)
+	_, err := runCounted(t, eng, job)
 	if err == nil {
 		t.Fatal("losing the reduce server should fail the job")
 	}
@@ -105,7 +105,7 @@ func TestReduceServerFailureEvenWithDegrade(t *testing.T) {
 		Cost:          cluster.AnalyticCost{T0: 5, Tr: 0.001, Tp: 0.001},
 		DegradeToDrop: true,
 	}
-	_, err := Run(eng, job)
+	_, err := runCounted(t, eng, job)
 	if err == nil {
 		t.Fatal("reduce loss is unrecoverable even under DegradeToDrop")
 	}
@@ -130,7 +130,7 @@ func TestServerFailureAfterCompletionHarmless(t *testing.T) {
 		Reduces:   2,
 		Cost:      cluster.AnalyticCost{T0: 1, Tr: 0.001, Tp: 0.001},
 	}
-	res, err := Run(eng, job)
+	res, err := runCounted(t, eng, job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestAllServersFailed(t *testing.T) {
 		Reduces:   1,
 		Cost:      cluster.AnalyticCost{T0: 10, Tr: 0.01, Tp: 0.01},
 	}
-	if _, err := Run(eng, job); err == nil {
+	if _, err := runCounted(t, eng, job); err == nil {
 		t.Fatal("a fully failed cluster should produce an error")
 	}
 }

@@ -1,6 +1,10 @@
 package mapreduce
 
-import "approxhadoop/internal/zerocopy"
+import (
+	"math/bits"
+
+	"approxhadoop/internal/zerocopy"
+)
 
 // keyTable is the per-attempt key interner of the zero-allocation data
 // plane. Map emitters hand it every emitted key (often a transient view
@@ -11,13 +15,21 @@ import "approxhadoop/internal/zerocopy"
 // downstream of the emitter moves (keyID, value) pairs; strings are
 // resolved only when a reducer needs them.
 //
+// The index is an open-addressed, linearly probed table of 64-bit
+// slots, hash32<<32 | id+1 (0 = empty), over the dense keys slice: a
+// hit costs one hashKey, one slot load and one string compare against
+// keys[id]. It is kept at most half full and sized once from the
+// distinct-key hint; when it does grow, the stored hash32 re-places
+// every slot without touching a key byte. IDs come from first-sight
+// order alone, so nothing a job outputs depends on the hash.
+//
 // A table is owned by one map attempt (executeMap), so it needs no
 // locking — the sharedstate contract holds because no two goroutines
 // ever share an instance. Interned strings are durable: the arena
 // chunks are append-only and never recycled, so a string view handed
 // out by Resolve stays valid for the life of the attempt's MapOutput.
 type keyTable struct {
-	ids     map[string]int32
+	slots   []uint64 // len is a power of two, at least 2*len(keys)
 	keys    []string // id -> interned key
 	parts   []int32  // id -> reduce partition
 	reduces int
@@ -29,24 +41,18 @@ type keyTable struct {
 const keyArenaChunk = 16 << 10
 
 // newKeyTable builds an interner for the given partition count. hint
-// (an upper bound on the attempt's distinct keys) pre-sizes the id map
+// (an upper bound on the attempt's distinct keys) sizes the slot table
 // and the dense id-indexed slices so interning new keys never
 // reallocates mid-attempt; arenaBytes > 0 sizes the first arena chunk
 // to the key bytes the attempt is expected to intern, in place of a
 // full keyArenaChunk.
 func newKeyTable(reduces, hint, arenaBytes int) *keyTable {
-	// Cap the map pre-size: distinct keys are usually far fewer than
-	// pairs, and the runtime allocates large pre-sized maps in many
-	// overflow-bucket pieces (measured: hint 4096 costs 18 allocations,
-	// hint 512 costs 4). The map still grows past the cap if needed.
-	mh := hint
-	if mh > 512 {
-		mh = 512
+	t := &keyTable{reduces: reduces}
+	size := 8
+	for size < 2*hint {
+		size <<= 1
 	}
-	t := &keyTable{
-		ids:     make(map[string]int32, mh),
-		reduces: reduces,
-	}
+	t.slots = make([]uint64, size)
 	if hint > 0 {
 		t.keys = make([]string, 0, hint)
 		t.parts = make([]int32, 0, hint)
@@ -57,22 +63,105 @@ func newKeyTable(reduces, hint, arenaBytes int) *keyTable {
 	return t
 }
 
-// Intern returns the ID and reduce partition for key, assigning both on
-// first sight. The key argument may be a transient buffer view; the
+// hashKey is the table's string hash: eight bytes at a time folded
+// through a 64x64->128-bit multiply, the tail (up to eight bytes, read
+// as overlapping words) folded once more with the length. It is a fixed
+// function of the key bytes — hash/maphash seeds itself per process,
+// which would make probe lengths, and so timings and profiles, differ
+// from run to run for the same job.
+//
+//approx:hotpath
+func hashKey(s string) uint32 {
+	h := uint64(len(s))
+	for len(s) > 8 {
+		h = mulFold(h^load64(s), 0x9e3779b97f4a7c15)
+		s = s[8:]
+	}
+	var w uint64
+	switch n := len(s); {
+	case n == 8:
+		w = load64(s)
+	case n >= 4:
+		w = load32(s) | load32(s[n-4:])<<32
+	case n > 0:
+		w = uint64(s[0]) | uint64(s[n>>1])<<8 | uint64(s[n-1])<<16
+	}
+	h = mulFold(h^w, 0xd6e8feb86659fd93)
+	return uint32(h)
+}
+
+func mulFold(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// load64 and load32 read little-endian words; the compiler merges each
+// into a single load.
+func load64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+func load32(s string) uint64 {
+	_ = s[3]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24
+}
+
+// intern returns key's ID, assigning the next one on first sight. part
+// is the partition a new key is filed under; a negative part hashes it
+// from the key. The key argument may be a transient buffer view; the
 // stored copy is arena-backed and durable.
 //
 //approx:hotpath
-func (t *keyTable) Intern(key string) (id, part int32) {
-	if id, ok := t.ids[key]; ok {
-		return id, t.parts[id]
+func (t *keyTable) intern(key string, part int32) int32 {
+	h := hashKey(key)
+	mask := uint32(len(t.slots) - 1)
+	i := h & mask
+	for s := t.slots[i]; s != 0; s = t.slots[i] {
+		if uint32(s>>32) == h && t.keys[uint32(s)-1] == key {
+			return int32(uint32(s) - 1)
+		}
+		i = (i + 1) & mask
 	}
-	durable := t.copyKey(key)
-	id = int32(len(t.keys))
-	part = int32(Partition(durable, t.reduces))
-	t.ids[durable] = id
-	t.keys = append(t.keys, durable)
+	key = t.copyKey(key)
+	if part < 0 {
+		part = int32(Partition(key, t.reduces))
+	}
+	t.keys = append(t.keys, key)
 	t.parts = append(t.parts, part)
-	return id, part
+	t.slots[i] = uint64(h)<<32 | uint64(len(t.keys))
+	if 2*len(t.keys) > len(t.slots) {
+		t.grow()
+	}
+	return int32(len(t.keys) - 1)
+}
+
+// grow doubles the slot table and re-places every slot by its stored
+// hash, in slot order; no key is read.
+func (t *keyTable) grow() {
+	old := t.slots
+	t.slots = make([]uint64, 2*len(old))
+	mask := uint32(len(t.slots) - 1)
+	for _, s := range old {
+		if s == 0 {
+			continue
+		}
+		i := uint32(s>>32) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = s
+	}
+}
+
+// Intern returns the ID and reduce partition for key, assigning both on
+// first sight.
+//
+//approx:hotpath
+func (t *keyTable) Intern(key string) (id, part int32) {
+	id = t.intern(key, -1)
+	return id, t.parts[id]
 }
 
 // InternAt is Intern with the partition supplied by the caller instead
@@ -82,15 +171,7 @@ func (t *keyTable) Intern(key string) (id, part int32) {
 //
 //approx:hotpath
 func (t *keyTable) InternAt(key string, part int32) (id int32) {
-	if id, ok := t.ids[key]; ok {
-		return id
-	}
-	durable := t.copyKey(key)
-	id = int32(len(t.keys))
-	t.ids[durable] = id
-	t.keys = append(t.keys, durable)
-	t.parts = append(t.parts, part)
-	return id
+	return t.intern(key, part)
 }
 
 // copyKey appends key's bytes to the arena and returns a durable string

@@ -1,10 +1,14 @@
 package mapreduce
 
 import (
+	"bytes"
+	"math/rand"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"approxhadoop/internal/zerocopy"
 )
 
 // TestKeyTableRoundTrip checks the interner's core contract: every
@@ -148,5 +152,165 @@ func FuzzInternResolve(f *testing.F) {
 		if ia2, _ := tab.Intern(ka); ia2 != ia {
 			t.Fatalf("re-Intern(%q) = %d, want %d", ka, ia2, ia)
 		}
+	})
+}
+
+// lowBitColliders returns n distinct keys whose hashKey values agree in
+// their low 12 bits: in any table of up to 4096 slots they all start
+// probing at the same slot.
+func lowBitColliders(n int) []string {
+	out := make([]string, 0, n)
+	for i := 0; len(out) < n; i++ {
+		k := "collide-" + strconv.Itoa(i)
+		if hashKey(k)&0xfff == 0x5a5 {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// keyModel is the reference the table is checked against: a Go map
+// from key to ID, IDs handed out in first-sight order, and the
+// partition each key was first given.
+type keyModel struct {
+	ids   map[string]int32
+	keys  []string
+	parts []int32
+}
+
+func (m *keyModel) intern(key string, part int32) (id int32) {
+	if id, ok := m.ids[key]; ok {
+		return id
+	}
+	id = int32(len(m.keys))
+	m.ids[key] = id
+	m.keys = append(m.keys, key)
+	m.parts = append(m.parts, part)
+	return id
+}
+
+// checkKeyTableOps drives one table and the model through the same
+// calls. op picks Intern (even) or InternAt (odd) and the key; keys are
+// handed over as views of a scratch buffer that is overwritten right
+// after the call, as push-mode records are.
+func checkKeyTableOps(t testing.TB, reduces, hint int, universe []string, ops int, pick func(i int) (key int, at bool)) {
+	tab := newKeyTable(reduces, hint, 0)
+	model := &keyModel{ids: map[string]int32{}}
+	scratch := make([]byte, 0, 64)
+	for i := 0; i < ops; i++ {
+		k, at := pick(i)
+		key := universe[k]
+		scratch = append(scratch[:0], key...)
+		view := zerocopy.String(scratch)
+		var id, part int32
+		if at {
+			// InternAt's contract: the same partition at every sight.
+			part = int32(len(key) % reduces)
+			id = tab.InternAt(view, part)
+		} else {
+			id, part = tab.Intern(view)
+			if want := int32(Partition(key, reduces)); part != want {
+				t.Fatalf("op %d: Intern(%q) partition %d, want Partition = %d", i, key, part, want)
+			}
+		}
+		if want := model.intern(key, part); id != want {
+			t.Fatalf("op %d: key %q got id %d, model %d", i, key, id, want)
+		}
+		for j := range scratch {
+			scratch[j] = 0xff
+		}
+	}
+	if tab.Len() != len(model.keys) {
+		t.Fatalf("table holds %d keys, model %d", tab.Len(), len(model.keys))
+	}
+	bytes := 0
+	for id, key := range model.keys {
+		if got := tab.Resolve(int32(id)); got != key {
+			t.Fatalf("Resolve(%d) = %q, model %q", id, got, key)
+		}
+		if tab.parts[id] != model.parts[id] {
+			t.Fatalf("id %d (%q): partition %d, model %d", id, key, tab.parts[id], model.parts[id])
+		}
+		bytes += len(key)
+	}
+	if tab.Bytes() != bytes {
+		t.Fatalf("Bytes() = %d, model %d", tab.Bytes(), bytes)
+	}
+	if len(tab.slots)&(len(tab.slots)-1) != 0 || 2*tab.Len() > len(tab.slots) {
+		t.Fatalf("%d keys in %d slots: want a power of two, at most half full", tab.Len(), len(tab.slots))
+	}
+}
+
+// keyTableUniverse mixes the shapes that stress an open-addressed
+// table: keys that all hash to one start slot, the empty key, a key
+// longer than an arena chunk, keys one byte apart at every tail length
+// of hashKey, and a bulk of ordinary ones. A key is used through Intern
+// or through InternAt, never both (a key's partition is fixed at first
+// sight), so the two halves of the universe are disjoint.
+func keyTableUniverse(n int) []string {
+	u := lowBitColliders(300)
+	u = append(u, "", strings.Repeat("L", keyArenaChunk+1), strings.Repeat("L", keyArenaChunk+2))
+	for w := 1; w <= 17; w++ {
+		u = append(u, strings.Repeat("a", w), strings.Repeat("a", w)+"b", "b"+strings.Repeat("a", w))
+	}
+	for i := 0; len(u) < n; i++ {
+		u = append(u, "page"+strconv.Itoa(i))
+	}
+	return u
+}
+
+// TestKeyTableMatchesMapModel is the reference-model test: 200 k mixed
+// Intern/InternAt calls, Zipf-ordered so hits dominate as in a real
+// block, against the map model — at hint 0, at a hint a tenth of the
+// real count (several growths) and at the exact count (none).
+func TestKeyTableMatchesMapModel(t *testing.T) {
+	universe := keyTableUniverse(6000)
+	for _, hint := range []int{0, len(universe) / 10, len(universe)} {
+		rng := rand.New(rand.NewSource(int64(hint) + 1))
+		zipf := rand.NewZipf(rng, 1.1, 4, uint64(len(universe)-1))
+		// A fixed shuffle, so the Zipf head is not the collider block.
+		perm := rng.Perm(len(universe))
+		checkKeyTableOps(t, 7, hint, universe, 200_000, func(int) (int, bool) {
+			k := perm[zipf.Uint64()]
+			return k, k%2 == 1
+		})
+	}
+	// Every key exactly once, in order: the collider run is inserted
+	// back to back into a table too small for it.
+	checkKeyTableOps(t, 3, 0, universe, len(universe), func(i int) (int, bool) { return i, false })
+}
+
+// TestKeyTableHintedNeverGrows pins the sizing rule: a table built with
+// the true distinct-key count allocates its slots once.
+func TestKeyTableHintedNeverGrows(t *testing.T) {
+	for _, n := range []int{1, 4, 5, 400, 512, 513, 20000} {
+		tab := newKeyTable(4, n, 0)
+		slots := len(tab.slots)
+		for i := 0; i < n; i++ {
+			tab.Intern("k" + strconv.Itoa(i))
+		}
+		if len(tab.slots) != slots {
+			t.Errorf("hint %d: slots grew %d -> %d", n, slots, len(tab.slots))
+		}
+		if slots >= 4*n && slots > 8 {
+			t.Errorf("hint %d: %d slots, want under 4 per key", n, slots)
+		}
+	}
+}
+
+// FuzzKeyTable interprets its input as a program of Intern/InternAt
+// calls over a small universe that includes the collider keys, and
+// checks it against the map model at a fuzzed hint.
+func FuzzKeyTable(f *testing.F) {
+	universe := keyTableUniverse(512)
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3}, uint16(0))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint16(3))
+	f.Add(bytes.Repeat([]byte{1, 0, 3, 0, 5, 0, 7, 0, 9, 0, 11, 1, 13, 1}, 40), uint16(40))
+	f.Fuzz(func(t *testing.T, prog []byte, hint uint16) {
+		ops := len(prog) / 2
+		checkKeyTableOps(t, 5, int(hint)%1024, universe, ops, func(i int) (int, bool) {
+			k := (int(prog[2*i]) | int(prog[2*i+1])<<8) % len(universe)
+			return k, k%2 == 1
+		})
 	})
 }

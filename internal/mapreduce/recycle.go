@@ -1,7 +1,7 @@
 package mapreduce
 
 // BufList is an explicit free list of byte buffers owned by one map
-// attempt. Readers borrow line/key/carry buffers from it instead of
+// attempt. Readers borrow line and carry buffers from it instead of
 // allocating per record, and return them on Close so a later reader of
 // the same attempt can reuse the memory.
 //
@@ -41,7 +41,7 @@ func (l *BufList) Put(b []byte) {
 }
 
 // BufferLender is implemented by RecordReaders that can borrow their
-// working buffers (line carry, key scratch) from an attempt-owned free
+// working buffers (the line carry) from an attempt-owned free
 // list instead of allocating their own. The framework injects the
 // attempt's list right after InputFormat.Open, alongside SetMeter.
 //

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"math"
-	"sort"
 
 	"approxhadoop/internal/stats"
 )
@@ -84,7 +83,7 @@ func (r *PreciseReduce) Finalize(view EstimateView) []KeyEstimate {
 		}
 		out = append(out, ke)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	SortByKey(out)
 	return out
 }
 

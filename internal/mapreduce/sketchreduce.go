@@ -191,7 +191,7 @@ func (r *DistinctReduce) Finalize(view EstimateView) []KeyEstimate {
 		ke.Exact = cov >= 1
 		out = append(out, ke)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	SortByKey(out)
 	return out
 }
 
@@ -318,7 +318,7 @@ func (r *TopKReduce) Finalize(view EstimateView) []KeyEstimate {
 			out = append(out, KeyEstimate{Key: outKey(group, ent.e), Est: est, Exact: complete})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	SortByKey(out)
 	return out
 }
 
@@ -418,6 +418,6 @@ func (r *MembershipReduce) Finalize(view EstimateView) []KeyEstimate {
 		ke.Exact = cov >= 1
 		out = append(out, ke)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	SortByKey(out)
 	return out
 }

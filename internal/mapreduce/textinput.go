@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 
 	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/vtime"
@@ -28,11 +27,7 @@ func (TextInputFormat) Open(b *dfs.Block, _ float64, _ int64) (RecordReader, err
 	if b == nil {
 		return nil, fmt.Errorf("mapreduce: nil block")
 	}
-	return &textReader{
-		block:     b,
-		keyPrefix: b.ID() + ":",
-		meter:     vtime.NewDeterministic(),
-	}, nil
+	return &textReader{block: b, meter: vtime.NewDeterministic()}, nil
 }
 
 // newLineScanner builds a scanner with a generous line-length cap.
@@ -43,45 +38,20 @@ func newLineScanner(r io.Reader) *bufio.Scanner {
 }
 
 type textReader struct {
-	block     *dfs.Block
-	keyPrefix string
-	rc        io.ReadCloser // pull mode only, opened lazily
-	scan      *bufio.Scanner
-	meter     vtime.Meter
-	m         ReaderMeasure
-	bufs      *BufList
-	// keyBuf holds the record key: the "blockID:" prefix stays resident
-	// at the front and only the offset digits are rewritten per record,
-	// so key formatting allocates nothing (pull mode pays one string
-	// copy per record to make the returned key durable; push mode hands
-	// out a zero-copy view).
-	keyBuf []byte
+	block *dfs.Block
+	rc    io.ReadCloser // pull mode only, opened lazily
+	scan  *bufio.Scanner
+	meter vtime.Meter
+	m     ReaderMeasure
+	bufs  *BufList
 }
 
 // SetMeter implements MeterSetter.
 func (t *textReader) SetMeter(m vtime.Meter) { t.meter = m }
 
-// SetBuffers implements BufferLender: working buffers (key scratch,
-// line carry) are borrowed from the attempt's free list.
+// SetBuffers implements BufferLender: the line carry is borrowed from
+// the attempt's free list.
 func (t *textReader) SetBuffers(l *BufList) { t.bufs = l }
-
-// key formats the record key for the given record index into keyBuf and
-// returns a view of it, valid until the next call.
-//
-//approx:hotpath
-func (t *textReader) key(idx int64) []byte {
-	if t.keyBuf == nil {
-		min := len(t.keyPrefix) + 20 // prefix + widest int64 digits
-		if t.bufs != nil {
-			t.keyBuf = t.bufs.Get(min)
-		} else {
-			t.keyBuf = make([]byte, 0, min)
-		}
-		t.keyBuf = append(t.keyBuf, t.keyPrefix...)
-	}
-	t.keyBuf = strconv.AppendInt(t.keyBuf[:len(t.keyPrefix)], idx, 10)
-	return t.keyBuf
-}
 
 //approx:compute
 func (t *textReader) Next() (Record, bool, error) {
@@ -93,7 +63,7 @@ func (t *textReader) Next() (Record, bool, error) {
 	if !t.scan.Scan() {
 		t.m.ReadSecs += t.meter.End(vtime.OpRead, 0, 0)
 		if err := t.scan.Err(); err != nil {
-			return Record{}, false, fmt.Errorf("mapreduce: reading %s: %w", t.keyPrefix, err)
+			return Record{}, false, fmt.Errorf("mapreduce: reading %s: %w", t.block.ID(), err)
 		}
 		return Record{}, false, nil
 	}
@@ -101,16 +71,15 @@ func (t *textReader) Next() (Record, bool, error) {
 	t.m.Items++
 	t.m.Sampled++
 	t.m.Bytes += int64(len(line)) + 1
-	key := t.key(t.m.Items - 1)
 	t.m.ReadSecs += t.meter.End(vtime.OpRead, 1, int64(len(line))+1)
-	return Record{Key: string(key), Value: line}, true, nil
+	return Record{Block: t.block, Index: t.m.Items - 1, Value: line}, true, nil
 }
 
 // Push implements RecordPusher over the block's line backing. The meter
 // Begin/End sequence per record — End(OpRead, 1, len+1) per line, a
 // final End(OpRead, 0, 0) at EOF — replicates the Next loop exactly, so
-// virtual timings are bit-identical across modes. Record Key/Value are
-// views of reusable buffers, valid only inside fn.
+// virtual timings are bit-identical across modes. Record.Value is a
+// view of a reusable buffer, valid only inside fn.
 //
 //approx:compute
 //approx:hotpath
@@ -127,9 +96,8 @@ func (t *textReader) Push(fn func(rec Record)) (bool, error) {
 		t.m.Items++
 		t.m.Sampled++
 		t.m.Bytes += int64(len(line)) + 1
-		key := t.key(t.m.Items - 1)
 		t.m.ReadSecs += t.meter.End(vtime.OpRead, 1, int64(len(line))+1)
-		fn(Record{Key: zerocopy.String(key), Value: zerocopy.String(line)})
+		fn(Record{Block: t.block, Index: t.m.Items - 1, Value: zerocopy.String(line)})
 		return nil
 	})
 	if t.bufs != nil {
@@ -137,7 +105,7 @@ func (t *textReader) Push(fn func(rec Record)) (bool, error) {
 	}
 	if err != nil {
 		//lint:ignore hotpath error path, taken at most once per block
-		return true, fmt.Errorf("mapreduce: reading %s: %w", t.keyPrefix, err)
+		return true, fmt.Errorf("mapreduce: reading %s: %w", t.block.ID(), err)
 	}
 	t.meter.Begin(vtime.OpRead)
 	t.m.ReadSecs += t.meter.End(vtime.OpRead, 0, 0)
@@ -148,10 +116,6 @@ func (t *textReader) Measure() ReaderMeasure { return t.m }
 
 //approx:compute
 func (t *textReader) Close() error {
-	if t.bufs != nil && t.keyBuf != nil {
-		t.bufs.Put(t.keyBuf)
-		t.keyBuf = nil
-	}
 	if t.rc != nil {
 		return t.rc.Close()
 	}

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
@@ -44,7 +43,8 @@ type tracker struct {
 	nextOrd int
 	retry   []int // failed tasks awaiting re-execution
 
-	state     []taskState
+	state     []taskState                    // written through setState only
+	inState   [4]int                         // tasks per taskState; inState[s] == count of state[i] == s
 	ratios    []float64                      // sampling ratio used per task
 	attempts  map[int][]*cluster.RunningTask // running attempts per task
 	durations []float64                      // virtual durations of completed attempts
@@ -222,6 +222,7 @@ func Start(eng *cluster.Engine, job *Job, opts StartOptions) (*Handle, error) {
 	t.pool = newFuturePool(workers)
 	n := len(t.blocks)
 	t.state = make([]taskState, n)
+	t.inState[taskPending] = n
 	t.ratios = make([]float64, n)
 	t.attemptsMade = make([]int, n)
 	t.counters.MapsTotal = n
@@ -496,7 +497,7 @@ func (t *tracker) degrade(idx int, server string) {
 	if t.state[idx] != taskPending {
 		return
 	}
-	t.state[idx] = taskDropped
+	t.setState(idx, taskDropped)
 	t.unpredict(idx)
 	t.dropped++
 	t.counters.MapsDegraded++
@@ -584,7 +585,7 @@ func (t *tracker) noteServerFault(s *cluster.Server) {
 func (t *tracker) rescheduleOrDegrade(idx int) {
 	if max := t.job.Retry.MaxAttemptsPerTask; max > 0 && t.attemptsMade[idx] >= max {
 		if t.job.DegradeToDrop {
-			t.state[idx] = taskPending
+			t.setState(idx, taskPending)
 			t.degrade(idx, "")
 			return
 		}
@@ -592,7 +593,7 @@ func (t *tracker) rescheduleOrDegrade(idx int) {
 			idx, t.attemptsMade[idx]))
 		return
 	}
-	t.state[idx] = taskPending
+	t.setState(idx, taskPending)
 	t.counters.MapsRetried++
 	t.emit(EventMapRetried, idx, "", 0)
 	b := t.job.Retry.Backoff
@@ -658,7 +659,7 @@ func (t *tracker) launch(idx int, srv *cluster.Server, ratio float64) {
 		t.observe(idx, ratio)
 	}
 	t.ratios[idx] = ratio
-	t.state[idx] = taskRunning
+	t.setState(idx, taskRunning)
 	t.launched++
 	t.attemptsMade[idx]++
 	t.emit(EventMapLaunched, idx, srv.ID, ratio)
@@ -865,7 +866,7 @@ func (t *tracker) onMapDone(pl *pendingLaunch, killed bool) {
 			// Cut off by the job deadline: fold into the dropped-
 			// cluster count rather than the controller-kill count.
 			if len(live) == 0 {
-				t.state[idx] = taskPending
+				t.setState(idx, taskPending)
 				t.degrade(idx, handle.Server.ID)
 			}
 			t.scheduleFill()
@@ -875,7 +876,7 @@ func (t *tracker) onMapDone(pl *pendingLaunch, killed bool) {
 		t.emit(EventMapKilled, idx, handle.Server.ID, 0)
 		if t.state[idx] == taskRunning && len(live) == 0 {
 			// Killed with no surviving attempt: the task is dropped.
-			t.state[idx] = taskDropped
+			t.setState(idx, taskDropped)
 			t.dropped++
 		}
 		t.scheduleFill()
@@ -886,7 +887,7 @@ func (t *tracker) onMapDone(pl *pendingLaunch, killed bool) {
 		t.scheduleFill()
 		return
 	}
-	t.state[idx] = taskDone
+	t.setState(idx, taskDone)
 	res := pl.f.res
 	// Forget remaining attempts before killing them: the nested kill
 	// callbacks must not re-filter the slice we are iterating.
@@ -980,7 +981,7 @@ func (t *tracker) dropTask(idx int) {
 	if t.state[idx] != taskPending {
 		return
 	}
-	t.state[idx] = taskDropped
+	t.setState(idx, taskDropped)
 	t.unpredict(idx)
 	t.dropped++
 	t.counters.MapsDropped++
@@ -1037,25 +1038,17 @@ func (t *tracker) maybeSleepIdle() {
 	}
 }
 
-func (t *tracker) pendingCount() int {
-	n := 0
-	for _, st := range t.state {
-		if st == taskPending {
-			n++
-		}
-	}
-	return n
+// setState moves task idx to state st and keeps the per-state counts,
+// which every scheduling decision reads, in step.
+func (t *tracker) setState(idx int, st taskState) {
+	t.inState[t.state[idx]]--
+	t.inState[st]++
+	t.state[idx] = st
 }
 
-func (t *tracker) runningCount() int {
-	n := 0
-	for _, st := range t.state {
-		if st == taskRunning {
-			n++
-		}
-	}
-	return n
-}
+func (t *tracker) pendingCount() int { return t.inState[taskPending] }
+
+func (t *tracker) runningCount() int { return t.inState[taskRunning] }
 
 // checkCompletion finalizes the reduces once every map task is done or
 // dropped and no attempts remain in flight.
@@ -1105,11 +1098,15 @@ func (t *tracker) waves() int {
 
 // completeJob assembles the final Result.
 func (t *tracker) completeJob() {
-	var outputs []KeyEstimate
+	n := 0
+	for _, r := range t.reduces {
+		n += len(r.outputs)
+	}
+	outputs := make([]KeyEstimate, 0, n)
 	for _, r := range t.reduces {
 		outputs = append(outputs, r.outputs...)
 	}
-	sort.Slice(outputs, func(i, j int) bool { return outputs[i].Key < outputs[j].Key })
+	SortByKey(outputs)
 	t.emit(EventJobCompleted, -1, "", 0)
 	endBreak := t.eng.EnergyBreakdown()
 	t.result = &Result{

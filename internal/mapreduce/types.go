@@ -14,7 +14,10 @@
 package mapreduce
 
 import (
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
@@ -31,20 +34,36 @@ type KV struct {
 	Value float64
 }
 
-// Record is one input record handed to a map function: for text inputs
-// Key identifies the record position and Value is the line.
+// Record is one input record handed to a map function: Value is the
+// record's content (for text inputs, the line) and Block and Index say
+// where it came from. A reader fills in the position and nothing more;
+// Key renders it as text for the mapper that wants Hadoop's record key,
+// so the jobs that never look at it (every one in this tree) pay
+// nothing per record for it.
 //
 // Lifetime: when the framework drives a mapper through the push-mode
-// fast path (see RecordPusher), Key and Value are views over reusable
-// attempt-owned buffers — valid only for the duration of the Map call,
+// fast path (see RecordPusher), Value is a view over a reusable
+// attempt-owned buffer — valid only for the duration of the Map call,
 // exactly Hadoop's Writable-reuse contract. Mappers that retain a
-// record past Map must copy it; emitting (sub)strings of it is always
-// safe because the emitter interns every key on first sight. Records
-// obtained by calling RecordReader.Next directly are plain copies with
-// no lifetime restriction.
+// record past Map must copy Value; emitting (sub)strings of it is
+// always safe because the emitter interns every key on first sight.
+// Block, Index and the string Key returns carry no such restriction,
+// and neither does any part of a record obtained by calling
+// RecordReader.Next directly.
 type Record struct {
-	Key   string
+	Block *dfs.Block // the block being read; nil for records built by hand
+	Index int64      // the record's index within the block, counting unsampled records too
 	Value string
+}
+
+// Key returns the record's position as "blockID:index", the key Hadoop's
+// TextInputFormat would hand the mapper beside the line.
+func (r Record) Key() string {
+	id := ""
+	if r.Block != nil {
+		id = r.Block.ID()
+	}
+	return id + ":" + strconv.FormatInt(r.Index, 10)
 }
 
 // Emitter receives intermediate pairs from a map function.
@@ -375,6 +394,14 @@ type KeyEstimate struct {
 	Est   stats.Estimate
 	Exact bool
 	Lossy bool
+}
+
+// SortByKey orders outputs by key, the order of Result.Outputs and of
+// every ReduceLogic's Finalize. Keys are unique within a job, so the
+// order does not depend on the sort; this one moves 64-byte elements
+// through a typed comparison instead of sort.Slice's reflect swapper.
+func SortByKey(out []KeyEstimate) {
+	slices.SortFunc(out, func(a, b KeyEstimate) int { return strings.Compare(a.Key, b.Key) })
 }
 
 // EstimateView gives ReduceLogic the job-level facts needed to evaluate

@@ -1,0 +1,140 @@
+package workload
+
+import "math/bits"
+
+// The log parsers cut a line with two functions, cutField and cutInt,
+// that work eight bytes at a time. A byte loop leaves its field on a
+// branch the predictor cannot learn — field widths change from line to
+// line — and four or five such exits were most of what a record cost
+// to parse; here a field of up to seven bytes ends in arithmetic on one
+// loaded word, and the only branches left go the same way on nearly
+// every line.
+
+const (
+	lows  = 0x0101010101010101 // times a byte: that byte in every lane
+	highs = 0x8080808080808080
+)
+
+// load64 reads s[0:8] little-endian; the compiler merges it into one load.
+func load64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// word returns the up to eight bytes of s from i on as a little-endian
+// word, zero above the end of s. Near the end of a line it reads the
+// line's last eight bytes and shifts, so only a line shorter than a
+// word is assembled bytewise.
+//
+//approx:hotpath
+func word(s string, i int) uint64 {
+	if len(s)-i >= 8 {
+		return load64(s[i:])
+	}
+	if len(s) >= 8 {
+		return load64(s[len(s)-8:]) >> (8 * uint(8-(len(s)-i)))
+	}
+	var w uint64
+	for j := len(s) - 1; j >= i; j-- {
+		w = w<<8 | uint64(s[j])
+	}
+	return w
+}
+
+// cutField returns the index of the first tab of s at or after i — the
+// end of the field that starts at i — or len(s) when there is none
+// (i may be past the end: a field after a missing tab is empty). It
+// loads its words itself: going through word costs a call per field,
+// 1.7 ns of a 28 ns ParseAccess, and only a field that runs into the
+// last seven bytes of a line reaches the byte loop.
+//
+//approx:hotpath
+func cutField(s string, i int) int {
+	for ; len(s)-i >= 8; i += 8 {
+		x := load64(s[i:]) ^ lows*'\t'
+		// A lane of x is zero where s has a tab; the lowest set bit
+		// of m marks the lowest such lane exactly.
+		if m := (x - lows) &^ x & highs; m != 0 {
+			return i + bits.TrailingZeros64(m)>>3
+		}
+	}
+	for ; i < len(s); i++ {
+		if s[i] == '\t' {
+			return i
+		}
+	}
+	return len(s)
+}
+
+// cutInt is cutField for a field that holds a decimal integer of the
+// given width: end is the field's end and v, ok are parseInt of the
+// field. A run of one to eighteen digits cannot overflow 64 bits, so it
+// is converted a word at a time with no range test per digit; a sign, a
+// longer run or any other byte sends the field to parseInt.
+//
+//approx:hotpath
+func cutInt(s string, i, bitSize int) (v int64, end int, ok bool) {
+	var n uint64
+	j := i
+	for j < len(s) && j-i <= 16 {
+		x := word(s, j) ^ lows*'0' // a digit's lane now holds its value
+		// m flags the lanes that are not 0..9, zero padding included;
+		// as in cutField, the lowest flag is exact.
+		m := ((x + lows*6) | x) & (lows * 0xf0)
+		if m == 0 {
+			n = n*1e8 + digits8(x)
+			j += 8
+			continue
+		}
+		k := bits.TrailingZeros64(m) >> 3 // digits before the first other byte
+		n = n*pow10[k] + digits8(x<<(8*uint(8-k)))
+		j += k
+		break
+	}
+	if j == i || j-i > 18 || n>>uint(bitSize-1) != 0 || (j < len(s) && s[j] != '\t') {
+		end = cutField(s, j)
+		v, ok = parseInt(s[min(i, end):end], bitSize)
+		return v, end, ok
+	}
+	return int64(n), j, true
+}
+
+var pow10 = [8]uint64{1, 10, 100, 1000, 10000, 100000, 1000000, 10000000}
+
+// digits8 is the number whose eight decimal digits are the lanes of x,
+// most significant lowest: pairs, then fours, then all eight, one
+// multiplication each.
+func digits8(x uint64) uint64 {
+	x = (x * (10<<8 + 1) >> 8) & 0x00ff00ff00ff00ff
+	x = (x * (100<<16 + 1) >> 16) & 0x0000ffff0000ffff
+	return x * (10000<<32 + 1) >> 32
+}
+
+// parseInt is strconv.ParseInt(s, 10, bits) with a bool in place of the
+// error: the same strings accepted, the same value, and no *NumError
+// allocated for a field that is not a number.
+//
+//approx:hotpath
+func parseInt(s string, bits int) (int64, bool) {
+	neg := s != "" && s[0] == '-'
+	if neg || (s != "" && s[0] == '+') {
+		s = s[1:]
+	}
+	limit := uint64(1)<<(bits-1) - 1 // the largest magnitude accepted
+	if neg {
+		limit++
+	}
+	var n uint64
+	for i := 0; i < len(s); i++ {
+		d := uint64(s[i] - '0')
+		if d > 9 || n > (limit-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	if neg {
+		n = -n
+	}
+	return int64(n), s != ""
+}

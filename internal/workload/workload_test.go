@@ -9,7 +9,7 @@ import (
 	"approxhadoop/internal/dfs"
 )
 
-func blockLines(t *testing.T, b *dfs.Block) []string {
+func blockLines(t testing.TB, b *dfs.Block) []string {
 	t.Helper()
 	rc := b.Open()
 	defer rc.Close()

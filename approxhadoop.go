@@ -67,8 +67,8 @@ type (
 	Result = mapreduce.Result
 	// Record is one input record: its Value (for text inputs, the line)
 	// and the position it came from, Block and Index, which Key()
-	// renders as Hadoop's "blockID:index" record key on demand. Under
-	// the push-mode readers Value is valid only during the Map call.
+	// renders as Hadoop's "blockID:index" record key on demand. Value
+	// is valid only during the Map call.
 	Record = mapreduce.Record
 	// Mapper is user map() code.
 	Mapper = mapreduce.Mapper

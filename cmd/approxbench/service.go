@@ -67,7 +67,11 @@ type ServiceReport struct {
 // Daemon.Handler — the production route table — rather than Serve,
 // which blocks on signals.
 func bootServiceDaemon(cfg jobserver.Config, shards int) (string, func(), error) {
-	d := jobserver.NewShardedDaemon(cfg, shards, false)
+	var svcs []*jobserver.Service
+	for _, c := range jobserver.ShardConfigs(cfg, shards) {
+		svcs = append(svcs, jobserver.New(c))
+	}
+	d := jobserver.NewFleetDaemon(svcs, false)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		d.Stop()

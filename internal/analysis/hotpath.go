@@ -7,8 +7,8 @@ import (
 )
 
 // Hotpath turns the bench-only allocs/op guard into a compile-time
-// gate: functions marked //approx:hotpath (the interner, arena
-// shuffle, push-mode readers, strconv-based generators) must avoid
+// gate: functions marked //approx:hotpath (the interner, the shuffle,
+// the record readers, strconv-based generators) must avoid
 // constructs that allocate per record. Whole-body checks: fmt calls
 // and interface boxing at call sites. Per-record-context checks
 // (inside loops and function literals, which run once per record):

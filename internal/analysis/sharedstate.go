@@ -38,7 +38,7 @@ var Sharedstate = &Analyzer{
 		"tracker/Engine/Server/RunningTask values (batch plane) and Pipeline/runState " +
 		"values (stream router), the shared Job.Meter, writes " +
 		"to package-level variables, and sync.Pool (pool hand-out order depends on " +
-		"goroutine scheduling; use an attempt-owned free list like BufList); map " +
+		"goroutine scheduling; keep reusable buffers in attempt-local state); map " +
 		"compute runs on pool goroutines concurrently with the virtual-time " +
 		"scheduler and must stay pure",
 	Run: runSharedstate,
@@ -178,7 +178,7 @@ func isSyncPool(named *types.Named) bool {
 
 func (c *computeBodyChecker) reportSyncPool(pos token.Pos) {
 	c.report(pos,
-		"compute-plane function %s uses sync.Pool; pool hand-out order depends on goroutine scheduling — use an attempt-owned free list (mapreduce.BufList) instead%s",
+		"compute-plane function %s uses sync.Pool; pool hand-out order depends on goroutine scheduling — keep reusable buffers in attempt-local state instead%s",
 		c.fn, c.chain)
 }
 

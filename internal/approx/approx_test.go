@@ -77,6 +77,25 @@ func sumJob(input *dfs.File, ctl mapreduce.Controller) *mapreduce.Job {
 	}
 }
 
+// mapOut is mapreduce.NewMapOutput without a sketch plan, the only way
+// it can fail.
+func mapOut(task int, items, sampled int64, combine bool, emit func(mapreduce.Emitter)) *mapreduce.MapOutput {
+	out, err := mapreduce.NewMapOutput(task, items, sampled, combine, nil, emit)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// emitValues is a mapper that emits each value under key, in order.
+func emitValues(key string, values ...float64) func(mapreduce.Emitter) {
+	return func(e mapreduce.Emitter) {
+		for _, v := range values {
+			e.Emit(key, v)
+		}
+	}
+}
+
 func TestSamplingReaderCounts(t *testing.T) {
 	f, _ := countInput(1, 1000, 3)
 	rr, err := ApproxTextInput{}.Open(f.Blocks[0], 0.2, 42)
@@ -85,15 +104,8 @@ func TestSamplingReaderCounts(t *testing.T) {
 	}
 	defer rr.Close()
 	n := 0
-	for {
-		_, ok, err := rr.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		n++
+	if ok, err := rr.Push(func(mapreduce.Record) { n++ }); !ok || err != nil {
+		t.Fatalf("Push = %v, %v", ok, err)
 	}
 	m := rr.Measure()
 	if m.Items != 1000 {
@@ -116,12 +128,8 @@ func TestSamplingReaderDeterministic(t *testing.T) {
 		rr, _ := ApproxTextInput{}.Open(f.Blocks[0], 0.5, 7)
 		defer rr.Close()
 		var keys []string
-		for {
-			rec, ok, _ := rr.Next()
-			if !ok {
-				break
-			}
-			keys = append(keys, rec.Key())
+		if ok, err := rr.Push(func(rec mapreduce.Record) { keys = append(keys, rec.Key()) }); !ok || err != nil {
+			t.Fatalf("Push = %v, %v", ok, err)
 		}
 		return keys
 	}
@@ -156,12 +164,8 @@ func TestSamplingRatioOneIsExhaustive(t *testing.T) {
 		t.Error("ratio 1 seeded a source it never draws from")
 	}
 	n := 0
-	for {
-		_, ok, _ := rr.Next()
-		if !ok {
-			break
-		}
-		n++
+	if ok, err := rr.Push(func(mapreduce.Record) { n++ }); !ok || err != nil {
+		t.Fatalf("Push = %v, %v", ok, err)
 	}
 	if n != 100 {
 		t.Errorf("ratio 1 returned %d of 100", n)
@@ -343,10 +347,7 @@ func TestMultiStageMeanOp(t *testing.T) {
 	r := NewMultiStageReducer(OpMean)
 	view := mapreduce.EstimateView{TotalMaps: 2, Consumed: 2, Confidence: 0.95}
 	for task := 0; task < 2; task++ {
-		out := &mapreduce.MapOutput{TaskID: task, Items: 4, Sampled: 4,
-			Pairs: []mapreduce.KV{{Key: "k", Value: 2}, {Key: "k", Value: 2},
-				{Key: "k", Value: 4}, {Key: "k", Value: 4}}}
-		r.Consume(out)
+		r.Consume(mapOut(task, 4, 4, false, emitValues("k", 2, 2, 4, 4)))
 	}
 	out := r.Finalize(view)
 	if len(out) != 1 || !stats.AlmostEqual(out[0].Est.Value, 3, 1e-9) {
@@ -364,12 +365,11 @@ func TestPlanComponentsAndPrediction(t *testing.T) {
 	r := NewMultiStageReducer(OpSum)
 	view := mapreduce.EstimateView{TotalMaps: 10, Consumed: 4, Confidence: 0.95}
 	for task := 0; task < 4; task++ {
-		var rs stats.RunningStat
-		for i := 0; i < 50; i++ {
-			rs.Add(float64(1 + (task+i)%3))
-		}
-		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 100, Sampled: 50,
-			Combined: map[string]stats.RunningStat{"k": rs}})
+		r.Consume(mapOut(task, 100, 50, true, func(e mapreduce.Emitter) {
+			for i := 0; i < 50; i++ {
+				e.Emit("k", float64(1+(task+i)%3))
+			}
+		}))
 	}
 	comps := r.appendPlanStats(nil, 0, view.TotalMaps)
 	if len(comps) != 1 {
@@ -399,8 +399,7 @@ func TestGEVReducerExactWhenComplete(t *testing.T) {
 	r := NewMinReducer()
 	view := mapreduce.EstimateView{TotalMaps: 3, Consumed: 3, Confidence: 0.95}
 	for task := 0; task < 3; task++ {
-		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 1, Sampled: 1,
-			Pairs: []mapreduce.KV{{Key: "min", Value: float64(10 - task)}}})
+		r.Consume(mapOut(task, 1, 1, false, emitValues("min", float64(10-task))))
 	}
 	out := r.Finalize(view)
 	if len(out) != 1 || !stats.AlmostEqual(out[0].Est.Value, 8, 1e-9) || !out[0].Exact {
@@ -419,8 +418,7 @@ func TestGEVReducerBoundsWithDrops(t *testing.T) {
 		if v < obs {
 			obs = v
 		}
-		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 1, Sampled: 1,
-			Pairs: []mapreduce.KV{{Key: "min", Value: v}}})
+		r.Consume(mapOut(task, 1, 1, false, emitValues("min", v)))
 	}
 	out := r.Finalize(view)
 	if len(out) != 1 {
@@ -448,8 +446,7 @@ func TestGEVReducerTooFewSamples(t *testing.T) {
 	r := NewMinReducer()
 	view := mapreduce.EstimateView{TotalMaps: 10, Consumed: 3, Dropped: 7, Confidence: 0.95}
 	for task := 0; task < 3; task++ {
-		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 1, Sampled: 1,
-			Pairs: []mapreduce.KV{{Key: "min", Value: float64(task)}}})
+		r.Consume(mapOut(task, 1, 1, false, emitValues("min", float64(task))))
 	}
 	out := r.Finalize(view)
 	if !math.IsInf(out[0].Est.Err, 1) {
@@ -460,8 +457,7 @@ func TestGEVReducerTooFewSamples(t *testing.T) {
 func TestGEVReducerCombinerMisuse(t *testing.T) {
 	r := NewMinReducer()
 	view := mapreduce.EstimateView{TotalMaps: 2, Consumed: 1, Confidence: 0.95}
-	r.Consume(&mapreduce.MapOutput{TaskID: 0, Items: 1, Sampled: 1,
-		Combined: map[string]stats.RunningStat{"min": {Count: 1, Sum: 5, SumSq: 25}}})
+	r.Consume(mapOut(0, 1, 1, true, emitValues("min", 5)))
 	out := r.Finalize(view)
 	if len(out) != 0 {
 		// No raw values recorded; nothing to report.
@@ -473,11 +469,11 @@ func TestGEVReducerBlockTransform(t *testing.T) {
 	r := &ExtremeValueReducer{Min: true, AlreadyExtrema: false, Blocks: 10, MinSample: 5}
 	rng := stats.NewRand(9)
 	view := mapreduce.EstimateView{TotalMaps: 4, Consumed: 2, Dropped: 2, Confidence: 0.95}
-	var pairs []mapreduce.KV
-	for i := 0; i < 500; i++ {
-		pairs = append(pairs, mapreduce.KV{Key: "m", Value: 50 + rng.NormFloat64()*10})
-	}
-	r.Consume(&mapreduce.MapOutput{TaskID: 0, Items: 500, Sampled: 500, Pairs: pairs})
+	r.Consume(mapOut(0, 500, 500, false, func(e mapreduce.Emitter) {
+		for i := 0; i < 500; i++ {
+			e.Emit("m", 50+rng.NormFloat64()*10)
+		}
+	}))
 	out := r.Finalize(view)
 	if len(out) != 1 || math.IsInf(out[0].Est.Err, 1) || out[0].Est.Err < 0 {
 		t.Errorf("block-transformed fit failed: %+v", out)

@@ -23,15 +23,15 @@ func TestReducerMatchesTwoStageTheory(t *testing.T) {
 			M := int64(80 + rng.Intn(40))
 			m := int64(20 + rng.Intn(int(M)-20))
 			var rs stats.RunningStat
-			for j := int64(0); j < m; j++ {
-				if rng.Float64() < 0.7 { // some units emit nothing
-					rs.Add(rng.Float64() * 10)
+			r.Consume(mapOut(task, M, m, true, func(e mapreduce.Emitter) {
+				for j := int64(0); j < m; j++ {
+					if rng.Float64() < 0.7 { // some units emit nothing
+						v := rng.Float64() * 10
+						rs.Add(v)
+						e.Emit("k", v)
+					}
 				}
-			}
-			r.Consume(&mapreduce.MapOutput{
-				TaskID: task, Items: M, Sampled: m,
-				Combined: map[string]stats.RunningStat{"k": rs},
-			})
+			}))
 			ref.Clusters = append(ref.Clusters, stats.ClusterSample{M: M, Sam: m, Stat: rs})
 		}
 		got := r.Finalize(view)

@@ -21,8 +21,7 @@ func TestMaxReducerEndToEnd(t *testing.T) {
 		if v > obs {
 			obs = v
 		}
-		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 1, Sampled: 1,
-			Pairs: []mapreduce.KV{{Key: "max", Value: v}}})
+		r.Consume(mapOut(task, 1, 1, false, emitValues("max", v)))
 	}
 	out := r.Finalize(view)
 	if len(out) != 1 || !stats.AlmostEqual(out[0].Est.Value, obs, 1e-12) {
@@ -47,8 +46,8 @@ func TestMaxReducerEndToEnd(t *testing.T) {
 
 func TestSampledUnitsAccumulates(t *testing.T) {
 	r := NewMultiStageReducer(OpSum)
-	r.Consume(&mapreduce.MapOutput{TaskID: 0, Items: 100, Sampled: 40})
-	r.Consume(&mapreduce.MapOutput{TaskID: 1, Items: 100, Sampled: 25})
+	r.Consume(mapOut(0, 100, 40, true, func(mapreduce.Emitter) {}))
+	r.Consume(mapOut(1, 100, 25, true, func(mapreduce.Emitter) {}))
 	if got := r.SampledUnits(); got != 65 {
 		t.Errorf("SampledUnits = %d, want 65", got)
 	}

@@ -8,28 +8,29 @@ import (
 	"approxhadoop/internal/stats"
 )
 
-// feedClusters pushes n clusters of synthetic per-key stats into r.
-func feedClusters(r *MultiStageReducer, n int, items, sampled int64, keysPerCluster func(task int) map[string]stats.RunningStat) {
+// feedClusters pushes n clusters into r, each the combined output of a
+// map task that emitted what emit does.
+func feedClusters(r *MultiStageReducer, n int, items, sampled int64, emit func(e mapreduce.Emitter)) {
 	for task := 0; task < n; task++ {
-		r.Consume(&mapreduce.MapOutput{
-			TaskID:   task,
-			Items:    items,
-			Sampled:  sampled,
-			Combined: keysPerCluster(task),
-		})
+		r.Consume(mapOut(task, items, sampled, true, emit))
+	}
+}
+
+// emitTimes emits value n times under each key.
+func emitTimes(n int, value float64, keys ...string) func(mapreduce.Emitter) {
+	return func(e mapreduce.Emitter) {
+		for _, k := range keys {
+			for i := 0; i < n; i++ {
+				e.Emit(k, value)
+			}
+		}
 	}
 }
 
 func TestMissingKeyBound(t *testing.T) {
 	r := NewMultiStageReducer(OpSum)
 	view := mapreduce.EstimateView{TotalMaps: 20, Consumed: 10, Confidence: 0.95}
-	feedClusters(r, 10, 1000, 100, func(task int) map[string]stats.RunningStat {
-		rs := stats.RunningStat{}
-		for i := 0; i < 50; i++ {
-			rs.Add(1)
-		}
-		return map[string]stats.RunningStat{"common": rs}
-	})
+	feedClusters(r, 10, 1000, 100, emitTimes(50, 1, "common"))
 	bound := r.MissingKeyBound(view)
 	if bound.Value != 0 {
 		t.Errorf("missing key value = %v, want 0", bound.Value)
@@ -46,9 +47,7 @@ func TestMissingKeyBound(t *testing.T) {
 	}
 	// More sampled units tighten the bound.
 	r2 := NewMultiStageReducer(OpSum)
-	feedClusters(r2, 10, 1000, 1000, func(int) map[string]stats.RunningStat {
-		return map[string]stats.RunningStat{}
-	})
+	feedClusters(r2, 10, 1000, 1000, func(mapreduce.Emitter) {})
 	b2 := r2.MissingKeyBound(view)
 	if b2.Err >= bound.Err {
 		t.Errorf("10x sampling should tighten missing-key bound: %v >= %v", b2.Err, bound.Err)
@@ -66,12 +65,7 @@ func TestMissingKeyBoundNoSamples(t *testing.T) {
 func TestFinalizeWithKnownKeys(t *testing.T) {
 	r := NewMultiStageReducer(OpSum)
 	view := mapreduce.EstimateView{TotalMaps: 10, Consumed: 5, Confidence: 0.95}
-	feedClusters(r, 5, 100, 50, func(int) map[string]stats.RunningStat {
-		rs := stats.RunningStat{}
-		rs.Add(3)
-		rs.Add(4)
-		return map[string]stats.RunningStat{"seen": rs}
-	})
+	feedClusters(r, 5, 100, 50, emitValues("seen", 3, 4))
 	out := r.FinalizeWithKnownKeys(view, []string{"seen", "never-a", "never-b"})
 	if len(out) != 3 {
 		t.Fatalf("outputs = %d, want 3", len(out))
@@ -102,15 +96,12 @@ func TestDistinctKeysChao(t *testing.T) {
 	view := mapreduce.EstimateView{TotalMaps: 50, Consumed: 10, Dropped: 40, Confidence: 0.95}
 	zipf := stats.NewZipf(rng, 1.3, uint64(trueKeys))
 	for task := 0; task < 10; task++ {
-		combined := map[string]stats.RunningStat{}
-		for i := 0; i < 120; i++ {
-			k := zipf.Next()
-			key := "k" + string(rune('A'+k%26)) + string(rune('a'+(k/26)%26)) + string(rune('0'+(k/676)%10))
-			rs := combined[key]
-			rs.Add(1)
-			combined[key] = rs
-		}
-		r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 500, Sampled: 120, Combined: combined})
+		r.Consume(mapOut(task, 500, 120, true, func(e mapreduce.Emitter) {
+			for i := 0; i < 120; i++ {
+				k := zipf.Next()
+				e.Emit("k"+string(rune('A'+k%26))+string(rune('a'+(k/26)%26))+string(rune('0'+(k/676)%10)), 1)
+			}
+		}))
 	}
 	est := r.DistinctKeys(view)
 	observed := float64(len(r.table))
@@ -125,11 +116,7 @@ func TestDistinctKeysChao(t *testing.T) {
 func TestDistinctKeysExact(t *testing.T) {
 	r := NewMultiStageReducer(OpSum)
 	view := mapreduce.EstimateView{TotalMaps: 2, Consumed: 2, Confidence: 0.95}
-	feedClusters(r, 2, 10, 10, func(int) map[string]stats.RunningStat {
-		rs := stats.RunningStat{}
-		rs.Add(1)
-		return map[string]stats.RunningStat{"a": rs, "b": rs}
-	})
+	feedClusters(r, 2, 10, 10, emitTimes(1, 1, "a", "b"))
 	est := r.DistinctKeys(view)
 	if !stats.AlmostEqual(est.Value, 2, 1e-12) || est.Err != 0 {
 		t.Errorf("exhaustive distinct count = %+v, want exactly 2", est)
@@ -140,13 +127,7 @@ func TestDistinctKeysSaturated(t *testing.T) {
 	// All keys seen many times: no singletons -> no extrapolation.
 	r := NewMultiStageReducer(OpSum)
 	view := mapreduce.EstimateView{TotalMaps: 10, Consumed: 2, Dropped: 8, Confidence: 0.95}
-	feedClusters(r, 2, 100, 50, func(int) map[string]stats.RunningStat {
-		rs := stats.RunningStat{}
-		for i := 0; i < 25; i++ {
-			rs.Add(1)
-		}
-		return map[string]stats.RunningStat{"x": rs, "y": rs}
-	})
+	feedClusters(r, 2, 100, 50, emitTimes(25, 1, "x", "y"))
 	est := r.DistinctKeys(view)
 	if !stats.AlmostEqual(est.Value, 2, 1e-12) || est.Err != 0 {
 		t.Errorf("saturated distinct count = %+v", est)
@@ -160,18 +141,8 @@ func TestThreeStageReducerMeanOverPairs(t *testing.T) {
 	// is (6+8)/(3+1) = 3.5.
 	r := NewThreeStageReducer()
 	view := mapreduce.EstimateView{TotalMaps: 2, Consumed: 2, Confidence: 0.95}
-	a := stats.RunningStat{}
-	for i := 0; i < 30; i++ { // 10 units x 3 pairs of value 2
-		a.Add(2)
-	}
-	b := stats.RunningStat{}
-	for i := 0; i < 10; i++ { // 10 units x 1 pair of value 8
-		b.Add(8)
-	}
-	r.Consume(&mapreduce.MapOutput{TaskID: 0, Items: 10, Sampled: 10,
-		Combined: map[string]stats.RunningStat{"m": a}})
-	r.Consume(&mapreduce.MapOutput{TaskID: 1, Items: 10, Sampled: 10,
-		Combined: map[string]stats.RunningStat{"m": b}})
+	r.Consume(mapOut(0, 10, 10, true, emitTimes(30, 2, "m"))) // 10 units x 3 pairs of value 2
+	r.Consume(mapOut(1, 10, 10, true, emitTimes(10, 8, "m"))) // 10 units x 1 pair of value 8
 	out := r.Finalize(view)
 	if len(out) != 1 {
 		t.Fatalf("outputs = %d", len(out))
@@ -187,10 +158,8 @@ func TestThreeStageReducerMeanOverPairs(t *testing.T) {
 func TestThreeStageReducerRawPairsAndEstimates(t *testing.T) {
 	r := NewThreeStageReducer()
 	view := mapreduce.EstimateView{TotalMaps: 4, Consumed: 2, Dropped: 0, Confidence: 0.95}
-	r.Consume(&mapreduce.MapOutput{TaskID: 0, Items: 5, Sampled: 3,
-		Pairs: []mapreduce.KV{{Key: "m", Value: 1}, {Key: "m", Value: 3}}})
-	r.Consume(&mapreduce.MapOutput{TaskID: 1, Items: 5, Sampled: 3,
-		Pairs: []mapreduce.KV{{Key: "m", Value: 2}}})
+	r.Consume(mapOut(0, 5, 3, false, emitValues("m", 1, 3)))
+	r.Consume(mapOut(1, 5, 3, false, emitValues("m", 2)))
 	out := r.Estimates(view)
 	if len(out) != 1 || out[0].Exact {
 		t.Fatalf("estimates = %+v", out)

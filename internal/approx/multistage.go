@@ -63,8 +63,9 @@ type MultiStageReducer struct {
 	sumM2        float64 // sum of M_i^2
 	sampledUnits int64   // sum of m_i over consumed clusters
 	// table holds one keyAgg per key seen and index maps a key to its
-	// slot. Slot order is insertion order, which for legacy map-backed
-	// outputs is Go map order: nothing observable may depend on it.
+	// slot. Slot order is insertion order — first-emit order within an
+	// output, outputs in arrival order: nothing observable may depend
+	// on it.
 	table   []keyAgg
 	index   map[string]int32
 	sampled bool // any cluster with m_i < M_i seen

@@ -16,27 +16,21 @@ func genOutputs(seed int64, clusters int) []*mapreduce.MapOutput {
 	for i := range outs {
 		M := int64(50 + rng.Intn(100))
 		m := int64(10 + rng.Intn(int(M)-10))
-		var pairs []mapreduce.KV
-		for j := int64(0); j < m; j++ {
-			if rng.Float64() < 0.6 {
-				key := []string{"a", "b", "c"}[rng.Intn(3)]
-				pairs = append(pairs, mapreduce.KV{Key: key, Value: rng.Float64() * 10})
+		outs[i] = mapOut(i, M, m, false, func(e mapreduce.Emitter) {
+			for j := int64(0); j < m; j++ {
+				if rng.Float64() < 0.6 {
+					key := []string{"a", "b", "c"}[rng.Intn(3)]
+					e.Emit(key, rng.Float64()*10)
+				}
 			}
-		}
-		outs[i] = &mapreduce.MapOutput{TaskID: i, Items: M, Sampled: m, Pairs: pairs}
+		})
 	}
 	return outs
 }
 
 // combinedCopy converts a raw output into its combiner-compacted form.
 func combinedCopy(out *mapreduce.MapOutput) *mapreduce.MapOutput {
-	comb := make(map[string]stats.RunningStat)
-	for _, kv := range out.Pairs {
-		rs := comb[kv.Key]
-		rs.Add(kv.Value)
-		comb[kv.Key] = rs
-	}
-	return &mapreduce.MapOutput{TaskID: out.TaskID, Items: out.Items, Sampled: out.Sampled, Combined: comb}
+	return mapOut(out.TaskID, out.Items, out.Sampled, true, func(e mapreduce.Emitter) { out.EachPair(e.Emit) })
 }
 
 func estimatesEqual(a, b []mapreduce.KeyEstimate, tol float64) bool {
@@ -113,12 +107,11 @@ func TestPropertyMoreDataNeverWidens(t *testing.T) {
 	err := quick.Check(func(valSeed uint32) bool {
 		rng := stats.NewRand(int64(valSeed % 997))
 		mk := func(task int) *mapreduce.MapOutput {
-			var rs stats.RunningStat
-			for j := 0; j < 40; j++ {
-				rs.Add(5 + rng.Float64()) // low-variance values
-			}
-			return &mapreduce.MapOutput{TaskID: task, Items: 80, Sampled: 40,
-				Combined: map[string]stats.RunningStat{"k": rs}}
+			return mapOut(task, 80, 40, true, func(e mapreduce.Emitter) {
+				for j := 0; j < 40; j++ {
+					e.Emit("k", 5+rng.Float64()) // low-variance values
+				}
+			})
 		}
 		small := NewMultiStageReducer(OpSum)
 		large := NewMultiStageReducer(OpSum)
@@ -150,8 +143,7 @@ func TestPropertyExtremeReducerMonotone(t *testing.T) {
 		obs := math.Inf(1)
 		for task := 0; task < 20; task++ {
 			v := rng.NormFloat64() * 100
-			r.Consume(&mapreduce.MapOutput{TaskID: task, Items: 1, Sampled: 1,
-				Pairs: []mapreduce.KV{{Key: "m", Value: v}}})
+			r.Consume(mapOut(task, 1, 1, false, emitValues("m", v)))
 			if v < obs {
 				obs = v
 			}

@@ -1,23 +1,77 @@
 package approx
 
 import (
+	"bufio"
 	"fmt"
 	"io"
-	"strings"
 	"testing"
 
 	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
+	"approxhadoop/internal/vtime"
 	"approxhadoop/internal/workload"
 )
 
-// TestRecordKeyIsBlockAndLine pins what Record.Key() renders to the
-// string the readers used to format per record: "blockID:lineIndex",
-// the index counting unsampled lines too — in pull and push mode, at
-// ratio 1 and 0.1, over a generated block and a byte-backed copy of it,
-// for both text formats. The expectation is built from the block's
-// bytes and the seeded draw sequence, not from a reader.
+// refRead is the test's own model of a text reader, built from nothing
+// the readers use: the lines are bufio.Scanner's over Block.Open(),
+// line i is in the sample iff the seeded source's i-th Float64 is below
+// the ratio (no draw at ratio 1 or for the precise format), and read
+// time is metered in one bracket per returned record — skipped lines'
+// units and bytes ride in the bracket of the next record returned, and
+// a last bracket closes at the end of the block with whatever is left.
+func refRead(t *testing.T, b *dfs.Block, sampling bool, ratio float64, seed int64) ([]mapreduce.Record, mapreduce.ReaderMeasure) {
+	t.Helper()
+	rc := b.Open()
+	defer rc.Close()
+	var (
+		recs         []mapreduce.Record
+		m            mapreduce.ReaderMeasure
+		units, bytes int64
+		meter        = vtime.NewDeterministic()
+		rng          = stats.NewRand(seed)
+	)
+	scan := bufio.NewScanner(rc)
+	for i := int64(0); scan.Scan(); i++ {
+		line := scan.Text()
+		n := int64(len(line)) + 1
+		m.Items++
+		m.Bytes += n
+		units++
+		bytes += n
+		if sampling && ratio < 1 && rng.Float64() >= ratio {
+			continue
+		}
+		m.Sampled++
+		m.ReadSecs += meter.End(vtime.OpRead, units, bytes)
+		units, bytes = 0, 0
+		recs = append(recs, mapreduce.Record{Block: b, Index: i, Value: line})
+	}
+	if err := scan.Err(); err != nil {
+		t.Fatal(err)
+	}
+	m.ReadSecs += meter.End(vtime.OpRead, units, bytes)
+	return recs, m
+}
+
+// frozenReaderMeasure is Measure() after the last record, rendered with
+// %+v, as the pull-mode Next loop of commit 7ad74ce reported it over
+// the block TestRecordKeyIsBlockAndLine reads (seed 5; byte-backed and
+// generated blocks agree). Key: format/ratio.
+var frozenReaderMeasure = map[string]string{
+	"approx/ratio=1":   "{Items:500 Sampled:500 Bytes:2500 ReadSecs:5.249999999999993e-05}",
+	"approx/ratio=0.1": "{Items:500 Sampled:49 Bytes:2500 ReadSecs:5.2499999999999975e-05}",
+	"text/ratio=1":     "{Items:500 Sampled:500 Bytes:2500 ReadSecs:5.249999999999993e-05}",
+	"text/ratio=0.1":   "{Items:500 Sampled:500 Bytes:2500 ReadSecs:5.249999999999993e-05}",
+}
+
+// TestRecordKeyIsBlockAndLine pins what a reader hands the mapper —
+// Block, Index (counting unsampled lines too), Value, and Key()
+// rendering "blockID:lineIndex" — plus Measure() and the metered
+// ReadSecs, at ratio 1 and 0.1, over a generated block and a
+// byte-backed copy of it, for both text formats. The expectation is
+// refRead's, not a reader's, and the measure is also held to what the
+// deleted pull mode reported.
 func TestRecordKeyIsBlockAndLine(t *testing.T) {
 	f, _ := countInput(2, 500, 11)
 	gen := f.Blocks[1]
@@ -27,10 +81,9 @@ func TestRecordKeyIsBlockAndLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 	blocks := map[string]*dfs.Block{
 		"generated": gen,
-		"bytes":     dfs.NewByteBlock("copy", 7, data, int64(len(lines))),
+		"bytes":     dfs.NewByteBlock("copy", 7, data, 500),
 	}
 	formats := map[string]mapreduce.InputFormat{
 		"approx": ApproxTextInput{},
@@ -40,55 +93,44 @@ func TestRecordKeyIsBlockAndLine(t *testing.T) {
 	for bname, b := range blocks {
 		for fname, format := range formats {
 			for _, ratio := range []float64{1, 0.1} {
-				var want []string
-				rng := stats.NewRand(seed)
-				for i, line := range lines {
-					if fname == "approx" && ratio < 1 && rng.Float64() >= ratio {
-						continue
-					}
-					want = append(want, fmt.Sprintf("%s:%d=%s", b.ID(), i, line))
+				name := fmt.Sprintf("%s/%s/ratio=%v", bname, fname, ratio)
+				want, wantM := refRead(t, b, fname == "approx", ratio, seed)
+				rr, err := format.Open(b, ratio, seed)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, push := range []bool{false, true} {
-					rr, err := format.Open(b, ratio, seed)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var got []string
-					collect := func(rec mapreduce.Record) { got = append(got, rec.Key()+"="+rec.Value) }
-					if push {
-						if ok, err := rr.(mapreduce.RecordPusher).Push(collect); !ok || err != nil {
-							t.Fatalf("Push = %v, %v", ok, err)
-						}
-					} else {
-						for {
-							rec, ok, err := rr.Next()
-							if err != nil {
-								t.Fatal(err)
-							}
-							if !ok {
-								break
-							}
-							collect(rec)
+				i := 0
+				ok, err := rr.Push(func(rec mapreduce.Record) {
+					if i < len(want) {
+						w := want[i]
+						if rec != w || rec.Key() != fmt.Sprintf("%s:%d", b.ID(), w.Index) {
+							t.Fatalf("%s: record %d is %+v (key %q), want %+v", name, i, rec, rec.Key(), w)
 						}
 					}
-					rr.Close()
-					name := fmt.Sprintf("%s/%s/ratio=%v/push=%v", bname, fname, ratio, push)
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d records, want %d", name, len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("%s: record %d is %q, want %q", name, i, got[i], want[i])
-						}
-					}
+					i++
+				})
+				if !ok || err != nil {
+					t.Fatalf("%s: Push = %v, %v", name, ok, err)
+				}
+				if i != len(want) {
+					t.Fatalf("%s: %d records, want %d", name, i, len(want))
+				}
+				got := rr.Measure()
+				rr.Close()
+				if got != wantM {
+					t.Errorf("%s: Measure %+v, reference %+v", name, got, wantM)
+				}
+				frozen := frozenReaderMeasure[fmt.Sprintf("%s/ratio=%v", fname, ratio)]
+				if s := fmt.Sprintf("%+v", got); s != frozen {
+					t.Errorf("%s: Measure %s, pull mode at 7ad74ce reported %s", name, s, frozen)
 				}
 			}
 		}
 	}
 }
 
-// BenchmarkReaderPush measures the push-mode reader alone: one op is
-// one 2000-line block of the access log, byte-backed as the layered
+// BenchmarkReaderPush measures the reader alone: one op is one
+// 2000-line block of the access log, byte-backed as the layered
 // benchmark materialises it, pushed into a sink that does nothing — so
 // what is timed is line splitting, the sampling draw, the meter
 // brackets and whatever the reader does to present a record.
@@ -110,7 +152,7 @@ func BenchmarkReaderPush(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if ok, err := rr.(mapreduce.RecordPusher).Push(func(mapreduce.Record) {}); !ok || err != nil {
+				if ok, err := rr.Push(func(mapreduce.Record) {}); !ok || err != nil {
 					b.Fatalf("Push = %v, %v", ok, err)
 				}
 				records += rr.Measure().Items

@@ -1,9 +1,7 @@
 package approx
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math/rand"
 
 	"approxhadoop/internal/dfs"
@@ -22,10 +20,10 @@ import (
 // framework forwards to reducers for the multi-stage estimators.
 type ApproxTextInput struct{}
 
-// Open implements mapreduce.InputFormat. Like TextInputFormat, the
-// reader supports pull mode (Next, durable records) and push mode
-// (Push, zero-copy records over the block's line backing); both draw
-// the identical per-line sample decisions from the same seeded RNG.
+// Open implements mapreduce.InputFormat. Like TextInputFormat's, the
+// reader pushes zero-copy records over the block's line backing; line i
+// is in the sample iff the i-th Float64 of the source seeded with seed
+// is below sampleRatio.
 //
 //approx:compute
 func (ApproxTextInput) Open(b *dfs.Block, sampleRatio float64, seed int64) (mapreduce.RecordReader, error) {
@@ -46,20 +44,14 @@ func (ApproxTextInput) Open(b *dfs.Block, sampleRatio float64, seed int64) (mapr
 
 type samplingReader struct {
 	block *dfs.Block
-	rc    io.ReadCloser // pull mode only, opened lazily
-	scan  *bufio.Scanner
 	ratio float64
 	rng   *rand.Rand // nil at ratio 1, where no line is ever drawn
 	meter vtime.Meter
 	m     mapreduce.ReaderMeasure
-	bufs  *mapreduce.BufList
 }
 
 // SetMeter implements mapreduce.MeterSetter.
 func (r *samplingReader) SetMeter(m vtime.Meter) { r.meter = m }
-
-// SetBuffers implements mapreduce.BufferLender.
-func (r *samplingReader) SetBuffers(l *mapreduce.BufList) { r.bufs = l }
 
 // sampleLine accounts one scanned line and reports whether it is in the
 // sample. Skipped lines still count toward Items and Bytes — and toward
@@ -78,59 +70,18 @@ func (r *samplingReader) sampleLine(n int64, units, bytes *int64) bool {
 	return true
 }
 
-// Next scans forward to the next sampled line.
-//
-//approx:compute
-func (r *samplingReader) Next() (mapreduce.Record, bool, error) {
-	if r.scan == nil {
-		r.rc = r.block.Open()
-		r.scan = newLineScanner(r.rc)
-	}
-	r.meter.Begin(vtime.OpRead)
-	var units, bytes int64
-	for r.scan.Scan() {
-		line := r.scan.Text()
-		idx := r.m.Items
-		if !r.sampleLine(int64(len(line)), &units, &bytes) {
-			continue
-		}
-		r.m.ReadSecs += r.meter.End(vtime.OpRead, units, bytes)
-		return mapreduce.Record{Block: r.block, Index: idx, Value: line}, true, nil
-	}
-	r.m.ReadSecs += r.meter.End(vtime.OpRead, units, bytes)
-	if err := r.scan.Err(); err != nil {
-		return mapreduce.Record{}, false, fmt.Errorf("approx: reading %s: %w", r.block.ID(), err)
-	}
-	return mapreduce.Record{}, false, nil
-}
-
-// newLineScanner builds a scanner with a generous line-length cap.
-func newLineScanner(rd io.Reader) *bufio.Scanner {
-	s := bufio.NewScanner(rd)
-	s.Buffer(make([]byte, 64<<10), 16<<20)
-	return s
-}
-
-// Push implements mapreduce.RecordPusher over the block's line backing.
-// The meter call sequence replicates the Next loop exactly: one
-// Begin(OpRead) per sampled-record segment, with skipped lines'
-// units/bytes accumulating into the segment's End — so virtual timings
-// are bit-identical across modes. Record.Value is a view of a reusable
-// buffer, valid only inside fn.
+// Push implements mapreduce.RecordPusher over the block's line backing:
+// one OpRead bracket per sampled record, with skipped lines' units and
+// bytes accumulating into the bracket of the next record returned, and
+// a last bracket for whatever follows the last sampled line.
+// Record.Value is a view of the block's bytes, valid only inside fn.
 //
 //approx:compute
 //approx:hotpath
 func (r *samplingReader) Push(fn func(rec mapreduce.Record)) (bool, error) {
-	if !r.block.CanYieldLines() {
-		return false, nil
-	}
-	var carry []byte
-	if r.bufs != nil {
-		carry = r.bufs.Get(256)
-	}
 	r.meter.Begin(vtime.OpRead)
 	var units, bytes int64
-	carry, err := r.block.Lines(carry, func(line []byte) error {
+	_, err := r.block.Lines(nil, func(line []byte) error {
 		idx := r.m.Items
 		if !r.sampleLine(int64(len(line)), &units, &bytes) {
 			return nil
@@ -141,9 +92,6 @@ func (r *samplingReader) Push(fn func(rec mapreduce.Record)) (bool, error) {
 		r.meter.Begin(vtime.OpRead)
 		return nil
 	})
-	if r.bufs != nil {
-		r.bufs.Put(carry)
-	}
 	r.m.ReadSecs += r.meter.End(vtime.OpRead, units, bytes)
 	if err != nil {
 		//lint:ignore hotpath error path, taken at most once per block
@@ -155,9 +103,4 @@ func (r *samplingReader) Push(fn func(rec mapreduce.Record)) (bool, error) {
 func (r *samplingReader) Measure() mapreduce.ReaderMeasure { return r.m }
 
 //approx:compute
-func (r *samplingReader) Close() error {
-	if r.rc != nil {
-		return r.rc.Close()
-	}
-	return nil
-}
+func (r *samplingReader) Close() error { return nil }

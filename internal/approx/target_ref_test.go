@@ -372,26 +372,28 @@ func newRefJob(seed int64, keys, parts, totalMaps, slots int, zipf bool) *refJob
 }
 
 // complete consumes n more map outputs sampled at the given ratio. Each
-// output reaches the reducers through the legacy Combined map, so keys
-// enter a reducer's table in Go map order, never sorted order.
+// output is the combined output of a map task that emitted the draws of
+// its partition (key rank mod parts) in draw order, so keys enter a
+// reducer's table in first-draw order: never sorted, and — unlike the Go
+// map order of the string-keyed Combined payload this used to go
+// through — the same on every run, so a failure replays from its seed.
 func (j *refJob) complete(n int, ratio float64) {
 	parts := len(j.reducers)
 	for i := 0; i < n; i++ {
 		items := int64(900 + int(j.rng.Float64()*200)) // mean is not an integer
 		sampled := int64(math.Max(1, math.Round(ratio*float64(items))))
-		combined := make([]map[string]stats.RunningStat, parts)
-		for p := range combined {
-			combined[p] = map[string]stats.RunningStat{}
-		}
-		for u := int64(0); u < sampled; u++ {
-			k := j.draw()
-			key := fmt.Sprintf("key%05d", k)
-			rs := combined[k%parts][key]
-			rs.Add(1 + float64(k%3))
-			combined[k%parts][key] = rs
+		draws := make([]int, sampled)
+		for u := range draws {
+			draws[u] = j.draw()
 		}
 		for p, r := range j.reducers {
-			r.Consume(&mapreduce.MapOutput{TaskID: j.completed, Items: items, Sampled: sampled, Combined: combined[p]})
+			r.Consume(mapOut(j.completed, items, sampled, true, func(e mapreduce.Emitter) {
+				for _, k := range draws {
+					if k%parts == p {
+						e.Emit(fmt.Sprintf("key%05d", k), 1+float64(k%3))
+					}
+				}
+			}))
 		}
 		j.sumItems += items
 		j.completed++

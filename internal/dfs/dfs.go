@@ -46,26 +46,26 @@ type Block struct {
 	lines func(carry []byte, fn func(line []byte) error) ([]byte, error)
 }
 
-// Open returns a reader over the block's raw bytes.
+// Open returns a reader over the block's raw bytes: the byte-stream
+// API (datagen, benchmarks, tests). Map tasks read records through
+// Lines, which yields the same bytes line by line.
 func (b *Block) Open() io.ReadCloser {
 	return b.open()
 }
 
-// CanYieldLines reports whether the block supports the record-yielding
-// fast path (Lines).
-func (b *Block) CanYieldLines() bool { return b.lines != nil }
-
-// Lines is the record-yielding fast path: it drives fn once per line of
-// the block, in order, without materializing the block through an
-// Open reader (no pipe, no goroutine, no scanner copy). The yielded
-// slice has the trailing newline (and any preceding carriage return)
-// stripped, exactly like bufio.ScanLines, and is only valid for the
-// duration of the fn call — consumers that retain a line must copy it.
+// Lines is how records are read: it drives fn once per line of the
+// block, in order, without materializing the block through an Open
+// reader (no pipe, no goroutine, no scanner copy). The yielded slice has
+// the trailing newline (and any preceding carriage return) stripped,
+// exactly like bufio.ScanLines, and is only valid for the duration of
+// the fn call — consumers that retain a line must copy it.
 //
-// carry, when non-nil, seeds the internal partial-line buffer so an
-// attempt-owned free list can recycle it across blocks; the (possibly
-// grown) buffer is returned for reuse. Blocks without a line backing
-// return ErrNoLineBacking; callers fall back to Open.
+// carry, when non-nil, seeds the partial-line buffer a generated block
+// needs when its generator writes a line in pieces, so a caller reading
+// block after block can recycle it; the (possibly grown) buffer is
+// returned for reuse. Nil is fine: one is allocated if ever needed.
+// Blocks without a line backing (neither constructor builds one) return
+// ErrNoLineBacking.
 func (b *Block) Lines(carry []byte, fn func(line []byte) error) ([]byte, error) {
 	if b.lines == nil {
 		return carry, ErrNoLineBacking
@@ -363,8 +363,8 @@ func NewGeneratedBlock(fileName string, index int, seed int64, estSize, estItems
 			}()
 			return pr
 		},
-		// The fast path runs the same generator synchronously into a
-		// line splitter: no pipe, no per-read goroutine, no scanner
+		// Lines runs the same generator synchronously into a line
+		// splitter: no pipe, no per-read goroutine, no scanner
 		// copy, no intermediate write buffer (generators emit whole
 		// lines, so the splitter sees them directly), and the yielded
 		// bytes are identical because both sinks see the exact byte

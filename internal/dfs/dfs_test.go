@@ -218,8 +218,8 @@ func TestReplicaLiveness(t *testing.T) {
 	}
 }
 
-// scanLines reads a block through Open + bufio.ScanLines, the legacy
-// pull path's exact record tokenization.
+// scanLines reads a block through Open + bufio.ScanLines: the record
+// tokenization Lines must reproduce.
 func scanLines(t *testing.T, b *Block) []string {
 	t.Helper()
 	rc := b.Open()
@@ -267,9 +267,6 @@ func TestLinesMatchesScannerByteBlocks(t *testing.T) {
 	}
 	for i, content := range cases {
 		b := NewByteBlock("t.txt", i, []byte(content), 0)
-		if !b.CanYieldLines() {
-			t.Fatalf("case %d: byte block must support line yielding", i)
-		}
 		want := scanLines(t, b)
 		got := yieldLines(t, b, nil)
 		if len(got) != len(want) {
@@ -310,9 +307,6 @@ func TestLinesMatchesScannerGeneratedBlocks(t *testing.T) {
 		return nil
 	}
 	b := NewGeneratedBlock("gen.txt", 3, 42, 0, 500, gen)
-	if !b.CanYieldLines() {
-		t.Fatal("generated block must support line yielding")
-	}
 	want := scanLines(t, b)
 	// Seed the carry with a recycled dirty buffer: reuse must not leak
 	// stale bytes into yielded lines.
@@ -328,12 +322,10 @@ func TestLinesMatchesScannerGeneratedBlocks(t *testing.T) {
 	}
 }
 
-// TestLinesNoBacking checks the explicit fallback contract.
+// TestLinesNoBacking checks a block built by neither constructor says
+// so instead of dereferencing its nil backing.
 func TestLinesNoBacking(t *testing.T) {
 	b := &Block{FileName: "opaque", Index: 0}
-	if b.CanYieldLines() {
-		t.Fatal("blocks without a line backing must report CanYieldLines false")
-	}
 	if _, err := b.Lines(nil, func([]byte) error { return nil }); err != ErrNoLineBacking {
 		t.Fatalf("Lines on opaque block returned %v, want ErrNoLineBacking", err)
 	}

@@ -52,17 +52,12 @@ type Daemon struct {
 	held    []JobSpec
 }
 
-// NewDaemon starts a single-shard daemon for svc — the standalone
-// configuration every prior version of approxd ran, and still the
-// default. hold enables hold mode (see type comment).
-func NewDaemon(svc *Service, hold bool) *Daemon {
-	return NewFleetDaemon([]*Service{svc}, hold)
-}
-
-// NewFleetDaemon starts one driver goroutine per service. Services
-// must be freshly built or recovered (Recover run, no driver yet);
-// svcs[0]'s config supplies the fleet-wide knobs (stream registry
-// sizing, tenant quota).
+// NewFleetDaemon starts one driver goroutine per service — one service
+// is the standalone daemon, still the default; several come from New
+// over ShardConfigs. Services must be freshly built or recovered
+// (Recover run, no driver yet); svcs[0]'s config supplies the
+// fleet-wide knobs (stream registry sizing, tenant quota). hold enables
+// hold mode (see type comment).
 func NewFleetDaemon(svcs []*Service, hold bool) *Daemon {
 	cfg := svcs[0].cfg
 	return &Daemon{
@@ -87,19 +82,6 @@ func ShardConfigs(cfg Config, shards int) []Config {
 		out[i].ShardIndex = i
 	}
 	return out
-}
-
-// NewShardedDaemon builds shards fresh services from cfg (via
-// ShardConfigs) and starts a fleet daemon over them — the in-process
-// path for benchmarks and tests; cmd/approxd goes through Serve, which
-// also wires per-shard journal segments.
-func NewShardedDaemon(cfg Config, shards int, hold bool) *Daemon {
-	cfgs := ShardConfigs(cfg, shards)
-	svcs := make([]*Service, len(cfgs))
-	for i, c := range cfgs {
-		svcs[i] = New(c)
-	}
-	return NewFleetDaemon(svcs, hold)
 }
 
 // Streams returns the continuous-query registry.

@@ -11,7 +11,11 @@ import (
 // startFleet boots a sharded daemon (no HTTP) and registers cleanup.
 func startFleet(t *testing.T, cfg Config, shards int) *Daemon {
 	t.Helper()
-	d := NewShardedDaemon(cfg, shards, false)
+	var svcs []*Service
+	for _, c := range ShardConfigs(cfg, shards) {
+		svcs = append(svcs, New(c))
+	}
+	d := NewFleetDaemon(svcs, false)
 	t.Cleanup(d.Stop)
 	return d
 }

@@ -15,7 +15,7 @@ import (
 
 func startDaemon(t *testing.T, cfg Config, hold bool) (*Daemon, *httptest.Server) {
 	t.Helper()
-	d := NewDaemon(New(cfg), hold)
+	d := NewFleetDaemon([]*Service{New(cfg)}, hold)
 	ts := httptest.NewServer(d.Handler())
 	// Stop first: it closes the service, waking any handler blocked in
 	// StreamFrom, so the listener close (which waits for in-flight

@@ -27,7 +27,7 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := svc.JournalErr(); err != nil {
 		t.Fatalf("repeated Close corrupted the journal state: %v", err)
 	}
-	d := NewDaemon(New(Config{SnapshotEvery: -1}), false)
+	d := NewFleetDaemon([]*Service{New(Config{SnapshotEvery: -1})}, false)
 	d.Stop()
 	d.Stop()
 }

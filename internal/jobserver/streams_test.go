@@ -114,7 +114,7 @@ func TestStreamSetValidation(t *testing.T) {
 // and read back the listed state.
 func TestStreamHTTPWatch(t *testing.T) {
 	svc := New(Config{Workers: 1})
-	d := NewDaemon(svc, false)
+	d := NewFleetDaemon([]*Service{svc}, false)
 	defer d.Stop()
 	srv := httptest.NewServer(d.Handler())
 	defer srv.Close()

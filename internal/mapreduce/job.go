@@ -104,14 +104,6 @@ type Job struct {
 	// otherwise the job falls back to inline execution.
 	Workers int
 
-	// LegacyDataPlane forces the pre-interning data plane: pull-mode
-	// record readers (one durable string per record) and string-keyed
-	// shuffle payloads instead of push-mode buffer views, interned key
-	// IDs and arena runs. Results are bit-identical either way — the
-	// equivalence tests diff the two paths — so this exists for those
-	// tests, allocation A/B measurements, and as an escape hatch.
-	LegacyDataPlane bool
-
 	// Barrier disables incremental reduces: outputs buffer until all
 	// maps finish (the stock-Hadoop ablation). Online error estimation
 	// is unavailable, so target-error controllers cannot make progress

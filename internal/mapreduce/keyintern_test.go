@@ -42,7 +42,7 @@ func TestKeyTableRoundTrip(t *testing.T) {
 
 // TestKeyTableTransientKeys proves interned strings are durable even
 // when Intern is handed views of a buffer that is rewritten afterwards
-// — the push-mode record contract.
+// — the record lifetime contract.
 func TestKeyTableTransientKeys(t *testing.T) {
 	tab := newKeyTable(4, 0, 0)
 	buf := make([]byte, 0, 64)
@@ -192,7 +192,7 @@ func (m *keyModel) intern(key string, part int32) (id int32) {
 // checkKeyTableOps drives one table and the model through the same
 // calls. op picks Intern (even) or InternAt (odd) and the key; keys are
 // handed over as views of a scratch buffer that is overwritten right
-// after the call, as push-mode records are.
+// after the call, as records are.
 func checkKeyTableOps(t testing.TB, reduces, hint int, universe []string, ops int, pick func(i int) (key int, at bool)) {
 	tab := newKeyTable(reduces, hint, 0)
 	model := &keyModel{ids: map[string]int32{}}

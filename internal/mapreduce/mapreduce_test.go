@@ -1,7 +1,7 @@
 package mapreduce
 
 import (
-	"approxhadoop/internal/stats"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -9,6 +9,7 @@ import (
 
 	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
+	"approxhadoop/internal/stats"
 )
 
 // wordCountInput builds a text file with known word counts.
@@ -36,6 +37,25 @@ func wordCountMapper() Mapper {
 			emit.Emit(w, 1)
 		}
 	})
+}
+
+// mapOutput is NewMapOutput for tests: a bad sketch plan fails the test.
+func mapOutput(t testing.TB, taskID int, items, sampled int64, combine bool, plan *SketchPlan, emit func(Emitter)) *MapOutput {
+	t.Helper()
+	out, err := NewMapOutput(taskID, items, sampled, combine, plan, emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// emitValues is a mapper that emits each value under key, in order.
+func emitValues(key string, values ...float64) func(Emitter) {
+	return func(e Emitter) {
+		for _, v := range values {
+			e.Emit(key, v)
+		}
+	}
 }
 
 func testEngine() *cluster.Engine {
@@ -320,6 +340,43 @@ func (failingFormat) Open(*dfs.Block, float64, int64) (RecordReader, error) {
 	return nil, fmt.Errorf("boom")
 }
 
+// decliningFormat opens readers whose Push declines.
+type decliningFormat struct{}
+
+func (decliningFormat) Open(*dfs.Block, float64, int64) (RecordReader, error) {
+	return decliningReader{}, nil
+}
+
+type decliningReader struct{}
+
+func (decliningReader) Push(func(Record)) (bool, error) { return false, nil }
+func (decliningReader) Measure() ReaderMeasure          { return ReaderMeasure{} }
+func (decliningReader) Close() error                    { return nil }
+
+// TestReaderThatCannotPushFailsTheJob: there is one read mode, so a
+// reader that declines it, or a block with nothing to push from, is an
+// error — never an empty map output.
+func TestReaderThatCannotPushFailsTheJob(t *testing.T) {
+	input, _ := wordCountInput(t, 256)
+	job := &Job{
+		Input:     input,
+		Format:    decliningFormat{},
+		NewMapper: wordCountMapper,
+		NewReduce: func(int) ReduceLogic { return SumReduce() },
+	}
+	if _, err := Run(testEngine(), job); err == nil || !strings.Contains(err.Error(), "declined") {
+		t.Errorf("a reader that declines to push gave %v, want an error saying so", err)
+	}
+	job = &Job{
+		Input:     &dfs.File{Name: "opaque", Blocks: []*dfs.Block{{FileName: "opaque"}}},
+		NewMapper: wordCountMapper,
+		NewReduce: func(int) ReduceLogic { return SumReduce() },
+	}
+	if _, err := Run(testEngine(), job); !errors.Is(err, dfs.ErrNoLineBacking) {
+		t.Errorf("a block with no line backing gave %v, want dfs.ErrNoLineBacking", err)
+	}
+}
+
 func TestPartitionStable(t *testing.T) {
 	for _, key := range []string{"a", "b", "lorem", "zzz"} {
 		p := Partition(key, 5)
@@ -443,18 +500,18 @@ func TestSequentialOrderAblation(t *testing.T) {
 func TestPreciseReduceHelpers(t *testing.T) {
 	view := EstimateView{Confidence: 0.95}
 	min := MinReduce()
-	min.Consume(&MapOutput{Pairs: []KV{{"k", 5}, {"k", 2}, {"k", 9}}, Items: 3, Sampled: 3})
+	min.Consume(mapOutput(t, 0, 3, 3, false, nil, emitValues("k", 5, 2, 9)))
 	out := min.Finalize(view)
 	if len(out) != 1 || !stats.AlmostEqual(out[0].Est.Value, 2, 1e-12) {
 		t.Errorf("MinReduce = %+v", out)
 	}
 	max := MaxReduce()
-	max.Consume(&MapOutput{Pairs: []KV{{"k", 5}, {"k", 2}}, Items: 2, Sampled: 2})
+	max.Consume(mapOutput(t, 0, 2, 2, false, nil, emitValues("k", 5, 2)))
 	if got := max.Finalize(view); !stats.AlmostEqual(got[0].Est.Value, 5, 1e-12) {
 		t.Errorf("MaxReduce = %+v", got)
 	}
 	mean := MeanReduce()
-	mean.Consume(&MapOutput{Pairs: []KV{{"k", 4}, {"k", 8}}, Items: 2, Sampled: 2})
+	mean.Consume(mapOutput(t, 0, 2, 2, false, nil, emitValues("k", 4, 8)))
 	if got := mean.Finalize(view); !stats.AlmostEqual(got[0].Est.Value, 6, 1e-12) {
 		t.Errorf("MeanReduce = %+v", got)
 	}

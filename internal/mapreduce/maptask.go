@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"fmt"
+
 	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/sketch"
@@ -41,16 +43,14 @@ type emitHint struct {
 	keyBytes int // total bytes of the distinct keys
 }
 
-// mapEmitter partitions emitted pairs, optionally combining.
-//
-// Two representations exist. The default arena representation interns
+// mapEmitter partitions emitted pairs, optionally combining. It interns
 // every emitted key once into the attempt's keyTable — which also
 // memoizes the key's partition, so the FNV hash runs once per distinct
 // key instead of once per emit — and then moves only (keyID, value)
 // pairs: raw mode appends idPairs to flat per-partition runs; combine
 // mode accumulates into one dense RunningStat slice indexed by key ID.
-// The legacy representation (Job.LegacyDataPlane) keeps the original
-// string-keyed slices/maps so equivalence tests can diff the two paths.
+// A partition's keys are listed in first-emit order, which is therefore
+// the order they reach its reducer in.
 type mapEmitter struct {
 	reduces int
 	combine bool
@@ -58,19 +58,14 @@ type mapEmitter struct {
 	pairs   int64 // pairs through Emit/emitAt
 	folds   int64 // elements folded into sketches
 
-	// arena representation (default)
 	intern    *keyTable
 	runs      [][]idPair          // raw: per-partition (keyID, value) runs
 	combIDs   [][]int32           // combine: per-partition key IDs in first-emit order
 	combStats []stats.RunningStat // combine: dense aggregates indexed by key ID
 
-	// legacy representation (Job.LegacyDataPlane)
-	raw  [][]KV
-	comb []map[string]stats.RunningStat
-
-	// sketch representation (Job.Sketch, layered over either of the
-	// above for plain Emit calls): groups interns group keys — which
-	// also memoizes each group's partition — proto is the empty sketch
+	// sketch representation (Job.Sketch, layered over the above for
+	// plain Emit calls): groups interns group keys — which also
+	// memoizes each group's partition — proto is the empty sketch
 	// cloned per new group, sketches is dense by group ID, and
 	// sketchIDs lists each partition's group IDs in first-emit order.
 	// lastGroup/lastSketch remember the previous fold's group (its
@@ -92,29 +87,8 @@ type mapEmitter struct {
 // capacities, so in-capacity appends never interfere), the interner is
 // pre-sized, and combiner state is pre-sized, which keeps growth
 // reallocations off the emit hot path.
-func newMapEmitter(reduces int, combine, legacy bool, meter vtime.Meter, hint emitHint) *mapEmitter {
+func newMapEmitter(reduces int, combine bool, meter vtime.Meter, hint emitHint) *mapEmitter {
 	e := &mapEmitter{reduces: reduces, combine: combine, meter: meter}
-	perPart := 0
-	if hint.n > 0 {
-		perPart = hint.n/reduces + 1
-	}
-	if legacy {
-		if combine {
-			e.comb = make([]map[string]stats.RunningStat, reduces)
-			for i := range e.comb {
-				e.comb[i] = make(map[string]stats.RunningStat, perPart)
-			}
-		} else {
-			e.raw = make([][]KV, reduces)
-			if perPart > 0 {
-				backing := make([]KV, reduces*perPart)
-				for i := range e.raw {
-					e.raw[i] = backing[i*perPart : i*perPart : (i+1)*perPart]
-				}
-			}
-		}
-		return e
-	}
 	e.intern = newKeyTable(reduces, hint.n, hint.keyBytes)
 	if combine {
 		e.combIDs = make([][]int32, reduces)
@@ -123,7 +97,8 @@ func newMapEmitter(reduces int, combine, legacy bool, meter vtime.Meter, hint em
 		}
 	} else {
 		e.runs = make([][]idPair, reduces)
-		if perPart > 0 {
+		if hint.n > 0 {
+			perPart := hint.n/reduces + 1
 			backing := make([]idPair, reduces*perPart)
 			for i := range e.runs {
 				e.runs[i] = backing[i*perPart : i*perPart : (i+1)*perPart]
@@ -148,60 +123,42 @@ func (e *mapEmitter) enableSketch(plan *SketchPlan) error {
 }
 
 // Emit implements Emitter. key may be a transient view of a reusable
-// buffer (the push-mode record contract): the interner copies it on
-// first sight, and the legacy path only runs with pull-mode readers
-// whose records are durable.
+// buffer (the record lifetime contract): the interner copies it on
+// first sight.
 //
 //approx:compute
 //approx:hotpath
 func (e *mapEmitter) Emit(key string, value float64) {
 	e.pairs++
-	if e.intern != nil {
-		id, p := e.intern.Intern(key)
-		if e.combine {
-			if int(id) == len(e.combStats) {
-				e.combStats = append(e.combStats, stats.RunningStat{})
-				e.combIDs[p] = append(e.combIDs[p], id)
-			}
-			e.combStats[id].Add(value)
-			return
-		}
-		e.runs[p] = append(e.runs[p], idPair{id: id, v: value})
-		return
-	}
-	p := Partition(key, e.reduces)
+	id, p := e.intern.Intern(key)
 	if e.combine {
-		rs := e.comb[p][key]
-		rs.Add(value)
-		e.comb[p][key] = rs
+		if int(id) == len(e.combStats) {
+			e.combStats = append(e.combStats, stats.RunningStat{})
+			e.combIDs[p] = append(e.combIDs[p], id)
+		}
+		e.combStats[id].Add(value)
 		return
 	}
-	e.raw[p] = append(e.raw[p], KV{Key: key, Value: value})
+	e.runs[p] = append(e.runs[p], idPair{id: id, v: value})
 }
 
 // EmitElement implements ElementEmitter. Under a sketch plan the
 // element folds into the group's sketch (weight rounds to a positive
 // integer count, minimum 1); otherwise it degrades to the composite
 // pair group+ElementSep+element — partitioned by the group alone, so a
-// group's elements always meet in one reduce partition in both
-// representations. group and element may be transient buffer views:
-// the interners copy on first sight, the sketches hash without
-// retaining (TopK clones the candidates it keeps), and the legacy path
-// only runs with pull-mode readers whose records are durable.
+// group's elements always meet in one reduce partition. group and
+// element may be transient buffer views: the interners copy on first
+// sight and the sketches hash without retaining (TopK clones the
+// candidates it keeps).
 //
 //approx:compute
 //approx:hotpath
 func (e *mapEmitter) EmitElement(group, element string, weight float64) {
 	if e.plan == nil {
-		p := int32(Partition(group, e.reduces))
-		if e.intern == nil {
-			e.emitAt(group+ElementSep+element, weight, p)
-			return
-		}
 		e.ekey = append(e.ekey[:0], group...)
 		e.ekey = append(e.ekey, ElementSep[0])
 		e.ekey = append(e.ekey, element...)
-		e.emitAt(zerocopy.String(e.ekey), weight, p)
+		e.emitAt(zerocopy.String(e.ekey), weight, int32(Partition(group, e.reduces)))
 		return
 	}
 	e.folds++
@@ -227,26 +184,16 @@ func (e *mapEmitter) EmitElement(group, element string, weight float64) {
 //approx:hotpath
 func (e *mapEmitter) emitAt(key string, value float64, p int32) {
 	e.pairs++
-	if e.intern != nil {
-		id := e.intern.InternAt(key, p)
-		if e.combine {
-			if int(id) == len(e.combStats) {
-				e.combStats = append(e.combStats, stats.RunningStat{})
-				e.combIDs[p] = append(e.combIDs[p], id)
-			}
-			e.combStats[id].Add(value)
-			return
-		}
-		e.runs[p] = append(e.runs[p], idPair{id: id, v: value})
-		return
-	}
+	id := e.intern.InternAt(key, p)
 	if e.combine {
-		rs := e.comb[p][key]
-		rs.Add(value)
-		e.comb[p][key] = rs
+		if int(id) == len(e.combStats) {
+			e.combStats = append(e.combStats, stats.RunningStat{})
+			e.combIDs[p] = append(e.combIDs[p], id)
+		}
+		e.combStats[id].Add(value)
 		return
 	}
-	e.raw[p] = append(e.raw[p], KV{Key: key, Value: value})
+	e.runs[p] = append(e.runs[p], idPair{id: id, v: value})
 }
 
 // ChargeCompute implements vtime.Charger: user map kernels declare
@@ -256,32 +203,59 @@ func (e *mapEmitter) emitAt(key string, value float64, p int32) {
 //approx:compute
 func (e *mapEmitter) ChargeCompute(units float64) { e.meter.Charge(units) }
 
+// outputs materialises what the attempt emitted as one MapOutput per
+// reduce partition (one allocation for all of them), each pointing into
+// the attempt-wide interners, aggregates and sketches.
+func (e *mapEmitter) outputs(taskID int, items, sampled int64) []*MapOutput {
+	parts := make([]*MapOutput, e.reduces)
+	outs := make([]MapOutput, e.reduces)
+	for p := range outs {
+		out := &outs[p]
+		out.TaskID = taskID
+		out.Items = items
+		out.Sampled = sampled
+		out.keys = e.intern
+		if e.combine {
+			out.combIDs = e.combIDs[p]
+			if out.combIDs == nil {
+				out.combIDs = []int32{} // non-nil marks the output combined
+			}
+			out.combStats = e.combStats
+		} else {
+			out.run = e.runs[p]
+		}
+		if e.groups != nil {
+			out.groups = e.groups
+			out.sketchIDs = e.sketchIDs[p]
+			out.sketches = e.sketches
+		}
+		parts[p] = out
+	}
+	return parts
+}
+
 // executeMap runs one map task attempt in-process: it opens the block
-// through the job's input format (applying the sampling ratio), feeds
-// every returned record to a fresh Mapper, and partitions the emitted
-// pairs. The supplied per-attempt meter splits charged compute into
-// setup, read and process components so cost models and the
-// target-error controller can fit Equation 5.
+// through the job's input format (applying the sampling ratio), has the
+// reader push every returned record through a fresh Mapper, and
+// partitions the emitted pairs. The supplied per-attempt meter splits
+// charged compute into setup, read and process components so cost
+// models and the target-error controller can fit Equation 5.
 //
-// By default records flow through the zero-allocation data plane: if
-// the reader supports push mode (RecordPusher), records are yielded as
-// views of reusable buffers straight from the block backing, and the
-// emitter interns keys into the attempt's arena. The push loop brackets
-// each record with the exact same meter Begin/End sequence as the pull
-// loop, and the emitter performs the same float operations in the same
-// order, so a (job, seed) pair produces bit-identical results on either
-// path (Job.LegacyDataPlane forces the old one; the equivalence tests
-// diff them).
+// Records are views of the block's bytes straight from its line
+// backing, and the emitter interns keys into the attempt's arena; the
+// meter brackets (one OpRead per record handed over, one OpProc per Map
+// call) and the emitter's float operations happen in record order, so a
+// (job, seed) pair produces bit-identical results on every run
+// (frozen_dataplane_test.go pins them).
 //
 // executeMap is the compute plane: a pure function of
 // (job config, block, ratio, seed) that may run on a pool worker
 // concurrently with the virtual-time scheduler. It must never touch
 // tracker or engine state, the shared Job.Meter, or package-level
 // variables — the approxlint `sharedstate` analyzer enforces this for
-// everything reachable from the directive below. Per-attempt buffer
-// reuse goes through an attempt-owned BufList, never a sync.Pool,
-// which the analyzer also rejects here: pool hand-out order depends on
-// goroutine scheduling.
+// everything reachable from the directive below, sync.Pool included:
+// pool hand-out order depends on goroutine scheduling, so whatever an
+// attempt reuses it owns.
 //
 //approx:compute
 func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int64, meter vtime.Meter, hint emitHint) (*mapResult, error) {
@@ -295,20 +269,13 @@ func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int6
 	if ms, ok := reader.(MeterSetter); ok {
 		ms.SetMeter(meter)
 	}
-	var bufs *BufList
-	if !job.LegacyDataPlane {
-		if bl, ok := reader.(BufferLender); ok {
-			bufs = &BufList{}
-			bl.SetBuffers(bufs)
-		}
-	}
 	var mapper Mapper
 	if job.NewMapperFor != nil {
 		mapper = job.NewMapperFor(taskID)
 	} else {
 		mapper = job.NewMapper()
 	}
-	emitter := newMapEmitter(job.Reduces, job.Combine, job.LegacyDataPlane, meter, hint)
+	emitter := newMapEmitter(job.Reduces, job.Combine, meter, hint)
 	if job.Sketch != nil {
 		if err := emitter.enableSketch(job.Sketch); err != nil {
 			return nil, err
@@ -317,34 +284,19 @@ func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int6
 	setup := meter.End(vtime.OpSetup, 1, 0)
 
 	var procSecs float64
-	mapOne := func(rec Record) {
+	pushed, err := reader.Push(func(rec Record) {
 		meter.Begin(vtime.OpProc)
 		mapper.Map(rec, emitter)
 		procSecs += meter.End(vtime.OpProc, 1, 0)
-	}
-	pushed := false
-	if !job.LegacyDataPlane {
-		if p, ok := reader.(RecordPusher); ok {
-			pushed, err = p.Push(mapOne)
-			if err != nil {
-				return nil, err
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	if !pushed {
-		for {
-			rec, ok, err := reader.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			mapOne(rec)
-		}
+		return nil, fmt.Errorf("mapreduce: the reader of %s declined to push its records; nothing was mapped", block.ID())
 	}
 	rm := reader.Measure()
-	res := &mapResult{
+	return &mapResult{
 		measure: cluster.TaskMeasure{
 			Items:     rm.Items,
 			Processed: rm.Sampled,
@@ -353,42 +305,9 @@ func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int6
 			ProcSecs:  procSecs,
 			SetupSecs: setup,
 		},
-		pairs:   emitter.pairs + emitter.folds,
-		emitted: emitter.pairs,
-	}
-	if emitter.intern != nil {
-		res.keys = emitHint{n: emitter.intern.Len(), keyBytes: emitter.intern.Bytes()}
-	}
-	res.partitions = make([]*MapOutput, job.Reduces)
-	outs := make([]MapOutput, job.Reduces) // one allocation for all partitions
-	for p := 0; p < job.Reduces; p++ {
-		out := &outs[p]
-		out.TaskID = taskID
-		out.Items = rm.Items
-		out.Sampled = rm.Sampled
-		if emitter.intern != nil {
-			out.keys = emitter.intern
-			if job.Combine {
-				ids := emitter.combIDs[p]
-				if ids == nil {
-					ids = []int32{} // non-nil marks the output combined
-				}
-				out.combIDs = ids
-				out.combStats = emitter.combStats
-			} else {
-				out.run = emitter.runs[p]
-			}
-		} else if job.Combine {
-			out.Combined = emitter.comb[p]
-		} else {
-			out.Pairs = emitter.raw[p]
-		}
-		if emitter.groups != nil {
-			out.groups = emitter.groups
-			out.sketchIDs = emitter.sketchIDs[p]
-			out.sketches = emitter.sketches
-		}
-		res.partitions[p] = out
-	}
-	return res, nil
+		partitions: emitter.outputs(taskID, rm.Items, rm.Sampled),
+		pairs:      emitter.pairs + emitter.folds,
+		emitted:    emitter.pairs,
+		keys:       emitHint{n: emitter.intern.Len(), keyBytes: emitter.intern.Bytes()},
+	}, nil
 }

@@ -45,7 +45,7 @@ func TestEmitElementSteadyStateDoesNotAllocate(t *testing.T) {
 	if err := plan.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	e := newMapEmitter(4, false, false, vtime.NewDeterministic(), emitHint{})
+	e := newMapEmitter(4, false, vtime.NewDeterministic(), emitHint{})
 	if err := e.enableSketch(plan); err != nil {
 		t.Fatal(err)
 	}

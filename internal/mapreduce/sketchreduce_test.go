@@ -11,7 +11,6 @@ import (
 
 	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/sketch"
-	"approxhadoop/internal/stats"
 )
 
 // splitEvenBlocks splits text into roughly the requested block count.
@@ -256,25 +255,13 @@ func TestTopKSketchMatchesExact(t *testing.T) {
 // TestSketchReducerMergeOrder feeds identical MapOutputs to reducers in
 // permuted orders: finalized estimates must match exactly.
 func TestSketchReducerMergeOrder(t *testing.T) {
-	plan := &SketchPlan{Kind: SketchDistinct}
-	if err := plan.normalize(); err != nil {
-		t.Fatal(err)
-	}
 	outs := make([]*MapOutput, 6)
 	for i := range outs {
-		s, err := plan.newSketch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 50; j++ {
-			s.Fold(fmt.Sprintf("editor%d", (i*37+j*13)%160), 1)
-		}
-		outs[i] = &MapOutput{
-			TaskID:       i,
-			Items:        50,
-			Sampled:      50,
-			SketchGroups: map[string]sketch.Sketch{"projA": s},
-		}
+		outs[i] = mapOutput(t, i, 50, 50, false, &SketchPlan{Kind: SketchDistinct}, func(e Emitter) {
+			for j := 0; j < 50; j++ {
+				EmitElement(e, "projA", fmt.Sprintf("editor%d", (i*37+j*13)%160), 1)
+			}
+		})
 	}
 	view := EstimateView{TotalMaps: 6, Consumed: 6, Confidence: 0.95}
 	finalize := func(order []int) []KeyEstimate {
@@ -299,20 +286,12 @@ func TestSketchReducerMergeOrder(t *testing.T) {
 // a strictly wider bound and never exactness.
 func TestSampledSketchWidensError(t *testing.T) {
 	mk := func(items, sampled int64) []KeyEstimate {
-		plan := &SketchPlan{Kind: SketchDistinct}
-		if err := plan.normalize(); err != nil {
-			t.Fatal(err)
-		}
-		s, err := plan.newSketch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 200; j++ {
-			s.Fold(fmt.Sprintf("e%d", j), 1)
-		}
 		r := NewDistinctReduce()
-		r.Consume(&MapOutput{TaskID: 0, Items: items, Sampled: sampled,
-			SketchGroups: map[string]sketch.Sketch{"g": s}})
+		r.Consume(mapOutput(t, 0, items, sampled, false, &SketchPlan{Kind: SketchDistinct}, func(e Emitter) {
+			for j := 0; j < 200; j++ {
+				EmitElement(e, "g", fmt.Sprintf("e%d", j), 1)
+			}
+		}))
 		return r.Finalize(EstimateView{TotalMaps: 1, Consumed: 1, Confidence: 0.95})
 	}
 	full := mk(200, 200)
@@ -338,21 +317,13 @@ func TestSampledSketchWidensError(t *testing.T) {
 // reducer level: no false negatives, count estimate near truth, and
 // the pairs path exact.
 func TestMembershipReduce(t *testing.T) {
-	plan := &SketchPlan{Kind: SketchMembership}
-	if err := plan.normalize(); err != nil {
-		t.Fatal(err)
-	}
 	r := NewMembershipReduce()
 	for task := 0; task < 4; task++ {
-		s, err := plan.newSketch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 100; j++ {
-			s.Fold(fmt.Sprintf("user%d", task*100+j), 1)
-		}
-		r.Consume(&MapOutput{TaskID: task, Items: 100, Sampled: 100,
-			SketchGroups: map[string]sketch.Sketch{"seen": s}})
+		r.Consume(mapOutput(t, task, 100, 100, false, &SketchPlan{Kind: SketchMembership}, func(e Emitter) {
+			for j := 0; j < 100; j++ {
+				EmitElement(e, "seen", fmt.Sprintf("user%d", task*100+j), 1)
+			}
+		}))
 	}
 	view := EstimateView{TotalMaps: 4, Consumed: 4, Confidence: 0.95}
 	outs := r.Finalize(view)
@@ -374,10 +345,10 @@ func TestMembershipReduce(t *testing.T) {
 
 	// Pairs path: exact sets.
 	rp := NewMembershipReduce()
-	rp.Consume(&MapOutput{TaskID: 0, Items: 2, Sampled: 2, Pairs: []KV{
-		{Key: "g" + ElementSep + "alice", Value: 1},
-		{Key: "g" + ElementSep + "bob", Value: 1},
-	}})
+	rp.Consume(mapOutput(t, 0, 2, 2, false, nil, func(e Emitter) {
+		EmitElement(e, "g", "alice", 1)
+		EmitElement(e, "g", "bob", 1)
+	}))
 	pouts := rp.Finalize(EstimateView{TotalMaps: 1, Consumed: 1, Confidence: 0.95})
 	//lint:ignore nofloateq the pairs path counts an integer-valued exact set
 	if len(pouts) != 1 || !pouts[0].Exact || pouts[0].Est.Value != 2 {
@@ -475,34 +446,30 @@ func TestCombinerLossyMarker(t *testing.T) {
 
 // TestEmitElementFallbackPartitioning checks the composite-pair
 // fallback partitions by group: with several reduce partitions every
-// group must appear exactly once in the merged outputs, in both data
-// planes.
+// group must appear exactly once in the merged outputs.
 func TestEmitElementFallbackPartitioning(t *testing.T) {
 	input, want := editLogInput(t, 8, 120)
-	for _, legacy := range []bool{false, true} {
-		j := distinctJob(input, false, 1)
-		j.Reduces = 4
-		j.LegacyDataPlane = legacy
-		res, err := Run(testEngine(), j)
-		if err != nil {
-			t.Fatal(err)
+	j := distinctJob(input, false, 1)
+	j.Reduces = 4
+	res, err := Run(testEngine(), j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, o := range res.Outputs {
+		seen[o.Key]++
+		//lint:ignore nofloateq integer-weight sums fold exactly; any drift is a bug
+		if o.Est.Value != want[o.Key] {
+			t.Errorf("%s = %v, want %v", o.Key, o.Est.Value, want[o.Key])
 		}
-		seen := map[string]int{}
-		for _, o := range res.Outputs {
-			seen[o.Key]++
-			//lint:ignore nofloateq integer-weight sums fold exactly; any drift is a bug
-			if o.Est.Value != want[o.Key] {
-				t.Errorf("legacy=%v %s = %v, want %v", legacy, o.Key, o.Est.Value, want[o.Key])
-			}
+	}
+	for g, n := range seen {
+		if n != 1 {
+			t.Errorf("group %s split across %d partitions", g, n)
 		}
-		for g, n := range seen {
-			if n != 1 {
-				t.Errorf("legacy=%v: group %s split across %d partitions", legacy, g, n)
-			}
-		}
-		if len(seen) != len(want) {
-			t.Errorf("legacy=%v: %d groups, want %d", legacy, len(seen), len(want))
-		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("%d groups, want %d", len(seen), len(want))
 	}
 }
 
@@ -524,11 +491,11 @@ func TestShuffleBytesAccounting(t *testing.T) {
 	}
 
 	// Representation unit checks.
-	raw := &MapOutput{Pairs: []KV{{Key: "abc", Value: 1}}}
+	raw := mapOutput(t, 0, 0, 0, false, nil, emitValues("abc", 1))
 	if got := raw.ShuffleSize(); got != shuffleHeaderBytes+3+shufflePairBytes {
 		t.Errorf("raw ShuffleSize %d", got)
 	}
-	comb := &MapOutput{Combined: map[string]stats.RunningStat{"abc": {Count: 2, Sum: 3}}}
+	comb := mapOutput(t, 0, 0, 0, true, nil, emitValues("abc", 1, 2))
 	if got := comb.ShuffleSize(); got != shuffleHeaderBytes+3+shuffleCombinedBytes {
 		t.Errorf("combined ShuffleSize %d", got)
 	}
@@ -537,7 +504,7 @@ func TestShuffleBytesAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.Fold("x", 1)
-	sk := &MapOutput{SketchGroups: map[string]sketch.Sketch{"g": h}}
+	sk := mapOutput(t, 0, 0, 0, false, &SketchPlan{Kind: SketchDistinct}, func(e Emitter) { EmitElement(e, "g", "x", 1) })
 	if got := sk.ShuffleSize(); got != int64(shuffleHeaderBytes+1+shuffleGroupBytes+h.SizeBytes()) {
 		t.Errorf("sketch ShuffleSize %d", got)
 	}

@@ -15,7 +15,6 @@ package mapreduce
 
 import (
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -26,14 +25,6 @@ import (
 	"approxhadoop/internal/vtime"
 )
 
-// KV is one intermediate or final key/value pair. Values are float64
-// because every reducer in the paper (sum, count, average, ratio, min,
-// max) is numeric; string payloads travel in the Record input side.
-type KV struct {
-	Key   string
-	Value float64
-}
-
 // Record is one input record handed to a map function: Value is the
 // record's content (for text inputs, the line) and Block and Index say
 // where it came from. A reader fills in the position and nothing more;
@@ -41,15 +32,12 @@ type KV struct {
 // so the jobs that never look at it (every one in this tree) pay
 // nothing per record for it.
 //
-// Lifetime: when the framework drives a mapper through the push-mode
-// fast path (see RecordPusher), Value is a view over a reusable
-// attempt-owned buffer — valid only for the duration of the Map call,
-// exactly Hadoop's Writable-reuse contract. Mappers that retain a
-// record past Map must copy Value; emitting (sub)strings of it is
-// always safe because the emitter interns every key on first sight.
-// Block, Index and the string Key returns carry no such restriction,
-// and neither does any part of a record obtained by calling
-// RecordReader.Next directly.
+// Lifetime: Value is a view of the block's bytes (or of the reader's
+// line buffer) — valid only for the duration of the Map call, exactly
+// Hadoop's Writable-reuse contract. Mappers that retain a record past
+// Map must copy Value; emitting (sub)strings of it is always safe
+// because the emitter interns every key on first sight. Block, Index
+// and the string Key returns carry no such restriction.
 type Record struct {
 	Block *dfs.Block // the block being read; nil for records built by hand
 	Index int64      // the record's index within the block, counting unsampled records too
@@ -81,7 +69,7 @@ type Emitter interface {
 // composite pair group+ElementSep+element (partitioned by group, so
 // each group still lands on exactly one reduce) — the O(keys) baseline
 // the sketch representation is measured against. The framework emitter
-// implements this in both data planes.
+// implements this.
 //
 //approx:pure
 type ElementEmitter interface {
@@ -148,17 +136,16 @@ type MeterSetter interface {
 	SetMeter(m vtime.Meter)
 }
 
-// RecordReader iterates over the records of one block, possibly
-// returning only a sample of them.
+// RecordReader reads the records of one block, possibly only a sample
+// of them. It has one mode: Push drives the block through the mapper.
 //
 //approx:pure
 type RecordReader interface {
-	// Next returns the next record; ok=false signals the end of the
-	// block (after which Measure totals are final).
-	Next() (rec Record, ok bool, err error)
-	// Measure returns read statistics accumulated so far.
+	RecordPusher
+	// Measure returns read statistics accumulated so far; they are
+	// final once Push has returned.
 	Measure() ReaderMeasure
-	// Close releases the underlying block reader.
+	// Close releases whatever the reader holds.
 	Close() error
 }
 
@@ -172,14 +159,15 @@ type InputFormat interface {
 	Open(b *dfs.Block, sampleRatio float64, seed int64) (RecordReader, error)
 }
 
-// RecordPusher is the push-mode fast path a RecordReader may offer on
-// top of Next: the reader drives the whole block through fn itself,
-// yielding zero-copy records (see the Record lifetime contract) and
-// metering reads through exactly the same Begin/End sequence the
-// equivalent Next loop would issue — so with a deterministic meter the
-// two paths charge identical seconds. Push returns ok=false without
-// consuming anything when the underlying block has no line-yielding
-// backing; the caller then falls back to the Next loop.
+// RecordPusher is how a block is read: the reader drives the whole
+// block through fn itself, once, in record order, yielding zero-copy
+// records (see the Record lifetime contract) and metering its reads in
+// one OpRead bracket per record it hands over — the units and bytes of
+// records it skipped ride in the bracket of the next one returned, and
+// a last bracket closes at the end of the block. ok=false means the
+// reader declined: it consumed nothing and called fn for nothing. There
+// is no other read mode to fall back to, so the framework fails the
+// attempt; the readers in this tree never decline.
 //
 //approx:pure
 type RecordPusher interface {
@@ -190,56 +178,67 @@ type RecordPusher interface {
 // partition: the task/cluster identity, the block unit counts needed by
 // multi-stage sampling (Section 4.4 — "each map task tags each
 // key/value pair with its unique task ID" and forwards M_i and m_i),
-// and the pairs themselves, either raw or combiner-aggregated.
+// and the payload: raw pairs or combiner aggregates (depending on
+// Job.Combine), plus one sketch per group under Job.Sketch.
 //
-// Two payload representations exist. The legacy fields Pairs/Combined
-// carry string-keyed data and remain the construction API for tests and
-// external callers. The framework's default arena representation keys
-// pairs by interned IDs into flat per-partition runs sharing one
-// attempt-wide key table, deferring string resolution to reduce time;
-// reducers consume either representation uniformly through EachPair /
-// EachCombined / PairLen.
+// The payload is keyed by interned IDs into structures shared by all
+// partitions of the attempt, string resolution deferred to reduce time;
+// reducers read it through EachPair / EachCombined / EachSketch /
+// PairLen. executeMap builds outputs for jobs and NewMapOutput builds
+// them for everything else, through the same emitter.
 type MapOutput struct {
 	TaskID  int   // map task index; the sampling "cluster" identifier
 	Items   int64 // M_i: data items in the task's block
 	Sampled int64 // m_i: items actually processed
-	// At most one of Pairs/Combined is populated (legacy string-keyed
-	// payload), depending on Job.Combine. Combined carries per-key
-	// (count, sum, sumsq), which is lossless for aggregation reducers.
-	Pairs    []KV
-	Combined map[string]stats.RunningStat
 
-	// SketchGroups is the third payload representation (Job.Sketch):
-	// one fixed-size mergeable sketch per group key, so the partition's
-	// shuffle volume is O(groups·sketchSize) regardless of how many
-	// records the task folded — O(1) per partition for bounded group
-	// sets. This map is the construction API for tests; the framework
-	// default is the arena form below. Payload sketches are shared
-	// (attempt results are memoized across speculative attempts), so
-	// consumers must Clone before merging.
-	SketchGroups map[string]sketch.Sketch
-
-	// Arena payload (framework default): keys is the attempt's interner,
-	// shared by all partitions of the attempt; run is this partition's
-	// raw (keyID, value) pairs in emit order; combIDs lists this
-	// partition's distinct key IDs in first-emit order, whose aggregates
-	// live in the attempt-wide dense combStats slice indexed by key ID.
+	// keys is the attempt's interner; run is this partition's raw
+	// (keyID, value) pairs in emit order; combIDs lists this partition's
+	// distinct key IDs in first-emit order (non-nil marks the output
+	// combined), whose (count, sum, sumsq) aggregates — lossless for
+	// aggregation reducers — live in the attempt-wide dense combStats
+	// slice indexed by key ID.
 	keys      *keyTable
 	run       []idPair
 	combIDs   []int32
 	combStats []stats.RunningStat
 
-	// Arena sketch payload: groups is the attempt's group interner,
-	// sketchIDs this partition's group IDs in first-emit order, and
-	// sketches the attempt-wide dense sketch slice indexed by group ID.
+	// Sketch payload (Job.Sketch): groups is the attempt's group
+	// interner, sketchIDs this partition's group IDs in first-emit
+	// order, and sketches the attempt-wide dense slice indexed by group
+	// ID — one fixed-size mergeable sketch per group, so the partition's
+	// shuffle volume is O(groups·sketchSize) however many records the
+	// task folded. Sketches are shared (attempt results are memoized
+	// across speculative attempts), so consumers must Clone before
+	// merging.
 	groups    *keyTable
 	sketchIDs []int32
 	sketches  []sketch.Sketch
 }
 
-// idPair is one arena-shuffled intermediate pair: an interned key ID
-// and its value. 16 bytes versus the 24 of a string-keyed KV, and no
-// per-pair string header to trace during GC.
+// NewMapOutput builds a MapOutput outside a job, for tests and for
+// reducers driven by hand: what map task taskID would deliver to the
+// single reduce of a job with these Combine and Sketch settings had its
+// mapper made the calls emit makes (Emit, or EmitElement through the
+// package-level helper) over a block of items records, sampled of them
+// read. It runs the emitter a job runs, so keys reach the reducer in
+// first-emit order here as there. plan is normalized in place, as
+// Job.Validate would.
+func NewMapOutput(taskID int, items, sampled int64, combine bool, plan *SketchPlan, emit func(Emitter)) (*MapOutput, error) {
+	e := newMapEmitter(1, combine, vtime.NewDeterministic(), emitHint{})
+	if plan != nil {
+		if err := plan.normalize(); err != nil {
+			return nil, err
+		}
+		if err := e.enableSketch(plan); err != nil {
+			return nil, err
+		}
+	}
+	emit(e)
+	return e.outputs(taskID, items, sampled)[0], nil
+}
+
+// idPair is one shuffled intermediate pair: an interned key ID and its
+// value. 16 bytes, and no per-pair string header to trace during GC.
 type idPair struct {
 	id int32
 	v  float64
@@ -247,89 +246,47 @@ type idPair struct {
 
 // IsCombined reports whether the output carries combiner-aggregated
 // per-key statistics rather than raw pairs.
-func (o *MapOutput) IsCombined() bool {
-	return o.Combined != nil || o.combIDs != nil
-}
+func (o *MapOutput) IsCombined() bool { return o.combIDs != nil }
 
 // IsSketch reports whether the output carries per-group sketches.
-func (o *MapOutput) IsSketch() bool {
-	return o.SketchGroups != nil || o.groups != nil
-}
+func (o *MapOutput) IsSketch() bool { return o.groups != nil }
 
-// PairLen returns the number of payload entries: raw pairs, distinct
-// keys for combined outputs, or groups for sketch outputs. It is the
-// unit count reduce-side cost accounting charges, identical across
-// representations.
+// PairLen returns the number of payload entries: raw pairs or distinct
+// keys for combined outputs, plus groups for sketch outputs. It is the
+// unit count reduce-side cost accounting charges.
 func (o *MapOutput) PairLen() int {
-	n := len(o.sketchIDs) + len(o.SketchGroups)
-	if o.keys != nil {
-		if o.combIDs != nil {
-			return n + len(o.combIDs)
-		}
-		return n + len(o.run)
-	}
-	return n + len(o.Pairs) + len(o.Combined)
+	return len(o.sketchIDs) + len(o.combIDs) + len(o.run) // an output has pairs or aggregates, never both
 }
 
 // EachPair calls fn for every raw pair in shuffle (emit) order. Keys
-// handed to fn are durable — interned arena strings or the original KV
-// keys — so reducers may retain them without copying.
+// handed to fn are interned arena strings, so reducers may retain them
+// without copying.
 //
 //approx:hotpath
 func (o *MapOutput) EachPair(fn func(key string, value float64)) {
-	if o.keys != nil {
-		for _, p := range o.run {
-			fn(o.keys.Resolve(p.id), p.v)
-		}
-		return
-	}
-	for _, kv := range o.Pairs {
-		fn(kv.Key, kv.Value)
+	for _, p := range o.run {
+		fn(o.keys.Resolve(p.id), p.v)
 	}
 }
 
 // EachCombined calls fn for every per-key aggregate of a combined
-// output. Arena outputs iterate in first-emit order (deterministic);
-// legacy map outputs iterate in Go map order, which reducers must not
-// depend on (per-key aggregation is order-free). Keys are durable.
+// output, in first-emit order. Keys are durable.
 //
 //approx:hotpath
 func (o *MapOutput) EachCombined(fn func(key string, rs stats.RunningStat)) {
-	if o.keys != nil {
-		for _, id := range o.combIDs {
-			fn(o.keys.Resolve(id), o.combStats[id])
-		}
-		return
-	}
-	for k, rs := range o.Combined {
-		fn(k, rs)
+	for _, id := range o.combIDs {
+		fn(o.keys.Resolve(id), o.combStats[id])
 	}
 }
 
-// EachSketch calls fn for every (group, sketch) of a sketch output.
-// Arena outputs iterate in first-emit order; the legacy SketchGroups
-// map iterates in sorted key order, so both are deterministic. Group
-// keys are durable; sketches are shared payload — Clone before
-// mutating.
+// EachSketch calls fn for every (group, sketch) of a sketch output, in
+// first-emit order. Group keys are durable; sketches are shared
+// payload — Clone before mutating.
 //
 //approx:hotpath
 func (o *MapOutput) EachSketch(fn func(group string, s sketch.Sketch)) {
-	if o.groups != nil {
-		for _, id := range o.sketchIDs {
-			fn(o.groups.Resolve(id), o.sketches[id])
-		}
-		return
-	}
-	if len(o.SketchGroups) == 0 {
-		return
-	}
-	keys := make([]string, 0, len(o.SketchGroups))
-	for g := range o.SketchGroups {
-		keys = append(keys, g)
-	}
-	sort.Strings(keys)
-	for _, g := range keys {
-		fn(g, o.SketchGroups[g])
+	for _, id := range o.sketchIDs {
+		fn(o.groups.Resolve(id), o.sketches[id])
 	}
 }
 
@@ -353,31 +310,14 @@ const (
 // O(keys folded) to O(1) per partition.
 func (o *MapOutput) ShuffleSize() int64 {
 	n := int64(shuffleHeaderBytes)
-	if o.groups != nil {
-		for _, id := range o.sketchIDs {
-			n += int64(len(o.groups.Resolve(id))) + shuffleGroupBytes + int64(o.sketches[id].SizeBytes())
-		}
+	for _, id := range o.sketchIDs {
+		n += int64(len(o.groups.Resolve(id))) + shuffleGroupBytes + int64(o.sketches[id].SizeBytes())
 	}
-	for g, s := range o.SketchGroups {
-		n += int64(len(g)) + shuffleGroupBytes + int64(s.SizeBytes())
+	for _, id := range o.combIDs {
+		n += int64(len(o.keys.Resolve(id))) + shuffleCombinedBytes
 	}
-	if o.keys != nil {
-		if o.combIDs != nil {
-			for _, id := range o.combIDs {
-				n += int64(len(o.keys.Resolve(id))) + shuffleCombinedBytes
-			}
-		} else {
-			for _, p := range o.run {
-				n += int64(len(o.keys.Resolve(p.id))) + shufflePairBytes
-			}
-		}
-		return n
-	}
-	for _, kv := range o.Pairs {
-		n += int64(len(kv.Key)) + shufflePairBytes
-	}
-	for k := range o.Combined {
-		n += int64(len(k)) + shuffleCombinedBytes
+	for _, p := range o.run {
+		n += int64(len(o.keys.Resolve(p.id))) + shufflePairBytes
 	}
 	return n
 }

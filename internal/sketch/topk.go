@@ -89,7 +89,7 @@ func weaker(aEst uint64, aKey string, bEst uint64, bKey string) bool {
 
 // Fold implements Sketch: counts the element in the CMS and maintains
 // the bounded candidate set. The element string may be a transient
-// buffer view (the push-mode record contract); retained candidates are
+// buffer view (the record lifetime contract); retained candidates are
 // cloned.
 //
 // Cost: one hash64 of the element, whose Count-Min pass also yields its

@@ -69,9 +69,9 @@ type LogStream struct {
 }
 
 // StreamFrom wraps a dfs file — typically a workload generator's
-// File() — as a live stream. The file's blocks must support the
-// record-yielding Lines fast path (all generated and SplitText files
-// do); Run reports dfs.ErrNoLineBacking otherwise.
+// File() — as a live stream. The file's blocks must have a line backing
+// (all generated and SplitText files do); Run reports
+// dfs.ErrNoLineBacking otherwise.
 func StreamFrom(f *dfs.File, opt StreamOptions) *LogStream {
 	if opt.Rate == nil {
 		opt.Rate = ConstantRate(1)

@@ -333,7 +333,11 @@ func WriteTraceJSONL(w io.Writer, events []Event) error {
 
 // Streaming approximation plane (internal/stream): continuous windowed
 // queries over live, virtual-clock paced log streams, with per-window
-// multi-stage estimates and an adaptive sampling controller.
+// multi-stage estimates and an adaptive sampling controller. A
+// StreamPipeline runs on the goroutine that calls Run — it has no
+// worker pool to size — and emits the same series bytes for the same
+// (query, seed, source) on every run; run several pipelines on several
+// goroutines for parallelism.
 type (
 	// StreamQuery is a continuous windowed aggregation.
 	StreamQuery = stream.Query
@@ -347,7 +351,8 @@ type (
 	StreamPlan = stream.PlanSpec
 	// StreamController retunes each window's plan from the last.
 	StreamController = stream.Controller
-	// StreamPipeline runs one StreamQuery over one StreamSource.
+	// StreamPipeline runs one StreamQuery over one StreamSource, folding
+	// each record where it routes it.
 	StreamPipeline = stream.Pipeline
 	// StreamSource is an event-time record stream.
 	StreamSource = stream.Source

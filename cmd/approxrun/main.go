@@ -29,8 +29,9 @@
 // replayed as a live, diurnally paced stream and the continuous query
 // (edit-rate | web-bytes) emits one estimate per event-time window.
 // The window series is deterministic for a fixed (-app, -seed, rate
-// flags) regardless of -workers; -format tsv prints the canonical
-// byte-stable series for CI diffs across runs and worker counts.
+// flags); a stream folds on one goroutine, so -workers is accepted and
+// does nothing here. -format tsv prints the canonical byte-stable
+// series for CI diffs across runs.
 package main
 
 import (
@@ -119,7 +120,6 @@ func main() {
 			Rate:       rf,
 			Window:     stream.Window{Size: *window, Slide: *slide},
 			SLO:        stream.SLO{TargetRelErr: *sloErr, MaxLatency: *sloLatency},
-			Workers:    *workers,
 			MaxWindows: *windows,
 		}
 		var p *stream.Pipeline

@@ -5,7 +5,7 @@
 // and 95% confidence interval; the adaptive controller retunes the
 // next window's sampling plan so the error/latency SLO keeps holding
 // as the rate swings. Run it twice — the window series is
-// byte-identical, whatever the worker count.
+// byte-identical.
 //
 //	go run ./examples/wikistream
 package main

@@ -16,12 +16,6 @@ var schedulerPlaneTypes = map[string]bool{
 	"Engine":      true,
 	"Server":      true,
 	"RunningTask": true,
-	// The streaming plane's router: Pipeline configuration and the
-	// runState owning window lifecycle and controller plans live on the
-	// one goroutine driving Run; reservoir folds dispatched to the
-	// compute pool must never reach back into either.
-	"Pipeline": true,
-	"runState": true,
 }
 
 // Sharedstate enforces the two-plane execution contract of the
@@ -35,8 +29,7 @@ var Sharedstate = &Analyzer{
 	Name: "sharedstate",
 	Doc: "forbid compute-plane code (functions marked //approx:compute and their " +
 		"same-package callees) from touching scheduler-plane state: selectors on " +
-		"tracker/Engine/Server/RunningTask values (batch plane) and Pipeline/runState " +
-		"values (stream router), the shared Job.Meter, writes " +
+		"tracker/Engine/Server/RunningTask values, the shared Job.Meter, writes " +
 		"to package-level variables, and sync.Pool (pool hand-out order depends on " +
 		"goroutine scheduling; keep reusable buffers in attempt-local state); map " +
 		"compute runs on pool goroutines concurrently with the virtual-time " +

@@ -26,7 +26,10 @@ type StreamOptions struct {
 	// Capacity is the starting per-stratum reservoir size (default
 	// stream.Query default, 64).
 	Capacity int
-	// Workers sizes the fold pool (byte-invisible; 0 = GOMAXPROCS).
+	// Workers is ignored: a stream folds on the goroutine that runs it
+	// (stream.Pipeline). The field stays only because bench/stream.go,
+	// frozen while PRs are measured against it, still sets it; it goes
+	// with ROADMAP item 5's ledger PR.
 	Workers int
 	// MaxWindows stops the stream after N windows (0 = drain source).
 	MaxWindows int
@@ -70,44 +73,10 @@ func (o StreamOptions) pipeline(q stream.Query, f fileProvider) *stream.Pipeline
 	return &stream.Pipeline{
 		Query:      q,
 		Source:     workload.StreamFrom(f.File("stream-input"), workload.StreamOptions{Rate: o.Rate, Seed: o.Seed}),
-		Workers:    o.Workers,
 		Controller: o.controller(),
 		Cost:       o.Cost,
 		MaxWindows: o.MaxWindows,
 	}
-}
-
-// tsvField returns the idx-th tab-separated field of line, nil when
-// the field does not exist.
-func tsvField(line []byte, idx int) []byte {
-	start := 0
-	field := 0
-	for i := 0; i <= len(line); i++ {
-		if i == len(line) || line[i] == '\t' {
-			if field == idx {
-				return line[start:i]
-			}
-			field++
-			start = i + 1
-		}
-	}
-	return nil
-}
-
-// atoiBytes parses a non-negative decimal integer without allocating;
-// ok is false for empty or non-numeric input.
-func atoiBytes(b []byte) (int64, bool) {
-	if len(b) == 0 {
-		return 0, false
-	}
-	var n int64
-	for _, c := range b {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(c-'0')
-	}
-	return n, true
 }
 
 // EditRateStream counts wiki edits per window, stratified by project
@@ -120,7 +89,7 @@ func EditRateStream(gen workload.EditLog, opts StreamOptions) *stream.Pipeline {
 		Name: "edit-rate",
 		Op:   stream.OpCount,
 		Stratify: func(line []byte) []byte {
-			return tsvField(line, 1) // project
+			return workload.Field(line, 1) // project
 		},
 	}
 	return opts.pipeline(q, gen)
@@ -137,10 +106,10 @@ func WebBytesStream(gen workload.WebLog, opts StreamOptions) *stream.Pipeline {
 		Name: "web-bytes",
 		Op:   stream.OpSum,
 		Stratify: func(line []byte) []byte {
-			return tsvField(line, 0) // client id
+			return workload.Field(line, 0) // client id
 		},
 		Value: func(line []byte) (float64, bool) {
-			n, ok := atoiBytes(tsvField(line, 3))
+			n, ok := workload.IntField(line, 3) // bytes served
 			return float64(n), ok
 		},
 		Buckets: 32,

@@ -87,7 +87,6 @@ func (r *Runner) streamScenario(rep int, capacity int, slo stream.SLO) *stream.P
 		Window:     stream.Window{Size: size},
 		SLO:        slo,
 		Capacity:   capacity,
-		Workers:    r.cfg.Workers,
 		MaxWindows: maxW,
 	})
 }

@@ -62,7 +62,7 @@ func NewFleetDaemon(svcs []*Service, hold bool) *Daemon {
 	cfg := svcs[0].cfg
 	return &Daemon{
 		fleet:   NewFleet(svcs, cfg.TenantQuota),
-		streams: NewStreamSet(cfg.MaxActive, cfg.Workers),
+		streams: NewStreamSet(cfg.MaxActive),
 		holding: hold,
 	}
 }

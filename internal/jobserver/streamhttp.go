@@ -54,11 +54,13 @@ type WireWindow struct {
 	Unbounded  bool    `json:"unbounded,omitempty"`
 }
 
-// wireWindow converts one emitted window.
+// wireWindow converts one emitted window; final marks the last frame
+// of a stream that drained normally.
 func wireWindow(seq int, status StreamStatus, r stream.WindowResult) WireWindow {
 	w := WireWindow{
 		Seq:        seq,
 		Status:     status,
+		Final:      status == StreamDone,
 		Index:      r.Index,
 		Start:      r.Start,
 		End:        r.End,
@@ -196,8 +198,11 @@ func (d *Daemon) handleStreamWatch(w http.ResponseWriter, r *http.Request) {
 		}
 		if terminal {
 			if len(fresh) == 0 {
-				// Stopped/failed before any window (or a fully caught-up
-				// resume): emit one terminal frame so clients see an ending.
+				// Stopped/failed after the watcher's last frame, ended
+				// before any window, or a fully caught-up resume: emit one
+				// terminal frame so clients see an ending. A stream that
+				// drains does not come here: its last data frame is born
+				// terminal.
 				//lint:ignore errcheck the stream is ending either way
 				_ = synthWindowFrame(cursor, status).WriteTo(w, binary)
 				if flusher != nil {

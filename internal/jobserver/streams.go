@@ -3,9 +3,10 @@
 // A StreamSpec is the wire-level description of one continuous
 // windowed query — a streaming sibling of JobSpec — naming a scenario
 // from the stream catalog plus window/SLO/rate settings. StreamSet
-// runs each opened stream's Pipeline on its own goroutine and
-// accumulates the emitted WindowResults as a Seq-numbered frame log
-// that watchers resume from, mirroring Service.StreamFrom.
+// runs each opened stream's Pipeline on its own goroutine — the stream
+// plane's only parallelism is across streams — and accumulates the
+// emitted WindowResults as a Seq-numbered frame log that watchers
+// resume from, mirroring Service.StreamFrom.
 //
 // Streams are deliberately not journaled: a window series is a pure
 // function of (spec, seed), so there is no state worth checkpointing —
@@ -65,13 +66,10 @@ type StreamSpec struct {
 	// MaxWindows stops the stream after N windows (0 = drain the
 	// generated source).
 	MaxWindows int `json:"maxWindows,omitempty"`
-	// Workers overrides the fold-pool size (byte-invisible).
-	Workers int `json:"workers,omitempty"`
 }
 
 // Build assembles the runnable pipeline this spec describes.
-// defaultWorkers applies when the spec does not override it.
-func (s StreamSpec) Build(defaultWorkers int) (*stream.Pipeline, error) {
+func (s StreamSpec) Build() (*stream.Pipeline, error) {
 	rate := s.Rate
 	if rate <= 0 {
 		rate = 400
@@ -90,10 +88,6 @@ func (s StreamSpec) Build(defaultWorkers int) (*stream.Pipeline, error) {
 	} else {
 		rf = workload.ConstantRate(rate)
 	}
-	workers := s.Workers
-	if workers == 0 {
-		workers = defaultWorkers
-	}
 	window := s.Window
 	if window <= 0 {
 		window = 10
@@ -104,7 +98,6 @@ func (s StreamSpec) Build(defaultWorkers int) (*stream.Pipeline, error) {
 		Window:     stream.Window{Size: window, Slide: s.Slide},
 		SLO:        stream.SLO{TargetRelErr: s.TargetRelErr, MaxLatency: s.MaxLatency},
 		Capacity:   s.Capacity,
-		Workers:    workers,
 		MaxWindows: s.MaxWindows,
 	}
 	switch s.App {
@@ -174,8 +167,7 @@ type streamEntry struct {
 // StreamSet runs and tracks continuous queries. All methods are safe
 // from any goroutine.
 type StreamSet struct {
-	workers int
-	max     int
+	max int
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -188,13 +180,12 @@ type StreamSet struct {
 }
 
 // NewStreamSet builds a registry. maxActive caps concurrently running
-// streams (default 8); workers is the default per-stream fold-pool
-// size.
-func NewStreamSet(maxActive, workers int) *StreamSet {
+// streams (default 8).
+func NewStreamSet(maxActive int) *StreamSet {
 	if maxActive <= 0 {
 		maxActive = 8
 	}
-	s := &StreamSet{workers: workers, max: maxActive, streams: make(map[string]*streamEntry)}
+	s := &StreamSet{max: maxActive, streams: make(map[string]*streamEntry)}
 	s.cond = sync.NewCond(&s.mu)
 	return s
 }
@@ -202,7 +193,7 @@ func NewStreamSet(maxActive, workers int) *StreamSet {
 // Open validates a spec and starts its pipeline on a fresh goroutine,
 // returning the stream id watchers poll.
 func (s *StreamSet) Open(spec StreamSpec) (string, error) {
-	p, err := spec.Build(s.workers)
+	p, err := spec.Build()
 	if err != nil {
 		return "", err
 	}
@@ -237,10 +228,18 @@ func (s *StreamSet) run(e *streamEntry, p *stream.Pipeline) {
 	defer s.wg.Done()
 	seq := 0
 	err := p.RunEach(func(r stream.WindowResult) error {
+		// The pipeline says which window is its last, so that frame is
+		// born terminal (done, final=true) and the status flips in the
+		// critical section that publishes it: a watcher sees the last
+		// data frame and the ending together or not at all.
+		status := StreamRunning
+		if r.Last {
+			status = StreamDone
+		}
 		// Encode the wire frame once, outside the lock (this pipeline
 		// goroutine is the stream's only frame producer); every watcher
 		// shares the buffer.
-		f := newWindowFrameEnc(wireWindow(seq, StreamRunning, r))
+		f := newWindowFrameEnc(wireWindow(seq, status, r))
 		s.mu.Lock()
 		if e.canceled || s.closed {
 			s.mu.Unlock()
@@ -249,6 +248,9 @@ func (s *StreamSet) run(e *streamEntry, p *stream.Pipeline) {
 		e.state.Windows = append(e.state.Windows, r)
 		e.frames = append(e.frames, f)
 		seq++
+		if r.Last {
+			s.end(e, StreamDone, "")
+		}
 		s.mu.Unlock()
 		s.cond.Broadcast()
 		return nil
@@ -256,34 +258,43 @@ func (s *StreamSet) run(e *streamEntry, p *stream.Pipeline) {
 	s.finish(e, err)
 }
 
-// finish publishes a stream's terminal status from its pipeline's
-// outcome and wakes the watchers.
+// end makes a running stream terminal and frees its slot. Callers hold
+// s.mu and broadcast after releasing it.
+func (s *StreamSet) end(e *streamEntry, status StreamStatus, errText string) {
+	e.state.Status = status
+	e.state.Err = errText
+	s.running--
+}
+
+// finish publishes the ending of a stream whose last window did not:
+// one stopped or failed mid-series, or one that drained without ever
+// opening a window.
 func (s *StreamSet) finish(e *streamEntry, err error) {
 	s.mu.Lock()
+	defer s.cond.Broadcast()
+	defer s.mu.Unlock()
+	if e.state.Status.Terminal() {
+		return // ended with its last window
+	}
 	switch {
 	case errors.Is(err, errStreamCanceled):
-		e.state.Status = StreamStopped
-		e.state.Err = errStreamCanceled.Error()
+		s.end(e, StreamStopped, errStreamCanceled.Error())
 	case err != nil:
-		e.state.Status = StreamFailed
-		e.state.Err = err.Error()
+		s.end(e, StreamFailed, err.Error())
 	default:
-		e.state.Status = StreamDone
+		s.end(e, StreamDone, "")
 	}
 	if n := len(e.frames); n > 0 {
-		// The last published frame carries the terminal status (and
-		// final=true for a normal drain), in the same critical section
-		// as the status flip, so watchers observe both or neither. It
-		// goes into a copy of the slice: a watcher may still be reading,
-		// outside the lock, the frames WatchFramesFrom handed it.
+		// The last published frame carries the terminal status, in the
+		// same critical section as the status flip, so watchers observe
+		// both or neither. It goes into a copy of the slice: a watcher
+		// may still be reading, outside the lock, the frames
+		// WatchFramesFrom handed it.
 		frames := make([]*encFrame, n)
 		copy(frames, e.frames)
 		frames[n-1] = restampWindowFrame(frames[n-1], e.state.Status)
 		e.frames = frames
 	}
-	s.running--
-	s.mu.Unlock()
-	s.cond.Broadcast()
 }
 
 // Stop requests a running stream's pipeline to end at its next window;

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 
 	"approxhadoop/internal/stream"
@@ -51,7 +53,7 @@ func watchAll(t *testing.T, s *StreamSet, id string, from int) ([]stream.WindowR
 // same spec — even in a fresh set, as after a daemon restart — replays
 // a byte-identical series.
 func TestStreamSetWatchAndResume(t *testing.T) {
-	s := NewStreamSet(4, 2)
+	s := NewStreamSet(4)
 	defer s.Close()
 	id, err := s.Open(tinyStreamSpec(11))
 	if err != nil {
@@ -81,7 +83,7 @@ func TestStreamSetWatchAndResume(t *testing.T) {
 
 	// Replay-from-spec: a second set (a restarted daemon) re-emits the
 	// identical series.
-	s2 := NewStreamSet(4, 7)
+	s2 := NewStreamSet(4)
 	defer s2.Close()
 	id2, err := s2.Open(tinyStreamSpec(11))
 	if err != nil {
@@ -96,7 +98,7 @@ func TestStreamSetWatchAndResume(t *testing.T) {
 // TestStreamSetValidation: broken specs are rejected at Open, not at
 // first window.
 func TestStreamSetValidation(t *testing.T) {
-	s := NewStreamSet(2, 1)
+	s := NewStreamSet(2)
 	defer s.Close()
 	if _, err := s.Open(StreamSpec{App: "no-such-app"}); err == nil {
 		t.Errorf("unknown app accepted")
@@ -209,7 +211,7 @@ func watchHTTP(t *testing.T, srv *httptest.Server, id string, from int) []WireWi
 // them), so under -race an in-place restamp is reported however the
 // goroutines are scheduled; without -race the pointer check catches it.
 func TestStreamTerminalFrameLeavesSnapshotsAlone(t *testing.T) {
-	s := NewStreamSet(1, 1)
+	s := NewStreamSet(1)
 	defer s.Close()
 	const id = "stream-0000"
 	e := &streamEntry{state: &StreamState{ID: id, Status: StreamRunning}}
@@ -243,4 +245,105 @@ func TestStreamTerminalFrameLeavesSnapshotsAlone(t *testing.T) {
 	if ww := fresh[0].src.(*WireWindow); !ww.Final || ww.Status != StreamDone || ww.Seq != 2 {
 		t.Errorf("terminal frame %+v; want seq 2, done, final", ww)
 	}
+}
+
+// runSource adapts a function to stream.Source.
+type runSource func(fn func(t float64, line []byte) error) error
+
+func (s runSource) Run(fn func(t float64, line []byte) error) error { return s(fn) }
+
+// checkWatchReturn is the watch contract of a stream that ends by
+// itself: a WatchFramesFrom return is terminal exactly when its last
+// fresh frame is the final one, so no watcher is ever left between
+// "last data frame" and "ended".
+func checkWatchReturn(t *testing.T, who string, fresh []*encFrame, status StreamStatus) {
+	t.Helper()
+	final := len(fresh) > 0 && fresh[len(fresh)-1].src.(*WireWindow).Final
+	if status.Terminal() != final {
+		t.Errorf("%s: %d fresh frames, status %s, last frame final = %v", who, len(fresh), status, final)
+	}
+	for _, f := range fresh[:max(len(fresh)-1, 0)] {
+		if ww := f.src.(*WireWindow); ww.Final || ww.Status != StreamRunning {
+			t.Errorf("%s: frame %d of a longer series is stamped %s, final %v", who, ww.Seq, ww.Status, ww.Final)
+		}
+	}
+}
+
+// TestStreamWatchEndsWithItsLastFrame holds every WatchFramesFrom
+// return to checkWatchReturn. First with a watcher that cannot be
+// lucky: it reads on the pipeline's own goroutine, straight after every
+// record, so it sees the window that spends the budget the moment it is
+// published and before run can do anything else. Then with free-running
+// watchers racing a stream that spends a window budget and one that
+// drains its source.
+func TestStreamWatchEndsWithItsLastFrame(t *testing.T) {
+	s := NewStreamSet(4)
+	defer s.Close()
+	const id = "stream-by-hand"
+	e := &streamEntry{state: &StreamState{ID: id, Status: StreamRunning}}
+	s.streams[id] = e
+	s.running = 1
+	cursor, ended := 0, false
+	watch := func() {
+		if st, _ := s.Info(id); ended || (len(st.Windows) == cursor && !st.Status.Terminal()) {
+			return // a real watcher would be parked, or gone
+		}
+		fresh, status, next, err := s.WatchFramesFrom(id, cursor, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWatchReturn(t, "in-line watcher", fresh, status)
+		cursor, ended = next, status.Terminal()
+	}
+	p := &stream.Pipeline{
+		Query: stream.Query{
+			Op:       stream.OpCount,
+			Stratify: func(line []byte) []byte { return line },
+			Window:   stream.Window{Size: 1},
+		},
+		Source: runSource(func(fn func(t float64, line []byte) error) error {
+			for i := 0; ; i++ {
+				err := fn(float64(i)/4, []byte("x"))
+				watch()
+				if err != nil {
+					return err
+				}
+			}
+		}),
+		MaxWindows: 5,
+	}
+	s.wg.Add(1)
+	s.run(e, p)
+	watch()
+	if !ended || cursor != 5 {
+		t.Errorf("in-line watcher: ended = %v after %d frames; want the 5th frame to end it", ended, cursor)
+	}
+
+	drained := tinyStreamSpec(3)
+	drained.MaxWindows = 0
+	var wg sync.WaitGroup
+	for _, spec := range []StreamSpec{tinyStreamSpec(3), drained} {
+		id, err := s.Open(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < 3; w++ {
+			wg.Add(1)
+			go func(who string) {
+				defer wg.Done()
+				for cursor := 0; ; {
+					fresh, status, next, err := s.WatchFramesFrom(id, cursor, 0)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					checkWatchReturn(t, who, fresh, status)
+					if cursor = next; status.Terminal() {
+						return
+					}
+				}
+			}(fmt.Sprintf("%s watcher %d", id, w))
+		}
+	}
+	wg.Wait()
 }

@@ -194,86 +194,3 @@ func (p *futurePool) close() {
 	p.work.Broadcast()
 	p.wg.Wait()
 }
-
-// ComputePool is the compute-plane worker pool for subsystems outside
-// the batch tracker (the streaming plane's per-shard reservoir folds)
-// that follow the same two-plane contract: a single-threaded scheduler
-// decides batches of pure, disjoint-state tasks, runs them through the
-// pool, and applies the outcomes in decide order so the worker count is
-// byte-invisible in every result. Workers start lazily on the first
-// parallel batch and exit when the pool is closed.
-type ComputePool struct {
-	workers int
-	once    sync.Once
-	jobs    chan func()
-	wg      sync.WaitGroup
-	closed  bool
-}
-
-// NewComputePool sizes a pool; workers <= 0 means GOMAXPROCS and
-// workers == 1 executes everything inline on the caller's goroutine.
-func NewComputePool(workers int) *ComputePool {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &ComputePool{workers: workers}
-}
-
-// start spins up the worker goroutines (called once, lazily).
-func (p *ComputePool) start() {
-	p.jobs = make(chan func(), p.workers)
-	for i := 0; i < p.workers; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for f := range p.jobs {
-				f()
-			}
-		}()
-	}
-}
-
-// Run executes every task and returns when all have finished.
-// Single-worker pools, single-task batches, and closed pools all
-// resolve inline on the caller's goroutine; otherwise tasks fan out
-// across the persistent workers. Tasks must be independent: no two may
-// touch the same state, and none may call back into the pool. Results
-// must be gathered by the caller in a deterministic order of its own
-// (never completion order).
-func (p *ComputePool) Run(tasks []func()) {
-	if len(tasks) == 0 {
-		return
-	}
-	if p.workers <= 1 || len(tasks) == 1 || p.closed {
-		for _, f := range tasks {
-			f()
-		}
-		return
-	}
-	p.once.Do(p.start)
-	var wg sync.WaitGroup
-	wg.Add(len(tasks))
-	for _, f := range tasks {
-		f := f
-		p.jobs <- func() {
-			defer wg.Done()
-			f()
-		}
-	}
-	wg.Wait()
-}
-
-// Workers reports the resolved pool size.
-func (p *ComputePool) Workers() int { return p.workers }
-
-// Close shuts the workers down; later Run calls execute inline.
-func (p *ComputePool) Close() {
-	if p.closed {
-		return
-	}
-	p.closed = true
-	if p.jobs != nil {
-		close(p.jobs)
-		p.wg.Wait()
-	}
-}

@@ -115,14 +115,30 @@ func TestSourceResumesOnEveryBoundary(t *testing.T) {
 	}
 }
 
+// TestSourceReseedRestartsStream: a source re-seeded after k draws —
+// the stream plane re-seeds the one a closed window's reservoir left
+// behind — yields the stream of a new one, whichever of the lazy pass's
+// batch-of-16 builds the earlier draws had reached.
 func TestSourceReseedRestartsStream(t *testing.T) {
-	for _, n := range []int{0, 1, 63, 64, 65, 200, 333, 334, 335, 607, 1000} {
+	for _, n := range []int{0, 1, 15, 16, 17, 63, 64, 65, 200, 333, 334, 335, 607, 1000, 2000} {
 		got := newSource(99)
 		for i := 0; i < n; i++ {
 			got.Uint64()
 		}
 		got.Seed(-12345)
 		sameDraws(t, got, mathRand(-12345), 1500, fmt.Sprintf("reseeded after %d draws", n))
+
+		// And through *rand.Rand, as the reservoir holds it.
+		r, fresh := NewRand(99), NewRand(4242)
+		for i := 0; i < n; i++ {
+			r.Int63n(int64(i) + 70)
+		}
+		r.Seed(4242)
+		for i := 1; i <= 700; i++ {
+			if g, w := r.Int63n(int64(i)+8), fresh.Int63n(int64(i)+8); g != w {
+				t.Fatalf("Rand reseeded after %d draws, draw %d: Int63n = %d, NewRand(4242) %d", n, i, g, w)
+			}
+		}
 	}
 }
 
@@ -186,11 +202,14 @@ func TestNewRandIsTheSource(t *testing.T) {
 
 func FuzzSourceMatchesMathRand(f *testing.F) {
 	for i, seed := range edgeSeeds {
-		f.Add(seed, uint16(i*97))
+		f.Add(seed, uint16(i*97), edgeSeeds[len(edgeSeeds)-1-i])
 	}
-	f.Add(int64(1), uint16(334))
-	f.Add(int64(7), uint16(65535))
-	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
-		sameDraws(t, newSource(seed), mathRand(seed), int(draws)+1, fmt.Sprint("seed ", seed))
+	f.Add(int64(1), uint16(334), int64(7))
+	f.Add(int64(7), uint16(65535), int64(1))
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16, reseed int64) {
+		s := newSource(seed)
+		sameDraws(t, s, mathRand(seed), int(draws)+1, fmt.Sprint("seed ", seed))
+		s.Seed(reseed)
+		sameDraws(t, s, mathRand(reseed), int(draws)%1300+1, fmt.Sprintf("seed %d reseeded to %d after %d draws", seed, reseed, int(draws)+1))
 	})
 }

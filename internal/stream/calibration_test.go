@@ -90,7 +90,6 @@ func TestWindowCICalibrationSum(t *testing.T) {
 				Query:      qq,
 				Source:     workload.StreamFrom(gen.File("cal"), workload.StreamOptions{Rate: workload.DiurnalRate(400, 0.5, 60), Seed: seed}),
 				Controller: ctrl,
-				Workers:    1,
 			}
 		}
 		truth := exactTwin(t, mk)
@@ -139,7 +138,6 @@ func TestWindowCICalibrationDegraded(t *testing.T) {
 				Query:      qq,
 				Source:     workload.StreamFrom(web.File("cal"), workload.StreamOptions{Rate: workload.DiurnalRate(500, 0.5, 60), Seed: seed}),
 				Controller: ctrl,
-				Workers:    1,
 			}
 		}
 		truth := exactTwin(t, mk)

@@ -23,10 +23,9 @@ package stream
 import "math"
 
 // Cost is the analytic per-window latency model, in seconds. Modeled
-// — not measured — latency keeps the series independent of the worker
-// count and the wall clock while still scaling with exactly the work
-// a real ingest loop would do; the same philosophy as the batch
-// plane's AnalyticCost.
+// — not measured — latency keeps the series independent of the wall
+// clock while still scaling with exactly the work a real ingest loop
+// would do; the same philosophy as the batch plane's AnalyticCost.
 type Cost struct {
 	Base    float64 // fixed per-window close overhead
 	Route   float64 // per record routed (stratify, hash, batch)

@@ -19,7 +19,7 @@ import "approxhadoop/internal/stats"
 // strata and returns the op's estimate plus whether it is exact
 // (nothing shed, every stratum fully enumerated).
 func estimateWindow(op Op, strata []*stratumState, conf float64) (stats.Estimate, bool) {
-	ts := stats.TwoStage{N: int64(len(strata))}
+	ts := stats.TwoStage{N: int64(len(strata)), Clusters: make([]stats.ClusterSample, 0, len(strata))}
 	exact := true
 	for _, s := range strata {
 		if s.shed {

@@ -1,33 +1,19 @@
-// Pipeline execution: the router/scheduler plane of the stream.
-//
-// All window lifecycle decisions — opening windows (snapshotting the
-// controller's plan), flushing batches, closing windows, feeding the
-// controller — happen on the single goroutine driving Run. The only
-// concurrent code is shard.foldBatch, a pure compute task over state
-// no other shard touches, dispatched through mapreduce.ComputePool and
-// gathered back in shard order. That separation is what makes
-// Pipeline.Workers byte-invisible in the emitted series.
+// Pipeline execution. The goroutine driving Run does all of it: a
+// record is stratified, hashed, folded into the strata of every window
+// that contains it, and — when its timestamp moves the watermark —
+// closes the windows that have ended, feeds the controller and opens
+// the next ones under the controller's plan. Nothing sits between a
+// record and its reservoir: the value is parsed from the source's own
+// line, and only when the reservoir admits the record.
 package stream
 
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
-
-	"approxhadoop/internal/mapreduce"
+	"strings"
 )
-
-// flushBudget bounds the bytes (plus a fixed per-event charge) batched
-// between fold flushes. It only affects wall-clock batching, never the
-// series: fold order within a stratum is record order regardless of
-// where flush boundaries fall, and the boundaries themselves are a
-// deterministic function of the record sizes.
-const flushBudget = 1 << 20
-
-// eventOverhead is the per-event charge against flushBudget, so
-// count-style queries that batch no line bytes still flush regularly.
-const eventOverhead = 48
 
 // errStopIngest stops the source cleanly once MaxWindows have closed.
 var errStopIngest = errors.New("stream: window budget reached")
@@ -36,10 +22,6 @@ var errStopIngest = errors.New("stream: window budget reached")
 type Pipeline struct {
 	Query  Query
 	Source Source
-
-	// Workers sizes the compute pool for reservoir folds (0 =
-	// GOMAXPROCS, 1 = inline). Never part of the query identity.
-	Workers int
 
 	// Controller, when set, retunes each window's PlanSpec from the
 	// previous window's realized error and modeled latency. Nil runs
@@ -54,18 +36,7 @@ type Pipeline struct {
 	MaxWindows int
 }
 
-// event is one routed record awaiting fold: offsets into the owning
-// shard's byte arena instead of slices, so a batch is two flat
-// allocations however many records it holds.
-type event struct {
-	t                float64
-	key              uint64
-	nameOff, nameLen int32
-	lineOff, lineLen int32
-}
-
-// stratumState is the per-(window, stratum) fold state. It lives in
-// exactly one shard.
+// stratumState is the per-(window, stratum) fold state.
 type stratumState struct {
 	name     string
 	count    int64 // records observed (M_h)
@@ -74,120 +45,45 @@ type stratumState struct {
 	admitted int64      // reservoir admissions (value parses)
 }
 
-// winShard is one window's strata within one shard.
-type winShard struct {
-	strata map[uint64]*stratumState
+// window is one open window: the plan it was opened under and its
+// strata, in a table indexed by bucket when the query buckets and keyed
+// by stratum hash otherwise. Either is made by the window's first
+// record, so a window a rate trough skips costs its plan and no more.
+type window struct {
+	index  int64
+	plan   PlanSpec
+	dense  []*stratumState
+	sparse map[uint64]*stratumState
 }
 
-// shard owns a disjoint set of strata (stratum key mod Shards). The
-// router fills buf/evs; foldBatch consumes them on the compute plane;
-// win/plans are written by the router only between fold batches.
-type shard struct {
-	cfg *foldConfig
-
-	buf []byte
-	evs []event
-
-	win   map[int64]*winShard
-	plans map[int64]PlanSpec
-}
-
-// foldConfig is the read-only query excerpt the compute plane sees.
-type foldConfig struct {
-	op          Op
-	seed        int64
-	size, slide float64
-	bucketed    bool
-
-	//approx:pure
-	value func(line []byte) (float64, bool)
-}
-
-// newStratum materializes fold state for a stratum first seen in
-// window k, applying the window's plan: the shedding coin and the
-// reservoir seed are pure functions of (seed, window, stratum), so
-// the outcome is identical no matter when or where the stratum shows
-// up.
-func (s *shard) newStratum(k int64, ev *event) *stratumState {
-	st := &stratumState{}
-	if s.cfg.bucketed {
-		st.name = string(strconv.AppendUint([]byte("b"), ev.key, 10))
-	} else {
-		st.name = string(s.buf[ev.nameOff : ev.nameOff+ev.nameLen])
+// find returns the window's state for a stratum key, nil before the
+// stratum's first record.
+func (w *window) find(key uint64) *stratumState {
+	if w.dense != nil {
+		return w.dense[key]
 	}
-	plan := s.plans[k]
-	if plan.KeepFrac < 1 && keepCoin(s.cfg.seed, k, ev.key) >= plan.KeepFrac {
-		st.shed = true
-		return st
-	}
-	if s.cfg.op != OpCount {
-		st.res = newReservoir(plan.Capacity, stratumSeed(s.cfg.seed, k, ev.key))
-	}
-	return st
+	return w.sparse[key]
 }
 
-// foldBatch folds every batched event into its windows' strata:
-// bump the stratum count, offer the record to the reservoir, parse the
-// value only on admission. Pure compute over shard-private state; runs
-// on pool workers.
-//
-//approx:compute
-func (s *shard) foldBatch() {
-	cfg := s.cfg
-	for i := range s.evs {
-		ev := &s.evs[i]
-		kHi := int64(math.Floor(ev.t / cfg.slide))
-		kLo := int64(math.Floor((ev.t-cfg.size)/cfg.slide)) + 1
-		if kLo < 0 {
-			kLo = 0
-		}
-		for k := kLo; k <= kHi; k++ {
-			ws := s.win[k]
-			if ws == nil {
-				ws = &winShard{strata: make(map[uint64]*stratumState)}
-				s.win[k] = ws
-			}
-			st := ws.strata[ev.key]
-			if st == nil {
-				st = s.newStratum(k, ev)
-				ws.strata[ev.key] = st
-			}
-			st.count++
-			if st.shed || st.res == nil {
-				continue
-			}
-			slot := st.res.admit()
-			if slot < 0 {
-				continue
-			}
-			v, ok := cfg.value(s.buf[ev.lineOff : ev.lineOff+ev.lineLen])
-			if !ok {
-				v = 0
-			}
-			st.res.vals[slot] = v
-			st.admitted++
-		}
-	}
-	s.buf = s.buf[:0]
-	s.evs = s.evs[:0]
-}
-
-// runState is the router's mutable state for one Run.
+// runState is the mutable state of one Run.
 type runState struct {
-	q      Query
-	shards []*shard
-	pool   *mapreduce.ComputePool
-	ctrl   *Controller
-	cost   Cost
+	q    Query
+	ctrl *Controller
+	cost Cost
 
-	plan     PlanSpec           // applied to windows opened from now on
-	winPlans map[int64]PlanSpec // plan each open window runs under
+	plan PlanSpec // applied to windows opened from now on
 
+	// open holds windows nextClose..maxOpened in index order: window k
+	// is open[k-nextClose].
+	open       []*window
 	maxOpened  int64 // highest window index opened
 	nextClose  int64 // next window index to close
 	closed     int
 	maxWindows int
-	batched    int
+
+	names   []string        // bucket labels, each made on first use
+	free    []*reservoir    // reservoirs of closed windows, for reuse
+	scratch []*stratumState // closeWindow's sort buffer
 
 	emit func(WindowResult) error
 }
@@ -206,46 +102,9 @@ func (p *Pipeline) Run() ([]WindowResult, error) {
 // RunEach executes the pipeline, invoking fn once per closed window in
 // index order. fn errors abort the stream and are returned verbatim.
 func (p *Pipeline) RunEach(fn func(WindowResult) error) error {
-	q, err := p.Query.normalized()
+	st, err := p.start(fn)
 	if err != nil {
 		return err
-	}
-	if p.Source == nil {
-		return errors.New("stream: pipeline needs a Source")
-	}
-	cost := p.Cost.normalized()
-	plan := PlanSpec{Capacity: q.Capacity, KeepFrac: 1}
-	ctrl := p.Controller
-	if ctrl != nil {
-		plan = ctrl.init(q, cost)
-	}
-	cfg := &foldConfig{
-		op:       q.Op,
-		seed:     q.Seed,
-		size:     q.Window.Size,
-		slide:    q.Window.Slide,
-		bucketed: q.Buckets > 0,
-		value:    q.Value,
-	}
-	st := &runState{
-		q:          q,
-		shards:     make([]*shard, q.Shards),
-		pool:       mapreduce.NewComputePool(p.Workers),
-		ctrl:       ctrl,
-		cost:       cost,
-		plan:       plan,
-		winPlans:   make(map[int64]PlanSpec),
-		maxOpened:  -1,
-		maxWindows: p.MaxWindows,
-		emit:       fn,
-	}
-	defer st.pool.Close()
-	for i := range st.shards {
-		st.shards[i] = &shard{
-			cfg:   cfg,
-			win:   make(map[int64]*winShard),
-			plans: make(map[int64]PlanSpec),
-		}
 	}
 	err = p.Source.Run(st.ingest)
 	if err != nil {
@@ -254,24 +113,50 @@ func (p *Pipeline) RunEach(fn func(WindowResult) error) error {
 		}
 		return err
 	}
-	// Source drained: flush the tail and close every open window as
-	// partial (cut by stream end rather than the watermark).
-	st.flush()
-	for k := st.nextClose; k <= st.maxOpened; k++ {
+	// Source drained: close every open window as partial (cut by stream
+	// end rather than the watermark).
+	for _, w := range st.open {
 		if st.maxWindows > 0 && st.closed >= st.maxWindows {
 			break
 		}
-		if err := st.closeWindow(k, true); err != nil {
+		if err := st.closeWindow(w, true); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ingest routes one record: stratify, hash to a stratum key, advance
-// the watermark (flushing and closing windows whose end has passed),
-// and batch the event into its stratum's shard. This is the per-record
-// hot loop of the plane.
+// start validates the pipeline and builds the state of one run, no
+// window open yet.
+func (p *Pipeline) start(emit func(WindowResult) error) (*runState, error) {
+	q, err := p.Query.normalized()
+	if err != nil {
+		return nil, err
+	}
+	if p.Source == nil {
+		return nil, errors.New("stream: pipeline needs a Source")
+	}
+	st := &runState{
+		q:          q,
+		ctrl:       p.Controller,
+		cost:       p.Cost.normalized(),
+		plan:       PlanSpec{Capacity: q.Capacity, KeepFrac: 1},
+		maxOpened:  -1,
+		maxWindows: p.MaxWindows,
+		emit:       emit,
+	}
+	if st.ctrl != nil {
+		st.plan = st.ctrl.init(q, st.cost)
+	}
+	return st, nil
+}
+
+// ingest folds one record: stratify, hash to a stratum key, advance the
+// watermark when the record opens a window, then for every window that
+// contains it bump the stratum's count, offer the record to the
+// reservoir and parse its value only on admission. Folds within a
+// stratum happen in arrival order, which is all a reservoir's draws
+// depend on. This is the per-record hot loop of the plane.
 //
 //approx:hotpath
 func (st *runState) ingest(t float64, line []byte) error {
@@ -289,30 +174,82 @@ func (st *runState) ingest(t float64, line []byte) error {
 			return err
 		}
 	}
-	sh := st.shards[key%uint64(len(st.shards))]
-	ev := event{t: t, key: key}
-	if st.q.Buckets == 0 {
-		ev.nameOff = int32(len(sh.buf))
-		ev.nameLen = int32(len(strat))
-		sh.buf = append(sh.buf, strat...)
+	// Time does not run backwards, so the windows before nextClose —
+	// the negative indexes of a stream's first Size seconds among them
+	// — are ones the record is no longer or never part of.
+	kLo := int64(math.Floor((t-st.q.Window.Size)/st.q.Window.Slide)) + 1
+	if kLo < st.nextClose {
+		kLo = st.nextClose
 	}
-	if st.q.Op != OpCount {
-		ev.lineOff = int32(len(sh.buf))
-		ev.lineLen = int32(len(line))
-		sh.buf = append(sh.buf, line...)
-	}
-	sh.evs = append(sh.evs, ev)
-	st.batched += int(ev.nameLen) + int(ev.lineLen) + eventOverhead
-	if st.batched >= flushBudget {
-		st.flush()
+	for k := kLo; k <= kHi; k++ {
+		w := st.open[k-st.nextClose]
+		s := w.find(key)
+		if s == nil {
+			s = st.newStratum(w, key, strat)
+		}
+		s.count++
+		if s.res == nil {
+			continue
+		}
+		slot := s.res.admit()
+		if slot < 0 {
+			continue
+		}
+		v, ok := st.q.Value(line)
+		if !ok {
+			v = 0
+		}
+		s.res.vals[slot] = v
+		s.admitted++
 	}
 	return nil
 }
 
+// newStratum materializes fold state for a stratum first seen in window
+// w, applying the window's plan: the shedding coin and the reservoir
+// seed are pure functions of (seed, window, stratum), so the outcome is
+// identical no matter when the stratum shows up. Everything the fold
+// allocates, it allocates here — per stratum, not per record.
+func (st *runState) newStratum(w *window, key uint64, strat []byte) *stratumState {
+	s := &stratumState{}
+	if st.q.Buckets > 0 {
+		if w.dense == nil {
+			w.dense = make([]*stratumState, st.q.Buckets)
+		}
+		w.dense[key] = s
+		if st.names == nil {
+			st.names = make([]string, st.q.Buckets)
+		}
+		if st.names[key] == "" {
+			st.names[key] = "b" + strconv.FormatUint(key, 10)
+		}
+		s.name = st.names[key]
+	} else {
+		if w.sparse == nil {
+			w.sparse = make(map[uint64]*stratumState)
+		}
+		w.sparse[key] = s
+		s.name = string(strat)
+	}
+	if w.plan.KeepFrac < 1 && keepCoin(st.q.Seed, w.index, key) >= w.plan.KeepFrac {
+		s.shed = true
+		return s
+	}
+	if st.q.Op != OpCount {
+		seed := stratumSeed(st.q.Seed, w.index, key)
+		if n := len(st.free); n > 0 {
+			s.res, st.free = st.free[n-1], st.free[:n-1]
+			s.res.reset(w.plan.Capacity, seed)
+		} else {
+			s.res = newReservoir(w.plan.Capacity, seed)
+		}
+	}
+	return s
+}
+
 // advance moves the watermark to kHi: closes every window whose end
-// time has passed (flushing batched folds first so their state is
-// complete) and opens the new windows under the controller's current
-// plan.
+// time has passed and opens the new windows under the controller's
+// current plan.
 func (st *runState) advance(t float64, kHi int64) error {
 	closeThrough := int64(math.Floor((t - st.q.Window.Size) / st.q.Window.Slide))
 	if closeThrough > st.maxOpened {
@@ -321,82 +258,61 @@ func (st *runState) advance(t float64, kHi int64) error {
 		// the series stays gap-free.
 		st.openThrough(closeThrough)
 	}
-	if st.nextClose <= closeThrough {
-		st.flush()
-		for k := st.nextClose; k <= closeThrough; k++ {
-			if err := st.closeWindow(k, false); err != nil {
+	if n := int(closeThrough - st.nextClose + 1); n > 0 {
+		for _, w := range st.open[:n] {
+			if err := st.closeWindow(w, false); err != nil {
 				return err
 			}
 			if st.maxWindows > 0 && st.closed >= st.maxWindows {
 				return errStopIngest
 			}
 		}
+		rest := copy(st.open, st.open[n:])
+		clear(st.open[rest:])
+		st.open = st.open[:rest]
 		st.nextClose = closeThrough + 1
 	}
 	st.openThrough(kHi)
 	return nil
 }
 
-// openThrough snapshots the current plan into every window up to and
-// including kHi. Fold tasks read the snapshot from their shard's plan
-// table, so a plan change mid-stream only ever affects windows opened
-// after it.
+// openThrough opens every window up to and including kHi under the
+// current plan. The snapshot lives on the window, so a plan change
+// mid-stream only ever affects windows opened after it.
 func (st *runState) openThrough(kHi int64) {
 	for k := st.maxOpened + 1; k <= kHi; k++ {
-		st.winPlans[k] = st.plan
-		for _, sh := range st.shards {
-			sh.plans[k] = st.plan
-		}
-	}
-	if kHi > st.maxOpened {
-		st.maxOpened = kHi
+		st.open = append(st.open, &window{index: k, plan: st.plan})
+		st.maxOpened = k
 	}
 }
 
-// flush runs the batched folds of every shard through the compute
-// pool. The router blocks until the batch completes, so shard state is
-// never touched concurrently.
-func (st *runState) flush() {
-	var tasks []func()
-	for _, sh := range st.shards {
-		if len(sh.evs) == 0 {
-			continue
+// closeWindow sorts the window's strata into a canonical order,
+// estimates, emits, feeds the controller, and hands the window's
+// reservoirs — value buffer and seeded source with them — to the
+// windows still to open.
+func (st *runState) closeWindow(w *window, partial bool) error {
+	strata := st.scratch[:0]
+	for _, s := range w.dense {
+		if s != nil {
+			strata = append(strata, s)
 		}
-		sh := sh
-		tasks = append(tasks, sh.foldBatch)
 	}
-	st.pool.Run(tasks)
-	st.batched = 0
-}
-
-// closeWindow gathers window k's strata from all shards, sorts them
-// into a canonical order, estimates, emits, and feeds the controller.
-func (st *runState) closeWindow(k int64, partial bool) error {
-	var strata []*stratumState
-	for _, sh := range st.shards {
-		if ws := sh.win[k]; ws != nil {
-			for _, s := range ws.strata {
-				strata = append(strata, s)
-			}
-			delete(sh.win, k)
-		}
-		delete(sh.plans, k)
+	for _, s := range w.sparse {
+		strata = append(strata, s)
 	}
-	sort.Slice(strata, func(i, j int) bool { return strata[i].name < strata[j].name })
-
-	plan := st.winPlans[k]
-	delete(st.winPlans, k)
-	if plan.Capacity == 0 {
-		plan = st.plan
-	}
+	st.scratch = strata
+	slices.SortFunc(strata, func(a, b *stratumState) int { return strings.Compare(a.name, b.name) })
 
 	res := WindowResult{
-		Index:   k,
-		Start:   float64(k) * st.q.Window.Slide,
-		End:     float64(k)*st.q.Window.Slide + st.q.Window.Size,
+		Index:   w.index,
+		Start:   float64(w.index) * st.q.Window.Slide,
+		End:     float64(w.index)*st.q.Window.Slide + st.q.Window.Size,
 		Strata:  len(strata),
-		Plan:    plan,
+		Plan:    w.plan,
 		Partial: partial,
+		// A drain's last window is the highest opened; a window budget's
+		// is the one that spends it.
+		Last: partial && w.index == st.maxOpened || st.closed+1 == st.maxWindows,
 	}
 	var parses int64
 	for _, s := range strata {
@@ -416,9 +332,14 @@ func (st *runState) closeWindow(k int64, partial bool) error {
 			parses += s.admitted
 		}
 	}
-	res.Degraded = plan.KeepFrac < 1
+	res.Degraded = w.plan.KeepFrac < 1
 	res.Latency = st.cost.Window(res.Records, res.Folded, parses, res.Processed)
 	res.Est, res.Exact = estimateWindow(st.q.Op, strata, st.q.SLO.Confidence)
+	for _, s := range strata {
+		if s.res != nil {
+			st.free = append(st.free, s.res)
+		}
+	}
 
 	if err := st.emit(res); err != nil {
 		return err

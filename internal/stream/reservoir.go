@@ -1,9 +1,8 @@
 // Deterministic seeded reservoirs: the second-stage unit sample of the
 // streaming plane. One reservoir exists per (window, stratum); its RNG
 // is seeded from (query seed, window index, stratum key), so the
-// admission sequence depends only on the stratum's record order —
-// which the shard-ownership rule makes deterministic — never on
-// scheduling.
+// admission sequence depends only on the stratum's record order — the
+// stream's arrival order, since one goroutine folds every record.
 package stream
 
 import (
@@ -20,32 +19,46 @@ import (
 type reservoir struct {
 	cap  int
 	seed int64
-	rng  *rand.Rand // nil until the first record past cap; most strata never get there
+	rng  *rand.Rand // made by the first record past cap; most strata never get there
 	vals []float64
 	seen int64
 }
 
 func newReservoir(capacity int, seed int64) *reservoir {
+	r := &reservoir{}
+	r.reset(capacity, seed)
+	return r
+}
+
+// reset readies a closed window's reservoir for another (window,
+// stratum): the value buffer and the source stay, so a stream's steady
+// state allocates neither again.
+func (r *reservoir) reset(capacity int, seed int64) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &reservoir{cap: capacity, seed: seed}
+	r.cap, r.seed, r.vals, r.seen = capacity, seed, r.vals[:0], 0
 }
 
 // admit registers one offered record and returns the slot its value
 // should be stored in, or -1 when the record is not sampled. Callers
 // parse the record's value only on admission, so a shrunken capacity
 // directly shrinks per-record work.
-//
-//approx:compute
 func (r *reservoir) admit() int {
 	r.seen++
 	if len(r.vals) < r.cap {
 		r.vals = append(r.vals, 0)
 		return len(r.vals) - 1
 	}
-	if r.rng == nil {
-		r.rng = stats.NewRand(r.seed)
+	if r.seen == int64(r.cap)+1 {
+		// The first draw. Re-seeding a source left by an earlier
+		// stratum is O(1) and restarts it on the stream a new one would
+		// yield (stats.NewRand).
+		if r.rng == nil {
+			r.rng = stats.NewRand(r.seed)
+		} else {
+			r.rng.Seed(r.seed)
+		}
 	}
 	j := r.rng.Int63n(r.seen)
 	if j < int64(r.cap) {

@@ -63,4 +63,30 @@ func TestReservoirDefersSource(t *testing.T) {
 	if under, over := int(testing.AllocsPerRun(100, offer(8))), int(testing.AllocsPerRun(100, offer(9))); under != 5 || over != 7 {
 		t.Errorf("allocations per stratum: %v at capacity, %v one past it; want 5 and 7", under, over)
 	}
+
+	// A reservoir a closed window left behind is reset, not rebuilt: it
+	// must admit the slots a new one would — its source re-seeded at the
+	// first draw, wherever the last stratum left it — and allocate
+	// nothing while it fits its old buffer.
+	used := newReservoir(8, 9)
+	for _, tc := range []struct {
+		cap, offered int
+		seed         int64
+	}{{8, 700, 9}, {8, 8, 10}, {4, 300, 11}, {8, 9, 12}, {8, 40, 9}} {
+		used.reset(tc.cap, tc.seed)
+		ref := &eagerAdmit{cap: tc.cap, rng: rand.New(rand.NewSource(tc.seed))}
+		for i := 1; i <= tc.offered; i++ {
+			if got, want := used.admit(), ref.admit(); got != want {
+				t.Fatalf("reset to cap %d seed %d, record %d: slot %d, eager reference %d", tc.cap, tc.seed, i, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		used.reset(8, 13)
+		for i := 0; i < 50; i++ {
+			used.admit()
+		}
+	}); n != 0 {
+		t.Errorf("a reset reservoir allocated %v times over 50 records, want 0", n)
+	}
 }

@@ -1,8 +1,8 @@
 // Byte-stable serialization of a window series. The TSV row is the
-// determinism contract's unit of account: the soak test and the CI
-// job compare these bytes across runs and worker counts, so every
-// float goes through strconv's shortest round-trip formatting and
-// nothing in a row depends on maps, pointers, or wall-clock state.
+// determinism contract's unit of account: the frozen-hash test and the
+// CI soak job compare these bytes across runs, so every float goes
+// through strconv's shortest round-trip formatting and nothing in a row
+// depends on maps, pointers, or wall-clock state.
 package stream
 
 import (

@@ -13,15 +13,14 @@
 // plane. At window close the strata fold into a stats.TwoStage sample
 // and the window's estimate ships with a t-based confidence interval.
 //
-// Execution follows the repo's two-plane contract (see
-// internal/mapreduce/pool.go): a single-threaded router assigns each
-// record to its stratum's shard, and batches of per-shard reservoir
-// folds — pure, disjoint-state compute — run on a mapreduce.ComputePool.
-// A stratum is wholly owned by one shard and the shard count is part
-// of the query (never derived from Workers), so reservoir RNG draws
-// happen in record order regardless of pool size: the same (query,
-// seed, rate trace) yields a byte-identical window series for any
-// worker count.
+// Execution is one goroutine per stream, the one driving Run: it folds
+// each record into its windows' reservoirs where it routes it, in
+// arrival order, and closes windows as the watermark passes them.
+// Every reservoir and shedding coin is seeded from (query seed, window,
+// stratum) and a window's plan is snapshotted when it opens, so the
+// same (query, seed, rate trace) yields a byte-identical window series
+// on every run. Parallelism lives one level up: independent streams run
+// side by side (jobserver.StreamSet).
 //
 // Feedback closes the loop per window (EARL's expansion loop, turned
 // streaming): the realized error and modeled latency of window w
@@ -85,9 +84,9 @@ type SLO struct {
 	Confidence float64
 }
 
-// Query is a continuous windowed aggregation. Shards, Buckets, Seed
-// and Capacity are part of the query's identity: changing any of them
-// changes the emitted series, while Pipeline.Workers never does.
+// Query is a continuous windowed aggregation. Buckets, Seed and
+// Capacity are part of the query's identity: changing any of them
+// changes the emitted series.
 type Query struct {
 	Name string
 	Op   Op
@@ -95,8 +94,8 @@ type Query struct {
 	// Stratify extracts the stratum (substream) label from a record.
 	// Returning nil drops the record as unparseable. The returned
 	// slice is read before the next record; subslices of line are fine.
-	// Runs on the router goroutine, but must stay pure: it is part of
-	// the query's deterministic identity.
+	// Runs on the pipeline's goroutine, once per record, and must stay
+	// pure: it is part of the query's deterministic identity.
 	//
 	//approx:pure
 	Stratify func(line []byte) []byte
@@ -104,7 +103,8 @@ type Query struct {
 	// Value extracts the aggregated value from a record (unused by
 	// OpCount). ok=false folds the record as an implicit zero, the
 	// estimator's single assumption about malformed values. Runs on
-	// compute-plane workers.
+	// the pipeline's goroutine, on the line Stratify just saw, and only
+	// for records a reservoir admits; pure like Stratify.
 	//
 	//approx:pure
 	Value func(line []byte) (float64, bool)
@@ -114,13 +114,9 @@ type Query struct {
 
 	// Buckets > 0 hashes strata into this many fixed buckets —
 	// StreamApprox's bounded substream set for high-cardinality keys
-	// (e.g. clients). 0 keeps natural strata.
+	// (e.g. clients) — and sizes a table of that many entries per open
+	// window. 0 keeps natural strata.
 	Buckets int
-
-	// Shards is the number of compute shards strata are hashed onto.
-	// Fixed per query (default 16); deliberately independent of the
-	// worker count.
-	Shards int
 
 	// Capacity is the initial per-(window, stratum) reservoir size
 	// (default 64). The controller retunes it per window.
@@ -147,9 +143,6 @@ func (q Query) normalized() (Query, error) {
 	}
 	if q.Op != OpCount && q.Value == nil {
 		return q, fmt.Errorf("stream: op %v needs Value", q.Op)
-	}
-	if q.Shards <= 0 {
-		q.Shards = 16
 	}
 	if q.Capacity <= 0 {
 		q.Capacity = 64
@@ -194,10 +187,14 @@ type WindowResult struct {
 	Plan     PlanSpec // the plan this window ran under
 	Degraded bool     // plan shed strata (KeepFrac < 1)
 	Partial  bool     // closed by stream end, not by the watermark
+	// Last marks the window the pipeline emits last: the highest one a
+	// drained source left open, or the one that spends MaxWindows. It
+	// is about the run, not the window, and no SeriesBytes column.
+	Last bool
 
 	// Latency is the modeled processing time of the window (seconds)
 	// under the pipeline's Cost; a pure function of the counts above,
-	// so it is identical for any worker count.
+	// never of the wall clock.
 	Latency float64
 
 	Est   stats.Estimate // windowed multi-stage estimate with CI

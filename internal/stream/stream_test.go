@@ -1,11 +1,13 @@
 package stream_test
 
 import (
-	"bytes"
+	"io"
 	"math"
+	"runtime"
 	"testing"
 
 	"approxhadoop/internal/apps"
+	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/stream"
 	"approxhadoop/internal/workload"
 )
@@ -36,32 +38,6 @@ func mustRun(t *testing.T, p *stream.Pipeline) []stream.WindowResult {
 		t.Fatalf("pipeline emitted no windows")
 	}
 	return series
-}
-
-// TestSeriesDeterministicAcrossWorkers is the plane's core contract:
-// the same (query, seed, rate trace) must produce a byte-identical
-// window series whatever the fold pool size, and across repeat runs.
-func TestSeriesDeterministicAcrossWorkers(t *testing.T) {
-	render := func(workers int) []byte {
-		opts := apps.StreamOptions{
-			Seed:       7,
-			Rate:       workload.DiurnalRate(500, 0.5, 90),
-			Window:     stream.Window{Size: 8},
-			SLO:        stream.SLO{TargetRelErr: 0.05, MaxLatency: 0.25},
-			Workers:    workers,
-			MaxWindows: 12,
-		}
-		return stream.SeriesBytes(mustRun(t, apps.WebBytesStream(smallWeb(), opts)))
-	}
-	base := render(1)
-	for _, workers := range []int{2, 4, 7} {
-		if got := render(workers); !bytes.Equal(got, base) {
-			t.Errorf("series differs between Workers=1 and Workers=%d:\n%s\nvs\n%s", workers, base, got)
-		}
-	}
-	if again := render(1); !bytes.Equal(again, base) {
-		t.Errorf("series differs between two identical runs")
-	}
 }
 
 // TestTumblingWindows checks window accounting: contiguous indexes,
@@ -262,4 +238,62 @@ func TestQueryValidation(t *testing.T) {
 	if _, err := (&stream.Pipeline{Query: cases[0]}).Run(); err == nil {
 		t.Errorf("missing source accepted")
 	}
+}
+
+// BenchmarkStreamIngest is what a record costs the plane: the web-bytes
+// query under an error and latency SLO over an in-memory log of 64 000
+// lines, and beside it the source alone (line scan, arrival draw, rate
+// curve), which the pipeline's figure includes.
+func BenchmarkStreamIngest(b *testing.B) {
+	gen := smallWeb()
+	gen.Blocks = 8
+	file := gen.File("bench-web")
+	var records int
+	for i, blk := range file.Blocks {
+		rc := blk.Open()
+		data, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		file.Blocks[i] = dfs.NewByteBlock(file.Name, i, data, blk.Items)
+		records += int(blk.Items)
+	}
+	opts := apps.StreamOptions{
+		Seed:   3,
+		Rate:   workload.DiurnalRate(4000, 0.5, 120),
+		Window: stream.Window{Size: 2},
+		SLO:    stream.SLO{TargetRelErr: 0.10, MaxLatency: 0.8},
+	}
+	source := func() stream.Source {
+		return workload.StreamFrom(file, workload.StreamOptions{Rate: opts.Rate, Seed: opts.Seed})
+	}
+	perRecord := func(b *testing.B, run func() error) {
+		b.ReportAllocs()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		n := float64(b.N) * float64(records)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
+		b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/n, "B/record")
+	}
+	b.Run("pipeline", func(b *testing.B) {
+		perRecord(b, func() error {
+			p := apps.WebBytesStream(gen, opts)
+			p.Source = source()
+			return p.RunEach(func(stream.WindowResult) error { return nil })
+		})
+	})
+	b.Run("source", func(b *testing.B) {
+		perRecord(b, func() error {
+			return source().Run(func(float64, []byte) error { return nil })
+		})
+	})
 }

@@ -1,6 +1,10 @@
 package workload
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"approxhadoop/internal/zerocopy"
+)
 
 // The log parsers cut a line with two functions, cutField and cutInt,
 // that work eight bytes at a time. A byte loop leaves its field on a
@@ -98,6 +102,47 @@ func cutInt(s string, i, bitSize int) (v int64, end int, ok bool) {
 		return v, end, ok
 	}
 	return int64(n), j, true
+}
+
+// Field and IntField are the cutters' entry for a record held as bytes,
+// as the stream plane's are. fieldStart views the line as the string
+// the cutters take, without copying; what Field returns points into the
+// line.
+
+// fieldStart returns the line as a string and where its idx-th
+// tab-separated field starts; ok is false when it has fewer fields.
+//
+//approx:hotpath
+func fieldStart(line []byte, idx int) (s string, i int, ok bool) {
+	s = zerocopy.String(line)
+	for ; idx > 0; idx-- {
+		if i = cutField(s, i) + 1; i > len(s) {
+			return s, 0, false
+		}
+	}
+	return s, i, true
+}
+
+// Field returns the idx-th tab-separated field of line: empty when the
+// field is, nil when the line has fewer fields.
+func Field(line []byte, idx int) []byte {
+	s, i, ok := fieldStart(line, idx)
+	if !ok {
+		return nil
+	}
+	return line[i:cutField(s, i)]
+}
+
+// IntField parses the idx-th field of line as a non-negative decimal
+// integer: digits only, so a sign, an empty or missing field and
+// anything past 63 bits are all not ok.
+func IntField(line []byte, idx int) (int64, bool) {
+	s, i, ok := fieldStart(line, idx)
+	if !ok || i == len(s) || s[i]-'0' > 9 {
+		return 0, false
+	}
+	v, _, ok := cutInt(s, i, 64)
+	return v, ok
 }
 
 var pow10 = [8]uint64{1, 10, 100, 1000, 10000, 100000, 1000000, 10000000}

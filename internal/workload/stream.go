@@ -8,7 +8,7 @@
 // virtual — no sleeping, no wall clock — so a fixed (file, rate curve,
 // seed) triple always produces the identical (timestamp, record)
 // sequence, which is what lets the streaming plane promise
-// byte-identical window series across runs and worker counts.
+// byte-identical window series across runs.
 package workload
 
 import (

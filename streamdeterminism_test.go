@@ -2,8 +2,6 @@ package approxhadoop_test
 
 import (
 	"bytes"
-	"runtime"
-	"strconv"
 	"testing"
 
 	approxhadoop "approxhadoop"
@@ -12,7 +10,7 @@ import (
 // streamSeries runs the canonical streaming determinism query — an
 // adaptive windowed sum over a diurnally paced replay of the text
 // corpus — and renders the window series in its canonical byte form.
-func streamSeries(t *testing.T, workers int) []byte {
+func streamSeries(t *testing.T) []byte {
 	t.Helper()
 	file := approxhadoop.SplitText("stream.txt", corpus(), 1024)
 	q := approxhadoop.StreamQuery{
@@ -36,7 +34,6 @@ func streamSeries(t *testing.T, workers int) []byte {
 		Query:      q,
 		Source:     approxhadoop.StreamFromFile(file, approxhadoop.StreamOptions{Rate: approxhadoop.DiurnalRate(300, 0.5, 6), Seed: 21}),
 		Controller: approxhadoop.NewStreamController(q.SLO, approxhadoop.DefaultStreamCost()),
-		Workers:    workers,
 		MaxWindows: 8,
 	}
 	series, err := p.Run()
@@ -51,18 +48,12 @@ func streamSeries(t *testing.T, workers int) []byte {
 
 // TestStreamSeriesDeterministic is the streaming plane's acceptance
 // check, the sibling of TestSameSeedRunsIdentical: the same (query,
-// seed, rate trace) must emit a byte-identical window series across
-// repeat runs and for any fold-pool size. Shards — not Workers — own
-// strata, so the pool size must be invisible to every reservoir draw,
-// shedding coin, and modeled latency in the series.
+// seed, rate trace) must emit a byte-identical window series on every
+// run — every reservoir draw, shedding coin and modeled latency in it.
+// (frozen_stream_test.go pins what those bytes are.)
 func TestStreamSeriesDeterministic(t *testing.T) {
-	base := streamSeries(t, 1)
-	if again := streamSeries(t, 1); !bytes.Equal(base, again) {
+	base := streamSeries(t)
+	if again := streamSeries(t); !bytes.Equal(base, again) {
 		t.Errorf("series differs between two identical runs:\n%s\nvs\n%s", base, again)
-	}
-	for _, w := range []int{2, 4, runtime.GOMAXPROCS(0) + 1} {
-		if got := streamSeries(t, w); !bytes.Equal(base, got) {
-			t.Errorf("series differs between Workers=1 and Workers="+strconv.Itoa(w)+":\n%s\nvs\n%s", base, got)
-		}
 	}
 }

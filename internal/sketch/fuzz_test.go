@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -100,6 +101,85 @@ func FuzzSketchMerge(f *testing.F) {
 	})
 }
 
+// fuzzKey maps one fuzz byte to a key of the shapes the candidate side
+// state treats differently: the empty key, keys sharing their first
+// eight bytes (estimate ties fall through to the byte compare), two
+// keys longer than an arena chunk (each gets a chunk of its own), and
+// two-byte keys for the rest.
+func fuzzKey(b byte) string {
+	switch {
+	case b == 0:
+		return ""
+	case b == 1 || b == 2:
+		return strings.Repeat("L", arenaChunk+int(b)*7) + string(rune('a'+b))
+	case b%4 == 3:
+		return "prefix8_" + string([]byte{b})
+	}
+	return string([]byte{'e', b})
+}
+
+// FuzzTopKFold drives TopK and the reference model with one
+// fuzz-derived stream and requires identical AppendBinary bytes and a
+// consistent side state after every operation. cfg picks the candidate
+// cap and the grid width; each data byte is one operation: most fold a
+// key (every third into a second pair, merged in later) under a weight
+// of 0..3, every 29th clones, decodes or merges.
+func FuzzTopKFold(f *testing.F) {
+	f.Add([]byte("approx"), uint8(0))
+	f.Add([]byte{0, 0, 1, 2, 1, 2, 3, 7, 11, 3, 250, 251, 252}, uint8(1))
+	f.Add(bytes.Repeat([]byte{0xa5, 3, 7, 11, 15, 19, 23}, 60), uint8(6))
+	// FuzzSketchMerge's streams, at 80 candidates over widths 256 and 255.
+	for i, skewed := range []bool{true, false} {
+		f.Add(rankBytes(rankStream(skewed, 3000, 6000, 80*7919+256)), uint8(3+4*(2-i)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cfg uint8) {
+		maxCand := []uint32{1, 2, 8, 80}[cfg&3]
+		width := []uint32{2, 255, 256}[cfg>>2%3]
+		got, err := NewTopK(1, maxCand, width, 3, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefTopK(1, maxCand, width, 3, 11)
+		side, _ := NewTopK(1, maxCand, width, 3, 11)
+		sideRef := newRefTopK(1, maxCand, width, 3, 11)
+		var buf []byte
+		for i, b := range data {
+			w := (uint64(b>>6) + uint64(i)) % 4
+			switch {
+			case i%29 == 28 && b%3 == 0:
+				got = got.Clone().(*TopK)
+				ref = ref.clone()
+			case i%29 == 28 && b%3 == 1:
+				dec, err := Decode(got.AppendBinary(nil))
+				if err != nil {
+					t.Fatalf("decode at %d: %v", i, err)
+				}
+				got = dec.(*TopK)
+			case i%29 == 28:
+				if err := got.Merge(side); err != nil {
+					t.Fatalf("merge at %d: %v", i, err)
+				}
+				ref.merge(sideRef)
+			case i%3 == 0:
+				e := fuzzKey(b + 128)
+				side.Fold(e, w)
+				sideRef.Fold(e, w)
+				checkSideState(t, "side", side)
+			default:
+				e := fuzzKey(b)
+				got.Fold(e, w)
+				ref.Fold(e, w)
+			}
+			checkSideState(t, "receiver", got)
+			buf = got.AppendBinary(buf[:0])
+			if !bytes.Equal(buf, ref.bytes()) {
+				t.Fatalf("bytes differ from the reference after op %d (byte %d, cap %d, width %d, %d vs %d candidates)",
+					i, b, maxCand, width, len(got.list), len(ref.cand))
+			}
+		}
+	})
+}
+
 // FuzzSketchDecode feeds arbitrary bytes to Decode: it must never
 // panic, and anything it accepts must re-serialize to the exact input
 // (canonical-form fixed point).
@@ -119,6 +199,7 @@ func FuzzSketchDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 1, 6, 0})
 	f.Add(paddedCMS())
+	f.Add(hugeKeyLenTopK())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := Decode(data)
 		if err != nil {
@@ -137,6 +218,16 @@ func paddedCMS() []byte {
 	c, _ := NewCMS(2, 1, 11)
 	b := c.AppendBinary(nil)
 	return append(b[:len(b)-1:len(b)-1], 0x80, 0x00)
+}
+
+// hugeKeyLenTopK is an empty TopK announcing one candidate of 2^63
+// bytes: a length that is negative as an int, and so slipped under the
+// bounds check and panicked the slice expression until PR 22.
+func hugeKeyLenTopK() []byte {
+	k, _ := NewTopK(3, 9, 32, 3, 11)
+	b := k.AppendBinary(nil)
+	b[len(b)-4] = 1
+	return appendUvarint(b, 1<<63)
 }
 
 // TestDecodeRejectsPaddedVarints: every value's minimal encoding is

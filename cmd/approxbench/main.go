@@ -17,7 +17,7 @@
 //
 // Experiments: table1 table2 fig5 fig6 fig7 fig8 fig9a fig9b fig9c
 // fig10 fig11 fig12 fig13 userdef keyspace sketchpairs sketch stream
-// service ablations all — or a comma-separated list, e.g.
+// ablations all — or a comma-separated list, e.g.
 //
 //	approxbench -quick -experiment sketchpairs,sketch -json BENCH_pr8.json
 package main
@@ -52,10 +52,6 @@ type ExpStat struct {
 	// experiment: per-window realized error vs claimed CI, coverage,
 	// and the SLO-violation count across the input-rate swing.
 	Stream *harness.StreamReport `json:"stream,omitempty"`
-	// Service carries the daemon benchmark of the "service" experiment:
-	// closed-loop QPS/latency for 1-shard/JSON vs N-shard/binary, and
-	// the stream fan-out encode counts (see cmd/approxbench/service.go).
-	Service *ServiceReport `json:"service,omitempty"`
 }
 
 // Trajectory is the schema of -json output (e.g. BENCH_pr3.json).
@@ -120,11 +116,10 @@ func main() {
 		name string
 		run  func() error
 	}
-	// streamReport / serviceReport are filled by their experiments and
-	// attached to the matching ExpStat so the trajectory file records
-	// the evidence, not just the cost.
+	// streamReport is filled by its experiment and attached to the
+	// matching ExpStat so the trajectory file records the evidence, not
+	// just the cost.
 	var streamReport *harness.StreamReport
-	var serviceReport *ServiceReport
 	all := []exp{
 		{"table1", func() error { _, err := r.Table1(); return err }},
 		{"table2", func() error { _, err := r.Table2(); return err }},
@@ -147,11 +142,6 @@ func main() {
 		{"stream", func() error {
 			rep, err := r.StreamAccuracy()
 			streamReport = rep
-			return err
-		}},
-		{"service", func() error {
-			rep, err := runService(*seed)
-			serviceReport = rep
 			return err
 		}},
 		{"ablations", func() error {
@@ -208,10 +198,8 @@ func main() {
 			Mallocs:      after.Mallocs - before.Mallocs,
 			ShuffleBytes: mapreduce.TotalShuffleBytes() - shuffleBefore,
 			Stream:       streamReport,
-			Service:      serviceReport,
 		})
 		streamReport = nil
-		serviceReport = nil
 		fmt.Printf("\n[%s completed in %.1fs wall time]\n", e.name, wall)
 	}
 	if !ran {

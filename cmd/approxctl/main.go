@@ -35,7 +35,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -445,26 +444,26 @@ func (e callerErr) Error() string { return e.err.Error() }
 // the recovered job re-emits the same deterministic snapshots —
 // reconnects with ?from=<lastSeq+1> and resumes without duplicating
 // frames. Any frame of progress refills the retry budget.
-func (c *client) streamFrames(id string, fn func(jobserver.WireFrame) error) error {
+func (c *client) streamFrames(id string, fn func(*wire.JobFrame) error) error {
 	return c.streamLoop(id, false, fn)
 }
 
 // streamFramesBinary is streamFrames over the negotiated binary frame
 // format — same resume contract, length-prefixed frames instead of
 // JSON lines.
-func (c *client) streamFramesBinary(id string, fn func(jobserver.WireFrame) error) error {
+func (c *client) streamFramesBinary(id string, fn func(*wire.JobFrame) error) error {
 	return c.streamLoop(id, true, fn)
 }
 
-func (c *client) streamLoop(id string, binary bool, fn func(jobserver.WireFrame) error) error {
+func (c *client) streamLoop(id string, binary bool, fn func(*wire.JobFrame) error) error {
 	last := -1 // highest Seq seen
 	sawTerminal := false
 	for attempt := 0; ; attempt++ {
-		err := c.streamOnce(id, last+1, binary, func(f jobserver.WireFrame) error {
+		err := c.streamOnce(id, last+1, binary, func(f *wire.JobFrame) error {
 			if f.Seq > last {
 				last = f.Seq
 			}
-			if f.Status.Terminal() {
+			if jobserver.JobStatus(f.Status).Terminal() {
 				sawTerminal = true
 			}
 			attempt = 0
@@ -493,7 +492,7 @@ func (c *client) streamLoop(id string, binary bool, fn func(jobserver.WireFrame)
 }
 
 // streamOnce runs one connection's worth of frames through fn.
-func (c *client) streamOnce(id string, from int, binary bool, fn func(jobserver.WireFrame) error) error {
+func (c *client) streamOnce(id string, from int, binary bool, fn func(*wire.JobFrame) error) error {
 	req, err := http.NewRequest(http.MethodGet, c.base+"/v1/jobs/"+id+"/stream?from="+strconv.Itoa(from), nil)
 	if err != nil {
 		return err
@@ -509,37 +508,7 @@ func (c *client) streamOnce(id string, from int, binary bool, fn func(jobserver.
 	if resp.StatusCode != http.StatusOK {
 		return apiErrorFrom(resp)
 	}
-	if binary {
-		br := bufio.NewReader(resp.Body)
-		for {
-			payload, err := wire.ReadFrame(br)
-			if err == io.EOF {
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			wf, err := wire.DecodeJobFrame(payload)
-			if err != nil {
-				return err
-			}
-			if err := fn(jobserver.FrameFromWire(wf)); err != nil {
-				return err
-			}
-		}
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		var f jobserver.WireFrame
-		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			return fmt.Errorf("bad stream frame %q: %w", sc.Text(), err)
-		}
-		if err := fn(f); err != nil {
-			return err
-		}
-	}
-	return sc.Err()
+	return wire.ReadJobFrames(resp.Body, binary, fn)
 }
 
 func cmdWatch(c *client, args []string) error {
@@ -554,7 +523,7 @@ func cmdWatch(c *client, args []string) error {
 	if *wireFmt {
 		follow = c.streamFramesBinary
 	}
-	return follow(fs.Arg(0), func(f jobserver.WireFrame) error {
+	return follow(fs.Arg(0), func(f *wire.JobFrame) error {
 		// One line per snapshot: worst relative CI across keys, so the
 		// narrowing is visible at a glance.
 		worst := 0.0
@@ -760,8 +729,8 @@ func cmdSmoke(c *client, args []string) error {
 
 		// (a) The stream must converge to the final result: frames in
 		// order, CI-bearing snapshots first, last frame final and equal.
-		var frames []jobserver.WireFrame
-		if err := c.streamFrames(id, func(f jobserver.WireFrame) error {
+		var frames []*wire.JobFrame
+		if err := c.streamFrames(id, func(f *wire.JobFrame) error {
 			frames = append(frames, f)
 			return nil
 		}); err != nil {
@@ -844,7 +813,7 @@ func cmdSmoke(c *client, args []string) error {
 
 // outputsAgree compares two output sets key by key within relative
 // tolerance 1e-9 (live-mode accumulation-order rounding is ~1 ulp).
-func outputsAgree(want, got []jobserver.WireEstimate) error {
+func outputsAgree(want, got []wire.Estimate) error {
 	if len(want) != len(got) {
 		return fmt.Errorf("%d keys, want %d", len(got), len(want))
 	}

@@ -124,7 +124,7 @@ func (f *Fleet) shardFor(id string) *engineShard {
 }
 
 // ServiceFor returns the service owning job id (for read paths:
-// JobInfo, StreamFrom, FramesFrom are safe from any goroutine).
+// JobInfo and FramesFrom are safe from any goroutine).
 func (f *Fleet) ServiceFor(id string) *Service { return f.shardFor(id).svc }
 
 // reserve charges one in-flight unit to tenant, failing when the quota

@@ -1,22 +1,20 @@
 // Encode-once snapshot multicast.
 //
-// The original stream endpoints re-encoded every snapshot to JSON once
-// per subscriber, so a popular job's serving cost scaled as
-// frames × subscribers. This file replaces that with a per-job (and,
-// in streams.go, per-stream) frame log: each frame is encoded to the
-// compact binary wire format exactly once, at creation, by the
-// producer goroutine, and every subscriber shares the same buffer. The
-// JSON view is derived lazily — at most once per frame, the first time
-// a JSON subscriber needs it — and then shared the same way, so the
-// legacy JSONL protocol also becomes encode-once.
+// A job (and, in streams.go, a stream) keeps its history once, as a log
+// of encoded frames: each frame is encoded to the binary wire format
+// exactly once, at creation, by the producer goroutine, and every
+// subscriber shares the same buffer. The payload is the frame — nothing
+// typed is kept beside it. The JSON line is decoded from the payload at
+// most once, the first time a JSONL subscriber needs it, and then shared
+// the same way.
 //
 // Frames are stamped with their status at creation time (running
 // mid-job, done+final for the terminal snapshot). A job that fails or
-// is canceled mid-run re-stamps only its last cached frame with the
-// terminal status; all earlier frames are immutable forever. Because a
-// frame's bytes never change after publication, subscribers at any
-// cursor — live, resumed, or joining after a daemon restart — read
-// byte-identical streams.
+// is canceled mid-run re-stamps only its last frame with the terminal
+// status (decode, set, encode); all earlier frames are immutable
+// forever. Because a frame's bytes never change after publication,
+// subscribers at any cursor — live, resumed, or joining after a daemon
+// restart — read byte-identical streams.
 //
 // Slow subscribers cannot stall anything structurally: the frame log
 // is a pull model (FramesFrom blocks the subscriber's own HTTP handler
@@ -37,28 +35,38 @@ import (
 )
 
 // encFrame is one published frame: the canonical binary payload
-// (encoded exactly once, at creation) plus a lazily derived, cached
-// JSON line for subscribers on the legacy protocol.
+// (encoded exactly once, at creation) plus the JSON line decoded from
+// it on first use.
 type encFrame struct {
 	// bin is the canonical wire payload (without the length prefix).
 	bin []byte
-	// src retains the typed frame (*WireFrame or *WireWindow) the
-	// payload was encoded from; the JSON view marshals it on demand.
-	// Immutable after creation.
-	src any
-	// jsonLine caches the JSONL form: json.Marshal(src) + '\n',
-	// byte-identical to what the legacy per-subscriber json.Encoder
-	// produced. Installed at most once via CAS; concurrent first
-	// readers may both marshal, exactly one result wins and is shared.
+	// jsonLine caches the JSONL form: the decoded payload marshalled,
+	// plus '\n'. Installed at most once via CAS; concurrent first
+	// readers may both render, exactly one result wins and is shared.
 	jsonLine atomic.Pointer[[]byte]
 }
 
-// JSONLine returns the frame's cached JSONL encoding.
+// JSONLine returns the frame's cached JSONL rendering. Floats survive
+// the payload bit for bit, so the line is the one the typed frame
+// would have marshalled to.
 func (f *encFrame) JSONLine() ([]byte, error) {
 	if p := f.jsonLine.Load(); p != nil {
 		return *p, nil
 	}
-	b, err := json.Marshal(f.src)
+	kind, err := wire.Kind(f.bin)
+	if err != nil {
+		return nil, err
+	}
+	var frame any
+	if kind == wire.KindWindow {
+		frame, err = wire.DecodeWindowFrame(f.bin)
+	} else {
+		frame, err = wire.DecodeJobFrame(f.bin)
+	}
+	if err != nil {
+		return nil, err
+	}
+	b, err := json.Marshal(frame)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +77,7 @@ func (f *encFrame) JSONLine() ([]byte, error) {
 
 // WriteTo sends the frame to one subscriber in the negotiated format:
 // length-prefixed binary, or a JSONL line. Pure fan-out — no encoding
-// happens here beyond the one-time lazy JSON derivation.
+// happens here beyond the one-time lazy JSON rendering.
 func (f *encFrame) WriteTo(w io.Writer, binary bool) error {
 	if binary {
 		return wire.WriteFrame(w, f.bin)
@@ -82,127 +90,70 @@ func (f *encFrame) WriteTo(w io.Writer, binary bool) error {
 	return err
 }
 
-// toWireEstimates converts to the wire package's estimate form.
-func toWireEstimates(ests []WireEstimate) []wire.Estimate {
-	out := make([]wire.Estimate, len(ests))
-	for i, e := range ests {
-		out[i] = wire.Estimate{
-			Key: e.Key, Value: e.Value, Epsilon: e.Epsilon, Confidence: e.Confidence,
-			Lo: e.Lo, Hi: e.Hi, Exact: e.Exact, Unbounded: e.Unbounded,
-		}
-	}
-	return out
-}
-
-// fromWireEstimates converts a decoded binary frame's estimates back
-// to the HTTP wire form (client side).
-func fromWireEstimates(ests []wire.Estimate) []WireEstimate {
-	if ests == nil {
-		return nil
-	}
-	out := make([]WireEstimate, len(ests))
-	for i, e := range ests {
-		out[i] = WireEstimate{
-			Key: e.Key, Value: e.Value, Epsilon: e.Epsilon, Confidence: e.Confidence,
-			Lo: e.Lo, Hi: e.Hi, Exact: e.Exact, Unbounded: e.Unbounded,
-		}
-	}
-	return out
-}
-
-// encodeJobFrame produces the canonical binary payload of wf.
-func encodeJobFrame(wf *WireFrame) []byte {
-	return wire.AppendJobFrame(nil, &wire.JobFrame{
-		Seq:       wf.Seq,
-		T:         wf.T,
-		Status:    string(wf.Status),
-		Final:     wf.Final,
-		Estimates: toWireEstimates(wf.Estimates),
-	})
-}
-
 // newJobFrame builds and encodes one job snapshot frame.
 func newJobFrame(seq int, t float64, status JobStatus, final bool, ests []mapreduce.KeyEstimate) *encFrame {
-	wf := &WireFrame{Seq: seq, T: t, Status: status, Final: final, Estimates: WireEstimates(ests)}
-	return &encFrame{bin: encodeJobFrame(wf), src: wf}
+	return &encFrame{bin: wire.AppendJobFrame(nil, &wire.JobFrame{
+		Seq: seq, T: t, Status: string(status), Final: final, Estimates: WireEstimates(ests),
+	})}
 }
 
 // synthJobFrame is the per-connection terminal marker for jobs that
 // reached a terminal state with no frame to carry it (failed before
 // any snapshot, or a fully caught-up resume): Seq is the cursor, no
-// estimates — exactly the frame the JSONL protocol always synthesized.
+// estimates. Its JSON line is rendered from the typed marker and reads
+// "estimates":null, where a stored frame that carries none prints [].
 func synthJobFrame(seq int, status JobStatus) *encFrame {
-	wf := &WireFrame{Seq: seq, Status: status}
-	return &encFrame{bin: encodeJobFrame(wf), src: wf}
-}
-
-// restampJobFrame rebuilds a frame with a terminal status (the one
-// mutation the log permits, and only ever on the last frame). The
-// estimate payload is shared with the original.
-func restampJobFrame(old *encFrame, status JobStatus) *encFrame {
-	wf := *(old.src.(*WireFrame))
-	wf.Status = status
-	wf.Final = false
-	return &encFrame{bin: encodeJobFrame(&wf), src: &wf}
-}
-
-// FrameFromWire converts a decoded binary job frame to the HTTP wire
-// form — the client-side half of the protocol (approxctl, loadgen).
-func FrameFromWire(f *wire.JobFrame) WireFrame {
-	return WireFrame{
-		Seq:       f.Seq,
-		T:         f.T,
-		Status:    JobStatus(f.Status),
-		Final:     f.Final,
-		Estimates: fromWireEstimates(f.Estimates),
+	m := &wire.JobFrame{Seq: seq, Status: string(status)}
+	f := &encFrame{bin: wire.AppendJobFrame(nil, m)}
+	if line, err := json.Marshal(m); err == nil {
+		line = append(line, '\n')
+		f.jsonLine.Store(&line)
 	}
+	return f
 }
 
-// encodeWindowFrame produces the canonical binary payload of ww.
-func encodeWindowFrame(ww *WireWindow) []byte {
-	return wire.AppendWindowFrame(nil, &wire.WindowFrame{
-		Seq: ww.Seq, Status: string(ww.Status), Final: ww.Final,
-		Index: ww.Index, Start: ww.Start, End: ww.End, Records: ww.Records,
-		Strata: ww.Strata, Processed: ww.Processed, Folded: ww.Folded,
-		Sampled: ww.Sampled, Capacity: ww.Capacity, KeepFrac: ww.KeepFrac,
-		Degraded: ww.Degraded, Partial: ww.Partial, Exact: ww.Exact,
-		Latency: ww.Latency, Value: ww.Value, Epsilon: ww.Epsilon,
-		Confidence: ww.Confidence, Unbounded: ww.Unbounded,
-	})
+// restampJobFrame re-encodes a frame under a terminal status (the one
+// mutation the log permits, and only ever on the last frame).
+func restampJobFrame(old *encFrame, status JobStatus) *encFrame {
+	f, err := wire.DecodeJobFrame(old.bin)
+	if err != nil {
+		return old // bin is this process's own encoding
+	}
+	f.Status, f.Final = string(status), false
+	return &encFrame{bin: wire.AppendJobFrame(nil, f)}
 }
 
-// newWindowFrameEnc builds and encodes one stream window frame.
-func newWindowFrameEnc(ww WireWindow) *encFrame {
-	return &encFrame{bin: encodeWindowFrame(&ww), src: &ww}
+// withLast returns a copy of frames that ends in last instead of its
+// own last frame — a copy, because a subscriber may still be reading,
+// outside the lock, the frames it was handed.
+func withLast(frames []*encFrame, last *encFrame) []*encFrame {
+	n := len(frames) - 1
+	return append(frames[:n:n], last)
 }
 
-// restampWindowFrame rebuilds a window frame with the stream's
+// FrameFromWire is the identity; kept for bench/, goes at ROADMAP item
+// 5's unfreeze.
+func FrameFromWire(f *wire.JobFrame) wire.JobFrame { return *f }
+
+// newWindowFrameEnc encodes one stream window frame.
+func newWindowFrameEnc(ww wire.WindowFrame) *encFrame {
+	return &encFrame{bin: wire.AppendWindowFrame(nil, &ww)}
+}
+
+// restampWindowFrame re-encodes a window frame under the stream's
 // terminal status; final marks a stream that drained normally.
 func restampWindowFrame(old *encFrame, status StreamStatus) *encFrame {
-	ww := *(old.src.(*WireWindow))
-	ww.Status = status
-	ww.Final = status == StreamDone
-	return &encFrame{bin: encodeWindowFrame(&ww), src: &ww}
+	ww, err := wire.DecodeWindowFrame(old.bin)
+	if err != nil {
+		return old // bin is this process's own encoding
+	}
+	ww.Status, ww.Final = string(status), status == StreamDone
+	return newWindowFrameEnc(*ww)
 }
 
 // synthWindowFrame mirrors synthJobFrame for the stream plane.
 func synthWindowFrame(seq int, status StreamStatus) *encFrame {
-	ww := WireWindow{Seq: seq, Status: status}
-	return &encFrame{bin: encodeWindowFrame(&ww), src: &ww}
-}
-
-// WindowFromWire converts a decoded binary window frame to the HTTP
-// wire form (client side).
-func WindowFromWire(f *wire.WindowFrame) WireWindow {
-	return WireWindow{
-		Seq: f.Seq, Status: StreamStatus(f.Status), Final: f.Final,
-		Index: f.Index, Start: f.Start, End: f.End, Records: f.Records,
-		Strata: f.Strata, Processed: f.Processed, Folded: f.Folded,
-		Sampled: f.Sampled, Capacity: f.Capacity, KeepFrac: f.KeepFrac,
-		Degraded: f.Degraded, Partial: f.Partial, Exact: f.Exact,
-		Latency: f.Latency, Value: f.Value, Epsilon: f.Epsilon,
-		Confidence: f.Confidence, Unbounded: f.Unbounded,
-	}
+	return newWindowFrameEnc(wire.WindowFrame{Seq: seq, Status: string(status)})
 }
 
 // DefaultMaxLag is the slow-subscriber drop threshold: a live
@@ -212,39 +163,41 @@ func WindowFromWire(f *wire.WindowFrame) WireWindow {
 // daemon (-max-lag) or per request (?lag=N).
 const DefaultMaxLag = 256
 
-// FramesFrom is the encode-once sibling of StreamFrom: it blocks until
-// job id has frames beyond `have` or is terminal, then returns the
-// fresh shared frames, the status, and the updated cursor. Each frame
-// carries its own Seq, so drops appear to the client as Seq gaps.
-//
-// maxLag > 0 enables the slow-subscriber policy: while the job is
-// live, a cursor more than maxLag frames behind the head jumps to the
-// latest frame instead of replaying the backlog (terminal jobs replay
-// in full — history is bounded and the engine no longer produces).
-// Safe from any goroutine.
+// freshFrames is the subscriber cursor over a frame log: the frames
+// past have and the cursor after them, ready false while the subscriber
+// has to wait for more. A cursor outside the log is clamped (a resume
+// after a restart may point past a recovered job's single frame).
+// maxLag > 0 is the slow-subscriber policy: while the log is live, a
+// cursor more than maxLag frames behind jumps to the latest frame; a
+// terminal log replays in full — history is bounded.
+func freshFrames(frames []*encFrame, have, maxLag int, terminal bool) (fresh []*encFrame, next int, ready bool) {
+	n := len(frames)
+	have = min(max(have, 0), n)
+	if !terminal && maxLag > 0 && n-have > maxLag {
+		have = n - 1
+	}
+	return frames[have:n:n], n, n > have || terminal
+}
+
+// FramesFrom blocks until job id has frames beyond `have` or is
+// terminal, then returns the fresh shared frames (see freshFrames), the
+// status, and the updated cursor. Each frame carries its own Seq, so
+// drops appear to the client as Seq gaps. Callers loop until Terminal;
+// safe from any goroutine while the engine goroutine drives the job.
 func (s *Service) FramesFrom(id string, have, maxLag int) ([]*encFrame, JobStatus, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if have < 0 {
-		have = 0
-	}
 	for {
 		st, ok := s.states[id]
 		if !ok {
 			return nil, "", have, fmt.Errorf("jobserver: no job %q", id)
 		}
-		if have > len(st.frames) {
-			have = len(st.frames)
-		}
-		if !st.Status.Terminal() && maxLag > 0 && len(st.frames)-have > maxLag {
-			have = len(st.frames) - 1
-		}
-		if len(st.frames) > have || st.Status.Terminal() {
-			fresh := st.frames[have:len(st.frames):len(st.frames)]
-			return fresh, st.Status, len(st.frames), nil
+		fresh, next, ready := freshFrames(st.frames, have, maxLag, st.Status.Terminal())
+		if ready {
+			return fresh, st.Status, next, nil
 		}
 		if s.closed {
-			return nil, st.Status, have, errors.New("jobserver: service shut down")
+			return nil, st.Status, next, errors.New("jobserver: service shut down")
 		}
 		s.cond.Wait()
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -29,14 +30,40 @@ func fabricateJob(s *Service, id string, status JobStatus, frames int) {
 	s.mu.Unlock()
 }
 
-// frameSeq decodes an encoded frame's sequence number.
-func frameSeq(t *testing.T, f *encFrame) int {
+// decodeJob decodes an encoded job frame.
+func decodeJob(t *testing.T, f *encFrame) *wire.JobFrame {
 	t.Helper()
 	wf, err := wire.DecodeJobFrame(f.bin)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	return wf.Seq
+	return wf
+}
+
+// frameSeq decodes an encoded frame's sequence number.
+func frameSeq(t *testing.T, f *encFrame) int {
+	t.Helper()
+	return decodeJob(t, f).Seq
+}
+
+// followJob walks a job's frame log from cursor to its terminal status
+// the way the HTTP handler does, decoding what it is handed.
+func followJob(t *testing.T, s *Service, id string, cursor int) ([]*wire.JobFrame, JobStatus) {
+	t.Helper()
+	var frames []*wire.JobFrame
+	for {
+		fresh, status, next, err := s.FramesFrom(id, cursor, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range fresh {
+			frames = append(frames, decodeJob(t, f))
+		}
+		cursor = next
+		if status.Terminal() {
+			return frames, status
+		}
+	}
 }
 
 // TestFramesFromDropToLatest: a live job with a subscriber more than
@@ -219,5 +246,44 @@ func TestSlowSubscriberDoesNotDelayOthers(t *testing.T) {
 	}
 	if want := "HTTP/1.1 200"; len(line) < len(want) || line[:len(want)] != want {
 		t.Fatalf("stalled watcher got %q, want a 200 stream", line)
+	}
+}
+
+// TestCancelRestampLeavesSubscribersAlone is the batch twin of
+// TestStreamTerminalFrameLeavesSnapshotsAlone: a subscriber reads the
+// frames FramesFrom handed it after dropping the service lock, so the
+// cancel's restamp must publish a new last frame beside the old one,
+// never write into that slice.
+func TestCancelRestampLeavesSubscribersAlone(t *testing.T) {
+	svc := New(Config{Workers: 1, SnapshotEvery: 1})
+	defer svc.Close()
+	id, err := svc.Submit(JobSpec{App: "clients", Blocks: 240, LinesPerBlock: 50, Seed: 9, Controller: "static", SampleRatio: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for st, _ := svc.JobInfo(id); len(st.frames) < 3; st, _ = svc.JobInfo(id) {
+		if !svc.Engine().Step() {
+			t.Fatal("job ended before its third snapshot")
+		}
+	}
+	held, status, next, err := svc.FramesFrom(id, 1, 0)
+	if err != nil || status != StatusRunning || len(held) != 2 || next != 3 {
+		t.Fatalf("live read: %d frames, status %s, next %d, err %v", len(held), status, next, err)
+	}
+	last := held[1]
+	if err := svc.Cancel(id); err != nil {
+		t.Fatal(err)
+	}
+	svc.Engine().Run()
+	if held[1] != last || decodeJob(t, held[1]).Status != string(StatusRunning) {
+		t.Errorf("cancel wrote to a subscriber's frames: its last one now reads %s", decodeJob(t, held[1]).Status)
+	}
+	fresh, status, _, err := svc.FramesFrom(id, 2, 0)
+	if err != nil || status != StatusCanceled || len(fresh) != 1 {
+		t.Fatalf("terminal read: %d frames, status %s, err %v", len(fresh), status, err)
+	}
+	if f := decodeJob(t, fresh[0]); f.Status != string(StatusCanceled) || f.Final || f.Seq != 2 ||
+		!reflect.DeepEqual(f.Estimates, decodeJob(t, last).Estimates) {
+		t.Errorf("terminal frame is seq %d, %s, final=%v, %d estimates; want seq 2, canceled, the third snapshot's estimates", f.Seq, f.Status, f.Final, len(f.Estimates))
 	}
 }

@@ -13,8 +13,8 @@ import (
 	"approxhadoop/internal/wire"
 )
 
-// The HTTP/JSON API of cmd/approxd. All payloads are NaN-safe: the
-// wire types below map non-finite interval half-widths onto the -1
+// The HTTP/JSON API of cmd/approxd. All payloads are NaN-safe:
+// WireEstimates maps non-finite interval half-widths onto the -1
 // sentinel with Unbounded set, the same convention as
 // mapreduce.WriteJSON, because encoding/json rejects NaN/Inf.
 //
@@ -23,7 +23,7 @@ import (
 //	GET    /v1/jobs/{id}     one job's state
 //	DELETE /v1/jobs/{id}     cancel
 //	GET    /v1/jobs/{id}/result   final result (409 until terminal)
-//	GET    /v1/jobs/{id}/stream   WireFrame stream: snapshots with
+//	GET    /v1/jobs/{id}/stream   wire.JobFrame stream: snapshots with
 //	                              narrowing CIs, last frame final=true;
 //	                              ?from=N resumes after sequence N-1;
 //	                              ?lag=N|off tunes drop-to-latest; JSONL
@@ -39,17 +39,9 @@ import (
 // of the streaming plane: open a StreamSpec, watch its per-window
 // estimates as Seq-resumable JSONL frames, stop it.
 
-// WireEstimate is the JSON-safe form of one KeyEstimate.
-type WireEstimate struct {
-	Key        string  `json:"key"`
-	Value      float64 `json:"value"`
-	Epsilon    float64 `json:"epsilon"` // CI half-width; -1 when unbounded
-	Confidence float64 `json:"confidence"`
-	Lo         float64 `json:"lo"`
-	Hi         float64 `json:"hi"`
-	Exact      bool    `json:"exact,omitempty"`
-	Unbounded  bool    `json:"unbounded,omitempty"`
-}
+// WireEstimate is wire.Estimate; kept for bench/, goes at ROADMAP item
+// 5's unfreeze.
+type WireEstimate = wire.Estimate
 
 // WireResult is the JSON-safe form of a completed job's Result.
 type WireResult struct {
@@ -57,7 +49,7 @@ type WireResult struct {
 	Runtime  float64            `json:"runtimeSecs"`
 	EnergyWh float64            `json:"energyWh"`
 	Counters mapreduce.Counters `json:"counters"`
-	Outputs  []WireEstimate     `json:"outputs"`
+	Outputs  []wire.Estimate    `json:"outputs"`
 }
 
 // WireState is the JSON form of one JobState.
@@ -72,24 +64,13 @@ type WireState struct {
 	Result   *WireResult `json:"result,omitempty"`
 }
 
-// WireFrame is one line of the streaming endpoint. Seq is the frame's
-// position in the job's snapshot sequence; a client that loses its
-// connection reconnects with ?from=<lastSeq+1> and resumes without
-// duplicates, including across a daemon restart.
-type WireFrame struct {
-	Seq       int            `json:"seq"`
-	T         float64        `json:"t"` // virtual seconds since job start
-	Status    JobStatus      `json:"status"`
-	Final     bool           `json:"final,omitempty"`
-	Estimates []WireEstimate `json:"estimates"`
-}
-
-// WireEstimates converts estimates, mapping non-finite half-widths to
-// the -1 sentinel.
-func WireEstimates(ests []mapreduce.KeyEstimate) []WireEstimate {
-	out := make([]WireEstimate, 0, len(ests))
+// WireEstimates converts estimates to their frame form, mapping
+// non-finite half-widths to the -1 sentinel. (bench/ compiles against
+// the name; it goes at ROADMAP item 5's unfreeze.)
+func WireEstimates(ests []mapreduce.KeyEstimate) []wire.Estimate {
+	out := make([]wire.Estimate, 0, len(ests))
 	for _, e := range ests {
-		w := WireEstimate{
+		w := wire.Estimate{
 			Key:        e.Key,
 			Value:      e.Est.Value,
 			Epsilon:    e.Est.Err,
@@ -293,7 +274,7 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 
 // wantBinary negotiates the stream encoding: a client whose Accept
 // header names the binary frame media type gets length-prefixed binary
-// frames; everyone else gets the legacy JSONL. Either way every
+// frames; everyone else gets JSONL. Either way every
 // subscriber of a job shares the same encoded buffers (frames.go).
 func wantBinary(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), wire.ContentType)
@@ -317,20 +298,23 @@ func (d *Daemon) streamLag(r *http.Request) int {
 	return d.maxLag()
 }
 
-// handleStream serves a job's snapshot frames — JSONL or negotiated
-// binary — ending with the terminal frame (final=true for successful
-// jobs). Frames are pre-encoded and shared across subscribers; this
-// handler only copies buffers, so its cost does not scale with frame
-// size times subscriber count, and a stalled client blocks nothing but
-// its own connection (falling too far behind skips it to the latest
-// frame — the Seq gap tells it frames were dropped).
-func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	svc := d.fleet.ServiceFor(id)
-	if _, ok := svc.JobInfo(id); !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
-		return
-	}
+// terminalStatus is what JobStatus and StreamStatus share.
+type terminalStatus interface {
+	~string
+	Terminal() bool
+}
+
+// serveFrames writes one frame log to one subscriber — JSONL, or
+// negotiated binary — from the ?from cursor until the log is terminal.
+// next is the log's blocking read (Service.FramesFrom,
+// StreamSet.WatchFramesFrom); marker synthesises the ending of a log
+// that is terminal with nothing left to carry it. Frames are
+// pre-encoded and shared, so this only copies buffers, and a stalled
+// client blocks nothing but its own connection (falling too far behind
+// skips it to the latest frame — the Seq gap is its drop signal).
+func serveFrames[S terminalStatus](d *Daemon, w http.ResponseWriter, r *http.Request, id string,
+	next func(id string, have, maxLag int) ([]*encFrame, S, int, error),
+	marker func(seq int, status S) *encFrame) {
 	binary := wantBinary(r)
 	if binary {
 		w.Header().Set("Content-Type", wire.ContentType)
@@ -353,31 +337,28 @@ func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	lag := d.streamLag(r)
 	for {
-		fresh, status, next, err := svc.FramesFrom(id, cursor, lag)
+		fresh, status, after, err := next(id, cursor, lag)
 		if err != nil {
 			return
 		}
-		terminal := status.Terminal()
+		cursor = after
+		if status.Terminal() && len(fresh) == 0 {
+			// Ended before any frame, after the subscriber's last one, or
+			// a resume that was already caught up: one terminal marker, so
+			// clients always see an ending. A job that completes or a
+			// stream that drains does not come here on a live connection:
+			// its last data frame is born terminal.
+			fresh = []*encFrame{marker(cursor, status)}
+		}
 		for _, f := range fresh {
 			if f.WriteTo(w, binary) != nil {
 				return // client went away
 			}
 		}
-		cursor = next
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if terminal {
-			if len(fresh) == 0 {
-				// Failed/canceled before any snapshot (or a resume that
-				// was already fully caught up): emit one terminal frame
-				// so clients always see an ending.
-				//lint:ignore errcheck the stream is ending either way
-				_ = synthJobFrame(cursor, status).WriteTo(w, binary)
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
+		if status.Terminal() {
 			return
 		}
 		select {
@@ -386,6 +367,18 @@ func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
 		default:
 		}
 	}
+}
+
+// handleStream serves a job's snapshot frames, ending with the terminal
+// frame (final=true for successful jobs).
+func (d *Daemon) handleStream(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	svc := d.fleet.ServiceFor(id)
+	if _, ok := svc.JobInfo(id); !ok {
+		writeError(w, http.StatusNotFound, fmt.Errorf("no job %q", id))
+		return
+	}
+	serveFrames(d, w, r, id, svc.FramesFrom, synthJobFrame)
 }
 
 func (d *Daemon) handleReplay(w http.ResponseWriter, r *http.Request) {

@@ -1,7 +1,6 @@
 package jobserver
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -11,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"approxhadoop/internal/wire"
 )
 
 func startDaemon(t *testing.T, cfg Config, hold bool) (*Daemon, *httptest.Server) {
@@ -18,7 +19,7 @@ func startDaemon(t *testing.T, cfg Config, hold bool) (*Daemon, *httptest.Server
 	d := NewFleetDaemon([]*Service{New(cfg)}, hold)
 	ts := httptest.NewServer(d.Handler())
 	// Stop first: it closes the service, waking any handler blocked in
-	// StreamFrom, so the listener close (which waits for in-flight
+	// FramesFrom, so the listener close (which waits for in-flight
 	// requests) cannot deadlock on a stuck stream.
 	t.Cleanup(func() { d.Stop(); ts.Close() })
 	return d, ts
@@ -104,16 +105,11 @@ func TestHTTPSubmitResultStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var frames []WireFrame
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var f WireFrame
-		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			t.Fatalf("bad frame %q: %v", sc.Text(), err)
-		}
+	var frames []*wire.JobFrame
+	if err := wire.ReadJobFrames(resp.Body, false, func(f *wire.JobFrame) error {
 		frames = append(frames, f)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(frames) == 0 {

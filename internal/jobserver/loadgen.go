@@ -17,7 +17,6 @@
 package jobserver
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -289,49 +288,19 @@ func watchToTerminal(base, id string, binary bool, deadline time.Time) (int, int
 		return 0, 0, fmt.Errorf("jobserver: stream %s: HTTP %d", id, resp.StatusCode)
 	}
 	counted := &countReader{r: resp.Body}
-	frames := 0
-	if binary {
-		br := bufio.NewReader(counted)
-		for {
-			payload, err := wire.ReadFrame(br)
-			if err == io.EOF {
-				return frames, counted.n, fmt.Errorf("jobserver: stream %s ended before a terminal frame", id)
-			}
-			if err != nil {
-				return frames, counted.n, err
-			}
-			f, err := wire.DecodeJobFrame(payload)
-			if err != nil {
-				return frames, counted.n, err
-			}
-			frames++
-			if JobStatus(f.Status).Terminal() {
-				return frames, counted.n, nil
-			}
-			if time.Now().After(deadline) {
-				return frames, counted.n, fmt.Errorf("jobserver: stream %s still open at deadline", id)
-			}
-		}
-	}
-	sc := bufio.NewScanner(counted)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		var f WireFrame
-		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			return frames, counted.n, err
-		}
+	frames, terminal := 0, false
+	err = wire.ReadJobFrames(counted, binary, func(f *wire.JobFrame) error {
 		frames++
-		if f.Status.Terminal() {
-			return frames, counted.n, nil
+		terminal = JobStatus(f.Status).Terminal()
+		if !terminal && time.Now().After(deadline) {
+			return fmt.Errorf("jobserver: stream %s still open at deadline", id)
 		}
-		if time.Now().After(deadline) {
-			return frames, counted.n, fmt.Errorf("jobserver: stream %s still open at deadline", id)
-		}
+		return nil
+	})
+	if err == nil && !terminal {
+		err = fmt.Errorf("jobserver: stream %s ended before a terminal frame", id)
 	}
-	if err := sc.Err(); err != nil {
-		return frames, counted.n, err
-	}
-	return frames, counted.n, fmt.Errorf("jobserver: stream %s ended before a terminal frame", id)
+	return frames, counted.n, err
 }
 
 // countReader counts bytes as they pass through.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -101,8 +102,10 @@ func TestRecoverRestoresCompleted(t *testing.T) {
 		if resultBytes(t, got.Result) != resultBytes(t, want.Result) {
 			t.Errorf("job %s: restored result not byte-identical", want.ID)
 		}
-		if len(got.Snapshots) == 0 {
-			t.Errorf("job %s: restored without a terminal snapshot; streams would hang", want.ID)
+		frames, _ := followJob(t, svc2, want.ID, 0)
+		if len(frames) != 1 || !frames[0].Final || frames[0].Status != string(StatusDone) ||
+			!reflect.DeepEqual(frames[0].Estimates, WireEstimates(want.Result.Outputs)) {
+			t.Errorf("job %s: restored log replays %d frames; want exactly its terminal frame", want.ID, len(frames))
 		}
 	}
 	// Fresh ids continue past every journaled one.

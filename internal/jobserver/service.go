@@ -79,16 +79,6 @@ func (s JobStatus) Terminal() bool {
 	return false
 }
 
-// Snapshot is one streamed early-result frame: the job's current
-// cross-partition estimates T virtual seconds after its start. As
-// waves complete, successive snapshots carry narrowing confidence
-// intervals; the last snapshot of a successful job is its final
-// output.
-type Snapshot struct {
-	T         float64                 `json:"t"`
-	Estimates []mapreduce.KeyEstimate `json:"estimates"`
-}
-
 // JobState is the externally visible state of one submission. Reads
 // through JobInfo/Jobs return copies that are safe to use from any
 // goroutine.
@@ -101,12 +91,13 @@ type JobState struct {
 	EndVT    float64           `json:"endVT"`    // virtual completion time
 	Err      string            `json:"error,omitempty"`
 	Result   *mapreduce.Result `json:"result,omitempty"`
-	// Snapshots accumulate while the job runs; see StreamFrom.
-	Snapshots []Snapshot `json:"-"`
-	// frames is the encode-once wire form of Snapshots: one shared
-	// buffer per Seq, stamped at creation and served verbatim to every
-	// subscriber (see frames.go). Appends happen on the engine
-	// goroutine; reads anywhere under Service.mu.
+	// frames is the job's early-result history, one encoded frame per
+	// Seq: the current cross-partition estimates T virtual seconds after
+	// its start, their intervals narrowing as waves complete, the last
+	// frame of a successful job its final output. Each is stamped at
+	// creation and served verbatim to every subscriber (see frames.go).
+	// Appends happen on the engine goroutine; reads anywhere under
+	// Service.mu, through FramesFrom.
 	frames []*encFrame
 }
 
@@ -126,7 +117,7 @@ type entry struct {
 // Service runs many jobs concurrently on one shared engine. All
 // mutating methods (Submit, Cancel, Replay, and the engine callbacks)
 // must run on the goroutine that drives the engine; the read methods
-// (JobInfo, Jobs, Stats, StreamFrom) are safe from any goroutine.
+// (JobInfo, Jobs, Stats, FramesFrom) are safe from any goroutine.
 type Service struct {
 	cfg Config
 	eng *cluster.Engine
@@ -440,7 +431,6 @@ func (s *Service) enqueue(spec JobSpec, job *mapreduce.Job, id string) {
 			// stable here); every subscriber shares the buffer.
 			f := newJobFrame(len(st.frames), t, StatusRunning, false, ests)
 			s.mu.Lock()
-			st.Snapshots = append(st.Snapshots, Snapshot{T: t, Estimates: ests})
 			st.frames = append(st.frames, f)
 			s.mu.Unlock()
 			s.cond.Broadcast()
@@ -521,8 +511,8 @@ func (s *Service) onJobDone(e *entry, res *mapreduce.Result, err error) {
 	delete(s.entries, e.job)
 	st := e.state
 	// Decide the terminal status first and pre-encode its wire frame
-	// outside the lock; watchers observe the snapshot append, the frame,
-	// and the status flip as one transition.
+	// outside the lock; watchers observe the frame and the status flip
+	// as one transition.
 	status := StatusDone
 	switch {
 	case err != nil && e.canceled:
@@ -554,13 +544,10 @@ func (s *Service) onJobDone(e *entry, res *mapreduce.Result, err error) {
 	default:
 		st.Result = res
 		s.nDone++
-		// The terminal snapshot: streams converge exactly to the
-		// job's final outputs.
-		st.Snapshots = append(st.Snapshots, Snapshot{T: res.Runtime, Estimates: res.Outputs})
 		st.frames = append(st.frames, doneFrame)
 	}
 	if restamped != nil {
-		st.frames[len(st.frames)-1] = restamped
+		st.frames = withLast(st.frames, restamped)
 	}
 	s.mu.Unlock()
 	s.cond.Broadcast()
@@ -740,9 +727,8 @@ func (s *Service) restoreTerminal(id string, sub, done *JournalRecord) {
 	}
 	if done.Result != nil {
 		st.Result = done.Result.Restore()
-		// The terminal snapshot, so streams opened against a restored
-		// job converge to its final outputs just like live ones.
-		st.Snapshots = []Snapshot{{T: st.Result.Runtime, Estimates: st.Result.Outputs}}
+		// The terminal frame, so streams opened against a restored job
+		// converge to its final outputs just like live ones.
 		st.frames = []*encFrame{newJobFrame(0, st.Result.Runtime, st.Status, st.Status == StatusDone, st.Result.Outputs)}
 	}
 	s.installRestored(st)
@@ -790,7 +776,8 @@ func (s *Service) submitRecovered(id string, spec JobSpec) {
 	s.enqueue(spec, job, id)
 }
 
-// JobInfo returns a copy of one job's state. Safe from any goroutine.
+// JobInfo returns a copy of one job's state; the Result it points at is
+// immutable once published. Safe from any goroutine.
 func (s *Service) JobInfo(id string) (JobState, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -798,7 +785,7 @@ func (s *Service) JobInfo(id string) (JobState, bool) {
 	if !ok {
 		return JobState{}, false
 	}
-	return copyState(st), true
+	return *st, true
 }
 
 // Jobs returns every job's state in submission order.
@@ -807,51 +794,9 @@ func (s *Service) Jobs() []JobState {
 	defer s.mu.Unlock()
 	out := make([]JobState, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, copyState(s.states[id]))
+		out = append(out, *s.states[id])
 	}
 	return out
-}
-
-// copyState snapshots a JobState under the service lock. The Result
-// pointer and snapshot entries are immutable once published, so
-// sharing them with readers is safe; only the slice header is copied.
-func copyState(st *JobState) JobState {
-	cp := *st
-	cp.Snapshots = st.Snapshots[:len(st.Snapshots):len(st.Snapshots)]
-	return cp
-}
-
-// StreamFrom blocks until job id has snapshots beyond `have` or
-// reaches a terminal state, then returns the new snapshots, the
-// (possibly terminal) status, and the updated cursor. Callers loop
-// until Terminal; any goroutine may call it while the engine
-// goroutine drives the job.
-func (s *Service) StreamFrom(id string, have int) ([]Snapshot, JobStatus, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if have < 0 {
-		have = 0
-	}
-	for {
-		st, ok := s.states[id]
-		if !ok {
-			return nil, "", have, fmt.Errorf("jobserver: no job %q", id)
-		}
-		// A resume cursor can point past the end (e.g. a reconnect after
-		// a restart whose recovered job has only the terminal snapshot);
-		// clamp instead of slicing out of range.
-		if have > len(st.Snapshots) {
-			have = len(st.Snapshots)
-		}
-		if len(st.Snapshots) > have || st.Status.Terminal() {
-			fresh := st.Snapshots[have:len(st.Snapshots):len(st.Snapshots)]
-			return fresh, st.Status, len(st.Snapshots), nil
-		}
-		if s.closed {
-			return nil, st.Status, have, errors.New("jobserver: service shut down")
-		}
-		s.cond.Wait()
-	}
 }
 
 // Stats is the service-level dashboard snapshot.

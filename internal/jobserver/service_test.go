@@ -1,6 +1,7 @@
 package jobserver
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -203,7 +204,7 @@ func TestSnapshotsConvergeToFinal(t *testing.T) {
 		t.Fatalf("run: %s %s", st.Status, st.Err)
 	}
 	full, _ := svc.JobInfo(st.ID)
-	snaps := full.Snapshots
+	snaps, _ := followJob(t, svc, st.ID, 0)
 	if len(snaps) < 3 {
 		t.Fatalf("want >= 3 snapshots at period %.2f over runtime %.2f, got %d",
 			runtime/8, runtime, len(snaps))
@@ -214,38 +215,39 @@ func TestSnapshotsConvergeToFinal(t *testing.T) {
 		}
 	}
 	last := snaps[len(snaps)-1]
-	compareOutputs(t, "final-snapshot", last.Estimates, full.Result.Outputs)
+	if want := WireEstimates(full.Result.Outputs); !reflect.DeepEqual(last.Estimates, want) {
+		t.Errorf("final snapshot's %d estimates differ from the job's %d outputs", len(last.Estimates), len(want))
+	}
 	if !stats.AlmostEqual(last.T, full.Result.Runtime, 0) {
 		t.Errorf("terminal snapshot at %.3f, runtime %.3f", last.T, full.Result.Runtime)
 	}
 }
 
-// TestStreamFromFollowsJob replays a job, then walks the snapshot
-// stream with a cursor the way the HTTP handler does.
+// TestStreamFromFollowsJob replays a job, then walks its frame log
+// with a cursor the way the HTTP handler does.
 func TestStreamFromFollowsJob(t *testing.T) {
 	spec := JobSpec{Name: "stream", App: "total-size", Blocks: 40, LinesPerBlock: 100, Seed: 3}
-	svc := New(Config{SnapshotEvery: 5})
+	svc := New(Config{SnapshotEvery: 1})
 	states := svc.Replay([]JobSpec{spec})
 	if states[0].Status != StatusDone {
 		t.Fatalf("run: %s %s", states[0].Status, states[0].Err)
 	}
-	cursor, total := 0, 0
-	for {
-		fresh, status, next, err := svc.StreamFrom(states[0].ID, cursor)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += len(fresh)
-		cursor = next
-		if status.Terminal() {
-			break
+	id := states[0].ID
+	frames, _ := followJob(t, svc, id, 0)
+	for i, f := range frames {
+		if f.Seq != i {
+			t.Errorf("frame %d has seq %d; the log must be gap-free", i, f.Seq)
 		}
 	}
-	full, _ := svc.JobInfo(states[0].ID)
-	if total != len(full.Snapshots) {
-		t.Errorf("stream delivered %d snapshots, state holds %d", total, len(full.Snapshots))
+	// A resumed cursor gets exactly the suffix, and one past the end is
+	// clamped, not an error.
+	if tail, _ := followJob(t, svc, id, 1); len(frames) < 2 || len(tail) != len(frames)-1 {
+		t.Errorf("walk delivered %d frames, resume from 1 delivered %d", len(frames), len(tail))
 	}
-	if _, _, _, err := svc.StreamFrom("nope", 0); err == nil {
-		t.Error("StreamFrom of unknown job should error")
+	if fresh, status, next, err := svc.FramesFrom(id, len(frames)+7, 0); err != nil || len(fresh) != 0 || next != len(frames) || status != StatusDone {
+		t.Errorf("over-large cursor: %d frames, status %s, next %d, err %v", len(fresh), status, next, err)
+	}
+	if _, _, _, err := svc.FramesFrom("nope", 0, 0); err == nil {
+		t.Error("FramesFrom of unknown job should error")
 	}
 }

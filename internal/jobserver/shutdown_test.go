@@ -32,7 +32,7 @@ func TestCloseIdempotent(t *testing.T) {
 	d.Stop()
 }
 
-// TestCloseWakesStreamWaiters: goroutines blocked in StreamFrom on a
+// TestCloseWakesStreamWaiters: goroutines blocked in FramesFrom on a
 // never-finishing job must all wake with an error when the service
 // closes — a hung waiter would hold its HTTP handler, and with it the
 // listener, open forever.
@@ -52,7 +52,7 @@ func TestCloseWakesStreamWaiters(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, _, errs[i] = svc.StreamFrom(id, 0)
+			_, _, _, errs[i] = svc.FramesFrom(id, 0, 0)
 		}()
 	}
 	// Give the waiters a moment to block (late arrivals see closed and
@@ -117,7 +117,7 @@ func TestShutdownCompletesInflightStream(t *testing.T) {
 		t.Fatal("stream connect timed out")
 	}
 
-	// Stop wakes the handler's StreamFrom wait; the listener close then
+	// Stop wakes the handler's FramesFrom wait; the listener close then
 	// has no in-flight request left to wait on.
 	d.Stop()
 	closed := make(chan struct{})

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strconv"
 
 	"approxhadoop/internal/stream"
 	"approxhadoop/internal/wire"
@@ -18,8 +17,9 @@ import (
 //	GET    /v1/streams            list stream states
 //	GET    /v1/streams/{id}       one stream's state (window count, last seq)
 //	DELETE /v1/streams/{id}       stop at the next window
-//	GET    /v1/streams/{id}/watch JSONL WireWindow frames, one per closed
-//	                              window; ?from=N resumes after seq N-1
+//	GET    /v1/streams/{id}/watch wire.WindowFrame stream, one per closed
+//	                              window; ?from=N, ?lag= and the binary
+//	                              form as on /v1/jobs/{id}/stream
 //
 // Watch frames follow the same Seq-resume contract as the batch
 // /stream endpoint — and because a window series is a pure function of
@@ -27,39 +27,13 @@ import (
 // reopen the same spec, and watch from its old cursor: the frames are
 // byte-identical to the ones the dead daemon would have sent.
 
-// WireWindow is one line of the stream watch endpoint: a WindowResult
-// with the NaN-unsafe interval mapped onto the -1 epsilon sentinel.
-type WireWindow struct {
-	Seq    int          `json:"seq"`
-	Status StreamStatus `json:"status"`
-	Final  bool         `json:"final,omitempty"`
-
-	Index      int64   `json:"index"`
-	Start      float64 `json:"start"`
-	End        float64 `json:"end"`
-	Records    int64   `json:"records"`
-	Strata     int     `json:"strata"`
-	Processed  int     `json:"processed"`
-	Folded     int64   `json:"folded"`
-	Sampled    int64   `json:"sampled"`
-	Capacity   int     `json:"capacity"`
-	KeepFrac   float64 `json:"keepFrac"`
-	Degraded   bool    `json:"degraded,omitempty"`
-	Partial    bool    `json:"partial,omitempty"`
-	Exact      bool    `json:"exact,omitempty"`
-	Latency    float64 `json:"latencySecs"`
-	Value      float64 `json:"value"`
-	Epsilon    float64 `json:"epsilon"` // CI half-width; -1 when unbounded
-	Confidence float64 `json:"confidence"`
-	Unbounded  bool    `json:"unbounded,omitempty"`
-}
-
-// wireWindow converts one emitted window; final marks the last frame
-// of a stream that drained normally.
-func wireWindow(seq int, status StreamStatus, r stream.WindowResult) WireWindow {
-	w := WireWindow{
+// wireWindow converts one emitted window to its frame, with the
+// NaN-unsafe interval mapped onto the -1 epsilon sentinel; final marks
+// the last frame of a stream that drained normally.
+func wireWindow(seq int, status StreamStatus, r stream.WindowResult) wire.WindowFrame {
+	w := wire.WindowFrame{
 		Seq:        seq,
-		Status:     status,
+		Status:     string(status),
 		Final:      status == StreamDone,
 		Index:      r.Index,
 		Start:      r.Start,
@@ -100,7 +74,7 @@ type WireStream struct {
 }
 
 func wireStream(st StreamState) WireStream {
-	return WireStream{ID: st.ID, Spec: st.Spec, Status: st.Status, Err: st.Err, Windows: len(st.Windows)}
+	return WireStream{ID: st.ID, Spec: st.Spec, Status: st.Status, Err: st.Err, Windows: st.Windows}
 }
 
 func (d *Daemon) handleStreamOpen(w http.ResponseWriter, r *http.Request) {
@@ -152,69 +126,14 @@ func (d *Daemon) handleStreamStop(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "stopping"})
 }
 
-// handleStreamWatch serves a continuous query's window frames — JSONL
-// or negotiated binary — ending when the stream is terminal
-// (final=true on the last frame of a stream that drained normally).
-// Like /v1/jobs/{id}/stream, frames are encoded once and shared across
-// watchers, with drop-to-latest for watchers that fall too far behind.
+// handleStreamWatch serves a continuous query's window frames, ending
+// when the stream is terminal (final=true on the last frame of a stream
+// that drained normally).
 func (d *Daemon) handleStreamWatch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := d.streams.Info(id); !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("no stream %q", id))
 		return
 	}
-	binary := wantBinary(r)
-	if binary {
-		w.Header().Set("Content-Type", wire.ContentType)
-	} else {
-		w.Header().Set("Content-Type", "application/jsonl")
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-	cursor := 0
-	if from := r.URL.Query().Get("from"); from != "" {
-		if n, err := strconv.Atoi(from); err == nil && n > 0 {
-			cursor = n
-		}
-	}
-	lag := d.streamLag(r)
-	for {
-		fresh, status, next, err := d.streams.WatchFramesFrom(id, cursor, lag)
-		if err != nil {
-			return
-		}
-		terminal := status.Terminal()
-		for _, f := range fresh {
-			if f.WriteTo(w, binary) != nil {
-				return // client went away
-			}
-		}
-		cursor = next
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if terminal {
-			if len(fresh) == 0 {
-				// Stopped/failed after the watcher's last frame, ended
-				// before any window, or a fully caught-up resume: emit one
-				// terminal frame so clients see an ending. A stream that
-				// drains does not come here: its last data frame is born
-				// terminal.
-				//lint:ignore errcheck the stream is ending either way
-				_ = synthWindowFrame(cursor, status).WriteTo(w, binary)
-				if flusher != nil {
-					flusher.Flush()
-				}
-			}
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		default:
-		}
-	}
+	serveFrames(d, w, r, id, d.streams.WatchFramesFrom, synthWindowFrame)
 }

@@ -6,7 +6,7 @@
 // runs each opened stream's Pipeline on its own goroutine — the stream
 // plane's only parallelism is across streams — and accumulates the
 // emitted WindowResults as a Seq-numbered frame log that watchers
-// resume from, mirroring Service.StreamFrom.
+// resume from, mirroring Service.FramesFrom.
 //
 // Streams are deliberately not journaled: a window series is a pure
 // function of (spec, seed), so there is no state worth checkpointing —
@@ -147,17 +147,17 @@ type StreamState struct {
 	Spec   StreamSpec   `json:"spec"`
 	Status StreamStatus `json:"status"`
 	Err    string       `json:"error,omitempty"`
-	// Windows is the emitted series so far; its index is the watch
-	// cursor (Seq).
-	Windows []stream.WindowResult `json:"-"`
+	// Windows counts the frames emitted so far: the next watch cursor
+	// (Seq).
+	Windows int `json:"-"`
 }
 
 // streamEntry is the set's per-stream bookkeeping.
 type streamEntry struct {
-	state    *StreamState // guarded by StreamSet.mu
+	state    *StreamState // guarded by StreamSet.mu; Windows is filled by info
 	canceled bool         // guarded by StreamSet.mu
-	// frames is the encode-once wire form of state.Windows: one shared
-	// buffer per Seq (see frames.go). Appends happen on the stream's
+	// frames is the emitted series, one encoded frame per closed window
+	// and Seq (see frames.go). Appends happen on the stream's
 	// pipeline goroutine; reads anywhere under StreamSet.mu. Published
 	// elements are never overwritten, so a watcher may keep reading the
 	// sub-slice it was handed after it drops the lock.
@@ -245,7 +245,6 @@ func (s *StreamSet) run(e *streamEntry, p *stream.Pipeline) {
 			s.mu.Unlock()
 			return errStreamCanceled
 		}
-		e.state.Windows = append(e.state.Windows, r)
 		e.frames = append(e.frames, f)
 		seq++
 		if r.Last {
@@ -287,13 +286,8 @@ func (s *StreamSet) finish(e *streamEntry, err error) {
 	if n := len(e.frames); n > 0 {
 		// The last published frame carries the terminal status, in the
 		// same critical section as the status flip, so watchers observe
-		// both or neither. It goes into a copy of the slice: a watcher
-		// may still be reading, outside the lock, the frames
-		// WatchFramesFrom handed it.
-		frames := make([]*encFrame, n)
-		copy(frames, e.frames)
-		frames[n-1] = restampWindowFrame(frames[n-1], e.state.Status)
-		e.frames = frames
+		// both or neither.
+		e.frames = withLast(e.frames, restampWindowFrame(e.frames[n-1], e.state.Status))
 	}
 }
 
@@ -318,7 +312,7 @@ func (s *StreamSet) Info(id string) (StreamState, bool) {
 	if !ok {
 		return StreamState{}, false
 	}
-	return copyStreamState(e.state), true
+	return e.info(), true
 }
 
 // List returns every stream's state in open order.
@@ -327,80 +321,36 @@ func (s *StreamSet) List() []StreamState {
 	defer s.mu.Unlock()
 	out := make([]StreamState, 0, len(s.order))
 	for _, id := range s.order {
-		out = append(out, copyStreamState(s.streams[id].state))
+		out = append(out, s.streams[id].info())
 	}
 	return out
 }
 
-// copyStreamState snapshots a state under the set lock. Emitted
-// windows are immutable once published, so sharing the capped slice
-// with readers is safe.
-func copyStreamState(st *StreamState) StreamState {
-	cp := *st
-	cp.Windows = st.Windows[:len(st.Windows):len(st.Windows)]
-	return cp
+// info snapshots the entry's state under the set lock.
+func (e *streamEntry) info() StreamState {
+	st := *e.state
+	st.Windows = len(e.frames)
+	return st
 }
 
-// WatchFrom blocks until stream id has windows beyond `have` or is
-// terminal, then returns the fresh windows, the status, and the
-// updated cursor — the streaming-plane mirror of Service.StreamFrom.
-// Callers loop until Terminal; an out-of-range resume cursor is
-// clamped.
-func (s *StreamSet) WatchFrom(id string, have int) ([]stream.WindowResult, StreamStatus, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if have < 0 {
-		have = 0
-	}
-	for {
-		e, ok := s.streams[id]
-		if !ok {
-			return nil, "", have, fmt.Errorf("jobserver: no stream %q", id)
-		}
-		st := e.state
-		if have > len(st.Windows) {
-			have = len(st.Windows)
-		}
-		if len(st.Windows) > have || st.Status.Terminal() {
-			fresh := st.Windows[have:len(st.Windows):len(st.Windows)]
-			return fresh, st.Status, len(st.Windows), nil
-		}
-		if s.closed {
-			return nil, st.Status, have, errors.New("jobserver: stream set shut down")
-		}
-		s.cond.Wait()
-	}
-}
-
-// WatchFramesFrom is the encode-once sibling of WatchFrom: it returns
-// the pre-encoded shared frames past `have` instead of the raw
-// windows. maxLag > 0 enables the slow-subscriber policy — a watcher
-// more than maxLag frames behind a live stream jumps to the latest
-// frame (the Seq gap is its drop signal); terminal streams replay in
-// full.
+// WatchFramesFrom blocks until stream id has frames beyond `have` or
+// is terminal, then returns the fresh shared frames (see freshFrames),
+// the status, and the updated cursor — the streaming-plane mirror of
+// Service.FramesFrom. Callers loop until Terminal.
 func (s *StreamSet) WatchFramesFrom(id string, have, maxLag int) ([]*encFrame, StreamStatus, int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if have < 0 {
-		have = 0
-	}
 	for {
 		e, ok := s.streams[id]
 		if !ok {
 			return nil, "", have, fmt.Errorf("jobserver: no stream %q", id)
 		}
-		if have > len(e.frames) {
-			have = len(e.frames)
-		}
-		if !e.state.Status.Terminal() && maxLag > 0 && len(e.frames)-have > maxLag {
-			have = len(e.frames) - 1
-		}
-		if len(e.frames) > have || e.state.Status.Terminal() {
-			fresh := e.frames[have:len(e.frames):len(e.frames)]
-			return fresh, e.state.Status, len(e.frames), nil
+		fresh, next, ready := freshFrames(e.frames, have, maxLag, e.state.Status.Terminal())
+		if ready {
+			return fresh, e.state.Status, next, nil
 		}
 		if s.closed {
-			return nil, e.state.Status, have, errors.New("jobserver: stream set shut down")
+			return nil, e.state.Status, next, errors.New("jobserver: stream set shut down")
 		}
 		s.cond.Wait()
 	}

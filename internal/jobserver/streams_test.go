@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"approxhadoop/internal/stream"
+	"approxhadoop/internal/wire"
 )
 
 // tinyStreamSpec is a continuous query small enough for unit tests.
@@ -29,16 +30,26 @@ func tinyStreamSpec(seed int64) StreamSpec {
 	}
 }
 
-// watchAll drains a stream through WatchFrom the way an HTTP client
-// would: loop on the cursor until terminal.
-func watchAll(t *testing.T, s *StreamSet, id string, from int) ([]stream.WindowResult, StreamStatus) {
+// decodeWindow decodes an encoded window frame.
+func decodeWindow(t *testing.T, f *encFrame) *wire.WindowFrame {
 	t.Helper()
-	var wins []stream.WindowResult
+	ww, err := wire.DecodeWindowFrame(f.bin)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return ww
+}
+
+// watchAll drains a stream through WatchFramesFrom the way an HTTP
+// client would: loop on the cursor until terminal.
+func watchAll(t *testing.T, s *StreamSet, id string, from int) ([]*encFrame, StreamStatus) {
+	t.Helper()
+	var wins []*encFrame
 	cursor := from
 	for {
-		fresh, status, next, err := s.WatchFrom(id, cursor)
+		fresh, status, next, err := s.WatchFramesFrom(id, cursor, 0)
 		if err != nil {
-			t.Fatalf("WatchFrom(%s, %d): %v", id, cursor, err)
+			t.Fatalf("watch %s from %d: %v", id, cursor, err)
 		}
 		wins = append(wins, fresh...)
 		cursor = next
@@ -46,6 +57,15 @@ func watchAll(t *testing.T, s *StreamSet, id string, from int) ([]stream.WindowR
 			return wins, status
 		}
 	}
+}
+
+// seriesBytes is a watched series as it goes on the wire.
+func seriesBytes(frames []*encFrame) []byte {
+	var b []byte
+	for _, f := range frames {
+		b = append(b, f.bin...)
+	}
+	return b
 }
 
 // TestStreamSetWatchAndResume: a watcher sees every window exactly
@@ -66,17 +86,22 @@ func TestStreamSetWatchAndResume(t *testing.T) {
 	if len(wins) != 6 {
 		t.Fatalf("watched %d windows; want 6 (MaxWindows)", len(wins))
 	}
+	for i, f := range wins {
+		if ww := decodeWindow(t, f); ww.Seq != i || ww.Index != int64(i) || ww.Records <= 0 {
+			t.Errorf("frame %d is seq %d, window %d, %d records", i, ww.Seq, ww.Index, ww.Records)
+		}
+	}
 
 	// Resume mid-series: the suffix must match what the full watch saw.
 	tail, _ := watchAll(t, s, id, 3)
 	if len(tail) != 3 {
 		t.Fatalf("resume from 3 returned %d windows; want 3", len(tail))
 	}
-	if !bytes.Equal(stream.SeriesBytes(tail), stream.SeriesBytes(wins[3:])) {
+	if !bytes.Equal(seriesBytes(tail), seriesBytes(wins[3:])) {
 		t.Errorf("resumed suffix differs from the original series")
 	}
 	// A cursor past the end clamps instead of erroring.
-	none, st2, next, err := s.WatchFrom(id, 99)
+	none, st2, next, err := s.WatchFramesFrom(id, 99, 0)
 	if err != nil || len(none) != 0 || next != 6 || !st2.Terminal() {
 		t.Errorf("over-large cursor: got %d wins, status %s, next %d, err %v", len(none), st2, next, err)
 	}
@@ -90,8 +115,8 @@ func TestStreamSetWatchAndResume(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	wins2, _ := watchAll(t, s2, id2, 0)
-	if !bytes.Equal(stream.SeriesBytes(wins), stream.SeriesBytes(wins2)) {
-		t.Errorf("reopened stream series differs:\n%s\nvs\n%s", stream.SeriesBytes(wins), stream.SeriesBytes(wins2))
+	if !bytes.Equal(seriesBytes(wins), seriesBytes(wins2)) {
+		t.Errorf("reopened stream series differs:\n%x\nvs\n%x", seriesBytes(wins), seriesBytes(wins2))
 	}
 }
 
@@ -182,17 +207,17 @@ func TestStreamHTTPWatch(t *testing.T) {
 }
 
 // watchHTTP drains /v1/streams/{id}/watch?from=N into frames.
-func watchHTTP(t *testing.T, srv *httptest.Server, id string, from int) []WireWindow {
+func watchHTTP(t *testing.T, srv *httptest.Server, id string, from int) []wire.WindowFrame {
 	t.Helper()
 	resp, err := srv.Client().Get(srv.URL + "/v1/streams/" + id + "/watch?from=" + strconv.Itoa(from))
 	if err != nil {
 		t.Fatalf("watch: %v", err)
 	}
 	defer resp.Body.Close()
-	var frames []WireWindow
+	var frames []wire.WindowFrame
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
-		var f WireWindow
+		var f wire.WindowFrame
 		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
 			t.Fatalf("bad frame %q: %v", sc.Text(), err)
 		}
@@ -216,7 +241,7 @@ func TestStreamTerminalFrameLeavesSnapshotsAlone(t *testing.T) {
 	const id = "stream-0000"
 	e := &streamEntry{state: &StreamState{ID: id, Status: StreamRunning}}
 	for seq := 0; seq < 3; seq++ {
-		e.frames = append(e.frames, newWindowFrameEnc(WireWindow{Seq: seq, Status: StreamRunning, Records: 10}))
+		e.frames = append(e.frames, newWindowFrameEnc(wire.WindowFrame{Seq: seq, Status: string(StreamRunning), Records: 10}))
 	}
 	s.streams[id] = e
 	s.running = 1
@@ -235,14 +260,14 @@ func TestStreamTerminalFrameLeavesSnapshotsAlone(t *testing.T) {
 		t.Errorf("held snapshot changed under the watcher")
 	}
 	<-done
-	if held[1] != last || held[1].src.(*WireWindow).Final {
-		t.Errorf("terminal transition wrote to a watcher's snapshot: %+v", held[1].src)
+	if held[1] != last || decodeWindow(t, held[1]).Final {
+		t.Errorf("terminal transition wrote to a watcher's snapshot: %+v", decodeWindow(t, held[1]))
 	}
 	fresh, status, _, err := s.WatchFramesFrom(id, 2, 0)
 	if err != nil || status != StreamDone || len(fresh) != 1 {
 		t.Fatalf("terminal watch: %d frames, status %s, err %v", len(fresh), status, err)
 	}
-	if ww := fresh[0].src.(*WireWindow); !ww.Final || ww.Status != StreamDone || ww.Seq != 2 {
+	if ww := decodeWindow(t, fresh[0]); !ww.Final || ww.Status != string(StreamDone) || ww.Seq != 2 || ww.Records != 10 {
 		t.Errorf("terminal frame %+v; want seq 2, done, final", ww)
 	}
 }
@@ -258,12 +283,12 @@ func (s runSource) Run(fn func(t float64, line []byte) error) error { return s(f
 // "last data frame" and "ended".
 func checkWatchReturn(t *testing.T, who string, fresh []*encFrame, status StreamStatus) {
 	t.Helper()
-	final := len(fresh) > 0 && fresh[len(fresh)-1].src.(*WireWindow).Final
+	final := len(fresh) > 0 && decodeWindow(t, fresh[len(fresh)-1]).Final
 	if status.Terminal() != final {
 		t.Errorf("%s: %d fresh frames, status %s, last frame final = %v", who, len(fresh), status, final)
 	}
 	for _, f := range fresh[:max(len(fresh)-1, 0)] {
-		if ww := f.src.(*WireWindow); ww.Final || ww.Status != StreamRunning {
+		if ww := decodeWindow(t, f); ww.Final || ww.Status != string(StreamRunning) {
 			t.Errorf("%s: frame %d of a longer series is stamped %s, final %v", who, ww.Seq, ww.Status, ww.Final)
 		}
 	}
@@ -285,7 +310,7 @@ func TestStreamWatchEndsWithItsLastFrame(t *testing.T) {
 	s.running = 1
 	cursor, ended := 0, false
 	watch := func() {
-		if st, _ := s.Info(id); ended || (len(st.Windows) == cursor && !st.Status.Terminal()) {
+		if st, _ := s.Info(id); ended || (st.Windows == cursor && !st.Status.Terminal()) {
 			return // a real watcher would be parked, or gone
 		}
 		fresh, status, next, err := s.WatchFramesFrom(id, cursor, 0)

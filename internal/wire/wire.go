@@ -1,17 +1,20 @@
-// Package wire is the compact binary frame format of the approxd
-// snapshot/stream fan-out path.
+// Package wire defines the frames approxd streams — a job's snapshots
+// with their narrowing intervals, a continuous query's windows — and
+// their two renderings: the compact binary payload, which is the form
+// the daemon keeps, and the JSON line decoded from it, whose field
+// names are the struct tags below.
 //
-// The HTTP/JSON stream endpoints re-encoded every frame once per
-// subscriber; at fan-out that makes encoding the dominant serving
-// cost. This format is built to be encoded exactly once per sequence
-// number by the producer and then shared, as raw bytes, across every
-// subscriber of a job or stream:
+// A payload is encoded exactly once per sequence number by the producer
+// and then shared, as raw bytes, across every subscriber of a job or
+// stream:
 //
 //   - Canonical: one valid encoding per frame value. Encoding is a
-//     single code path, decoding rejects trailing bytes, so
-//     encode(decode(b)) == b and byte comparison is semantic
-//     comparison. That is what lets recovery and shard-count
-//     experiments diff streams with cmp/bytes.Equal.
+//     single code path; decoding rejects trailing bytes, padded
+//     varints, undefined flag bits and counts that do not fit a
+//     non-negative int, so encode(decode(b)) == b and byte comparison
+//     is semantic comparison. That is what lets recovery and
+//     shard-count experiments diff streams with cmp/bytes.Equal, and
+//     lets the daemon render JSON by decoding its own bytes.
 //   - Self-describing: every payload starts with magic, version, and a
 //     frame kind, so a reader on the wrong endpoint fails loudly
 //     instead of misparsing.
@@ -22,13 +25,15 @@
 // Scalars: non-negative counters use uvarint, signed counters use
 // zigzag varint, floats are the 8 little-endian bytes of their IEEE754
 // bit pattern (NaN/Inf round-trip losslessly; the JSON -1 sentinel
-// convention is applied by the caller before encoding so both
-// representations of a frame agree), strings are uvarint length plus
+// convention is applied by the producer before encoding, because the
+// JSON rendering cannot carry them), strings are uvarint length plus
 // bytes, and booleans pack into one flags byte per struct.
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -43,10 +48,17 @@ const (
 	// Version of the payload layout.
 	Version = 1
 
-	// KindJob is a batch-job snapshot frame (WireFrame equivalent).
+	// KindJob is a batch-job snapshot frame (JobFrame).
 	KindJob = 0x01
-	// KindWindow is a streaming-plane window frame (WireWindow equivalent).
+	// KindWindow is a streaming-plane window frame (WindowFrame).
 	KindWindow = 0x02
+)
+
+// The flag bits each flags byte defines; a decoder rejects the rest.
+const (
+	jobFlags      = 0x01
+	estimateFlags = 0x03
+	windowFlags   = 0x1F
 )
 
 // MaxFrameSize bounds a length-prefixed payload on the read side: far
@@ -68,50 +80,55 @@ var encodes atomic.Uint64
 // O(1) encodes per sequence number regardless of subscriber count.
 func Encodes() uint64 { return encodes.Load() }
 
-// Estimate mirrors one jobserver.WireEstimate.
+// Estimate is one key's value and confidence interval.
 type Estimate struct {
-	Key        string
-	Value      float64
-	Epsilon    float64
-	Confidence float64
-	Lo         float64
-	Hi         float64
-	Exact      bool
-	Unbounded  bool
+	Key        string  `json:"key"`
+	Value      float64 `json:"value"`
+	Epsilon    float64 `json:"epsilon"` // CI half-width; -1 when unbounded
+	Confidence float64 `json:"confidence"`
+	Lo         float64 `json:"lo"`
+	Hi         float64 `json:"hi"`
+	Exact      bool    `json:"exact,omitempty"`
+	Unbounded  bool    `json:"unbounded,omitempty"`
 }
 
-// JobFrame mirrors one jobserver.WireFrame.
+// JobFrame is one frame of a job's stream. Seq is the frame's position
+// in the job's snapshot sequence; a client that loses its connection
+// reconnects with ?from=<lastSeq+1> and resumes without duplicates,
+// including across a daemon restart.
 type JobFrame struct {
-	Seq       int
-	T         float64
-	Status    string
-	Final     bool
-	Estimates []Estimate
+	Seq       int        `json:"seq"`
+	T         float64    `json:"t"` // virtual seconds since job start
+	Status    string     `json:"status"`
+	Final     bool       `json:"final,omitempty"`
+	Estimates []Estimate `json:"estimates"`
 }
 
-// WindowFrame mirrors one jobserver.WireWindow.
+// WindowFrame is one frame of a continuous query's watch stream: one
+// closed window's estimate, with the same Seq-resume contract.
 type WindowFrame struct {
-	Seq        int
-	Status     string
-	Final      bool
-	Index      int64
-	Start      float64
-	End        float64
-	Records    int64
-	Strata     int
-	Processed  int
-	Folded     int64
-	Sampled    int64
-	Capacity   int
-	KeepFrac   float64
-	Degraded   bool
-	Partial    bool
-	Exact      bool
-	Latency    float64
-	Value      float64
-	Epsilon    float64
-	Confidence float64
-	Unbounded  bool
+	Seq    int    `json:"seq"`
+	Status string `json:"status"`
+	Final  bool   `json:"final,omitempty"`
+
+	Index      int64   `json:"index"`
+	Start      float64 `json:"start"`
+	End        float64 `json:"end"`
+	Records    int64   `json:"records"`
+	Strata     int     `json:"strata"`
+	Processed  int     `json:"processed"`
+	Folded     int64   `json:"folded"`
+	Sampled    int64   `json:"sampled"`
+	Capacity   int     `json:"capacity"`
+	KeepFrac   float64 `json:"keepFrac"`
+	Degraded   bool    `json:"degraded,omitempty"`
+	Partial    bool    `json:"partial,omitempty"`
+	Exact      bool    `json:"exact,omitempty"`
+	Latency    float64 `json:"latencySecs"`
+	Value      float64 `json:"value"`
+	Epsilon    float64 `json:"epsilon"` // CI half-width; -1 when unbounded
+	Confidence float64 `json:"confidence"`
+	Unbounded  bool    `json:"unbounded,omitempty"`
 }
 
 func appendFloat(dst []byte, f float64) []byte {
@@ -225,12 +242,25 @@ func (r *reader) byte(what string) byte {
 	return v
 }
 
+// flags reads one flags byte, rejecting bits outside defined.
+func (r *reader) flags(what string, defined byte) byte {
+	v := r.byte(what)
+	if v&^defined != 0 {
+		r.fail(what)
+		return 0
+	}
+	return v
+}
+
+// uvarint reads a minimally encoded uvarint. A multi-byte varint ending
+// in a zero group re-encodes shorter than it was read, so accepting it
+// would leave two byte strings for one frame.
 func (r *reader) uvarint(what string) uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.pos:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && r.b[r.pos+n-1] == 0) {
 		r.fail(what)
 		return 0
 	}
@@ -238,17 +268,24 @@ func (r *reader) uvarint(what string) uint64 {
 	return v
 }
 
+// varint reads a minimally encoded zigzag varint.
 func (r *reader) varint(what string) int64 {
-	if r.err != nil {
-		return 0
+	u := r.uvarint(what)
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
 	}
-	v, n := binary.Varint(r.b[r.pos:])
-	if n <= 0 {
+	return v
+}
+
+// count reads a uvarint that has to fit a non-negative int.
+func (r *reader) count(what string) int {
+	v := r.uvarint(what)
+	if v > math.MaxInt {
 		r.fail(what)
 		return 0
 	}
-	r.pos += n
-	return v
+	return int(v)
 }
 
 func (r *reader) float(what string) float64 {
@@ -319,25 +356,27 @@ func Kind(payload []byte) (byte, error) {
 }
 
 // DecodeJobFrame decodes one canonical KindJob payload. The whole
-// payload must be consumed; trailing bytes are an error.
+// payload must be consumed; trailing bytes are an error. Estimates is
+// never nil: a frame that carries none renders "estimates":[] in JSON,
+// as its producer's did.
 func DecodeJobFrame(payload []byte) (*JobFrame, error) {
 	r := &reader{b: payload}
 	if k := r.header(); r.err == nil && k != KindJob {
 		return nil, fmt.Errorf("wire: kind 0x%02x is not a job frame", k)
 	}
 	f := &JobFrame{}
-	f.Seq = int(r.uvarint("seq"))
+	f.Seq = r.count("seq")
 	f.T = r.float("t")
 	f.Status = r.string("status")
-	flags := r.byte("flags")
+	flags := r.flags("flags", jobFlags)
 	f.Final = flags&1 != 0
-	n := r.uvarint("estimate count")
-	if r.err == nil && n > uint64(len(payload)) {
+	n := r.count("estimate count")
+	if r.err == nil && n > len(payload) {
 		// Each estimate is >1 byte, so a count beyond the payload length
 		// is corrupt; reject before allocating.
 		return nil, fmt.Errorf("wire: estimate count %d exceeds payload", n)
 	}
-	if r.err == nil && n > 0 {
+	if r.err == nil {
 		f.Estimates = make([]Estimate, n)
 		for i := range f.Estimates {
 			e := &f.Estimates[i]
@@ -347,7 +386,7 @@ func DecodeJobFrame(payload []byte) (*JobFrame, error) {
 			e.Confidence = r.float("estimate confidence")
 			e.Lo = r.float("estimate lo")
 			e.Hi = r.float("estimate hi")
-			ef := r.byte("estimate flags")
+			ef := r.flags("estimate flags", estimateFlags)
 			e.Exact = ef&1 != 0
 			e.Unbounded = ef&2 != 0
 		}
@@ -365,9 +404,9 @@ func DecodeWindowFrame(payload []byte) (*WindowFrame, error) {
 		return nil, fmt.Errorf("wire: kind 0x%02x is not a window frame", k)
 	}
 	f := &WindowFrame{}
-	f.Seq = int(r.uvarint("seq"))
+	f.Seq = r.count("seq")
 	f.Status = r.string("status")
-	flags := r.byte("flags")
+	flags := r.flags("flags", windowFlags)
 	f.Final = flags&1 != 0
 	f.Degraded = flags&2 != 0
 	f.Partial = flags&4 != 0
@@ -377,11 +416,11 @@ func DecodeWindowFrame(payload []byte) (*WindowFrame, error) {
 	f.Start = r.float("start")
 	f.End = r.float("end")
 	f.Records = r.varint("records")
-	f.Strata = int(r.uvarint("strata"))
-	f.Processed = int(r.uvarint("processed"))
+	f.Strata = r.count("strata")
+	f.Processed = r.count("processed")
 	f.Folded = r.varint("folded")
 	f.Sampled = r.varint("sampled")
-	f.Capacity = int(r.uvarint("capacity"))
+	f.Capacity = r.count("capacity")
 	f.KeepFrac = r.float("keepFrac")
 	f.Latency = r.float("latency")
 	f.Value = r.float("value")
@@ -431,4 +470,42 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 		return nil, err
 	}
 	return payload, nil
+}
+
+// ReadJobFrames is the client side of a job's frame stream: it reads r
+// to its end — length-prefixed binary payloads when framed, JSON lines
+// otherwise — and hands every frame to fn. It returns nil at a clean
+// end of stream and stops at the first error, fn's included.
+func ReadJobFrames(r io.Reader, framed bool, fn func(*JobFrame) error) error {
+	if framed {
+		br := bufio.NewReader(r)
+		for {
+			payload, err := ReadFrame(br)
+			if err == io.EOF {
+				return nil
+			}
+			if err != nil {
+				return err
+			}
+			f, err := DecodeJobFrame(payload)
+			if err != nil {
+				return err
+			}
+			if err := fn(f); err != nil {
+				return err
+			}
+		}
+	}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	for sc.Scan() {
+		f := &JobFrame{}
+		if err := json.Unmarshal(sc.Bytes(), f); err != nil {
+			return fmt.Errorf("wire: bad stream frame %q: %w", sc.Text(), err)
+		}
+		if err := fn(f); err != nil {
+			return err
+		}
+	}
+	return sc.Err()
 }

@@ -125,6 +125,38 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, err := DecodeJobFrame(append(bytes.Clone(buf), 0)); err == nil {
 		t.Fatal("trailing byte accepted")
 	}
+
+	// Three spellings that decode to a frame whose encoding is some
+	// other byte string: each breaks encode(decode(b)) == b.
+	for _, kind := range []struct {
+		name   string
+		buf    []byte
+		flags  int // offset of the frame's flags byte
+		decode func([]byte) error
+	}{
+		{"job", buf, sampleJobFlagsAt, func(b []byte) error { _, err := DecodeJobFrame(b); return err }},
+		{"window", AppendWindowFrame(nil, sampleWindowFrame()), sampleWindowFlagsAt, func(b []byte) error { _, err := DecodeWindowFrame(b); return err }},
+	} {
+		if err := kind.decode(kind.buf); err != nil {
+			t.Fatalf("%s: sample frame rejected: %v", kind.name, err)
+		}
+		if kind.decode(respellSeq(kind.buf, kind.buf[3]|0x80, 0x00)) == nil {
+			t.Errorf("%s: padded varint accepted", kind.name)
+		}
+		if kind.decode(respellSeq(kind.buf, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01)) == nil {
+			t.Errorf("%s: seq 2^64-1 accepted (it does not fit an int)", kind.name)
+		}
+		bad := bytes.Clone(kind.buf)
+		bad[kind.flags] |= 0x80
+		if kind.decode(bad) == nil {
+			t.Errorf("%s: undefined flag bit accepted", kind.name)
+		}
+	}
+	bad = bytes.Clone(buf)
+	bad[len(bad)-1] |= 0x04 // the last estimate's flags byte
+	if _, err := DecodeJobFrame(bad); err == nil {
+		t.Error("undefined estimate flag bit accepted")
+	}
 }
 
 func TestLengthPrefixedFraming(t *testing.T) {

@@ -146,9 +146,7 @@ func DefaultCluster() ClusterConfig { return cluster.DefaultConfig() }
 // paper-scale simulated runtimes for the default synthetic workloads
 // (the alternative, MeasuredCost, charges tasks their real measured
 // compute time on the host).
-func PaperCost() AnalyticCost {
-	return AnalyticCost{T0: 1.5, Tr: 0.006, Tp: 0.024, RedPerK: 0.02}
-}
+func PaperCost() AnalyticCost { return cluster.PaperCost() }
 
 // AtomCluster mirrors the paper's 60-node Atom cluster used for the
 // large scaling experiments.

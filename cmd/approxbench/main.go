@@ -6,24 +6,17 @@
 //	approxbench -experiment all            # everything (several minutes)
 //	approxbench -experiment fig6           # one artifact
 //	approxbench -experiment fig13 -scale 1 # the scaling series
-//
-// Performance work uses the trajectory flags:
-//
-//	approxbench -experiment fig6 -quick -json bench.json     # record
-//	approxbench -experiment fig6 -quick -compare bench.json  # benchstat-style deltas
 //	approxbench -experiment fig7 -cpuprofile cpu.out         # pprof
 //	approxbench -experiment fig7 -allocprofile allocs.out    # allocation sites
-//	approxbench -experiment all -parallel 1 -workers 1       # sequential baseline
+//	approxbench -experiment all -parallel 1 -workers 1       # sequential run
 //
 // Experiments: table1 table2 fig5 fig6 fig7 fig8 fig9a fig9b fig9c
-// fig10 fig11 fig12 fig13 userdef keyspace sketchpairs sketch stream
-// ablations all — or a comma-separated list, e.g.
-//
-//	approxbench -quick -experiment sketchpairs,sketch -json BENCH_pr8.json
+// fig10 fig11 fig12 fig13 userdef keyspace ablations all — or a
+// comma-separated list, e.g. "fig6,fig7". Speed is measured by the
+// layered benchmark (bench/run.sh), not here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,37 +26,7 @@ import (
 	"time"
 
 	"approxhadoop/internal/harness"
-	"approxhadoop/internal/mapreduce"
 )
-
-// ExpStat is one experiment's recorded cost in a -json trajectory
-// file: wall-clock seconds plus Go heap traffic (alloc bytes and
-// malloc count deltas around the run).
-type ExpStat struct {
-	Name       string  `json:"name"`
-	WallSecs   float64 `json:"wall_secs"`
-	AllocBytes uint64  `json:"alloc_bytes"`
-	Mallocs    uint64  `json:"mallocs"`
-	// ShuffleBytes is the map-output shuffle volume the experiment's
-	// jobs moved (delta of mapreduce.TotalShuffleBytes around the run):
-	// the column the sketch-compressed representation is judged on.
-	ShuffleBytes int64 `json:"shuffle_bytes"`
-	// Stream carries the windowed-accuracy report of the "stream"
-	// experiment: per-window realized error vs claimed CI, coverage,
-	// and the SLO-violation count across the input-rate swing.
-	Stream *harness.StreamReport `json:"stream,omitempty"`
-}
-
-// Trajectory is the schema of -json output (e.g. BENCH_pr3.json).
-type Trajectory struct {
-	Scale       float64   `json:"scale"`
-	Reps        int       `json:"reps"`
-	Workers     int       `json:"workers"`
-	Parallel    int       `json:"parallel"`
-	GOMAXPROCS  int       `json:"gomaxprocs"`
-	Note        string    `json:"note,omitempty"`
-	Experiments []ExpStat `json:"experiments"`
-}
 
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, "approxbench: "+format+"\n", args...)
@@ -72,16 +35,13 @@ func fatalf(format string, args ...interface{}) {
 
 func main() {
 	var (
-		experiment   = flag.String("experiment", "all", "experiment id or comma-separated list (table1,...,fig13,userdef,sketch,ablations,all)")
+		experiment   = flag.String("experiment", "all", "experiment id or comma-separated list (table1,...,fig13,userdef,keyspace,ablations,all)")
 		scale        = flag.Float64("scale", 1, "dataset scale multiplier")
 		reps         = flag.Int("reps", 3, "repetitions per data point")
 		seed         = flag.Int64("seed", 42, "base random seed")
 		quick        = flag.Bool("quick", false, "shortcut for -scale 0.1 -reps 1")
 		parallel     = flag.Int("parallel", 0, "concurrently simulated jobs (0 = GOMAXPROCS, 1 = sequential)")
 		workers      = flag.Int("workers", 0, "map-compute pool size per job (0 = GOMAXPROCS, 1 = inline)")
-		jsonOut      = flag.String("json", "", "write per-experiment wall-clock/alloc stats to this file")
-		compare      = flag.String("compare", "", "print benchstat-style deltas against a previous -json file")
-		note         = flag.String("note", "", "free-form annotation stored in the -json file")
 		cpuprofile   = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile   = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 		allocprofile = flag.String("allocprofile", "", "write a pprof allocs profile (every allocation site, not just live heap) to this file on exit")
@@ -116,10 +76,6 @@ func main() {
 		name string
 		run  func() error
 	}
-	// streamReport is filled by its experiment and attached to the
-	// matching ExpStat so the trajectory file records the evidence, not
-	// just the cost.
-	var streamReport *harness.StreamReport
 	all := []exp{
 		{"table1", func() error { _, err := r.Table1(); return err }},
 		{"table2", func() error { _, err := r.Table2(); return err }},
@@ -136,14 +92,6 @@ func main() {
 		{"fig13", func() error { _, err := r.Fig13(nil); return err }},
 		{"userdef", func() error { _, err := r.UserDefined(); return err }},
 		{"keyspace", func() error { _, err := r.KeySpace(); return err }},
-		{"sketchpairs", func() error { _, err := r.SketchPairs(); return err }},
-		{"sketch", func() error { _, err := r.Sketch(); return err }},
-		{"sketchcmp", func() error { _, err := r.SketchCompare(); return err }},
-		{"stream", func() error {
-			rep, err := r.StreamAccuracy()
-			streamReport = rep
-			return err
-		}},
 		{"ablations", func() error {
 			if _, err := r.AblationTaskOrder(); err != nil {
 				return err
@@ -159,17 +107,6 @@ func main() {
 		}},
 	}
 
-	traj := Trajectory{
-		Scale:      cfg.Scale,
-		Reps:       cfg.Reps,
-		Workers:    *workers,
-		Parallel:   *parallel,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Note:       *note,
-	}
-
-	// -experiment accepts a comma-separated list ("sketchpairs,sketch")
-	// so representation comparisons land in one trajectory file.
 	want := map[string]bool{}
 	for _, name := range strings.Split(strings.ToLower(*experiment), ",") {
 		if name = strings.TrimSpace(name); name != "" {
@@ -182,50 +119,17 @@ func main() {
 			continue
 		}
 		ran = true
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		shuffleBefore := mapreduce.TotalShuffleBytes()
 		start := time.Now()
 		if err := e.run(); err != nil {
 			fatalf("%s failed: %v", e.name, err)
 		}
-		wall := time.Since(start).Seconds()
-		runtime.ReadMemStats(&after)
-		traj.Experiments = append(traj.Experiments, ExpStat{
-			Name:         e.name,
-			WallSecs:     wall,
-			AllocBytes:   after.TotalAlloc - before.TotalAlloc,
-			Mallocs:      after.Mallocs - before.Mallocs,
-			ShuffleBytes: mapreduce.TotalShuffleBytes() - shuffleBefore,
-			Stream:       streamReport,
-		})
-		streamReport = nil
-		fmt.Printf("\n[%s completed in %.1fs wall time]\n", e.name, wall)
+		fmt.Printf("\n[%s completed in %.1fs wall time]\n", e.name, time.Since(start).Seconds())
 	}
 	if !ran {
 		fmt.Fprintf(os.Stderr, "approxbench: unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}
 
-	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(traj); err != nil {
-			fatalf("json: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("json: %v", err)
-		}
-	}
-	if *compare != "" {
-		if err := printCompare(*compare, traj); err != nil {
-			fatalf("compare: %v", err)
-		}
-	}
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
@@ -255,51 +159,4 @@ func main() {
 			fatalf("allocprofile: %v", err)
 		}
 	}
-}
-
-// printCompare renders benchstat-style old/new/delta rows for every
-// experiment present in both the baseline file and this run.
-func printCompare(path string, cur Trajectory) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var base Trajectory
-	if err := json.Unmarshal(data, &base); err != nil {
-		return err
-	}
-	old := map[string]ExpStat{}
-	for _, e := range base.Experiments {
-		old[e.Name] = e
-	}
-	fmt.Printf("\nvs %s (scale=%g reps=%d workers=%d parallel=%d)\n",
-		path, base.Scale, base.Reps, base.Workers, base.Parallel)
-	fmt.Printf("%-12s %9s %9s %8s   %10s %10s %8s   %12s %12s %8s   %12s %12s %8s\n",
-		"experiment", "old s", "new s", "delta",
-		"old MB", "new MB", "delta",
-		"old mallocs", "new mallocs", "delta",
-		"old shufKB", "new shufKB", "delta")
-	for _, e := range cur.Experiments {
-		o, ok := old[e.Name]
-		if !ok {
-			continue
-		}
-		const mb = 1 << 20
-		fmt.Printf("%-12s %9.3f %9.3f %7.1f%%   %10.1f %10.1f %7.1f%%   %12d %12d %7.1f%%   %12.1f %12.1f %7.1f%%\n",
-			e.Name, o.WallSecs, e.WallSecs, pctDelta(o.WallSecs, e.WallSecs),
-			float64(o.AllocBytes)/mb, float64(e.AllocBytes)/mb,
-			pctDelta(float64(o.AllocBytes), float64(e.AllocBytes)),
-			o.Mallocs, e.Mallocs, pctDelta(float64(o.Mallocs), float64(e.Mallocs)),
-			float64(o.ShuffleBytes)/1024, float64(e.ShuffleBytes)/1024,
-			pctDelta(float64(o.ShuffleBytes), float64(e.ShuffleBytes)))
-	}
-	return nil
-}
-
-// pctDelta is the relative change vs a baseline, in percent.
-func pctDelta(base, cur float64) float64 {
-	if base <= 0 {
-		return 0
-	}
-	return (cur - base) / base * 100
 }

@@ -757,15 +757,11 @@ func cmdSmoke(c *client, args []string) error {
 		// virtual times, so slot contention can permute the order map
 		// outputs reach the estimator's accumulators — that moves sums by
 		// an ulp or two, no more. Anything beyond rounding is a real bug.
-		job, err := spec.Build(1)
+		direct, err := directOutputs(spec)
 		if err != nil {
 			return err
 		}
-		direct, err := mapreduce.Run(jobserver.New(jobserver.Config{SnapshotEvery: -1}).Engine(), job)
-		if err != nil {
-			return fmt.Errorf("direct run of %s: %w", spec.Name, err)
-		}
-		if err := outputsAgree(jobserver.WireEstimates(direct.Outputs), res.Outputs); err != nil {
+		if err := outputsAgree(direct, res.Outputs); err != nil {
 			return fmt.Errorf("job %s (%s): served outputs diverge from direct run: %w", id, spec.Name, err)
 		}
 		fmt.Printf("ok %-28s %d snapshots, %d keys, runtime %.1f s\n",

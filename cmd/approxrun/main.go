@@ -46,7 +46,6 @@ import (
 	"approxhadoop/internal/apps"
 	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
-	"approxhadoop/internal/harness"
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stream"
 	"approxhadoop/internal/workload"
@@ -179,7 +178,7 @@ func main() {
 		ctl = approx.NewStatic(*sample, *drop)
 	}
 
-	opts := apps.Options{Controller: ctl, Seed: *seed, Cost: harness.PaperCost()}
+	opts := apps.Options{Controller: ctl, Seed: *seed, Cost: cluster.PaperCost()}
 	wiki := func() *dfs.File {
 		w := workload.DefaultWikiDump()
 		w.ArticlesPerBlock = scaleN(w.ArticlesPerBlock)

@@ -77,7 +77,7 @@ func compareResults(t *testing.T, label string, a, b *approxhadoop.Result) {
 //
 // The check also spans map-compute pool sizes: running user map code
 // on 1, 2, or GOMAXPROCS worker goroutines must be invisible to the
-// virtual timeline, with and without fault injection (the sharedstate
+// virtual timeline, with and without fault injection (the purity
 // analyzer guards the purity this relies on).
 func TestSameSeedRunsIdentical(t *testing.T) {
 	for _, tc := range []struct {

@@ -11,10 +11,10 @@ import (
 	"fmt"
 	"log"
 
+	"approxhadoop"
 	"approxhadoop/internal/approx"
 	"approxhadoop/internal/apps"
 	"approxhadoop/internal/cluster"
-	"approxhadoop/internal/harness"
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/workload"
 )
@@ -28,7 +28,7 @@ func main() {
 		cc.MapSlotsPerServer = 4 // the paper's most efficient CPU-bound setting
 		eng := cluster.New(cc)
 		res, err := mapreduce.Run(eng, apps.DCPlacement(seeds, cfg, apps.Options{
-			Controller: ctl, Cost: harness.PaperCost(), Seed: 5,
+			Controller: ctl, Cost: approxhadoop.PaperCost(), Seed: 5,
 		}))
 		if err != nil {
 			log.Fatal(err)

@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"log"
 
+	"approxhadoop"
 	"approxhadoop/internal/approx"
 	"approxhadoop/internal/apps"
 	"approxhadoop/internal/cluster"
-	"approxhadoop/internal/harness"
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/workload"
 )
@@ -33,7 +33,7 @@ func main() {
 		// Concentrate the reduces on two servers so map-free servers
 		// can actually enter S3.
 		res, err := mapreduce.Run(eng, apps.WebRequestRate(web, apps.Options{
-			Controller: ctl, Cost: harness.PaperCost(), Seed: 2, SleepIdle: true, Reduces: 2,
+			Controller: ctl, Cost: approxhadoop.PaperCost(), Seed: 2, SleepIdle: true, Reduces: 2,
 		}))
 		if err != nil {
 			log.Fatal(err)

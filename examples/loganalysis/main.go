@@ -11,10 +11,10 @@ import (
 	"log"
 	"sort"
 
+	"approxhadoop"
 	"approxhadoop/internal/approx"
 	"approxhadoop/internal/apps"
 	"approxhadoop/internal/cluster"
-	"approxhadoop/internal/harness"
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/workload"
 )
@@ -29,7 +29,7 @@ func main() {
 	run := func(ctl mapreduce.Controller) *mapreduce.Result {
 		eng := cluster.New(cluster.DefaultConfig())
 		res, err := mapreduce.Run(eng, apps.ProjectPopularity(logFile, apps.Options{
-			Controller: ctl, Cost: harness.PaperCost(), Seed: 3,
+			Controller: ctl, Cost: approxhadoop.PaperCost(), Seed: 3,
 		}))
 		if err != nil {
 			log.Fatal(err)

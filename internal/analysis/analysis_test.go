@@ -24,9 +24,10 @@ type fixtureDep struct{ dir, path string }
 // fixtureCases maps each testdata/src directory to the import path its
 // package poses as. virtualclock only fires inside simulator packages,
 // so that fixture borrows a simulator path; the lockheld fixture poses
-// as the job service for the same reason. The purity fixture spans two
-// packages: the violation lives in the dep package, where the
-// intra-package sharedstate closure provably cannot see it.
+// as the job service for the same reason. The sharedstate fixture holds
+// purity's body checks inside one package; the purity fixture spans two
+// packages, with the violation in the dep package, one import away from
+// the compute root.
 var fixtureCases = []struct {
 	dir, path string
 	deps      []fixtureDep

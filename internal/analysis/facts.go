@@ -14,7 +14,7 @@ const (
 	// computeDirective marks a function as a compute-plane root: it may
 	// run on a worker-pool goroutine concurrently with the virtual-time
 	// scheduler, so everything reachable from it must be a pure function
-	// of its arguments (purity, sharedstate).
+	// of its arguments (purity).
 	computeDirective = "//approx:compute"
 	// hotpathDirective marks a function as per-record hot: the hotpath
 	// analyzer forbids allocation-causing constructs inside it.

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"go/ast"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -41,23 +43,24 @@ func pureStdlibPkg(path string) bool {
 	return false
 }
 
-// Purity is the interprocedural successor to sharedstate: it follows
-// //approx:compute roots across package boundaries over the static
-// call graph, applies the scheduler-plane body checks to every
-// function reached, and reports every frontier call (interface or
-// function value) that escapes into code it cannot analyze — unless
-// the call goes through a declaration marked //approx:pure or into a
-// trusted pure stdlib package. Each finding carries the call chain
-// from the root that reached it.
+// Purity enforces the two-plane execution contract of the worker-pool
+// simulator: map compute runs on pool goroutines concurrently with the
+// virtual-time scheduler, so functions marked //approx:compute, and
+// everything they reach, must not touch scheduler/engine state, the
+// shared Job.Meter, package-level variables or sync.Pool. It follows
+// the roots across package boundaries over the static call graph,
+// applies those body checks to every function reached, and reports
+// every frontier call (interface or function value) that escapes into
+// code it cannot analyze — unless the call goes through a declaration
+// marked //approx:pure or into a trusted pure stdlib package. Each
+// finding carries the call chain from the root that reached it.
 var Purity = &Analyzer{
 	Name: "purity",
 	Doc: "follow //approx:compute roots across package boundaries over the static " +
 		"call graph and report (with the full call chain) any scheduler-plane " +
 		"touch, package-level variable write, sync.Pool use, or unresolvable " +
 		"frontier call — interface methods and function values not marked " +
-		"//approx:pure, and calls into non-allowlisted external packages; the " +
-		"intra-package sharedstate closure provably misses violations one " +
-		"package away",
+		"//approx:pure, and calls into non-allowlisted external packages",
 	RunProgram: runPurity,
 }
 
@@ -178,4 +181,128 @@ func exemptFuncValue(f *Facts, caller *types.Func, call Call) bool {
 	// Local or parameter: declared inside the caller's declaration.
 	info := f.DeclOf(caller)
 	return info != nil && v.Pos() >= info.Decl.Pos() && v.Pos() <= info.Decl.End()
+}
+
+// schedulerPlaneTypes are the type names whose state belongs to the
+// single-threaded virtual-time plane. Any selector on a value of such
+// a type inside compute-plane code is a data race waiting to happen
+// (and, even when benign, makes results depend on pool scheduling).
+var schedulerPlaneTypes = map[string]bool{
+	"tracker":     true,
+	"Engine":      true,
+	"Server":      true,
+	"RunningTask": true,
+}
+
+// computeBodyChecker reports every scheduler-plane touch inside one
+// compute-plane function body: info and pkg describe the package
+// declaring the function, and chain carries the call-chain suffix
+// appended to every message.
+type computeBodyChecker struct {
+	info   *types.Info
+	pkg    *types.Package
+	fn     string
+	chain  string
+	report func(pos token.Pos, format string, args ...interface{})
+}
+
+func (c *computeBodyChecker) check(body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			if named := derefNamed(c.info.Types[n].Type); named != nil && isSyncPool(named) {
+				c.reportSyncPool(n.Pos())
+			}
+		case *ast.ValueSpec:
+			for _, id := range n.Names {
+				if v, ok := c.info.Defs[id].(*types.Var); ok {
+					if named := derefNamed(v.Type()); named != nil && isSyncPool(named) {
+						c.reportSyncPool(id.Pos())
+					}
+				}
+			}
+		case *ast.SelectorExpr:
+			t := c.info.Types[n.X].Type
+			if t == nil {
+				return true
+			}
+			named := derefNamed(t)
+			if named == nil {
+				return true
+			}
+			if isSyncPool(named) {
+				c.reportSyncPool(n.Pos())
+			}
+			obj := named.Obj()
+			if schedulerPlaneTypes[obj.Name()] && fromSchedulerPlane(c.pkg, obj) {
+				c.report(n.Pos(),
+					"compute-plane function %s touches scheduler-plane %s state (.%s); code reachable from %s runs on pool goroutines and must stay pure%s",
+					c.fn, obj.Name(), n.Sel.Name, computeDirective, c.chain)
+			}
+			if obj.Name() == "Job" && n.Sel.Name == "Meter" {
+				c.report(n.Pos(),
+					"compute-plane function %s reads the shared Job.Meter; fork a per-attempt meter (vtime.Fork) at decide time instead%s",
+					c.fn, c.chain)
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				c.checkPkgVarWrite(lhs)
+			}
+		case *ast.IncDecStmt:
+			c.checkPkgVarWrite(n.X)
+		}
+		return true
+	})
+}
+
+// isSyncPool reports whether a named type is sync.Pool. Pools hand
+// buffers out in goroutine-scheduling order, so any use inside the
+// compute plane lets pool size leak into results.
+func isSyncPool(named *types.Named) bool {
+	obj := named.Obj()
+	return obj.Name() == "Pool" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
+}
+
+func (c *computeBodyChecker) reportSyncPool(pos token.Pos) {
+	c.report(pos,
+		"compute-plane function %s uses sync.Pool; pool hand-out order depends on goroutine scheduling — keep reusable buffers in attempt-local state instead%s",
+		c.fn, c.chain)
+}
+
+// fromSchedulerPlane reports whether a named type belongs to the
+// analyzed package or the cluster engine package — the two homes of
+// scheduler-plane state (fixtures declare local doubles; the real
+// Engine/Server/RunningTask live in internal/cluster).
+func fromSchedulerPlane(pkg *types.Package, obj *types.TypeName) bool {
+	if obj.Pkg() == nil {
+		return false
+	}
+	if obj.Pkg() == pkg {
+		return true
+	}
+	path := obj.Pkg().Path()
+	return path == "cluster" || strings.HasSuffix(path, "/cluster")
+}
+
+// checkPkgVarWrite reports assignments and inc/dec statements whose
+// target resolves to a package-level variable (of any package).
+func (c *computeBodyChecker) checkPkgVarWrite(lhs ast.Expr) {
+	var obj types.Object
+	switch e := lhs.(type) {
+	case *ast.Ident:
+		obj = c.info.Uses[e]
+	case *ast.SelectorExpr:
+		obj = c.info.Uses[e.Sel]
+	default:
+		return
+	}
+	v, ok := obj.(*types.Var)
+	if !ok || v.Pkg() == nil {
+		return
+	}
+	if v.Parent() == v.Pkg().Scope() {
+		c.report(lhs.Pos(),
+			"compute-plane function %s writes package-level variable %s; pool workers share it, so results would depend on pool scheduling%s",
+			c.fn, v.Name(), c.chain)
+	}
 }

@@ -13,7 +13,6 @@ func All() []*Analyzer {
 		Nofloateq,
 		Nopanic,
 		Errcheck,
-		Sharedstate,
 		Purity,
 		Hotpath,
 		Lockheld,

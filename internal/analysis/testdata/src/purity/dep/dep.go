@@ -1,5 +1,5 @@
 // Package dep sits one package away from the compute root in the
-// purity fixture: the intra-package sharedstate closure stops at the
+// purity fixture: a closure over one package's calls stops at the
 // import boundary, so the violation below is only reachable through
 // the whole-program call graph.
 package dep

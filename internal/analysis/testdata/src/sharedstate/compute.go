@@ -30,8 +30,8 @@ var totalPairs int
 
 //approx:compute
 func run(job *Job, t *tracker) float64 {
-	totalPairs++   // want: sharedstate purity
-	m := job.Meter // want: sharedstate purity
+	totalPairs++   // want: purity
+	m := job.Meter // want: purity
 	m.Charge(1)    // want: purity
 	return helper(t) + pooled() + float64(job.Seed)
 }
@@ -39,18 +39,18 @@ func run(job *Job, t *tracker) float64 {
 // pooled is reachable from run: sync.Pool hands buffers out in
 // goroutine-scheduling order, so every use is a determinism leak.
 func pooled() float64 {
-	var bufPool sync.Pool                                     // want: sharedstate purity
-	bufPool.Put(make([]byte, 0, 8))                           // want: sharedstate purity
-	buf, _ := bufPool.Get().([]byte)                          // want: sharedstate purity
-	shared := &sync.Pool{New: func() any { return new(int) }} // want: sharedstate purity
+	var bufPool sync.Pool                                     // want: purity
+	bufPool.Put(make([]byte, 0, 8))                           // want: purity
+	buf, _ := bufPool.Get().([]byte)                          // want: purity
+	shared := &sync.Pool{New: func() any { return new(int) }} // want: purity
 	_ = shared
 	return float64(len(buf))
 }
 
 // helper is reachable from run, so the compute contract extends here.
 func helper(t *tracker) float64 {
-	t.launched++       // want: sharedstate purity
-	return t.eng.Now() // want: sharedstate sharedstate purity purity
+	t.launched++       // want: purity
+	return t.eng.Now() // want: purity purity
 }
 
 // unmarked is NOT reachable from a compute root: the same accesses are

@@ -19,13 +19,13 @@ type future struct {
 //approx:compute
 func (f *future) compute() {
 	f.res = f.ratio
-	f.res += float64(f.t.launched) // want: sharedstate purity
+	f.res += float64(f.t.launched) // want: purity
 	f.res += current(f.t)
 }
 
 // current is reachable from compute.
 func current(t *tracker) float64 {
-	return t.eng.Now() // want: sharedstate sharedstate purity purity
+	return t.eng.Now() // want: purity purity
 }
 
 // viaClosure is the same mistake one closure deep: a literal built
@@ -34,7 +34,7 @@ func current(t *tracker) float64 {
 //approx:compute
 func (f *future) viaClosure() {
 	run := func() float64 {
-		return float64(f.t.launched) // want: sharedstate purity
+		return float64(f.t.launched) // want: purity
 	}
 	f.res = run()
 }

@@ -103,6 +103,13 @@ func DefaultAnalyticCost() AnalyticCost {
 	return AnalyticCost{T0: 1.5, Tr: 4e-5, Tp: 4e-4, RedPerK: 0.02}
 }
 
+// PaperCost returns the analytic cost model calibrated so the default
+// synthetic WikiLength job (161 maps over 80 slots) lands near the
+// paper's ~180 s precise runtime.
+func PaperCost() AnalyticCost {
+	return AnalyticCost{T0: 1.5, Tr: 0.006, Tp: 0.024, RedPerK: 0.02}
+}
+
 // MapDuration implements CostModel.
 func (c AnalyticCost) MapDuration(m TaskMeasure) float64 {
 	return c.T0 + float64(m.Items)*c.Tr + float64(m.Processed)*c.Tp + float64(m.Bytes)*c.TrPerByte

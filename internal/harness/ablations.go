@@ -6,6 +6,7 @@ import (
 
 	"approxhadoop/internal/approx"
 	"approxhadoop/internal/apps"
+	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/mapreduce"
 )
@@ -178,8 +179,8 @@ func (r *Runner) AblationCostModel() ([]AblationRow, error) {
 	}{
 		{"measured precise", apps.Options{Seed: r.cfg.Seed}},
 		{"measured sampled 10%", apps.Options{Seed: r.cfg.Seed, Controller: approx.NewStatic(0.1, 0)}},
-		{"analytic precise", apps.Options{Seed: r.cfg.Seed, Cost: PaperCost()}},
-		{"analytic sampled 10%", apps.Options{Seed: r.cfg.Seed, Cost: PaperCost(), Controller: approx.NewStatic(0.1, 0)}},
+		{"analytic precise", apps.Options{Seed: r.cfg.Seed, Cost: cluster.PaperCost()}},
+		{"analytic sampled 10%", apps.Options{Seed: r.cfg.Seed, Cost: cluster.PaperCost(), Controller: approx.NewStatic(0.1, 0)}},
 	} {
 		res, err := r.runJob(apps.ProjectPopularity(input, cfg.opts))
 		if err != nil {

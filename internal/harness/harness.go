@@ -33,7 +33,7 @@ type Config struct {
 	// Cluster is the simulated cluster configuration.
 	Cluster cluster.Config
 	// Cost converts task measurements into virtual durations; the
-	// default is PaperCost(), calibrated to paper-scale seconds.
+	// default is cluster.PaperCost(), calibrated to paper-scale seconds.
 	Cost cluster.CostModel
 	// Seed is the base seed; repetition r uses Seed + r.
 	Seed int64
@@ -52,20 +52,13 @@ type Config struct {
 	Workers int
 }
 
-// PaperCost returns the analytic cost model calibrated so the default
-// synthetic WikiLength job (161 maps over 80 slots) lands near the
-// paper's ~180 s precise runtime.
-func PaperCost() cluster.AnalyticCost {
-	return cluster.AnalyticCost{T0: 1.5, Tr: 0.006, Tp: 0.024, RedPerK: 0.02}
-}
-
 // Default returns the standard harness configuration.
 func Default() Config {
 	return Config{
 		Scale:   1,
 		Reps:    3,
 		Cluster: cluster.DefaultConfig(),
-		Cost:    PaperCost(),
+		Cost:    cluster.PaperCost(),
 		Seed:    42,
 	}
 }
@@ -92,7 +85,7 @@ func New(cfg Config) *Runner {
 		cfg.Cluster = cluster.DefaultConfig()
 	}
 	if cfg.Cost == nil {
-		cfg.Cost = PaperCost()
+		cfg.Cost = cluster.PaperCost()
 	}
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = runtime.GOMAXPROCS(0)

@@ -387,37 +387,3 @@ func TestAblationCostModel(t *testing.T) {
 		t.Errorf("analytic: sampling should cut runtime (%v vs %v)", rows[3].Runtime, rows[2].Runtime)
 	}
 }
-
-func TestSketchExperiments(t *testing.T) {
-	r, buf := tiny(t)
-	rows, err := r.SketchCompare()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 { // 2 apps x 2 representations
-		t.Fatalf("rows = %d", len(rows))
-	}
-	pairs, sk := rows[:2], rows[2:]
-	for i := range sk {
-		if sk[i].App != pairs[i].App {
-			t.Fatalf("row order mismatch: %q vs %q", sk[i].App, pairs[i].App)
-		}
-		if sk[i].ShuffleBytes <= 0 || pairs[i].ShuffleBytes <= sk[i].ShuffleBytes {
-			t.Errorf("%s: sketch shuffle %d should undercut pairs %d",
-				sk[i].App, sk[i].ShuffleBytes, pairs[i].ShuffleBytes)
-		}
-		if sk[i].Keys != pairs[i].Keys {
-			t.Errorf("%s: key count %d vs %d across representations",
-				sk[i].App, sk[i].Keys, pairs[i].Keys)
-		}
-	}
-	if !strings.Contains(buf.String(), "Sketch vs pairs") {
-		t.Error("comparison table not printed")
-	}
-	if _, err := r.Sketch(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.SketchPairs(); err != nil {
-		t.Fatal(err)
-	}
-}

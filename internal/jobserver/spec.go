@@ -22,8 +22,8 @@ import (
 
 	"approxhadoop/internal/approx"
 	"approxhadoop/internal/apps"
+	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
-	"approxhadoop/internal/harness"
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
 	"approxhadoop/internal/workload"
@@ -152,7 +152,7 @@ func (s JobSpec) Build(defaultWorkers int) (*mapreduce.Job, error) {
 	// microseconds of the metered default, so trace submission gaps,
 	// streaming snapshot periods, and deadline SLOs all live in natural
 	// units — and concurrently submitted jobs genuinely overlap.
-	opts := apps.Options{Controller: ctl, Seed: s.Seed, Reduces: reduces, Cost: harness.PaperCost()}
+	opts := apps.Options{Controller: ctl, Seed: s.Seed, Reduces: reduces, Cost: cluster.PaperCost()}
 	var job *mapreduce.Job
 	switch s.App {
 	case "project-popularity":

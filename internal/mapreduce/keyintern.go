@@ -24,7 +24,7 @@ import (
 // order alone, so nothing a job outputs depends on the hash.
 //
 // A table is owned by one map attempt (executeMap), so it needs no
-// locking — the sharedstate contract holds because no two goroutines
+// locking — the compute-plane contract holds because no two goroutines
 // ever share an instance. Interned strings are durable: the arena
 // chunks are append-only and never recycled, so a string view handed
 // out by Resolve stays valid for the life of the attempt's MapOutput.
@@ -74,13 +74,13 @@ func newKeyTable(reduces, hint, arenaBytes int) *keyTable {
 func hashKey(s string) uint32 {
 	h := uint64(len(s))
 	for len(s) > 8 {
-		h = mulFold(h^load64(s), 0x9e3779b97f4a7c15)
+		h = mulFold(h^zerocopy.Load64(s), 0x9e3779b97f4a7c15)
 		s = s[8:]
 	}
 	var w uint64
 	switch n := len(s); {
 	case n == 8:
-		w = load64(s)
+		w = zerocopy.Load64(s)
 	case n >= 4:
 		w = load32(s) | load32(s[n-4:])<<32
 	case n > 0:
@@ -95,14 +95,8 @@ func mulFold(a, b uint64) uint64 {
 	return hi ^ lo
 }
 
-// load64 and load32 read little-endian words; the compiler merges each
-// into a single load.
-func load64(s string) uint64 {
-	_ = s[7]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-}
-
+// load32 reads s[0:4] little-endian; the compiler merges it into one
+// load.
 func load32(s string) uint64 {
 	_ = s[3]
 	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24

@@ -252,7 +252,7 @@ func (e *mapEmitter) outputs(taskID int, items, sampled int64) []*MapOutput {
 // (job config, block, ratio, seed) that may run on a pool worker
 // concurrently with the virtual-time scheduler. It must never touch
 // tracker or engine state, the shared Job.Meter, or package-level
-// variables — the approxlint `sharedstate` analyzer enforces this for
+// variables — the approxlint `purity` analyzer enforces this for
 // everything reachable from the directive below, sync.Pool included:
 // pool hand-out order depends on goroutine scheduling, so whatever an
 // attempt reuses it owns.

@@ -19,13 +19,6 @@ const (
 	highs = 0x8080808080808080
 )
 
-// load64 reads s[0:8] little-endian; the compiler merges it into one load.
-func load64(s string) uint64 {
-	_ = s[7]
-	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
-		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
-}
-
 // word returns the up to eight bytes of s from i on as a little-endian
 // word, zero above the end of s. Near the end of a line it reads the
 // line's last eight bytes and shifts, so only a line shorter than a
@@ -34,10 +27,10 @@ func load64(s string) uint64 {
 //approx:hotpath
 func word(s string, i int) uint64 {
 	if len(s)-i >= 8 {
-		return load64(s[i:])
+		return zerocopy.Load64(s[i:])
 	}
 	if len(s) >= 8 {
-		return load64(s[len(s)-8:]) >> (8 * uint(8-(len(s)-i)))
+		return zerocopy.Load64(s[len(s)-8:]) >> (8 * uint(8-(len(s)-i)))
 	}
 	var w uint64
 	for j := len(s) - 1; j >= i; j-- {
@@ -56,7 +49,7 @@ func word(s string, i int) uint64 {
 //approx:hotpath
 func cutField(s string, i int) int {
 	for ; len(s)-i >= 8; i += 8 {
-		x := load64(s[i:]) ^ lows*'\t'
+		x := zerocopy.Load64(s[i:]) ^ lows*'\t'
 		// A lane of x is zero where s has a tab; the lowest set bit
 		// of m marks the lowest such lane exactly.
 		if m := (x - lows) &^ x & highs; m != 0 {

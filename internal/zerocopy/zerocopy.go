@@ -1,10 +1,11 @@
-// Package zerocopy holds the one unsafe conversion the data plane is
-// allowed: viewing a byte slice as a string without copying. The
-// framework uses it for records and interned keys whose lifetime rules
-// are documented at the call sites (Hadoop-style object reuse: a view
-// over a reusable buffer is only valid until the buffer's owner next
-// writes it). Code outside the record hot path should use ordinary
-// string conversions.
+// Package zerocopy holds the data plane's byte-level helpers: the one
+// unsafe conversion it is allowed — viewing a byte slice as a string
+// without copying — and the little-endian word load its hash and field
+// cutters read strings with. The framework uses String for records and
+// interned keys whose lifetime rules are documented at the call sites
+// (Hadoop-style object reuse: a view over a reusable buffer is only
+// valid until the buffer's owner next writes it). Code outside the
+// record hot path should use ordinary string conversions.
 package zerocopy
 
 import "unsafe"
@@ -18,4 +19,12 @@ func String(b []byte) string {
 		return ""
 	}
 	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// Load64 reads s[0:8] little-endian; the compiler merges it into one
+// load and inlines it at every call site.
+func Load64(s string) uint64 {
+	_ = s[7]
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
 }

@@ -291,6 +291,7 @@ func (t *planTable) worstRelError(p probe) float64 {
 type planTable struct {
 	reducers []*MultiStageReducer // by partition; nil for any other logic
 	stats    []planStat
+	front    []int32 // indices into stats a worst-key probe visits; see keepFront
 }
 
 // gather refills the table from the job's reduces, sizing it once from
@@ -327,4 +328,71 @@ func (t *planTable) before(i, j int) bool {
 	}
 	keys := t.reducers[a.part].table
 	return keys[a.slot].key < keys[b.slot].key
+}
+
+// keepFront fills front with the gathered keys no other key dominates,
+// or with every key once more than limit of them would be kept (past
+// the solve's probe count, building the front costs more than the scans
+// it saves).
+//
+// Key i dominates key j when i precedes j in (partition, key) order and
+// each of i's su2, withinDone and avgWithin is >= j's, where a component
+// of j that is -Inf is matched only by -Inf. probe.errHalf is then >= at
+// i for every probe with non-negative coefficients: each step is a
+// product with a coefficient >= 0, a sum, a clamp at zero or a square
+// root, all monotone under IEEE rounding, and an intermediate +Inf or
+// NaN ends in +Inf or NaN. The one step that is not monotone is 0*-Inf =
+// NaN beside 0*x = 0, hence the -Inf rule; a NaN component is >= nothing
+// and dominates nothing. So a dominated key is never the worst key a
+// full scan would pick — on an exact tie its dominator precedes it and
+// wins — and if its half-width is +Inf or NaN, so is its dominator's:
+// scanning the front gives every non-strict verdict the full scan gives.
+//
+// One pass, O(len(stats) * len(front)): a key no kept key dominates
+// evicts the kept keys it dominates and is kept.
+//
+//approx:hotpath
+func (t *planTable) keepFront(limit int) {
+	t.front = t.front[:0]
+	for j := range t.stats {
+		dominated := false
+		for _, f := range t.front {
+			if t.dominates(int(f), j) {
+				dominated = true
+				break
+			}
+		}
+		if dominated {
+			continue
+		}
+		kept := t.front[:0]
+		for _, f := range t.front {
+			if !t.dominates(j, int(f)) {
+				kept = append(kept, f)
+			}
+		}
+		if len(kept) >= limit {
+			t.front = t.front[:0]
+			for i := range t.stats {
+				t.front = append(t.front, int32(i))
+			}
+			return
+		}
+		t.front = kept
+		t.front = append(t.front, int32(j))
+	}
+}
+
+// dominates reports whether gathered key i dominates key j (see
+// keepFront).
+func (t *planTable) dominates(i, j int) bool {
+	a, b := &t.stats[i], &t.stats[j]
+	if !(a.su2 >= b.su2 && a.withinDone >= b.withinDone && a.avgWithin >= b.avgWithin) {
+		return false
+	}
+	if math.IsInf(b.su2, -1) && !math.IsInf(a.su2, -1) || math.IsInf(b.withinDone, -1) && !math.IsInf(a.withinDone, -1) ||
+		math.IsInf(b.avgWithin, -1) && !math.IsInf(a.avgWithin, -1) {
+		return false // only -Inf matches -Inf
+	}
+	return t.before(i, j)
 }

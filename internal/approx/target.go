@@ -3,6 +3,7 @@ package approx
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
@@ -219,11 +220,16 @@ func (c *TargetError) realizedMet(v *mapreduce.JobView) bool {
 func (c *TargetError) solve(v *mapreduce.JobView) {
 	c.solved = true
 	c.solveAt = v.Completed + v.TotalMapSlots // next wave boundary
+	c.plan.gather(v)
+	c.search(v)
+}
+
+// search stores the cheapest plan for the gathered table that meets the
+// slack-tightened targets.
+func (c *TargetError) search(v *mapreduce.JobView) {
 	// Fallback: no approximation possible — run everything precisely.
 	c.ratio = 1
 	c.planned = 0
-
-	c.plan.gather(v)
 	if len(c.plan.stats) == 0 || v.Completed < 2 || v.AvgItems <= 0 {
 		return
 	}
@@ -238,6 +244,16 @@ func (c *TargetError) solve(v *mapreduce.JobView) {
 	grid := c.RatioGrid
 	if len(grid) == 0 {
 		grid = defaultRatioGrid()
+	}
+	if !c.Strict {
+		// A probe visits the front: one per grid ratio plus a binary
+		// search over [committed, committed+maxExtra]. The front holds
+		// for probes with n <= N, where every errHalf coefficient is >= 0.
+		probes := len(grid) * (1 + bits.Len(uint(maxExtra)))
+		if n1+committed+maxExtra > v.TotalMaps {
+			probes = 0
+		}
+		c.plan.keepFront(probes)
 	}
 
 	bestRET := math.Inf(1)
@@ -288,22 +304,30 @@ func (c *TargetError) solve(v *mapreduce.JobView) {
 // targets at the probe's plan: every key in Strict mode, otherwise the
 // key with the maximum predicted absolute error (the paper's reported
 // key), exact ties going to the first key in (partition, key) order.
+// The worst key is sought on the plan's front alone (keepFront): no
+// other key can be it, nor have a +Inf or NaN half-width while every
+// front key's is finite.
 func (c *TargetError) feasible(p probe) bool {
 	slack := c.Slack
 	if slack <= 0 || slack > 1 {
 		slack = 0.8
 	}
 	keys := c.plan.stats
-	worst, worstErr := -1, 0.0
-	for i := range keys {
-		k := &keys[i]
-		errHalf := p.errHalf(k.su2, k.withinDone, k.avgWithin)
-		if c.Strict {
-			if !c.meets(errHalf, k.tau, slack) {
+	if c.Strict {
+		// Every key's own bound counts, and it depends on tau as well.
+		for i := range keys {
+			k := &keys[i]
+			if !c.meets(p.errHalf(k.su2, k.withinDone, k.avgWithin), k.tau, slack) {
 				return false
 			}
-			continue
 		}
+		return true
+	}
+	worst, worstErr := -1, 0.0
+	for _, f := range c.plan.front {
+		i := int(f)
+		k := &keys[i]
+		errHalf := p.errHalf(k.su2, k.withinDone, k.avgWithin)
 		if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
 			return false
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,7 +17,9 @@ import (
 // realizedMet. refPredictError, refPlanComponents, refWorstRelError and
 // the refTargetError methods are that commit's code with only the
 // receiver type renamed (and PlanComponents reading the reducer's table
-// through its index map, which keeps the Go-map iteration order it had).
+// through its index map, which keeps the Go-map iteration order it had;
+// solve's gather split off as solveWith, so the front tests below can hand
+// it components no reducer produces).
 // The tests below drive the shipped code and this model over the same
 // inputs and demand identical bits.
 
@@ -222,13 +225,16 @@ func (c *refTargetError) realizedMet(v *mapreduce.JobView) bool {
 }
 
 func (c *refTargetError) solve(v *mapreduce.JobView) {
+	c.solveWith(v, refGatherPlanComponents(v))
+}
+
+func (c *refTargetError) solveWith(v *mapreduce.JobView, comps []PlanComponent) {
 	c.solved = true
 	c.solveAt = v.Completed + v.TotalMapSlots // next wave boundary
 	// Fallback: no approximation possible — run everything precisely.
 	c.ratio = 1
 	c.planned = 0
 
-	comps := refGatherPlanComponents(v)
 	if len(comps) == 0 || v.Completed < 2 || v.AvgItems <= 0 {
 		return
 	}
@@ -752,6 +758,344 @@ func BenchmarkTargetSolve(b *testing.B) {
 	j.complete(80, 1)
 	v := j.view(80, 0)
 	c := &TargetError{Target: 0.02}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.solve(v)
+	}
+}
+
+// refFeasible is TargetError.feasible as it stood before the front: the
+// worst key is sought over every gathered key.
+func refFeasible(c *TargetError, p probe) bool {
+	slack := c.Slack
+	if slack <= 0 || slack > 1 {
+		slack = 0.8
+	}
+	keys := c.plan.stats
+	worst, worstErr := -1, 0.0
+	for i := range keys {
+		k := &keys[i]
+		errHalf := p.errHalf(k.su2, k.withinDone, k.avgWithin)
+		if c.Strict {
+			if !c.meets(errHalf, k.tau, slack) {
+				return false
+			}
+			continue
+		}
+		if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
+			return false
+		}
+		//lint:ignore nofloateq the tie rule: exact ties go to the first key in (partition, key) order
+		if errHalf > worstErr || errHalf == worstErr && worst >= 0 && c.plan.before(i, worst) {
+			worst, worstErr = i, errHalf
+		}
+	}
+	return worst < 0 || c.meets(worstErr, keys[worst].tau, slack)
+}
+
+// refDominates is keepFront's dominance, one component at a time: a -Inf
+// is matched only by -Inf, anything else by a value >= it.
+func refDominates(t *planTable, i, j int) bool {
+	geq := func(a, b float64) bool {
+		if math.IsInf(b, -1) {
+			return math.IsInf(a, -1)
+		}
+		return a >= b
+	}
+	a, b := t.stats[i], t.stats[j]
+	return geq(a.su2, b.su2) && geq(a.withinDone, b.withinDone) && geq(a.avgWithin, b.avgWithin) && t.before(i, j)
+}
+
+// refFront is the front by brute force: every key no other key dominates.
+func refFront(t *planTable) []int32 {
+	front := []int32{}
+	for j := range t.stats {
+		dominated := false
+		for i := range t.stats {
+			if refDominates(t, i, j) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			front = append(front, int32(j))
+		}
+	}
+	return front
+}
+
+// refComponents lists the table's keys as the reference planner gathers
+// them: in (partition, key) order.
+func refComponents(t *planTable) []PlanComponent {
+	order := make([]int, len(t.stats))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool { return t.before(order[a], order[b]) })
+	comps := make([]PlanComponent, 0, len(order))
+	for _, i := range order {
+		s := t.stats[i]
+		comps = append(comps, PlanComponent{Key: t.reducers[s.part].table[s.slot].key,
+			Tau: s.tau, SU2: s.su2, WithinDone: s.withinDone, AvgWithin: s.avgWithin})
+	}
+	return comps
+}
+
+// frontKey is one key of a hand-built plan table.
+type frontKey struct {
+	part                            int
+	tau, su2, withinDone, avgWithin float64
+}
+
+// frontTable builds a plan table holding exactly the given keys, in the
+// given order, under names whose order within a partition is shuffled
+// against it.
+func frontTable(rng *rand.Rand, parts int, keys []frontKey) *planTable {
+	t := &planTable{}
+	for p := 0; p < parts; p++ {
+		t.reducers = append(t.reducers, NewMultiStageReducer(OpSum))
+	}
+	names := rng.Perm(len(keys))
+	for i, k := range keys {
+		r := t.reducers[k.part]
+		t.stats = append(t.stats, planStat{tau: k.tau, su2: k.su2, withinDone: k.withinDone, avgWithin: k.avgWithin,
+			part: int32(k.part), slot: int32(len(r.table))})
+		r.table = append(r.table, keyAgg{key: fmt.Sprintf("key%06d", names[i])})
+	}
+	return t
+}
+
+// frontView is a view of a job of 200 maps, `completed` of them done
+// and `running` running out of `launched`.
+func frontView(completed, launched, running int) *mapreduce.JobView {
+	return &mapreduce.JobView{
+		TotalMaps: 200, TotalMapSlots: 24, Launched: launched, Completed: completed, Running: running,
+		Pending: 200 - launched, Confidence: 0.95, AvgItems: 1000.4,
+		CostParams: func() (float64, float64, float64) { return 1.5, 0.006, 0.024 },
+	}
+}
+
+// frontConfigs are the non-strict modes the front serves, plus one
+// strict mode, which must ignore it.
+func frontConfigs() []TargetError {
+	return []TargetError{
+		{Target: 0.02}, {Target: 0.3, Slack: 1}, {Absolute: 300}, {Target: 0.05, Absolute: 500, Slack: 0.9},
+		{Target: 0.02, RatioGrid: []float64{1, 0.3, 0.03}}, {Target: 0.5, Strict: true},
+	}
+}
+
+// checkFront holds the table's front to the brute-force front, a capped
+// front to either that or every key, and the verdicts and plans that
+// probe them to the full scan and the reference planner.
+func checkFront(t *testing.T, name string, table *planTable) {
+	t.Helper()
+	n := len(table.stats)
+	table.keepFront(n + 1)
+	if want := refFront(table); !slices.Equal(table.front, want) {
+		t.Fatalf("%s: front %v, brute force %v", name, table.front, want)
+	}
+	exact := slices.Clone(table.front)
+	for _, limit := range []int{0, 1, 3, 40, n + 1} {
+		table.keepFront(limit)
+		all := len(table.front) == n
+		if !slices.Equal(table.front, exact) && !all {
+			t.Fatalf("%s: front capped at %d is %v: neither the front %v nor every key", name, limit, table.front, exact)
+		}
+		if len(exact) > limit && !all {
+			t.Fatalf("%s: front of %d keys kept under a cap of %d", name, len(exact), limit)
+		}
+		for _, cfg := range frontConfigs() {
+			c := cfg
+			c.plan = *table
+			for _, pr := range []struct {
+				n1, n2 int
+				m      float64
+				conf   float64
+			}{
+				{24, 0, 500, 0.95}, {24, 40, 500, 0.95}, {24, 176, 500, 0.95}, // n = N: no between-cluster term
+				{24, 40, 1000.4, 0.95}, {2, 60, 1, 0.95}, {100, 1, 2000, 0.95}, // m = mbar: no within term
+				{1, 0, 500, 0.95}, {24, 40, 500, 1}, // no quantile: NaN for every key
+			} {
+				p := newProbe(200, pr.n1, pr.n2, 1000.4, pr.m, pr.conf)
+				if got, want := c.feasible(p), refFeasible(&c, p); got != want {
+					t.Fatalf("%s cap %d %+v probe %+v: feasible %v, full scan %v", name, limit, cfg, pr, got, want)
+				}
+			}
+		}
+	}
+	for _, view := range []*mapreduce.JobView{frontView(24, 24, 0), frontView(24, 40, 16), frontView(60, 90, 20),
+		frontView(24, 20, 10)} { // completed + running > launched: n can pass N, so no front
+		for _, cfg := range frontConfigs() {
+			c := cfg
+			c.plan = *table
+			ref := &refTargetError{Target: cfg.Target, Absolute: cfg.Absolute, RatioGrid: cfg.RatioGrid, Slack: cfg.Slack, Strict: cfg.Strict}
+			c.search(view)
+			ref.solveWith(view, refComponents(table))
+			if math.Float64bits(c.ratio) != math.Float64bits(ref.ratio) || c.planned != ref.planned {
+				t.Fatalf("%s %+v view %d/%d/%d: plan (ratio %v, planned %d), reference (%v, %d)", name, cfg,
+					view.Completed, view.Launched, view.Running, c.ratio, c.planned, ref.ratio, ref.planned)
+			}
+		}
+	}
+}
+
+// randomKeys draws n keys over parts partitions. With a palette the
+// components repeat, so identical triples and exact half-width ties are
+// common; without one they are continuous and errHalf orders them.
+func randomKeys(rng *rand.Rand, n, parts int, palette []float64) []frontKey {
+	keys := make([]frontKey, n)
+	draw := func(scale float64) float64 {
+		if palette != nil {
+			return palette[rng.Intn(len(palette))]
+		}
+		return rng.ExpFloat64() * scale
+	}
+	for i := range keys {
+		keys[i] = frontKey{part: rng.Intn(parts), tau: rng.Float64() * 1e6, su2: draw(300), withinDone: draw(1e6), avgWithin: draw(1)}
+	}
+	return keys
+}
+
+// TestPlannerFrontMatchesReference checks the front against the brute
+// force and the full scan on random tables, on the benchmark's shape and
+// on adversarial tables.
+func TestPlannerFrontMatchesReference(t *testing.T) {
+	rng := stats.NewRand(26)
+	inf, nan := math.Inf(1), math.NaN()
+	small := []float64{0, 1, 2, 3}
+	for i := 0; i < 40; i++ {
+		n, parts := 1+rng.Intn(300), 1+rng.Intn(6)
+		var palette []float64
+		if i%2 == 1 {
+			palette = small
+		}
+		checkFront(t, fmt.Sprintf("random %d (%d keys, %d parts)", i, n, parts), frontTable(rng, parts, randomKeys(rng, n, parts, palette)))
+	}
+
+	// Identical triples inside and across partitions: the tie rule alone
+	// picks the worst key, so the front is the first key of each triple.
+	var same []frontKey
+	for i := 0; i < 60; i++ {
+		same = append(same, frontKey{part: i % 3, tau: float64(1 + i%7*1e5), su2: 250, withinDone: 4e6, avgWithin: 0.1})
+		same = append(same, frontKey{part: (i + 1) % 3, tau: 0, su2: 1, withinDone: 2e6, avgWithin: 0.1})
+	}
+	checkFront(t, "identical triples", frontTable(rng, 3, same))
+
+	// Non-finite, negative and zero components, and zero totals, mixed
+	// into a real-looking table.
+	edge := []float64{math.Inf(-1), -1e12, -1, math.Copysign(0, -1), 0, 1e-300, 1, 250, 1e6, 1e300, inf, nan}
+	for i := 0; i < 20; i++ {
+		keys := randomKeys(rng, 80, 4, nil)
+		for k := range keys {
+			if rng.Intn(3) == 0 {
+				switch rng.Intn(4) {
+				case 0:
+					keys[k].su2 = edge[rng.Intn(len(edge))]
+				case 1:
+					keys[k].withinDone = edge[rng.Intn(len(edge))]
+				case 2:
+					keys[k].avgWithin = edge[rng.Intn(len(edge))]
+				default:
+					keys[k].tau = 0
+				}
+			}
+		}
+		checkFront(t, fmt.Sprintf("edge components %d", i), frontTable(rng, 4, keys))
+	}
+	for _, v := range edge {
+		keys := randomKeys(rng, 50, 2, small)
+		for k := range keys {
+			if k%5 == 0 {
+				keys[k].su2, keys[k].avgWithin = v, v
+			}
+		}
+		checkFront(t, fmt.Sprintf("su2 = avgWithin = %v on every fifth key", v), frontTable(rng, 2, keys))
+	}
+
+	// Anti-correlated: su2 rises as withinDone falls, so no key dominates
+	// another and every key is on the front.
+	anti := make([]frontKey, 500)
+	for i := range anti {
+		anti[i] = frontKey{part: i % 10, tau: 1e6, su2: float64(i + 1), withinDone: float64(500 - i), avgWithin: 0.5}
+	}
+	table := frontTable(rng, 10, anti)
+	checkFront(t, "anti-correlated", table)
+	if len(refFront(table)) != 500 {
+		t.Fatalf("anti-correlated table has a front of %d keys, want all 500", len(refFront(table)))
+	}
+
+	// The benchmark's shape: 20 k Zipf keys in 10 partitions after a
+	// first wave of 80 maps.
+	j := newRefJob(1, 20000, 10, 740, 80, true)
+	j.complete(80, 1)
+	v := j.view(80, 0)
+	c := &TargetError{Target: 0.02}
+	c.solve(v)
+	if len(c.plan.front) > 20 {
+		t.Errorf("benchmark shape: front of %d keys out of %d", len(c.plan.front), len(c.plan.stats))
+	}
+	t.Logf("benchmark shape: front of %d keys out of %d", len(c.plan.front), len(c.plan.stats))
+	if !testing.Short() {
+		table := c.plan
+		checkFront(t, "benchmark shape", &table)
+	}
+	ref := &refTargetError{Target: 0.02}
+	ref.solve(v)
+	if math.Float64bits(c.ratio) != math.Float64bits(ref.ratio) || c.planned != ref.planned {
+		t.Fatalf("benchmark shape: plan (ratio %v, planned %d), reference (%v, %d)", c.ratio, c.planned, ref.ratio, ref.planned)
+	}
+	if n := testing.AllocsPerRun(20, func() { c.plan.keepFront(121) }); n != 0 {
+		t.Errorf("%v allocations per front, want 0", n)
+	}
+}
+
+// FuzzPlannerFront decodes a table from the input, each key's partition
+// and components picked from a palette of ties and edge values, and runs
+// the front, verdict and plan comparisons on it.
+func FuzzPlannerFront(f *testing.F) {
+	f.Add([]byte{2, 0, 1, 2, 3, 4, 1, 1, 2, 3, 4, 0, 5, 5, 5, 0})
+	f.Add([]byte{3, 0, 13, 7, 7, 1, 1, 7, 13, 7, 1, 2, 0, 0, 0, 0, 0, 12, 12, 12, 2})
+	f.Add([]byte{1, 0, 14, 14, 14, 3, 0, 8, 8, 8, 3, 0, 0, 8, 8, 3})
+	palette := []float64{math.Inf(-1), -1e12, -1, math.Copysign(0, -1), 0, 1e-300, 0.5, 1, 2, 3, 250, 1e6, 1e300, math.Inf(1), math.NaN()}
+	taus := []float64{0, -5e5, 1, 1e3, 1e6, 1e9}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		parts := 1 + int(data[0])%4
+		var keys []frontKey
+		for b := data[1:]; len(b) >= 5 && len(keys) < 64; b = b[5:] {
+			keys = append(keys, frontKey{part: int(b[0]) % parts, tau: taus[int(b[4])%len(taus)],
+				su2: palette[int(b[1])%len(palette)], withinDone: palette[int(b[2])%len(palette)], avgWithin: palette[int(b[3])%len(palette)]})
+		}
+		checkFront(t, "fuzz", frontTable(stats.NewRand(int64(len(data))), parts, keys))
+	})
+}
+
+// BenchmarkTargetSolveAntiCorrelated is BenchmarkTargetSolve's shape
+// with no key dominating another: every key is on the front, which
+// keepFront gives up on past the solve's probe count.
+func BenchmarkTargetSolveAntiCorrelated(b *testing.B) {
+	const keys, parts, n = 20000, 10, 80
+	var rs []*MultiStageReducer
+	for p := 0; p < parts; p++ {
+		var aggs []keyAgg
+		for i := p; i < keys; i += parts {
+			// tau = 0 and s_u^2 = i+1 exactly; within falls as s_u^2 rises.
+			aggs = append(aggs, keyAgg{key: fmt.Sprintf("key%05d", i), units: 100,
+				sumTau2: float64(i+1) * (n - 1), within: float64(keys-i) * 1e3, sumS2: 40})
+		}
+		rs = append(rs, handReducer(n, aggs...))
+	}
+	v := handView(n, rs...)
+	v.TotalMaps = 740
+	v.Pending = 740 - n
+	c := &TargetError{Absolute: 6e4}
+	c.solve(v)
+	if len(c.plan.front) != keys || c.planned == 0 {
+		b.Fatalf("front of %d keys, planned %d: want every key and a plan", len(c.plan.front), c.planned)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

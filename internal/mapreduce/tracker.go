@@ -3,6 +3,8 @@ package mapreduce
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
@@ -1096,17 +1098,18 @@ func (t *tracker) waves() int {
 	return (t.launched + slots - 1) / slots
 }
 
-// completeJob assembles the final Result.
+// completeJob assembles the final Result. Every Finalize returns its
+// partition sorted by key, so Outputs is their merge; a ReduceLogic that
+// breaks that contract has its partition sorted first.
 func (t *tracker) completeJob() {
-	n := 0
-	for _, r := range t.reduces {
-		n += len(r.outputs)
+	runs := make([][]KeyEstimate, len(t.reduces))
+	for p, r := range t.reduces {
+		if !slices.IsSortedFunc(r.outputs, func(a, b KeyEstimate) int { return strings.Compare(a.Key, b.Key) }) {
+			SortByKey(r.outputs)
+		}
+		runs[p] = r.outputs
 	}
-	outputs := make([]KeyEstimate, 0, n)
-	for _, r := range t.reduces {
-		outputs = append(outputs, r.outputs...)
-	}
-	SortByKey(outputs)
+	outputs := mergeByKey(runs)
 	t.emit(EventJobCompleted, -1, "", 0)
 	endBreak := t.eng.EnergyBreakdown()
 	t.result = &Result{

@@ -14,6 +14,7 @@
 package mapreduce
 
 import (
+	"cmp"
 	"slices"
 	"strconv"
 	"strings"
@@ -23,6 +24,7 @@ import (
 	"approxhadoop/internal/sketch"
 	"approxhadoop/internal/stats"
 	"approxhadoop/internal/vtime"
+	"approxhadoop/internal/zerocopy"
 )
 
 // Record is one input record handed to a map function: Value is the
@@ -337,11 +339,105 @@ type KeyEstimate struct {
 }
 
 // SortByKey orders outputs by key, the order of Result.Outputs and of
-// every ReduceLogic's Finalize. Keys are unique within a job, so the
-// order does not depend on the sort; this one moves 64-byte elements
-// through a typed comparison instead of sort.Slice's reflect swapper.
+// every ReduceLogic's Finalize; equal keys keep their order. It sorts
+// 16-byte ranks — a key's first eight bytes as a big-endian integer and
+// the element's index — comparing whole keys only where those bytes
+// tie, then moves each 64-byte element once, along the cycles of the
+// permutation.
 func SortByKey(out []KeyEstimate) {
-	slices.SortFunc(out, func(a, b KeyEstimate) int { return strings.Compare(a.Key, b.Key) })
+	if len(out) < 2 {
+		return
+	}
+	ranks := make([]keyRank, len(out))
+	for i := range out {
+		ranks[i] = keyRank{prefix: zerocopy.Prefix64(out[i].Key), idx: i}
+	}
+	slices.SortFunc(ranks, func(a, b keyRank) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		if c := strings.Compare(out[a.idx].Key, out[b.idx].Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	// Position k takes out[ranks[k].idx]; a visited position's idx is -1.
+	for start := range ranks {
+		if ranks[start].idx == start || ranks[start].idx < 0 {
+			continue
+		}
+		held := out[start]
+		for k := start; ; {
+			src := ranks[k].idx
+			ranks[k].idx = -1
+			if src == start {
+				out[k] = held
+				break
+			}
+			out[k] = out[src]
+			k = src
+		}
+	}
+}
+
+// keyRank is one element's place in SortByKey.
+type keyRank struct {
+	prefix uint64
+	idx    int
+}
+
+// mergeByKey merges runs, each sorted by key, into one new slice sorted
+// by key; on equal keys the earlier run's elements come first.
+func mergeByKey(runs [][]KeyEstimate) []KeyEstimate {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	out := make([]KeyEstimate, 0, n)
+	// A min-heap of the runs still holding elements, by head key and
+	// then run index.
+	type head struct {
+		run  []KeyEstimate
+		part int
+	}
+	h := make([]head, 0, len(runs))
+	less := func(a, b *head) bool {
+		return a.run[0].Key < b.run[0].Key || a.run[0].Key == b.run[0].Key && a.part < b.part
+	}
+	down := func(i int) {
+		for {
+			m := i
+			if l := 2*i + 1; l < len(h) && less(&h[l], &h[m]) {
+				m = l
+			}
+			if r := 2*i + 2; r < len(h) && less(&h[r], &h[m]) {
+				m = r
+			}
+			if m == i {
+				return
+			}
+			h[i], h[m] = h[m], h[i]
+			i = m
+		}
+	}
+	for p, r := range runs {
+		if len(r) > 0 {
+			h = append(h, head{r, p})
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for len(h) > 0 {
+		top := &h[0]
+		out = append(out, top.run[0])
+		if top.run = top.run[1:]; len(top.run) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
+	return out
 }
 
 // EstimateView gives ReduceLogic the job-level facts needed to evaluate

@@ -62,13 +62,6 @@ type candidate struct {
 	pre  uint64
 }
 
-func keyPrefix(key string) (p uint64) {
-	for i := 0; i < 8 && i < len(key); i++ {
-		p |= uint64(key[i]) << (56 - 8*i)
-	}
-	return p
-}
-
 // below is weaker over two candidates' stored estimates.
 func (a *candidate) below(b *candidate) bool {
 	if a.est == b.est && a.pre != b.pre {
@@ -94,7 +87,7 @@ func (t *TopK) retain(key string) string {
 
 // keep returns the candidate for element, its key retained.
 func (t *TopK) keep(element string, h, est uint64) candidate {
-	return candidate{key: t.retain(element), hash: h, est: est, pre: keyPrefix(element)}
+	return candidate{key: t.retain(element), hash: h, est: est, pre: zerocopy.Prefix64(element)}
 }
 
 // track adds a key known to be absent from the candidate set.

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"approxhadoop/internal/zerocopy"
 )
 
 // refTopK is the reference model of TopK: the candidate set as a plain
@@ -151,7 +153,7 @@ func checkSideState(t *testing.T, label string, k *TopK) {
 		t.Fatalf("%s: %d table entries for %d candidates", label, used, n)
 	}
 	for i, c := range k.list {
-		if c.hash != hash64(k.cms.seed, c.key) || c.pre != keyPrefix(c.key) {
+		if c.hash != hash64(k.cms.seed, c.key) || c.pre != zerocopy.Prefix64(c.key) {
 			t.Fatalf("%s: stale hash or prefix beside %q", label, c.key)
 		}
 		if got := k.find(c.hash, c.key); got != i {
@@ -288,8 +290,8 @@ func TestCandidateBelowIsWeaker(t *testing.T) {
 	for _, ka := range keys {
 		for _, kb := range keys {
 			for _, ests := range [][2]uint64{{3, 3}, {2, 3}, {3, 2}} {
-				a := candidate{key: ka, est: ests[0], pre: keyPrefix(ka)}
-				b := candidate{key: kb, est: ests[1], pre: keyPrefix(kb)}
+				a := candidate{key: ka, est: ests[0], pre: zerocopy.Prefix64(ka)}
+				b := candidate{key: kb, est: ests[1], pre: zerocopy.Prefix64(kb)}
 				if got, want := a.below(&b), weaker(a.est, ka, b.est, kb); got != want {
 					t.Errorf("(%d, %q) below (%d, %q) = %v, weaker says %v", a.est, ka, b.est, kb, got, want)
 				}

@@ -1,7 +1,8 @@
 // Package zerocopy holds the data plane's byte-level helpers: the one
 // unsafe conversion it is allowed — viewing a byte slice as a string
-// without copying — and the little-endian word load its hash and field
-// cutters read strings with. The framework uses String for records and
+// without copying — the little-endian word load its hash and field
+// cutters read strings with, and the big-endian key prefix its sorts
+// compare before whole keys. The framework uses String for records and
 // interned keys whose lifetime rules are documented at the call sites
 // (Hadoop-style object reuse: a view over a reusable buffer is only
 // valid until the buffer's owner next writes it). Code outside the
@@ -27,4 +28,14 @@ func Load64(s string) uint64 {
 	_ = s[7]
 	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
 		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// Prefix64 is s's first eight bytes as a big-endian integer, zero
+// padded: where two strings' prefixes differ, their integer order is the
+// strings' byte order.
+func Prefix64(s string) (p uint64) {
+	for i := 0; i < 8 && i < len(s); i++ {
+		p |= uint64(s[i]) << (56 - 8*i)
+	}
+	return p
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -81,6 +82,38 @@ func TestWikiLengthPreciseVsApprox(t *testing.T) {
 	checkApproxClose(t, precise, apx, 0.4)
 	if apx.Counters.ItemsProcessed >= apx.Counters.ItemsTotal {
 		t.Error("sampling should process fewer items")
+	}
+}
+
+// binCounter is an Emitter that only counts what it is handed.
+type binCounter struct{ n float64 }
+
+func (c *binCounter) Emit(_ string, v float64) { c.n += v }
+
+// TestWikiLengthMapDoesNotAllocate is the guard on WikiLength's map: a
+// size-only parse and a bin label from a table, where ParseArticle and a
+// formatted label allocated four times a record.
+func TestWikiLengthMapDoesNotAllocate(t *testing.T) {
+	input := smallWiki().File("wiki")
+	rc := input.Blocks[0].Open()
+	data, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	mapper := WikiLength(input, Options{Seed: 1}).NewMapper()
+	var c binCounter
+	i := 0
+	allocs := testing.AllocsPerRun(len(lines), func() {
+		mapper.Map(mapreduce.Record{Value: lines[i%len(lines)]}, &c)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("WikiLength's map allocated %v times a record, want 0", allocs)
+	}
+	if c.n == 0 {
+		t.Error("WikiLength's map emitted nothing")
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 func WikiLength(input *dfs.File, opts Options) *mapreduce.Job {
 	mapper := func() mapreduce.Mapper {
 		return mapreduce.MapperFunc(func(rec mapreduce.Record, emit mapreduce.Emitter) {
-			if a, ok := workload.ParseArticle(rec.Value); ok {
-				emit.Emit(workload.SizeBin(a.Size), 1)
+			if size, ok := workload.ParseArticleSize(rec.Value); ok {
+				emit.Emit(workload.SizeBin(size), 1)
 			}
 		})
 	}

@@ -51,7 +51,6 @@ import (
 
 	"approxhadoop/internal/approx"
 	"approxhadoop/internal/cluster"
-	"approxhadoop/internal/core"
 	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
@@ -171,21 +170,6 @@ const (
 func RandomFaultPlan(seed int64, n, servers int, horizon float64, protect ...int) FaultPlan {
 	return cluster.RandomFaultPlan(seed, n, servers, horizon, protect...)
 }
-
-// System is an ApproxHadoop deployment: a simulated cluster plus a DFS
-// namespace. Jobs run on a fresh cluster timeline each (see
-// internal/core for the implementation). Use Submit with an
-// Approximation spec for the paper's submission interface, or Run for
-// a fully-specified job.
-type System = core.System
-
-// Approximation is the paper's Section 4.2 job-submission contract:
-// explicit dropping/sampling ratios OR a target error bound at a
-// confidence level; the zero value runs precisely.
-type Approximation = core.Approximation
-
-// NewSystem builds a System with the given cluster configuration.
-func NewSystem(cfg ClusterConfig) *System { return core.NewSystem(cfg) }
 
 // SplitText splits text content into line-aligned blocks (like HDFS
 // text splits) and returns the file.

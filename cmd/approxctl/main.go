@@ -5,7 +5,9 @@
 //
 //	approxctl [-addr URL] <command> [flags]
 //
-//	approxctl submit -app total-size -controller static -sample 0.25
+//	approxctl submit -app total-size -sample 0.25
+//	approxctl submit -app page-popularity -target 0.05 -pilot
+//	approxctl submit -app clients -deadline 30 -best-effort
 //	approxctl submit -app clients -key billing-2026-08  # idempotent submit
 //	approxctl status                 # list all jobs
 //	approxctl status job-0000        # one job
@@ -262,11 +264,11 @@ func specFlags(fs *flag.FlagSet) func() jobserver.JobSpec {
 	fs.IntVar(&s.LinesPerBlock, "lines", 0, "lines per block (default 200)")
 	fs.Int64Var(&s.Seed, "seed", 1, "input/sampling seed")
 	fs.Float64Var(&s.Weight, "weight", 0, "fair-share weight (default 1)")
-	fs.StringVar(&s.Controller, "controller", "", "precise | static | target | deadline")
-	fs.Float64Var(&s.SampleRatio, "sample", 0, "static: input sampling ratio (0,1]")
-	fs.Float64Var(&s.DropRatio, "drop", 0, "static: map-task dropping ratio [0,1)")
-	fs.Float64Var(&s.Target, "target", 0, "target: relative error bound")
-	fs.Float64Var(&s.Deadline, "deadline", 0, "deadline: SLO in virtual seconds")
+	fs.Float64Var(&s.SampleRatio, "sample", 0, "input sampling ratio (0,1]")
+	fs.Float64Var(&s.DropRatio, "drop", 0, "map-task dropping ratio [0,1)")
+	fs.Float64Var(&s.TargetError, "target", 0, "target relative error bound (instead of ratios)")
+	fs.BoolVar(&s.Pilot, "pilot", false, "target: bootstrap with a cheap pilot wave")
+	fs.Float64Var(&s.Deadline, "deadline", 0, "map-phase SLO in virtual seconds (instead of ratios or a target)")
 	fs.BoolVar(&s.BestEffort, "best-effort", false, "deadline: degrade instead of failing on overrun")
 	fs.StringVar(&s.IdempotencyKey, "key", "", "idempotency key: duplicate submissions (and blind retries) return the original job")
 	fs.StringVar(&s.Tenant, "tenant", "", "tenant identity: placement key on a sharded daemon, quota subject")

@@ -1,37 +1,42 @@
-// Command approxrun executes a single ApproxHadoop application with
-// either user-specified dropping/sampling ratios or a target error
-// bound, and prints the top output keys with their 95% confidence
-// intervals alongside runtime/energy.
+// Command approxrun executes a single catalog application (apps.Catalog)
+// with either user-specified dropping/sampling ratios or a target error
+// bound, and prints the top output keys with their confidence intervals
+// alongside runtime/energy. A stream scenario runs its continuous query
+// instead and prints one estimate per window.
 //
 // Usage:
 //
-//	approxrun -app projectpop -sample 0.1 -drop 0.25
-//	approxrun -app pagepop -target 0.01 -pilot
-//	approxrun -app dcplacement -target 0.05
-//	approxrun -app wikilength              # precise
-//	approxrun -app projectpop -sample 0.1 -faults 8 -max-attempts 3 -degrade-to-drop
-//	approxrun -app pagepop -sample 0.25 -trace events.jsonl
-//	approxrun -app wikidistinct -sketch    # sketch-compressed shuffle
-//	approxrun -app toppages -sketch
-//	approxrun -stream -app web-bytes -window 10 -slo-err 0.05 -windows 20
-//	approxrun -stream -app edit-rate -window 6 -slo-latency 0.05 -format tsv
+//	approxrun -app project-popularity -sample 0.1 -drop 0.25
+//	approxrun -app page-popularity -target 0.01 -pilot
+//	approxrun -app dc-placement -target 0.05   # GEV bounds: Table 1 says so
+//	approxrun -app wiki-length                 # precise
+//	approxrun -app project-popularity -sample 0.1 -faults 8 -max-attempts 3 -degrade-to-drop
+//	approxrun -app page-popularity -sample 0.25 -trace events.jsonl
+//	approxrun -app wiki-distinct-editors -sketch   # sketch-compressed shuffle
+//	approxrun -app wiki-top-pages -sketch
+//	approxrun -app web-bytes -window 10 -slo-err 0.05 -windows 20
+//	approxrun -app edit-rate -window 6 -slo-latency 0.05 -format tsv
 //
-// Apps: wikilength wikipagerank projectpop pagepop pagetraffic
-// wikirate webrate attacks totalsize requestsize clients browsers
-// dcplacement kmeans video wikidistinct toppages membership
+// Apps (an unknown name exits 2 and lists them): wiki-length
+// wiki-page-rank wiki-request-rate project-popularity page-popularity
+// page-traffic total-size request-size clients client-browser
+// web-request-rate attack-frequencies avg-bytes-per-link dc-placement
+// video-encoding kmeans wiki-distinct-editors wiki-top-pages
+// wiki-editor-membership, and the stream scenarios edit-rate web-bytes.
 //
-// The last three are the sketch-plane scenarios: without -sketch they
-// run the exact composite-pairs representation, with it the map output
-// collapses to one sketch per (partition, group). The shuffle-bytes
-// counter printed after the run shows the difference.
+// The three wiki-* sketch apps are the sketch-plane scenarios: without
+// -sketch they run the exact composite-pairs representation, with it
+// the map output collapses to one sketch per (partition, group). The
+// shuffle-bytes counter printed after the run shows the difference.
+// video-encoding and kmeans are user-defined approximations: -drop sets
+// the fraction of their map tasks that run the approximate variant.
 //
-// -stream switches to the streaming plane: the app's workload file is
-// replayed as a live, diurnally paced stream and the continuous query
-// (edit-rate | web-bytes) emits one estimate per event-time window.
-// The window series is deterministic for a fixed (-app, -seed, rate
-// flags); a stream folds on one goroutine, so -workers is accepted and
-// does nothing here. -format tsv prints the canonical byte-stable
-// series for CI diffs across runs.
+// The stream scenarios replay the app's workload file as a live,
+// diurnally paced stream and the continuous query emits one estimate
+// per event-time window. The window series is deterministic for a
+// fixed (-app, -seed, rate flags); a stream folds on one goroutine, so
+// -workers is accepted and does nothing here. -format tsv prints the
+// canonical byte-stable series for CI diffs across runs.
 package main
 
 import (
@@ -45,7 +50,6 @@ import (
 	"approxhadoop/internal/approx"
 	"approxhadoop/internal/apps"
 	"approxhadoop/internal/cluster"
-	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stream"
 	"approxhadoop/internal/workload"
@@ -53,7 +57,7 @@ import (
 
 func main() {
 	var (
-		app    = flag.String("app", "projectpop", "application to run")
+		app    = flag.String("app", "project-popularity", "catalog application to run")
 		sample = flag.Float64("sample", 1, "input data sampling ratio (0,1]")
 		drop   = flag.Float64("drop", 0, "map task dropping ratio [0,1)")
 		target = flag.Float64("target", 0, "target relative error bound (0 disables)")
@@ -69,7 +73,6 @@ func main() {
 
 		sketch = flag.Bool("sketch", false, "use the sketch-compressed map-output representation (sketch-plane apps only)")
 
-		streamMode = flag.Bool("stream", false, "run a streaming-plane continuous query (-app edit-rate | web-bytes)")
 		window     = flag.Float64("window", 10, "stream: event-time window size in virtual seconds")
 		slide      = flag.Float64("slide", 0, "stream: window slide in virtual seconds (0 = tumbling)")
 		sloErr     = flag.Float64("slo-err", 0, "stream: target per-window relative error at 95% confidence (0 disables)")
@@ -89,61 +92,41 @@ func main() {
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "approxrun: %v\n", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "approxrun: cpuprofile: %v\n", err)
-			os.Exit(1)
+			fatal(1, fmt.Errorf("cpuprofile: %w", err))
 		}
 		defer pprof.StopCPUProfile()
 	}
 
-	scaleN := func(n int) int {
-		v := int(float64(n) * *scale)
-		if v < 10 {
-			v = 10
-		}
-		return v
+	e, ok := apps.Lookup(*app)
+	if !ok {
+		fatal(2, fmt.Errorf("unknown app %q (have: %v)", *app, apps.Names(nil)))
 	}
+	input := e.Dataset.File(*scale, *seed)
 
-	if *streamMode {
+	if e.Stream != nil {
 		var rf workload.RateFunc
 		if *swing > 0 {
 			rf = workload.DiurnalRate(*rate, *swing, *period)
 		} else {
 			rf = workload.ConstantRate(*rate)
 		}
-		sOpts := apps.StreamOptions{
+		p := e.Stream(input, apps.StreamOptions{
 			Seed:       *seed,
 			Rate:       rf,
 			Window:     stream.Window{Size: *window, Slide: *slide},
 			SLO:        stream.SLO{TargetRelErr: *sloErr, MaxLatency: *sloLatency},
 			MaxWindows: *windows,
-		}
-		var p *stream.Pipeline
-		switch *app {
-		case "edit-rate":
-			e := workload.DefaultEditLog()
-			e.LinesPerBlock = scaleN(e.LinesPerBlock)
-			p = apps.EditRateStream(e, sOpts)
-		case "web-bytes":
-			w := workload.DefaultWebLog()
-			w.LinesPerBlock = scaleN(w.LinesPerBlock)
-			p = apps.WebBytesStream(w, sOpts)
-		default:
-			fmt.Fprintf(os.Stderr, "approxrun: unknown stream app %q (have: %v)\n", *app, apps.StreamApps())
-			os.Exit(2)
-		}
+		})
 		series, err := p.Run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "approxrun: %v\n", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 		if *format == "tsv" {
 			if err := stream.WriteSeries(os.Stdout, series); err != nil {
-				fmt.Fprintf(os.Stderr, "approxrun: %v\n", err)
-				os.Exit(1)
+				fatal(1, err)
 			}
 			return
 		}
@@ -166,94 +149,24 @@ func main() {
 		return
 	}
 
-	var ctl mapreduce.Controller
-	switch {
-	case *target > 0 && *app == "dcplacement":
-		ctl = &approx.TargetErrorGEV{Target: *target}
-	case *target > 0 && *pilot:
-		ctl = &approx.TargetError{Target: *target, Pilot: true, PilotRatio: 0.01}
-	case *target > 0:
-		ctl = &approx.TargetError{Target: *target}
-	case *sample < 1 || *drop > 0:
-		ctl = approx.NewStatic(*sample, *drop)
+	set, err := approx.Approximation{
+		SampleRatio: *sample,
+		DropRatio:   *drop,
+		TargetError: *target,
+		Pilot:       *pilot,
+		Extreme:     e.Row.ErrEst == "GEV",
+	}.Settings()
+	if err != nil {
+		fatal(2, err)
 	}
-
-	opts := apps.Options{Controller: ctl, Seed: *seed, Cost: cluster.PaperCost()}
-	wiki := func() *dfs.File {
-		w := workload.DefaultWikiDump()
-		w.ArticlesPerBlock = scaleN(w.ArticlesPerBlock)
-		return w.File("wiki-dump")
-	}
-	wlog := func() *dfs.File {
-		a := workload.DefaultAccessLog()
-		a.LinesPerBlock = scaleN(a.LinesPerBlock)
-		return a.File("wiki-access-log")
-	}
-	web := func() *dfs.File {
-		w := workload.DefaultWebLog()
-		w.LinesPerBlock = scaleN(w.LinesPerBlock)
-		return w.File("webserver-log")
-	}
-
-	var job *mapreduce.Job
-	switch *app {
-	case "wikilength":
-		job = apps.WikiLength(wiki(), opts)
-	case "wikipagerank":
-		job = apps.WikiPageRank(wiki(), opts)
-	case "projectpop":
-		job = apps.ProjectPopularity(wlog(), opts)
-	case "pagepop":
-		job = apps.PagePopularity(wlog(), opts)
-	case "pagetraffic":
-		job = apps.PageTraffic(wlog(), opts)
-	case "wikirate":
-		job = apps.WikiRequestRate(wlog(), opts)
-	case "webrate":
-		job = apps.WebRequestRate(web(), opts)
-	case "attacks":
-		job = apps.AttackFrequencies(web(), opts)
-	case "totalsize":
-		job = apps.TotalSize(web(), opts)
-	case "requestsize":
-		job = apps.RequestSize(web(), opts)
-	case "clients":
-		job = apps.Clients(web(), opts)
-	case "browsers":
-		job = apps.ClientBrowser(web(), opts)
-	case "dcplacement":
-		seeds := workload.SearchSeeds("dc-seeds", 80, *seed)
-		job = apps.DCPlacement(seeds, apps.DCPlacementConfig{Iters: scaleN(1500)}, opts)
-	case "kmeans":
-		points := apps.KMeansData("points", 40, scaleN(1000), 4, *seed)
-		job = apps.KMeansIteration(points, apps.KMeansConfig{ApproxRatio: *drop}, opts)
-	case "video":
-		frames := apps.VideoData("movie", 40, scaleN(200), *seed)
-		job = apps.VideoEncoding(frames, apps.VideoEncodingConfig{ApproxRatio: *drop}, opts)
-	case "wikidistinct", "toppages", "membership":
-		skOpts := apps.SketchOptions{Options: opts, Sketch: *sketch}
-		edits := func() *dfs.File {
-			e := workload.DefaultEditLog()
-			e.LinesPerBlock = scaleN(e.LinesPerBlock)
-			return e.File("wiki-edit-log")
-		}
-		switch *app {
-		case "wikidistinct":
-			job = apps.WikiDistinctEditors(edits(), skOpts)
-		case "toppages":
-			job = apps.WikiTopPages(wlog(), skOpts)
-		case "membership":
-			job = apps.WikiEditorMembership(edits(), skOpts)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "approxrun: unknown app %q\n", *app)
-		os.Exit(2)
-	}
-
-	cfg := cluster.DefaultConfig()
+	opts := apps.Options{Controller: set.Controller, Seed: *seed, Cost: cluster.PaperCost()}
+	job := e.Batch(input, *scale, apps.SketchOptions{Options: opts, Sketch: *sketch})
 	job.Workers = *workers
 	job.Retry.MaxAttemptsPerTask = *maxAttempts
 	job.DegradeToDrop = *degrade
+	set.Apply(job)
+
+	cfg := cluster.DefaultConfig()
 	if *faults > 0 {
 		// Reduce state is not replicated, so a fail-stop on a
 		// reduce-hosting server aborts the job regardless of the retry
@@ -276,8 +189,7 @@ func main() {
 	eng := cluster.New(cfg)
 	res, err := mapreduce.Run(eng, job)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "approxrun: %v\n", err)
-		os.Exit(1)
+		fatal(1, err)
 	}
 
 	if *trace != "" {
@@ -286,19 +198,16 @@ func main() {
 		if *trace != "-" {
 			f, err = os.Create(*trace)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "approxrun: %v\n", err)
-				os.Exit(1)
+				fatal(1, err)
 			}
 			out = f
 		}
 		if err := mapreduce.WriteTraceJSONL(out, res.Trace); err != nil {
-			fmt.Fprintf(os.Stderr, "approxrun: trace: %v\n", err)
-			os.Exit(1)
+			fatal(1, fmt.Errorf("trace: %w", err))
 		}
 		if f != nil {
 			if err := f.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "approxrun: trace: %v\n", err)
-				os.Exit(1)
+				fatal(1, fmt.Errorf("trace: %w", err))
 			}
 		}
 		if *trace == "-" {
@@ -309,31 +218,26 @@ func main() {
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "approxrun: %v\n", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "approxrun: memprofile: %v\n", err)
-			os.Exit(1)
+			fatal(1, fmt.Errorf("memprofile: %w", err))
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "approxrun: memprofile: %v\n", err)
-			os.Exit(1)
+			fatal(1, fmt.Errorf("memprofile: %w", err))
 		}
 	}
 
 	switch *format {
 	case "tsv":
 		if err := mapreduce.WriteTSV(os.Stdout, res); err != nil {
-			fmt.Fprintf(os.Stderr, "approxrun: %v\n", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 		return
 	case "json":
 		if err := mapreduce.WriteJSON(os.Stdout, res); err != nil {
-			fmt.Fprintf(os.Stderr, "approxrun: %v\n", err)
-			os.Exit(1)
+			fatal(1, err)
 		}
 		return
 	}
@@ -360,4 +264,10 @@ func main() {
 			fmt.Printf("%-24s %14.1f ± %-12.1f (95%% conf)\n", o.Key, o.Est.Value, o.Est.Err)
 		}
 	}
+}
+
+// fatal reports err and exits with code.
+func fatal(code int, err error) {
+	fmt.Fprintf(os.Stderr, "approxrun: %v\n", err)
+	os.Exit(code)
 }

@@ -10,10 +10,7 @@ import (
 	"log"
 
 	"approxhadoop"
-	"approxhadoop/internal/approx"
 	"approxhadoop/internal/apps"
-	"approxhadoop/internal/cluster"
-	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/workload"
 )
 
@@ -24,26 +21,16 @@ func main() {
 		Attackers: 40, AttackRate: 0.02, Seed: 11,
 	}.File("webserver-log")
 
-	run := func(drop float64) *mapreduce.Result {
-		var ctl mapreduce.Controller
-		if drop > 0 {
-			ctl = approx.NewStatic(1, drop)
-		}
-		eng := cluster.New(cluster.DefaultConfig())
+	sys := approxhadoop.NewSystem(approxhadoop.DefaultCluster())
+	fmt.Printf("%-12s %12s %12s %12s %16s\n", "maps run", "runtime(s)", "energy(Wh)", "S3 (Wh)", "worst 95% CI")
+	for _, drop := range []float64{0, 0.25, 0.5, 0.75} {
 		// Concentrate the reduces on two servers so map-free servers
 		// can actually enter S3.
-		res, err := mapreduce.Run(eng, apps.WebRequestRate(web, apps.Options{
-			Controller: ctl, Cost: approxhadoop.PaperCost(), Seed: 2, SleepIdle: true, Reduces: 2,
-		}))
+		job := apps.WebRequestRate(web, apps.Options{Cost: approxhadoop.PaperCost(), Seed: 2, SleepIdle: true, Reduces: 2})
+		res, err := sys.Submit(job, approxhadoop.Approximation{DropRatio: drop})
 		if err != nil {
 			log.Fatal(err)
 		}
-		return res
-	}
-
-	fmt.Printf("%-12s %12s %12s %12s %16s\n", "maps run", "runtime(s)", "energy(Wh)", "S3 (Wh)", "worst 95% CI")
-	for _, drop := range []float64{0, 0.25, 0.5, 0.75} {
-		res := run(drop)
 		fmt.Printf("%-12d %12.1f %12.2f %12.2f %15.2f%%\n",
 			res.Counters.MapsCompleted, res.Runtime, res.EnergyWh,
 			res.Energy.SleepJ/3600, res.MaxRelErr()*100)

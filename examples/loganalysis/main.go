@@ -12,10 +12,7 @@ import (
 	"sort"
 
 	"approxhadoop"
-	"approxhadoop/internal/approx"
 	"approxhadoop/internal/apps"
-	"approxhadoop/internal/cluster"
-	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/workload"
 )
 
@@ -26,19 +23,13 @@ func main() {
 		Blocks: 740, LinesPerBlock: 1000, Projects: 400, Pages: 20000, Seed: 9,
 	}.File("wiki-access-log")
 
-	run := func(ctl mapreduce.Controller) *mapreduce.Result {
-		eng := cluster.New(cluster.DefaultConfig())
-		res, err := mapreduce.Run(eng, apps.ProjectPopularity(logFile, apps.Options{
-			Controller: ctl, Cost: approxhadoop.PaperCost(), Seed: 3,
-		}))
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
+	sys := approxhadoop.NewSystem(approxhadoop.DefaultCluster())
+	precise, apx, err := sys.RunPair(func() *approxhadoop.Job {
+		return apps.ProjectPopularity(logFile, apps.Options{Cost: approxhadoop.PaperCost(), Seed: 3})
+	}, approxhadoop.Approximation{TargetError: 0.01})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	precise := run(nil)
-	apx := run(&approx.TargetError{Target: 0.01})
 
 	fmt.Printf("precise:   %.1f s simulated, %d/%d items\n",
 		precise.Runtime, precise.Counters.ItemsProcessed, precise.Counters.ItemsTotal)
@@ -47,7 +38,7 @@ func main() {
 		apx.Counters.MapsCompleted, apx.Counters.MapsTotal,
 		(1-apx.Runtime/precise.Runtime)*100)
 
-	outs := append([]mapreduce.KeyEstimate(nil), apx.Outputs...)
+	outs := append([]approxhadoop.KeyEstimate(nil), apx.Outputs...)
 	sort.Slice(outs, func(i, j int) bool { return outs[i].Est.Value > outs[j].Est.Value })
 	fmt.Printf("%-10s %14s %22s\n", "project", "precise", "approximate (95% CI)")
 	for i, o := range outs {

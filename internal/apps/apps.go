@@ -16,7 +16,8 @@
 // Every builder returns a ready-to-run mapreduce.Job; passing a nil
 // Controller yields the precise execution (bounds of width zero),
 // while Static/TargetError controllers yield the paper's approximate
-// executions.
+// executions. Catalog names every builder, batch and stream, with its
+// Table 1 row and the dataset it runs over.
 package apps
 
 import (
@@ -48,22 +49,18 @@ type Options struct {
 	Speculation bool
 }
 
+// job assembles the fields of an application job that opts decides.
+func (o Options) job(name string, input *dfs.File) *mapreduce.Job {
+	return &mapreduce.Job{Name: name, Input: input, Reduces: o.Reduces, Controller: o.Controller,
+		Cost: o.Cost, Seed: o.Seed, SleepIdle: o.SleepIdle, Barrier: o.Barrier, Speculation: o.Speculation}
+}
+
 // aggregationJob assembles the common shape of the Table 1 analytics
 // jobs: ApproxTextInput + combiner + MultiStageReducer (or the plain
 // Hadoop classes when opts.Plain).
 func aggregationJob(name string, input *dfs.File, mapper func() mapreduce.Mapper, op approx.AggOp, opts Options) *mapreduce.Job {
-	job := &mapreduce.Job{
-		Name:        name,
-		Input:       input,
-		NewMapper:   mapper,
-		Reduces:     opts.Reduces,
-		Controller:  opts.Controller,
-		Cost:        opts.Cost,
-		Seed:        opts.Seed,
-		SleepIdle:   opts.SleepIdle,
-		Barrier:     opts.Barrier,
-		Speculation: opts.Speculation,
-	}
+	job := opts.job(name, input)
+	job.NewMapper = mapper
 	if opts.Plain {
 		job.Format = mapreduce.TextInputFormat{}
 		switch op {
@@ -80,7 +77,7 @@ func aggregationJob(name string, input *dfs.File, mapper func() mapreduce.Mapper
 	return job
 }
 
-// Spec describes one application for the Table 1 inventory.
+// Spec is one application's row of the paper's Table 1 (see Catalog).
 type Spec struct {
 	Name        string
 	Domain      string // data analysis, log processing, optimization, ...
@@ -89,28 +86,4 @@ type Spec struct {
 	Dropping    bool   // supports task dropping (D)
 	UserDefined bool   // supports user-defined approximation (U)
 	ErrEst      string // MS (multi-stage sampling), GEV, U (user-defined)
-}
-
-// Registry lists every application, mirroring the paper's Table 1.
-func Registry() []Spec {
-	return []Spec{
-		{"WikiLength", "data analysis", "Wikipedia dump", true, true, false, "MS"},
-		{"WikiPageRank", "data analysis", "Wikipedia dump", true, true, false, "MS"},
-		{"RequestRate(wiki)", "log processing", "Wikipedia log", true, true, false, "MS"},
-		{"ProjectPopularity", "log processing", "Wikipedia log", true, true, false, "MS"},
-		{"PagePopularity", "log processing", "Wikipedia log", true, true, false, "MS"},
-		{"PageTraffic", "log processing", "Wikipedia log", true, true, false, "MS"},
-		{"TotalSize", "log processing", "Webserver log", true, true, false, "MS"},
-		{"RequestSize", "log processing", "Webserver log", true, true, false, "MS"},
-		{"Clients", "log processing", "Webserver log", true, true, false, "MS"},
-		{"ClientBrowser", "log processing", "Webserver log", true, true, false, "MS"},
-		{"RequestRate(web)", "log processing", "Webserver log", true, true, false, "MS"},
-		{"AttackFrequencies", "log processing", "Webserver log", true, true, false, "MS"},
-		{"AvgBytesPerLink", "data analysis", "Wikipedia dump", true, true, false, "MS3"},
-		{"DCPlacement", "optimization", "US/Europe grid", false, true, false, "GEV"},
-		{"VideoEncoding", "video encoding", "Movie frames", false, false, true, "U"},
-		{"KMeans", "machine learning", "Point set", false, false, true, "U"},
-		{"WikiDistinctEditors", "log processing", "Wikipedia edit log", true, true, false, "SK"},
-		{"WikiTopPages", "log processing", "Wikipedia log", true, true, false, "SK"},
-	}
 }

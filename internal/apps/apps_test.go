@@ -368,32 +368,6 @@ func TestPlainVsTemplateOverhead(t *testing.T) {
 	}
 }
 
-func TestRegistryMatchesTable1(t *testing.T) {
-	reg := Registry()
-	if len(reg) != 18 { // paper's 16 rows + the two sketch-plane scenarios
-		t.Errorf("registry size = %d", len(reg))
-	}
-	byName := map[string]Spec{}
-	for _, s := range reg {
-		if s.Name == "" || s.ErrEst == "" {
-			t.Errorf("incomplete spec: %+v", s)
-		}
-		byName[s.Name] = s
-	}
-	if s := byName["DCPlacement"]; !s.Dropping || s.Sampling || s.ErrEst != "GEV" {
-		t.Errorf("DCPlacement spec wrong: %+v", s)
-	}
-	if s := byName["AvgBytesPerLink"]; s.ErrEst != "MS3" {
-		t.Errorf("AvgBytesPerLink spec wrong: %+v", s)
-	}
-	if s := byName["KMeans"]; !s.UserDefined || s.ErrEst != "U" {
-		t.Errorf("KMeans spec wrong: %+v", s)
-	}
-	if s := byName["ProjectPopularity"]; !s.Sampling || !s.Dropping || s.ErrEst != "MS" {
-		t.Errorf("ProjectPopularity spec wrong: %+v", s)
-	}
-}
-
 func TestTargetErrorOnProjectPopularity(t *testing.T) {
 	input := workload.AccessLog{Blocks: 32, LinesPerBlock: 1500, Projects: 30, Pages: 300, Seed: 12}.File("log")
 	precise := run(t, ProjectPopularity(input, Options{Seed: 2}))

@@ -161,20 +161,11 @@ func DCPlacement(input *dfs.File, cfg DCPlacementConfig, opts Options) *mapreduc
 			}
 		})
 	}
-	job := &mapreduce.Job{
-		Name:        "DCPlacement",
-		Input:       input,
-		Format:      mapreduce.TextInputFormat{}, // dropping only: no input sampling
-		NewMapper:   mapper,
-		NewReduce:   func(int) mapreduce.ReduceLogic { return approx.NewMinReducer() },
-		Reduces:     1,
-		Controller:  opts.Controller,
-		Cost:        opts.Cost,
-		Seed:        opts.Seed,
-		SleepIdle:   opts.SleepIdle,
-		Barrier:     opts.Barrier,
-		Speculation: opts.Speculation,
-	}
+	job := opts.job("DCPlacement", input)
+	job.Format = mapreduce.TextInputFormat{} // dropping only: no input sampling
+	job.NewMapper = mapper
+	job.NewReduce = func(int) mapreduce.ReduceLogic { return approx.NewMinReducer() }
+	job.Reduces = 1
 	if opts.Plain {
 		job.NewReduce = func(int) mapreduce.ReduceLogic { return mapreduce.MinReduce() }
 	}

@@ -31,20 +31,10 @@ type SketchOptions struct {
 // sketchElementJob assembles the common shape of the sketch scenarios.
 func sketchElementJob(name string, input *dfs.File, mapper func() mapreduce.Mapper,
 	kind mapreduce.SketchKind, reduce func() mapreduce.ReduceLogic, opts SketchOptions) *mapreduce.Job {
-	job := &mapreduce.Job{
-		Name:        name,
-		Input:       input,
-		Format:      approx.ApproxTextInput{},
-		NewMapper:   mapper,
-		NewReduce:   func(int) mapreduce.ReduceLogic { return reduce() },
-		Reduces:     opts.Reduces,
-		Controller:  opts.Controller,
-		Cost:        opts.Cost,
-		Seed:        opts.Seed,
-		SleepIdle:   opts.SleepIdle,
-		Barrier:     opts.Barrier,
-		Speculation: opts.Speculation,
-	}
+	job := opts.job(name, input)
+	job.Format = approx.ApproxTextInput{}
+	job.NewMapper = mapper
+	job.NewReduce = func(int) mapreduce.ReduceLogic { return reduce() }
 	if opts.Sketch {
 		plan := opts.Plan
 		if plan == nil {

@@ -1,8 +1,8 @@
-// Streaming scenario catalog: continuous queries over the live wiki
-// edit and web access streams. Each builder pairs a workload
-// generator's stream with a stream.Query the way the batch builders
-// pair files with Jobs, so cmd/approxrun, the jobserver and the
-// harness all submit the same scenarios by name.
+// Streaming scenarios: continuous queries over the live wiki edit and
+// web access streams. Each builder pairs a workload generator's stream
+// with a stream.Query the way the batch builders pair files with Jobs;
+// Catalog names them, so cmd/approxrun and the jobserver submit the
+// same scenarios by name.
 package apps
 
 import (
@@ -29,7 +29,7 @@ type StreamOptions struct {
 	// Workers is ignored: a stream folds on the goroutine that runs it
 	// (stream.Pipeline). The field stays only because bench/stream.go,
 	// frozen while PRs are measured against it, still sets it; it goes
-	// with ROADMAP item 5's ledger PR.
+	// with ROADMAP item 6's ledger PR.
 	Workers int
 	// MaxWindows stops the stream after N windows (0 = drain source).
 	MaxWindows int
@@ -58,21 +58,16 @@ func (o StreamOptions) controller() *stream.Controller {
 	return stream.NewController(o.SLO, o.Cost)
 }
 
-// fileProvider is the workload-generator shape the builders need: all
-// generators expose their dataset as a named dfs file.
-type fileProvider interface {
-	File(name string) *dfs.File
-}
-
-// pipeline assembles the common Pipeline scaffolding around a query.
-func (o StreamOptions) pipeline(q stream.Query, f fileProvider) *stream.Pipeline {
+// pipeline assembles the common Pipeline scaffolding around a query
+// over input.
+func (o StreamOptions) pipeline(q stream.Query, input *dfs.File) *stream.Pipeline {
 	q.Window = o.Window
 	q.SLO = o.SLO
 	q.Seed = o.Seed
 	q.Capacity = o.Capacity
 	return &stream.Pipeline{
 		Query:      q,
-		Source:     workload.StreamFrom(f.File("stream-input"), workload.StreamOptions{Rate: o.Rate, Seed: o.Seed}),
+		Source:     workload.StreamFrom(input, workload.StreamOptions{Rate: o.Rate, Seed: o.Seed}),
 		Controller: o.controller(),
 		Cost:       o.Cost,
 		MaxWindows: o.MaxWindows,
@@ -84,6 +79,10 @@ func (o StreamOptions) pipeline(q stream.Query, f fileProvider) *stream.Pipeline
 // dashboard. Count queries sample nothing per-unit; their only
 // degradation lever is stratum shedding under latency pressure.
 func EditRateStream(gen workload.EditLog, opts StreamOptions) *stream.Pipeline {
+	return editRate(gen.File("stream-input"), opts)
+}
+
+func editRate(input *dfs.File, opts StreamOptions) *stream.Pipeline {
 	opts = opts.withDefaults()
 	q := stream.Query{
 		Name: "edit-rate",
@@ -92,7 +91,7 @@ func EditRateStream(gen workload.EditLog, opts StreamOptions) *stream.Pipeline {
 			return workload.Field(line, 1) // project
 		},
 	}
-	return opts.pipeline(q, gen)
+	return opts.pipeline(q, input)
 }
 
 // WebBytesStream estimates bytes served per window from the web
@@ -101,6 +100,10 @@ func EditRateStream(gen workload.EditLog, opts StreamOptions) *stream.Pipeline {
 // and the heavy-tailed per-request byte sizes are what the per-stratum
 // reservoirs sample.
 func WebBytesStream(gen workload.WebLog, opts StreamOptions) *stream.Pipeline {
+	return webBytes(gen.File("stream-input"), opts)
+}
+
+func webBytes(input *dfs.File, opts StreamOptions) *stream.Pipeline {
 	opts = opts.withDefaults()
 	q := stream.Query{
 		Name: "web-bytes",
@@ -114,8 +117,5 @@ func WebBytesStream(gen workload.WebLog, opts StreamOptions) *stream.Pipeline {
 		},
 		Buckets: 32,
 	}
-	return opts.pipeline(q, gen)
+	return opts.pipeline(q, input)
 }
-
-// StreamApps lists the streaming scenario names for CLI catalogs.
-func StreamApps() []string { return []string{"edit-rate", "web-bytes"} }

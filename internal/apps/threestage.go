@@ -26,20 +26,11 @@ func AvgBytesPerLink(input *dfs.File, opts Options) *mapreduce.Job {
 			}
 		})
 	}
-	job := &mapreduce.Job{
-		Name:        "AvgBytesPerLink",
-		Input:       input,
-		Format:      approx.ApproxTextInput{},
-		NewMapper:   mapper,
-		NewReduce:   func(int) mapreduce.ReduceLogic { return approx.NewThreeStageReducer() },
-		Reduces:     1,
-		Combine:     true,
-		Controller:  opts.Controller,
-		Cost:        opts.Cost,
-		Seed:        opts.Seed,
-		SleepIdle:   opts.SleepIdle,
-		Barrier:     opts.Barrier,
-		Speculation: opts.Speculation,
-	}
+	job := opts.job("AvgBytesPerLink", input)
+	job.Format = approx.ApproxTextInput{}
+	job.NewMapper = mapper
+	job.NewReduce = func(int) mapreduce.ReduceLogic { return approx.NewThreeStageReducer() }
+	job.Reduces = 1
+	job.Combine = true
 	return job
 }

@@ -116,19 +116,7 @@ func KMeansIteration(input *dfs.File, cfg KMeansConfig, opts Options) *mapreduce
 	}
 	precise := func() mapreduce.Mapper { return kmeansMapper(cfg, 1) }
 	approxV := func() mapreduce.Mapper { return kmeansMapper(cfg, stride) }
-	return &mapreduce.Job{
-		Name:         "KMeans",
-		Input:        input,
-		Format:       mapreduce.TextInputFormat{},
-		NewMapperFor: approx.PerTaskMappers(cfg.ApproxRatio, opts.Seed, precise, approxV),
-		NewReduce:    func(int) mapreduce.ReduceLogic { return mapreduce.SumReduce() },
-		Reduces:      opts.Reduces,
-		Cost:         opts.Cost,
-		Seed:         opts.Seed,
-		SleepIdle:    opts.SleepIdle,
-		Barrier:      opts.Barrier,
-		Speculation:  opts.Speculation,
-	}
+	return userDefinedJob("KMeans", input, approx.PerTaskMappers(cfg.ApproxRatio, opts.Seed, precise, approxV), opts)
 }
 
 // CentroidsFromResult recomputes centroids from a KMeansIteration
@@ -243,17 +231,16 @@ func VideoEncoding(input *dfs.File, cfg VideoEncodingConfig, opts Options) *mapr
 	}
 	precise := func() mapreduce.Mapper { return videoMapper(cfg.PrecisePasses) }
 	approxV := func() mapreduce.Mapper { return videoMapper(cfg.ApproxPasses) }
-	return &mapreduce.Job{
-		Name:         "VideoEncoding",
-		Input:        input,
-		Format:       mapreduce.TextInputFormat{},
-		NewMapperFor: approx.PerTaskMappers(cfg.ApproxRatio, opts.Seed, precise, approxV),
-		NewReduce:    func(int) mapreduce.ReduceLogic { return mapreduce.SumReduce() },
-		Reduces:      opts.Reduces,
-		Cost:         opts.Cost,
-		Seed:         opts.Seed,
-		SleepIdle:    opts.SleepIdle,
-		Barrier:      opts.Barrier,
-		Speculation:  opts.Speculation,
-	}
+	return userDefinedJob("VideoEncoding", input, approx.PerTaskMappers(cfg.ApproxRatio, opts.Seed, precise, approxV), opts)
+}
+
+// userDefinedJob assembles a user-defined approximation job: no
+// controller, since the per-task mapper choice is the approximation.
+func userDefinedJob(name string, input *dfs.File, mappers func(int) mapreduce.Mapper, opts Options) *mapreduce.Job {
+	job := opts.job(name, input)
+	job.Controller = nil
+	job.Format = mapreduce.TextInputFormat{}
+	job.NewMapperFor = mappers
+	job.NewReduce = func(int) mapreduce.ReduceLogic { return mapreduce.SumReduce() }
+	return job
 }

@@ -93,7 +93,7 @@ func (r *Runner) AblationTaskOrder() ([]AblationRow, error) {
 // AblationBarrier compares the barrier-less incremental reduce
 // (required by online error estimation) with a conventional barrier.
 func (r *Runner) AblationBarrier() ([]AblationRow, error) {
-	input := r.logInput()
+	input := r.input(apps.AccessLog)
 	build := func(barrier bool, ctl mapreduce.Controller) *mapreduce.Job {
 		job := apps.ProjectPopularity(input, r.opts(ctl, 0, false))
 		job.Barrier = barrier
@@ -133,7 +133,7 @@ func (r *Runner) AblationBarrier() ([]AblationRow, error) {
 // effective data fraction: dropping is cheaper but wider (the design
 // rationale for combining both, Section 5.2).
 func (r *Runner) AblationVarianceSplit() ([]AblationRow, error) {
-	input := r.logInput()
+	input := r.input(apps.AccessLog)
 	build := func(ctl mapreduce.Controller) *mapreduce.Job {
 		return apps.ProjectPopularity(input, r.opts(ctl, 0, false))
 	}
@@ -170,7 +170,7 @@ func (r *Runner) AblationVarianceSplit() ([]AblationRow, error) {
 // paper-calibrated), but the approximate-to-precise runtime ratio —
 // the paper's reported quantity — must agree in shape.
 func (r *Runner) AblationCostModel() ([]AblationRow, error) {
-	input := r.logInput()
+	input := r.input(apps.AccessLog)
 	var out []AblationRow
 	rows := [][]string{}
 	for _, cfg := range []struct {

@@ -18,32 +18,23 @@ import (
 // Inputs (scaled by Config.Scale)
 // ---------------------------------------------------------------------------
 
-func (r *Runner) wikiInput() *dfs.File {
-	w := workload.DefaultWikiDump()
-	w.ArticlesPerBlock = r.scaleN(w.ArticlesPerBlock)
-	return w.File("wiki-dump")
-}
-
-func (r *Runner) logInput() *dfs.File {
-	a := workload.DefaultAccessLog()
-	a.LinesPerBlock = r.scaleN(a.LinesPerBlock)
-	return a.File("wiki-access-log")
-}
-
-func (r *Runner) webInput() *dfs.File {
-	w := workload.DefaultWebLog()
-	w.LinesPerBlock = r.scaleN(w.LinesPerBlock)
-	return w.File("webserver-log")
-}
+// input generates dataset d at the configured scale.
+func (r *Runner) input(d apps.Dataset) *dfs.File { return d.File(r.cfg.Scale, r.cfg.Seed) }
 
 // ---------------------------------------------------------------------------
 // Table 1: application inventory
 // ---------------------------------------------------------------------------
 
-// Table1 prints the application inventory and smoke-runs each
-// aggregation application at tiny scale to prove the row is real.
+// Table1 prints the Table 1 rows of the catalog's batch applications
+// and returns them; it runs nothing (TestCatalogEveryEntryRuns runs
+// every entry).
 func (r *Runner) Table1() ([]apps.Spec, error) {
-	specs := apps.Registry()
+	var specs []apps.Spec
+	for _, e := range apps.Catalog {
+		if e.Batch != nil {
+			specs = append(specs, e.Row)
+		}
+	}
 	rows := make([][]string, 0, len(specs))
 	for _, s := range specs {
 		mech := ""
@@ -151,8 +142,8 @@ func (r *Runner) fig5Panel(build func(apps.Options) *mapreduce.Job, ratio float6
 
 // Fig5 regenerates the four panels of Figure 5.
 func (r *Runner) Fig5() (map[string][]Fig5Row, error) {
-	wiki := r.wikiInput()
-	logf := r.logInput()
+	wiki := r.input(apps.WikiDump)
+	logf := r.input(apps.AccessLog)
 	panels := []struct {
 		name  string
 		build func(apps.Options) *mapreduce.Job
@@ -285,14 +276,14 @@ func (r *Runner) plotSweep(title string, points []Point) {
 
 // Fig6 regenerates the WikiLength performance/accuracy sweep.
 func (r *Runner) Fig6() ([]Point, error) {
-	input := r.wikiInput()
+	input := r.input(apps.WikiDump)
 	return r.sweep("Figure 6: WikiLength dropping/sampling sweep",
 		func(o apps.Options) *mapreduce.Job { return apps.WikiLength(input, o) })
 }
 
 // Fig7 regenerates the Project Popularity sweep.
 func (r *Runner) Fig7() ([]Point, error) {
-	input := r.logInput()
+	input := r.input(apps.AccessLog)
 	return r.sweep("Figure 7: ProjectPopularity dropping/sampling sweep",
 		func(o apps.Options) *mapreduce.Job { return apps.ProjectPopularity(input, o) })
 }
@@ -300,7 +291,7 @@ func (r *Runner) Fig7() ([]Point, error) {
 // Fig11 regenerates the web-server log sweeps (request rate and attack
 // frequencies).
 func (r *Runner) Fig11() (map[string][]Point, error) {
-	input := r.webInput()
+	input := r.input(apps.WebLog)
 	out := map[string][]Point{}
 	rate, err := r.sweep("Figure 11a: RequestRate (web) sweep",
 		func(o apps.Options) *mapreduce.Job { return apps.WebRequestRate(input, o) })
@@ -328,9 +319,6 @@ func (r *Runner) dcCluster() cluster.Config {
 	return cfg
 }
 
-// dcIters scales annealing effort.
-func (r *Runner) dcIters() int { return r.scaleN(1500) }
-
 // dcCost charges the compute-bound annealing maps paper-scale
 // durations (the paper's Fig 8 jobs run ~1,000-1,500 s): one search
 // per map task, so the fixed term carries the whole cost.
@@ -341,7 +329,7 @@ func (r *Runner) dcCost() cluster.AnalyticCost {
 // Fig8 regenerates the DC-placement dropping sweep (80 maps).
 func (r *Runner) Fig8() ([]Point, error) {
 	input := workload.SearchSeeds("dc-seeds", 80, r.cfg.Seed)
-	cfg := apps.DCPlacementConfig{Iters: r.dcIters()}
+	cfg := apps.DCPlacementConfig{Iters: r.scaleN(1500)}
 	runDC := func(ctl mapreduce.Controller, rep int) (*mapreduce.Result, error) {
 		opts := r.opts(ctl, rep, false)
 		opts.Cost = r.dcCost()
@@ -468,7 +456,7 @@ func (r *Runner) targetSweep(title string, build func(apps.Options) *mapreduce.J
 
 // Fig9a regenerates the Project Popularity target-error sweep.
 func (r *Runner) Fig9a() ([]Point, error) {
-	input := r.logInput()
+	input := r.input(apps.AccessLog)
 	return r.targetSweep("Figure 9a: ProjectPopularity target error",
 		func(o apps.Options) *mapreduce.Job { return apps.ProjectPopularity(input, o) },
 		func(t float64) mapreduce.Controller { return &approx.TargetError{Target: t} },
@@ -478,7 +466,7 @@ func (r *Runner) Fig9a() ([]Point, error) {
 // Fig9b regenerates the Page Popularity target-error sweep with a
 // pilot wave at 1% sampling.
 func (r *Runner) Fig9b() ([]Point, error) {
-	input := r.logInput()
+	input := r.input(apps.AccessLog)
 	return r.targetSweep("Figure 9b: PagePopularity target error (pilot wave @1%)",
 		func(o apps.Options) *mapreduce.Job { return apps.PagePopularity(input, o) },
 		func(t float64) mapreduce.Controller {
@@ -490,7 +478,7 @@ func (r *Runner) Fig9b() ([]Point, error) {
 // Fig9c regenerates the DC-placement target-error sweep (320 maps).
 func (r *Runner) Fig9c() ([]Point, error) {
 	input := workload.SearchSeeds("dc-seeds-320", 320, r.cfg.Seed)
-	cfg := apps.DCPlacementConfig{Iters: r.dcIters()}
+	cfg := apps.DCPlacementConfig{Iters: r.scaleN(1500)}
 	saveCluster := r.cfg.Cluster
 	saveCost := r.cfg.Cost
 	r.cfg.Cluster = r.dcCluster()
@@ -509,7 +497,7 @@ func (r *Runner) Fig9c() ([]Point, error) {
 // Fig10 regenerates the web-log panels: hourly request rates (weekly
 // shape), rates in descending order, and attack frequencies.
 func (r *Runner) Fig10() (map[string][]Fig5Row, error) {
-	input := r.webInput()
+	input := r.input(apps.WebLog)
 	out := map[string][]Fig5Row{}
 
 	// 10a/10b: request rate per hour of the week, precise vs sampled.
@@ -581,7 +569,7 @@ func (r *Runner) Fig10() (map[string][]Fig5Row, error) {
 // servers — with one reduce per server (the other experiments' layout)
 // no server could ever enter S3.
 func (r *Runner) Fig12() (map[string][]Point, error) {
-	input := r.webInput() // 80 blocks over 80 slots: one wave
+	input := r.input(apps.WebLog) // 80 blocks over 80 slots: one wave
 	out := map[string][]Point{}
 	for _, app := range []struct {
 		name  string
@@ -756,7 +744,7 @@ func (r *Runner) UserDefined() ([]UserDefRow, error) {
 	// kernel is genuinely compute-bound, so the measured cost model
 	// (scaled to cluster-like seconds) drives the virtual runtime.
 	udCost := cluster.MeasuredCost{Scale: 2000}
-	video := apps.VideoData("movie", 40, r.scaleN(200), r.cfg.Seed)
+	video := apps.Frames.File(r.cfg.Scale, r.cfg.Seed)
 	for _, v := range []struct {
 		name  string
 		ratio float64
@@ -779,7 +767,7 @@ func (r *Runner) UserDefined() ([]UserDefRow, error) {
 	}
 
 	// K-Means: quality = centroid shift vs the precise iteration.
-	points := apps.KMeansData("points", 40, r.scaleN(1000), 4, r.cfg.Seed)
+	points := apps.Points.File(r.cfg.Scale, r.cfg.Seed)
 	base := apps.KMeansConfig{Centroids: [][2]float64{{2, 2}, {12, 2}, {2, 12}, {12, 12}}}
 	udOpts := r.opts(nil, 0, false)
 	udOpts.Cost = udCost

@@ -98,13 +98,7 @@ func New(cfg Config) *Runner {
 }
 
 // scaleN scales a record count by the configured scale (min 10).
-func (r *Runner) scaleN(n int) int {
-	s := int(float64(n) * r.cfg.Scale)
-	if s < 10 {
-		s = 10
-	}
-	return s
-}
+func (r *Runner) scaleN(n int) int { return apps.Scaled(n, r.cfg.Scale) }
 
 // opts assembles app options for one repetition.
 func (r *Runner) opts(ctl mapreduce.Controller, rep int, sleepIdle bool) apps.Options {

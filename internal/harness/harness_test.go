@@ -69,7 +69,7 @@ func TestWorstKeyAndActualError(t *testing.T) {
 func TestTable1And2(t *testing.T) {
 	r, buf := tiny(t)
 	specs, err := r.Table1()
-	if err != nil || len(specs) != 18 {
+	if err != nil || len(specs) != 19 { // the paper's 16 rows + three sketch-plane scenarios
 		t.Fatalf("table1: %v, %d specs", err, len(specs))
 	}
 	rows, err := r.Table2()

@@ -27,7 +27,7 @@ type KeySpaceRow struct {
 // size; and the missing-key bound is tiny next to observed-key bounds
 // (the paper's ±197 vs ±33,408 WikiLength observation).
 func (r *Runner) KeySpace() ([]KeySpaceRow, error) {
-	input := r.logInput()
+	input := r.input(apps.AccessLog)
 	precise, err := r.runJob(apps.PagePopularity(input, r.opts(nil, 0, false)))
 	if err != nil {
 		return nil, err

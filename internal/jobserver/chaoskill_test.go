@@ -1,6 +1,7 @@
 package jobserver
 
 import (
+	"approxhadoop/internal/approx"
 	"bufio"
 	"fmt"
 	"net/http"
@@ -92,9 +93,9 @@ func chaosSpecs() []JobSpec {
 		{Name: "x-precise", App: "total-size", Blocks: 24, LinesPerBlock: 80, Seed: 11 + shift,
 			IdempotencyKey: "chaos-precise"},
 		{Name: "x-sampled", App: "project-popularity", Blocks: 32, LinesPerBlock: 80, Seed: 12 + shift,
-			Controller: "static", SampleRatio: 0.5, IdempotencyKey: "chaos-sampled"},
+			Approximation: approx.Approximation{SampleRatio: 0.5}, IdempotencyKey: "chaos-sampled"},
 		{Name: "x-dropped", App: "clients", Blocks: 24, LinesPerBlock: 80, Seed: 13 + shift,
-			Controller: "static", SampleRatio: 0.5, DropRatio: 0.25, IdempotencyKey: "chaos-dropped"},
+			Approximation: approx.Approximation{SampleRatio: 0.5, DropRatio: 0.25}, IdempotencyKey: "chaos-dropped"},
 	}
 }
 

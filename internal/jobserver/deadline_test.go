@@ -1,6 +1,8 @@
 package jobserver
 
 import (
+	"approxhadoop/internal/approx"
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -31,7 +33,6 @@ func TestDeadlineSLOMeetsDeadline(t *testing.T) {
 	precise := preciseRuntime(t)
 	spec := deadlineBase()
 	spec.Name = "slo"
-	spec.Controller = "deadline"
 	spec.Deadline = precise / 3
 	states := New(Config{SnapshotEvery: -1}).Replay([]JobSpec{spec})
 	st := states[0]
@@ -70,7 +71,6 @@ func TestDeadlineSLOInfeasible(t *testing.T) {
 	precise := preciseRuntime(t)
 	spec := deadlineBase()
 	spec.Name = "doomed"
-	spec.Controller = "deadline"
 	spec.Deadline = precise / 100
 	states := New(Config{SnapshotEvery: -1}).Replay([]JobSpec{spec})
 	st := states[0]
@@ -89,7 +89,6 @@ func TestDeadlineSLOBestEffort(t *testing.T) {
 	precise := preciseRuntime(t)
 	spec := deadlineBase()
 	spec.Name = "scrappy"
-	spec.Controller = "deadline"
 	spec.Deadline = precise / 100
 	spec.BestEffort = true
 	states := New(Config{SnapshotEvery: -1}).Replay([]JobSpec{spec})
@@ -99,11 +98,16 @@ func TestDeadlineSLOBestEffort(t *testing.T) {
 	}
 }
 
-// TestDeadlineSpecValidation: a deadline controller without a deadline
-// is rejected at submission.
+// TestDeadlineSpecValidation: a legacy "deadline" controller without a
+// deadline is rejected where the key is read, and a negative deadline
+// at submission.
 func TestDeadlineSpecValidation(t *testing.T) {
+	var spec JobSpec
+	if err := json.Unmarshal([]byte(`{"name":"bad","app":"total-size","controller":"deadline"}`), &spec); err == nil {
+		t.Fatal("a deadline controller without a deadline decoded")
+	}
 	states := New(Config{SnapshotEvery: -1}).Replay([]JobSpec{
-		{Name: "bad", App: "total-size", Controller: "deadline"},
+		{Name: "bad", App: "total-size", Approximation: approx.Approximation{Deadline: -1}},
 	})
 	if states[0].Status != StatusRejected {
 		t.Fatalf("want rejection, got %s", states[0].Status)

@@ -1,6 +1,7 @@
 package jobserver
 
 import (
+	"approxhadoop/internal/approx"
 	"testing"
 
 	"approxhadoop/internal/mapreduce"
@@ -126,7 +127,7 @@ func TestReplayOutputsPolicyInvariant(t *testing.T) {
 // compute.
 func TestReplayDirectRunAgreement(t *testing.T) {
 	spec := JobSpec{App: "total-size", Blocks: 24, LinesPerBlock: 100, Seed: 7,
-		Controller: "static", SampleRatio: 0.25, DropRatio: 0.25, Name: "direct-check"}
+		Approximation: approx.Approximation{SampleRatio: 0.25, DropRatio: 0.25}, Name: "direct-check"}
 
 	svc := New(Config{Policy: PolicyFair, MaxQueue: 8, SnapshotEvery: -1})
 	states := svc.Replay([]JobSpec{spec})

@@ -1,6 +1,7 @@
 package jobserver
 
 import (
+	"approxhadoop/internal/approx"
 	"bufio"
 	"bytes"
 	"fmt"
@@ -257,7 +258,7 @@ func TestSlowSubscriberDoesNotDelayOthers(t *testing.T) {
 func TestCancelRestampLeavesSubscribersAlone(t *testing.T) {
 	svc := New(Config{Workers: 1, SnapshotEvery: 1})
 	defer svc.Close()
-	id, err := svc.Submit(JobSpec{App: "clients", Blocks: 240, LinesPerBlock: 50, Seed: 9, Controller: "static", SampleRatio: 0.5})
+	id, err := svc.Submit(JobSpec{App: "clients", Blocks: 240, LinesPerBlock: 50, Seed: 9, Approximation: approx.Approximation{SampleRatio: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}

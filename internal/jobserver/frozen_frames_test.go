@@ -1,6 +1,7 @@
 package jobserver
 
 import (
+	"approxhadoop/internal/approx"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -37,9 +38,9 @@ const frozenSnapshotEvery = 1
 var (
 	frozenPrecise = JobSpec{Name: "a-precise", App: "total-size", Blocks: 160, LinesPerBlock: 50, Seed: 3}
 	frozenSampled = JobSpec{Name: "b-sampled", App: "project-popularity", Blocks: 200, LinesPerBlock: 50, Seed: 8,
-		Controller: "static", SampleRatio: 0.5, DropRatio: 0.25}
+		Approximation: approx.Approximation{SampleRatio: 0.5, DropRatio: 0.25}}
 	frozenCanceled = JobSpec{Name: "c-canceled", App: "clients", Blocks: 240, LinesPerBlock: 50, Seed: 9,
-		Controller: "static", SampleRatio: 0.5}
+		Approximation: approx.Approximation{SampleRatio: 0.5}}
 )
 
 // frozenBodies is one row's two renderings.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -290,6 +291,32 @@ func TestHTTPErrors(t *testing.T) {
 			if resp, err := http.DefaultClient.Do(req); err == nil {
 				resp.Body.Close()
 			}
+		}
+	}
+}
+
+// TestHTTPRejectsOutOfRangeSpecs: a spec the contract rejects is a 400
+// whose error names the offending key. The first row is one the
+// service used to run precisely after clamping both ratios.
+func TestHTTPRejectsOutOfRangeSpecs(t *testing.T) {
+	_, ts := startDaemon(t, Config{SnapshotEvery: -1}, false)
+	for body, key := range map[string]string{
+		`{"app":"clients","controller":"static","sampleRatio":7,"dropRatio":-3}`: "sampleRatio",
+		`{"app":"clients","sampleRatio":0.5,"confidence":1.5}`:                   "confidence",
+		`{"app":"clients","dropRatio":1}`:                                        "dropRatio",
+		`{"app":"clients","target":-0.05}`:                                       "target",
+		`{"app":"clients","absoluteError":-1}`:                                   "absoluteError",
+		`{"app":"clients","deadline":-30}`:                                       "deadline",
+		`{"app":"clients","target":0.05,"pilot":true,"pilotRatio":1.5}`:          "pilotRatio",
+		`{"app":"clients","sampleRatio":0.5,"target":0.05}`:                      "modes",
+		`{"app":"clients","controller":"target"}`:                                "target",
+		`{"app":"clients","controller":"sampled"}`:                               "controller",
+	} {
+		var reply struct {
+			Error string `json:"error"`
+		}
+		if code := postJSON(t, ts.URL+"/v1/jobs", json.RawMessage(body), &reply); code != http.StatusBadRequest || !strings.Contains(reply.Error, key) {
+			t.Errorf("%s: HTTP %d %q, want 400 naming %s", body, code, reply.Error, key)
 		}
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"approxhadoop/internal/approx"
 	"approxhadoop/internal/wire"
 )
 
@@ -87,16 +88,14 @@ func LoadSpec(seed int64, op, tenants int) JobSpec {
 	if tenants <= 0 {
 		tenants = 8
 	}
-	apps := Apps()
 	spec := JobSpec{
 		Name:          fmt.Sprintf("load-%04d", op),
-		App:           apps[op%len(apps)],
+		App:           traceApps[op%len(traceApps)],
 		Blocks:        12,
 		LinesPerBlock: 80,
 		Seed:          seed*1009 + int64(op),
 		Tenant:        fmt.Sprintf("tenant-%02d", op%tenants),
-		Controller:    "static",
-		SampleRatio:   0.25,
+		Approximation: approx.Approximation{SampleRatio: 0.25},
 	}
 	return spec
 }

@@ -1,6 +1,7 @@
 package jobserver
 
 import (
+	"approxhadoop/internal/approx"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -50,9 +51,9 @@ func recoverySpecs() []JobSpec {
 	return []JobSpec{
 		{Name: "a-precise", App: "total-size", Blocks: 12, LinesPerBlock: 60, Seed: 7},
 		{Name: "b-sampled", App: "project-popularity", Blocks: 16, LinesPerBlock: 60, Seed: 8,
-			Controller: "static", SampleRatio: 0.5},
+			Approximation: approx.Approximation{SampleRatio: 0.5}},
 		{Name: "c-dropped", App: "clients", Blocks: 12, LinesPerBlock: 60, Seed: 9,
-			Controller: "static", SampleRatio: 0.5, DropRatio: 0.25},
+			Approximation: approx.Approximation{SampleRatio: 0.5, DropRatio: 0.25}},
 	}
 }
 

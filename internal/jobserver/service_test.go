@@ -1,6 +1,7 @@
 package jobserver
 
 import (
+	"approxhadoop/internal/approx"
 	"reflect"
 	"strings"
 	"testing"
@@ -188,7 +189,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 // job's final output.
 func TestSnapshotsConvergeToFinal(t *testing.T) {
 	spec := JobSpec{Name: "snap", App: "project-popularity", Blocks: 80, LinesPerBlock: 200,
-		Seed: 9, Controller: "static", SampleRatio: 0.25}
+		Seed: 9, Approximation: approx.Approximation{SampleRatio: 0.25}}
 
 	// Calibrate: how long does this job take unobserved?
 	pre := New(Config{SnapshotEvery: -1}).Replay([]JobSpec{spec})

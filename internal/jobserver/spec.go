@@ -6,7 +6,7 @@
 //
 // The package has three layers. JobSpec (this file) is the wire-level
 // job description — a serializable recipe naming an application from
-// the catalog plus approximation settings — from which a fresh
+// apps.Catalog plus an approx.Approximation — from which a fresh
 // mapreduce.Job (with its own generated input) is built per
 // submission. Service (service.go) is the engine-goroutine core:
 // admission, dispatch via mapreduce.Start, state tracking, and the
@@ -17,6 +17,8 @@
 package jobserver
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -61,15 +63,10 @@ type JobSpec struct {
 	// it; empty means the anonymous tenant.
 	Tenant string `json:"tenant,omitempty"`
 
-	// Controller selects the approximation mode: "" or "precise",
-	// "static" (SampleRatio/DropRatio), "target" (Target relative
-	// error), or "deadline" (Deadline virtual seconds, BestEffort).
-	Controller  string  `json:"controller,omitempty"`
-	SampleRatio float64 `json:"sampleRatio,omitempty"`
-	DropRatio   float64 `json:"dropRatio,omitempty"`
-	Target      float64 `json:"target,omitempty"`
-	Deadline    float64 `json:"deadline,omitempty"`
-	BestEffort  bool    `json:"bestEffort,omitempty"`
+	// Approximation selects the mode from the fields that are set:
+	// sampleRatio/dropRatio, a target error, or a deadline in virtual
+	// seconds (with bestEffort); none runs precisely.
+	approx.Approximation
 
 	// Reduces is the job's reduce-task count (default 1 — service
 	// jobs share the cluster's reduce slots, which bound admission).
@@ -78,15 +75,81 @@ type JobSpec struct {
 	Workers int `json:"workers,omitempty"`
 }
 
-// Apps lists the catalog applications a JobSpec may name.
-func Apps() []string {
-	return []string{"project-popularity", "page-popularity", "total-size", "clients", "wiki-length"}
+// UnmarshalJSON decodes a spec. It is the one reader of the legacy
+// "controller" key of earlier daemons' journals and clients (marshalled
+// specs never carry it), which picks the fields that count: "static"
+// the ratios, "target" the target (piloted, as those daemons always
+// did), "deadline" the deadline and bestEffort, "precise" none.
+func (s *JobSpec) UnmarshalJSON(b []byte) error {
+	type plain JobSpec
+	var v struct {
+		plain
+		Controller string `json:"controller"`
+	}
+	if err := json.Unmarshal(b, &v); err != nil {
+		return err
+	}
+	*s = JobSpec(v.plain)
+	a := s.Approximation
+	switch v.Controller {
+	case "":
+		return nil
+	case "precise":
+		a = approx.Approximation{}
+	case "static":
+		a = approx.Approximation{SampleRatio: a.SampleRatio, DropRatio: a.DropRatio}
+	case "target":
+		if a.TargetError <= 0 {
+			return errors.New(`jobserver: controller "target" requires target > 0`)
+		}
+		a = approx.Approximation{TargetError: a.TargetError, Pilot: true}
+	case "deadline":
+		if a.Deadline <= 0 {
+			return errors.New(`jobserver: controller "deadline" requires deadline > 0`)
+		}
+		a = approx.Approximation{Deadline: a.Deadline, BestEffort: a.BestEffort}
+	default:
+		return fmt.Errorf("jobserver: unknown controller %q (precise, static, target, deadline)", v.Controller)
+	}
+	s.Approximation = a
+	return nil
 }
 
-// input generates the spec's private input file. Every submission gets
-// a fresh dfs.File: service tenants do not share block objects, so one
-// job's replica bookkeeping can never leak into another's schedule.
-func (s JobSpec) input() (*dfs.File, error) {
+// traceApps are the apps GenerateTrace and LoadSpec draw from. The list
+// is fixed, so replayed traces and the load mix keep their bytes as
+// the catalog grows.
+var traceApps = []string{"project-popularity", "page-popularity", "total-size", "clients", "wiki-length"}
+
+// Apps lists the catalog applications a JobSpec may name: the batch
+// entries over the datasets the service generates.
+func Apps() []string {
+	return apps.Names(func(e apps.Entry) bool { return e.Batch != nil && serviceInput(e.Dataset, "", 0, 0, 0) != nil })
+}
+
+// serviceInput generates dataset d at the service's shape; nil when the
+// service does not generate d. Every submission gets a fresh dfs.File:
+// service tenants do not share block objects, so one job's replica
+// bookkeeping can never leak into another's schedule.
+func serviceInput(d apps.Dataset, name string, blocks, lines int, seed int64) *dfs.File {
+	switch d {
+	case apps.AccessLog:
+		log := workload.AccessLog{Blocks: blocks, LinesPerBlock: lines, Projects: 50, Pages: 2000, Seed: seed + 2}
+		return log.File(name)
+	case apps.WebLog:
+		log := workload.WebLog{Blocks: blocks, LinesPerBlock: lines, Clients: 200, Attackers: 8, AttackRate: 0.02, Seed: seed + 3}
+		return log.File(name)
+	case apps.WikiDump:
+		dump := workload.WikiDump{Blocks: blocks, ArticlesPerBlock: lines, LinkUniverse: 2000, MeanLinks: 8, Seed: seed + 1}
+		return dump.File(name)
+	}
+	return nil
+}
+
+// Build assembles the runnable mapreduce.Job this spec describes, with
+// a fresh controller (controllers are stateful and never shared between
+// jobs). defaultWorkers is the service-wide compute-pool size applied
+// when the spec does not override it.
+func (s JobSpec) Build(defaultWorkers int) (*mapreduce.Job, error) {
 	blocks := s.Blocks
 	if blocks <= 0 {
 		blocks = 48
@@ -95,52 +158,15 @@ func (s JobSpec) input() (*dfs.File, error) {
 	if lines <= 0 {
 		lines = 200
 	}
-	name := fmt.Sprintf("%s-%d.in", s.App, s.Seed)
-	switch s.App {
-	case "project-popularity", "page-popularity":
-		log := workload.AccessLog{Blocks: blocks, LinesPerBlock: lines, Projects: 50, Pages: 2000, Seed: s.Seed + 2}
-		return log.File(name), nil
-	case "total-size", "clients":
-		log := workload.WebLog{Blocks: blocks, LinesPerBlock: lines, Clients: 200, Attackers: 8, AttackRate: 0.02, Seed: s.Seed + 3}
-		return log.File(name), nil
-	case "wiki-length":
-		dump := workload.WikiDump{Blocks: blocks, ArticlesPerBlock: lines, LinkUniverse: 2000, MeanLinks: 8, Seed: s.Seed + 1}
-		return dump.File(name), nil
+	e, ok := apps.Lookup(s.App)
+	var input *dfs.File
+	if ok && e.Batch != nil {
+		input = serviceInput(e.Dataset, fmt.Sprintf("%s-%d.in", s.App, s.Seed), blocks, lines, s.Seed)
 	}
-	return nil, fmt.Errorf("jobserver: unknown app %q (have %v)", s.App, Apps())
-}
-
-// controller builds a fresh controller instance for this submission
-// (controllers are stateful and never shared between jobs).
-func (s JobSpec) controller() (mapreduce.Controller, error) {
-	switch s.Controller {
-	case "", "precise":
-		return nil, nil
-	case "static":
-		return approx.NewStatic(s.SampleRatio, s.DropRatio), nil
-	case "target":
-		if s.Target <= 0 {
-			return nil, fmt.Errorf("jobserver: controller \"target\" requires target > 0")
-		}
-		return &approx.TargetError{Target: s.Target, Pilot: true}, nil
-	case "deadline":
-		if s.Deadline <= 0 {
-			return nil, fmt.Errorf("jobserver: controller \"deadline\" requires deadline > 0")
-		}
-		return &approx.DeadlineSLO{Deadline: s.Deadline, BestEffort: s.BestEffort}, nil
+	if input == nil {
+		return nil, fmt.Errorf("jobserver: unknown app %q (have %v)", s.App, Apps())
 	}
-	return nil, fmt.Errorf("jobserver: unknown controller %q (precise, static, target, deadline)", s.Controller)
-}
-
-// Build assembles the runnable mapreduce.Job this spec describes.
-// defaultWorkers is the service-wide compute-pool size applied when
-// the spec does not override it.
-func (s JobSpec) Build(defaultWorkers int) (*mapreduce.Job, error) {
-	input, err := s.input()
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := s.controller()
+	set, err := s.Approximation.Settings()
 	if err != nil {
 		return nil, err
 	}
@@ -152,22 +178,9 @@ func (s JobSpec) Build(defaultWorkers int) (*mapreduce.Job, error) {
 	// microseconds of the metered default, so trace submission gaps,
 	// streaming snapshot periods, and deadline SLOs all live in natural
 	// units — and concurrently submitted jobs genuinely overlap.
-	opts := apps.Options{Controller: ctl, Seed: s.Seed, Reduces: reduces, Cost: cluster.PaperCost()}
-	var job *mapreduce.Job
-	switch s.App {
-	case "project-popularity":
-		job = apps.ProjectPopularity(input, opts)
-	case "page-popularity":
-		job = apps.PagePopularity(input, opts)
-	case "total-size":
-		job = apps.TotalSize(input, opts)
-	case "clients":
-		job = apps.Clients(input, opts)
-	case "wiki-length":
-		job = apps.WikiLength(input, opts)
-	default:
-		return nil, fmt.Errorf("jobserver: unknown app %q (have %v)", s.App, Apps())
-	}
+	opts := apps.Options{Controller: set.Controller, Seed: s.Seed, Reduces: reduces, Cost: cluster.PaperCost()}
+	job := e.Batch(input, 1, apps.SketchOptions{Options: opts})
+	set.Apply(job)
 	if s.Name != "" {
 		job.Name = s.Name
 	} else {
@@ -176,15 +189,6 @@ func (s JobSpec) Build(defaultWorkers int) (*mapreduce.Job, error) {
 	job.Workers = s.Workers
 	if job.Workers == 0 {
 		job.Workers = defaultWorkers
-	}
-	if s.Controller == "deadline" {
-		// The controller plans toward Slack*Deadline; the framework's
-		// map-phase deadline is the hard stop if the plan mispredicts.
-		// Strict SLO jobs fail with a descriptive error on overrun;
-		// best-effort jobs degrade the unfinished tail to
-		// statistically-bounded drops instead.
-		job.Retry.JobDeadline = s.Deadline
-		job.DegradeToDrop = s.BestEffort
 	}
 	return job, nil
 }
@@ -215,13 +219,13 @@ func (s JobSpec) PlacementKey() string {
 // the same trace, which is what the byte-identical replay tests and
 // the approxctl load generator run.
 //
-// Traces use only precise and static controllers: their per-job
+// Traces use only precise and ratio specs: their per-job
 // outputs depend only on (spec, seed) — drops are the tail of the
 // job's own seeded launch order — so replay results are comparable
 // across scheduling policies, not just across worker-pool sizes.
 func GenerateTrace(n int, seed int64) []JobSpec {
 	rng := stats.NewRand(seed)
-	catalog := Apps()
+	catalog := traceApps
 	specs := make([]JobSpec, 0, n)
 	at := 0.0
 	for i := 0; i < n; i++ {
@@ -238,10 +242,8 @@ func GenerateTrace(n int, seed int64) []JobSpec {
 		switch rng.Intn(3) {
 		case 0: // precise
 		case 1:
-			spec.Controller = "static"
 			spec.SampleRatio = []float64{0.1, 0.25, 0.5}[rng.Intn(3)]
 		case 2:
-			spec.Controller = "static"
 			spec.SampleRatio = 0.25
 			spec.DropRatio = []float64{0.25, 0.5}[rng.Intn(2)]
 		}

@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"approxhadoop/internal/apps"
+	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/stream"
 	"approxhadoop/internal/workload"
 )
@@ -36,7 +37,7 @@ var errStreamCanceled = errors.New("jobserver: stream canceled")
 type StreamSpec struct {
 	// Name labels the stream (default "<app>-<seed>").
 	Name string `json:"name,omitempty"`
-	// App names a stream-catalog scenario; see apps.StreamApps.
+	// App names a stream scenario of apps.Catalog.
 	App string `json:"app"`
 	// Blocks/LinesPerBlock size the generated source log (defaults:
 	// the app's workload defaults).
@@ -100,29 +101,29 @@ func (s StreamSpec) Build() (*stream.Pipeline, error) {
 		Capacity:   s.Capacity,
 		MaxWindows: s.MaxWindows,
 	}
-	switch s.App {
-	case "edit-rate":
-		gen := workload.DefaultEditLog()
-		if s.Blocks > 0 {
-			gen.Blocks = s.Blocks
+	// The source log is the scenario dataset's default generator with
+	// the spec's size overrides and its seed added to the generator's.
+	or := func(v, def int) int {
+		if v > 0 {
+			return v
 		}
-		if s.LinesPerBlock > 0 {
-			gen.LinesPerBlock = s.LinesPerBlock
-		}
-		gen.Seed += s.Seed
-		return apps.EditRateStream(gen, opts), nil
-	case "web-bytes":
-		gen := workload.DefaultWebLog()
-		if s.Blocks > 0 {
-			gen.Blocks = s.Blocks
-		}
-		if s.LinesPerBlock > 0 {
-			gen.LinesPerBlock = s.LinesPerBlock
-		}
-		gen.Seed += s.Seed
-		return apps.WebBytesStream(gen, opts), nil
+		return def
 	}
-	return nil, fmt.Errorf("jobserver: unknown stream app %q (have %v)", s.App, apps.StreamApps())
+	var input *dfs.File
+	e, _ := apps.Lookup(s.App)
+	switch {
+	case e.Stream != nil && e.Dataset == apps.EditLog:
+		g := workload.DefaultEditLog()
+		g.Blocks, g.LinesPerBlock, g.Seed = or(s.Blocks, g.Blocks), or(s.LinesPerBlock, g.LinesPerBlock), g.Seed+s.Seed
+		input = g.File("stream-input")
+	case e.Stream != nil && e.Dataset == apps.WebLog:
+		g := workload.DefaultWebLog()
+		g.Blocks, g.LinesPerBlock, g.Seed = or(s.Blocks, g.Blocks), or(s.LinesPerBlock, g.LinesPerBlock), g.Seed+s.Seed
+		input = g.File("stream-input")
+	default:
+		return nil, fmt.Errorf("jobserver: unknown stream app %q (have %v)", s.App, apps.Names(func(e apps.Entry) bool { return e.Stream != nil }))
+	}
+	return e.Stream(input, opts), nil
 }
 
 // StreamStatus is the lifecycle state of a continuous query.

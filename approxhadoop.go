@@ -36,11 +36,11 @@
 //				}
 //			})
 //		},
-//		NewReduce:  approxhadoop.MultiStageSumReduce,
-//		Combine:    true,
-//		Controller: approxhadoop.TargetError(0.01), // ±1% with 95% confidence
+//		NewReduce: approxhadoop.MultiStageSumReduce,
+//		Combine:   true,
 //	}
-//	res, err := sys.Run(job)
+//	// ±1% with 95% confidence
+//	res, err := sys.Submit(job, approxhadoop.Approximation{TargetError: 0.01})
 //
 // Every output key carries an Estimate with a confidence interval;
 // Result.Runtime and Result.EnergyWh report the simulated cluster cost.
@@ -256,37 +256,8 @@ func MembershipReduce(int) ReduceLogic { return mapreduce.NewMembershipReduce() 
 func TotalShuffleBytes() int64 { return mapreduce.TotalShuffleBytes() }
 
 // ---------------------------------------------------------------------------
-// Controllers
+// User-defined approximation
 // ---------------------------------------------------------------------------
-
-// Ratios returns a controller that applies user-specified
-// dropping/sampling ratios (Section 4.2, first mode): sampleRatio in
-// (0, 1] of the input items are processed and dropRatio of the map
-// tasks are dropped.
-func Ratios(sampleRatio, dropRatio float64) Controller {
-	return approx.NewStatic(sampleRatio, dropRatio)
-}
-
-// TargetError returns a controller that achieves a relative target
-// error bound at 95% confidence by choosing dropping/sampling ratios
-// online (Section 4.4). target is e.g. 0.01 for ±1%.
-func TargetError(target float64) Controller {
-	return &approx.TargetError{Target: target}
-}
-
-// TargetErrorPilot is TargetError with a pilot first wave: pilotTasks
-// maps run at pilotRatio sampling to bootstrap statistics cheaply
-// (for jobs whose maps complete in a single wave).
-func TargetErrorPilot(target, pilotRatio float64, pilotTasks int) Controller {
-	return &approx.TargetError{Target: target, Pilot: true, PilotRatio: pilotRatio, PilotTasks: pilotTasks}
-}
-
-// TargetErrorExtreme returns the extreme-value (min/max) target-error
-// controller: maps are killed/dropped the moment the GEV interval
-// meets the target (Section 4.5).
-func TargetErrorExtreme(target float64) Controller {
-	return &approx.TargetErrorGEV{Target: target}
-}
 
 // PerTaskMappers selects between precise and approximate map variants
 // per task (user-defined approximation); assign to Job.NewMapperFor.
@@ -325,14 +296,11 @@ type (
 	StreamQuery = stream.Query
 	// StreamWindow is an event-time window spec (Size/Slide seconds).
 	StreamWindow = stream.Window
-	// StreamSLO is the per-window error/latency objective.
+	// StreamSLO is the per-window error/latency objective; a query whose
+	// SLO sets either runs under the adaptive controller.
 	StreamSLO = stream.SLO
-	// StreamCost is the analytic per-window latency model.
-	StreamCost = stream.Cost
 	// StreamPlan is one window's sampling plan.
 	StreamPlan = stream.PlanSpec
-	// StreamController retunes each window's plan from the last.
-	StreamController = stream.Controller
 	// StreamPipeline runs one StreamQuery over one StreamSource, folding
 	// each record where it routes it.
 	StreamPipeline = stream.Pipeline
@@ -366,14 +334,6 @@ func ConstantRate(perSec float64) RateFunc { return workload.ConstantRate(perSec
 func DiurnalRate(base, swing, period float64) RateFunc {
 	return workload.DiurnalRate(base, swing, period)
 }
-
-// NewStreamController builds the adaptive per-window controller.
-func NewStreamController(slo StreamSLO, cost StreamCost) *StreamController {
-	return stream.NewController(slo, cost)
-}
-
-// DefaultStreamCost is the default analytic latency model.
-func DefaultStreamCost() StreamCost { return stream.DefaultCost() }
 
 // StreamSeriesBytes renders a window series in its canonical byte
 // form (the determinism contract's unit of account).

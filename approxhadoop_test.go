@@ -9,7 +9,7 @@ import (
 	"approxhadoop/internal/stats"
 )
 
-func wordCountJob(sys *approxhadoop.System, input *approxhadoop.File, ctl approxhadoop.Controller) *approxhadoop.Job {
+func wordCountJob(sys *approxhadoop.System, input *approxhadoop.File) *approxhadoop.Job {
 	return &approxhadoop.Job{
 		Name:   "ApproxWordCount",
 		Input:  input,
@@ -21,10 +21,9 @@ func wordCountJob(sys *approxhadoop.System, input *approxhadoop.File, ctl approx
 				}
 			})
 		},
-		NewReduce:  approxhadoop.MultiStageSumReduce,
-		Combine:    true,
-		Controller: ctl,
-		Seed:       7,
+		NewReduce: approxhadoop.MultiStageSumReduce,
+		Combine:   true,
+		Seed:      7,
 	}
 }
 
@@ -50,7 +49,7 @@ func TestPublicAPIWordCount(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	precise, err := sys.Run(wordCountJob(sys, input, nil))
+	precise, err := sys.Run(wordCountJob(sys, input))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +58,7 @@ func TestPublicAPIWordCount(t *testing.T) {
 		t.Fatalf("precise lorem = %+v ok=%v (want 1000)", lorem, ok)
 	}
 
-	apx, err := sys.Run(wordCountJob(sys, input, approxhadoop.Ratios(0.25, 0.25)))
+	apx, err := sys.Submit(wordCountJob(sys, input), approxhadoop.Approximation{SampleRatio: 0.25, DropRatio: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestPublicAPIWordCount(t *testing.T) {
 func TestPublicAPITargetError(t *testing.T) {
 	sys := approxhadoop.NewSystem(approxhadoop.DefaultCluster())
 	input := approxhadoop.SplitText("pages.txt", corpus(), 512)
-	res, err := sys.Run(wordCountJob(sys, input, approxhadoop.TargetError(0.05)))
+	res, err := sys.Submit(wordCountJob(sys, input), approxhadoop.Approximation{TargetError: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +96,17 @@ func TestPublicAPITargetError(t *testing.T) {
 }
 
 func TestPublicAPIExtremeController(t *testing.T) {
-	if approxhadoop.TargetErrorExtreme(0.1).Name() == "" {
-		t.Error("controller name empty")
-	}
-	if approxhadoop.TargetErrorPilot(0.01, 0.01, 4).Name() == "" {
-		t.Error("pilot controller name empty")
+	for _, spec := range []approxhadoop.Approximation{
+		{TargetError: 0.1, Extreme: true},
+		{TargetError: 0.01, Pilot: true, PilotRatio: 0.01, PilotTasks: 4},
+	} {
+		set, err := spec.Settings()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.Controller == nil || set.Controller.Name() == "" {
+			t.Errorf("%+v: controller missing or unnamed", spec)
+		}
 	}
 }
 

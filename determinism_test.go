@@ -20,7 +20,7 @@ func detRun(t *testing.T, workers int, withFaults bool) *approxhadoop.Result {
 	if err := sys.Store(input); err != nil {
 		t.Fatal(err)
 	}
-	job := wordCountJob(sys, input, approxhadoop.Ratios(0.25, 0.5))
+	job := wordCountJob(sys, input)
 	job.Workers = workers
 	// Determinism must survive fault injection too. The job leaves
 	// Reduces at its default (one per server), so every server hosts
@@ -38,7 +38,7 @@ func detRun(t *testing.T, workers int, withFaults bool) *approxhadoop.Result {
 	job.Retry = approxhadoop.RetryPolicy{MaxAttemptsPerTask: 3, Backoff: 0.25}
 	job.DegradeToDrop = true
 	job.RecordTrace = true
-	res, err := sys.Run(job)
+	res, err := sys.Submit(job, approxhadoop.Approximation{SampleRatio: 0.25, DropRatio: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func makeCorpus() []byte {
 	return []byte(sb.String())
 }
 
-func wordCount(input *approxhadoop.File, ctl approxhadoop.Controller) *approxhadoop.Job {
+func wordCount(input *approxhadoop.File) *approxhadoop.Job {
 	return &approxhadoop.Job{
 		Name:   "ApproxWordCount",
 		Input:  input,
@@ -40,11 +40,10 @@ func wordCount(input *approxhadoop.File, ctl approxhadoop.Controller) *approxhad
 				}
 			})
 		},
-		NewReduce:  approxhadoop.MultiStageSumReduce, // MultiStageSamplingReducer
-		Combine:    true,
-		Controller: ctl,
-		Cost:       approxhadoop.PaperCost(),
-		Seed:       1,
+		NewReduce: approxhadoop.MultiStageSumReduce, // MultiStageSamplingReducer
+		Combine:   true,
+		Cost:      approxhadoop.PaperCost(),
+		Seed:      1,
 	}
 }
 
@@ -55,12 +54,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	precise, err := sys.Run(wordCount(input, nil))
+	precise, err := sys.Run(wordCount(input))
 	if err != nil {
 		log.Fatal(err)
 	}
 	// 10% input sampling + 25% task dropping, as a user would specify.
-	apx, err := sys.Run(wordCount(input, approxhadoop.Ratios(0.10, 0.25)))
+	apx, err := sys.Submit(wordCount(input), approxhadoop.Approximation{SampleRatio: 0.10, DropRatio: 0.25})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -54,11 +54,12 @@ func main() {
 			}
 			return nil
 		},
-		Window:   approxhadoop.StreamWindow{Size: 10},
+		Window: approxhadoop.StreamWindow{Size: 10},
+		// A latency budget runs the query under the adaptive controller.
+		SLO:      approxhadoop.StreamSLO{MaxLatency: 0.05},
 		Capacity: 64,
 		Seed:     7,
 	}
-	slo := approxhadoop.StreamSLO{MaxLatency: 0.05}
 
 	pipeline := &approxhadoop.StreamPipeline{
 		Query: query,
@@ -66,7 +67,6 @@ func main() {
 			Rate: approxhadoop.DiurnalRate(400, 0.5, 120), // 200..600 edits/s
 			Seed: 7,
 		}),
-		Controller: approxhadoop.NewStreamController(slo, approxhadoop.DefaultStreamCost()),
 		MaxWindows: 12,
 	}
 

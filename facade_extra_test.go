@@ -22,11 +22,10 @@ func TestFacadeReducersAndWriters(t *testing.T) {
 			t.Errorf("%s constructor returned nil", name)
 		}
 	}
-	if approxhadoop.Ratios(0.5, 0.25).Name() == "" {
-		t.Error("Ratios controller name")
-	}
-	if approxhadoop.TargetError(0.01).Name() == "" {
-		t.Error("TargetError controller name")
+	for _, spec := range []approxhadoop.Approximation{{SampleRatio: 0.5, DropRatio: 0.25}, {TargetError: 0.01}} {
+		if set, err := spec.Settings(); err != nil || set.Controller.Name() == "" {
+			t.Errorf("%+v: controller name (%v)", spec, err)
+		}
 	}
 	if c := approxhadoop.PaperCost(); c.T0 <= 0 {
 		t.Error("PaperCost")
@@ -34,7 +33,7 @@ func TestFacadeReducersAndWriters(t *testing.T) {
 
 	sys := approxhadoop.NewSystem(approxhadoop.DefaultCluster())
 	input := approxhadoop.SplitText("w.txt", corpus(), 4096)
-	res, err := sys.Run(wordCountJob(sys, input, nil))
+	res, err := sys.Run(wordCountJob(sys, input))
 	if err != nil {
 		t.Fatal(err)
 	}

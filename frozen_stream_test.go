@@ -71,7 +71,6 @@ var frozenStreamRows = []struct {
 		})
 	}},
 	{"edit-page/mean", nil, func(seed int64) *stream.Pipeline {
-		slo := stream.SLO{TargetRelErr: 0.25}
 		return &stream.Pipeline{
 			Query: stream.Query{
 				Name:     "edit-page-mean",
@@ -92,12 +91,11 @@ var frozenStreamRows = []struct {
 					return n, true
 				},
 				Window:   stream.Window{Size: 2},
-				SLO:      slo,
+				SLO:      stream.SLO{TargetRelErr: 0.25},
 				Capacity: 24,
 				Seed:     seed,
 			},
-			Source:     workload.StreamFrom(frozenEdits().File("frozen-edits"), workload.StreamOptions{Rate: workload.DiurnalRate(1500, 0.4, 10), Seed: seed}),
-			Controller: stream.NewController(slo, stream.Cost{}),
+			Source: workload.StreamFrom(frozenEdits().File("frozen-edits"), workload.StreamOptions{Rate: workload.DiurnalRate(1500, 0.4, 10), Seed: seed}),
 		}
 	}},
 	{"web-bytes/fixed-plan", []string{"partial"}, func(seed int64) *stream.Pipeline {

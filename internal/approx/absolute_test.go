@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"approxhadoop/internal/mapreduce"
+	"approxhadoop/internal/stats"
 )
 
 // TestAbsoluteTargetBound drives the controller with an absolute
@@ -41,21 +42,29 @@ func TestAbsoluteTargetBound(t *testing.T) {
 // TestGEVAbsoluteTarget drives the extreme-value controller with an
 // absolute bound.
 func TestGEVAbsoluteTarget(t *testing.T) {
-	ctl := &TargetErrorGEV{Absolute: 5, MinMaps: 3}
-	if ctl.meets(4, 100) != true {
+	// meets reports whether a fresh controller stops the job on one
+	// key's estimate.
+	meets := func(c TargetErrorGEV, errHalf, value float64) bool {
+		v := &mapreduce.JobView{Completed: 8, Estimates: func() []mapreduce.KeyEstimate {
+			return []mapreduce.KeyEstimate{{Key: "k", Est: stats.Estimate{Value: value, Err: errHalf}}}
+		}}
+		return c.Completed(v).DropPending
+	}
+	ctl := TargetErrorGEV{Absolute: 5, MinMaps: 3}
+	if meets(ctl, 4, 100) != true {
 		t.Error("4 <= 5 should meet")
 	}
-	if ctl.meets(6, 100) != false {
+	if meets(ctl, 6, 100) != false {
 		t.Error("6 > 5 should not meet")
 	}
-	if ctl.meets(math.Inf(1), 100) {
+	if meets(ctl, math.Inf(1), 100) {
 		t.Error("infinite bound never meets")
 	}
-	both := &TargetErrorGEV{Target: 0.01, Absolute: 5}
-	if both.meets(4, 100) {
+	both := TargetErrorGEV{Target: 0.01, Absolute: 5}
+	if meets(both, 4, 100) {
 		t.Error("4 above 1 percent of 100 should fail the relative part")
 	}
-	if !both.meets(0.5, 100) {
+	if !meets(both, 0.5, 100) {
 		t.Error("0.5 meets both bounds")
 	}
 }

@@ -80,7 +80,7 @@ func (a Approximation) Settings() (Settings, error) {
 		s.Controller = &TargetError{Target: a.TargetError, Absolute: a.AbsoluteError, Strict: a.StrictPerKey,
 			Pilot: a.Pilot, PilotRatio: a.PilotRatio, PilotTasks: a.PilotTasks}
 	case deadline:
-		// The controller plans toward Slack*Deadline; the map-phase
+		// The controller plans toward planSlack*Deadline; the map-phase
 		// deadline is the hard stop if the plan mispredicts, failing a
 		// strict job and degrading a best-effort one's unfinished tail
 		// to statistically-bounded drops.

@@ -70,7 +70,7 @@ func TestDeadlineSLOPlansWithinBudget(t *testing.T) {
 
 func TestDeadlineSLOExhaustedBudgetDrops(t *testing.T) {
 	c := &DeadlineSLO{Deadline: 10, PilotTasks: 4, PilotRatio: 0.02}
-	// Pilot done, but virtual time already past Slack*Deadline.
+	// Pilot done, but virtual time already past planSlack*Deadline.
 	v := slowView(64, 8, 4, 4, 0, 9.5)
 	d := c.Completed(v)
 	if d.Abort != nil {

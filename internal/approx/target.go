@@ -25,8 +25,12 @@ import (
 // size m, by scanning m over a ratio grid and binary-searching the
 // minimal feasible n2 (variance decreases monotonically in n). The
 // solution is re-derived at every subsequent wave boundary with the
-// accumulated statistics. If no approximation satisfies the target,
-// the job simply runs to completion precisely.
+// accumulated statistics. Plans are solved against planSlack times the
+// targets: they rest on noisy first-wave statistics, and the tighter
+// bound keeps the realized interval inside the user's target (the
+// paper reports meeting the target in every experiment). If no
+// approximation satisfies the target, the job simply runs to
+// completion precisely.
 type TargetError struct {
 	// Target is the relative error bound (e.g. 0.01 for ±1% of each
 	// key's estimate). Zero disables the relative constraint.
@@ -40,14 +44,6 @@ type TargetError struct {
 	Pilot      bool
 	PilotTasks int     // default: 1/4 of the map slots (min 2)
 	PilotRatio float64 // default 0.01
-	// RatioGrid overrides the sampling-ratio candidates for m.
-	RatioGrid []float64
-	// Slack multiplies the targets during planning (default 0.8): the
-	// plan is derived from noisy first-wave/pilot statistics, so
-	// planning against a slightly tighter bound absorbs estimation
-	// noise and keeps the realized interval inside the user's target
-	// (the paper reports meeting the target in every experiment).
-	Slack float64
 	// Strict applies the relative Target to every key individually.
 	// The default (false) applies it to the key with the maximum
 	// predicted absolute error — the key the paper reports errors for.
@@ -57,12 +53,7 @@ type TargetError struct {
 	// to precise execution.
 	Strict bool
 
-	firstWave int
-	ratio     float64 // sampling ratio for post-solve launches
-	planned   int     // total maps to launch; 0 = unbounded
-	solved    bool
-	solveAt   int // completed count that triggers the next re-solve
-	plan      planTable
+	waves
 }
 
 // Name implements mapreduce.Controller.
@@ -70,69 +61,19 @@ func (c *TargetError) Name() string {
 	return fmt.Sprintf("target-error(%.3g%%)", c.Target*100)
 }
 
-func defaultRatioGrid() []float64 {
-	return []float64{1, 0.75, 0.5, 0.25, 0.1, 0.05, 0.025, 0.01, 0.005, 0.002, 0.001}
-}
-
-func (c *TargetError) init(v *mapreduce.JobView) {
-	if c.firstWave > 0 {
-		return
-	}
-	if c.Pilot {
-		if c.PilotTasks <= 0 {
-			c.PilotTasks = v.TotalMapSlots / 4
-			if c.PilotTasks < 2 {
-				c.PilotTasks = 2
-			}
-		}
-		if c.PilotTasks > v.TotalMaps {
-			c.PilotTasks = v.TotalMaps
-		}
-		if c.PilotRatio <= 0 || c.PilotRatio > 1 {
-			c.PilotRatio = 0.01
-		}
-		c.firstWave = c.PilotTasks
-	} else {
-		c.firstWave = v.TotalMapSlots
-		if c.firstWave > v.TotalMaps {
-			c.firstWave = v.TotalMaps
-		}
-	}
-}
-
 // Plan implements mapreduce.Controller.
 func (c *TargetError) Plan(v *mapreduce.JobView) (float64, mapreduce.PlanAction) {
-	c.init(v)
-	if !c.solved {
-		if v.Launched < c.firstWave {
-			if c.Pilot {
-				return c.PilotRatio, mapreduce.PlanRun
-			}
-			return 1, mapreduce.PlanRun
-		}
-		// First wave fully launched: wait for it before deciding.
-		return 0, mapreduce.PlanDefer
-	}
-	if c.planned > 0 && v.Launched >= c.planned {
-		// Plan reached: hold the remaining tasks pending (rather than
-		// dropping them outright) until the realized bound of the
-		// planned tasks is confirmed; Completed either drops them or
-		// extends the plan.
-		return 0, mapreduce.PlanDefer
-	}
-	return c.ratio, mapreduce.PlanRun
+	c.size(v, c.Pilot, c.PilotTasks, c.PilotRatio)
+	return c.launch(v)
 }
 
 // Completed implements mapreduce.Controller.
 func (c *TargetError) Completed(v *mapreduce.JobView) mapreduce.Directive {
-	c.init(v)
-	switch {
-	case !c.solved:
-		if v.Completed < c.firstWave {
-			return mapreduce.Directive{}
-		}
+	c.size(v, c.Pilot, c.PilotTasks, c.PilotRatio)
+	switch c.at(v) {
+	case eventFirst, eventBoundary:
 		c.solve(v)
-	case c.planned > 0 && v.Launched >= c.planned && v.Running == 0:
+	case eventDrained:
 		// The planned tasks have all finished. Verify the realized
 		// bound: if it meets the user's target, drop everything still
 		// pending; otherwise extend the plan with the (now much
@@ -154,9 +95,6 @@ func (c *TargetError) Completed(v *mapreduce.JobView) mapreduce.Directive {
 			c.planned = v.Launched + extra
 			c.ratio = 1
 		}
-	case v.Completed >= c.solveAt && (c.planned == 0 || v.Launched < c.planned):
-		// Wave boundary: refine the plan with the richer statistics.
-		c.solve(v)
 	default:
 		return mapreduce.Directive{}
 	}
@@ -218,8 +156,7 @@ func (c *TargetError) realizedMet(v *mapreduce.JobView) bool {
 
 // solve runs the Section 4.4 optimization and stores the plan.
 func (c *TargetError) solve(v *mapreduce.JobView) {
-	c.solved = true
-	c.solveAt = v.Completed + v.TotalMapSlots // next wave boundary
+	c.solving(v)
 	c.plan.gather(v)
 	c.search(v)
 }
@@ -241,15 +178,11 @@ func (c *TargetError) search(v *mapreduce.JobView) {
 	if maxExtra < 0 {
 		maxExtra = 0
 	}
-	grid := c.RatioGrid
-	if len(grid) == 0 {
-		grid = defaultRatioGrid()
-	}
 	if !c.Strict {
 		// A probe visits the front: one per grid ratio plus a binary
 		// search over [committed, committed+maxExtra]. The front holds
 		// for probes with n <= N, where every errHalf coefficient is >= 0.
-		probes := len(grid) * (1 + bits.Len(uint(maxExtra)))
+		probes := len(ratioGrid) * (1 + bits.Len(uint(maxExtra)))
 		if n1+committed+maxExtra > v.TotalMaps {
 			probes = 0
 		}
@@ -260,7 +193,7 @@ func (c *TargetError) search(v *mapreduce.JobView) {
 	found := false
 	var bestExtra int
 	var bestRatio float64
-	for _, ratio := range grid {
+	for _, ratio := range ratioGrid {
 		m := math.Max(1, math.Round(ratio*mbar))
 		hi := committed + maxExtra
 		if !c.feasible(newProbe(v.TotalMaps, n1, hi, mbar, m, v.Confidence)) {
@@ -292,8 +225,8 @@ func (c *TargetError) search(v *mapreduce.JobView) {
 		bestRatio = 1
 	}
 	c.ratio = bestRatio
-	// planned == launched means everything still pending is dropped.
-	// MaxLaunch must stay positive to take effect, hence the floor.
+	// planned == launched means everything still pending is dropped;
+	// planned == 0 would read as unbounded in Plan, hence the floor.
 	c.planned = v.Launched + bestExtra
 	if c.planned < 1 {
 		c.planned = 1
@@ -308,16 +241,12 @@ func (c *TargetError) search(v *mapreduce.JobView) {
 // other key can be it, nor have a +Inf or NaN half-width while every
 // front key's is finite.
 func (c *TargetError) feasible(p probe) bool {
-	slack := c.Slack
-	if slack <= 0 || slack > 1 {
-		slack = 0.8
-	}
 	keys := c.plan.stats
 	if c.Strict {
 		// Every key's own bound counts, and it depends on tau as well.
 		for i := range keys {
 			k := &keys[i]
-			if !c.meets(p.errHalf(k.su2, k.withinDone, k.avgWithin), k.tau, slack) {
+			if !c.meets(p.errHalf(k.su2, k.withinDone, k.avgWithin), k.tau, planSlack) {
 				return false
 			}
 		}
@@ -336,7 +265,7 @@ func (c *TargetError) feasible(p probe) bool {
 			worst, worstErr = i, errHalf
 		}
 	}
-	return worst < 0 || c.meets(worstErr, keys[worst].tau, slack)
+	return worst < 0 || c.meets(worstErr, keys[worst].tau, planSlack)
 }
 
 // meets checks one key's half-width against the targets scaled by

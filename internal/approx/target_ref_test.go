@@ -106,6 +106,9 @@ func refWorstRelError(comps []PlanComponent, v *mapreduce.JobView, n1, n2 int, m
 	return worst
 }
 
+// defaultRatioGrid is the planners' ratio grid as the reference reads it.
+func defaultRatioGrid() []float64 { return ratioGrid[:] }
+
 type refTargetError struct {
 	Target     float64
 	Absolute   float64
@@ -446,7 +449,7 @@ type pair struct {
 func newPair(name string, cfg TargetError) pair {
 	return pair{name, &cfg, &refTargetError{
 		Target: cfg.Target, Absolute: cfg.Absolute, Pilot: cfg.Pilot, PilotTasks: cfg.PilotTasks,
-		PilotRatio: cfg.PilotRatio, RatioGrid: cfg.RatioGrid, Slack: cfg.Slack, Strict: cfg.Strict,
+		PilotRatio: cfg.PilotRatio, Strict: cfg.Strict,
 	}}
 }
 
@@ -455,7 +458,7 @@ func newPair(name string, cfg TargetError) pair {
 func (p pair) step(t *testing.T, at string, v *mapreduce.JobView) mapreduce.Directive {
 	t.Helper()
 	got, want := p.got.Completed(v), p.ref.Completed(v)
-	if got.DropPending != want.DropPending || got.KillRunning != want.KillRunning || got.MaxLaunch != want.MaxLaunch ||
+	if got.DropPending != want.DropPending || got.KillRunning != want.KillRunning ||
 		math.Float64bits(got.SampleRatio) != math.Float64bits(want.SampleRatio) || (got.Abort == nil) != (want.Abort == nil) {
 		t.Fatalf("%s %s: directive %+v, reference %+v", p.name, at, got, want)
 	}
@@ -477,10 +480,10 @@ func refConfigs() []pair {
 		newPair("strict", TargetError{Target: 0.5, Strict: true}),
 		newPair("strict-tight", TargetError{Target: 0.02, Strict: true}),
 		newPair("absolute", TargetError{Absolute: 300}),
-		newPair("both", TargetError{Target: 0.05, Absolute: 500, Slack: 0.9}),
+		newPair("both", TargetError{Target: 0.05, Absolute: 500}),
 		newPair("strict-absolute", TargetError{Absolute: 300, Strict: true}),
 		newPair("pilot", TargetError{Target: 0.05, Pilot: true, PilotRatio: 0.2}),
-		newPair("grid", TargetError{Target: 0.03, RatioGrid: []float64{1, 0.3, 0.03}}),
+		newPair("grid", TargetError{Target: 0.03}),
 	}
 }
 
@@ -768,17 +771,13 @@ func BenchmarkTargetSolve(b *testing.B) {
 // refFeasible is TargetError.feasible as it stood before the front: the
 // worst key is sought over every gathered key.
 func refFeasible(c *TargetError, p probe) bool {
-	slack := c.Slack
-	if slack <= 0 || slack > 1 {
-		slack = 0.8
-	}
 	keys := c.plan.stats
 	worst, worstErr := -1, 0.0
 	for i := range keys {
 		k := &keys[i]
 		errHalf := p.errHalf(k.su2, k.withinDone, k.avgWithin)
 		if c.Strict {
-			if !c.meets(errHalf, k.tau, slack) {
+			if !c.meets(errHalf, k.tau, planSlack) {
 				return false
 			}
 			continue
@@ -791,7 +790,7 @@ func refFeasible(c *TargetError, p probe) bool {
 			worst, worstErr = i, errHalf
 		}
 	}
-	return worst < 0 || c.meets(worstErr, keys[worst].tau, slack)
+	return worst < 0 || c.meets(worstErr, keys[worst].tau, planSlack)
 }
 
 // refDominates is keepFront's dominance, one component at a time: a -Inf
@@ -880,8 +879,8 @@ func frontView(completed, launched, running int) *mapreduce.JobView {
 // strict mode, which must ignore it.
 func frontConfigs() []TargetError {
 	return []TargetError{
-		{Target: 0.02}, {Target: 0.3, Slack: 1}, {Absolute: 300}, {Target: 0.05, Absolute: 500, Slack: 0.9},
-		{Target: 0.02, RatioGrid: []float64{1, 0.3, 0.03}}, {Target: 0.5, Strict: true},
+		{Target: 0.02}, {Target: 0.3}, {Absolute: 300}, {Target: 0.05, Absolute: 500},
+		{Target: 0.02}, {Target: 0.5, Strict: true},
 	}
 }
 
@@ -929,7 +928,7 @@ func checkFront(t *testing.T, name string, table *planTable) {
 		for _, cfg := range frontConfigs() {
 			c := cfg
 			c.plan = *table
-			ref := &refTargetError{Target: cfg.Target, Absolute: cfg.Absolute, RatioGrid: cfg.RatioGrid, Slack: cfg.Slack, Strict: cfg.Strict}
+			ref := &refTargetError{Target: cfg.Target, Absolute: cfg.Absolute, Strict: cfg.Strict}
 			c.search(view)
 			ref.solveWith(view, refComponents(table))
 			if math.Float64bits(c.ratio) != math.Float64bits(ref.ratio) || c.planned != ref.planned {

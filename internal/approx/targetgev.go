@@ -2,7 +2,6 @@ package approx
 
 import (
 	"fmt"
-	"math"
 
 	"approxhadoop/internal/mapreduce"
 )
@@ -56,25 +55,12 @@ func (c *TargetErrorGEV) Completed(v *mapreduce.JobView) mapreduce.Directive {
 	if len(ests) == 0 {
 		return mapreduce.Directive{}
 	}
+	bound := TargetError{Target: c.Target, Absolute: c.Absolute}
 	for _, e := range ests {
-		if !c.meets(e.Est.Err, e.Est.Value) {
+		if !bound.meets(e.Est.Err, e.Est.Value, 1) {
 			return mapreduce.Directive{}
 		}
 	}
 	c.stopped = true
 	return mapreduce.Directive{DropPending: true, KillRunning: true}
-}
-
-func (c *TargetErrorGEV) meets(errHalf, value float64) bool {
-	if math.IsInf(errHalf, 1) || math.IsNaN(errHalf) {
-		return false
-	}
-	ok := true
-	if c.Target > 0 {
-		ok = ok && errHalf <= c.Target*math.Abs(value)
-	}
-	if c.Absolute > 0 {
-		ok = ok && errHalf <= c.Absolute
-	}
-	return ok
 }

@@ -20,8 +20,8 @@ type StreamOptions struct {
 	Rate workload.RateFunc
 	// Window spec (default: 10s tumbling).
 	Window stream.Window
-	// SLO for the adaptive controller; the zero value runs with a
-	// fixed plan.
+	// SLO is the query's: a target or a latency budget runs it under
+	// the adaptive controller, the zero value with a fixed plan.
 	SLO stream.SLO
 	// Capacity is the starting per-stratum reservoir size (default
 	// stream.Query default, 64).
@@ -33,8 +33,6 @@ type StreamOptions struct {
 	Workers int
 	// MaxWindows stops the stream after N windows (0 = drain source).
 	MaxWindows int
-	// Cost overrides the latency model (zero value = DefaultCost).
-	Cost stream.Cost
 }
 
 func (o StreamOptions) withDefaults() StreamOptions {
@@ -50,14 +48,6 @@ func (o StreamOptions) withDefaults() StreamOptions {
 	return o
 }
 
-// controller builds the adaptive controller when the SLO asks for one.
-func (o StreamOptions) controller() *stream.Controller {
-	if o.SLO == (stream.SLO{}) {
-		return nil
-	}
-	return stream.NewController(o.SLO, o.Cost)
-}
-
 // pipeline assembles the common Pipeline scaffolding around a query
 // over input.
 func (o StreamOptions) pipeline(q stream.Query, input *dfs.File) *stream.Pipeline {
@@ -68,8 +58,6 @@ func (o StreamOptions) pipeline(q stream.Query, input *dfs.File) *stream.Pipelin
 	return &stream.Pipeline{
 		Query:      q,
 		Source:     workload.StreamFrom(input, workload.StreamOptions{Rate: o.Rate, Seed: o.Seed}),
-		Controller: o.controller(),
-		Cost:       o.Cost,
 		MaxWindows: o.MaxWindows,
 	}
 }

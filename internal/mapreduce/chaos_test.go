@@ -38,8 +38,6 @@ func (c *chaosController) Completed(v *JobView) Directive {
 	case 1:
 		d.DropPending = true
 		d.KillRunning = true
-	case 2:
-		d.MaxLaunch = 1 + c.rng.Intn(v.TotalMaps)
 	case 3:
 		d.SampleRatio = c.rng.Float64()
 	}

@@ -246,34 +246,6 @@ func TestControllerKillsRunning(t *testing.T) {
 	}
 }
 
-func TestMaxLaunchDirective(t *testing.T) {
-	input, _ := wordCountInput(t, 64)
-	n := len(input.Blocks)
-	ctl := &maxLaunchController{cap: 3}
-	job := &Job{
-		Input:      input,
-		NewMapper:  wordCountMapper,
-		NewReduce:  func(int) ReduceLogic { return SumReduce() },
-		Controller: ctl,
-		Cost:       cluster.AnalyticCost{T0: 1, Tr: 0.001, Tp: 0.001},
-	}
-	res := runWordCount(t, job)
-	if got := res.Counters.MapsCompleted + res.Counters.MapsKilled; got > 3+8 {
-		t.Errorf("launched too many maps: %+v", res.Counters)
-	}
-	if res.Counters.MapsDropped == 0 && n > 3 {
-		t.Error("expected drops under MaxLaunch")
-	}
-}
-
-type maxLaunchController struct{ cap int }
-
-func (m *maxLaunchController) Name() string                          { return "maxlaunch-test" }
-func (m *maxLaunchController) Plan(v *JobView) (float64, PlanAction) { return 1, PlanRun }
-func (m *maxLaunchController) Completed(v *JobView) Directive {
-	return Directive{MaxLaunch: m.cap}
-}
-
 func TestSpeculationRecoversStragglers(t *testing.T) {
 	input, _ := wordCountInput(t, 64)
 	cfg := cluster.DefaultConfig()

@@ -72,7 +72,6 @@ type tracker struct {
 	launched  int
 	completed int
 	dropped   int
-	maxLaunch int     // 0 = unlimited
 	curRatio  float64 // ratio when controller declines to specify
 
 	realSecs    float64
@@ -398,10 +397,6 @@ func (t *tracker) fillPass() {
 			}
 			t.nextOrd++
 			continue
-		}
-		if t.maxLaunch > 0 && t.launched >= t.maxLaunch {
-			t.dropAllPending()
-			break
 		}
 		ratio := t.curRatio
 		if t.job.Controller != nil {
@@ -961,9 +956,6 @@ func (t *tracker) applyDirective(d Directive) {
 	}
 	if d.SampleRatio > 0 {
 		t.curRatio = math.Min(d.SampleRatio, 1)
-	}
-	if d.MaxLaunch > 0 {
-		t.maxLaunch = d.MaxLaunch
 	}
 	if d.DropPending {
 		t.dropAllPending()

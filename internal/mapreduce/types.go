@@ -469,7 +469,6 @@ type Directive struct {
 	DropPending bool    // drop all not-yet-launched maps
 	KillRunning bool    // also kill currently running maps
 	SampleRatio float64 // if > 0, input sampling ratio for future launches
-	MaxLaunch   int     // if > 0, cap total map launches at this count
 	// Abort, when non-nil, fails the job with this error: the
 	// controller has concluded the job cannot meet its contract (e.g.
 	// a deadline SLO that is infeasible even at the cheapest ratios).

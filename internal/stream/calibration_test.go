@@ -8,11 +8,12 @@ import (
 )
 
 // exactTwin reruns a pipeline's query over the same arrival trace with
-// unbounded reservoirs and no controller, yielding per-window ground
-// truth: every window must come back Exact.
-func exactTwin(t *testing.T, mk func(capacity int, ctrl *stream.Controller) *stream.Pipeline) []stream.WindowResult {
+// unbounded reservoirs and no target or latency budget (so no
+// controller), yielding per-window ground truth: every window must come
+// back Exact.
+func exactTwin(t *testing.T, mk func(capacity int, slo stream.SLO) *stream.Pipeline) []stream.WindowResult {
 	t.Helper()
-	truth := mustRun(t, mk(1<<20, nil))
+	truth := mustRun(t, mk(1<<20, stream.SLO{}))
 	for _, r := range truth {
 		if !r.Exact {
 			t.Fatalf("ground-truth twin window %d not exact (capacity unbounded, nothing shed)", r.Index)
@@ -82,18 +83,18 @@ func TestWindowCICalibrationSum(t *testing.T) {
 	}
 	var covered, claimed int
 	for seed := int64(1); seed <= 24; seed++ {
-		mk := func(capacity int, ctrl *stream.Controller) *stream.Pipeline {
+		mk := func(capacity int, slo stream.SLO) *stream.Pipeline {
 			qq := q
 			qq.Seed = seed
 			qq.Capacity = capacity
+			qq.SLO = slo
 			return &stream.Pipeline{
-				Query:      qq,
-				Source:     workload.StreamFrom(gen.File("cal"), workload.StreamOptions{Rate: workload.DiurnalRate(400, 0.5, 60), Seed: seed}),
-				Controller: ctrl,
+				Query:  qq,
+				Source: workload.StreamFrom(gen.File("cal"), workload.StreamOptions{Rate: workload.DiurnalRate(400, 0.5, 60), Seed: seed}),
 			}
 		}
 		truth := exactTwin(t, mk)
-		approx := mustRun(t, mk(64, nil))
+		approx := mustRun(t, mk(64, stream.SLO{}))
 		c, n, _ := coverageCount(t, truth, approx)
 		covered += c
 		claimed += n
@@ -131,20 +132,19 @@ func TestWindowCICalibrationDegraded(t *testing.T) {
 			Window:  stream.Window{Size: 5},
 			Seed:    seed,
 		}
-		mk := func(capacity int, ctrl *stream.Controller) *stream.Pipeline {
+		mk := func(capacity int, slo stream.SLO) *stream.Pipeline {
 			qq := q
 			qq.Capacity = capacity
+			qq.SLO = slo
 			return &stream.Pipeline{
-				Query:      qq,
-				Source:     workload.StreamFrom(web.File("cal"), workload.StreamOptions{Rate: workload.DiurnalRate(500, 0.5, 60), Seed: seed}),
-				Controller: ctrl,
+				Query:  qq,
+				Source: workload.StreamFrom(web.File("cal"), workload.StreamOptions{Rate: workload.DiurnalRate(500, 0.5, 60), Seed: seed}),
 			}
 		}
 		truth := exactTwin(t, mk)
 		// A latency budget only shedding can meet: count queries do no
 		// per-unit sampling, so KeepFrac is the controller's only lever.
-		ctrl := stream.NewController(stream.SLO{MaxLatency: 0.035}, stream.DefaultCost())
-		approx := mustRun(t, mk(64, ctrl))
+		approx := mustRun(t, mk(64, stream.SLO{MaxLatency: 0.035}))
 		c, n, d := coverageCount(t, truth, approx)
 		covered += c
 		claimed += n

@@ -22,40 +22,48 @@ package stream
 
 import "math"
 
-// Cost is the analytic per-window latency model, in seconds. Modeled
-// — not measured — latency keeps the series independent of the wall
-// clock while still scaling with exactly the work a real ingest loop
-// would do; the same philosophy as the batch plane's AnalyticCost.
-type Cost struct {
-	Base    float64 // fixed per-window close overhead
-	Route   float64 // per record routed (stratify, hash, batch)
-	Fold    float64 // per record folded into a kept stratum
-	Sample  float64 // per reservoir admission (value parse + store)
-	Stratum float64 // per kept stratum at close (estimate merge)
+// The analytic per-window latency model, in seconds; it roughly mirrors
+// the batch plane's PaperCost scaled to per-record streaming work.
+// Modeled — not measured — latency keeps the series independent of the
+// wall clock while still scaling with exactly the work a real ingest
+// loop would do; the same philosophy as the batch plane's AnalyticCost.
+const (
+	costBase    = 2e-3 // fixed per-window close overhead
+	costRoute   = 2e-6 // per record routed (stratify, hash, batch)
+	costFold    = 6e-6 // per record folded into a kept stratum
+	costSample  = 4e-5 // per reservoir admission (value parse + store)
+	costStratum = 1e-4 // per kept stratum at close (estimate merge)
+)
+
+// windowLatency evaluates the model for one closed window.
+func windowLatency(records, folded, parses int64, keptStrata int) float64 {
+	return costBase +
+		costRoute*float64(records) +
+		costFold*float64(folded) +
+		costSample*float64(parses) +
+		costStratum*float64(keptStrata)
 }
 
-// DefaultCost roughly mirrors the batch plane's PaperCost scaled to
-// per-record streaming work.
-func DefaultCost() Cost {
-	return Cost{Base: 2e-3, Route: 2e-6, Fold: 6e-6, Sample: 4e-5, Stratum: 1e-4}
-}
-
-// normalized substitutes DefaultCost for the zero value.
-func (c Cost) normalized() Cost {
-	if c == (Cost{}) {
-		return DefaultCost()
-	}
-	return c
-}
-
-// Window evaluates the model for one closed window.
-func (c Cost) Window(records, folded, parses int64, keptStrata int) float64 {
-	return c.Base +
-		c.Route*float64(records) +
-		c.Fold*float64(folded) +
-		c.Sample*float64(parses) +
-		c.Stratum*float64(keptStrata)
-}
+// The controller's tuning.
+const (
+	// minCapacity and maxCapacity clamp the per-stratum reservoir size.
+	minCapacity = 8
+	maxCapacity = 8192
+	// minKeepFrac floors stratum shedding: the estimator keeps enough
+	// clusters to say something.
+	minKeepFrac = 0.25
+	// headroom is the fraction of TargetRelErr the error loop aims at,
+	// absorbing forecast error before the SLO line.
+	headroom = 0.8
+	// margin multiplies the solved capacity: the capacity is sized
+	// against the *forecast* mean stratum volume, and both the forecast
+	// lag on an upswing and the dispersion of real stratum sizes around
+	// the mean eat into the solved fraction.
+	margin = 1.25
+	// alpha is the EWMA weight of the newest window in the rate and
+	// stratum forecasts.
+	alpha = 0.5
+)
 
 // expectedAdmissions is the expected number of reservoir admissions
 // when m records are offered to a capacity-k reservoir:
@@ -68,81 +76,21 @@ func expectedAdmissions(k int, m float64) float64 {
 	return fk * (1 + math.Log(m/fk))
 }
 
-// Controller retunes the next window's PlanSpec from each closed
-// window. Zero-value knobs get defaults at init.
-type Controller struct {
-	SLO  SLO
-	Cost Cost
-
-	// MinCapacity/MaxCapacity clamp the per-stratum reservoir size
-	// (defaults 8 and 8192).
-	MinCapacity int
-	MaxCapacity int
-	// MinKeepFrac floors stratum shedding (default 0.25): the
-	// estimator keeps enough clusters to say something.
-	MinKeepFrac float64
-	// Headroom is the fraction of TargetRelErr the error loop aims at
-	// (default 0.8), absorbing forecast error before the SLO line.
-	Headroom float64
-	// Margin multiplies the solved capacity (default 1.25): the
-	// capacity is sized against the *forecast* mean stratum volume, and
-	// both the forecast lag on an upswing and the dispersion of real
-	// stratum sizes around the mean eat into the solved fraction.
-	Margin float64
-	// Alpha is the EWMA weight of the newest window in the rate and
-	// stratum forecasts (default 0.5).
-	Alpha float64
-
-	plan     PlanSpec
+// controller retunes the next window's PlanSpec from each closed
+// window. The pipeline builds one per run of a query whose SLO sets a
+// target or a latency budget, so every run starts from the same
+// forecasts.
+type controller struct {
+	slo      SLO
+	size     float64 // window duration (seconds)
 	rate     float64 // records/sec forecast
 	strata   float64 // observed-strata forecast
 	haveRate bool
-	size     float64 // window duration (seconds)
 }
 
-// NewController builds a controller for an SLO under a cost model.
-func NewController(slo SLO, cost Cost) *Controller {
-	return &Controller{SLO: slo, Cost: cost}
-}
-
-// init applies defaults and the query's starting plan; the pipeline
-// calls it once before the first window opens.
-func (c *Controller) init(q Query, cost Cost) PlanSpec {
-	if c.Cost == (Cost{}) {
-		c.Cost = cost
-	}
-	if c.SLO == (SLO{}) {
-		c.SLO = q.SLO
-	}
-	if c.SLO.Confidence <= 0 || c.SLO.Confidence >= 1 {
-		c.SLO.Confidence = 0.95
-	}
-	if c.MinCapacity <= 0 {
-		c.MinCapacity = 8
-	}
-	if c.MaxCapacity <= 0 {
-		c.MaxCapacity = 8192
-	}
-	if c.MinKeepFrac <= 0 {
-		c.MinKeepFrac = 0.25
-	}
-	if c.Headroom <= 0 || c.Headroom > 1 {
-		c.Headroom = 0.8
-	}
-	if c.Margin <= 0 {
-		c.Margin = 1.25
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.5
-	}
-	c.size = q.Window.Size
-	c.plan = PlanSpec{Capacity: q.Capacity, KeepFrac: 1}
-	return c.plan
-}
-
-// Observe folds one closed window into the forecasts and returns the
-// plan for the next window to open.
-func (c *Controller) Observe(r WindowResult) PlanSpec {
+// observe folds one closed window into the forecasts and retunes plan,
+// the current one, into the plan for the next window to open.
+func (c *controller) observe(r WindowResult, plan PlanSpec) PlanSpec {
 	dur := r.End - r.Start
 	if dur <= 0 {
 		dur = c.size
@@ -153,8 +101,8 @@ func (c *Controller) Observe(r WindowResult) PlanSpec {
 		c.strata = float64(r.Strata)
 		c.haveRate = true
 	} else {
-		c.rate += c.Alpha * (rateNow - c.rate)
-		c.strata += c.Alpha * (float64(r.Strata) - c.strata)
+		c.rate += alpha * (rateNow - c.rate)
+		c.strata += alpha * (float64(r.Strata) - c.strata)
 	}
 	expRecords := c.rate * c.size
 	nStrata := c.strata
@@ -163,10 +111,8 @@ func (c *Controller) Observe(r WindowResult) PlanSpec {
 	}
 	perStratum := expRecords / nStrata
 
-	plan := c.plan
 	plan.Capacity = c.retuneCapacity(r, perStratum, plan.Capacity)
 	plan.KeepFrac = c.solveKeep(expRecords, nStrata, &plan.Capacity)
-	c.plan = plan
 	return plan
 }
 
@@ -174,8 +120,8 @@ func (c *Controller) Observe(r WindowResult) PlanSpec {
 // (1/f - 1) variance lever by (target/realized)² and solve the
 // capacity that yields the new sampling fraction at the forecast
 // per-stratum volume.
-func (c *Controller) retuneCapacity(r WindowResult, perStratum float64, capNow int) int {
-	if c.SLO.TargetRelErr <= 0 || r.Folded == 0 || r.Sampled >= r.Folded {
+func (c *controller) retuneCapacity(r WindowResult, perStratum float64, capNow int) int {
+	if c.slo.TargetRelErr <= 0 || r.Folded == 0 || r.Sampled >= r.Folded {
 		// No error target, an empty window, or nothing was left out of
 		// the sample (exact, or a count query whose only error lever
 		// is shedding): capacity carries no signal — keep it.
@@ -185,7 +131,7 @@ func (c *Controller) retuneCapacity(r WindowResult, perStratum float64, capNow i
 	if math.IsNaN(rel) || rel <= 0 {
 		return capNow
 	}
-	target := c.SLO.TargetRelErr * c.Headroom
+	target := c.slo.TargetRelErr * headroom
 	f := float64(r.Sampled) / float64(r.Folded)
 	var fNext float64
 	if math.IsInf(rel, 1) {
@@ -197,8 +143,8 @@ func (c *Controller) retuneCapacity(r WindowResult, perStratum float64, capNow i
 		lever := (1/f - 1) * scale
 		fNext = 1 / (1 + lever)
 	}
-	capNext := int(math.Ceil(fNext * perStratum * c.Margin))
-	if rel > c.SLO.TargetRelErr {
+	capNext := int(math.Ceil(fNext * perStratum * margin))
+	if rel > c.slo.TargetRelErr {
 		// The window violated the SLO outright: expand, never shrink.
 		// Take the larger of the fpc inversion and a direct 1/m
 		// variance scaling (the right answer far from enumeration,
@@ -221,11 +167,11 @@ func (c *Controller) retuneCapacity(r WindowResult, perStratum float64, capNow i
 		// before it demanded.
 		capNext = capNow * 9 / 10
 	}
-	if capNext < c.MinCapacity {
-		capNext = c.MinCapacity
+	if capNext < minCapacity {
+		capNext = minCapacity
 	}
-	if capNext > c.MaxCapacity {
-		capNext = c.MaxCapacity
+	if capNext > maxCapacity {
+		capNext = maxCapacity
 	}
 	return capNext
 }
@@ -235,23 +181,23 @@ func (c *Controller) retuneCapacity(r WindowResult, perStratum float64, capNow i
 // fold/sample/close work. If even the floor fraction blows the budget
 // the reservoir capacity is cut too — latency wins over error, and
 // the wider interval reports the price.
-func (c *Controller) solveKeep(expRecords, nStrata float64, capacity *int) float64 {
-	if c.SLO.MaxLatency <= 0 {
+func (c *controller) solveKeep(expRecords, nStrata float64, capacity *int) float64 {
+	if c.slo.MaxLatency <= 0 {
 		return 1
 	}
 	keep := c.keepFor(expRecords, nStrata, *capacity)
 	if keep >= 1 {
 		return 1
 	}
-	if keep < c.MinKeepFrac {
+	if keep < minKeepFrac {
 		// Shedding alone cannot hold the budget: degrade capacity to
 		// the floor as well and re-solve once.
-		if *capacity > c.MinCapacity {
-			*capacity = c.MinCapacity
+		if *capacity > minCapacity {
+			*capacity = minCapacity
 			keep = c.keepFor(expRecords, nStrata, *capacity)
 		}
-		if keep < c.MinKeepFrac {
-			keep = c.MinKeepFrac
+		if keep < minKeepFrac {
+			keep = minKeepFrac
 		}
 	}
 	if keep > 1 {
@@ -262,12 +208,12 @@ func (c *Controller) solveKeep(expRecords, nStrata float64, capacity *int) float
 
 // keepFor returns the keep fraction that exactly spends the latency
 // budget at the given capacity (>= 1 means no shedding needed).
-func (c *Controller) keepFor(expRecords, nStrata float64, capacity int) float64 {
+func (c *controller) keepFor(expRecords, nStrata float64, capacity int) float64 {
 	admitPer := expectedAdmissions(capacity, expRecords/nStrata)
-	fixed := c.Cost.Base + c.Cost.Route*expRecords
-	perKeep := c.Cost.Fold*expRecords + c.Cost.Sample*nStrata*admitPer + c.Cost.Stratum*nStrata
+	fixed := costBase + costRoute*expRecords
+	perKeep := costFold*expRecords + costSample*nStrata*admitPer + costStratum*nStrata
 	if perKeep <= 0 {
 		return 1
 	}
-	return (c.SLO.MaxLatency - fixed) / perKeep
+	return (c.slo.MaxLatency - fixed) / perKeep
 }

@@ -25,7 +25,8 @@ func newIngestFeed(t *testing.T, perWindow int, q Query) *ingestFeed {
 		return float64(n), err == nil
 	}
 	q.Window = Window{Size: 1}
-	p := &Pipeline{Query: q, Source: sourceFunc(nil), Controller: NewController(SLO{TargetRelErr: 0.05}, Cost{})}
+	q.SLO = SLO{TargetRelErr: 0.05}
+	p := &Pipeline{Query: q, Source: sourceFunc(nil)}
 	st, err := p.start(func(WindowResult) error { return nil })
 	if err != nil {
 		t.Fatal(err)

@@ -18,18 +18,14 @@ import (
 // errStopIngest stops the source cleanly once MaxWindows have closed.
 var errStopIngest = errors.New("stream: window budget reached")
 
-// Pipeline runs one Query over one Source.
+// Pipeline runs one Query over one Source. When the query's SLO sets a
+// target or a latency budget, each run builds a controller that retunes
+// every window's PlanSpec from the previous window's realized error and
+// modeled latency; otherwise the query's fixed plan (Capacity, KeepFrac
+// 1) runs forever.
 type Pipeline struct {
 	Query  Query
 	Source Source
-
-	// Controller, when set, retunes each window's PlanSpec from the
-	// previous window's realized error and modeled latency. Nil runs
-	// the query's fixed plan (Capacity, KeepFrac 1) forever.
-	Controller *Controller
-
-	// Cost is the analytic latency model (zero value = DefaultCost).
-	Cost Cost
 
 	// MaxWindows stops the stream after this many closed windows
 	// (0 = run until the source drains).
@@ -68,8 +64,7 @@ func (w *window) find(key uint64) *stratumState {
 // runState is the mutable state of one Run.
 type runState struct {
 	q    Query
-	ctrl *Controller
-	cost Cost
+	ctrl *controller // nil: the fixed plan
 
 	plan PlanSpec // applied to windows opened from now on
 
@@ -138,15 +133,13 @@ func (p *Pipeline) start(emit func(WindowResult) error) (*runState, error) {
 	}
 	st := &runState{
 		q:          q,
-		ctrl:       p.Controller,
-		cost:       p.Cost.normalized(),
 		plan:       PlanSpec{Capacity: q.Capacity, KeepFrac: 1},
 		maxOpened:  -1,
 		maxWindows: p.MaxWindows,
 		emit:       emit,
 	}
-	if st.ctrl != nil {
-		st.plan = st.ctrl.init(q, st.cost)
+	if q.SLO.TargetRelErr > 0 || q.SLO.MaxLatency > 0 {
+		st.ctrl = &controller{slo: q.SLO, size: q.Window.Size}
 	}
 	return st, nil
 }
@@ -333,7 +326,7 @@ func (st *runState) closeWindow(w *window, partial bool) error {
 		}
 	}
 	res.Degraded = w.plan.KeepFrac < 1
-	res.Latency = st.cost.Window(res.Records, res.Folded, parses, res.Processed)
+	res.Latency = windowLatency(res.Records, res.Folded, parses, res.Processed)
 	res.Est, res.Exact = estimateWindow(st.q.Op, strata, st.q.SLO.Confidence)
 	for _, s := range strata {
 		if s.res != nil {
@@ -346,7 +339,7 @@ func (st *runState) closeWindow(w *window, partial bool) error {
 	}
 	st.closed++
 	if st.ctrl != nil && !partial {
-		st.plan = st.ctrl.Observe(res)
+		st.plan = st.ctrl.observe(res, st.plan)
 	}
 	return nil
 }

@@ -72,13 +72,16 @@ type Window struct {
 }
 
 // SLO is the per-window service-level objective the adaptive
-// controller steers toward.
+// controller steers toward. A pipeline runs its query under the
+// controller when TargetRelErr or MaxLatency is set; the zero value
+// runs the fixed plan.
 type SLO struct {
 	// TargetRelErr is the target relative CI half-width at Confidence
 	// (0.05 = ±5%). 0 disables error-driven capacity tuning.
 	TargetRelErr float64
 	// MaxLatency bounds the modeled per-window processing time
-	// (virtual seconds, via Cost). 0 disables latency-driven shedding.
+	// (virtual seconds, under the plane's analytic latency model). 0
+	// disables latency-driven shedding.
 	MaxLatency float64
 	// Confidence is the CI level (default 0.95).
 	Confidence float64
@@ -193,8 +196,8 @@ type WindowResult struct {
 	Last bool
 
 	// Latency is the modeled processing time of the window (seconds)
-	// under the pipeline's Cost; a pure function of the counts above,
-	// never of the wall clock.
+	// under the plane's analytic latency model; a pure function of the
+	// counts above, never of the wall clock.
 	Latency float64
 
 	Est   stats.Estimate // windowed multi-stage estimate with CI

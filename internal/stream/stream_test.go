@@ -162,13 +162,11 @@ func TestControllerHoldsErrorSLO(t *testing.T) {
 // stream cannot fit forces KeepFrac below 1; degraded windows must
 // say so, respect the keep floor, and come back under budget.
 func TestControllerShedsUnderLatencyBudget(t *testing.T) {
-	cost := stream.DefaultCost()
 	opts := apps.StreamOptions{
 		Seed:       13,
 		Rate:       workload.DiurnalRate(600, 0.5, 100),
 		Window:     stream.Window{Size: 8},
 		SLO:        stream.SLO{TargetRelErr: 0.25, MaxLatency: 0.05},
-		Cost:       cost,
 		MaxWindows: 12,
 	}
 	series := mustRun(t, apps.WebBytesStream(smallWeb(), opts))

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	approxhadoop "approxhadoop"
+	"approxhadoop/internal/apps"
+	"approxhadoop/internal/stream"
+	"approxhadoop/internal/workload"
 )
 
 // streamSeries runs the canonical streaming determinism query — an
@@ -33,9 +36,14 @@ func streamSeries(t *testing.T) []byte {
 	p := &approxhadoop.StreamPipeline{
 		Query:      q,
 		Source:     approxhadoop.StreamFromFile(file, approxhadoop.StreamOptions{Rate: approxhadoop.DiurnalRate(300, 0.5, 6), Seed: 21}),
-		Controller: approxhadoop.NewStreamController(q.SLO, approxhadoop.DefaultStreamCost()),
 		MaxWindows: 8,
 	}
+	return runSeries(t, p)
+}
+
+// runSeries runs a pipeline and renders its window series.
+func runSeries(t *testing.T, p *approxhadoop.StreamPipeline) []byte {
+	t.Helper()
 	series, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -55,5 +63,11 @@ func TestStreamSeriesDeterministic(t *testing.T) {
 	base := streamSeries(t)
 	if again := streamSeries(t); !bytes.Equal(base, again) {
 		t.Errorf("series differs between two identical runs:\n%s\nvs\n%s", base, again)
+	}
+	// One pipeline run twice: each run starts its controller from the
+	// query, not from the rate forecasts the run before left behind.
+	p := apps.WebBytesStream(workload.DefaultWebLog(), apps.StreamOptions{SLO: stream.SLO{MaxLatency: 0.02}, MaxWindows: 12})
+	if first, second := runSeries(t, p), runSeries(t, p); !bytes.Equal(first, second) {
+		t.Errorf("series differs between two runs of one pipeline:\n%s\nvs\n%s", first, second)
 	}
 }

@@ -130,8 +130,12 @@ func TestSubmitValidation(t *testing.T) {
 			t.Errorf("Submit(%+v) ran", spec)
 		}
 	}
+	set, err := approxhadoop.Approximation{SampleRatio: 0.5}.Settings()
+	if err != nil {
+		t.Fatal(err)
+	}
 	job := countJob(countFile())
-	job.Controller = approxhadoop.Ratios(1, 0)
+	job.Controller = set.Controller
 	if _, err := sys.Submit(job, approxhadoop.Approximation{}); err == nil {
 		t.Error("pre-set controller should be rejected")
 	}

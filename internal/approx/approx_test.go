@@ -345,7 +345,7 @@ func TestTargetErrorStrictBoundsEveryKey(t *testing.T) {
 
 func TestMultiStageMeanOp(t *testing.T) {
 	r := NewMultiStageReducer(OpMean)
-	view := mapreduce.EstimateView{TotalMaps: 2, Consumed: 2, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 2, Confidence: 0.95}
 	for task := 0; task < 2; task++ {
 		r.Consume(mapOut(task, 4, 4, false, emitValues("k", 2, 2, 4, 4)))
 	}
@@ -363,7 +363,7 @@ func TestMultiStageMeanOp(t *testing.T) {
 
 func TestPlanComponentsAndPrediction(t *testing.T) {
 	r := NewMultiStageReducer(OpSum)
-	view := mapreduce.EstimateView{TotalMaps: 10, Consumed: 4, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 10, Confidence: 0.95}
 	for task := 0; task < 4; task++ {
 		r.Consume(mapOut(task, 100, 50, true, func(e mapreduce.Emitter) {
 			for i := 0; i < 50; i++ {
@@ -397,7 +397,7 @@ func TestPlanComponentsAndPrediction(t *testing.T) {
 
 func TestGEVReducerExactWhenComplete(t *testing.T) {
 	r := NewMinReducer()
-	view := mapreduce.EstimateView{TotalMaps: 3, Consumed: 3, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 3, Confidence: 0.95}
 	for task := 0; task < 3; task++ {
 		r.Consume(mapOut(task, 1, 1, false, emitValues("min", float64(10-task))))
 	}
@@ -411,7 +411,7 @@ func TestGEVReducerBoundsWithDrops(t *testing.T) {
 	r := NewMinReducer()
 	rng := stats.NewRand(5)
 	n := 40
-	view := mapreduce.EstimateView{TotalMaps: 100, Consumed: n, Dropped: 60, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 100, Dropped: 60, Confidence: 0.95}
 	obs := math.Inf(1)
 	for task := 0; task < n; task++ {
 		v := 100 + rng.NormFloat64()*5
@@ -444,7 +444,7 @@ func TestGEVReducerBoundsWithDrops(t *testing.T) {
 
 func TestGEVReducerTooFewSamples(t *testing.T) {
 	r := NewMinReducer()
-	view := mapreduce.EstimateView{TotalMaps: 10, Consumed: 3, Dropped: 7, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 10, Dropped: 7, Confidence: 0.95}
 	for task := 0; task < 3; task++ {
 		r.Consume(mapOut(task, 1, 1, false, emitValues("min", float64(task))))
 	}
@@ -456,7 +456,7 @@ func TestGEVReducerTooFewSamples(t *testing.T) {
 
 func TestGEVReducerCombinerMisuse(t *testing.T) {
 	r := NewMinReducer()
-	view := mapreduce.EstimateView{TotalMaps: 2, Consumed: 1, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 2, Confidence: 0.95}
 	r.Consume(mapOut(0, 1, 1, true, emitValues("min", 5)))
 	out := r.Finalize(view)
 	if len(out) != 0 {
@@ -466,9 +466,9 @@ func TestGEVReducerCombinerMisuse(t *testing.T) {
 }
 
 func TestGEVReducerBlockTransform(t *testing.T) {
-	r := &ExtremeValueReducer{Min: true, AlreadyExtrema: false, Blocks: 10, MinSample: 5}
+	r := &ExtremeValueReducer{Min: true, AlreadyExtrema: false}
 	rng := stats.NewRand(9)
-	view := mapreduce.EstimateView{TotalMaps: 4, Consumed: 2, Dropped: 2, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 4, Dropped: 2, Confidence: 0.95}
 	r.Consume(mapOut(0, 500, 500, false, func(e mapreduce.Emitter) {
 		for i := 0; i < 500; i++ {
 			e.Emit("m", 50+rng.NormFloat64()*10)

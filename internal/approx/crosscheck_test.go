@@ -14,7 +14,7 @@ import (
 func TestReducerMatchesTwoStageTheory(t *testing.T) {
 	rng := stats.NewRand(31)
 	const totalMaps = 12
-	view := mapreduce.EstimateView{TotalMaps: totalMaps, Consumed: 7, Dropped: 0, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: totalMaps, Dropped: 0, Confidence: 0.95}
 
 	for _, op := range []AggOp{OpSum, OpMean} {
 		r := NewMultiStageReducer(op)

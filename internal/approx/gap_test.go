@@ -14,7 +14,7 @@ func TestMaxReducerEndToEnd(t *testing.T) {
 		t.Fatalf("max reducer config: %+v", r)
 	}
 	rng := stats.NewRand(7)
-	view := mapreduce.EstimateView{TotalMaps: 60, Consumed: 30, Dropped: 30, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 60, Dropped: 30, Confidence: 0.95}
 	obs := math.Inf(-1)
 	for task := 0; task < 30; task++ {
 		v := 100 + rng.NormFloat64()*10
@@ -32,15 +32,6 @@ func TestMaxReducerEndToEnd(t *testing.T) {
 	}
 	if got, ok := r.Observed("max"); !ok || !stats.AlmostEqual(got, obs, 1e-12) {
 		t.Errorf("Observed = %v %v", got, ok)
-	}
-	// Custom tail percentile path.
-	r.TailP = 0.05
-	if !stats.AlmostEqual(r.tailP(), 0.05, 1e-12) {
-		t.Error("tailP override ignored")
-	}
-	r.TailP = 7 // invalid -> default
-	if !stats.AlmostEqual(r.tailP(), 0.01, 1e-12) {
-		t.Error("invalid tailP should default")
 	}
 }
 

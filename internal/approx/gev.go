@@ -21,20 +21,24 @@ import (
 // The reported estimate is the extreme observed so far; its interval
 // half-width covers the GEV tail estimate: for a minimum,
 // [gevLow, observed], where gevLow is the lower confidence bound of
-// the GEV quantile at TailP. Combiner output is unsupported — the fit
+// the GEV quantile at tailP. Combiner output is unsupported — the fit
 // needs raw values — and is reported as an unbounded estimate.
 type ExtremeValueReducer struct {
-	Min            bool    // estimate a minimum (false: maximum)
-	TailP          float64 // tail percentile for the GEV quantile (default 0.01)
-	MinSample      int     // minimum extrema before fitting (default 8)
-	AlreadyExtrema bool    // values are already per-task extrema
-	Blocks         int     // block count for the transform (default sqrt(n))
+	Min            bool // estimate a minimum (false: maximum)
+	AlreadyExtrema bool // values are already per-task extrema
 
+	tally         mapreduce.Tally
 	values        map[string][]float64
-	consumed      int
-	sampled       bool
 	misconfigured bool // combiner output seen
 }
+
+// The GEV fit's tuning: the tail percentile of the quantile it bounds,
+// and the fewest extrema it fits. The Block Minima/Maxima transform
+// cuts n raw values into ⌊√n⌋ blocks.
+const (
+	tailP     = 0.01
+	minSample = 8
+)
 
 // NewMinReducer builds an ExtremeValueReducer for minima over per-task
 // extrema (the DC-placement pattern).
@@ -48,29 +52,12 @@ func NewMaxReducer() *ExtremeValueReducer {
 	return &ExtremeValueReducer{Min: false, AlreadyExtrema: true}
 }
 
-func (r *ExtremeValueReducer) tailP() float64 {
-	if r.TailP <= 0 || r.TailP >= 1 {
-		return 0.01
-	}
-	return r.TailP
-}
-
-func (r *ExtremeValueReducer) minSample() int {
-	if r.MinSample <= 0 {
-		return 8
-	}
-	return r.MinSample
-}
-
 // Consume implements mapreduce.ReduceLogic.
 func (r *ExtremeValueReducer) Consume(out *mapreduce.MapOutput) {
 	if r.values == nil {
 		r.values = make(map[string][]float64)
 	}
-	r.consumed++
-	if out.Sampled < out.Items {
-		r.sampled = true
-	}
+	r.tally.Add(out)
 	if out.IsCombined() {
 		r.misconfigured = true
 		return
@@ -101,24 +88,19 @@ func (r *ExtremeValueReducer) estimate(vals []float64, view mapreduce.EstimateVi
 		}
 	}
 	est := stats.Estimate{Value: obs, Conf: view.Confidence, DF: float64(len(vals) - 1)}
-	exact := !r.sampled && view.Dropped == 0 && r.consumed == view.TotalMaps && !r.misconfigured
-	if exact {
-		return est, true
-	}
 	if r.misconfigured {
 		est.Err = math.NaN()
 		est.StdErr = math.NaN()
 		return est, false
 	}
+	if r.tally.Exact(view) {
+		return est, true
+	}
 	sample := vals
 	if !r.AlreadyExtrema {
-		blocks := r.Blocks
-		if blocks <= 0 {
-			blocks = int(math.Sqrt(float64(len(vals))))
-		}
-		sample = stats.BlockExtrema(vals, blocks, r.Min)
+		sample = stats.BlockExtrema(vals, int(math.Sqrt(float64(len(vals)))), r.Min)
 	}
-	if len(sample) < r.minSample() {
+	if len(sample) < minSample {
 		est.Err = math.Inf(1)
 		est.StdErr = math.Inf(1)
 		return est, false
@@ -135,7 +117,7 @@ func (r *ExtremeValueReducer) estimate(vals []float64, view mapreduce.EstimateVi
 		est.StdErr = math.Inf(1)
 		return est, false
 	}
-	tail := fit.ExtremeEstimate(r.tailP(), view.Confidence)
+	tail := fit.ExtremeEstimate(tailP, view.Confidence)
 	// The true extreme can only be at or beyond the observed one; the
 	// GEV tail bound says how far beyond is plausible.
 	var half float64

@@ -20,7 +20,7 @@ import (
 
 // SampledUnits returns the total number of units actually processed
 // across consumed clusters (sum of m_i).
-func (r *MultiStageReducer) SampledUnits() int64 { return r.sampledUnits }
+func (r *MultiStageReducer) SampledUnits() int64 { return r.tally.SampledUnits() }
 
 // MissingKeyBound bounds the total value of a key that was never
 // observed in the sample, assuming at most one occurrence per input
@@ -35,8 +35,9 @@ func (r *MultiStageReducer) SampledUnits() int64 { return r.sampledUnits }
 // to rare keys (e.g. the WikiLength missing sizes were bounded at ±197
 // against ±33,408 for observed sizes).
 func (r *MultiStageReducer) MissingKeyBound(view mapreduce.EstimateView) stats.Estimate {
-	est := stats.Estimate{Value: 0, Conf: view.Confidence, DF: float64(r.n - 1)}
-	s := float64(r.sampledUnits)
+	n := r.tally.Clusters()
+	est := stats.Estimate{Value: 0, Conf: view.Confidence, DF: float64(n - 1)}
+	s := float64(r.tally.SampledUnits())
 	if s <= 0 {
 		est.Err = math.Inf(1)
 		est.StdErr = math.Inf(1)
@@ -49,8 +50,8 @@ func (r *MultiStageReducer) MissingKeyBound(view mapreduce.EstimateView) stats.E
 	pMax := 1 - math.Pow(alpha, 1/s)
 	// T-hat: estimated number of units in the population.
 	var tHat float64
-	if r.n > 0 {
-		tHat = float64(view.TotalMaps) / float64(r.n) * r.sumM
+	if n > 0 {
+		tHat = float64(view.TotalMaps) / float64(n) * float64(r.tally.Units())
 	}
 	est.Err = tHat * pMax
 	est.StdErr = est.Err / 2 // nominal; the bound itself is the deliverable
@@ -71,7 +72,7 @@ func (r *MultiStageReducer) FinalizeWithKnownKeys(view mapreduce.EstimateView, k
 	}
 	for _, k := range known {
 		if !seen[k] {
-			out = append(out, mapreduce.KeyEstimate{Key: k, Est: missingBound, Exact: r.exact(view)})
+			out = append(out, mapreduce.KeyEstimate{Key: k, Est: missingBound, Exact: r.tally.Exact(view)})
 		}
 	}
 	mapreduce.SortByKey(out)
@@ -91,7 +92,7 @@ func (r *MultiStageReducer) FinalizeWithKnownKeys(view mapreduce.EstimateView, k
 func (r *MultiStageReducer) DistinctKeys(view mapreduce.EstimateView) stats.Estimate {
 	est := stats.Estimate{Conf: view.Confidence}
 	d := float64(len(r.table))
-	if r.exact(view) {
+	if r.tally.Exact(view) {
 		est.Value = d
 		return est
 	}

@@ -29,7 +29,7 @@ func emitTimes(n int, value float64, keys ...string) func(mapreduce.Emitter) {
 
 func TestMissingKeyBound(t *testing.T) {
 	r := NewMultiStageReducer(OpSum)
-	view := mapreduce.EstimateView{TotalMaps: 20, Consumed: 10, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 20, Confidence: 0.95}
 	feedClusters(r, 10, 1000, 100, emitTimes(50, 1, "common"))
 	bound := r.MissingKeyBound(view)
 	if bound.Value != 0 {
@@ -64,7 +64,7 @@ func TestMissingKeyBoundNoSamples(t *testing.T) {
 
 func TestFinalizeWithKnownKeys(t *testing.T) {
 	r := NewMultiStageReducer(OpSum)
-	view := mapreduce.EstimateView{TotalMaps: 10, Consumed: 5, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 10, Confidence: 0.95}
 	feedClusters(r, 5, 100, 50, emitValues("seen", 3, 4))
 	out := r.FinalizeWithKnownKeys(view, []string{"seen", "never-a", "never-b"})
 	if len(out) != 3 {
@@ -93,7 +93,7 @@ func TestDistinctKeysChao(t *testing.T) {
 	rng := stats.NewRand(9)
 	trueKeys := 200
 	r := NewMultiStageReducer(OpSum)
-	view := mapreduce.EstimateView{TotalMaps: 50, Consumed: 10, Dropped: 40, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 50, Dropped: 40, Confidence: 0.95}
 	zipf := stats.NewZipf(rng, 1.3, uint64(trueKeys))
 	for task := 0; task < 10; task++ {
 		r.Consume(mapOut(task, 500, 120, true, func(e mapreduce.Emitter) {
@@ -115,7 +115,7 @@ func TestDistinctKeysChao(t *testing.T) {
 
 func TestDistinctKeysExact(t *testing.T) {
 	r := NewMultiStageReducer(OpSum)
-	view := mapreduce.EstimateView{TotalMaps: 2, Consumed: 2, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 2, Confidence: 0.95}
 	feedClusters(r, 2, 10, 10, emitTimes(1, 1, "a", "b"))
 	est := r.DistinctKeys(view)
 	if !stats.AlmostEqual(est.Value, 2, 1e-12) || est.Err != 0 {
@@ -126,7 +126,7 @@ func TestDistinctKeysExact(t *testing.T) {
 func TestDistinctKeysSaturated(t *testing.T) {
 	// All keys seen many times: no singletons -> no extrapolation.
 	r := NewMultiStageReducer(OpSum)
-	view := mapreduce.EstimateView{TotalMaps: 10, Consumed: 2, Dropped: 8, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 10, Dropped: 8, Confidence: 0.95}
 	feedClusters(r, 2, 100, 50, emitTimes(25, 1, "x", "y"))
 	est := r.DistinctKeys(view)
 	if !stats.AlmostEqual(est.Value, 2, 1e-12) || est.Err != 0 {
@@ -140,7 +140,7 @@ func TestThreeStageReducerMeanOverPairs(t *testing.T) {
 	// per unit-pair mix; with equal unit counts the pair-weighted mean
 	// is (6+8)/(3+1) = 3.5.
 	r := NewThreeStageReducer()
-	view := mapreduce.EstimateView{TotalMaps: 2, Consumed: 2, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 2, Confidence: 0.95}
 	r.Consume(mapOut(0, 10, 10, true, emitTimes(30, 2, "m"))) // 10 units x 3 pairs of value 2
 	r.Consume(mapOut(1, 10, 10, true, emitTimes(10, 8, "m"))) // 10 units x 1 pair of value 8
 	out := r.Finalize(view)
@@ -157,7 +157,7 @@ func TestThreeStageReducerMeanOverPairs(t *testing.T) {
 
 func TestThreeStageReducerRawPairsAndEstimates(t *testing.T) {
 	r := NewThreeStageReducer()
-	view := mapreduce.EstimateView{TotalMaps: 4, Consumed: 2, Dropped: 0, Confidence: 0.95}
+	view := mapreduce.EstimateView{TotalMaps: 4, Dropped: 0, Confidence: 0.95}
 	r.Consume(mapOut(0, 5, 3, false, emitValues("m", 1, 3)))
 	r.Consume(mapOut(1, 5, 3, false, emitValues("m", 2)))
 	out := r.Estimates(view)

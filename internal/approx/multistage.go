@@ -58,17 +58,14 @@ type keyAgg struct {
 type MultiStageReducer struct {
 	Op AggOp
 
-	n            int     // consumed clusters
-	sumM         float64 // sum of M_i over consumed clusters
-	sumM2        float64 // sum of M_i^2
-	sampledUnits int64   // sum of m_i over consumed clusters
+	tally mapreduce.Tally
+	sumM2 int64 // sum of M_i^2 over consumed clusters
 	// table holds one keyAgg per key seen and index maps a key to its
 	// slot. Slot order is insertion order — first-emit order within an
 	// output, outputs in arrival order: nothing observable may depend
 	// on it.
-	table   []keyAgg
-	index   map[string]int32
-	sampled bool // any cluster with m_i < M_i seen
+	table []keyAgg
+	index map[string]int32
 }
 
 // NewMultiStageReducer builds a reducer for the given aggregation.
@@ -78,16 +75,11 @@ func NewMultiStageReducer(op AggOp) *MultiStageReducer {
 
 // Consume implements mapreduce.ReduceLogic.
 func (r *MultiStageReducer) Consume(out *mapreduce.MapOutput) {
-	r.n++
+	r.tally.Add(out)
+	r.sumM2 += out.Items * out.Items
 	M := float64(out.Items)
 	m := out.Sampled
-	r.sumM += M
-	r.sumM2 += M * M
-	r.sampledUnits += m
-	if out.Sampled < out.Items {
-		r.sampled = true
-	}
-	consumeOne := func(key string, rs stats.RunningStat) {
+	out.EachStat(func(key string, rs stats.RunningStat) {
 		slot, ok := r.index[key]
 		if !ok {
 			slot = int32(len(r.table))
@@ -108,35 +100,17 @@ func (r *MultiStageReducer) Consume(out *mapreduce.MapOutput) {
 		if m >= 2 && float64(m) < M {
 			agg.within += M * (M - float64(m)) * s2 / float64(m)
 		}
-	}
-	if out.IsCombined() {
-		out.EachCombined(consumeOne)
-		return
-	}
-	tmp := make(map[string]stats.RunningStat)
-	out.EachPair(func(k string, v float64) {
-		rs := tmp[k]
-		rs.Add(v)
-		tmp[k] = rs
 	})
-	for k, rs := range tmp {
-		consumeOne(k, rs)
-	}
-}
-
-// exact reports whether the consumed data covers the entire input.
-func (r *MultiStageReducer) exact(view mapreduce.EstimateView) bool {
-	return !r.sampled && view.Dropped == 0 && r.n == view.TotalMaps
 }
 
 // su2 returns s_u^2, the variance of the cluster total estimates
 // across all n consumed clusters (implicit zero clusters included via
 // n and the zero contributions to the sums).
 func (r *MultiStageReducer) su2(agg *keyAgg) float64 {
-	if r.n < 2 {
+	if r.tally.Clusters() < 2 {
 		return 0
 	}
-	n := float64(r.n)
+	n := float64(r.tally.Clusters())
 	mean := agg.sumTau / n
 	v := (agg.sumTau2 - n*mean*mean) / (n - 1)
 	if v < 0 {
@@ -149,35 +123,37 @@ func (r *MultiStageReducer) su2(agg *keyAgg) float64 {
 // shares; estimate reads it only for inexact data over two or more
 // clusters.
 func (r *MultiStageReducer) tCrit(view mapreduce.EstimateView) float64 {
-	if r.n < 2 || r.exact(view) {
+	if r.tally.Clusters() < 2 || r.tally.Exact(view) {
 		return 0
 	}
-	return stats.TwoSidedT(view.Confidence, float64(r.n)-1)
+	return stats.TwoSidedT(view.Confidence, float64(r.tally.Clusters())-1)
 }
 
 // estimate evaluates one key's estimator; t is r.tCrit(view).
 func (r *MultiStageReducer) estimate(agg *keyAgg, view mapreduce.EstimateView, t float64) stats.Estimate {
 	N := float64(view.TotalMaps)
-	n := float64(r.n)
+	n := float64(r.tally.Clusters())
+	exact := r.tally.Exact(view)
 	est := stats.Estimate{Conf: view.Confidence, DF: n - 1}
-	if r.n == 0 {
+	if n == 0 {
 		est.Err = math.Inf(1)
 		est.StdErr = math.Inf(1)
 		return est
 	}
 	switch r.Op {
 	case OpMean:
-		if r.sumM == 0 {
+		units := float64(r.tally.Units())
+		if units == 0 {
 			est.Err = math.Inf(1)
 			est.StdErr = math.Inf(1)
 			return est
 		}
-		b := agg.sumTau / r.sumM
+		b := agg.sumTau / units
 		est.Value = b
-		if r.exact(view) {
+		if exact {
 			return est
 		}
-		if r.n < 2 {
+		if n < 2 {
 			est.Err = math.Inf(1)
 			est.StdErr = math.Inf(1)
 			return est
@@ -185,7 +161,7 @@ func (r *MultiStageReducer) estimate(agg *keyAgg, view mapreduce.EstimateView, t
 		// Residuals d_i = tau_i - b*M_i have mean exactly zero, so
 		// s_d^2 = sum(d_i^2) / (n-1) with
 		// sum(d_i^2) = sumTau2 - 2b*sumTauM + b^2*sumM2.
-		sd2 := (agg.sumTau2 - 2*b*agg.sumTauM + b*b*r.sumM2) / (n - 1)
+		sd2 := (agg.sumTau2 - 2*b*agg.sumTauM + b*b*float64(r.sumM2)) / (n - 1)
 		if sd2 < 0 {
 			sd2 = 0
 		}
@@ -193,16 +169,16 @@ func (r *MultiStageReducer) estimate(agg *keyAgg, view mapreduce.EstimateView, t
 		if varTot < 0 {
 			varTot = 0
 		}
-		tx := N / n * r.sumM
+		tx := N / n * units
 		est.StdErr = math.Sqrt(varTot) / tx
 		est.Err = t * est.StdErr
 		return est
 	default: // OpSum, OpCount
 		est.Value = N / n * agg.sumTau
-		if r.exact(view) {
+		if exact {
 			return est
 		}
-		if r.n < 2 {
+		if n < 2 {
 			est.Err = math.Inf(1)
 			est.StdErr = math.Inf(1)
 			return est
@@ -225,7 +201,7 @@ func (r *MultiStageReducer) Estimates(view mapreduce.EstimateView) []mapreduce.K
 
 // Finalize implements mapreduce.ReduceLogic.
 func (r *MultiStageReducer) Finalize(view mapreduce.EstimateView) []mapreduce.KeyEstimate {
-	exact := r.exact(view)
+	exact := r.tally.Exact(view)
 	t := r.tCrit(view)
 	out := make([]mapreduce.KeyEstimate, 0, len(r.table))
 	for i := range r.table {
@@ -259,11 +235,11 @@ type planStat struct {
 //
 //approx:hotpath
 func (r *MultiStageReducer) appendPlanStats(dst []planStat, part int32, totalMaps int) []planStat {
-	if r.n < 2 {
+	if r.tally.Clusters() < 2 {
 		return dst
 	}
 	N := float64(totalMaps)
-	n := float64(r.n)
+	n := float64(r.tally.Clusters())
 	for i := range r.table {
 		agg := &r.table[i]
 		dst = append(dst, planStat{

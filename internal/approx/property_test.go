@@ -61,7 +61,7 @@ func estimatesEqual(a, b []mapreduce.KeyEstimate, tol float64) bool {
 func TestPropertyConsumeOrderInvariance(t *testing.T) {
 	err := quick.Check(func(seedRaw uint32, permSeed uint32) bool {
 		outs := genOutputs(int64(seedRaw%1000), 8)
-		view := mapreduce.EstimateView{TotalMaps: 16, Consumed: 8, Confidence: 0.95}
+		view := mapreduce.EstimateView{TotalMaps: 16, Confidence: 0.95}
 
 		fwd := NewMultiStageReducer(OpSum)
 		for _, o := range outs {
@@ -79,23 +79,51 @@ func TestPropertyConsumeOrderInvariance(t *testing.T) {
 	}
 }
 
+// same is a == b with NaN equal to NaN.
+func same(a, b float64) bool {
+	return stats.AlmostEqual(a, b, 0) || math.IsNaN(a) && math.IsNaN(b)
+}
+
+// estimatesIdentical compares outputs field by field with same.
+func estimatesIdentical(a, b []mapreduce.KeyEstimate) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.Key != y.Key || x.Exact != y.Exact || x.Lossy != y.Lossy ||
+			!same(x.Est.Value, y.Est.Value) || !same(x.Est.Err, y.Est.Err) ||
+			!same(x.Est.StdErr, y.Est.StdErr) || !same(x.Est.DF, y.Est.DF) || !same(x.Est.Conf, y.Est.Conf) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestPropertyCombinerEquivalence: combiner-compacted outputs must
 // produce exactly the same estimates as raw pairs.
 func TestPropertyCombinerEquivalence(t *testing.T) {
-	for _, op := range []AggOp{OpSum, OpMean} {
+	for _, tc := range []struct {
+		name string
+		mk   func() mapreduce.ReduceLogic
+	}{
+		{"sum", func() mapreduce.ReduceLogic { return NewMultiStageReducer(OpSum) }},
+		{"count", func() mapreduce.ReduceLogic { return NewMultiStageReducer(OpCount) }},
+		{"mean", func() mapreduce.ReduceLogic { return NewMultiStageReducer(OpMean) }},
+		{"three-stage", func() mapreduce.ReduceLogic { return NewThreeStageReducer() }},
+	} {
 		err := quick.Check(func(seedRaw uint32) bool {
 			outs := genOutputs(int64(seedRaw%1000)+7, 6)
-			view := mapreduce.EstimateView{TotalMaps: 10, Consumed: 6, Confidence: 0.95}
-			raw := NewMultiStageReducer(op)
-			comb := NewMultiStageReducer(op)
+			view := mapreduce.EstimateView{TotalMaps: 10, Confidence: 0.95}
+			raw, comb := tc.mk(), tc.mk()
 			for _, o := range outs {
 				raw.Consume(o)
 				comb.Consume(combinedCopy(o))
 			}
-			return estimatesEqual(raw.Finalize(view), comb.Finalize(view), 1e-9)
+			return estimatesIdentical(raw.Finalize(view), comb.Finalize(view))
 		}, &quick.Config{MaxCount: 20})
 		if err != nil {
-			t.Errorf("op %v: %v", op, err)
+			t.Errorf("%s: %v", tc.name, err)
 		}
 	}
 }
@@ -123,8 +151,8 @@ func TestPropertyMoreDataNeverWidens(t *testing.T) {
 		for task := 4; task < 12; task++ {
 			large.Consume(mk(task))
 		}
-		viewS := mapreduce.EstimateView{TotalMaps: 20, Consumed: 4, Confidence: 0.95}
-		viewL := mapreduce.EstimateView{TotalMaps: 20, Consumed: 12, Confidence: 0.95}
+		viewS := mapreduce.EstimateView{TotalMaps: 20, Confidence: 0.95}
+		viewL := mapreduce.EstimateView{TotalMaps: 20, Confidence: 0.95}
 		es := small.Finalize(viewS)[0].Est
 		el := large.Finalize(viewL)[0].Est
 		return el.Err <= es.Err*1.5 // generous: variance estimates fluctuate

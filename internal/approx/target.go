@@ -111,7 +111,6 @@ func (c *TargetError) realizedMet(v *mapreduce.JobView) bool {
 	}
 	view := mapreduce.EstimateView{
 		TotalMaps:  v.TotalMaps,
-		Consumed:   v.Completed,
 		Dropped:    v.Dropped,
 		Confidence: v.Confidence,
 	}

@@ -49,11 +49,11 @@ func refPredictError(pc PlanComponent, totalMaps, n1, n2 int, mbar, m float64, c
 }
 
 func refPlanComponents(r *MultiStageReducer, view mapreduce.EstimateView) []PlanComponent {
-	if r.n < 2 {
+	if r.tally.Clusters() < 2 {
 		return nil
 	}
 	N := float64(view.TotalMaps)
-	n := float64(r.n)
+	n := float64(r.tally.Clusters())
 	out := make([]PlanComponent, 0, len(r.index))
 	for key, slot := range r.index {
 		agg := &r.table[slot]
@@ -75,7 +75,6 @@ func refGatherPlanComponents(v *mapreduce.JobView) []PlanComponent {
 	}
 	view := mapreduce.EstimateView{
 		TotalMaps:  v.TotalMaps,
-		Consumed:   v.Completed,
 		Dropped:    v.Dropped,
 		Confidence: v.Confidence,
 	}
@@ -429,7 +428,7 @@ func (j *refJob) view(launched, running int) *mapreduce.JobView {
 	// The snapshot the tracker hands out: every partition's sorted
 	// estimates, concatenated in partition order.
 	v.Estimates = func() []mapreduce.KeyEstimate {
-		view := mapreduce.EstimateView{TotalMaps: v.TotalMaps, Consumed: v.Completed, Dropped: v.Dropped, Confidence: v.Confidence}
+		view := mapreduce.EstimateView{TotalMaps: v.TotalMaps, Dropped: v.Dropped, Confidence: v.Confidence}
 		var all []mapreduce.KeyEstimate
 		for _, l := range j.logics {
 			all = append(all, l.Estimates(view)...)
@@ -550,14 +549,14 @@ func TestPlannerMatchesReference(t *testing.T) {
 	}
 }
 
-// handReducer builds a reducer over n consumed clusters whose table
-// holds exactly the given aggregates, in the given slot order.
+// handReducer builds a reducer over n consumed clusters of 1000 units,
+// read in full and emitting nothing, whose table then holds exactly the
+// given aggregates, in the given slot order.
 func handReducer(n int, aggs ...keyAgg) *MultiStageReducer {
 	r := NewMultiStageReducer(OpSum)
-	r.n = n
-	r.sumM = 1000 * float64(n)
-	r.sumM2 = 1e6 * float64(n)
-	r.sampledUnits = 1000 * int64(n)
+	for i := 0; i < n; i++ {
+		r.Consume(mapOut(i, 1000, 1000, true, func(mapreduce.Emitter) {}))
+	}
 	for i, a := range aggs {
 		r.table = append(r.table, a)
 		r.index[a.key] = int32(i)

@@ -19,8 +19,8 @@ type TargetErrorGEV struct {
 	// Absolute, when positive, bounds the absolute half-width instead
 	// of or in addition to Target.
 	Absolute float64
-	// MinMaps completed before a stop is considered (default 8,
-	// matching the reducer's minimum GEV sample).
+	// MinMaps completed before a stop is considered (default: the
+	// reducer's minimum GEV sample).
 	MinMaps int
 
 	stopped bool
@@ -46,7 +46,7 @@ func (c *TargetErrorGEV) Completed(v *mapreduce.JobView) mapreduce.Directive {
 	}
 	minMaps := c.MinMaps
 	if minMaps <= 0 {
-		minMaps = 8
+		minMaps = minSample
 	}
 	if v.Completed < minMaps {
 		return mapreduce.Directive{}

@@ -17,9 +17,9 @@ import (
 // is intended for low-cardinality keys (aggregate metrics), which is
 // also the paper's use case.
 type ThreeStageReducer struct {
+	tally    mapreduce.Tally
 	clusters []clusterMeta
 	keys     map[string][]tsEntry
-	sampled  bool
 }
 
 type clusterMeta struct {
@@ -41,27 +41,12 @@ func NewThreeStageReducer() *ThreeStageReducer {
 // Consume implements mapreduce.ReduceLogic. Combined outputs are
 // accepted: the per-key running stat carries the pair count and sums.
 func (r *ThreeStageReducer) Consume(out *mapreduce.MapOutput) {
+	r.tally.Add(out)
 	ci := int32(len(r.clusters))
 	r.clusters = append(r.clusters, clusterMeta{items: out.Items, sampled: out.Sampled})
-	if out.Sampled < out.Items {
-		r.sampled = true
-	}
-	add := func(key string, rs stats.RunningStat) {
+	out.EachStat(func(key string, rs stats.RunningStat) {
 		r.keys[key] = append(r.keys[key], tsEntry{cluster: ci, pairs: rs.Count, stat: rs})
-	}
-	if out.IsCombined() {
-		out.EachCombined(add)
-		return
-	}
-	tmp := make(map[string]stats.RunningStat)
-	out.EachPair(func(k string, v float64) {
-		rs := tmp[k]
-		rs.Add(v)
-		tmp[k] = rs
 	})
-	for k, rs := range tmp {
-		add(k, rs)
-	}
 }
 
 // Estimates implements mapreduce.ReduceLogic.
@@ -71,7 +56,7 @@ func (r *ThreeStageReducer) Estimates(view mapreduce.EstimateView) []mapreduce.K
 
 // Finalize implements mapreduce.ReduceLogic.
 func (r *ThreeStageReducer) Finalize(view mapreduce.EstimateView) []mapreduce.KeyEstimate {
-	exact := !r.sampled && view.Dropped == 0 && len(r.clusters) == view.TotalMaps
+	exact := r.tally.Exact(view)
 	out := make([]mapreduce.KeyEstimate, 0, len(r.keys))
 	for key, entries := range r.keys {
 		tsc := make([]stats.ThreeStageCluster, len(r.clusters))

@@ -55,7 +55,6 @@ func (r *Runner) KeySpace() ([]KeySpaceRow, error) {
 		}
 		view := mapreduce.EstimateView{
 			TotalMaps:  res.Counters.MapsTotal,
-			Consumed:   res.Counters.MapsCompleted,
 			Dropped:    res.Counters.MapsDropped + res.Counters.MapsKilled,
 			Confidence: 0.95,
 		}

@@ -53,51 +53,20 @@ type schedArbiter struct {
 	s *Service
 }
 
-// findSlot scans the cluster for a free map slot the request may use,
-// preferring replica holders (locality). The second result reports
-// whether any eligible server exists at all — when false the job's
-// stall handling applies (every host is dead or blacklisted), when
-// true a busy cluster should simply wait for a release.
-func (a *schedArbiter) findSlot(req mapreduce.SlotRequest) (*cluster.Server, bool) {
-	var fallback *cluster.Server
-	eligible := false
-	for _, s := range a.s.eng.Servers() {
-		if req.Eligible != nil && !req.Eligible(s) {
-			continue
-		}
-		if s.Dead() {
-			continue
-		}
-		eligible = true
-		if s.FreeSlots(cluster.MapSlot) <= 0 {
-			continue
-		}
-		for _, rep := range req.Prefer {
-			if rep == s.ID {
-				return s, true
-			}
-		}
-		if fallback == nil {
-			fallback = s
-		}
-	}
-	return fallback, eligible
-}
-
 // AcquireMap implements mapreduce.SlotArbiter.
 func (a *schedArbiter) AcquireMap(req mapreduce.SlotRequest) (*cluster.Server, bool) {
 	e := a.s.entries[req.Job]
 	if e == nil {
 		// Not a service job (defensive): behave like the single-job
 		// greedy arbiter.
-		srv, eligible := a.findSlot(req)
+		srv, eligible := mapreduce.FindMapSlot(a.s.eng.Servers(), req)
 		return srv, srv == nil && eligible
 	}
 	if !a.mayGrant(e) {
 		e.hungry = true
 		return nil, true // policy backpressure; a release will kick
 	}
-	srv, eligible := a.findSlot(req)
+	srv, eligible := mapreduce.FindMapSlot(a.s.eng.Servers(), req)
 	if srv == nil {
 		if !eligible {
 			return nil, false // no live eligible host: stall handling

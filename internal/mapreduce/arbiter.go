@@ -52,6 +52,34 @@ type SlotArbiter interface {
 	MapQuota(job *Job) int
 }
 
+// FindMapSlot scans servers for a free map slot the request may use:
+// the first eligible free replica holder, else the first eligible free
+// server. The second result reports whether any live eligible server
+// exists at all — when false no host can take the request now or later
+// (every one is dead or filtered out), when true a full cluster need
+// only wait for a release.
+func FindMapSlot(servers []*cluster.Server, req SlotRequest) (srv *cluster.Server, eligible bool) {
+	var fallback *cluster.Server
+	for _, s := range servers {
+		if (req.Eligible != nil && !req.Eligible(s)) || s.Dead() {
+			continue
+		}
+		eligible = true
+		if s.FreeSlots(cluster.MapSlot) <= 0 {
+			continue
+		}
+		for _, rep := range req.Prefer {
+			if rep == s.ID {
+				return s, true
+			}
+		}
+		if fallback == nil {
+			fallback = s
+		}
+	}
+	return fallback, eligible
+}
+
 // greedyArbiter is the single-job default: first eligible free server,
 // preferring the block's replica holders — exactly the placement the
 // JobTracker used before arbitration existed.
@@ -65,21 +93,8 @@ func newGreedyArbiter(eng *cluster.Engine) *greedyArbiter {
 
 // AcquireMap implements SlotArbiter.
 func (g *greedyArbiter) AcquireMap(req SlotRequest) (*cluster.Server, bool) {
-	var fallback *cluster.Server
-	for _, s := range g.eng.Servers() {
-		if (req.Eligible != nil && !req.Eligible(s)) || s.FreeSlots(cluster.MapSlot) <= 0 {
-			continue
-		}
-		for _, rep := range req.Prefer {
-			if rep == s.ID {
-				return s, false
-			}
-		}
-		if fallback == nil {
-			fallback = s
-		}
-	}
-	return fallback, false
+	srv, _ := FindMapSlot(g.eng.Servers(), req)
+	return srv, false
 }
 
 // ReleaseMap implements SlotArbiter; a sole tenant has nothing to

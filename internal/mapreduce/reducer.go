@@ -16,7 +16,7 @@ import (
 type PreciseReduce struct {
 	fn     func(key string, values []float64) float64
 	values map[string][]float64
-	approx bool // sampling or dropping observed
+	tally  Tally
 	// combinerSafe declares fn distributive over per-task sums:
 	// fn(sums of groups) == fn(all values), as for sum/count. Only then
 	// may combined outputs fold to rs.Sum losslessly.
@@ -43,9 +43,7 @@ func (r *PreciseReduce) CombinerSafe() *PreciseReduce {
 
 // Consume implements ReduceLogic.
 func (r *PreciseReduce) Consume(out *MapOutput) {
-	if out.Sampled < out.Items {
-		r.approx = true
-	}
+	r.tally.Add(out)
 	if out.IsCombined() {
 		out.EachCombined(func(key string, rs stats.RunningStat) {
 			// Combined outputs lose individual values; the sum is a
@@ -72,7 +70,7 @@ func (r *PreciseReduce) Estimates(EstimateView) []KeyEstimate { return nil }
 
 // Finalize implements ReduceLogic.
 func (r *PreciseReduce) Finalize(view EstimateView) []KeyEstimate {
-	approx := r.approx || view.Dropped > 0
+	approx := !r.tally.Exact(view)
 	out := make([]KeyEstimate, 0, len(r.values))
 	for key, vals := range r.values {
 		ke := KeyEstimate{Key: key, Exact: !approx && !r.lossy, Lossy: r.lossy}

@@ -30,57 +30,92 @@ import (
 // scale by the standard two-stage factor (N/n)·(ΣM/Σm), as does the
 // CMS overestimation bound ε·W.
 
-// sampleTally accumulates the per-cluster unit counts every sketch
-// reducer needs to compose sampling error into its estimates.
-type sampleTally struct {
-	n       int     // clusters consumed
-	sumM    float64 // Σ M_i over consumed clusters
-	summ    float64 // Σ m_i over consumed clusters
-	sampled bool    // any cluster had m_i < M_i
-}
-
-func (s *sampleTally) consume(out *MapOutput) {
-	s.n++
-	s.sumM += float64(out.Items)
-	s.summ += float64(out.Sampled)
-	if out.Sampled < out.Items {
-		s.sampled = true
-	}
-}
-
-// complete reports whether the reduce saw every unit of every cluster.
-func (s *sampleTally) complete(view EstimateView) bool {
-	return !s.sampled && view.Dropped == 0 && s.n >= view.TotalMaps
-}
-
 // coverage estimates the fraction of population units the reduce saw:
 // Σm over the consumed clusters divided by the extrapolated population
 // total N·(ΣM/n). Returns 1 when nothing was missed.
-func (s *sampleTally) coverage(view EstimateView) float64 {
-	if s.complete(view) {
+func coverage(t *Tally, view EstimateView) float64 {
+	if t.Exact(view) {
 		return 1
 	}
-	if s.n == 0 || s.sumM <= 0 || s.summ <= 0 {
+	if t.n == 0 || t.units <= 0 || t.sampled <= 0 {
 		return 0
 	}
-	pop := s.sumM / float64(s.n) * float64(view.TotalMaps)
-	cov := s.summ / pop
+	pop := float64(t.units) / float64(t.n) * float64(view.TotalMaps)
+	cov := float64(t.sampled) / pop
 	if cov > 1 {
 		cov = 1
 	}
 	return cov
 }
 
-// scale returns the two-stage expansion factor (N/n)·(ΣM/Σm) for
+// expansion returns the two-stage expansion factor (N/n)·(ΣM/Σm) for
 // additive quantities (counts of occurrences), 1 when complete.
-func (s *sampleTally) scale(view EstimateView) float64 {
-	if s.complete(view) {
+func expansion(t *Tally, view EstimateView) float64 {
+	if t.Exact(view) {
 		return 1
 	}
-	if s.n == 0 || s.summ <= 0 {
+	if t.n == 0 || t.sampled <= 0 {
 		return math.NaN()
 	}
-	return float64(view.TotalMaps) / float64(s.n) * s.sumM / s.summ
+	return float64(view.TotalMaps) / float64(t.n) * float64(t.units) / float64(t.sampled)
+}
+
+// mergeSketches folds every sketch of a sketch output into dst by
+// group: merged into the group's sketch, or cloned as its first, since
+// outputs share their sketches. Sketches of another family are skipped.
+func mergeSketches[S sketch.Sketch](out *MapOutput, dst map[string]S) {
+	out.EachSketch(func(group string, s sketch.Sketch) {
+		t, ok := s.(S)
+		if !ok {
+			return
+		}
+		if cur, ok := dst[group]; ok {
+			//lint:ignore errcheck same-plan sketches cannot mismatch
+			_ = cur.Merge(t)
+			return
+		}
+		dst[group] = t.Clone().(S)
+	})
+}
+
+// eachElement calls fn for every composite pair of the EmitElement
+// fallback, raw or combined, split into group and element, with its
+// weight (a combined pair's sum).
+func eachElement(out *MapOutput, fn func(group, element string, w float64)) {
+	out.EachPair(func(key string, v float64) {
+		group, element := SplitElement(key)
+		fn(group, element, v)
+	})
+	out.EachCombined(func(key string, rs stats.RunningStat) {
+		group, element := SplitElement(key)
+		fn(group, element, rs.Sum)
+	})
+}
+
+// memberSets is the exact fallback of DistinctReduce and
+// MembershipReduce: each group's set of elements.
+type memberSets map[string]map[string]struct{}
+
+// add folds the composite pairs of an output into the sets.
+func (m memberSets) add(out *MapOutput) {
+	eachElement(out, func(group, element string, _ float64) {
+		set := m[group]
+		if set == nil {
+			set = make(map[string]struct{})
+			m[group] = set
+		}
+		set[element] = struct{}{}
+	})
+}
+
+// appendEstimates appends every group's distinct count, widened for
+// coverage cov and exact only at full coverage.
+func (m memberSets) appendEstimates(out []KeyEstimate, cov, confidence float64) []KeyEstimate {
+	for group, set := range m {
+		est := stats.Estimate{Value: float64(len(set)), Conf: confidence}
+		out = append(out, KeyEstimate{Key: group, Est: widenForSampling(est, cov), Exact: cov >= 1})
+	}
+	return out
 }
 
 // zNormal is the large-df t critical value used for sketch noise
@@ -114,9 +149,9 @@ func widenForSampling(est stats.Estimate, cov float64) stats.Estimate {
 // job confidence); composite pairs are counted exactly. Either way the
 // estimate widens for sampling per the file comment.
 type DistinctReduce struct {
-	tally sampleTally
+	tally Tally
 	hll   map[string]*sketch.HLL
-	exact map[string]map[string]struct{}
+	exact memberSets
 }
 
 // NewDistinctReduce builds a DistinctReduce; use with
@@ -124,46 +159,18 @@ type DistinctReduce struct {
 func NewDistinctReduce() *DistinctReduce {
 	return &DistinctReduce{
 		hll:   make(map[string]*sketch.HLL),
-		exact: make(map[string]map[string]struct{}),
+		exact: make(memberSets),
 	}
 }
 
 // Consume implements ReduceLogic.
 func (r *DistinctReduce) Consume(out *MapOutput) {
-	r.tally.consume(out)
+	r.tally.Add(out)
 	if out.IsSketch() {
-		out.EachSketch(func(group string, s sketch.Sketch) {
-			h, ok := s.(*sketch.HLL)
-			if !ok {
-				return
-			}
-			if cur, ok := r.hll[group]; ok {
-				//lint:ignore errcheck same-plan sketches cannot mismatch
-				_ = cur.Merge(h)
-				return
-			}
-			r.hll[group] = h.Clone().(*sketch.HLL)
-		})
+		mergeSketches(out, r.hll)
 		return
 	}
-	out.EachPair(func(key string, _ float64) {
-		group, element := SplitElement(key)
-		set := r.exact[group]
-		if set == nil {
-			set = make(map[string]struct{})
-			r.exact[group] = set
-		}
-		set[element] = struct{}{}
-	})
-	out.EachCombined(func(key string, _ stats.RunningStat) {
-		group, element := SplitElement(key)
-		set := r.exact[group]
-		if set == nil {
-			set = make(map[string]struct{})
-			r.exact[group] = set
-		}
-		set[element] = struct{}{}
-	})
+	r.exact.add(out)
 }
 
 // Estimates implements ReduceLogic.
@@ -171,7 +178,7 @@ func (r *DistinctReduce) Estimates(view EstimateView) []KeyEstimate { return r.F
 
 // Finalize implements ReduceLogic.
 func (r *DistinctReduce) Finalize(view EstimateView) []KeyEstimate {
-	cov := r.tally.coverage(view)
+	cov := coverage(&r.tally, view)
 	z := zNormal(view.Confidence)
 	out := make([]KeyEstimate, 0, len(r.hll)+len(r.exact))
 	for group, h := range r.hll {
@@ -185,12 +192,7 @@ func (r *DistinctReduce) Finalize(view EstimateView) []KeyEstimate {
 		est.Err = z * est.StdErr
 		out = append(out, KeyEstimate{Key: group, Est: widenForSampling(est, cov)})
 	}
-	for group, set := range r.exact {
-		est := stats.Estimate{Value: float64(len(set)), Conf: view.Confidence}
-		ke := KeyEstimate{Key: group, Est: widenForSampling(est, cov)}
-		ke.Exact = cov >= 1
-		out = append(out, ke)
-	}
+	out = r.exact.appendEstimates(out, cov, view.Confidence)
 	SortByKey(out)
 	return out
 }
@@ -204,7 +206,7 @@ func (r *DistinctReduce) Finalize(view EstimateView) []KeyEstimate {
 // factor under sampling. Composite pairs are tallied exactly.
 type TopKReduce struct {
 	k     int
-	tally sampleTally
+	tally Tally
 	sk    map[string]*sketch.TopK
 	exact map[string]map[string]float64
 }
@@ -225,33 +227,19 @@ func NewTopKReduce(k int) *TopKReduce {
 
 // Consume implements ReduceLogic.
 func (r *TopKReduce) Consume(out *MapOutput) {
-	r.tally.consume(out)
+	r.tally.Add(out)
 	if out.IsSketch() {
-		out.EachSketch(func(group string, s sketch.Sketch) {
-			t, ok := s.(*sketch.TopK)
-			if !ok {
-				return
-			}
-			if cur, ok := r.sk[group]; ok {
-				//lint:ignore errcheck same-plan sketches cannot mismatch
-				_ = cur.Merge(t)
-				return
-			}
-			r.sk[group] = t.Clone().(*sketch.TopK)
-		})
+		mergeSketches(out, r.sk)
 		return
 	}
-	add := func(key string, w float64) {
-		group, element := SplitElement(key)
+	eachElement(out, func(group, element string, w float64) {
 		m := r.exact[group]
 		if m == nil {
 			m = make(map[string]float64)
 			r.exact[group] = m
 		}
 		m[element] += w
-	}
-	out.EachPair(add)
-	out.EachCombined(func(key string, rs stats.RunningStat) { add(key, rs.Sum) })
+	})
 }
 
 // outKey joins group and element for the final output.
@@ -267,8 +255,8 @@ func (r *TopKReduce) Estimates(view EstimateView) []KeyEstimate { return r.Final
 
 // Finalize implements ReduceLogic.
 func (r *TopKReduce) Finalize(view EstimateView) []KeyEstimate {
-	scale := r.tally.scale(view)
-	complete := r.tally.complete(view)
+	scale := expansion(&r.tally, view)
+	complete := r.tally.Exact(view)
 	var out []KeyEstimate
 	for group, t := range r.sk {
 		cms := t.CMS()
@@ -330,9 +318,9 @@ func (r *TopKReduce) Finalize(view EstimateView) []KeyEstimate {
 // Contains answers point queries after the job — definitive negatives,
 // positives correct up to the filter's FPR.
 type MembershipReduce struct {
-	tally sampleTally
+	tally Tally
 	bloom map[string]*sketch.Bloom
-	exact map[string]map[string]struct{}
+	exact memberSets
 }
 
 // NewMembershipReduce builds a MembershipReduce; use with
@@ -340,39 +328,18 @@ type MembershipReduce struct {
 func NewMembershipReduce() *MembershipReduce {
 	return &MembershipReduce{
 		bloom: make(map[string]*sketch.Bloom),
-		exact: make(map[string]map[string]struct{}),
+		exact: make(memberSets),
 	}
 }
 
 // Consume implements ReduceLogic.
 func (r *MembershipReduce) Consume(out *MapOutput) {
-	r.tally.consume(out)
+	r.tally.Add(out)
 	if out.IsSketch() {
-		out.EachSketch(func(group string, s sketch.Sketch) {
-			b, ok := s.(*sketch.Bloom)
-			if !ok {
-				return
-			}
-			if cur, ok := r.bloom[group]; ok {
-				//lint:ignore errcheck same-plan sketches cannot mismatch
-				_ = cur.Merge(b)
-				return
-			}
-			r.bloom[group] = b.Clone().(*sketch.Bloom)
-		})
+		mergeSketches(out, r.bloom)
 		return
 	}
-	add := func(key string, _ float64) {
-		group, element := SplitElement(key)
-		set := r.exact[group]
-		if set == nil {
-			set = make(map[string]struct{})
-			r.exact[group] = set
-		}
-		set[element] = struct{}{}
-	}
-	out.EachPair(add)
-	out.EachCombined(func(key string, rs stats.RunningStat) { add(key, rs.Sum) })
+	r.exact.add(out)
 }
 
 // Contains reports whether element was observed in group, with the
@@ -398,7 +365,7 @@ func (r *MembershipReduce) Estimates(view EstimateView) []KeyEstimate { return r
 
 // Finalize implements ReduceLogic.
 func (r *MembershipReduce) Finalize(view EstimateView) []KeyEstimate {
-	cov := r.tally.coverage(view)
+	cov := coverage(&r.tally, view)
 	z := zNormal(view.Confidence)
 	out := make([]KeyEstimate, 0, len(r.bloom)+len(r.exact))
 	for group, b := range r.bloom {
@@ -412,12 +379,7 @@ func (r *MembershipReduce) Finalize(view EstimateView) []KeyEstimate {
 		est.Err = z * est.StdErr
 		out = append(out, KeyEstimate{Key: group, Est: widenForSampling(est, cov)})
 	}
-	for group, set := range r.exact {
-		est := stats.Estimate{Value: float64(len(set)), Conf: view.Confidence}
-		ke := KeyEstimate{Key: group, Est: widenForSampling(est, cov)}
-		ke.Exact = cov >= 1
-		out = append(out, ke)
-	}
+	out = r.exact.appendEstimates(out, cov, view.Confidence)
 	SortByKey(out)
 	return out
 }

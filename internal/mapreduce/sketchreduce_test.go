@@ -263,7 +263,7 @@ func TestSketchReducerMergeOrder(t *testing.T) {
 			}
 		})
 	}
-	view := EstimateView{TotalMaps: 6, Consumed: 6, Confidence: 0.95}
+	view := EstimateView{TotalMaps: 6, Confidence: 0.95}
 	finalize := func(order []int) []KeyEstimate {
 		r := NewDistinctReduce()
 		for _, i := range order {
@@ -292,7 +292,7 @@ func TestSampledSketchWidensError(t *testing.T) {
 				EmitElement(e, "g", fmt.Sprintf("e%d", j), 1)
 			}
 		}))
-		return r.Finalize(EstimateView{TotalMaps: 1, Consumed: 1, Confidence: 0.95})
+		return r.Finalize(EstimateView{TotalMaps: 1, Confidence: 0.95})
 	}
 	full := mk(200, 200)
 	half := mk(400, 200)
@@ -325,7 +325,7 @@ func TestMembershipReduce(t *testing.T) {
 			}
 		}))
 	}
-	view := EstimateView{TotalMaps: 4, Consumed: 4, Confidence: 0.95}
+	view := EstimateView{TotalMaps: 4, Confidence: 0.95}
 	outs := r.Finalize(view)
 	if len(outs) != 1 || outs[0].Key != "seen" {
 		t.Fatalf("outputs: %+v", outs)
@@ -349,7 +349,7 @@ func TestMembershipReduce(t *testing.T) {
 		EmitElement(e, "g", "alice", 1)
 		EmitElement(e, "g", "bob", 1)
 	}))
-	pouts := rp.Finalize(EstimateView{TotalMaps: 1, Consumed: 1, Confidence: 0.95})
+	pouts := rp.Finalize(EstimateView{TotalMaps: 1, Confidence: 0.95})
 	//lint:ignore nofloateq the pairs path counts an integer-valued exact set
 	if len(pouts) != 1 || !pouts[0].Exact || pouts[0].Est.Value != 2 {
 		t.Errorf("pairs membership: %+v", pouts)

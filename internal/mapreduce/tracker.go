@@ -545,11 +545,7 @@ func (t *tracker) handleStall() {
 		return
 	}
 	if t.job.DegradeToDrop {
-		for idx, st := range t.state {
-			if st == taskPending {
-				t.degrade(idx, "")
-			}
-		}
+		t.degradePending()
 		t.checkCompletion()
 		return
 	}
@@ -632,17 +628,28 @@ func (t *tracker) onDeadline() {
 		return
 	}
 	t.deadlineHit = true
+	t.degradePending()
+	t.killRunning()
+	t.scheduleFill()
+}
+
+// degradePending degrades every pending task to a dropped cluster.
+func (t *tracker) degradePending() {
 	for idx, st := range t.state {
 		if st == taskPending {
 			t.degrade(idx, "")
 		}
 	}
+}
+
+// killRunning kills every running attempt. Index order, not map order:
+// kill callbacks reshape the schedule and must fire deterministically.
+func (t *tracker) killRunning() {
 	for idx := 0; idx < len(t.state); idx++ {
 		for _, a := range append([]*cluster.RunningTask(nil), t.attempts[idx]...) {
 			t.eng.Kill(a)
 		}
 	}
-	t.scheduleFill()
 }
 
 // launch decides a map task attempt: the slot is occupied and all
@@ -961,13 +968,7 @@ func (t *tracker) applyDirective(d Directive) {
 		t.dropAllPending()
 	}
 	if d.KillRunning {
-		// Index order, not map order: kill callbacks reshape the
-		// schedule and must fire deterministically.
-		for idx := 0; idx < len(t.state); idx++ {
-			for _, a := range append([]*cluster.RunningTask(nil), t.attempts[idx]...) {
-				t.eng.Kill(a)
-			}
-		}
+		t.killRunning()
 	}
 }
 
@@ -1128,11 +1129,7 @@ func (t *tracker) fail(err error) {
 		return
 	}
 	t.failErr = err
-	for idx := 0; idx < len(t.state); idx++ {
-		for _, a := range append([]*cluster.RunningTask(nil), t.attempts[idx]...) {
-			t.eng.Kill(a)
-		}
-	}
+	t.killRunning()
 	for _, r := range t.reduces {
 		t.eng.FinishTask(r.handle)
 	}
@@ -1143,7 +1140,6 @@ func (t *tracker) fail(err error) {
 func (t *tracker) estView() EstimateView {
 	return EstimateView{
 		TotalMaps:  len(t.blocks),
-		Consumed:   t.completed,
 		Dropped:    t.dropped,
 		Confidence: t.job.Confidence,
 	}

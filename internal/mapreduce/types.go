@@ -281,6 +281,44 @@ func (o *MapOutput) EachCombined(fn func(key string, rs stats.RunningStat)) {
 	}
 }
 
+// EachStat calls fn with every key's (count, sum, sumsq) in first-emit
+// order, whichever payload the output carries: a combined output's
+// aggregates as they are, raw pairs folded per key in emit order exactly
+// as the combiner folds them. Keys are durable.
+//
+//approx:hotpath
+func (o *MapOutput) EachStat(fn func(key string, rs stats.RunningStat)) {
+	if o.IsCombined() {
+		o.EachCombined(fn)
+		return
+	}
+	if len(o.run) == 0 {
+		return
+	}
+	// slot maps a key ID to its place in acc, which holds the keys in
+	// first-emit order.
+	slot := make(map[int32]int32)
+	acc := make([]idStat, 0, len(o.run))
+	for _, p := range o.run {
+		i, ok := slot[p.id]
+		if !ok {
+			i = int32(len(acc))
+			slot[p.id] = i
+			acc = append(acc, idStat{id: p.id})
+		}
+		acc[i].rs.Add(p.v)
+	}
+	for i := range acc {
+		fn(o.keys.Resolve(acc[i].id), acc[i].rs)
+	}
+}
+
+// idStat is one key's fold in EachStat.
+type idStat struct {
+	id int32
+	rs stats.RunningStat
+}
+
 // EachSketch calls fn for every (group, sketch) of a sketch output, in
 // first-emit order. Group keys are durable; sketches are shared
 // payload — Clone before mutating.
@@ -442,11 +480,50 @@ func mergeByKey(runs [][]KeyEstimate) []KeyEstimate {
 
 // EstimateView gives ReduceLogic the job-level facts needed to evaluate
 // the estimators: the population cluster count N and the confidence.
+// What the reducer itself consumed is its Tally.
 type EstimateView struct {
 	TotalMaps  int     // N: clusters in the population
-	Consumed   int     // n: map outputs consumed so far
 	Dropped    int     // dropped or killed maps so far
 	Confidence float64 // e.g. 0.95
+}
+
+// Tally is the first-stage bookkeeping of the cluster estimators
+// (Sections 3.1 and 4.4) that every ReduceLogic keeps: the clusters
+// consumed, their units ΣM_i and sampled units Σm_i, and whether any
+// cluster was sampled. The sums are integers, so they are exact and the
+// same for every order the clusters arrive in.
+type Tally struct {
+	n       int   // clusters consumed
+	units   int64 // Σ M_i
+	sampled int64 // Σ m_i
+	partial bool  // some cluster had m_i < M_i
+}
+
+// Add records one consumed map output, the cluster of its task.
+//
+//approx:hotpath
+func (t *Tally) Add(out *MapOutput) {
+	t.n++
+	t.units += out.Items
+	t.sampled += out.Sampled
+	if out.Sampled < out.Items {
+		t.partial = true
+	}
+}
+
+// Clusters returns n, the clusters consumed.
+func (t *Tally) Clusters() int { return t.n }
+
+// Units returns ΣM_i over the consumed clusters.
+func (t *Tally) Units() int64 { return t.units }
+
+// SampledUnits returns Σm_i, the units actually processed.
+func (t *Tally) SampledUnits() int64 { return t.sampled }
+
+// Exact reports whether the consumed clusters are the whole input read
+// in full: no unit sampled away, no cluster dropped, every cluster in.
+func (t *Tally) Exact(view EstimateView) bool {
+	return !t.partial && view.Dropped == 0 && t.n == view.TotalMaps
 }
 
 // ReduceLogic is the reduce-side computation for one partition. The

@@ -16,16 +16,21 @@ import (
 // stream plane's window-lifecycle paths. The hashes were recorded at
 // commit ed2228d — the last with the sharded fold pool, at Workers 1
 // and 4, which agreed on every row — before the rewrite that folds each
-// record where it is routed. A mismatch is a moved byte (another
-// reservoir draw, another shedding coin, a window opened under another
-// plan), never a hash to re-record. Key: row/seed.
+// record where it is routed. Four were re-recorded once since, when the
+// window estimator moved from the two-pass s_u^2 of a cluster list to
+// the one-pass sums the batch reducer reads: web-bytes/sliding/shed/1
+// and /7 and edit-rate/maxwindows/1 and /7 moved by at most 3 ulps in
+// Err and StdErr, with every window, plan, flag and Value unchanged. A
+// mismatch is a moved byte (another reservoir draw, another shedding
+// coin, a window opened under another plan), never a hash to re-record.
+// Key: row/seed.
 var frozenStreamSeries = map[string]string{
 	"web-bytes/tumbling/slo/1":    "4a383fc4ad7d373f72a95fe23a8873f5a4074bf39d67156064278f0c87d68e68",
 	"web-bytes/tumbling/slo/7":    "b21f13e97f47e9b637160594ab51d5902d4129315e9df0354a4e171d75aa9bf0",
-	"web-bytes/sliding/shed/1":    "a7106e12536d0c139262fcb12769a6e34b90be2c74708c521f5f172074528b88",
-	"web-bytes/sliding/shed/7":    "d7b57c13bc0c6407b92cb5ca8766ce09133396f7297fbda546bf2c6cd4197d36",
-	"edit-rate/maxwindows/1":      "72e02ca1c5e18600dcc6f3cdfaaeaf9ed9c1c0970c008d96df9e1dd79636d5ba",
-	"edit-rate/maxwindows/7":      "e376d67fe63e139630aaa82b4391a9521cc8210d1acb8b966d8e5f8427045f83",
+	"web-bytes/sliding/shed/1":    "6d2b696037fdec6e3e26b609a820ddb3217eb980d3f542b2f0a41e7edec988aa",
+	"web-bytes/sliding/shed/7":    "5bf8b1ec80bd29dbf3bb2c667c4a91e74c4c0e9f8ba29a88d72b42b5c1396b5e",
+	"edit-rate/maxwindows/1":      "798951815173dc9d17303af780641c6aa9ddb8d89fbfd9b0ac16728d028c5677",
+	"edit-rate/maxwindows/7":      "d2fbe956de79108899ae772d5d1c834b084849f79db6f12e92e6dc4f57ccfd7b",
 	"edit-page/mean/1":            "49bc189b8c3f7522d6879ec5ce719c435072cefefe206c6f6264ad5e40c521c9",
 	"edit-page/mean/7":            "4d7f0480597a9cf40f4cc6d6ec8981682ca58797f4d18705a23c41a80754074d",
 	"web-bytes/fixed-plan/1":      "9c7c2669d679fd9ad884cc4879b09c4b4bbe8e7820d53ec3571f124ffa8bddfd",

@@ -371,7 +371,7 @@ func TestPlanComponentsAndPrediction(t *testing.T) {
 			}
 		}))
 	}
-	comps := r.appendPlanStats(nil, 0, view.TotalMaps)
+	comps := r.appendPlanStats(nil, 0, view)
 	if len(comps) != 1 {
 		t.Fatalf("want 1 component, got %d", len(comps))
 	}

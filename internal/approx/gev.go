@@ -2,6 +2,7 @@ package approx
 
 import (
 	"math"
+	"slices"
 
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
@@ -24,8 +25,12 @@ import (
 // the GEV quantile at tailP. Combiner output is unsupported — the fit
 // needs raw values — and is reported as an unbounded estimate.
 type ExtremeValueReducer struct {
-	Min            bool // estimate a minimum (false: maximum)
-	AlreadyExtrema bool // values are already per-task extrema
+	Min bool // estimate a minimum (false: maximum)
+	// AlreadyExtrema says the values are already per-task extrema, fit
+	// in sorted order. When false, the Block Minima/Maxima transform
+	// cuts the raw values into blocks in arrival order, so the fit
+	// depends on the order map outputs arrive in.
+	AlreadyExtrema bool
 
 	tally         mapreduce.Tally
 	values        map[string][]float64
@@ -96,8 +101,14 @@ func (r *ExtremeValueReducer) estimate(vals []float64, view mapreduce.EstimateVi
 	if r.tally.Exact(view) {
 		return est, true
 	}
-	sample := vals
-	if !r.AlreadyExtrema {
+	// The fit reads a sorted copy of the per-task extrema: the GEV
+	// likelihood is symmetric in its sample, so sorting moves nothing
+	// but rounding, and it makes the fit independent of arrival order.
+	var sample []float64
+	if r.AlreadyExtrema {
+		sample = slices.Clone(vals)
+		slices.Sort(sample)
+	} else {
 		sample = stats.BlockExtrema(vals, int(math.Sqrt(float64(len(vals)))), r.Min)
 	}
 	if len(sample) < minSample {

@@ -135,10 +135,10 @@ func (c *TargetError) realizedMet(v *mapreduce.JobView) bool {
 	}
 	for part, logic := range v.Logics() {
 		if msr, ok := logic.(*MultiStageReducer); ok {
-			t := msr.tCrit(view)
+			d := msr.tally.Design(view)
 			for i := range msr.table {
 				agg := &msr.table[i]
-				if !met(part, agg.key, msr.estimate(agg, view, t)) {
+				if !met(part, agg.key, msr.estimate(agg, &d)) {
 					return false
 				}
 			}

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
@@ -56,17 +57,72 @@ func refPlanComponents(r *MultiStageReducer, view mapreduce.EstimateView) []Plan
 	n := float64(r.tally.Clusters())
 	out := make([]PlanComponent, 0, len(r.index))
 	for key, slot := range r.index {
-		agg := &r.table[slot]
+		agg := sumsOf(&r.table[slot].sums)
 		out = append(out, PlanComponent{
 			Key:        key,
-			Tau:        N / n * agg.sumTau,
-			SU2:        r.su2(agg),
-			WithinDone: agg.within,
-			AvgWithin:  agg.sumS2 / n,
+			Tau:        N / n * agg[sTau],
+			SU2:        refSU2(agg, n),
+			WithinDone: agg[sWithin],
+			AvgWithin:  agg[sS2] / n,
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
+}
+
+// refSU2 is that commit's MultiStageReducer.su2 over n clusters.
+func refSU2(agg *[5]float64, n float64) float64 {
+	if n < 2 {
+		return 0
+	}
+	mean := agg[sTau] / n
+	v := (agg[sTau2] - n*mean*mean) / (n - 1)
+	if v < 0 {
+		return 0
+	}
+	return v
+}
+
+// Indices into sumsOf's view of a stats.ClusterSums, in field order:
+// Σtau_i, Σtau_i², Σtau_i·M_i, the within-cluster sum and Σs_i².
+const (
+	sTau = iota
+	sTau2
+	sTauM
+	sWithin
+	sS2
+)
+
+// sumsOf views a ClusterSums as its five float64 sums, so the reference
+// reads them with its own arithmetic and the planner tests can plant
+// what no sequence of Adds reaches: an s_u^2 that rounds negative,
+// ±Inf, NaN. TestSumsOfLayout pins the field order.
+func sumsOf(a *stats.ClusterSums) *[5]float64 {
+	return (*[5]float64)(unsafe.Pointer(a))
+}
+
+// planted returns a ClusterSums holding the given sums.
+func planted(tau, tau2, tauM, within, s2 float64) stats.ClusterSums {
+	var a stats.ClusterSums
+	*sumsOf(&a) = [5]float64{tau, tau2, tauM, within, s2}
+	return a
+}
+
+// TestSumsOfLayout checks sumsOf against the accumulator's own read-outs.
+func TestSumsOfLayout(t *testing.T) {
+	if unsafe.Sizeof(stats.ClusterSums{}) != unsafe.Sizeof([5]float64{}) {
+		t.Fatalf("ClusterSums is %d bytes, sumsOf views 40", unsafe.Sizeof(stats.ClusterSums{}))
+	}
+	a := planted(3, 5, 7, 11, 13)
+	d := stats.NewDesign(4, 2, 0, 0, 0.95, false)
+	tau, su2, within, avgS2 := a.Plan(&d)
+	if !sameBits(tau, 6) || !sameBits(su2, 0.5) || !sameBits(within, 11) || !sameBits(avgS2, 6.5) {
+		t.Errorf("Plan of the planted sums = %v %v %v %v, want 6 0.5 11 6.5", tau, su2, within, avgS2)
+	}
+	d = stats.NewDesign(4, 2, 1, 5, 0.95, false)
+	if b := a.Mean(&d).Value; !sameBits(b, 3) {
+		t.Errorf("Mean of the planted sums = %v, want 3", b)
+	}
 }
 
 func refGatherPlanComponents(v *mapreduce.JobView) []PlanComponent {
@@ -578,7 +634,7 @@ func handView(n int, rs ...*MultiStageReducer) *mapreduce.JobView {
 // to zero, so its predicted and realized half-widths depend on `within`
 // and sumS2 alone: two such keys with different totals tie exactly.
 func tied(key string, sumTau, within float64) keyAgg {
-	return keyAgg{key: key, units: 100, sumTau: sumTau, sumTau2: 0, within: within, sumS2: 40}
+	return keyAgg{key: key, units: 100, sums: planted(sumTau, 0, 0, within, 40)}
 }
 
 // TestPlannerTieRule constructs exact ties in errHalf between the key
@@ -588,7 +644,7 @@ func tied(key string, sumTau, within float64) keyAgg {
 func TestPlannerTieRule(t *testing.T) {
 	const n = 24
 	big, small := 1e9, 10.0 // tau: the bound is 2% of it
-	light := keyAgg{key: "light", units: 9, sumTau: 50, sumTau2: 200, within: 1, sumS2: 1}
+	light := keyAgg{key: "light", units: 9, sums: planted(50, 200, 0, 1, 1)}
 	cases := []struct {
 		name string
 		rs   []*MultiStageReducer
@@ -685,16 +741,16 @@ func TestPredictErrorBits(t *testing.T) {
 // against the reference in every mode.
 func TestPlannerEdgeComponents(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
-	plants := map[string]func(a *keyAgg){
-		"tau=0":        func(a *keyAgg) { a.sumTau, a.sumTau2 = 0, 0 },
-		"tau=0,spread": func(a *keyAgg) { a.sumTau, a.sumTau2 = 0, 9 },
-		"su2<0":        func(a *keyAgg) { a.sumTau2 = 0 },
-		"within=0":     func(a *keyAgg) { a.within, a.sumS2 = 0, 0 },
-		"within<0":     func(a *keyAgg) { a.within = -1e12 },
-		"su2=inf":      func(a *keyAgg) { a.sumTau2 = inf },
-		"su2=nan":      func(a *keyAgg) { a.sumTau2 = nan },
-		"within=nan":   func(a *keyAgg) { a.within = nan },
-		"tau=inf":      func(a *keyAgg) { a.sumTau = inf },
+	plants := map[string]func(a *[5]float64){
+		"tau=0":        func(a *[5]float64) { a[sTau], a[sTau2] = 0, 0 },
+		"tau=0,spread": func(a *[5]float64) { a[sTau], a[sTau2] = 0, 9 },
+		"su2<0":        func(a *[5]float64) { a[sTau2] = 0 },
+		"within=0":     func(a *[5]float64) { a[sWithin], a[sS2] = 0, 0 },
+		"within<0":     func(a *[5]float64) { a[sWithin] = -1e12 },
+		"su2=inf":      func(a *[5]float64) { a[sTau2] = inf },
+		"su2=nan":      func(a *[5]float64) { a[sTau2] = nan },
+		"within=nan":   func(a *[5]float64) { a[sWithin] = nan },
+		"tau=inf":      func(a *[5]float64) { a[sTau] = inf },
 	}
 	for name, plant := range plants {
 		for _, p := range refConfigs() {
@@ -704,7 +760,7 @@ func TestPlannerEdgeComponents(t *testing.T) {
 				first, ratio = 6, p.got.PilotRatio
 			}
 			j.complete(first, ratio)
-			plant(&j.reducers[1].table[len(j.reducers[1].table)/2])
+			plant(sumsOf(&j.reducers[1].table[len(j.reducers[1].table)/2].sums))
 			v := j.view(first, 0)
 			p.step(t, name+" solve", v)
 			p.got.planned, p.ref.planned = first, first
@@ -1082,7 +1138,7 @@ func BenchmarkTargetSolveAntiCorrelated(b *testing.B) {
 		for i := p; i < keys; i += parts {
 			// tau = 0 and s_u^2 = i+1 exactly; within falls as s_u^2 rises.
 			aggs = append(aggs, keyAgg{key: fmt.Sprintf("key%05d", i), units: 100,
-				sumTau2: float64(i+1) * (n - 1), within: float64(keys-i) * 1e3, sumS2: 40})
+				sums: planted(0, float64(i+1)*(n-1), 0, float64(keys-i)*1e3, 40)})
 		}
 		rs = append(rs, handReducer(n, aggs...))
 	}

@@ -1,6 +1,9 @@
 package approx
 
 import (
+	"cmp"
+	"slices"
+
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
 )
@@ -23,6 +26,7 @@ type ThreeStageReducer struct {
 }
 
 type clusterMeta struct {
+	task    int   // TaskID, the order clusters enter the estimator in
 	items   int64 // M_i
 	sampled int64 // m_i
 }
@@ -43,7 +47,7 @@ func NewThreeStageReducer() *ThreeStageReducer {
 func (r *ThreeStageReducer) Consume(out *mapreduce.MapOutput) {
 	r.tally.Add(out)
 	ci := int32(len(r.clusters))
-	r.clusters = append(r.clusters, clusterMeta{items: out.Items, sampled: out.Sampled})
+	r.clusters = append(r.clusters, clusterMeta{task: out.TaskID, items: out.Items, sampled: out.Sampled})
 	out.EachStat(func(key string, rs stats.RunningStat) {
 		r.keys[key] = append(r.keys[key], tsEntry{cluster: ci, pairs: rs.Count, stat: rs})
 	})
@@ -57,15 +61,26 @@ func (r *ThreeStageReducer) Estimates(view mapreduce.EstimateView) []mapreduce.K
 // Finalize implements mapreduce.ReduceLogic.
 func (r *ThreeStageReducer) Finalize(view mapreduce.EstimateView) []mapreduce.KeyEstimate {
 	exact := r.tally.Exact(view)
+	// Clusters enter the estimator in TaskID order, not arrival order,
+	// so every consume order folds the same sums in the same order.
+	order := make([]int32, len(r.clusters))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(r.clusters[a].task, r.clusters[b].task) })
+	rank := make([]int32, len(order))
+	for i, c := range order {
+		rank[c] = int32(i)
+	}
 	out := make([]mapreduce.KeyEstimate, 0, len(r.keys))
 	for key, entries := range r.keys {
 		tsc := make([]stats.ThreeStageCluster, len(r.clusters))
-		for i, c := range r.clusters {
-			tsc[i] = stats.ThreeStageCluster{M: c.items, Sam: c.sampled}
+		for i, c := range order {
+			tsc[i] = stats.ThreeStageCluster{M: r.clusters[c].items, Sam: r.clusters[c].sampled}
 		}
 		for _, e := range entries {
-			tsc[e.cluster].G = e.pairs
-			tsc[e.cluster].Stat = e.stat
+			tsc[rank[e.cluster]].G = e.pairs
+			tsc[rank[e.cluster]].Stat = e.stat
 		}
 		est := stats.ThreeStageMean(int64(view.TotalMaps), tsc, view.Confidence)
 		if exact {

@@ -132,9 +132,10 @@ func (t *planTable) gather(v *mapreduce.JobView) {
 	if cap(t.stats) < keys {
 		t.stats = make([]planStat, 0, keys)
 	}
+	view := mapreduce.EstimateView{TotalMaps: v.TotalMaps, Dropped: v.Dropped, Confidence: v.Confidence}
 	for part, msr := range t.reducers {
 		if msr != nil {
-			t.stats = msr.appendPlanStats(t.stats, int32(part), v.TotalMaps)
+			t.stats = msr.appendPlanStats(t.stats, int32(part), view)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"math"
+	"slices"
 
 	"approxhadoop/internal/stats"
 )
@@ -24,7 +25,9 @@ type PreciseReduce struct {
 	lossy        bool // a non-safe fn consumed truly combined values
 }
 
-// NewPreciseReduce wraps a classic reduce function. The function is
+// NewPreciseReduce wraps a classic reduce function. Finalize calls it
+// once per key with the key's values in ascending order, so its result
+// does not depend on the order map outputs arrive in. The function is
 // assumed NOT combiner-safe: if the job also enables Combine, outputs
 // are flagged Lossy (see CombinerSafe).
 func NewPreciseReduce(fn func(key string, values []float64) float64) *PreciseReduce {
@@ -73,6 +76,7 @@ func (r *PreciseReduce) Finalize(view EstimateView) []KeyEstimate {
 	approx := !r.tally.Exact(view)
 	out := make([]KeyEstimate, 0, len(r.values))
 	for key, vals := range r.values {
+		slices.Sort(vals)
 		ke := KeyEstimate{Key: key, Exact: !approx && !r.lossy, Lossy: r.lossy}
 		ke.Est = stats.Estimate{Value: r.fn(key, vals), Conf: view.Confidence}
 		if approx || r.lossy {

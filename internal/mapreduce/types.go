@@ -489,12 +489,13 @@ type EstimateView struct {
 
 // Tally is the first-stage bookkeeping of the cluster estimators
 // (Sections 3.1 and 4.4) that every ReduceLogic keeps: the clusters
-// consumed, their units ΣM_i and sampled units Σm_i, and whether any
-// cluster was sampled. The sums are integers, so they are exact and the
-// same for every order the clusters arrive in.
+// consumed, their units ΣM_i, ΣM_i² and sampled units Σm_i, and whether
+// any cluster was sampled. The sums are integers, so they are exact and
+// the same for every order the clusters arrive in.
 type Tally struct {
 	n       int   // clusters consumed
 	units   int64 // Σ M_i
+	unitsSq int64 // Σ M_i²
 	sampled int64 // Σ m_i
 	partial bool  // some cluster had m_i < M_i
 }
@@ -505,6 +506,7 @@ type Tally struct {
 func (t *Tally) Add(out *MapOutput) {
 	t.n++
 	t.units += out.Items
+	t.unitsSq += out.Items * out.Items
 	t.sampled += out.Sampled
 	if out.Sampled < out.Items {
 		t.partial = true
@@ -524,6 +526,12 @@ func (t *Tally) SampledUnits() int64 { return t.sampled }
 // in full: no unit sampled away, no cluster dropped, every cluster in.
 func (t *Tally) Exact(view EstimateView) bool {
 	return !t.partial && view.Dropped == 0 && t.n == view.TotalMaps
+}
+
+// Design returns the consumed clusters as the cluster-level half of the
+// two-stage sample that view's job draws.
+func (t *Tally) Design(view EstimateView) stats.Design {
+	return stats.NewDesign(int64(view.TotalMaps), t.n, t.units, t.unitsSq, view.Confidence, t.Exact(view))
 }
 
 // ReduceLogic is the reduce-side computation for one partition. The

@@ -8,8 +8,9 @@
 //     incomplete beta function), used for confidence intervals,
 //   - multi-stage (two- and three-stage) sampling estimators for the
 //     aggregation reducers sum, count, average and ratio (Lohr,
-//     "Sampling: Design and Analysis"), including the variance
-//     decomposition of the paper's Equation 3,
+//     "Sampling: Design and Analysis"): a per-key ClusterSums read
+//     under the Design every key shares, whose Variance is the
+//     paper's Equation 3,
 //   - the Generalized Extreme Value (GEV) distribution with maximum
 //     likelihood fitting (Nelder-Mead), Block Minima/Maxima transforms
 //     and delta-method confidence intervals, used for min/max reducers

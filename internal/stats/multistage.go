@@ -48,189 +48,218 @@ type ClusterSample struct {
 	Stat RunningStat // per-key count/sum/sumsq over the sampled units
 }
 
-// totalEstimate returns tau-hat_i = M_i * ybar_i, the estimated total of
-// the key's values over the whole cluster.
-func (c ClusterSample) totalEstimate() float64 {
-	if c.Sam == 0 {
-		return 0
-	}
-	return float64(c.M) * c.Stat.MeanOverN(c.Sam)
+// Design is the cluster-level half of a two-stage sample, the part
+// every key shares: N clusters in the population, n of them sampled,
+// their ΣM_i and ΣM_i², the confidence level, and whether the n
+// clusters are the whole population read in full, which makes every
+// estimate exact. It hoists Equation 3's factors N(N−n) and N/n and the
+// t quantile, so each key's read-out, and each plan the target-error
+// planner probes, pays for them once.
+type Design struct {
+	n       float64 // sampled clusters
+	spread  float64 // N(N−n), the factor of s_u^2 in Equation 3
+	scale   float64 // N/n
+	units   float64 // ΣM_i
+	unitsSq float64 // ΣM_i²
+	conf    float64
+	t       float64 // t_{n-1,1-alpha/2}; 0 when exact
+	exact   bool
 }
 
-// withinVarTerm returns M_i (M_i - m_i) s_i^2 / m_i, the within-cluster
-// contribution of this cluster to Var-hat(tau-hat) (Equation 3).
-func (c ClusterSample) withinVarTerm() float64 {
-	if c.Sam < 2 || c.Sam >= c.M {
-		// Fully enumerated clusters contribute no within-cluster
-		// sampling variance; single-unit samples carry no variance
-		// information (conservatively treated as zero, matching
-		// standard practice for two-stage estimators).
-		if c.Sam >= c.M {
-			return 0
-		}
+// NewDesign returns the design of n sampled clusters out of N, holding
+// units units with squares summing to unitsSq, read at the given
+// confidence level; exact says they are the whole population in full.
+func NewDesign(N int64, n int, units, unitsSq int64, confidence float64, exact bool) Design {
+	Nf, fn := float64(N), float64(n)
+	d := Design{n: fn, spread: Nf * (Nf - fn), scale: Nf / fn,
+		units: float64(units), unitsSq: float64(unitsSq), conf: confidence, exact: exact}
+	if !exact {
+		d.t = TwoSidedT(confidence, fn-1)
+	}
+	return d
+}
+
+// T returns t_{n-1,1-alpha/2}, the quantile the design's intervals use:
+// NaN with fewer than two clusters, 0 when the design is exact.
+func (d *Design) T() float64 { return d.t }
+
+// Variance evaluates Equation 3 of the paper,
+//
+//	Var(tau-hat) = N(N−n) s_u^2 / n + (N/n) sum_i M_i (M_i - m_i) s_i^2 / m_i,
+//
+// from the between-cluster variance s_u^2 and the within-cluster sum.
+// The between-cluster term, and then the variance, are clamped at zero:
+// rounding can drive them below it, and so can a planner's probe with
+// n > N or negative components.
+//
+//approx:hotpath
+func (d *Design) Variance(su2, within float64) float64 {
+	between := d.spread * su2 / d.n
+	if between < 0 {
+		between = 0
+	}
+	v := between + d.scale*within
+	if v < 0 {
 		return 0
 	}
-	s2 := c.Stat.VarianceOverN(c.Sam)
-	return float64(c.M) * float64(c.M-c.Sam) * s2 / float64(c.Sam)
+	return v
+}
+
+// ClusterSums accumulates one key's sums over the clusters of a
+// two-stage sample (Section 3.1): Σtau_i, Σtau_i², Σtau_i·M_i, the
+// within-cluster terms M_i (M_i - m_i) s_i^2 / m_i of Equation 3 and
+// Σs_i², where tau_i = M_i·ybar_i is cluster i's estimated total and
+// s_i^2 the variance of its sampled units, implicit zeros included. A
+// cluster in which the key never appeared has tau_i = 0 and s_i^2 = 0
+// and adds nothing, so only clusters that produced the key need Add and
+// memory is O(1) per key however many clusters the sample has; the
+// Design handed to the read-outs counts the rest. The sums are float64
+// additions in Add order.
+type ClusterSums struct {
+	tau, tau2, tauM, within, s2 float64
+}
+
+// Add folds in one cluster of M units, m of them sampled, whose sampled
+// units produced rs for the key.
+func (a *ClusterSums) Add(M, m int64, rs RunningStat) {
+	if m <= 0 {
+		return
+	}
+	Mf := float64(M)
+	tau := Mf * rs.MeanOverN(m)
+	s2 := rs.VarianceOverN(m)
+	a.tau += tau
+	a.tau2 += tau * tau
+	a.tauM += tau * Mf
+	a.s2 += s2
+	// A fully enumerated cluster has no within-cluster sampling
+	// variance and a one-unit sample carries no information about it.
+	if m >= 2 && m < M {
+		a.within += Mf * (Mf - float64(m)) * s2 / float64(m)
+	}
+}
+
+// su2 returns s_u^2, the variance of the n clusters' tau_i (those
+// without the key count as zeros), from the one-pass sums.
+func (a *ClusterSums) su2(n float64) float64 {
+	if n < 2 {
+		return 0
+	}
+	mean := a.tau / n
+	v := (a.tau2 - n*mean*mean) / (n - 1)
+	if v < 0 {
+		return 0
+	}
+	return v
+}
+
+// unbounded marks est as carrying no usable interval.
+func unbounded(est Estimate) Estimate {
+	est.Err = math.Inf(1)
+	est.StdErr = math.Inf(1)
+	return est
+}
+
+// Sum estimates the key's population total with a confidence interval
+// (Equations 1-3). With fewer than two sampled clusters no variance can
+// be estimated and the bound is +Inf unless the design is exact, in
+// which case so is the estimate.
+func (a *ClusterSums) Sum(d *Design) Estimate {
+	est := Estimate{Conf: d.conf, DF: d.n - 1}
+	if d.n == 0 {
+		return unbounded(est)
+	}
+	est.Value = d.scale * a.tau
+	if d.exact {
+		return est
+	}
+	if d.n < 2 {
+		return unbounded(est)
+	}
+	est.StdErr = math.Sqrt(d.Variance(a.su2(d.n), a.within))
+	est.Err = d.t * est.StdErr
+	return est
+}
+
+// Mean estimates the key's per-unit mean (the population total over the
+// number of units) by ratio estimation: the cluster sizes M_i are known
+// exactly, so the within-cluster residual variance reduces to s_i^2.
+func (a *ClusterSums) Mean(d *Design) Estimate {
+	est := Estimate{Conf: d.conf, DF: d.n - 1}
+	if d.n == 0 || d.units == 0 {
+		return unbounded(est)
+	}
+	b := a.tau / d.units
+	est.Value = b
+	if d.exact {
+		return est
+	}
+	if d.n < 2 {
+		return unbounded(est)
+	}
+	// Residuals d_i = tau_i - b*M_i have mean exactly zero, so
+	// s_d^2 = sum(d_i^2) / (n-1) with
+	// sum(d_i^2) = Σtau² - 2b·ΣtauM + b²·ΣM².
+	sd2 := (a.tau2 - 2*b*a.tauM + b*b*d.unitsSq) / (d.n - 1)
+	if sd2 < 0 {
+		sd2 = 0
+	}
+	est.StdErr = math.Sqrt(d.Variance(sd2, a.within)) / (d.scale * d.units)
+	est.Err = d.t * est.StdErr
+	return est
+}
+
+// Plan returns what the target-error planner reads of the key
+// (Equations 6 and 7): the estimated total, s_u^2, the within-cluster
+// sum of the clusters so far and their mean s_i^2.
+//
+//approx:hotpath
+func (a *ClusterSums) Plan(d *Design) (tau, su2, within, avgS2 float64) {
+	return d.scale * a.tau, a.su2(d.n), a.within, a.s2 / d.n
 }
 
 // TwoStage is a two-stage (cluster) sample: N clusters exist in the
 // population, and Clusters holds the per-cluster reports of the n
 // executed map tasks. In MapReduce terms, N is the total number of map
-// tasks of the job and Clusters has one entry per completed task.
+// tasks of the job and Clusters has one entry per completed task. Its
+// estimators fold the list into a ClusterSums, in list order.
 type TwoStage struct {
 	N        int64 // number of clusters in the population (total map tasks)
 	Clusters []ClusterSample
 }
 
-// n returns the number of sampled clusters.
-func (ts TwoStage) n() int { return len(ts.Clusters) }
-
-// varTotal evaluates Equation 3 of the paper:
-//
-//	Var(tau-hat) = N(N-n) s_u^2 / n + (N/n) sum_i M_i (M_i - m_i) s_i^2 / m_i
-//
-// where s_u^2 is the variance across the sampled clusters' estimated
-// totals and s_i^2 the within-cluster variance (implicit zeros included).
-func (ts TwoStage) varTotal() float64 {
-	n := ts.n()
-	if n == 0 {
-		return math.Inf(1)
+// fold returns the sample's ClusterSums and Design.
+func (ts TwoStage) fold(confidence float64) (ClusterSums, Design) {
+	var a ClusterSums
+	var units, unitsSq int64
+	exact := int64(len(ts.Clusters)) == ts.N
+	for _, c := range ts.Clusters {
+		a.Add(c.M, c.Sam, c.Stat)
+		units += c.M
+		unitsSq += c.M * c.M
+		if c.Sam < c.M {
+			exact = false
+		}
 	}
-	N := float64(ts.N)
-	fn := float64(n)
-	totals := make([]float64, n)
-	within := 0.0
-	for i, c := range ts.Clusters {
-		totals[i] = c.totalEstimate()
-		within += c.withinVarTerm()
-	}
-	su2 := Variance(totals)
-	between := N * (N - fn) * su2 / fn
-	if between < 0 {
-		between = 0
-	}
-	return between + N/fn*within
+	return a, NewDesign(ts.N, len(ts.Clusters), units, unitsSq, confidence, exact)
 }
 
-// Sum estimates the population total of the key's values with a
-// confidence interval at the given level (e.g. 0.95). This follows
-// Equations 1-3 of the paper. With n < 2 sampled clusters no variance
-// can be estimated and the error bound is +Inf unless the sample is in
-// fact exhaustive (n == N and every cluster fully sampled), in which
-// case the estimate is exact.
+// Sum estimates the population total of the key's values at the given
+// confidence level (e.g. 0.95); see ClusterSums.Sum.
 func (ts TwoStage) Sum(confidence float64) Estimate {
-	n := ts.n()
-	est := Estimate{Conf: confidence, DF: float64(n - 1)}
-	if n == 0 {
-		est.Value = 0
-		est.Err = math.Inf(1)
-		est.StdErr = math.Inf(1)
-		return est
-	}
-	sum := 0.0
-	for _, c := range ts.Clusters {
-		sum += c.totalEstimate()
-	}
-	est.Value = float64(ts.N) / float64(n) * sum
-	if ts.exhaustive() {
-		return est // exact: zero-width interval
-	}
-	if n < 2 {
-		est.Err = math.Inf(1)
-		est.StdErr = math.Inf(1)
-		return est
-	}
-	v := ts.varTotal()
-	est.StdErr = math.Sqrt(v)
-	est.Err = TwoSidedT(confidence, float64(n-1)) * est.StdErr
-	return est
+	a, d := ts.fold(confidence)
+	return a.Sum(&d)
 }
 
 // Count is an alias for Sum for indicator-valued computations (the
 // count of units matching a predicate is the sum of 0/1 values).
 func (ts TwoStage) Count(confidence float64) Estimate { return ts.Sum(confidence) }
 
-// exhaustive reports whether the sample actually covers the entire
-// population, in which case estimates are exact.
-func (ts TwoStage) exhaustive() bool {
-	if int64(ts.n()) != ts.N {
-		return false
-	}
-	for _, c := range ts.Clusters {
-		if c.Sam < c.M {
-			return false
-		}
-	}
-	return true
-}
-
-// PopulationSize estimates the total number of units T in the
-// population as (N/n) * sum M_i; exact when every cluster was sampled.
-func (ts TwoStage) PopulationSize() float64 {
-	n := ts.n()
-	if n == 0 {
-		return 0
-	}
-	t := int64(0)
-	for _, c := range ts.Clusters {
-		t += c.M
-	}
-	return float64(ts.N) / float64(n) * float64(t)
-}
-
-// Mean estimates the per-unit mean of the key's values (the population
-// total divided by the number of units) using ratio estimation: the
-// denominator totals M_i are known exactly for sampled clusters, so the
-// within-cluster residual variance reduces to the value variance.
+// Mean estimates the per-unit mean of the key's values; see
+// ClusterSums.Mean.
 func (ts TwoStage) Mean(confidence float64) Estimate {
-	n := ts.n()
-	est := Estimate{Conf: confidence, DF: float64(n - 1)}
-	if n == 0 {
-		est.Err = math.Inf(1)
-		est.StdErr = math.Inf(1)
-		return est
-	}
-	var sumY, sumX float64
-	for _, c := range ts.Clusters {
-		sumY += c.totalEstimate()
-		sumX += float64(c.M)
-	}
-	if sumX == 0 {
-		est.Err = math.Inf(1)
-		est.StdErr = math.Inf(1)
-		return est
-	}
-	b := sumY / sumX
-	est.Value = b
-	if ts.exhaustive() {
-		return est
-	}
-	if n < 2 {
-		est.Err = math.Inf(1)
-		est.StdErr = math.Inf(1)
-		return est
-	}
-	// Linearized variance: residuals d_i = yhat_i - b * M_i at the
-	// cluster level, plus within-cluster value variance (x == 1 per
-	// unit so residual variance within a cluster equals s_i^2).
-	N := float64(ts.N)
-	fn := float64(n)
-	resid := make([]float64, n)
-	within := 0.0
-	for i, c := range ts.Clusters {
-		resid[i] = c.totalEstimate() - b*float64(c.M)
-		within += c.withinVarTerm()
-	}
-	sd2 := Variance(resid)
-	vTot := N*(N-fn)*sd2/fn + N/fn*within
-	if vTot < 0 {
-		vTot = 0
-	}
-	tx := N / fn * sumX // estimated population size
-	est.StdErr = math.Sqrt(vTot) / tx
-	est.Err = TwoSidedT(confidence, float64(n-1)) * est.StdErr
-	return est
+	a, d := ts.fold(confidence)
+	return a.Mean(&d)
 }
 
 // BivariateCluster extends ClusterSample with a second per-unit
@@ -251,9 +280,7 @@ func TwoStageRatio(N int64, clusters []BivariateCluster, confidence float64) Est
 	n := len(clusters)
 	est := Estimate{Conf: confidence, DF: float64(n - 1)}
 	if n == 0 {
-		est.Err = math.Inf(1)
-		est.StdErr = math.Inf(1)
-		return est
+		return unbounded(est)
 	}
 	var sumY, sumX float64
 	yhat := make([]float64, n)
@@ -267,9 +294,7 @@ func TwoStageRatio(N int64, clusters []BivariateCluster, confidence float64) Est
 		sumX += xhat[i]
 	}
 	if sumX == 0 {
-		est.Err = math.Inf(1)
-		est.StdErr = math.Inf(1)
-		return est
+		return unbounded(est)
 	}
 	b := sumY / sumX
 	est.Value = b
@@ -283,12 +308,8 @@ func TwoStageRatio(N int64, clusters []BivariateCluster, confidence float64) Est
 		if exhaustive {
 			return est
 		}
-		est.Err = math.Inf(1)
-		est.StdErr = math.Inf(1)
-		return est
+		return unbounded(est)
 	}
-	Nf := float64(N)
-	fn := float64(n)
 	resid := make([]float64, n)
 	within := 0.0
 	for i, c := range clusters {
@@ -310,14 +331,9 @@ func TwoStageRatio(N int64, clusters []BivariateCluster, confidence float64) Est
 			within += float64(c.M) * float64(c.M-c.Sam) * s2 / m
 		}
 	}
-	sd2 := Variance(resid)
-	vTot := Nf*(Nf-fn)*sd2/fn + Nf/fn*within
-	if vTot < 0 {
-		vTot = 0
-	}
-	tx := Nf / fn * sumX
-	est.StdErr = math.Sqrt(vTot) / tx
-	est.Err = TwoSidedT(confidence, float64(n-1)) * est.StdErr
+	d := NewDesign(N, n, 0, 0, confidence, false)
+	est.StdErr = math.Sqrt(d.Variance(Variance(resid), within)) / (d.scale * sumX)
+	est.Err = d.t * est.StdErr
 	return est
 }
 

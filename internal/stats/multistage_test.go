@@ -159,13 +159,6 @@ func TestTwoStageMeanExhaustive(t *testing.T) {
 	}
 }
 
-func TestPopulationSize(t *testing.T) {
-	ts := TwoStage{N: 10, Clusters: []ClusterSample{{M: 100, Sam: 10}, {M: 200, Sam: 10}}}
-	if got := ts.PopulationSize(); !AlmostEqual(got, 1500, 1e-9) {
-		t.Errorf("PopulationSize = %v, want 1500", got)
-	}
-}
-
 func TestTwoStageRatioRecoverAverage(t *testing.T) {
 	// Average request size: y = bytes, x = 1 per request.
 	r := NewRand(5)

@@ -15,44 +15,43 @@ package stream
 
 import "approxhadoop/internal/stats"
 
-// estimateWindow builds the window's TwoStage sample from its sorted
-// strata and returns the op's estimate plus whether it is exact
-// (nothing shed, every stratum fully enumerated).
+// estimateWindow folds the window's sorted strata into the two-stage
+// estimator, each kept stratum one cluster, and returns the op's
+// estimate plus whether it is exact (nothing shed, every stratum fully
+// enumerated).
 func estimateWindow(op Op, strata []*stratumState, conf float64) (stats.Estimate, bool) {
-	ts := stats.TwoStage{N: int64(len(strata)), Clusters: make([]stats.ClusterSample, 0, len(strata))}
+	if len(strata) == 0 {
+		// An empty window: zero records is a fact, not an estimate.
+		return stats.Estimate{Conf: conf}, true
+	}
+	var sums stats.ClusterSums
+	var kept int
+	var units, unitsSq int64
 	exact := true
 	for _, s := range strata {
 		if s.shed {
 			exact = false
 			continue
 		}
-		cs := stats.ClusterSample{M: s.count}
-		if op == OpCount {
-			// Counting observes every unit: the per-unit value is the
-			// constant 1, fully enumerated.
-			cs.Sam = s.count
-			cs.Stat = stats.RunningStat{Count: s.count, Sum: float64(s.count), SumSq: float64(s.count)}
-		} else {
-			cs.Sam = int64(len(s.res.vals))
-			cs.Stat = s.res.stat()
-			if cs.Sam < cs.M {
+		M, m := s.count, s.count
+		// Counting observes every unit: the per-unit value is the
+		// constant 1, fully enumerated.
+		rs := stats.RunningStat{Count: M, Sum: float64(M), SumSq: float64(M)}
+		if op != OpCount {
+			m = int64(len(s.res.vals))
+			rs = s.res.stat()
+			if m < M {
 				exact = false
 			}
 		}
-		ts.Clusters = append(ts.Clusters, cs)
+		sums.Add(M, m, rs)
+		kept++
+		units += M
+		unitsSq += M * M
 	}
-	if len(strata) == 0 {
-		// An empty window: zero records is a fact, not an estimate.
-		return stats.Estimate{Conf: conf}, true
+	d := stats.NewDesign(int64(len(strata)), kept, units, unitsSq, conf, exact)
+	if op == OpMean {
+		return sums.Mean(&d), exact
 	}
-	var est stats.Estimate
-	switch op {
-	case OpCount:
-		est = ts.Count(conf)
-	case OpMean:
-		est = ts.Mean(conf)
-	default:
-		est = ts.Sum(conf)
-	}
-	return est, exact
+	return sums.Sum(&d), exact
 }

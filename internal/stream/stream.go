@@ -10,8 +10,9 @@
 // second-stage unit sample; a stratum the controller sheds entirely is
 // a dropped cluster and widens the interval through the between-
 // cluster variance term, exactly like a dropped map task in the batch
-// plane. At window close the strata fold into a stats.TwoStage sample
-// and the window's estimate ships with a t-based confidence interval.
+// plane. At window close the strata fold into a stats.ClusterSums, as a
+// key's clusters do in the batch reducer, and the window's estimate
+// ships with a t-based confidence interval.
 //
 // Execution is one goroutine per stream, the one driving Run: it folds
 // each record into its windows' reservoirs where it routes it, in

@@ -33,7 +33,7 @@ func (ApproxTextInput) Open(b *dfs.Block, sampleRatio float64, seed int64) (mapr
 	if sampleRatio <= 0 || sampleRatio > 1 {
 		sampleRatio = 1
 	}
-	r := &samplingReader{block: b, ratio: sampleRatio, meter: vtime.NewDeterministic()}
+	r := &samplingReader{block: b, ratio: sampleRatio}
 	if sampleRatio < 1 {
 		// sampleLine draws only below ratio 1; a reader that never
 		// draws skips the source's 5.4 KB register.
@@ -45,8 +45,8 @@ func (ApproxTextInput) Open(b *dfs.Block, sampleRatio float64, seed int64) (mapr
 type samplingReader struct {
 	block *dfs.Block
 	ratio float64
-	rng   *rand.Rand // nil at ratio 1, where no line is ever drawn
-	meter vtime.Meter
+	rng   *rand.Rand  // nil at ratio 1, where no line is ever drawn
+	meter vtime.Meter // SetMeter's, or a deterministic default Push builds
 	m     mapreduce.ReaderMeasure
 }
 
@@ -79,6 +79,9 @@ func (r *samplingReader) sampleLine(n int64, units, bytes *int64) bool {
 //approx:compute
 //approx:hotpath
 func (r *samplingReader) Push(fn func(rec mapreduce.Record)) (bool, error) {
+	if r.meter == nil {
+		r.meter = vtime.NewDeterministic()
+	}
 	r.meter.Begin(vtime.OpRead)
 	var units, bytes int64
 	_, err := r.block.Lines(nil, func(line []byte) error {

@@ -9,6 +9,7 @@ import (
 
 	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
+	"approxhadoop/internal/stats"
 	"approxhadoop/internal/vtime"
 )
 
@@ -82,20 +83,21 @@ func benchEmit(e *mapEmitter, pairs int) {
 }
 
 // BenchmarkMapEmitterHinted measures the map-side emit hot path with an
-// accurate pairsHint: one backing-array allocation up front, no append
+// accurate hint: one backing-array allocation up front, no append
 // growth during the run.
 func BenchmarkMapEmitterHinted(b *testing.B) {
 	const pairs = 4096
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := newMapEmitter(8, false, vtime.NewDeterministic(), emitHint{n: pairs})
+		e := newMapEmitter(8, false, vtime.NewDeterministic(), emitHint{keys: 8, pairs: pairs})
 		benchEmit(e, pairs)
 	}
 }
 
 // BenchmarkMapEmitterUnhinted is the same workload without a size hint
-// (first wave of a job, before MapsCompleted feeds pairsHint): every
-// partition slice grows by repeated append reallocation.
+// (what the attempts a pass hands the pool before its first map returns
+// get, while no map of the job has completed): every partition slice
+// grows by repeated append reallocation.
 func BenchmarkMapEmitterUnhinted(b *testing.B) {
 	const pairs = 4096
 	b.ReportAllocs()
@@ -111,7 +113,7 @@ func BenchmarkMapEmitterCombined(b *testing.B) {
 	const pairs = 4096
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := newMapEmitter(8, true, vtime.NewDeterministic(), emitHint{n: pairs})
+		e := newMapEmitter(8, true, vtime.NewDeterministic(), emitHint{keys: 8})
 		benchEmit(e, pairs)
 	}
 }
@@ -138,9 +140,11 @@ func balancedKeys(t *testing.T, reduces int) []string {
 }
 
 // TestMapEmitterHintedAllocs pins the allocation contract of the
-// preallocated emit paths: with a pairsHint that covers every
+// preallocated emit paths: with a hint whose pairs cover every
 // partition, the whole emit stream costs exactly the up-front
-// allocations, so appends never grow a partition mid-attempt.
+// allocations, so appends never grow a partition mid-attempt. The hint
+// counts keys and pairs apart, so 4096 pairs over 8 keys size the key
+// table for 8 keys.
 func TestMapEmitterHintedAllocs(t *testing.T) {
 	const (
 		reduces = 8
@@ -157,7 +161,7 @@ func TestMapEmitterHintedAllocs(t *testing.T) {
 	// the interner's fixed-size state (slot table, dense key/partition
 	// slices, one arena chunk), and nothing per emit.
 	hinted := testing.AllocsPerRun(20, func() {
-		emitAll(newMapEmitter(reduces, false, meter, emitHint{n: pairs}))
+		emitAll(newMapEmitter(reduces, false, meter, emitHint{keys: reduces, pairs: pairs}))
 	})
 	if hinted > 12 {
 		t.Errorf("hinted emit path allocates %.0f times per attempt, want <= 12 (preallocation regressed)", hinted)
@@ -167,6 +171,38 @@ func TestMapEmitterHintedAllocs(t *testing.T) {
 	})
 	if hinted >= unhinted {
 		t.Errorf("hinted path allocates %.0f times vs %.0f unhinted; hint should eliminate append growth", hinted, unhinted)
+	}
+	if e := newMapEmitter(reduces, false, meter, emitHint{keys: reduces, pairs: pairs}); len(e.intern.slots) != 2*reduces {
+		t.Errorf("key table has %d slots for %d keys and %d pairs, want %d", len(e.intern.slots), reduces, pairs, 2*reduces)
+	}
+}
+
+// TestCombinedEmitterAllocsFlat: a combining emitter lists each
+// partition's keys once, at output, so a hinted attempt allocates the
+// same number of times whatever its reduce count — the emitter and its
+// key table, the aggregates, and four allocations for the outputs —
+// and nothing per key or per partition.
+func TestCombinedEmitterAllocsFlat(t *testing.T) {
+	const bound = 11
+	keys := shuffleKeys(512)
+	keyBytes := 0
+	for _, k := range keys {
+		keyBytes += len(k)
+	}
+	meter := vtime.NewDeterministic()
+	allocs := func(reduces int) int {
+		return int(testing.AllocsPerRun(20, func() {
+			e := newMapEmitter(reduces, true, meter, emitHint{keys: len(keys), keyBytes: keyBytes})
+			for i := 0; i < 4096; i++ {
+				e.Emit(keys[i%len(keys)], 1)
+			}
+			e.outputs(0, 0, 0)
+		}))
+	}
+	at4, at64 := allocs(4), allocs(64)
+	t.Logf("%d allocations at 4 reduces, %d at 64", at4, at64)
+	if at4 != at64 || at64 > bound {
+		t.Errorf("hinted combining emitter allocates %d times at 4 reduces and %d at 64, want the same count, at most %d", at4, at64, bound)
 	}
 }
 
@@ -193,7 +229,7 @@ func shuffleKeys(n int) []string {
 // executeMap does, and drain every partition through EachPair the way a
 // reducer does. Returns the value sum as a cheap output check.
 func shuffleRound(keys []string, reduces, pairs int) float64 {
-	e := newMapEmitter(reduces, false, vtime.NewDeterministic(), emitHint{n: pairs})
+	e := newMapEmitter(reduces, false, vtime.NewDeterministic(), emitHint{keys: len(keys), pairs: pairs})
 	for i := 0; i < pairs; i++ {
 		e.Emit(keys[i%len(keys)], float64(i))
 	}
@@ -232,6 +268,7 @@ func TestShuffleArenaAllocGuard(t *testing.T) {
 	allocs := testing.AllocsPerRun(10, func() {
 		shuffleRound(keys, 4, 8192)
 	})
+	t.Logf("%.0f allocations per attempt", allocs)
 	if allocs > arenaShuffleAllocBaseline*1.15 {
 		t.Errorf("shuffle allocates %.0f times per attempt, more than 1.15x the recorded baseline %d",
 			allocs, arenaShuffleAllocBaseline)
@@ -243,7 +280,9 @@ func TestShuffleArenaAllocGuard(t *testing.T) {
 // pairs in emit order, and partitions drain one after another. Every
 // partition must hand a reducer exactly the model's (key, value)
 // sequence, and the drained sum must match bit for bit — the same
-// float additions in the same order.
+// float additions in the same order. Combined, a partition hands over
+// each of its keys once, in first-emit order, with the model's fold of
+// the key's values.
 func TestShuffleEquivalence(t *testing.T) {
 	const reduces, pairs = 4, 8192
 	keys := shuffleKeys(64)
@@ -281,6 +320,40 @@ func TestShuffleEquivalence(t *testing.T) {
 		})
 		if i != len(model[p]) || out.PairLen() != i {
 			t.Errorf("partition %d drained %d pairs (PairLen %d), model %d", p, i, out.PairLen(), len(model[p]))
+		}
+	}
+	// The stream again, combined, in an order whose keys first appear
+	// out of name order: the model folds each partition's values per
+	// key and lists the keys as they first appear.
+	type agg struct {
+		k  string
+		rs stats.RunningStat
+	}
+	combined := make([][]agg, reduces)
+	at := map[string]int{}
+	c := newMapEmitter(reduces, true, vtime.NewDeterministic(), emitHint{})
+	for i := 0; i < pairs; i++ {
+		k := keys[(i*37)%len(keys)]
+		c.Emit(k, float64(i))
+		p := Partition(k, reduces)
+		j, ok := at[k]
+		if !ok {
+			j = len(combined[p])
+			at[k] = j
+			combined[p] = append(combined[p], agg{k: k})
+		}
+		combined[p][j].rs.Add(float64(i))
+	}
+	for p, out := range c.outputs(0, 0, 0) {
+		i := 0
+		out.EachCombined(func(k string, rs stats.RunningStat) {
+			if i < len(combined[p]) && (k != combined[p][i].k || rs != combined[p][i].rs) {
+				t.Fatalf("partition %d key %d is (%q, %+v), model (%q, %+v)", p, i, k, rs, combined[p][i].k, combined[p][i].rs)
+			}
+			i++
+		})
+		if !out.IsCombined() || i != len(combined[p]) || out.PairLen() != i {
+			t.Errorf("partition %d drained %d keys (PairLen %d, combined %v), model %d", p, i, out.PairLen(), out.IsCombined(), len(combined[p]))
 		}
 	}
 }

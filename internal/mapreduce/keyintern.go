@@ -36,7 +36,7 @@ type keyTable struct {
 	arena   []byte // current chunk; full chunks are abandoned to the GC-rooted strings
 }
 
-// keyArenaChunk is the arena growth quantum. Keys longer than a chunk
+// keyArenaChunk is the largest arena chunk. Keys longer than a chunk
 // get a dedicated allocation.
 const keyArenaChunk = 16 << 10
 
@@ -45,7 +45,7 @@ const keyArenaChunk = 16 << 10
 // and the dense id-indexed slices so interning new keys never
 // reallocates mid-attempt; arenaBytes > 0 sizes the first arena chunk
 // to the key bytes the attempt is expected to intern, in place of a
-// full keyArenaChunk.
+// full keyArenaChunk, and a hinted arena that fills grows by doubling.
 func newKeyTable(reduces, hint, arenaBytes int) *keyTable {
 	t := &keyTable{reduces: reduces}
 	size := 8
@@ -160,8 +160,8 @@ func (t *keyTable) Intern(key string) (id, part int32) {
 
 // InternAt is Intern with the partition supplied by the caller instead
 // of hashed from the key — the composite-key emit path partitions by
-// the group prefix alone. The caller must pass the same partition for
-// every sight of a given key.
+// the group prefix alone; a negative part hashes it as Intern does. The
+// caller must pass the same partition for every sight of a given key.
 //
 //approx:hotpath
 func (t *keyTable) InternAt(key string, part int32) (id int32) {
@@ -172,7 +172,9 @@ func (t *keyTable) InternAt(key string, part int32) (id int32) {
 // view of the copy. The view aliases arena memory that is never
 // rewritten: the chunk only grows by appending past the copy, and a
 // full chunk is abandoned (kept alive by the strings into it) rather
-// than reused.
+// than reused. The next chunk is twice the full one, capped at
+// keyArenaChunk and at least the key; an unhinted table's first chunk
+// is a whole keyArenaChunk.
 //
 //approx:hotpath
 func (t *keyTable) copyKey(key string) string {
@@ -180,11 +182,38 @@ func (t *keyTable) copyKey(key string) string {
 		return string(append([]byte(nil), key...))
 	}
 	if cap(t.arena)-len(t.arena) < len(key) {
-		t.arena = make([]byte, 0, keyArenaChunk)
+		n := keyArenaChunk
+		if c := cap(t.arena); c > 0 {
+			n = max(min(2*c, keyArenaChunk), len(key))
+		}
+		t.arena = make([]byte, 0, n)
 	}
 	start := len(t.arena)
 	t.arena = append(t.arena, key...)
 	return zerocopy.String(t.arena[start:len(t.arena):len(t.arena)])
+}
+
+// byPartition lists every partition's key IDs in ascending order, which
+// is first-sight order, as consecutive non-nil sub-slices of one backing
+// array.
+func (t *keyTable) byPartition() [][]int32 {
+	lists := make([][]int32, t.reduces)
+	ids := make([]int32, len(t.parts))
+	// First the lengths count each partition's keys (any slice of ids is
+	// long enough), then each list becomes an empty window of ids sized
+	// to its count, and the IDs fill the windows in order.
+	for _, p := range t.parts {
+		lists[p] = ids[:len(lists[p])+1]
+	}
+	off := 0
+	for p, l := range lists {
+		lists[p] = ids[off : off : off+len(l)]
+		off += len(l)
+	}
+	for id, p := range t.parts {
+		lists[p] = append(lists[p], int32(id))
+	}
+	return lists
 }
 
 // Resolve returns the interned key for an ID previously returned by

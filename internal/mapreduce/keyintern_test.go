@@ -192,9 +192,10 @@ func (m *keyModel) intern(key string, part int32) (id int32) {
 // checkKeyTableOps drives one table and the model through the same
 // calls. op picks Intern (even) or InternAt (odd) and the key; keys are
 // handed over as views of a scratch buffer that is overwritten right
-// after the call, as records are.
+// after the call, as records are. hint also sizes the first arena chunk
+// in bytes, so a nonzero hint runs the arena's doubling growth.
 func checkKeyTableOps(t testing.TB, reduces, hint int, universe []string, ops int, pick func(i int) (key int, at bool)) {
-	tab := newKeyTable(reduces, hint, 0)
+	tab := newKeyTable(reduces, hint, hint)
 	model := &keyModel{ids: map[string]int32{}}
 	scratch := make([]byte, 0, 64)
 	for i := 0; i < ops; i++ {
@@ -235,6 +236,19 @@ func checkKeyTableOps(t testing.TB, reduces, hint int, universe []string, ops in
 	}
 	if tab.Bytes() != bytes {
 		t.Fatalf("Bytes() = %d, model %d", tab.Bytes(), bytes)
+	}
+	lists := tab.byPartition()
+	next := make([]int, reduces)
+	for id, p := range model.parts {
+		if l := lists[p]; next[p] >= len(l) || l[next[p]] != int32(id) {
+			t.Fatalf("byPartition: partition %d does not list id %d at %d: %v", p, id, next[p], l)
+		}
+		next[p]++
+	}
+	for p, l := range lists {
+		if len(l) != next[p] {
+			t.Fatalf("byPartition: partition %d lists %d ids, model %d", p, len(l), next[p])
+		}
 	}
 	if len(tab.slots)&(len(tab.slots)-1) != 0 || 2*tab.Len() > len(tab.slots) {
 		t.Fatalf("%d keys in %d slots: want a power of two, at most half full", tab.Len(), len(tab.slots))
@@ -294,6 +308,42 @@ func TestKeyTableHintedNeverGrows(t *testing.T) {
 		}
 		if slots >= 4*n && slots > 8 {
 			t.Errorf("hint %d: %d slots, want under 4 per key", n, slots)
+		}
+	}
+}
+
+// TestKeyTableArenaGrowth pins the arena's chunk sizes: a hinted arena
+// that fills opens a chunk twice its size (capped at keyArenaChunk, and
+// never smaller than the key), while an unhinted table's first chunk is
+// a whole keyArenaChunk.
+func TestKeyTableArenaGrowth(t *testing.T) {
+	tab := newKeyTable(4, 4, 32)
+	for i := 0; i < 4; i++ {
+		tab.Intern("sixteen-byte-" + strconv.Itoa(100+i)) // 16 bytes each
+	}
+	if got := cap(tab.arena); got != 64 {
+		t.Errorf("hinted 32-byte arena overflowed into a %d-byte chunk, want 64", got)
+	}
+	long := strings.Repeat("k", 200)
+	tab.Intern(long)
+	if got := cap(tab.arena); got != len(long) {
+		t.Errorf("a %d-byte key after a 64-byte chunk opened a %d-byte chunk, want %d", len(long), got, len(long))
+	}
+	big := newKeyTable(4, 4, keyArenaChunk-8)
+	big.Intern(strings.Repeat("x", keyArenaChunk-8))
+	big.Intern("overflow")
+	big.Intern("overflow!")
+	if got := cap(big.arena); got != keyArenaChunk {
+		t.Errorf("a full near-cap arena opened a %d-byte chunk, want the %d cap", got, keyArenaChunk)
+	}
+	cold := newKeyTable(4, 0, 0)
+	cold.Intern("k")
+	if got := cap(cold.arena); got != keyArenaChunk {
+		t.Errorf("unhinted table's first chunk is %d bytes, want %d", got, keyArenaChunk)
+	}
+	for _, k := range []string{"sixteen-byte-100", "sixteen-byte-103", long} {
+		if id, _ := tab.Intern(k); tab.Resolve(id) != k {
+			t.Errorf("Resolve after growth = %q, want %q", tab.Resolve(id), k)
 		}
 	}
 }

@@ -31,16 +31,16 @@ type mapResult struct {
 	measure    cluster.TaskMeasure
 	partitions []*MapOutput // one per reduce partition
 	pairs      int64        // total pairs emitted, sketch folds included
-	emitted    int64        // pairs that went through the pair arenas
-	keys       emitHint     // distinct keys interned and their bytes
+	size       emitHint     // what the emitter held: keys, key bytes, pairs through the pair arenas
 }
 
-// emitHint pre-sizes one attempt's emitter from what completed maps of
-// the job needed (tracker.emitHint). It only moves allocations: no
-// result byte depends on it.
+// emitHint pre-sizes one attempt's emitter from what other maps of the
+// job needed (tracker.emitHint, tracker.flushLaunches). It only moves
+// allocations: no result byte depends on it.
 type emitHint struct {
-	n        int // distinct keys expected under Combine, pairs otherwise
-	keyBytes int // total bytes of the distinct keys
+	keys     int // distinct keys: sizes the key table and the combiner
+	keyBytes int // total bytes of the distinct keys: sizes the key arena
+	pairs    int // pairs through the pair arenas: sizes the raw runs
 }
 
 // mapEmitter partitions emitted pairs, optionally combining. It interns
@@ -49,8 +49,8 @@ type emitHint struct {
 // key instead of once per emit — and then moves only (keyID, value)
 // pairs: raw mode appends idPairs to flat per-partition runs; combine
 // mode accumulates into one dense RunningStat slice indexed by key ID.
-// A partition's keys are listed in first-emit order, which is therefore
-// the order they reach its reducer in.
+// A partition's keys are listed in first-emit order — ascending ID
+// order, which is therefore the order they reach its reducer in.
 type mapEmitter struct {
 	reduces int
 	combine bool
@@ -60,45 +60,41 @@ type mapEmitter struct {
 
 	intern    *keyTable
 	runs      [][]idPair          // raw: per-partition (keyID, value) runs
-	combIDs   [][]int32           // combine: per-partition key IDs in first-emit order
 	combStats []stats.RunningStat // combine: dense aggregates indexed by key ID
 
 	// sketch representation (Job.Sketch, layered over the above for
 	// plain Emit calls): groups interns group keys — which also
-	// memoizes each group's partition — proto is the empty sketch
-	// cloned per new group, sketches is dense by group ID, and
-	// sketchIDs lists each partition's group IDs in first-emit order.
-	// lastGroup/lastSketch remember the previous fold's group (its
-	// interned copy) so a repeated group skips the table lookup.
-	plan       *SketchPlan
+	// memoizes each group's partition — proto is the job's empty
+	// sketch, cloned (only read) per new group, and sketches is dense
+	// by group ID. lastGroup/lastSketch remember the previous fold's
+	// group (its interned copy) so a repeated group skips the table
+	// lookup.
 	proto      sketch.Sketch
 	groups     *keyTable
 	sketches   []sketch.Sketch
-	sketchIDs  [][]int32
 	lastGroup  string
 	lastSketch sketch.Sketch
 	ekey       []byte // composite-key scratch for the pairs fallback
 }
 
-// newMapEmitter builds the per-attempt emitter. hint.n, when > 0, is
-// the attempt's expected pair count — or, when combining, its expected
-// distinct keys, which is all a combiner holds: partition runs are
-// carved zero-length from one preallocated backing array (disjoint
-// capacities, so in-capacity appends never interfere), the interner is
-// pre-sized, and combiner state is pre-sized, which keeps growth
+// newMapEmitter builds the per-attempt emitter from hint, whose zero
+// counts leave the matching state to grow: the interner is sized for
+// hint.keys keys of hint.keyBytes bytes, combiner state for hint.keys
+// aggregates, and raw partition runs are carved zero-length from one
+// backing array for hint.pairs pairs (disjoint capacities, so
+// in-capacity appends never interfere), which keeps growth
 // reallocations off the emit hot path.
 func newMapEmitter(reduces int, combine bool, meter vtime.Meter, hint emitHint) *mapEmitter {
 	e := &mapEmitter{reduces: reduces, combine: combine, meter: meter}
-	e.intern = newKeyTable(reduces, hint.n, hint.keyBytes)
+	e.intern = newKeyTable(reduces, hint.keys, hint.keyBytes)
 	if combine {
-		e.combIDs = make([][]int32, reduces)
-		if hint.n > 0 {
-			e.combStats = make([]stats.RunningStat, 0, hint.n)
+		if hint.keys > 0 {
+			e.combStats = make([]stats.RunningStat, 0, hint.keys)
 		}
 	} else {
 		e.runs = make([][]idPair, reduces)
-		if hint.n > 0 {
-			perPart := hint.n/reduces + 1
+		if hint.pairs > 0 {
+			perPart := hint.pairs/reduces + 1
 			backing := make([]idPair, reduces*perPart)
 			for i := range e.runs {
 				e.runs[i] = backing[i*perPart : i*perPart : (i+1)*perPart]
@@ -109,17 +105,11 @@ func newMapEmitter(reduces int, combine bool, meter vtime.Meter, hint emitHint) 
 }
 
 // enableSketch switches EmitElement from the composite-pair fallback
-// to folding into per-group sketches.
-func (e *mapEmitter) enableSketch(plan *SketchPlan) error {
-	proto, err := plan.newSketch()
-	if err != nil {
-		return err
-	}
-	e.plan = plan
+// to folding into per-group clones of proto, an empty sketch the
+// emitter only reads.
+func (e *mapEmitter) enableSketch(proto sketch.Sketch) {
 	e.proto = proto
 	e.groups = newKeyTable(e.reduces, 64, 0)
-	e.sketchIDs = make([][]int32, e.reduces)
-	return nil
 }
 
 // Emit implements Emitter. key may be a transient view of a reusable
@@ -128,19 +118,7 @@ func (e *mapEmitter) enableSketch(plan *SketchPlan) error {
 //
 //approx:compute
 //approx:hotpath
-func (e *mapEmitter) Emit(key string, value float64) {
-	e.pairs++
-	id, p := e.intern.Intern(key)
-	if e.combine {
-		if int(id) == len(e.combStats) {
-			e.combStats = append(e.combStats, stats.RunningStat{})
-			e.combIDs[p] = append(e.combIDs[p], id)
-		}
-		e.combStats[id].Add(value)
-		return
-	}
-	e.runs[p] = append(e.runs[p], idPair{id: id, v: value})
-}
+func (e *mapEmitter) Emit(key string, value float64) { e.emitAt(key, value, -1) }
 
 // EmitElement implements ElementEmitter. Under a sketch plan the
 // element folds into the group's sketch (weight rounds to a positive
@@ -154,7 +132,7 @@ func (e *mapEmitter) Emit(key string, value float64) {
 //approx:compute
 //approx:hotpath
 func (e *mapEmitter) EmitElement(group, element string, weight float64) {
-	if e.plan == nil {
+	if e.proto == nil {
 		e.ekey = append(e.ekey[:0], group...)
 		e.ekey = append(e.ekey, ElementSep[0])
 		e.ekey = append(e.ekey, element...)
@@ -163,10 +141,9 @@ func (e *mapEmitter) EmitElement(group, element string, weight float64) {
 	}
 	e.folds++
 	if e.lastSketch == nil || group != e.lastGroup {
-		id, p := e.groups.Intern(group)
+		id, _ := e.groups.Intern(group)
 		if int(id) == len(e.sketches) {
 			e.sketches = append(e.sketches, e.proto.Clone())
-			e.sketchIDs[p] = append(e.sketchIDs[p], id)
 		}
 		e.lastGroup, e.lastSketch = e.groups.Resolve(id), e.sketches[id]
 	}
@@ -178,7 +155,8 @@ func (e *mapEmitter) EmitElement(group, element string, weight float64) {
 }
 
 // emitAt is Emit with the partition already decided (the composite-pair
-// fallback partitions by group, not by the full key).
+// fallback partitions by group, not by the full key); a negative p
+// hashes it from the key.
 //
 //approx:compute
 //approx:hotpath
@@ -188,11 +166,11 @@ func (e *mapEmitter) emitAt(key string, value float64, p int32) {
 	if e.combine {
 		if int(id) == len(e.combStats) {
 			e.combStats = append(e.combStats, stats.RunningStat{})
-			e.combIDs[p] = append(e.combIDs[p], id)
 		}
 		e.combStats[id].Add(value)
 		return
 	}
+	p = e.intern.parts[id]
 	e.runs[p] = append(e.runs[p], idPair{id: id, v: value})
 }
 
@@ -209,6 +187,13 @@ func (e *mapEmitter) ChargeCompute(units float64) { e.meter.Charge(units) }
 func (e *mapEmitter) outputs(taskID int, items, sampled int64) []*MapOutput {
 	parts := make([]*MapOutput, e.reduces)
 	outs := make([]MapOutput, e.reduces)
+	var combIDs, sketchIDs [][]int32
+	if e.combine {
+		combIDs = e.intern.byPartition()
+	}
+	if e.groups != nil {
+		sketchIDs = e.groups.byPartition()
+	}
 	for p := range outs {
 		out := &outs[p]
 		out.TaskID = taskID
@@ -216,17 +201,14 @@ func (e *mapEmitter) outputs(taskID int, items, sampled int64) []*MapOutput {
 		out.Sampled = sampled
 		out.keys = e.intern
 		if e.combine {
-			out.combIDs = e.combIDs[p]
-			if out.combIDs == nil {
-				out.combIDs = []int32{} // non-nil marks the output combined
-			}
+			out.combIDs = combIDs[p] // non-nil, which marks the output combined
 			out.combStats = e.combStats
 		} else {
 			out.run = e.runs[p]
 		}
 		if e.groups != nil {
 			out.groups = e.groups
-			out.sketchIDs = e.sketchIDs[p]
+			out.sketchIDs = sketchIDs[p]
 			out.sketches = e.sketches
 		}
 		parts[p] = out
@@ -255,10 +237,12 @@ func (e *mapEmitter) outputs(taskID int, items, sampled int64) []*MapOutput {
 // variables — the approxlint `purity` analyzer enforces this for
 // everything reachable from the directive below, sync.Pool included:
 // pool hand-out order depends on goroutine scheduling, so whatever an
-// attempt reuses it owns.
+// attempt reuses it owns. The one thing attempts share is proto, the
+// job's empty sketch under Job.Sketch (nil otherwise), which each group
+// clones and nothing writes.
 //
 //approx:compute
-func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int64, meter vtime.Meter, hint emitHint) (*mapResult, error) {
+func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int64, meter vtime.Meter, hint emitHint, proto sketch.Sketch) (*mapResult, error) {
 	meter.Begin(vtime.OpSetup)
 	reader, err := job.Format.Open(block, ratio, seed)
 	if err != nil {
@@ -276,10 +260,8 @@ func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int6
 		mapper = job.NewMapper()
 	}
 	emitter := newMapEmitter(job.Reduces, job.Combine, meter, hint)
-	if job.Sketch != nil {
-		if err := emitter.enableSketch(job.Sketch); err != nil {
-			return nil, err
-		}
+	if proto != nil {
+		emitter.enableSketch(proto)
 	}
 	setup := meter.End(vtime.OpSetup, 1, 0)
 
@@ -307,7 +289,6 @@ func executeMap(job *Job, block *dfs.Block, taskID int, ratio float64, seed int6
 		},
 		partitions: emitter.outputs(taskID, rm.Items, rm.Sampled),
 		pairs:      emitter.pairs + emitter.folds,
-		emitted:    emitter.pairs,
-		keys:       emitHint{n: emitter.intern.Len(), keyBytes: emitter.intern.Bytes()},
+		size:       emitHint{keys: emitter.intern.Len(), keyBytes: emitter.intern.Bytes(), pairs: int(emitter.pairs)},
 	}, nil
 }

@@ -24,6 +24,7 @@ import (
 
 	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
+	"approxhadoop/internal/sketch"
 	"approxhadoop/internal/vtime"
 )
 
@@ -45,8 +46,9 @@ const (
 )
 
 // mapFuture is the compute of one (task, ratio). The fields above state
-// are fixed at creation; res and err are written by the one goroutine
-// that claims it and read by the scheduler once wait returns.
+// are fixed at creation, except that flushLaunches may re-size hint
+// before the future is submitted; res and err are written by the one
+// goroutine that claims it and read by the scheduler once wait returns.
 type mapFuture struct {
 	job   *Job
 	block *dfs.Block
@@ -54,6 +56,7 @@ type mapFuture struct {
 	ratio float64
 	meter vtime.Meter // forked at creation, owned by the computation
 	hint  emitHint
+	proto sketch.Sketch // the job's empty sketch, shared by every future and only read
 
 	state futureState
 	res   *mapResult
@@ -71,7 +74,7 @@ func (f *mapFuture) matches(idx int, ratio float64) bool {
 //
 //approx:compute
 func (f *mapFuture) compute() {
-	f.res, f.err = executeMap(f.job, f.block, f.idx, f.ratio, f.job.Seed*1000003+int64(f.idx), f.meter, f.hint)
+	f.res, f.err = executeMap(f.job, f.block, f.idx, f.ratio, f.job.Seed*1000003+int64(f.idx), f.meter, f.hint, f.proto)
 }
 
 // futurePool runs mapFutures on persistent worker goroutines, started

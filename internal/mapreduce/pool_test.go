@@ -260,3 +260,56 @@ type nonForkingMeter struct{}
 func (nonForkingMeter) Begin(op vtime.Op)                           {}
 func (nonForkingMeter) End(op vtime.Op, units, bytes int64) float64 { return 0 }
 func (nonForkingMeter) Charge(units float64)                        {}
+
+// TestFirstPassSizedFromFirstMap: before any map of a job completes, a
+// pass that issues more futures than the pool can start at once hands
+// the workers the next pool.workers of them, runs the first on the
+// scheduler, and sizes every later one from what the first map held.
+// The job here has as many blocks as the cluster has map slots, so its
+// one pass launches every task.
+func TestFirstPassSizedFromFirstMap(t *testing.T) {
+	const slots = 8 // testEngine: 4 servers × 2 map slots
+	input, _ := wordCountInput(t, 360)
+	if n := len(input.Blocks); n != slots {
+		t.Fatalf("%d blocks; the test needs %d", n, slots)
+	}
+	for _, workers := range []int{2, 4} {
+		job := &Job{
+			Name:      "first-pass",
+			Input:     input,
+			NewMapper: wordCountMapper,
+			NewReduce: func(int) ReduceLogic { return SumReduce() },
+			Reduces:   3,
+			Combine:   true,
+			Seed:      5,
+			Workers:   workers,
+		}
+		eng := testEngine()
+		h, err := Start(eng, job, StartOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if _, err := h.Outcome(); err != nil {
+			t.Fatal(err)
+		}
+		tr := h.t
+		if tr.counters.MapsCompleted != len(input.Blocks) || tr.waves() != 1 {
+			t.Fatalf("workers=%d: %d maps completed in %d waves, want all %d in one", workers, tr.counters.MapsCompleted, tr.waves(), len(input.Blocks))
+		}
+		first := tr.futures[tr.order[0]].res.size
+		if first.keys == 0 || first.keyBytes == 0 || first.pairs == 0 {
+			t.Fatalf("workers=%d: first map held %+v; nothing to size from", workers, first)
+		}
+		for i, idx := range tr.order {
+			got := tr.futures[idx].hint
+			want := emitHint{}
+			if i > workers {
+				want = first
+			}
+			if got != want {
+				t.Errorf("workers=%d: future %d of the pass (task %d) has hint %+v, want %+v", workers, i, idx, got, want)
+			}
+		}
+	}
+}

@@ -45,10 +45,12 @@ func TestEmitElementSteadyStateDoesNotAllocate(t *testing.T) {
 	if err := plan.normalize(); err != nil {
 		t.Fatal(err)
 	}
-	e := newMapEmitter(4, false, vtime.NewDeterministic(), emitHint{})
-	if err := e.enableSketch(plan); err != nil {
+	proto, err := plan.newSketch()
+	if err != nil {
 		t.Fatal(err)
 	}
+	e := newMapEmitter(4, false, vtime.NewDeterministic(), emitHint{})
+	e.enableSketch(proto)
 	heavy := make([]string, plan.Candidates)
 	for i := range heavy {
 		heavy[i] = "heavy" + strconv.Itoa(i)
@@ -92,20 +94,24 @@ func TestSketchJobSizesNoPairArenas(t *testing.T) {
 	if err := job.Validate(testEngine()); err != nil {
 		t.Fatal(err)
 	}
-	res, err := executeMap(job, input.Blocks[0], 0, 1, 1, vtime.NewDeterministic(), emitHint{})
+	proto, err := job.Sketch.newSketch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := executeMap(job, input.Blocks[0], 0, 1, 1, vtime.NewDeterministic(), emitHint{}, proto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	records := res.measure.Processed
-	if records == 0 || res.pairs != records || res.emitted != 0 {
-		t.Errorf("sketch map: pairs = %d, emitted = %d, want %d counted and 0 through the arenas", res.pairs, res.emitted, records)
+	if records == 0 || res.pairs != records || res.size.pairs != 0 {
+		t.Errorf("sketch map: pairs = %d, emitted = %d, want %d counted and 0 through the arenas", res.pairs, res.size.pairs, records)
 	}
 	job.Sketch = nil
-	res, err = executeMap(job, input.Blocks[0], 0, 1, 1, vtime.NewDeterministic(), emitHint{})
+	res, err = executeMap(job, input.Blocks[0], 0, 1, 1, vtime.NewDeterministic(), emitHint{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.pairs != records || res.emitted != records {
-		t.Errorf("pairs map: pairs = %d, emitted = %d, want %d for both", res.pairs, res.emitted, records)
+	if res.pairs != records || int64(res.size.pairs) != records {
+		t.Errorf("pairs map: pairs = %d, emitted = %d, want %d for both", res.pairs, res.size.pairs, records)
 	}
 }

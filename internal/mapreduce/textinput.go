@@ -23,12 +23,12 @@ func (TextInputFormat) Open(b *dfs.Block, _ float64, _ int64) (RecordReader, err
 	if b == nil {
 		return nil, fmt.Errorf("mapreduce: nil block")
 	}
-	return &textReader{block: b, meter: vtime.NewDeterministic()}, nil
+	return &textReader{block: b}, nil
 }
 
 type textReader struct {
 	block *dfs.Block
-	meter vtime.Meter
+	meter vtime.Meter // SetMeter's, or a deterministic default Push builds
 	m     ReaderMeasure
 }
 
@@ -43,6 +43,9 @@ func (t *textReader) SetMeter(m vtime.Meter) { t.meter = m }
 //approx:compute
 //approx:hotpath
 func (t *textReader) Push(fn func(rec Record)) (bool, error) {
+	if t.meter == nil {
+		t.meter = vtime.NewDeterministic()
+	}
 	_, err := t.block.Lines(nil, func(line []byte) error {
 		t.meter.Begin(vtime.OpRead)
 		t.m.Items++

@@ -8,6 +8,7 @@ import (
 
 	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
+	"approxhadoop/internal/sketch"
 	"approxhadoop/internal/stats"
 	"approxhadoop/internal/vtime"
 )
@@ -67,8 +68,9 @@ type tracker struct {
 
 	measures  []cluster.TaskMeasure // their Items sum to counters.ItemsTotal
 	counters  Counters
-	emitted   int64    // pairs completed maps put through the pair arenas (emitHint)
-	maxKeys   emitHint // most distinct keys, and key bytes, of any completed map (emitHint)
+	emitted   int64         // pairs completed maps put through the pair arenas (emitHint)
+	maxKeys   emitHint      // most distinct keys, and key bytes, of any completed map (emitHint)
+	proto     sketch.Sketch // the job's empty sketch under Job.Sketch, cloned by every attempt
 	launched  int
 	completed int
 	dropped   int
@@ -198,6 +200,13 @@ func Start(eng *cluster.Engine, job *Job, opts StartOptions) (*Handle, error) {
 	if err := job.Validate(eng); err != nil {
 		return nil, err
 	}
+	var proto sketch.Sketch
+	if job.Sketch != nil {
+		var err error
+		if proto, err = job.Sketch.newSketch(); err != nil {
+			return nil, err
+		}
+	}
 	t := &tracker{
 		eng:          eng,
 		job:          job,
@@ -210,6 +219,7 @@ func Start(eng *cluster.Engine, job *Job, opts StartOptions) (*Handle, error) {
 		serverFaults: make(map[string]int),
 		blacklist:    make(map[string]bool),
 		futures:      make(map[int]*mapFuture),
+		proto:        proto,
 	}
 	if t.arb == nil {
 		t.arb = newGreedyArbiter(eng)
@@ -697,22 +707,25 @@ func (t *tracker) newFuture(idx int, ratio float64) *mapFuture {
 		ratio: ratio,
 		meter: vtime.Fork(t.job.Meter),
 		hint:  t.emitHint(),
+		proto: t.proto,
 	}
 	t.futures[idx] = f
 	return f
 }
 
-// emitHint sizes the next map attempt's emitter from completed maps: a
-// combiner holds one aggregate per distinct key, so it is sized by the
-// most keys any map needed (growth stays rare); raw runs hold every
-// pair and are sized by the mean pair count. Elements folded into
-// sketches never reach the pair arenas and are not counted, so a sketch
-// job preallocates nothing it will not fill. The hint moves
-// allocations only, never a result byte.
+// emitHint sizes the next map attempt's emitter from completed maps:
+// the key table and a combiner hold one entry per distinct key, so they
+// are sized by the most keys (and key bytes) any map needed, and growth
+// stays rare; raw runs hold every pair and are sized by the mean pair
+// count. Elements folded into sketches never reach the pair arenas and
+// are not counted, so a sketch job preallocates nothing it will not
+// fill. Before any map completes, flushLaunches sizes a pass from its
+// first map instead. The hint moves allocations only, never a result
+// byte.
 func (t *tracker) emitHint() emitHint {
 	h := t.maxKeys
-	if !t.job.Combine && t.counters.MapsCompleted > 0 {
-		h.n = int(t.emitted / int64(t.counters.MapsCompleted))
+	if t.counters.MapsCompleted > 0 {
+		h.pairs = int(t.emitted / int64(t.counters.MapsCompleted))
 	}
 	return h
 }
@@ -795,6 +808,12 @@ func (t *tracker) readAhead() {
 // perturbation draws, and completion events all happen in exactly the
 // sequence the sequential simulator would produce, which is what makes
 // pool size invisible to the virtual timeline.
+//
+// Until a map of the job completes, emitHint knows nothing, so a pass
+// with more futures than the pool can start at once is sized by its
+// first map: the workers get the next pool.workers futures, the
+// scheduler runs the first, and every later future takes its keys, key
+// bytes and pairs as its hint before it is submitted.
 func (t *tracker) flushLaunches() {
 	if len(t.pending) == 0 {
 		return
@@ -805,6 +824,17 @@ func (t *tracker) flushLaunches() {
 	// scheduler runs it itself rather than wake a worker and wait for it.
 	held := min(len(t.issue), 1)
 	t.readAhead()
+	if w := t.pool.workers; held == 1 && t.counters.MapsCompleted == 0 && len(t.issue) > 1+w {
+		t.pool.submit(t.issue[1 : 1+w])
+		first := t.issue[0]
+		t.pool.wait(first)
+		if first.err == nil {
+			for _, f := range t.issue[1+w:] {
+				f.hint = first.res.size
+			}
+		}
+		held = 1 + w
+	}
 	t.pool.submit(t.issue[held:])
 	t.issue = t.issue[:0]
 	for _, pl := range batch {
@@ -905,9 +935,9 @@ func (t *tracker) onMapDone(pl *pendingLaunch, killed bool) {
 	t.counters.ItemsProcessed += res.measure.Processed
 	t.counters.BytesRead += res.measure.Bytes
 	t.counters.PairsShuffled += res.pairs
-	t.emitted += res.emitted
-	t.maxKeys.n = max(t.maxKeys.n, res.keys.n)
-	t.maxKeys.keyBytes = max(t.maxKeys.keyBytes, res.keys.keyBytes)
+	t.emitted += int64(res.size.pairs)
+	t.maxKeys.keys = max(t.maxKeys.keys, res.size.keys)
+	t.maxKeys.keyBytes = max(t.maxKeys.keyBytes, res.size.keyBytes)
 	// Kill losing speculative siblings.
 	for _, a := range live {
 		t.eng.Kill(a)

@@ -231,9 +231,11 @@ func NewMapOutput(taskID int, items, sampled int64, combine bool, plan *SketchPl
 		if err := plan.normalize(); err != nil {
 			return nil, err
 		}
-		if err := e.enableSketch(plan); err != nil {
+		proto, err := plan.newSketch()
+		if err != nil {
 			return nil, err
 		}
+		e.enableSketch(proto)
 	}
 	emit(e)
 	return e.outputs(taskID, items, sampled)[0], nil

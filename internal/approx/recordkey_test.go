@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"runtime"
+	"strconv"
 	"testing"
 
 	"approxhadoop/internal/dfs"
@@ -161,4 +163,50 @@ func BenchmarkReaderPush(b *testing.B) {
 			b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
 		})
 	}
+}
+
+// TestGeneratedBlockReadAllocatesOneRegister guards the fixed cost of a
+// small sampled map over generated input: an 80-line generated block
+// read at ratio 0.25. The reader's source draws once per line and so
+// allocates its 607-word register; the block's own source, which the
+// generator draws from once to seed itself, must not.
+func TestGeneratedBlockReadAllocatesOneRegister(t *testing.T) {
+	const register = 607 * 8
+	block := dfs.NewGeneratedBlock("gen", 3, 11, 0, 80, func(_ int, r dfs.RandSource, w io.Writer) error {
+		base := r.Int63() % 1000
+		line := make([]byte, 0, 32)
+		for i := int64(0); i < 80; i++ {
+			line = strconv.AppendInt(append(line[:0], 'k'), (base+i)%7, 10)
+			line = strconv.AppendInt(append(line, '\t'), i, 10)
+			if _, err := w.Write(append(line, '\n')); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	read := func() {
+		rr, err := ApproxTextInput{}.Open(block, 0.25, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := rr.Push(func(mapreduce.Record) {}); !ok || err != nil {
+			t.Fatalf("Push = %v, %v", ok, err)
+		}
+		if m := rr.Measure(); m.Items != 80 {
+			t.Fatalf("read %d lines, want 80", m.Items)
+		}
+	}
+	read()
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	b := (after.TotalAlloc - before.TotalAlloc) / runs
+	if b < register || b >= 2*register {
+		t.Errorf("opening and reading the block allocates %d B, want one %d-byte register and change", b, register)
+	}
+	t.Logf("opening and reading the block allocates %d B", b)
 }

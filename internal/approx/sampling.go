@@ -2,7 +2,6 @@ package approx
 
 import (
 	"fmt"
-	"math/rand"
 
 	"approxhadoop/internal/dfs"
 	"approxhadoop/internal/mapreduce"
@@ -36,8 +35,8 @@ func (ApproxTextInput) Open(b *dfs.Block, sampleRatio float64, seed int64) (mapr
 	r := &samplingReader{block: b, ratio: sampleRatio}
 	if sampleRatio < 1 {
 		// sampleLine draws only below ratio 1; a reader that never
-		// draws skips the source's 5.4 KB register.
-		r.rng = stats.NewRand(seed)
+		// draws skips even the source.
+		r.rng = stats.NewSource(seed)
 	}
 	return r, nil
 }
@@ -45,8 +44,8 @@ func (ApproxTextInput) Open(b *dfs.Block, sampleRatio float64, seed int64) (mapr
 type samplingReader struct {
 	block *dfs.Block
 	ratio float64
-	rng   *rand.Rand  // nil at ratio 1, where no line is ever drawn
-	meter vtime.Meter // SetMeter's, or a deterministic default Push builds
+	rng   *stats.Source // nil at ratio 1, where no line is ever drawn
+	meter vtime.Meter   // SetMeter's, or a deterministic default Push builds
 	m     mapreduce.ReaderMeasure
 }
 

@@ -329,7 +329,9 @@ func NewByteBlock(fileName string, index int, data []byte, items int64) *Block {
 }
 
 // RandSource is the deterministic random source handed to block
-// generators (satisfied by *math/rand.Rand).
+// generators (satisfied by *math/rand.Rand). Generated blocks hand
+// their generator a bare *stats.Source: the generators draw from it
+// once to seed their own, so it never allocates its register.
 type RandSource interface{ Int63() int64 }
 
 // LineGenerator produces the lines of one generated block. It is
@@ -354,7 +356,7 @@ func NewGeneratedBlock(fileName string, index int, seed int64, estSize, estItems
 			pr, pw := io.Pipe()
 			go func() {
 				bw := bufio.NewWriterSize(pw, 64<<10)
-				err := gen(index, stats.NewRand(blockSeed), bw)
+				err := gen(index, stats.NewSource(blockSeed), bw)
 				if err == nil {
 					err = bw.Flush()
 				}
@@ -371,7 +373,7 @@ func NewGeneratedBlock(fileName string, index int, seed int64, estSize, estItems
 		// stream gen writes.
 		lines: func(carry []byte, fn func(line []byte) error) ([]byte, error) {
 			sw := lineSplitWriter{fn: fn, carry: carry[:0]}
-			err := gen(index, stats.NewRand(blockSeed), &sw)
+			err := gen(index, stats.NewSource(blockSeed), &sw)
 			if err == nil {
 				err = sw.finish()
 			}

@@ -544,7 +544,13 @@ func (r *Runner) Fig10() (map[string][]Fig5Row, error) {
 	sort.Slice(att, func(i, j int) bool { return att[i].Precise > att[j].Precise })
 	out["10c AttackFrequencies"] = att
 
-	for name, rows := range out {
+	names := make([]string, 0, len(out))
+	for name := range out {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		rows := out[name]
 		printed := [][]string{}
 		limit := len(rows)
 		if limit > 12 {

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -216,10 +217,21 @@ func TestFig9cGEV(t *testing.T) {
 }
 
 func TestFig10(t *testing.T) {
-	r, _ := tiny(t)
+	r, out := tiny(t)
 	panels, err := r.Fig10()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The panels print in title order, so two runs print the same text.
+	var titles []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "== Figure 10") {
+			titles = append(titles, line)
+		}
+	}
+	want := []string{"== Figure 10a RequestRate by hour ==", "== Figure 10b RequestRate descending ==", "== Figure 10c AttackFrequencies =="}
+	if !slices.Equal(titles, want) {
+		t.Errorf("panel titles printed as %q, want %q", titles, want)
 	}
 	hours := panels["10a RequestRate by hour"]
 	if len(hours) != 168 {

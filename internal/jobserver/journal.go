@@ -100,7 +100,19 @@ func (f JFloat) MarshalJSON() ([]byte, error) {
 	case math.IsInf(v, -1):
 		return []byte(`"-Inf"`), nil
 	}
-	return json.Marshal(v)
+	// encoding/json's float64 rule: shortest 'f', or 'e' with a
+	// one-digit negative exponent when |v| is nonzero and below 1e-6 or
+	// at least 1e21.
+	format := byte('f')
+	if abs := math.Abs(v); abs > 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b := strconv.AppendFloat(make([]byte, 0, 32), v, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1] // e-07 -> e-7
+		b = b[:n-1]
+	}
+	return b, nil
 }
 
 // UnmarshalJSON implements json.Unmarshaler.

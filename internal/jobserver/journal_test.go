@@ -40,6 +40,50 @@ func TestJFloatRoundTrip(t *testing.T) {
 	}
 }
 
+// TestJFloatMatchesEncodingJSON holds JFloat's own float formatting to
+// encoding/json's, byte for byte, on the values where its rules change
+// branch, and pins the quoted forms of the values it rejects.
+func TestJFloatMatchesEncodingJSON(t *testing.T) {
+	finite := []float64{
+		0, math.Copysign(0, -1), 1, -1, 42, -7, 1 << 53, 123456789, 0.1, 1.0 / 3, -2.25,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1022 - 0x1p-1074, 0x1p-1022,
+		1e-6, -1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1), 1e-7, 1.5e-10, 2e-100,
+		1e21, -1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)), 1e20, 1.25e22,
+		math.MaxFloat64, -math.MaxFloat64,
+	}
+	bits := uint64(20261017)
+	for i := 0; i < 2000; i++ {
+		bits = bits*6364136223846793005 + 1442695040888963407
+		if v := math.Float64frombits(bits); !math.IsNaN(v) && !math.IsInf(v, 0) {
+			finite = append(finite, v)
+		}
+	}
+	for _, v := range finite {
+		got, err := JFloat(v).MarshalJSON()
+		if err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		want, err := json.Marshal(v)
+		if err != nil {
+			t.Fatalf("encoding/json on %v: %v", v, err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("JFloat(%v) = %s, encoding/json %s", v, got, want)
+		}
+	}
+	for v, want := range map[float64]string{math.Inf(1): `"+Inf"`, math.Inf(-1): `"-Inf"`} {
+		if got, _ := JFloat(v).MarshalJSON(); string(got) != want {
+			t.Errorf("JFloat(%v) = %s, want %s", v, got, want)
+		}
+	}
+	if got, _ := JFloat(math.NaN()).MarshalJSON(); string(got) != `"NaN"` {
+		t.Errorf("JFloat(NaN) = %s, want \"NaN\"", got)
+	}
+	if n := int(testing.AllocsPerRun(100, func() { _, _ = JFloat(0.123456789).MarshalJSON() })); n != 1 {
+		t.Errorf("MarshalJSON of a finite float: %v allocations, want 1", n)
+	}
+}
+
 func tempJournal(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "wal.jsonl")

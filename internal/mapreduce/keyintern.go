@@ -37,15 +37,19 @@ type keyTable struct {
 }
 
 // keyArenaChunk is the largest arena chunk. Keys longer than a chunk
-// get a dedicated allocation.
-const keyArenaChunk = 16 << 10
+// get a dedicated allocation. keyArenaFirst is an unhinted table's
+// first chunk.
+const (
+	keyArenaChunk = 16 << 10
+	keyArenaFirst = 1024
+)
 
 // newKeyTable builds an interner for the given partition count. hint
 // (an upper bound on the attempt's distinct keys) sizes the slot table
 // and the dense id-indexed slices so interning new keys never
 // reallocates mid-attempt; arenaBytes > 0 sizes the first arena chunk
-// to the key bytes the attempt is expected to intern, in place of a
-// full keyArenaChunk, and a hinted arena that fills grows by doubling.
+// to the key bytes the attempt is expected to intern, in place of
+// keyArenaFirst; either way a full chunk's successor is twice its size.
 func newKeyTable(reduces, hint, arenaBytes int) *keyTable {
 	t := &keyTable{reduces: reduces}
 	size := 8
@@ -172,9 +176,9 @@ func (t *keyTable) InternAt(key string, part int32) (id int32) {
 // view of the copy. The view aliases arena memory that is never
 // rewritten: the chunk only grows by appending past the copy, and a
 // full chunk is abandoned (kept alive by the strings into it) rather
-// than reused. The next chunk is twice the full one, capped at
-// keyArenaChunk and at least the key; an unhinted table's first chunk
-// is a whole keyArenaChunk.
+// than reused. The next chunk is twice the full one (an unhinted
+// table's first is keyArenaFirst), capped at keyArenaChunk and at least
+// the key.
 //
 //approx:hotpath
 func (t *keyTable) copyKey(key string) string {
@@ -182,11 +186,11 @@ func (t *keyTable) copyKey(key string) string {
 		return string(append([]byte(nil), key...))
 	}
 	if cap(t.arena)-len(t.arena) < len(key) {
-		n := keyArenaChunk
-		if c := cap(t.arena); c > 0 {
-			n = max(min(2*c, keyArenaChunk), len(key))
+		n := 2 * cap(t.arena)
+		if n == 0 {
+			n = keyArenaFirst
 		}
-		t.arena = make([]byte, 0, n)
+		t.arena = make([]byte, 0, max(min(n, keyArenaChunk), len(key)))
 	}
 	start := len(t.arena)
 	t.arena = append(t.arena, key...)

@@ -312,10 +312,10 @@ func TestKeyTableHintedNeverGrows(t *testing.T) {
 	}
 }
 
-// TestKeyTableArenaGrowth pins the arena's chunk sizes: a hinted arena
-// that fills opens a chunk twice its size (capped at keyArenaChunk, and
-// never smaller than the key), while an unhinted table's first chunk is
-// a whole keyArenaChunk.
+// TestKeyTableArenaGrowth pins the arena's one growth rule: a full
+// chunk's successor is twice its size, capped at keyArenaChunk and
+// never smaller than the key. A hinted table's first chunk holds the
+// hinted bytes, an unhinted table's is keyArenaFirst.
 func TestKeyTableArenaGrowth(t *testing.T) {
 	tab := newKeyTable(4, 4, 32)
 	for i := 0; i < 4; i++ {
@@ -338,8 +338,14 @@ func TestKeyTableArenaGrowth(t *testing.T) {
 	}
 	cold := newKeyTable(4, 0, 0)
 	cold.Intern("k")
-	if got := cap(cold.arena); got != keyArenaChunk {
-		t.Errorf("unhinted table's first chunk is %d bytes, want %d", got, keyArenaChunk)
+	if got := cap(cold.arena); got != keyArenaFirst {
+		t.Errorf("unhinted table's first chunk is %d bytes, want %d", got, keyArenaFirst)
+	}
+	for i := 0; cap(cold.arena) == keyArenaFirst; i++ {
+		cold.Intern("cold-" + strconv.Itoa(1000+i)) // 9 bytes each
+	}
+	if got := cap(cold.arena); got != 2*keyArenaFirst {
+		t.Errorf("unhinted table's second chunk is %d bytes, want %d", got, 2*keyArenaFirst)
 	}
 	for _, k := range []string{"sixteen-byte-100", "sixteen-byte-103", long} {
 		if id, _ := tab.Intern(k); tab.Resolve(id) != k {

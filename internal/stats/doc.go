@@ -24,4 +24,6 @@
 // library, and all randomized routines accept explicit *rand.Rand
 // sources so simulations stay deterministic. NewRand makes them: its
 // stream is math/rand's, seeded lazily so a source costs what it draws.
+// NewSource is the same source without the *rand.Rand, for callers that
+// draw only Int63, Int63n, Uint64 or Float64.
 package stats

@@ -8,32 +8,32 @@ import (
 // NewRand returns a deterministic PRNG seeded with seed. All simulator
 // and workload randomness flows through explicitly seeded sources so
 // experiments are reproducible. The stream is that of
-// rand.New(rand.NewSource(seed)), bit for bit; the source behind it
+// rand.New(rand.NewSource(seed)), bit for bit; the Source behind it
 // pays for seeding in proportion to what is drawn (source.go).
 func NewRand(seed int64) *rand.Rand {
-	s := new(source)
-	s.Seed(seed)
-	return rand.New(s)
+	return rand.New(NewSource(seed))
 }
 
 // Zipf draws ranks in [1, n] with P(rank = k) proportional to
-// 1/k^s (s > 1). It wraps math/rand's rejection-based generator.
+// 1/k^s (s > 1). It holds math/rand's rejection-based generator by
+// value, so a Zipf kept in a local costs the one allocation
+// rand.NewZipf makes.
 type Zipf struct {
-	z *rand.Zipf
+	z rand.Zipf
 }
 
 // NewZipf constructs a Zipf sampler over {1, ..., n} with exponent s.
 // Exponents at or below 1 are clamped slightly above 1, which keeps the
 // heavy tail the popularity workloads need while staying in the
 // generator's supported range.
-func NewZipf(r *rand.Rand, s float64, n uint64) *Zipf {
+func NewZipf(r *rand.Rand, s float64, n uint64) Zipf {
 	if s <= 1 {
 		s = 1.0001
 	}
 	if n == 0 {
 		n = 1
 	}
-	return &Zipf{z: rand.NewZipf(r, s, 1, n-1)}
+	return Zipf{z: *rand.NewZipf(r, s, 1, n-1)}
 }
 
 // Next returns the next rank in [1, n].

@@ -4,21 +4,14 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
-
-// newSource seeds a source directly, so these tests compare the
-// generator itself with math/rand's whatever NewRand is wired to.
-func newSource(seed int64) *source {
-	s := new(source)
-	s.Seed(seed)
-	return s
-}
 
 func mathRand(seed int64) rand.Source64 { return rand.NewSource(seed).(rand.Source64) }
 
 // sameDraws fails unless the next n Uint64s of got and want agree.
-func sameDraws(t *testing.T, got *source, want rand.Source64, n int, what string) {
+func sameDraws(t *testing.T, got *Source, want rand.Source64, n int, what string) {
 	t.Helper()
 	for i := 1; i <= n; i++ {
 		if g, w := got.Uint64(), want.Uint64(); g != w {
@@ -85,7 +78,7 @@ func TestLehmerMulFoldsExactly(t *testing.T) {
 
 func TestSourceMatchesMathRand(t *testing.T) {
 	for _, seed := range testSeeds() {
-		sameDraws(t, newSource(seed), mathRand(seed), 5000, fmt.Sprint("seed ", seed))
+		sameDraws(t, NewSource(seed), mathRand(seed), 5000, fmt.Sprint("seed ", seed))
 	}
 }
 
@@ -103,7 +96,7 @@ func TestSourceResumesOnEveryBoundary(t *testing.T) {
 	}
 	for stop := range stops {
 		for n := max(stop-1, 0); n <= stop+1; n++ {
-			got, want := newSource(int64(n)+7), mathRand(int64(n)+7)
+			got, want := NewSource(int64(n)+7), mathRand(int64(n)+7)
 			sameDraws(t, got, want, n, fmt.Sprint("towards a stop at ", n))
 			for i := 1; i <= 2*rngLen; i += 2 {
 				if g, w := got.Int63(), want.Int63(); g != w {
@@ -121,14 +114,24 @@ func TestSourceResumesOnEveryBoundary(t *testing.T) {
 // batch-of-16 builds the earlier draws had reached.
 func TestSourceReseedRestartsStream(t *testing.T) {
 	for _, n := range []int{0, 1, 15, 16, 17, 63, 64, 65, 200, 333, 334, 335, 607, 1000, 2000} {
-		got := newSource(99)
+		got := NewSource(99)
 		for i := 0; i < n; i++ {
 			got.Uint64()
 		}
+		if registered := got.vec != nil; registered != (n > rngBatch) {
+			t.Fatalf("after %d draws the register is allocated: %v, want %v", n, registered, n > rngBatch)
+		}
 		got.Seed(-12345)
-		sameDraws(t, got, mathRand(-12345), 1500, fmt.Sprintf("reseeded after %d draws", n))
+		// A source re-seeded before its register exists still has none,
+		// and the first batch of the new stream comes from the seed alone.
+		want := mathRand(-12345)
+		sameDraws(t, got, want, rngBatch, fmt.Sprintf("reseeded after %d draws", n))
+		if n <= rngBatch && got.vec != nil {
+			t.Fatalf("reseeded after %d draws: %d more allocated the register", n, rngBatch)
+		}
+		sameDraws(t, got, want, 1500, fmt.Sprintf("reseeded after %d draws, past the first batch", n))
 
-		// And through *rand.Rand, as the reservoir holds it.
+		// And through *rand.Rand, which re-seeds the same Source.
 		r, fresh := NewRand(99), NewRand(4242)
 		for i := 0; i < n; i++ {
 			r.Int63n(int64(i) + 70)
@@ -147,7 +150,7 @@ func TestSourceReseedRestartsStream(t *testing.T) {
 // each method starts from many register positions.
 func TestRandMethodsMatchMathRand(t *testing.T) {
 	for _, seed := range testSeeds()[:60] {
-		got, want := rand.New(newSource(seed)), rand.New(rand.NewSource(seed))
+		got, want := rand.New(NewSource(seed)), rand.New(rand.NewSource(seed))
 		gz, wz := rand.NewZipf(got, 1.2, 1, 99999), rand.NewZipf(want, 1.2, 1, 99999)
 		eq := func(what string, g, w any) {
 			t.Helper()
@@ -184,8 +187,25 @@ func TestRandMethodsMatchMathRand(t *testing.T) {
 
 var keptRand *rand.Rand // makes NewRand's result escape, as it does at every call site that stores it
 
+// allocated is testing.AllocsPerRun that also reports heap bytes: the
+// allocations and bytes of one call of f, averaged over runs and
+// truncated.
+func allocated(runs int, f func()) (allocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
 // TestNewRandIsTheSource pins what NewRand hands out: the stream of
-// rand.New(rand.NewSource(seed)), in the same two allocations.
+// rand.New(rand.NewSource(seed)), in two small allocations (the Source
+// and the Rand) through the first batch of draws, and a third, the
+// register, from the draw after it.
 func TestNewRandIsTheSource(t *testing.T) {
 	for _, seed := range edgeSeeds {
 		got, want := NewRand(seed), rand.New(rand.NewSource(seed))
@@ -195,21 +215,71 @@ func TestNewRandIsTheSource(t *testing.T) {
 			}
 		}
 	}
-	if n := int(testing.AllocsPerRun(100, func() { keptRand = NewRand(5); keptRand.Int63() })); n != 2 {
-		t.Errorf("NewRand + 1 draw: %v allocations, want 2 (source, Rand)", n)
+	draw := func(n int) func() {
+		return func() {
+			keptRand = NewRand(5)
+			for i := 0; i < n; i++ {
+				keptRand.Int63()
+			}
+		}
+	}
+	if n, b := allocated(100, draw(rngBatch)); n != 2 || b >= 256 {
+		t.Errorf("NewRand + %d draws: %v allocations of %v B, want 2 (Source, Rand) under 256 B", rngBatch, n, b)
+	}
+	if n, b := allocated(100, draw(rngBatch+1)); n != 3 || b < 8*rngLen {
+		t.Errorf("NewRand + %d draws: %v allocations of %v B, want 3 (Source, Rand, register)", rngBatch+1, n, b)
 	}
 }
 
+// TestSourceFloat64MatchesRand holds Source.Float64 to
+// (*rand.Rand).Float64 over math/rand's own source, bit for bit.
+func TestSourceFloat64MatchesRand(t *testing.T) {
+	for _, seed := range testSeeds() {
+		got, want := NewSource(seed), rand.New(rand.NewSource(seed))
+		for i := 1; i <= 2000; i++ {
+			if g, w := got.Float64(), want.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d draw %d: Float64 = %v, math/rand %v", seed, i, g, w)
+			}
+		}
+	}
+}
+
+// TestSourceInt63nMatchesRand holds Source.Int63n to
+// (*rand.Rand).Int63n over math/rand's own source: powers of two,
+// which mask, and bounds whose rejection zone is nearly half the range,
+// as well as the growing counts a stream reservoir draws with.
+func TestSourceInt63nMatchesRand(t *testing.T) {
+	bounds := []int64{1, 2, 3, 7, 1 << 20, 1<<40 + 3, 1 << 62, 1<<62 + 1, 3 << 61, math.MaxInt64}
+	for _, seed := range testSeeds()[:80] {
+		got, want := NewSource(seed), rand.New(rand.NewSource(seed))
+		for i := 1; i <= 1000; i++ {
+			n := int64(i) + 8
+			if i%3 == 0 {
+				n = bounds[i%len(bounds)]
+			}
+			if g, w := got.Int63n(n), want.Int63n(n); g != w {
+				t.Fatalf("seed %d draw %d: Int63n(%d) = %d, math/rand %d", seed, i, n, g, w)
+			}
+		}
+	}
+}
+
+// FuzzSourceMatchesMathRand draws draws values, re-seeds and draws
+// again. Its seed corpus stops on both sides of each change of state:
+// the register's allocation (16, 17), the first tap that an earlier
+// draw wrote (273, 274) and the end of the lazy pass (334, 335).
 func FuzzSourceMatchesMathRand(f *testing.F) {
 	for i, seed := range edgeSeeds {
 		f.Add(seed, uint16(i*97), edgeSeeds[len(edgeSeeds)-1-i])
 	}
-	f.Add(int64(1), uint16(334), int64(7))
+	for i, draws := range []uint16{0, 1, rngBatch, rngBatch + 1, rngTap, rngTap + 1, rngFeed, rngFeed + 1} {
+		f.Add(int64(i)+1, draws, int64(draws)+7)
+	}
 	f.Add(int64(7), uint16(65535), int64(1))
 	f.Fuzz(func(t *testing.T, seed int64, draws uint16, reseed int64) {
-		s := newSource(seed)
-		sameDraws(t, s, mathRand(seed), int(draws)+1, fmt.Sprint("seed ", seed))
+		s := NewSource(seed)
+		sameDraws(t, s, mathRand(seed), int(draws), fmt.Sprint("seed ", seed))
 		s.Seed(reseed)
-		sameDraws(t, s, mathRand(reseed), int(draws)%1300+1, fmt.Sprintf("seed %d reseeded to %d after %d draws", seed, reseed, int(draws)+1))
+		sameDraws(t, s, mathRand(reseed), int(draws)%1300+1, fmt.Sprintf("seed %d reseeded to %d after %d draws", seed, reseed, draws))
 	})
 }

@@ -1,6 +1,6 @@
 package stats
 
-// source is math/rand's generator — the additive lagged-Fibonacci
+// Source is math/rand's generator — the additive lagged-Fibonacci
 // register x[n] = x[n-607] + x[n-273] over 607 int64 words, each word
 // seeded from three values of the Lehmer chain x -> 48271·x mod
 // (2^31-1) and XORed with rngCooked — and yields, for every seed, the
@@ -8,10 +8,13 @@ package stats
 // register is filled. Chain value k is 48271^k·x0 mod M, so every word
 // is an independent function of the seed (lehmerPow): Seed keeps just
 // the seed, and a word is built when a draw is about to touch it for
-// the first time. A source never drawn builds nothing, one drawn once
-// 2·rngBatch of the 607 words. DESIGN.md, "The per-block sampling RNG".
-type source struct {
-	vec [rngLen]int64
+// the first time. The first rngBatch draws read words no draw has
+// written, so they are sums of words computed on the spot and the
+// register itself is allocated only by the draw after them. A source
+// never drawn builds nothing, one drawn 16 times 32 words and no
+// register. DESIGN.md, "The per-block sampling RNG".
+type Source struct {
+	vec *[rngLen]int64 // nil until a draw goes past the first batch
 	// A draw steps tap and feed down one word, wrapping at 0, then adds
 	// vec[tap] into vec[feed] and returns the sum: math/rand's loop.
 	tap, feed int
@@ -58,7 +61,19 @@ func lehmerMul(a, b uint64) uint64 {
 	return p&lehmerM + p>>31
 }
 
-func (s *source) Seed(seed int64) {
+// NewSource returns a Source seeded with seed: the stream of
+// rand.NewSource(seed), for callers that draw only Int63, Int63n,
+// Uint64 or Float64 and so need no *rand.Rand around it.
+func NewSource(seed int64) *Source {
+	s := new(Source)
+	s.Seed(seed)
+	return s
+}
+
+// Seed restarts the source on seed's stream. A register an earlier
+// draw allocated is kept; fill rebuilds each of its words before a
+// draw reads it.
+func (s *Source) Seed(seed int64) {
 	seed %= lehmerM
 	if seed < 0 {
 		seed += lehmerM
@@ -71,17 +86,18 @@ func (s *source) Seed(seed int64) {
 }
 
 //approx:hotpath
-func (s *source) Uint64() uint64 {
+func (s *Source) Uint64() uint64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
 	}
 	s.feed--
 	if s.feed < s.low {
-		s.fill()
+		return uint64(s.slow())
 	}
-	x := s.vec[s.feed] + s.vec[s.tap]
-	s.vec[s.feed] = x
+	v := s.vec
+	x := v[s.feed] + v[s.tap]
+	v[s.feed] = x
 	return uint64(x)
 }
 
@@ -90,46 +106,108 @@ func (s *source) Uint64() uint64 {
 // costs 0.8 ns of a 3 ns draw.
 //
 //approx:hotpath
-func (s *source) Int63() int64 {
+func (s *Source) Int63() int64 {
 	s.tap--
 	if s.tap < 0 {
 		s.tap += rngLen
 	}
 	s.feed--
 	if s.feed < s.low {
-		s.fill()
+		return s.slow() & (1<<63 - 1)
 	}
+	v := s.vec
+	x := v[s.feed] + v[s.tap]
+	v[s.feed] = x
+	return x & (1<<63 - 1)
+}
+
+// Float64 returns what (*rand.Rand).Float64 returns over this source:
+// Int63 scaled to [0, 1), drawn again in the rare case the scaling
+// rounds up to 1.
+//
+//approx:hotpath
+func (s *Source) Float64() float64 {
+	for {
+		if f := float64(s.Int63()) / (1 << 63); f < 1 {
+			return f
+		}
+	}
+}
+
+// Int63n returns what (*rand.Rand).Int63n(n) returns over this source
+// for n > 0: Int63 masked when n is a power of two, else Int63 drawn
+// until it falls below the largest multiple of n, modulo n.
+func (s *Source) Int63n(n int64) int64 {
+	if n&(n-1) == 0 {
+		return s.Int63() & (n - 1)
+	}
+	limit := int64(1<<63 - 1 - (1<<63)%uint64(n))
+	v := s.Int63()
+	for v > limit {
+		v = s.Int63()
+	}
+	return v % n
+}
+
+// slow makes the draw whose feed has stepped below low. Until the
+// register exists, a draw of the first batch reads two words no draw
+// has written, and returns their sum straight from the seed. The draw
+// after that batch allocates the register, builds the batch's words
+// into it and replays the batch's adds; from there fill keeps the
+// built words ahead of feed.
+func (s *Source) slow() int64 {
+	if s.vec == nil {
+		if s.feed >= rngFeed-rngBatch {
+			return s.word(s.feed) + s.word(s.tap)
+		}
+		s.vec = new([rngLen]int64)
+		s.fill()
+		for f, t := rngFeed-1, rngLen-1; f >= s.low; f, t = f-1, t-1 {
+			s.vec[f] += s.vec[t]
+		}
+	}
+	s.fill()
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x
-	return x & (1<<63 - 1)
+	return x
 }
 
 // fill runs when feed has stepped below low. With every word built that
 // is feed wrapping. Before, it builds the next batch: the feed words
 // below low, and their taps 273 above — from 334 up, that is; a tap
 // below 334 was an earlier draw's feed.
-func (s *source) fill() {
+func (s *Source) fill() {
 	if s.low == 0 {
 		s.feed += rngLen
 		return
 	}
 	hi := s.low
 	s.low = max(hi-rngBatch, 0)
-	s.build(s.low, hi)
-	s.build(max(s.low+rngTap, rngFeed), hi+rngTap)
+	s.build(s.vec[s.low:hi], s.low)
+	if tap, end := max(s.low+rngTap, rngFeed), hi+rngTap; tap < end {
+		s.build(s.vec[tap:end], tap)
+	}
 }
 
-// build fills vec[lo:hi] with the words math/rand's Seed puts there:
-// three consecutive chain values, 20 bits apart, XOR rngCooked.
+// word returns word i as math/rand's Seed leaves it.
+func (s *Source) word(i int) int64 {
+	var w [1]int64
+	s.build(w[:], i)
+	return w[0]
+}
+
+// build sets dst to words lo, lo+1, ... as math/rand's Seed leaves
+// them: three consecutive chain values, 20 bits apart, XOR rngCooked.
 //
 //approx:hotpath
-func (s *source) build(lo, hi int) {
-	for i := lo; i < hi; i++ {
+func (s *Source) build(dst []int64, lo int) {
+	for k := range dst {
+		i := lo + k
 		x := lehmerMul(uint64(lehmerPow[i]), uint64(s.seed))
 		u := int64(x) << 40
 		x = lehmerMul(x, lehmerA)
 		u ^= int64(x) << 20
 		x = lehmerMul(x, lehmerA)
-		s.vec[i] = u ^ int64(x) ^ rngCooked[i]
+		dst[k] = u ^ int64(x) ^ rngCooked[i]
 	}
 }

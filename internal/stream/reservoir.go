@@ -5,11 +5,7 @@
 // stream's arrival order, since one goroutine folds every record.
 package stream
 
-import (
-	"math/rand"
-
-	"approxhadoop/internal/stats"
-)
+import "approxhadoop/internal/stats"
 
 // reservoir is Waterman's Algorithm R: the first cap records are
 // admitted outright, record i > cap replaces a uniform slot with
@@ -19,7 +15,7 @@ import (
 type reservoir struct {
 	cap  int
 	seed int64
-	rng  *rand.Rand // made by the first record past cap; most strata never get there
+	rng  *stats.Source // made by the first record past cap; most strata never get there
 	vals []float64
 	seen int64
 }
@@ -53,9 +49,9 @@ func (r *reservoir) admit() int {
 	if r.seen == int64(r.cap)+1 {
 		// The first draw. Re-seeding a source left by an earlier
 		// stratum is O(1) and restarts it on the stream a new one would
-		// yield (stats.NewRand).
+		// yield (stats.NewSource).
 		if r.rng == nil {
-			r.rng = stats.NewRand(r.seed)
+			r.rng = stats.NewSource(r.seed)
 		} else {
 			r.rng.Seed(r.seed)
 		}

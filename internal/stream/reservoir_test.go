@@ -50,7 +50,8 @@ func TestReservoirDefersSource(t *testing.T) {
 
 	// An under-capacity stratum allocates the reservoir and its value
 	// slice as it grows (1, 2, 4, 8 floats); the record that overflows
-	// it adds the source's register and the *rand.Rand, nothing sooner.
+	// it adds the source, nothing sooner, and the source adds its
+	// register only at its 17th draw.
 	var kept *reservoir
 	offer := func(n int) func() {
 		return func() {
@@ -60,8 +61,9 @@ func TestReservoirDefersSource(t *testing.T) {
 			}
 		}
 	}
-	if under, over := int(testing.AllocsPerRun(100, offer(8))), int(testing.AllocsPerRun(100, offer(9))); under != 5 || over != 7 {
-		t.Errorf("allocations per stratum: %v at capacity, %v one past it; want 5 and 7", under, over)
+	under, over, drawn := int(testing.AllocsPerRun(100, offer(8))), int(testing.AllocsPerRun(100, offer(9))), int(testing.AllocsPerRun(100, offer(8+17)))
+	if under != 5 || over != 6 || drawn != 7 {
+		t.Errorf("allocations per stratum: %v at capacity, %v one past it, %v seventeen past it; want 5, 6 and 7", under, over, drawn)
 	}
 
 	// A reservoir a closed window left behind is reset, not rebuilt: it

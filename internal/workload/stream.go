@@ -92,7 +92,7 @@ func StreamFrom(f *dfs.File, opt StreamOptions) *LogStream {
 // return ErrStop to end the stream cleanly; any other error aborts
 // Run and is returned as-is.
 func (s *LogStream) Run(fn func(t float64, line []byte) error) error {
-	rng := stats.NewRand(s.opt.Seed)
+	rng := stats.NewSource(s.opt.Seed)
 	t := s.opt.Start
 	var carry []byte
 	for _, b := range s.file.Blocks {

@@ -24,12 +24,17 @@
 //	                                 # converge to the final result, and the
 //	                                 # final matches a direct local run
 //
-// Transient failures retry with seeded exponential backoff (-retries,
-// -retry-seed): GETs and cancels always, submissions only when they
-// carry an idempotency key (-key) — a keyed retry can never double-run
-// a job, even across a daemon crash and restart, because approxd
-// journals the key with the spec. Interrupted streams reconnect and
-// resume from the last seen sequence number.
+// Transient failures (connection errors, 429, 503) retry with seeded
+// exponential backoff (-retries, -retry-seed), never waiting less than
+// the server's Retry-After. GETs, cancels and submissions that carry an
+// idempotency key (-key) retry all three — a keyed retry can never
+// double-run a job, even across a daemon crash and restart, because
+// approxd journals the key with the spec. An unkeyed submission retries
+// a 429 alone: approxd sends it before admitting anything, while a 503
+// may come from a request timeout after the job was admitted.
+// Interrupted streams reconnect and resume from the last seen sequence
+// number. loadgen runs on the same client, so its bounces follow the
+// same budget and honour Retry-After.
 //
 // smoke and verify exit nonzero on any divergence; CI runs them
 // against freshly started (and, for the chaos job, kill -9'd and
@@ -37,18 +42,12 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"reflect"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -104,155 +103,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "approxctl: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// client is a JSON-over-HTTP wrapper around the approxd API with
-// seeded-backoff retries for transient failures.
-type client struct {
-	base    string
-	retries int
-
-	// rng drives backoff jitter; loadgen/smoke retry from many
-	// goroutines, so draws are mutex-guarded.
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// apiError is the daemon's {"error": ...} payload with its HTTP status
-// and any Retry-After hint.
-type apiError struct {
-	Code       int
-	Msg        string
-	RetryAfter time.Duration
-}
-
-func (e *apiError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.Code, e.Msg) }
-
-// drainClose discards a response's unread body and closes it, so the
-// keep-alive connection is reusable. Errors are reported to stderr —
-// there is no caller decision to change, but they should not vanish.
-// The drain is bounded: error paths may abandon a still-streaming body,
-// and reading it to completion could mean waiting out the whole job.
-func drainClose(resp *http.Response) {
-	if _, err := io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20)); err != nil {
-		fmt.Fprintf(os.Stderr, "approxctl: draining response body: %v\n", err)
-	}
-	if err := resp.Body.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "approxctl: closing response body: %v\n", err)
-	}
-}
-
-// retriable reports whether err is worth retrying: connection-level
-// failures (the daemon may be mid-restart) and explicit backpressure
-// (429 queue-full, 503 draining), never other API errors — a 400 or
-// 404 will not improve with patience.
-func retriable(err error) bool {
-	var ae *apiError
-	if errors.As(err, &ae) {
-		return ae.Code == http.StatusTooManyRequests || ae.Code == http.StatusServiceUnavailable
-	}
-	return err != nil
-}
-
-// backoff returns the pause before retry `attempt`: exponential from
-// 50 ms capped at 2 s, scaled by seeded jitter in [0.5, 1.0], and
-// floored by any server-provided Retry-After.
-func (c *client) backoff(attempt int, err error) time.Duration {
-	d := 50 * time.Millisecond
-	for i := 0; i < attempt && d < 2*time.Second; i++ {
-		d *= 2
-	}
-	if d > 2*time.Second {
-		d = 2 * time.Second
-	}
-	c.mu.Lock()
-	jitter := 0.5 + 0.5*c.rng.Float64()
-	c.mu.Unlock()
-	d = time.Duration(float64(d) * jitter)
-	var ae *apiError
-	if errors.As(err, &ae) && ae.RetryAfter > d {
-		d = ae.RetryAfter
-	}
-	return d
-}
-
-func (c *client) do(method, path string, in, out any) error {
-	// GETs and DELETEs (cancel) are idempotent by construction; POSTs
-	// must opt in via doRetriable.
-	return c.doRetry(method, path, in, out, method != http.MethodPost)
-}
-
-func (c *client) doRetry(method, path string, in, out any, canRetry bool) error {
-	for attempt := 0; ; attempt++ {
-		err := c.doOnce(method, path, in, out)
-		if err == nil || !canRetry || attempt >= c.retries || !retriable(err) {
-			return err
-		}
-		time.Sleep(c.backoff(attempt, err))
-	}
-}
-
-func (c *client) doOnce(method, path string, in, out any) error {
-	var body io.Reader
-	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
-			return err
-		}
-		body = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequest(method, c.base+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp)
-	if resp.StatusCode >= 400 {
-		return apiErrorFrom(resp)
-	}
-	if out != nil {
-		return json.NewDecoder(resp.Body).Decode(out)
-	}
-	return nil
-}
-
-// apiErrorFrom builds an apiError from an error response, tolerating
-// non-JSON bodies (a bare status code is an acceptable fallback).
-func apiErrorFrom(resp *http.Response) *apiError {
-	ae := &apiError{Code: resp.StatusCode}
-	var msg struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&msg); err == nil {
-		ae.Msg = msg.Error
-	}
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-		ae.RetryAfter = time.Duration(secs) * time.Second
-	}
-	return ae
-}
-
-func (c *client) get(path string, out any) error { return c.do(http.MethodGet, path, nil, out) }
-func (c *client) post(path string, in, out any) error {
-	return c.do(http.MethodPost, path, in, out)
-}
-
-// submit POSTs one spec. Keyed submissions retry freely — the daemon
-// deduplicates by the journaled idempotency key, so a retry that races
-// a crash can at worst be answered with the original job's id.
-func (c *client) submit(spec jobserver.JobSpec) (id string, held int, err error) {
-	var resp struct {
-		ID   string `json:"id"`
-		Held int    `json:"held"`
-	}
-	err = c.doRetry(http.MethodPost, "/v1/jobs", spec, &resp, spec.IdempotencyKey != "")
-	return resp.ID, resp.Held, err
 }
 
 // specFlags registers the JobSpec surface on fs and returns a builder.
@@ -434,85 +284,6 @@ func cmdCancel(c *client, args []string) error {
 	return nil
 }
 
-// callerErr wraps an error returned by a stream callback, so the
-// reconnect loop can tell "the caller aborted" from "the transport
-// died" — only the latter is retried.
-type callerErr struct{ err error }
-
-func (e callerErr) Error() string { return e.err.Error() }
-
-// streamFrames follows a job's JSONL stream, invoking fn per frame.
-// A dropped connection — including a daemon crash-and-restart, where
-// the recovered job re-emits the same deterministic snapshots —
-// reconnects with ?from=<lastSeq+1> and resumes without duplicating
-// frames. Any frame of progress refills the retry budget.
-func (c *client) streamFrames(id string, fn func(*wire.JobFrame) error) error {
-	return c.streamLoop(id, false, fn)
-}
-
-// streamFramesBinary is streamFrames over the negotiated binary frame
-// format — same resume contract, length-prefixed frames instead of
-// JSON lines.
-func (c *client) streamFramesBinary(id string, fn func(*wire.JobFrame) error) error {
-	return c.streamLoop(id, true, fn)
-}
-
-func (c *client) streamLoop(id string, binary bool, fn func(*wire.JobFrame) error) error {
-	last := -1 // highest Seq seen
-	sawTerminal := false
-	for attempt := 0; ; attempt++ {
-		err := c.streamOnce(id, last+1, binary, func(f *wire.JobFrame) error {
-			if f.Seq > last {
-				last = f.Seq
-			}
-			if jobserver.JobStatus(f.Status).Terminal() {
-				sawTerminal = true
-			}
-			attempt = 0
-			if err := fn(f); err != nil {
-				return callerErr{err}
-			}
-			return nil
-		})
-		var ce callerErr
-		if errors.As(err, &ce) {
-			return ce.err
-		}
-		if err == nil {
-			if sawTerminal {
-				return nil
-			}
-			// A clean EOF without a terminal frame is a truncated
-			// stream (e.g. the server died between frames); resume.
-			err = fmt.Errorf("stream for %s ended before a terminal frame", id)
-		}
-		if attempt >= c.retries || !retriable(err) {
-			return err
-		}
-		time.Sleep(c.backoff(attempt, err))
-	}
-}
-
-// streamOnce runs one connection's worth of frames through fn.
-func (c *client) streamOnce(id string, from int, binary bool, fn func(*wire.JobFrame) error) error {
-	req, err := http.NewRequest(http.MethodGet, c.base+"/v1/jobs/"+id+"/stream?from="+strconv.Itoa(from), nil)
-	if err != nil {
-		return err
-	}
-	if binary {
-		req.Header.Set("Accept", wire.ContentType)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return apiErrorFrom(resp)
-	}
-	return wire.ReadJobFrames(resp.Body, binary, fn)
-}
-
 func cmdWatch(c *client, args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	wireFmt := fs.Bool("wire", false, "negotiate the binary frame format instead of JSONL")
@@ -521,11 +292,7 @@ func cmdWatch(c *client, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: approxctl watch [-wire] <id>")
 	}
-	follow := c.streamFrames
-	if *wireFmt {
-		follow = c.streamFramesBinary
-	}
-	return follow(fs.Arg(0), func(f *wire.JobFrame) error {
+	return c.streamLoop(fs.Arg(0), *wireFmt, func(f *wire.JobFrame) error {
 		// One line per snapshot: worst relative CI across keys, so the
 		// narrowing is visible at a glance.
 		worst := 0.0
@@ -603,75 +370,6 @@ func cmdReplay(c *client, args []string) error {
 	return nil
 }
 
-// cmdLoadgen drives the daemon with a closed-loop benchmark: -clients
-// concurrent loops each run submit -> observe-terminal -> next until
-// -n ops complete, and the report carries sustained QPS plus submit
-// and completion latency percentiles. -watch follows each job's
-// snapshot stream instead of polling (-wire negotiates the binary
-// frame format); -max-p99 turns the run into a pass/fail gate for CI.
-func cmdLoadgen(c *client, args []string) error {
-	fs := flag.NewFlagSet("loadgen", flag.ExitOnError)
-	n := fs.Int("n", 20, "total jobs to pull through the closed loop")
-	clients := fs.Int("clients", 4, "concurrent closed-loop clients")
-	seed := fs.Int64("seed", 42, "spec sequence seed")
-	tenants := fs.Int("tenants", 8, "distinct tenant identities (placement keys)")
-	watch := fs.Bool("watch", false, "follow each job's snapshot stream to its terminal frame")
-	wireFmt := fs.Bool("wire", false, "with -watch: negotiate the binary frame format")
-	maxP99 := fs.Float64("max-p99", 0, "fail if completion p99 exceeds this many ms (0 = report only)")
-	timeout := fs.Duration("timeout", time.Minute, "wall-clock budget per op")
-	//lint:ignore errcheck ExitOnError flag sets never return an error
-	_ = fs.Parse(args)
-
-	rep := jobserver.RunClosedLoop(jobserver.LoadConfig{
-		Base:    c.base,
-		Clients: *clients,
-		Ops:     *n,
-		Seed:    *seed,
-		Tenants: *tenants,
-		Watch:   *watch,
-		Binary:  *wireFmt,
-		Timeout: *timeout,
-	})
-	fmt.Printf("loadgen: %d ops, %d clients, %.2f s wall, %.1f ops/s\n",
-		rep.Ops, rep.Clients, rep.WallSecs, rep.QPS)
-	fmt.Printf("  submit   p50 %.1f ms  p95 %.1f ms  p99 %.1f ms  max %.1f ms\n",
-		rep.SubmitP50, rep.SubmitP95, rep.SubmitP99, rep.SubmitMax)
-	fmt.Printf("  complete p50 %.1f ms  p95 %.1f ms  p99 %.1f ms  max %.1f ms\n",
-		rep.CompleteP50, rep.CompleteP95, rep.CompleteP99, rep.CompleteMax)
-	if rep.Frames > 0 {
-		fmt.Printf("  streamed %d frames, %d bytes\n", rep.Frames, rep.StreamBytes)
-	}
-	if rep.Rejected > 0 {
-		fmt.Printf("  %d submissions bounced (429/503) and were retried\n", rep.Rejected)
-	}
-	if rep.Errors > 0 {
-		return fmt.Errorf("loadgen: %d of %d ops failed", rep.Errors, rep.Errors+rep.Ops)
-	}
-	if rep.Ops == 0 {
-		return errors.New("loadgen: no ops completed")
-	}
-	if *maxP99 > 0 && rep.CompleteP99 > *maxP99 {
-		return fmt.Errorf("loadgen: completion p99 %.1f ms exceeds bound %.1f ms", rep.CompleteP99, *maxP99)
-	}
-	return nil
-}
-
-func (c *client) waitTerminal(id string, deadline time.Time) (jobserver.WireState, error) {
-	for {
-		var st jobserver.WireState
-		if err := c.get("/v1/jobs/"+id, &st); err != nil {
-			return st, err
-		}
-		if st.Status.Terminal() {
-			return st, nil
-		}
-		if time.Now().After(deadline) {
-			return st, fmt.Errorf("job %s still %s at deadline", id, st.Status)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
 // cmdSmoke is the end-to-end service check CI runs against a live
 // daemon: submit the trace concurrently, follow every job's stream,
 // and require (a) the last streamed frame to be final and bitwise
@@ -732,7 +430,7 @@ func cmdSmoke(c *client, args []string) error {
 		// (a) The stream must converge to the final result: frames in
 		// order, CI-bearing snapshots first, last frame final and equal.
 		var frames []*wire.JobFrame
-		if err := c.streamFrames(id, func(f *wire.JobFrame) error {
+		if err := c.streamLoop(id, false, func(f *wire.JobFrame) error {
 			frames = append(frames, f)
 			return nil
 		}); err != nil {

@@ -181,22 +181,3 @@ func (d *Daemon) Release() (states []JobState, err error) {
 	d.hmu.Unlock()
 	return d.fleet.Replay(specs)
 }
-
-// Replay runs a whole trace across the fleet and returns the final
-// states in sorted-trace order. Concurrent live submissions queue
-// behind each shard's share.
-func (d *Daemon) Replay(specs []JobSpec) (states []JobState, err error) {
-	return d.fleet.Replay(specs)
-}
-
-// Stats samples fleet-aggregate counters, each shard on its own driver
-// goroutine, so the engine fields (virtual time, energy) are read
-// between engine events rather than racing the simulations.
-func (d *Daemon) Stats() (Stats, error) {
-	return d.fleet.Stats()
-}
-
-// Cancel aborts a job on its owning shard's driver goroutine.
-func (d *Daemon) Cancel(id string) error {
-	return d.fleet.Cancel(id)
-}

@@ -248,7 +248,7 @@ func (d *Daemon) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleCancel(w http.ResponseWriter, r *http.Request) {
-	if err := d.Cancel(r.PathValue("id")); err != nil {
+	if err := d.fleet.Cancel(r.PathValue("id")); err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
@@ -387,7 +387,7 @@ func (d *Daemon) handleReplay(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad trace: %w", err))
 		return
 	}
-	states, err := d.Replay(specs)
+	states, err := d.fleet.Replay(specs)
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return
@@ -405,7 +405,7 @@ func (d *Daemon) handleRelease(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (d *Daemon) handleStats(w http.ResponseWriter, _ *http.Request) {
-	st, err := d.Stats()
+	st, err := d.fleet.Stats()
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return

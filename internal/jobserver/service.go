@@ -822,7 +822,7 @@ type Stats struct {
 
 // Stats reports current service counters. The engine fields (virtual
 // time, energy) are only consistent when sampled on the goroutine
-// driving the engine — Daemon.Stats routes there; the mu-guarded
+// driving the engine — Fleet.Stats routes there; the mu-guarded
 // counters are exact from anywhere.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()

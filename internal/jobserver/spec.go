@@ -216,8 +216,8 @@ func (s JobSpec) PlacementKey() string {
 // GenerateTrace builds a seeded submission trace of n jobs: a
 // deterministic mix of catalog apps, weights, approximation modes, and
 // staggered virtual submission times. The same (n, seed) always yields
-// the same trace, which is what the byte-identical replay tests and
-// the approxctl load generator run.
+// the same trace, which is what the byte-identical replay tests,
+// approxctl replay and approxctl smoke run.
 //
 // Traces use only precise and ratio specs: their per-job
 // outputs depend only on (spec, seed) — drops are the tail of the
@@ -251,6 +251,27 @@ func GenerateTrace(n int, seed int64) []JobSpec {
 		specs = append(specs, spec)
 	}
 	return specs
+}
+
+// LoadSpec is the op'th generated job: small (so the loop turns over
+// quickly), deterministic in (seed, op), and tenant-labeled so a
+// sharded daemon spreads the load by placement key. approxctl loadgen
+// pulls these through its closed loop; the layered benchmark's service
+// workload submits them too.
+func LoadSpec(seed int64, op, tenants int) JobSpec {
+	if tenants <= 0 {
+		tenants = 8
+	}
+	spec := JobSpec{
+		Name:          fmt.Sprintf("load-%04d", op),
+		App:           traceApps[op%len(traceApps)],
+		Blocks:        12,
+		LinesPerBlock: 80,
+		Seed:          seed*1009 + int64(op),
+		Tenant:        fmt.Sprintf("tenant-%02d", op%tenants),
+		Approximation: approx.Approximation{SampleRatio: 0.25},
+	}
+	return spec
 }
 
 // SortTrace orders specs for deterministic replay: by SubmitAt, then

@@ -180,13 +180,12 @@ func (c *client) post(path string, in, out any) error {
 // submit POSTs one spec. Keyed submissions retry freely — the daemon
 // deduplicates by the journaled idempotency key, so a retry that races
 // a crash can at worst be answered with the original job's id.
-func (c *client) submit(spec jobserver.JobSpec) (id string, held int, err error) {
+func (c *client) submit(spec jobserver.JobSpec) (string, error) {
 	var resp struct {
-		ID   string `json:"id"`
-		Held int    `json:"held"`
+		ID string `json:"id"`
 	}
-	err = c.doRetry(http.MethodPost, "/v1/jobs", spec, &resp, spec.IdempotencyKey != "")
-	return resp.ID, resp.Held, err
+	err := c.doRetry(http.MethodPost, "/v1/jobs", spec, &resp, spec.IdempotencyKey != "")
+	return resp.ID, err
 }
 
 // waitTerminal polls a job's state every 2 ms until it is terminal or

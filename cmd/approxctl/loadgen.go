@@ -60,7 +60,7 @@ func (lg loadgen) run(c *client) loadReport {
 					return
 				}
 				t0 := time.Now()
-				id, _, err := c.submit(jobserver.LoadSpec(lg.seed, op, lg.tenants))
+				id, err := c.submit(jobserver.LoadSpec(lg.seed, op, lg.tenants))
 				submitted, submit := err == nil, msSince(t0)
 				frames := 0
 				if submitted {

@@ -5,7 +5,7 @@
 //
 //	approxctl [-addr URL] <command> [flags]
 //
-//	approxctl submit -app total-size -sample 0.25
+//	approxctl submit -app total-size -sample 0.25   # prints the id once admitted
 //	approxctl submit -app page-popularity -target 0.05 -pilot
 //	approxctl submit -app clients -deadline 30 -best-effort
 //	approxctl submit -app clients -key billing-2026-08  # idempotent submit
@@ -130,13 +130,9 @@ func cmdSubmit(c *client, args []string) error {
 	spec := specFlags(fs)
 	//lint:ignore errcheck ExitOnError flag sets never return an error
 	_ = fs.Parse(args)
-	id, held, err := c.submit(spec())
+	id, err := c.submit(spec())
 	if err != nil {
 		return err
-	}
-	if id == "" {
-		fmt.Printf("held (%d parked; POST /v1/release to run)\n", held)
-		return nil
 	}
 	fmt.Println(id)
 	return nil
@@ -396,7 +392,7 @@ func cmdSmoke(c *client, args []string) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			id, _, err := c.submit(spec)
+			id, err := c.submit(spec)
 			if err != nil {
 				mu.Lock()
 				submitErr = fmt.Errorf("submit %s: %w", spec.Name, err)

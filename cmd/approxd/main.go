@@ -29,8 +29,6 @@
 //	approxd -journal /var/lib/approxd/wal.jsonl
 //	approxd -shards 4 -tenant-quota 4        # 4-engine fleet, <=4 in-flight
 //	                                         # jobs per tenant
-//	approxd -hold                            # park submissions; POST /v1/release replays
-//	                                         # the batch deterministically
 //
 // API (see internal/jobserver):
 //
@@ -43,7 +41,6 @@
 //	                              or binary frames with
 //	                              Accept: application/x-approx-frame)
 //	POST   /v1/replay             run a whole []JobSpec trace
-//	POST   /v1/release            release held submissions
 //	GET    /v1/stats              service counters
 //	GET    /healthz               liveness (503 after a journal failure)
 //	GET    /readyz                readiness (503 while draining)
@@ -69,7 +66,6 @@ func main() {
 		shards     = flag.Int("shards", 1, "engine-fleet size; jobs are placed by consistent hashing on tenant/key/name")
 		quota      = flag.Int("tenant-quota", 0, "max in-flight jobs per tenant across the fleet (0 = unlimited)")
 		maxLag     = flag.Int("max-lag", 0, "slow-subscriber drop threshold in frames (0 = default 256; negative disables dropping)")
-		hold       = flag.Bool("hold", false, "park submissions until POST /v1/release, then replay the sorted batch deterministically")
 		journal    = flag.String("journal", "", "write-ahead journal path; enables crash-safe recovery (empty = off; sharded daemons keep one segment per shard)")
 		grace      = flag.Duration("grace", 10*time.Second, "SIGTERM drain grace for running jobs")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request timeout for quick endpoints (negative disables)")
@@ -81,10 +77,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "approxd: %v\n", err)
 		os.Exit(2)
-	}
-	mode := "live"
-	if *hold {
-		mode = "hold"
 	}
 	err = jobserver.Serve(jobserver.ServeConfig{
 		Addr: *addr,
@@ -98,14 +90,13 @@ func main() {
 		},
 		Shards:         *shards,
 		MaxLag:         *maxLag,
-		Hold:           *hold,
 		JournalPath:    *journal,
 		Grace:          *grace,
 		RequestTimeout: *reqTimeout,
 		MaxBody:        *maxBody,
 		OnReady: func(addr string, _ *jobserver.Daemon) {
-			fmt.Fprintf(os.Stderr, "approxd: serving on %s (policy %s, %s mode, %d shard(s), %d active / %d queued max per shard)\n",
-				addr, pol, mode, max(*shards, 1), *maxActive, *maxQueue)
+			fmt.Fprintf(os.Stderr, "approxd: serving on %s (policy %s, %d shard(s), %d active / %d queued max per shard)\n",
+				addr, pol, max(*shards, 1), *maxActive, *maxQueue)
 		},
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "approxd: "+format+"\n", args...)

@@ -180,18 +180,6 @@ func (f *Facts) Graph() *CallGraph {
 // source in the loaded program (an external function).
 func (f *Facts) DeclOf(fn *types.Func) *FuncInfo { return f.Funcs[fn] }
 
-// PackageRoots returns the compute roots declared in pkg, in source
-// order.
-func (f *Facts) PackageRoots(pkg *types.Package) []*types.Func {
-	var out []*types.Func
-	for _, r := range f.ComputeRoots {
-		if r.Pkg() == pkg {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // calleeStatic resolves a call expression to the *types.Func it
 // statically invokes: a plain function, a qualified pkg.Func, or a
 // method (devirtualized when the receiver is concrete). It returns nil

@@ -17,15 +17,13 @@ var ErrClosed = errors.New("jobserver: daemon stopped")
 // network, and the shards run genuinely in parallel — a single daemon
 // process scales across cores by adding shards, not threads per engine.
 //
-// Two submission modes exist. Live mode admits each job at whatever
-// virtual instant its request reaches its shard's driver — the natural
-// behavior for an interactive service, but wall-clock arrival order
-// leaks into the timeline. Hold mode instead parks submissions in a
-// buffer; Release sorts them by (SubmitAt, Name) and replays the
-// batch on the virtual clocks, so N clients hammering the daemon
-// concurrently still produce byte-identical per-job results. The
-// /v1/replay endpoint is the one-request equivalent for callers that
-// already hold the whole trace.
+// A job is admitted one way: Fleet.Submit places it on its shard,
+// whose driver validates it, checks drain, queue depth and tenant
+// quota, and, when journaled, fsyncs its submit record before the id
+// is returned. It starts at whatever virtual instant the request
+// reaches the driver, so wall-clock arrival order leaks into the
+// timeline; the /v1/replay endpoint runs a whole trace sorted by
+// (SubmitAt, Name) instead, byte-identical however it was gathered.
 type Daemon struct {
 	fleet *Fleet
 	// streams is the continuous-query registry. Streams live outside
@@ -44,26 +42,20 @@ type Daemon struct {
 	RequestTimeout time.Duration
 	MaxBody        int64
 	MaxLag         int
-
-	// Hold-mode buffer, fleet-level: held specs are not yet placed on
-	// any shard — Release routes the whole sorted batch at once.
-	hmu     sync.Mutex
-	holding bool
-	held    []JobSpec
 }
 
 // NewFleetDaemon starts one driver goroutine per service — one service
 // is the standalone daemon, still the default; several come from New
 // over ShardConfigs. Services must be freshly built or recovered
 // (Recover run, no driver yet); svcs[0]'s config supplies the
-// fleet-wide knobs (stream registry sizing, tenant quota). hold enables
-// hold mode (see type comment).
-func NewFleetDaemon(svcs []*Service, hold bool) *Daemon {
+// fleet-wide knobs (stream registry sizing, tenant quota). The bool is
+// ignored: it is kept for bench/, and goes at ROADMAP item 7(e)'s
+// unfreeze (it was the removed hold mode's switch).
+func NewFleetDaemon(svcs []*Service, _ bool) *Daemon {
 	cfg := svcs[0].cfg
 	return &Daemon{
 		fleet:   NewFleet(svcs, cfg.TenantQuota),
 		streams: NewStreamSet(cfg.MaxActive),
-		holding: hold,
 	}
 }
 
@@ -153,31 +145,10 @@ func (d *Daemon) Drain(grace time.Duration) bool {
 	return finished
 }
 
-// Submit admits one job (live mode — placed on its shard and run
-// there) or parks it (hold mode, in which case the returned id is
-// empty and held is the buffer depth).
-func (d *Daemon) Submit(spec JobSpec) (id string, held int, err error) {
-	d.hmu.Lock()
-	if d.holding {
-		d.held = append(d.held, spec)
-		held = len(d.held)
-		d.hmu.Unlock()
-		return "", held, nil
-	}
-	d.hmu.Unlock()
+// Submit admits one job through Fleet.Submit. The middle result is
+// always 0: the signature is kept for bench/, and goes at ROADMAP item
+// 7(e)'s unfreeze (it was the removed hold mode's buffer depth).
+func (d *Daemon) Submit(spec JobSpec) (id string, _ int, err error) {
 	id, err = d.fleet.Submit(spec)
-	if err != nil {
-		return "", 0, err
-	}
-	return id, 0, nil
-}
-
-// Release replays the held submissions as one sorted batch and
-// returns their final states. Outside hold mode it is a no-op.
-func (d *Daemon) Release() (states []JobState, err error) {
-	d.hmu.Lock()
-	specs := d.held
-	d.held = nil
-	d.hmu.Unlock()
-	return d.fleet.Replay(specs)
+	return id, 0, err
 }

@@ -255,14 +255,6 @@ func (f *Fleet) Cancel(id string) error {
 // not live admission.
 func (f *Fleet) Replay(specs []JobSpec) ([]JobState, error) {
 	ordered := SortTrace(specs)
-	if len(f.shards) == 1 {
-		sh := f.shards[0]
-		var states []JobState
-		if err := sh.do(func() { states = sh.svc.Replay(ordered) }); err != nil {
-			return nil, err
-		}
-		return states, nil
-	}
 	parts := make([][]JobSpec, len(f.shards))
 	route := make([]int, len(ordered))
 	for i, spec := range ordered {

@@ -133,7 +133,7 @@ func TestFramesFromTerminalReplaysInFull(t *testing.T) {
 // ran — the fan-out itself performs zero wire encodes, and every
 // subscriber receives byte-identical payloads.
 func TestStreamEncodeOnceFanout(t *testing.T) {
-	_, ts := startDaemon(t, Config{SnapshotEvery: 2}, false)
+	_, ts := startDaemon(t, Config{SnapshotEvery: 2})
 	spec := JobSpec{Name: "mcast", App: "total-size", Blocks: 64, LinesPerBlock: 100, Seed: 4}
 	var idResp struct {
 		ID string `json:"id"`
@@ -200,7 +200,7 @@ func readBinaryStream(t *testing.T, base, id string) []byte {
 // proceed to completion anyway — the engine never writes to
 // subscriber sockets, and each handler blocks only its own goroutine.
 func TestSlowSubscriberDoesNotDelayOthers(t *testing.T) {
-	_, ts := startDaemon(t, Config{SnapshotEvery: 2}, false)
+	_, ts := startDaemon(t, Config{SnapshotEvery: 2})
 	spec := JobSpec{Name: "stuck-watcher", App: "clients", Blocks: 64, LinesPerBlock: 100, Seed: 9}
 	var idResp struct {
 		ID string `json:"id"`

@@ -140,7 +140,7 @@ func TestFrozenFrames(t *testing.T) {
 	// (a) precise, (b) static sampled+dropped, (d) resume of (b), (h)
 	// caught-up resume of (b): one daemon, one replayed trace.
 	{
-		d, ts := startDaemon(t, cfg, false)
+		d, ts := startDaemon(t, cfg)
 		states := replayOn(t, d, nil, frozenPrecise, frozenSampled)
 		for _, st := range states {
 			if st.Status != StatusDone {
@@ -168,7 +168,7 @@ func TestFrozenFrames(t *testing.T) {
 	// (c) canceled from an engine event between the fourth and fifth
 	// snapshot: the last frame is restamped canceled.
 	{
-		d, ts := startDaemon(t, cfg, false)
+		d, ts := startDaemon(t, cfg)
 		states := replayOn(t, d, func(s *Service) {
 			s.Engine().At(s.Engine().Now()+4.5*frozenSnapshotEvery, func() {
 				if err := s.Cancel("job-0000"); err != nil {
@@ -230,7 +230,7 @@ func TestFrozenFrames(t *testing.T) {
 	// caught-up resume of it, (g) one stopped from its own pipeline
 	// goroutine while its fourth window is open.
 	{
-		d, ts := startDaemon(t, cfg, false)
+		d, ts := startDaemon(t, cfg)
 		spec := tinyStreamSpec(11)
 		spec.Blocks, spec.MaxWindows = 7, 0
 		var opened struct {

@@ -18,7 +18,8 @@ import (
 // sentinel with Unbounded set, the same convention as
 // mapreduce.WriteJSON, because encoding/json rejects NaN/Inf.
 //
-//	POST   /v1/jobs          submit a JobSpec   -> {"id": ...} (202 {"held": n} in hold mode)
+//	POST   /v1/jobs          submit a JobSpec   -> {"id": ...}; a journaled
+//	                         daemon fsyncs the spec first
 //	GET    /v1/jobs          list job states
 //	GET    /v1/jobs/{id}     one job's state
 //	DELETE /v1/jobs/{id}     cancel
@@ -30,7 +31,6 @@ import (
 //	                              by default, length-prefixed binary when
 //	                              Accept names wire.ContentType
 //	POST   /v1/replay        run a whole trace ([]JobSpec), return states
-//	POST   /v1/release       release held submissions (hold mode)
 //	GET    /v1/stats         service counters
 //	GET    /healthz          liveness; 503 once the journal has failed
 //	GET    /readyz           readiness; 503 while draining (Retry-After)
@@ -134,8 +134,8 @@ func wireStates(sts []JobState) []WireState {
 // both zero values leave behavior unlimited (handy in tests).
 //
 // The timeout wraps every quick endpoint with http.TimeoutHandler.
-// Exempt by design: /stream (open-ended long poll), /replay and
-// /release (synchronous batch runs whose duration is the work itself).
+// Exempt by design: /stream (open-ended long poll) and /replay (a
+// synchronous batch run whose duration is the work itself).
 func (d *Daemon) Handler() http.Handler {
 	quick := func(h http.HandlerFunc) http.Handler {
 		if d.RequestTimeout <= 0 {
@@ -151,7 +151,6 @@ func (d *Daemon) Handler() http.Handler {
 	mux.Handle("GET /v1/jobs/{id}/result", quick(d.handleResult))
 	mux.HandleFunc("GET /v1/jobs/{id}/stream", d.handleStream)
 	mux.HandleFunc("POST /v1/replay", d.handleReplay)
-	mux.HandleFunc("POST /v1/release", d.handleRelease)
 	mux.Handle("GET /v1/stats", quick(d.handleStats))
 	mux.Handle("POST /v1/streams", quick(d.handleStreamOpen))
 	mux.Handle("GET /v1/streams", quick(d.handleStreamList))
@@ -215,7 +214,7 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad spec: %w", err))
 		return
 	}
-	id, held, err := d.Submit(spec)
+	id, err := d.fleet.Submit(spec)
 	switch {
 	case errors.Is(err, ErrDraining):
 		// The daemon is shutting down gracefully; the journal keeps what
@@ -227,8 +226,6 @@ func (d *Daemon) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, err)
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
-	case id == "":
-		writeJSON(w, http.StatusAccepted, map[string]int{"held": held})
 	default:
 		writeJSON(w, http.StatusOK, map[string]string{"id": id})
 	}
@@ -388,15 +385,6 @@ func (d *Daemon) handleReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	states, err := d.fleet.Replay(specs)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, wireStates(states))
-}
-
-func (d *Daemon) handleRelease(w http.ResponseWriter, _ *http.Request) {
-	states, err := d.Release()
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, err)
 		return

@@ -15,9 +15,9 @@ import (
 	"approxhadoop/internal/wire"
 )
 
-func startDaemon(t *testing.T, cfg Config, hold bool) (*Daemon, *httptest.Server) {
+func startDaemon(t *testing.T, cfg Config) (*Daemon, *httptest.Server) {
 	t.Helper()
-	d := NewFleetDaemon([]*Service{New(cfg)}, hold)
+	d := NewFleetDaemon([]*Service{New(cfg)}, false)
 	ts := httptest.NewServer(d.Handler())
 	// Stop first: it closes the service, waking any handler blocked in
 	// FramesFrom, so the listener close (which waits for in-flight
@@ -64,7 +64,7 @@ func getJSON(t *testing.T, url string, out any) int {
 // HTTP, wait for completion, fetch the result, and verify the stream
 // replays every snapshot ending in a final frame that matches it.
 func TestHTTPSubmitResultStream(t *testing.T) {
-	_, ts := startDaemon(t, Config{SnapshotEvery: 5}, false)
+	_, ts := startDaemon(t, Config{SnapshotEvery: 5})
 
 	spec := JobSpec{Name: "smoke", App: "total-size", Blocks: 40, LinesPerBlock: 100, Seed: 3}
 	var idResp struct {
@@ -133,47 +133,77 @@ func TestHTTPSubmitResultStream(t *testing.T) {
 	}
 }
 
-// TestHTTPHoldModeDeterminism is the service acceptance check for the
-// HTTP layer: many clients hammer a holding daemon concurrently in
-// arbitrary wall-clock order; releasing the batch must produce results
-// byte-identical to a direct engine-level Replay of the same trace.
-func TestHTTPHoldModeDeterminism(t *testing.T) {
-	const n, seed = 12, 99
-	cfg := Config{Policy: PolicyFair, MaxQueue: n + 1, SnapshotEvery: -1}
-	_, ts := startDaemon(t, cfg, true)
+// TestHTTPSubmitJournaledBeforeAck: concurrent POSTs to a journaled
+// daemon, some of them a bad app or past a queue of depth 2, are each
+// answered 200, 400 or 429 — never 202 — and the reopened journal
+// holds exactly one submit record per 200, under the id it answered.
+func TestHTTPSubmitJournaledBeforeAck(t *testing.T) {
+	path := tempJournal(t)
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{MaxActive: 1, MaxQueue: 2, SnapshotEvery: -1})
+	svc.UseJournal(j)
+	d := NewFleetDaemon([]*Service{svc}, false)
+	ts := httptest.NewServer(d.Handler())
+	defer ts.Close()
 
-	trace := GenerateTrace(n, seed)
+	specs := GenerateTrace(8, 5)
+	specs = append(specs, JobSpec{Name: "bad", App: "no-such-app"})
+	type reply struct {
+		code int
+		id   string
+	}
+	replies := make([]reply, len(specs))
 	var wg sync.WaitGroup
-	for _, spec := range trace {
-		spec := spec
+	for i, spec := range specs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			var ack struct {
-				Held int `json:"held"`
+				ID string `json:"id"`
 			}
-			if code := postJSON(t, ts.URL+"/v1/jobs", spec, &ack); code != http.StatusAccepted {
-				t.Errorf("hold submit: HTTP %d", code)
-			}
+			replies[i].code = postJSON(t, ts.URL+"/v1/jobs", spec, &ack)
+			replies[i].id = ack.ID
 		}()
 	}
 	wg.Wait()
+	d.Stop()
 
-	var released []WireState
-	if code := postJSON(t, ts.URL+"/v1/release", nil, &released); code != http.StatusOK {
-		t.Fatalf("release: HTTP %d", code)
+	j2, recs, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	direct := New(cfg).Replay(trace)
-	want := wireStates(direct)
-	if len(released) != len(want) {
-		t.Fatalf("released %d states, want %d", len(released), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(released[i], want[i]) {
-			t.Errorf("job %d (%s) differs over HTTP:\n got %+v\nwant %+v",
-				i, want[i].Spec.Name, released[i], want[i])
+	defer j2.Close()
+	journaled := map[string]string{}
+	for _, rec := range recs {
+		if rec.Op != JournalSubmit {
+			continue
 		}
+		if _, dup := journaled[rec.ID]; dup {
+			t.Errorf("%s journaled twice", rec.ID)
+		}
+		journaled[rec.ID] = rec.Spec.Name
+	}
+	acked := 0
+	for i, r := range replies {
+		switch r.code {
+		case http.StatusOK:
+			acked++
+			if name, ok := journaled[r.id]; !ok || name != specs[i].Name {
+				t.Errorf("%s: 200 as %q, journaled as %q (found %v)", specs[i].Name, r.id, name, ok)
+			}
+		case http.StatusBadRequest, http.StatusTooManyRequests:
+		default:
+			t.Errorf("%s: HTTP %d", specs[i].Name, r.code)
+		}
+	}
+	if replies[len(specs)-1].code == http.StatusOK {
+		t.Error("unknown app answered 200")
+	}
+	if acked == 0 || acked != len(journaled) {
+		t.Errorf("%d submits answered 200, %d journaled", acked, len(journaled))
 	}
 }
 
@@ -182,7 +212,7 @@ func TestHTTPHoldModeDeterminism(t *testing.T) {
 func TestHTTPReplayEndpoint(t *testing.T) {
 	const n, seed = 8, 7
 	cfg := Config{MaxQueue: n + 1, SnapshotEvery: -1}
-	_, ts := startDaemon(t, cfg, false)
+	_, ts := startDaemon(t, cfg)
 
 	trace := GenerateTrace(n, seed)
 	var got []WireState
@@ -206,7 +236,7 @@ func TestHTTPReplayEndpoint(t *testing.T) {
 // TestHTTPErrors covers the failure surface: bad specs, unknown ids,
 // results before completion, and queue backpressure as 429.
 func TestHTTPErrors(t *testing.T) {
-	_, ts := startDaemon(t, Config{MaxActive: 1, MaxQueue: 1, SnapshotEvery: -1}, false)
+	_, ts := startDaemon(t, Config{MaxActive: 1, MaxQueue: 1, SnapshotEvery: -1})
 
 	if code := postJSON(t, ts.URL+"/v1/jobs", JobSpec{App: "no-such-app"}, nil); code != http.StatusBadRequest {
 		t.Errorf("bad app: HTTP %d", code)
@@ -297,9 +327,10 @@ func TestHTTPErrors(t *testing.T) {
 
 // TestHTTPRejectsOutOfRangeSpecs: a spec the contract rejects is a 400
 // whose error names the offending key. The first row is one the
-// service used to run precisely after clamping both ratios.
+// service used to run precisely after clamping both ratios; the size
+// rows, one a stream's, would have allocated their whole input first.
 func TestHTTPRejectsOutOfRangeSpecs(t *testing.T) {
-	_, ts := startDaemon(t, Config{SnapshotEvery: -1}, false)
+	_, ts := startDaemon(t, Config{SnapshotEvery: -1})
 	for body, key := range map[string]string{
 		`{"app":"clients","controller":"static","sampleRatio":7,"dropRatio":-3}`: "sampleRatio",
 		`{"app":"clients","sampleRatio":0.5,"confidence":1.5}`:                   "confidence",
@@ -311,6 +342,8 @@ func TestHTTPRejectsOutOfRangeSpecs(t *testing.T) {
 		`{"app":"clients","sampleRatio":0.5,"target":0.05}`:                      "modes",
 		`{"app":"clients","controller":"target"}`:                                "target",
 		`{"app":"clients","controller":"sampled"}`:                               "controller",
+		`{"app":"total-size","blocks":1000000000}`:                               "blocks",
+		`{"app":"total-size","linesPerBlock":1000000}`:                           "linesPerBlock",
 	} {
 		var reply struct {
 			Error string `json:"error"`
@@ -318,5 +351,12 @@ func TestHTTPRejectsOutOfRangeSpecs(t *testing.T) {
 		if code := postJSON(t, ts.URL+"/v1/jobs", json.RawMessage(body), &reply); code != http.StatusBadRequest || !strings.Contains(reply.Error, key) {
 			t.Errorf("%s: HTTP %d %q, want 400 naming %s", body, code, reply.Error, key)
 		}
+	}
+	var reply struct {
+		Error string `json:"error"`
+	}
+	body := `{"app":"web-bytes","blocks":1000000000}`
+	if code := postJSON(t, ts.URL+"/v1/streams", json.RawMessage(body), &reply); code != http.StatusBadRequest || !strings.Contains(reply.Error, "blocks") {
+		t.Errorf("stream %s: HTTP %d %q, want 400 naming blocks", body, code, reply.Error)
 	}
 }

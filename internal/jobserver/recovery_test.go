@@ -355,7 +355,7 @@ func TestDrainQueuedJobsRecovered(t *testing.T) {
 // submissions with 503 + Retry-After and flips /readyz, while /healthz
 // stays green (the process is healthy, just leaving).
 func TestDrainHTTP503RetryAfter(t *testing.T) {
-	d, ts := startDaemon(t, Config{SnapshotEvery: -1}, false)
+	d, ts := startDaemon(t, Config{SnapshotEvery: -1})
 
 	if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusOK {
 		t.Fatalf("readyz before drain: %d", code)

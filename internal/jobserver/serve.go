@@ -31,8 +31,6 @@ type ServeConfig struct {
 	// MaxLag is the slow-subscriber drop threshold for frame streams
 	// (0 = DefaultMaxLag; negative disables dropping).
 	MaxLag int
-	// Hold enables hold mode (see Daemon).
-	Hold bool
 	// JournalPath, when non-empty, opens (creating if absent) the
 	// write-ahead journal there and recovers any previous life's jobs
 	// before serving traffic. A sharded daemon keeps one segment per
@@ -136,7 +134,7 @@ func Serve(cfg ServeConfig) error {
 		svcs[i] = svc
 	}
 
-	d := NewFleetDaemon(svcs, cfg.Hold)
+	d := NewFleetDaemon(svcs, false)
 	d.RequestTimeout = cfg.RequestTimeout
 	d.MaxBody = cfg.MaxBody
 	d.MaxLag = cfg.MaxLag

@@ -79,7 +79,7 @@ func TestCloseWakesStreamWaiters(t *testing.T) {
 // closing the listener (which waits for in-flight requests) cannot
 // deadlock.
 func TestShutdownCompletesInflightStream(t *testing.T) {
-	d, ts := startDaemon(t, Config{SnapshotEvery: 5}, false)
+	d, ts := startDaemon(t, Config{SnapshotEvery: 5})
 	svc := d.Service()
 	// Freeze a job in the queue: drain blocks dispatch, so the enqueued
 	// job can never start, and its stream never produces a frame.

@@ -40,7 +40,8 @@ type JobSpec struct {
 	// App names a catalog application; see Apps.
 	App string `json:"app"`
 	// Blocks is the generated input size in blocks == map tasks
-	// (default 48). LinesPerBlock scales each block (default 200).
+	// (default 48, at most 50 000). LinesPerBlock scales each block
+	// (default 200, at most 10 000).
 	Blocks        int `json:"blocks,omitempty"`
 	LinesPerBlock int `json:"linesPerBlock,omitempty"`
 	// Seed drives input generation, task order, and sampling.
@@ -71,8 +72,6 @@ type JobSpec struct {
 	// Reduces is the job's reduce-task count (default 1 — service
 	// jobs share the cluster's reduce slots, which bound admission).
 	Reduces int `json:"reduces,omitempty"`
-	// Workers overrides the service's compute-pool size for this job.
-	Workers int `json:"workers,omitempty"`
 }
 
 // UnmarshalJSON decodes a spec. It is the one reader of the legacy
@@ -145,11 +144,35 @@ func serviceInput(d apps.Dataset, name string, blocks, lines int, seed int64) *d
 	return nil
 }
 
+// A generated input's blocks are made up front by Build, so a spec's
+// size is bounded before anything is allocated. maxBlocks admits the
+// largest spec in the tree (a 20 000-block wedge) with room to spare;
+// maxLinesPerBlock admits every per-block line count a spec sets.
+const (
+	maxBlocks        = 50_000
+	maxLinesPerBlock = 10_000
+)
+
+// checkInputSize rejects a generated-input size above the bounds,
+// naming the offending key.
+func checkInputSize(blocks, linesPerBlock int) error {
+	if blocks > maxBlocks {
+		return fmt.Errorf("jobserver: blocks %d above the bound %d", blocks, maxBlocks)
+	}
+	if linesPerBlock > maxLinesPerBlock {
+		return fmt.Errorf("jobserver: linesPerBlock %d above the bound %d", linesPerBlock, maxLinesPerBlock)
+	}
+	return nil
+}
+
 // Build assembles the runnable mapreduce.Job this spec describes, with
 // a fresh controller (controllers are stateful and never shared between
-// jobs). defaultWorkers is the service-wide compute-pool size applied
-// when the spec does not override it.
-func (s JobSpec) Build(defaultWorkers int) (*mapreduce.Job, error) {
+// jobs). The job's compute pool is workers, the service-wide size a
+// spec cannot override: results are identical for any pool size.
+func (s JobSpec) Build(workers int) (*mapreduce.Job, error) {
+	if err := checkInputSize(s.Blocks, s.LinesPerBlock); err != nil {
+		return nil, err
+	}
 	blocks := s.Blocks
 	if blocks <= 0 {
 		blocks = 48
@@ -186,10 +209,7 @@ func (s JobSpec) Build(defaultWorkers int) (*mapreduce.Job, error) {
 	} else {
 		job.Name = fmt.Sprintf("%s-%d", s.App, s.Seed)
 	}
-	job.Workers = s.Workers
-	if job.Workers == 0 {
-		job.Workers = defaultWorkers
-	}
+	job.Workers = workers
 	return job, nil
 }
 
@@ -275,9 +295,9 @@ func LoadSpec(seed int64, op, tenants int) JobSpec {
 }
 
 // SortTrace orders specs for deterministic replay: by SubmitAt, then
-// Name, then original position. Replay applies it so a trace submitted
-// out of order (e.g. gathered over concurrent HTTP requests in hold
-// mode) still admits jobs in a reproducible sequence.
+// Name, then original position. Replay applies it so a trace gathered
+// out of order (say, from several concurrent clients) still admits
+// jobs in a reproducible sequence.
 func SortTrace(specs []JobSpec) []JobSpec {
 	out := append([]JobSpec(nil), specs...)
 	sort.SliceStable(out, func(i, j int) bool {

@@ -71,6 +71,9 @@ type StreamSpec struct {
 
 // Build assembles the runnable pipeline this spec describes.
 func (s StreamSpec) Build() (*stream.Pipeline, error) {
+	if err := checkInputSize(s.Blocks, s.LinesPerBlock); err != nil {
+		return nil, err
+	}
 	rate := s.Rate
 	if rate <= 0 {
 		rate = 400

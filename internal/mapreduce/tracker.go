@@ -167,15 +167,6 @@ func (h *Handle) Progress() Counters { return h.t.counters }
 // a hungry job from one that is merely waiting out its tail.
 func (h *Handle) MapDemand() int { return h.t.pendingCount() }
 
-// RunningAttempts returns the number of map attempts in flight.
-func (h *Handle) RunningAttempts() int {
-	n := 0
-	for _, as := range h.t.attempts {
-		n += len(as)
-	}
-	return n
-}
-
 // Kick schedules a scheduling pass for the job at the current virtual
 // time. Arbiters call it when capacity frees for a job they previously
 // told to wait.

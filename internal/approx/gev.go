@@ -32,8 +32,10 @@ type ExtremeValueReducer struct {
 	// depends on the order map outputs arrive in.
 	AlreadyExtrema bool
 
-	tally         mapreduce.Tally
-	values        map[string][]float64
+	tally mapreduce.Tally
+	// values holds each key's values at the key's ID in index.
+	index         mapreduce.KeyIndex
+	values        [][]float64
 	misconfigured bool // combiner output seen
 }
 
@@ -59,26 +61,27 @@ func NewMaxReducer() *ExtremeValueReducer {
 
 // Consume implements mapreduce.ReduceLogic.
 func (r *ExtremeValueReducer) Consume(out *mapreduce.MapOutput) {
-	if r.values == nil {
-		r.values = make(map[string][]float64)
-	}
 	r.tally.Add(out)
 	if out.IsCombined() {
 		r.misconfigured = true
 		return
 	}
 	out.EachPair(func(k string, v float64) {
-		r.values[k] = append(r.values[k], v)
+		id, added := r.index.Insert(k)
+		if added {
+			r.values = append(r.values, nil)
+		}
+		r.values[id] = append(r.values[id], v)
 	})
 }
 
 // Observed returns the raw extreme seen so far for a key.
 func (r *ExtremeValueReducer) Observed(key string) (float64, bool) {
-	vals := r.values[key]
-	if len(vals) == 0 {
+	id, ok := r.index.Find(key)
+	if !ok {
 		return 0, false
 	}
-	lo, hi := stats.MinMax(vals)
+	lo, hi := stats.MinMax(r.values[id])
 	if r.Min {
 		return lo, true
 	}
@@ -153,12 +156,9 @@ func (r *ExtremeValueReducer) Estimates(view mapreduce.EstimateView) []mapreduce
 // Finalize implements mapreduce.ReduceLogic.
 func (r *ExtremeValueReducer) Finalize(view mapreduce.EstimateView) []mapreduce.KeyEstimate {
 	out := make([]mapreduce.KeyEstimate, 0, len(r.values))
-	for key, vals := range r.values {
-		if len(vals) == 0 {
-			continue
-		}
+	for id, vals := range r.values {
 		est, exact := r.estimate(vals, view)
-		out = append(out, mapreduce.KeyEstimate{Key: key, Est: est, Exact: exact})
+		out = append(out, mapreduce.KeyEstimate{Key: r.index.Key(int32(id)), Est: est, Exact: exact})
 	}
 	mapreduce.SortByKey(out)
 	return out

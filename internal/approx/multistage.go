@@ -2,6 +2,7 @@ package approx
 
 import (
 	"math"
+	"slices"
 
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
@@ -34,8 +35,8 @@ func (op AggOp) String() string {
 // clusters where the key appeared contribute, so memory stays O(keys)
 // regardless of how many map tasks the job has. This matters for jobs
 // like the year-of-logs Page Popularity run with thousands of clusters.
+// The key itself is the reducer's index entry with the slot's ID.
 type keyAgg struct {
-	key   string
 	units int64 // sampled units that produced a value for the key
 	sums  stats.ClusterSums
 }
@@ -53,28 +54,30 @@ type MultiStageReducer struct {
 	Op AggOp
 
 	tally mapreduce.Tally
-	// table holds one keyAgg per key seen and index maps a key to its
-	// slot. Slot order is insertion order — first-emit order within an
-	// output, outputs in arrival order: nothing observable may depend
-	// on it.
+	// table holds one keyAgg per key seen, at the key's ID in index,
+	// which keeps the durable key strings the map outputs hand over.
+	// Slot order is insertion order — first-emit order within an output,
+	// outputs in arrival order: nothing observable may depend on it.
 	table []keyAgg
-	index map[string]int32
+	index mapreduce.KeyIndex
 }
 
 // NewMultiStageReducer builds a reducer for the given aggregation.
 func NewMultiStageReducer(op AggOp) *MultiStageReducer {
-	return &MultiStageReducer{Op: op, index: make(map[string]int32)}
+	return &MultiStageReducer{Op: op}
 }
+
+// key returns the key of table slot i.
+func (r *MultiStageReducer) key(i int) string { return r.index.Key(int32(i)) }
 
 // Consume implements mapreduce.ReduceLogic.
 func (r *MultiStageReducer) Consume(out *mapreduce.MapOutput) {
 	r.tally.Add(out)
 	out.EachStat(func(key string, rs stats.RunningStat) {
-		slot, ok := r.index[key]
-		if !ok {
-			slot = int32(len(r.table))
-			r.index[key] = slot
-			r.table = append(r.table, keyAgg{key: key})
+		slot, added := r.index.Insert(key)
+		if added {
+			// The table grows when the index does.
+			r.table = append(slices.Grow(r.table, r.index.Cap()-len(r.table)), keyAgg{})
 		}
 		agg := &r.table[slot]
 		if out.Sampled <= 0 {
@@ -104,8 +107,7 @@ func (r *MultiStageReducer) Finalize(view mapreduce.EstimateView) []mapreduce.Ke
 	d := r.tally.Design(view)
 	out := make([]mapreduce.KeyEstimate, 0, len(r.table))
 	for i := range r.table {
-		agg := &r.table[i]
-		out = append(out, mapreduce.KeyEstimate{Key: agg.key, Est: r.estimate(agg, &d), Exact: exact})
+		out = append(out, mapreduce.KeyEstimate{Key: r.key(i), Est: r.estimate(&r.table[i], &d), Exact: exact})
 	}
 	mapreduce.SortByKey(out)
 	return out

@@ -137,8 +137,7 @@ func (c *TargetError) realizedMet(v *mapreduce.JobView) bool {
 		if msr, ok := logic.(*MultiStageReducer); ok {
 			d := msr.tally.Design(view)
 			for i := range msr.table {
-				agg := &msr.table[i]
-				if !met(part, agg.key, msr.estimate(agg, &d)) {
+				if !met(part, msr.key(i), msr.estimate(&msr.table[i], &d)) {
 					return false
 				}
 			}

@@ -55,11 +55,11 @@ func refPlanComponents(r *MultiStageReducer, view mapreduce.EstimateView) []Plan
 	}
 	N := float64(view.TotalMaps)
 	n := float64(r.tally.Clusters())
-	out := make([]PlanComponent, 0, len(r.index))
-	for key, slot := range r.index {
+	out := make([]PlanComponent, 0, len(r.table))
+	for slot := range r.table {
 		agg := sumsOf(&r.table[slot].sums)
 		out = append(out, PlanComponent{
-			Key:        key,
+			Key:        r.key(slot),
 			Tau:        N / n * agg[sTau],
 			SU2:        refSU2(agg, n),
 			WithinDone: agg[sWithin],
@@ -605,17 +605,28 @@ func TestPlannerMatchesReference(t *testing.T) {
 	}
 }
 
+// handAgg is one key's aggregate as a hand-built reducer plants it.
+type handAgg struct {
+	key string
+	keyAgg
+}
+
+// plantKey appends key's aggregate to r's table; key must be new to r.
+func plantKey(r *MultiStageReducer, key string, agg keyAgg) {
+	r.index.Insert(key)
+	r.table = append(r.table, agg)
+}
+
 // handReducer builds a reducer over n consumed clusters of 1000 units,
 // read in full and emitting nothing, whose table then holds exactly the
 // given aggregates, in the given slot order.
-func handReducer(n int, aggs ...keyAgg) *MultiStageReducer {
+func handReducer(n int, aggs ...handAgg) *MultiStageReducer {
 	r := NewMultiStageReducer(OpSum)
 	for i := 0; i < n; i++ {
 		r.Consume(mapOut(i, 1000, 1000, true, func(mapreduce.Emitter) {}))
 	}
-	for i, a := range aggs {
-		r.table = append(r.table, a)
-		r.index[a.key] = int32(i)
+	for _, a := range aggs {
+		plantKey(r, a.key, a.keyAgg)
 	}
 	return r
 }
@@ -633,8 +644,8 @@ func handView(n int, rs ...*MultiStageReducer) *mapreduce.JobView {
 // tied returns an aggregate whose s_u^2 rounds negative and is clamped
 // to zero, so its predicted and realized half-widths depend on `within`
 // and sumS2 alone: two such keys with different totals tie exactly.
-func tied(key string, sumTau, within float64) keyAgg {
-	return keyAgg{key: key, units: 100, sums: planted(sumTau, 0, 0, within, 40)}
+func tied(key string, sumTau, within float64) handAgg {
+	return handAgg{key, keyAgg{units: 100, sums: planted(sumTau, 0, 0, within, 40)}}
 }
 
 // TestPlannerTieRule constructs exact ties in errHalf between the key
@@ -644,7 +655,7 @@ func tied(key string, sumTau, within float64) keyAgg {
 func TestPlannerTieRule(t *testing.T) {
 	const n = 24
 	big, small := 1e9, 10.0 // tau: the bound is 2% of it
-	light := keyAgg{key: "light", units: 9, sums: planted(50, 200, 0, 1, 1)}
+	light := handAgg{"light", keyAgg{units: 9, sums: planted(50, 200, 0, 1, 1)}}
 	cases := []struct {
 		name string
 		rs   []*MultiStageReducer
@@ -890,7 +901,7 @@ func refComponents(t *planTable) []PlanComponent {
 	comps := make([]PlanComponent, 0, len(order))
 	for _, i := range order {
 		s := t.stats[i]
-		comps = append(comps, PlanComponent{Key: t.reducers[s.part].table[s.slot].key,
+		comps = append(comps, PlanComponent{Key: t.reducers[s.part].key(int(s.slot)),
 			Tau: s.tau, SU2: s.su2, WithinDone: s.withinDone, AvgWithin: s.avgWithin})
 	}
 	return comps
@@ -915,7 +926,7 @@ func frontTable(rng *rand.Rand, parts int, keys []frontKey) *planTable {
 		r := t.reducers[k.part]
 		t.stats = append(t.stats, planStat{tau: k.tau, su2: k.su2, withinDone: k.withinDone, avgWithin: k.avgWithin,
 			part: int32(k.part), slot: int32(len(r.table))})
-		r.table = append(r.table, keyAgg{key: fmt.Sprintf("key%06d", names[i])})
+		plantKey(r, fmt.Sprintf("key%06d", names[i]), keyAgg{})
 	}
 	return t
 }
@@ -1134,11 +1145,11 @@ func BenchmarkTargetSolveAntiCorrelated(b *testing.B) {
 	const keys, parts, n = 20000, 10, 80
 	var rs []*MultiStageReducer
 	for p := 0; p < parts; p++ {
-		var aggs []keyAgg
+		var aggs []handAgg
 		for i := p; i < keys; i += parts {
 			// tau = 0 and s_u^2 = i+1 exactly; within falls as s_u^2 rises.
-			aggs = append(aggs, keyAgg{key: fmt.Sprintf("key%05d", i), units: 100,
-				sums: planted(0, float64(i+1)*(n-1), 0, float64(keys-i)*1e3, 40)})
+			aggs = append(aggs, handAgg{fmt.Sprintf("key%05d", i), keyAgg{units: 100,
+				sums: planted(0, float64(i+1)*(n-1), 0, float64(keys-i)*1e3, 40)}})
 		}
 		rs = append(rs, handReducer(n, aggs...))
 	}

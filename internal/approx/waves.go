@@ -147,8 +147,8 @@ func (t *planTable) before(i, j int) bool {
 	if a.part != b.part {
 		return a.part < b.part
 	}
-	keys := t.reducers[a.part].table
-	return keys[a.slot].key < keys[b.slot].key
+	r := t.reducers[a.part]
+	return r.key(int(a.slot)) < r.key(int(b.slot))
 }
 
 // keepFront fills front with the gathered keys no other key dominates,

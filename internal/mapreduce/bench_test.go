@@ -172,8 +172,8 @@ func TestMapEmitterHintedAllocs(t *testing.T) {
 	if hinted >= unhinted {
 		t.Errorf("hinted path allocates %.0f times vs %.0f unhinted; hint should eliminate append growth", hinted, unhinted)
 	}
-	if e := newMapEmitter(reduces, false, meter, emitHint{keys: reduces, pairs: pairs}); len(e.intern.slots) != 2*reduces {
-		t.Errorf("key table has %d slots for %d keys and %d pairs, want %d", len(e.intern.slots), reduces, pairs, 2*reduces)
+	if e := newMapEmitter(reduces, false, meter, emitHint{keys: reduces, pairs: pairs}); len(e.intern.index.slots) != 2*reduces {
+		t.Errorf("key table has %d slots for %d keys and %d pairs, want %d", len(e.intern.index.slots), reduces, pairs, 2*reduces)
 	}
 }
 

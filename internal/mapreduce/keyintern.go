@@ -6,22 +6,131 @@ import (
 	"approxhadoop/internal/zerocopy"
 )
 
+// KeyIndex is the one string index of the data plane, map side and
+// reduce side: it gives every distinct key a dense int32 ID in
+// first-insert order. The map side's keyTable interns emitted keys
+// through it; reducers that keep per-key state in a slice (the
+// multi-stage, precise and extreme-value reducers) find a key's place
+// in that slice through it.
+//
+// It is an open-addressed, linearly probed table of 64-bit slots,
+// hash32<<32 | id+1 (0 = empty), over the dense keys slice: a hit costs
+// one hashKey, one slot load and one string compare against keys[id].
+// It is kept at most half full; when it grows, the stored hash32
+// re-places every slot without touching a key byte. IDs come from
+// first-insert order alone, so nothing a job outputs depends on the
+// hash.
+//
+// Insert stores the key it is handed, so callers hand it durable
+// strings: the interned keys of a MapOutput are. The zero KeyIndex is
+// empty and ready to use. A KeyIndex is not safe for concurrent use.
+type KeyIndex struct {
+	slots []uint64 // len is zero or a power of two, at least 2*len(keys)
+	keys  []string // id -> key
+}
+
+// newKeyIndex returns an index sized for hint keys: inserting that many
+// never grows it.
+func newKeyIndex(hint int) KeyIndex {
+	size := 8
+	for size < 2*hint {
+		size <<= 1
+	}
+	return KeyIndex{slots: make([]uint64, size), keys: make([]string, 0, hint)}
+}
+
+// Len returns the number of keys in the index.
+func (x *KeyIndex) Len() int { return len(x.keys) }
+
+// Cap returns how many keys the index holds before it grows. It at
+// least doubles at each growth, so a slice kept beside the index, one
+// element per key, that grows to Cap whenever it is full grows as
+// seldom as the index does.
+func (x *KeyIndex) Cap() int { return len(x.slots) / 2 }
+
+// Key returns the key with the given ID.
+func (x *KeyIndex) Key(id int32) string { return x.keys[id] }
+
+// Find returns key's ID, or false if the index does not hold key.
+func (x *KeyIndex) Find(key string) (int32, bool) {
+	if len(x.slots) == 0 {
+		return -1, false
+	}
+	h := hashKey(key)
+	mask := uint32(len(x.slots) - 1)
+	for i := h & mask; x.slots[i] != 0; i = (i + 1) & mask {
+		if s := x.slots[i]; uint32(s>>32) == h && x.keys[uint32(s)-1] == key {
+			return int32(uint32(s) - 1), true
+		}
+	}
+	return -1, false
+}
+
+// Insert returns key's ID, giving it the next one on first sight;
+// added reports a first sight, where key itself is stored.
+//
+//approx:hotpath
+func (x *KeyIndex) Insert(key string) (id int32, added bool) {
+	if len(x.slots) == 0 {
+		*x = newKeyIndex(4)
+	}
+	h := hashKey(key)
+	mask := uint32(len(x.slots) - 1)
+	i := h & mask
+	for s := x.slots[i]; s != 0; s = x.slots[i] {
+		if uint32(s>>32) == h && x.keys[uint32(s)-1] == key {
+			return int32(uint32(s) - 1), false
+		}
+		i = (i + 1) & mask
+	}
+	if len(x.keys) == x.Cap() {
+		x.grow()
+		i = x.free(h)
+	}
+	x.keys = append(x.keys, key)
+	x.slots[i] = uint64(h)<<32 | uint64(len(x.keys))
+	return int32(len(x.keys) - 1), true
+}
+
+// free returns the first empty slot on the probe sequence of hash h.
+func (x *KeyIndex) free(h uint32) uint32 {
+	mask := uint32(len(x.slots) - 1)
+	i := h & mask
+	for x.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// grow doubles the slots, re-placing every one by its stored hash in
+// slot order without reading a key, and makes room in keys for the new
+// Cap.
+func (x *KeyIndex) grow() {
+	old := x.slots
+	x.slots = make([]uint64, 2*len(old))
+	for _, s := range old {
+		if s != 0 {
+			x.slots[x.free(uint32(s>>32))] = s
+		}
+	}
+	if cap(x.keys) < x.Cap() {
+		keys := make([]string, len(x.keys), x.Cap())
+		copy(keys, x.keys)
+		x.keys = keys
+	}
+}
+
 // keyTable is the per-attempt key interner of the zero-allocation data
 // plane. Map emitters hand it every emitted key (often a transient view
 // of a reusable line buffer); the table assigns a dense int32 ID per
-// distinct key, copies the key bytes into an append-only arena exactly
-// once, and memoizes the key's reduce partition so the FNV hash runs
-// once per distinct key instead of once per emitted pair. Everything
-// downstream of the emitter moves (keyID, value) pairs; strings are
-// resolved only when a reducer needs them.
+// distinct key — its KeyIndex ID — copies the key bytes into an
+// append-only arena exactly once, and memoizes the key's reduce
+// partition so the FNV hash runs once per distinct key instead of once
+// per emitted pair. Everything downstream of the emitter moves (keyID,
+// value) pairs; strings are resolved only when a reducer needs them.
 //
-// The index is an open-addressed, linearly probed table of 64-bit
-// slots, hash32<<32 | id+1 (0 = empty), over the dense keys slice: a
-// hit costs one hashKey, one slot load and one string compare against
-// keys[id]. It is kept at most half full and sized once from the
-// distinct-key hint; when it does grow, the stored hash32 re-places
-// every slot without touching a key byte. IDs come from first-sight
-// order alone, so nothing a job outputs depends on the hash.
+// The index is sized once from the distinct-key hint, so it rarely
+// grows mid-attempt.
 //
 // A table is owned by one map attempt (executeMap), so it needs no
 // locking — the compute-plane contract holds because no two goroutines
@@ -29,9 +138,8 @@ import (
 // chunks are append-only and never recycled, so a string view handed
 // out by Resolve stays valid for the life of the attempt's MapOutput.
 type keyTable struct {
-	slots   []uint64 // len is a power of two, at least 2*len(keys)
-	keys    []string // id -> interned key
-	parts   []int32  // id -> reduce partition
+	index   KeyIndex
+	parts   []int32 // id -> reduce partition
 	reduces int
 	arena   []byte // current chunk; full chunks are abandoned to the GC-rooted strings
 }
@@ -45,20 +153,14 @@ const (
 )
 
 // newKeyTable builds an interner for the given partition count. hint
-// (an upper bound on the attempt's distinct keys) sizes the slot table
-// and the dense id-indexed slices so interning new keys never
-// reallocates mid-attempt; arenaBytes > 0 sizes the first arena chunk
-// to the key bytes the attempt is expected to intern, in place of
-// keyArenaFirst; either way a full chunk's successor is twice its size.
+// (an upper bound on the attempt's distinct keys) sizes the index and
+// the dense id-indexed slices so interning new keys never reallocates
+// mid-attempt; arenaBytes > 0 sizes the first arena chunk to the key
+// bytes the attempt is expected to intern, in place of keyArenaFirst;
+// either way a full chunk's successor is twice its size.
 func newKeyTable(reduces, hint, arenaBytes int) *keyTable {
-	t := &keyTable{reduces: reduces}
-	size := 8
-	for size < 2*hint {
-		size <<= 1
-	}
-	t.slots = make([]uint64, size)
+	t := &keyTable{reduces: reduces, index: newKeyIndex(hint)}
 	if hint > 0 {
-		t.keys = make([]string, 0, hint)
 		t.parts = make([]int32, 0, hint)
 	}
 	if arenaBytes > 0 {
@@ -113,44 +215,16 @@ func load32(s string) uint64 {
 //
 //approx:hotpath
 func (t *keyTable) intern(key string, part int32) int32 {
-	h := hashKey(key)
-	mask := uint32(len(t.slots) - 1)
-	i := h & mask
-	for s := t.slots[i]; s != 0; s = t.slots[i] {
-		if uint32(s>>32) == h && t.keys[uint32(s)-1] == key {
-			return int32(uint32(s) - 1)
+	id, added := t.index.Insert(key)
+	if added {
+		key = t.copyKey(key)
+		t.index.keys[id] = key // the index stored the view it was handed
+		if part < 0 {
+			part = int32(Partition(key, t.reduces))
 		}
-		i = (i + 1) & mask
+		t.parts = append(t.parts, part)
 	}
-	key = t.copyKey(key)
-	if part < 0 {
-		part = int32(Partition(key, t.reduces))
-	}
-	t.keys = append(t.keys, key)
-	t.parts = append(t.parts, part)
-	t.slots[i] = uint64(h)<<32 | uint64(len(t.keys))
-	if 2*len(t.keys) > len(t.slots) {
-		t.grow()
-	}
-	return int32(len(t.keys) - 1)
-}
-
-// grow doubles the slot table and re-places every slot by its stored
-// hash, in slot order; no key is read.
-func (t *keyTable) grow() {
-	old := t.slots
-	t.slots = make([]uint64, 2*len(old))
-	mask := uint32(len(t.slots) - 1)
-	for _, s := range old {
-		if s == 0 {
-			continue
-		}
-		i := uint32(s>>32) & mask
-		for t.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = s
-	}
+	return id
 }
 
 // Intern returns the ID and reduce partition for key, assigning both on
@@ -222,15 +296,15 @@ func (t *keyTable) byPartition() [][]int32 {
 
 // Resolve returns the interned key for an ID previously returned by
 // Intern. The string is durable (arena-backed) and safe to retain.
-func (t *keyTable) Resolve(id int32) string { return t.keys[id] }
+func (t *keyTable) Resolve(id int32) string { return t.index.keys[id] }
 
 // Len returns the number of distinct keys interned so far.
-func (t *keyTable) Len() int { return len(t.keys) }
+func (t *keyTable) Len() int { return t.index.Len() }
 
 // Bytes returns the total length of the interned keys.
 func (t *keyTable) Bytes() int {
 	n := 0
-	for _, k := range t.keys {
+	for _, k := range t.index.keys {
 		n += len(k)
 	}
 	return n

@@ -250,8 +250,8 @@ func checkKeyTableOps(t testing.TB, reduces, hint int, universe []string, ops in
 			t.Fatalf("byPartition: partition %d lists %d ids, model %d", p, len(l), next[p])
 		}
 	}
-	if len(tab.slots)&(len(tab.slots)-1) != 0 || 2*tab.Len() > len(tab.slots) {
-		t.Fatalf("%d keys in %d slots: want a power of two, at most half full", tab.Len(), len(tab.slots))
+	if len(tab.index.slots)&(len(tab.index.slots)-1) != 0 || 2*tab.Len() > len(tab.index.slots) {
+		t.Fatalf("%d keys in %d slots: want a power of two, at most half full", tab.Len(), len(tab.index.slots))
 	}
 }
 
@@ -299,12 +299,12 @@ func TestKeyTableMatchesMapModel(t *testing.T) {
 func TestKeyTableHintedNeverGrows(t *testing.T) {
 	for _, n := range []int{1, 4, 5, 400, 512, 513, 20000} {
 		tab := newKeyTable(4, n, 0)
-		slots := len(tab.slots)
+		slots := len(tab.index.slots)
 		for i := 0; i < n; i++ {
 			tab.Intern("k" + strconv.Itoa(i))
 		}
-		if len(tab.slots) != slots {
-			t.Errorf("hint %d: slots grew %d -> %d", n, slots, len(tab.slots))
+		if len(tab.index.slots) != slots {
+			t.Errorf("hint %d: slots grew %d -> %d", n, slots, len(tab.index.slots))
 		}
 		if slots >= 4*n && slots > 8 {
 			t.Errorf("hint %d: %d slots, want under 4 per key", n, slots)
@@ -368,5 +368,96 @@ func FuzzKeyTable(f *testing.F) {
 			k := (int(prog[2*i]) | int(prog[2*i+1])<<8) % len(universe)
 			return k, k%2 == 1
 		})
+	})
+}
+
+// hashColliders are pairs of distinct keys with equal hashKey values:
+// an index can tell the two of a pair apart only by comparing keys.
+var hashColliders = [][2]string{
+	{"hash-24989", "hash-70216"},
+	{"hash-76385", "hash-85036"},
+	{"hash-10527", "hash-89521"},
+	{"hash-75223", "hash-112882"},
+	{"hash-115933", "hash-151117"},
+	{"hash-115173", "hash-164215"},
+}
+
+// TestHashColliders keeps FuzzKeyIndex's colliders colliding.
+func TestHashColliders(t *testing.T) {
+	for _, c := range hashColliders {
+		if hashKey(c[0]) != hashKey(c[1]) {
+			t.Errorf("hashKey(%q) = %08x, hashKey(%q) = %08x: not a collision", c[0], hashKey(c[0]), c[1], hashKey(c[1]))
+		}
+	}
+}
+
+// keyIndexUniverse puts the whole-hash colliders first, then keys that
+// share a start slot, then ordinary ones, 600 keys in all: a program
+// that inserts more than a few grows the index, and one that inserts
+// many grows it up to 2048 slots.
+func keyIndexUniverse() []string {
+	var u []string
+	for _, c := range hashColliders {
+		u = append(u, c[0], c[1])
+	}
+	u = append(u, lowBitColliders(40)...)
+	u = append(u, "")
+	for i := 0; len(u) < 600; i++ {
+		u = append(u, "page"+strconv.Itoa(i))
+	}
+	return u
+}
+
+// FuzzKeyIndex interprets its input as a program of Insert and Find
+// calls over keyIndexUniverse, on a zero index or one sized by a fuzzed
+// hint, and checks every answer, then every key and the slots' shape,
+// against a map[string]int32 model that hands out IDs in first-insert
+// order.
+func FuzzKeyIndex(f *testing.F) {
+	universe := keyIndexUniverse()
+	all := make([]byte, 0, 4*len(universe))
+	for i := range universe {
+		all = append(all, byte(i), byte(i>>8)) // Insert
+	}
+	for i := range universe {
+		all = append(all, byte(i), byte(i>>8)|0x80) // Find
+	}
+	f.Add(all, uint8(0))
+	f.Add(all[:48], uint8(3)) // the colliders and 12 keys sharing a start slot, into a hinted index
+	f.Add([]byte{0, 0, 1, 0, 0, 0x80, 1, 0x80, 2, 0x80, 1, 0, 0, 0}, uint8(0))
+	f.Fuzz(func(t *testing.T, prog []byte, hint uint8) {
+		var x KeyIndex
+		if hint > 0 {
+			x = newKeyIndex(int(hint))
+		}
+		model := map[string]int32{}
+		for i := 0; i+1 < len(prog); i += 2 {
+			key := universe[(int(prog[i])|int(prog[i+1]&0x7f)<<8)%len(universe)]
+			want, seen := model[key]
+			if prog[i+1]&0x80 != 0 {
+				if id, ok := x.Find(key); ok != seen || ok && id != want {
+					t.Fatalf("op %d: Find(%q) = %d, %t; model %d, %t", i/2, key, id, ok, want, seen)
+				}
+				continue
+			}
+			if !seen {
+				want = int32(len(model))
+				model[key] = want
+			}
+			if id, added := x.Insert(key); id != want || added == seen {
+				t.Fatalf("op %d: Insert(%q) = %d, %t; model %d, %t", i/2, key, id, added, want, !seen)
+			}
+		}
+		if x.Len() != len(model) {
+			t.Fatalf("index holds %d keys, model %d", x.Len(), len(model))
+		}
+		for key, id := range model {
+			if x.Key(id) != key {
+				t.Fatalf("Key(%d) = %q, model %q", id, x.Key(id), key)
+			}
+		}
+		if n := len(x.slots); n&(n-1) != 0 || x.Cap() != n/2 || x.Len() > x.Cap() {
+			t.Fatalf("%d keys in %d slots: want a power of two, at most half full", x.Len(), n)
+		}
 	})
 }

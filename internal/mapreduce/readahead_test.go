@@ -103,9 +103,10 @@ func runPoolJob(t *testing.T, job *mapreduce.Job) (*mapreduce.Result, string) {
 }
 
 // TestPoolSizeInvisibleControllers widens TestPoolSizeInvisible to the
-// shipped controllers: WriteTSV, Counters, Runtime, EnergyWh and the
-// event trace are identical at every pool size, whatever readahead
-// computed early, withdrew or wasted.
+// shipped controllers: WriteTSV, Counters, Runtime, EnergyWh, RealSecs
+// and the event trace are identical at every pool size, whatever
+// readahead computed early, withdrew or wasted, and however the
+// partitions' ends were spread over the workers.
 func TestPoolSizeInvisibleControllers(t *testing.T) {
 	for _, ctl := range poolControllers {
 		for _, env := range poolEnvs {
@@ -128,6 +129,51 @@ func TestPoolSizeInvisibleControllers(t *testing.T) {
 							t.Fatalf("slow server caused no speculation: %+v", c)
 						}
 					} else if got != want {
+						t.Errorf("workers=%d differs from workers=1:\n got %s\nwant %s", workers, got, want)
+					}
+				}
+			})
+		}
+	}
+	manyKeyRows(t)
+}
+
+// manyKeyRows is the many-key row of TestPoolSizeInvisibleControllers,
+// for the partitions' ends that run on the pool: a TargetError job whose
+// thousands of keys spread over six reduce partitions, incremental and
+// barrier, clean and under the fault plan. Everything runPoolJob renders
+// — RealSecs and Runtime included — and RealSecs itself are identical at
+// every pool size.
+func manyKeyRows(t *testing.T) {
+	for _, barrier := range []bool{false, true} {
+		for _, env := range poolEnvs[:2] {
+			barrier, env := barrier, env
+			t.Run(fmt.Sprintf("manykeys/barrier=%t/%s", barrier, env.name), func(t *testing.T) {
+				t.Parallel()
+				var want string
+				var wantSecs float64
+				for _, workers := range []int{1, 2, 4, 7} {
+					log := workload.AccessLog{Blocks: 160, LinesPerBlock: 300, Projects: 60, Pages: 6000, Seed: 5}
+					job := apps.PagePopularity(log.File("pool-keys"), apps.Options{Seed: 5, Cost: approxhadoop.PaperCost(),
+						Controller: &approx.TargetError{Target: 0.05}, Reduces: 6, Barrier: barrier})
+					job.Workers = workers
+					env.apply(job, 5)
+					res, got := runPoolJob(t, job)
+					if workers == 1 {
+						want, wantSecs = got, res.RealSecs
+						if len(res.Outputs) < 2000 {
+							t.Fatalf("row covers %d keys, want thousands", len(res.Outputs))
+						}
+						if c := res.Counters; env.name == "faults" && (c.MapsFailed == 0 || c.MapsRetried == 0) {
+							t.Fatalf("fault plan exercised no retry: %+v", c)
+						}
+						continue
+					}
+					//lint:ignore nofloateq pool size must not move a bit of the metered seconds
+					if res.RealSecs != wantSecs {
+						t.Errorf("workers=%d: RealSecs %v, workers=1 %v", workers, res.RealSecs, wantSecs)
+					}
+					if got != want {
 						t.Errorf("workers=%d differs from workers=1:\n got %s\nwant %s", workers, got, want)
 					}
 				}

@@ -15,8 +15,10 @@ import (
 // programs can be approximated, but ApproxHadoop cannot bound their
 // error (Section 1).
 type PreciseReduce struct {
-	fn     func(key string, values []float64) float64
-	values map[string][]float64
+	fn func(key string, values []float64) float64
+	// values holds each key's values at the key's ID in index.
+	index  KeyIndex
+	values [][]float64
 	tally  Tally
 	// combinerSafe declares fn distributive over per-task sums:
 	// fn(sums of groups) == fn(all values), as for sum/count. Only then
@@ -31,7 +33,7 @@ type PreciseReduce struct {
 // assumed NOT combiner-safe: if the job also enables Combine, outputs
 // are flagged Lossy (see CombinerSafe).
 func NewPreciseReduce(fn func(key string, values []float64) float64) *PreciseReduce {
-	return &PreciseReduce{fn: fn, values: make(map[string][]float64)}
+	return &PreciseReduce{fn: fn}
 }
 
 // CombinerSafe declares the reduce function distributive over sums —
@@ -58,13 +60,20 @@ func (r *PreciseReduce) Consume(out *MapOutput) {
 			if !r.combinerSafe && rs.Count > 1 {
 				r.lossy = true
 			}
-			r.values[key] = append(r.values[key], rs.Sum)
+			r.add(key, rs.Sum)
 		})
 		return
 	}
-	out.EachPair(func(key string, value float64) {
-		r.values[key] = append(r.values[key], value)
-	})
+	out.EachPair(r.add)
+}
+
+// add appends one of key's values.
+func (r *PreciseReduce) add(key string, value float64) {
+	id, added := r.index.Insert(key)
+	if added {
+		r.values = append(r.values, nil)
+	}
+	r.values[id] = append(r.values[id], value)
 }
 
 // Estimates implements ReduceLogic; precise reduces cannot estimate
@@ -75,7 +84,8 @@ func (r *PreciseReduce) Estimates(EstimateView) []KeyEstimate { return nil }
 func (r *PreciseReduce) Finalize(view EstimateView) []KeyEstimate {
 	approx := !r.tally.Exact(view)
 	out := make([]KeyEstimate, 0, len(r.values))
-	for key, vals := range r.values {
+	for id, vals := range r.values {
+		key := r.index.Key(int32(id))
 		slices.Sort(vals)
 		ke := KeyEstimate{Key: key, Exact: !approx && !r.lossy, Lossy: r.lossy}
 		ke.Est = stats.Estimate{Value: r.fn(key, vals), Conf: view.Confidence}

@@ -11,8 +11,9 @@ import (
 
 // checkSortByKey sorts keys with SortByKey and holds the result to
 // slices.SortFunc over strings.Compare, with equal keys in input order;
-// then it deals the sorted keys into runs and holds mergeByKey to the
-// same order.
+// then it deals the sorted keys into runs and holds mergeByKey, whole
+// and split in two, to the same order. sortedByKey is held to slices.IsSortedFunc before and
+// after the sort.
 func checkSortByKey(t *testing.T, keys []string) {
 	t.Helper()
 	out := make([]KeyEstimate, len(keys))
@@ -20,9 +21,15 @@ func checkSortByKey(t *testing.T, keys []string) {
 		out[i] = KeyEstimate{Key: k}
 		out[i].Est.Value = float64(i)
 	}
+	if got, want := sortedByKey(out, keyPrefixes(out)), slices.IsSortedFunc(keys, strings.Compare); got != want {
+		t.Fatalf("sortedByKey(%q) = %t, want %t", keys, got, want)
+	}
 	want := slices.Clone(keys)
 	slices.SortFunc(want, strings.Compare)
 	SortByKey(out)
+	if !sortedByKey(out, keyPrefixes(out)) {
+		t.Fatalf("sortedByKey is false after SortByKey(%q)", keys)
+	}
 	for i := range out {
 		if out[i].Key != want[i] {
 			t.Fatalf("SortByKey(%q): position %d holds %q, want %q", keys, i, out[i].Key, want[i])
@@ -40,13 +47,28 @@ func checkSortByKey(t *testing.T, keys []string) {
 			}
 			runs[p] = append(runs[p], e)
 		}
-		merged := mergeByKey(runs)
-		if len(merged) != len(out) {
-			t.Fatalf("mergeByKey over %d runs: %d elements, want %d", parts, len(merged), len(out))
+		prefixes := make([][]uint64, parts)
+		for p, r := range runs {
+			prefixes[p] = keyPrefixes(r)
 		}
-		for i := range merged {
-			if merged[i].Key != want[i] {
-				t.Fatalf("mergeByKey over %d runs of %q: position %d holds %q, want %q", parts, keys, i, merged[i].Key, want[i])
+		whole := &mergeFuture{runs: runs, prefixes: prefixes, out: make([]KeyEstimate, len(out))}
+		whole.compute()
+		for i := range whole.out {
+			if whole.out[i].Key != want[i] {
+				t.Fatalf("mergeByKey over %d runs of %q: position %d holds %q, want %q", parts, keys, i, whole.out[i].Key, want[i])
+			}
+		}
+		if len(out) == 0 {
+			continue
+		}
+		// The two halves of split merged apart fill out as the whole does.
+		halves := &mergeFuture{runs: runs, prefixes: prefixes, out: make([]KeyEstimate, len(out))}
+		lower, upper := halves.split()
+		upper.compute()
+		lower.compute()
+		for i := range halves.out {
+			if halves.out[i] != whole.out[i] {
+				t.Fatalf("split merge over %d runs of %q: position %d holds %+v, whole merge %+v", parts, keys, i, halves.out[i], whole.out[i])
 			}
 		}
 	}
@@ -65,6 +87,7 @@ func TestSortByKeyEdges(t *testing.T) {
 		{"12345678", "12345678", "1234567", "123456789", "12345677\xff"},
 	} {
 		checkSortByKey(t, keys)
+		checkSortByKey(t, pastRadixMin(keys))
 	}
 	// Long cycles: page keys in hash order.
 	var keys []string
@@ -74,12 +97,33 @@ func TestSortByKeyEdges(t *testing.T) {
 	checkSortByKey(t, keys)
 }
 
-// FuzzSortByKey cuts the input into keys at every 0xfe byte.
+// pastRadixMin repeats keys, each copy with a different last key
+// dropped, until there are at least radixMin of them: SortByKey then
+// radix-sorts them, with runs of equal keys to keep in input order.
+func pastRadixMin(keys []string) []string {
+	if len(keys) == 0 {
+		return nil
+	}
+	var out []string
+	for i := 0; len(out) < radixMin; i++ {
+		for j, k := range keys {
+			if j != i%len(keys) || len(keys) == 1 {
+				out = append(out, k)
+			}
+		}
+	}
+	return out
+}
+
+// FuzzSortByKey cuts the input into keys at every 0xfe byte, and sorts
+// them both as they are and repeated past radixMin.
 func FuzzSortByKey(f *testing.F) {
 	f.Add([]byte("page1234x\xfepage12345\xfe\xfepage1234\xfea\x00\xfea\xfe\xff\xff\xfe"))
 	f.Add([]byte("\x00\xfe\x00\x00\xfe\xfe\xff\xfe12345678\xfe12345678\xfe1234567\xfe"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkSortByKey(t, strings.Split(string(data), "\xfe"))
+		keys := strings.Split(string(data), "\xfe")
+		checkSortByKey(t, keys)
+		checkSortByKey(t, pastRadixMin(keys))
 	})
 }
 

@@ -3,8 +3,6 @@ package mapreduce
 import (
 	"fmt"
 	"math"
-	"slices"
-	"strings"
 
 	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
@@ -23,16 +21,16 @@ const (
 	taskDropped
 )
 
-// reduceTask is the runtime state of one reduce partition.
+// reduceTask is the runtime state of one reduce partition; its
+// ReduceLogic, barrier buffer and final outputs are those of the
+// partition's end, the reduceFuture checkCompletion runs on the pool.
 type reduceTask struct {
 	partition int
-	logic     ReduceLogic
 	server    *cluster.Server
 	handle    *cluster.RunningTask
-	busyUntil float64      // virtual time the reduce is busy through
-	buffered  []*MapOutput // barrier mode only
+	busyUntil float64 // virtual time the reduce is busy through
 	pairs     int64
-	outputs   []KeyEstimate
+	reduceFuture
 }
 
 // tracker is the JobTracker: it owns all scheduling state for one job.
@@ -295,7 +293,7 @@ func (t *tracker) startReduces() error {
 		if srv == nil {
 			return fmt.Errorf("mapreduce: no reduce slot for partition %d", p)
 		}
-		r := &reduceTask{partition: p, logic: t.job.NewReduce(p), server: srv}
+		r := &reduceTask{partition: p, server: srv, reduceFuture: reduceFuture{logic: t.job.NewReduce(p)}}
 		part := p
 		hostID := srv.ID
 		r.handle = t.eng.StartOpenTask(srv, cluster.ReduceSlot, func(killed bool) {
@@ -816,7 +814,7 @@ func (t *tracker) flushLaunches() {
 	held := min(len(t.issue), 1)
 	t.readAhead()
 	if w := t.pool.workers; held == 1 && t.counters.MapsCompleted == 0 && len(t.issue) > 1+w {
-		t.pool.submit(t.issue[1 : 1+w])
+		submit(t.pool, t.issue[1:1+w])
 		first := t.issue[0]
 		t.pool.wait(first)
 		if first.err == nil {
@@ -826,7 +824,7 @@ func (t *tracker) flushLaunches() {
 		}
 		held = 1 + w
 	}
-	t.pool.submit(t.issue[held:])
+	submit(t.pool, t.issue[held:])
 	t.issue = t.issue[:0]
 	for _, pl := range batch {
 		if t.failErr == nil {
@@ -956,13 +954,19 @@ func (t *tracker) deliver(r *reduceTask, out *MapOutput) {
 }
 
 func (t *tracker) consume(r *reduceTask, out *MapOutput) {
+	t.job.Meter.Begin(vtime.OpReduce)
+	r.logic.Consume(out)
+	t.chargeConsume(r, out, t.job.Meter.End(vtime.OpReduce, int64(out.PairLen()), 0))
+}
+
+// chargeConsume accounts one consumed output, whose fold was metered
+// at secs: its shuffle bytes, the real seconds and the reduce's busy
+// time on the virtual timeline.
+func (t *tracker) chargeConsume(r *reduceTask, out *MapOutput, secs float64) {
 	sz := out.ShuffleSize()
 	t.counters.ShuffleBytes += sz
 	totalShuffleBytes.Add(sz)
-	t.job.Meter.Begin(vtime.OpReduce)
-	r.logic.Consume(out)
 	n := int64(out.PairLen())
-	secs := t.job.Meter.End(vtime.OpReduce, n, 0)
 	t.realSecs += secs
 	r.pairs += n
 	cost := t.job.Cost.ReduceDuration(n, secs)
@@ -1067,7 +1071,16 @@ func (t *tracker) pendingCount() int { return t.inState[taskPending] }
 func (t *tracker) runningCount() int { return t.inState[taskRunning] }
 
 // checkCompletion finalizes the reduces once every map task is done or
-// dropped and no attempts remain in flight.
+// dropped and no attempts remain in flight. Each partition's end — its
+// buffered outputs consumed in barrier mode, then Finalize — is one
+// reduceFuture: the workers take every partition but the first, each
+// under its own fork of the job's meter, while the scheduler runs the
+// first under the job's meter itself. The scheduler then collects them
+// in partition order — running any no worker has started — and charges
+// each one's metered seconds exactly as a sequential loop over the
+// partitions would, so RealSecs, Runtime and the trace do not depend on
+// the pool. A single-worker pool runs them all inline, in that order,
+// under the job's meter.
 func (t *tracker) checkCompletion() {
 	if t.finalizing || t.failErr != nil {
 		return
@@ -1078,20 +1091,22 @@ func (t *tracker) checkCompletion() {
 	t.finalizing = true
 	t.counters.Waves = t.waves()
 	view := t.estView()
+	for p, r := range t.reduces {
+		r.view, r.meter = view, t.job.Meter
+		if p > 0 && t.pool.workers > 1 {
+			r.meter = vtime.Fork(t.job.Meter)
+		}
+	}
+	submit(t.pool, t.reduces[min(1, len(t.reduces)):])
 	for _, r := range t.reduces {
 		r := r
-		if t.job.Barrier {
-			for _, out := range r.buffered {
-				t.consume(r, out)
-			}
-			r.buffered = nil
+		t.pool.wait(r)
+		for i, out := range r.buffered {
+			t.chargeConsume(r, out, r.consumeSecs[i])
 		}
-		t.job.Meter.Begin(vtime.OpReduce)
-		outs := r.logic.Finalize(view)
-		fSecs := t.job.Meter.End(vtime.OpReduce, int64(len(outs)), 0)
-		t.realSecs += fSecs
-		r.outputs = outs
-		finish := math.Max(t.eng.Now(), r.busyUntil) + t.job.Cost.ReduceDuration(0, fSecs)
+		r.buffered = nil
+		t.realSecs += r.finalSecs
+		finish := math.Max(t.eng.Now(), r.busyUntil) + t.job.Cost.ReduceDuration(0, r.finalSecs)
 		t.eng.At(finish, func() {
 			t.eng.FinishTask(r.handle)
 			t.emit(EventReduceFinished, r.partition, r.server.ID, 0)
@@ -1114,16 +1129,30 @@ func (t *tracker) waves() int {
 
 // completeJob assembles the final Result. Every Finalize returns its
 // partition sorted by key, so Outputs is their merge; a ReduceLogic that
-// breaks that contract has its partition sorted first.
+// breaks that contract has its partition sorted first. With more than
+// one worker the merge is cut in two by key: the scheduler merges the
+// lower half while the pool may take the upper one.
 func (t *tracker) completeJob() {
-	runs := make([][]KeyEstimate, len(t.reduces))
+	merge := mergeFuture{runs: make([][]KeyEstimate, len(t.reduces)), prefixes: make([][]uint64, len(t.reduces))}
+	n := 0
 	for p, r := range t.reduces {
-		if !slices.IsSortedFunc(r.outputs, func(a, b KeyEstimate) int { return strings.Compare(a.Key, b.Key) }) {
+		if !sortedByKey(r.outputs, r.prefixes) {
 			SortByKey(r.outputs)
+			r.prefixes = keyPrefixes(r.outputs)
 		}
-		runs[p] = r.outputs
+		merge.runs[p], merge.prefixes[p] = r.outputs, r.prefixes
+		n += len(r.outputs)
 	}
-	outputs := mergeByKey(runs)
+	merge.out = make([]KeyEstimate, n)
+	if t.pool.workers > 1 && n > 1 {
+		lower, upper := merge.split()
+		submit(t.pool, []*mergeFuture{upper})
+		lower.compute()
+		t.pool.wait(upper)
+	} else {
+		merge.compute()
+	}
+	outputs := merge.out
 	t.emit(EventJobCompleted, -1, "", 0)
 	endBreak := t.eng.EnergyBreakdown()
 	t.result = &Result{

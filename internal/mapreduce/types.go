@@ -383,24 +383,47 @@ type KeyEstimate struct {
 // 16-byte ranks — a key's first eight bytes as a big-endian integer and
 // the element's index — comparing whole keys only where those bytes
 // tie, then moves each 64-byte element once, along the cycles of the
-// permutation.
+// permutation. From radixMin outputs on, the ranks are sorted by a
+// stable radix sort of the prefixes and then each run of equal
+// prefixes by whole key; below it, by one comparison sort.
 func SortByKey(out []KeyEstimate) {
 	if len(out) < 2 {
 		return
 	}
-	ranks := make([]keyRank, len(out))
+	size := len(out)
+	if size >= radixMin {
+		size *= 2 // the radix sort's scatter buffer
+	}
+	ranks := make([]keyRank, len(out), size)
 	for i := range out {
 		ranks[i] = keyRank{prefix: zerocopy.Prefix64(out[i].Key), idx: i}
 	}
-	slices.SortFunc(ranks, func(a, b keyRank) int {
-		if a.prefix != b.prefix {
-			return cmp.Compare(a.prefix, b.prefix)
+	byKey := func(a, b keyRank) int { return strings.Compare(out[a.idx].Key, out[b.idx].Key) }
+	if len(out) < radixMin {
+		slices.SortFunc(ranks, func(a, b keyRank) int {
+			if a.prefix != b.prefix {
+				return cmp.Compare(a.prefix, b.prefix)
+			}
+			if c := byKey(a, b); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.idx, b.idx)
+		})
+	} else {
+		radixByPrefix(ranks, ranks[len(out):size])
+		// A run of equal prefixes is in index order: sorting it stably
+		// by key leaves equal keys in index order.
+		for i := 0; i < len(ranks); {
+			j := i + 1
+			for j < len(ranks) && ranks[j].prefix == ranks[i].prefix {
+				j++
+			}
+			if j-i > 1 {
+				slices.SortStableFunc(ranks[i:j], byKey)
+			}
+			i = j
 		}
-		if c := strings.Compare(out[a.idx].Key, out[b.idx].Key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.idx, b.idx)
-	})
+	}
 	// Position k takes out[ranks[k].idx]; a visited position's idx is -1.
 	for start := range ranks {
 		if ranks[start].idx == start || ranks[start].idx < 0 {
@@ -420,29 +443,88 @@ func SortByKey(out []KeyEstimate) {
 	}
 }
 
+// radixMin is the fewest outputs SortByKey radix-sorts: on 8-byte page
+// keys the radix sort's eight 256-bucket passes cost more than a
+// comparison sort of 200 ranks and half as much at 1 400.
+const radixMin = 256
+
+// radixByPrefix sorts ranks by prefix, stably, with spare (as long as
+// ranks) as the scatter buffer: one counting pass per prefix byte, least
+// significant first, and no scatter for a byte every prefix shares.
+func radixByPrefix(ranks, spare []keyRank) {
+	src, dst := ranks, spare
+	for shift := 0; shift < 64; shift += 8 {
+		var at [256]int
+		for _, r := range src {
+			at[byte(r.prefix>>shift)]++
+		}
+		if at[byte(src[0].prefix>>shift)] == len(src) {
+			continue
+		}
+		sum := 0
+		for b, n := range at {
+			at[b] = sum
+			sum += n
+		}
+		for _, r := range src {
+			b := byte(r.prefix >> shift)
+			dst[at[b]] = r
+			at[b]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ranks[0] {
+		copy(ranks, src)
+	}
+}
+
 // keyRank is one element's place in SortByKey.
 type keyRank struct {
 	prefix uint64
 	idx    int
 }
 
-// mergeByKey merges runs, each sorted by key, into one new slice sorted
-// by key; on equal keys the earlier run's elements come first.
-func mergeByKey(runs [][]KeyEstimate) []KeyEstimate {
-	n := 0
-	for _, r := range runs {
-		n += len(r)
+// keyPrefixes returns the SortByKey prefix of every output's key.
+func keyPrefixes(out []KeyEstimate) []uint64 {
+	ps := make([]uint64, len(out))
+	for i := range out {
+		ps[i] = zerocopy.Prefix64(out[i].Key)
 	}
-	out := make([]KeyEstimate, 0, n)
+	return ps
+}
+
+// sortedByKey reports whether out, whose keys' prefixes are ps, is in
+// SortByKey's order; it compares whole keys only where prefixes tie.
+func sortedByKey(out []KeyEstimate, ps []uint64) bool {
+	for i := 1; i < len(out); i++ {
+		if ps[i] < ps[i-1] || ps[i] == ps[i-1] && out[i].Key < out[i-1].Key {
+			return false
+		}
+	}
+	return true
+}
+
+// mergeByKey merges runs, each sorted by key, into out, which is as
+// long as the runs together, in key order; on equal keys the earlier
+// run's elements come first. prefixes[p] holds the keyPrefixes of
+// runs[p]: heads compare by them first and read whole keys only where
+// they tie, and the heap of heads holds no pointers.
+func mergeByKey(out []KeyEstimate, runs [][]KeyEstimate, prefixes [][]uint64) {
 	// A min-heap of the runs still holding elements, by head key and
-	// then run index.
+	// then run index; runs[run][pos] is a run's head.
 	type head struct {
-		run  []KeyEstimate
-		part int
+		prefix   uint64
+		run, pos int
 	}
 	h := make([]head, 0, len(runs))
 	less := func(a, b *head) bool {
-		return a.run[0].Key < b.run[0].Key || a.run[0].Key == b.run[0].Key && a.part < b.part
+		if a.prefix != b.prefix {
+			return a.prefix < b.prefix
+		}
+		if c := strings.Compare(runs[a.run][a.pos].Key, runs[b.run][b.pos].Key); c != 0 {
+			return c < 0
+		}
+		return a.run < b.run
 	}
 	down := func(i int) {
 		for {
@@ -462,22 +544,24 @@ func mergeByKey(runs [][]KeyEstimate) []KeyEstimate {
 	}
 	for p, r := range runs {
 		if len(r) > 0 {
-			h = append(h, head{r, p})
+			h = append(h, head{prefixes[p][0], p, 0})
 		}
 	}
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		down(i)
 	}
-	for len(h) > 0 {
+	for k := 0; len(h) > 0; k++ {
 		top := &h[0]
-		out = append(out, top.run[0])
-		if top.run = top.run[1:]; len(top.run) == 0 {
+		run := runs[top.run]
+		out[k] = run[top.pos]
+		if top.pos++; top.pos == len(run) {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
+		} else {
+			top.prefix = prefixes[top.run][top.pos]
 		}
 		down(0)
 	}
-	return out
 }
 
 // EstimateView gives ReduceLogic the job-level facts needed to evaluate
@@ -540,6 +624,17 @@ func (t *Tally) Design(view EstimateView) stats.Design {
 // framework calls Consume once per completed map task (with that task's
 // slice of the shuffle), possibly interleaved with Estimates calls from
 // the controller, and Finalize exactly once at the end.
+//
+// One logic is only ever used by one goroutine at a time, but not
+// always the same one: the end of a partition — its last Consume calls
+// in barrier mode, then Finalize — runs on the job's worker pool, and
+// the Finalize calls of different partitions may run at the same time.
+// A logic must therefore keep its state to itself (NewReduce builds one
+// per partition) and be a pure function of what it consumed and the
+// view: no package-level state, no shared meter, nothing of the
+// scheduler's.
+//
+//approx:pure
 type ReduceLogic interface {
 	Consume(out *MapOutput)
 	// Estimates returns the current per-key estimates; used by target-

@@ -65,7 +65,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "per-job map-compute pool size (0 = GOMAXPROCS); results are identical for any value")
 		shards     = flag.Int("shards", 1, "engine-fleet size; jobs are placed by consistent hashing on tenant/key/name")
 		quota      = flag.Int("tenant-quota", 0, "max in-flight jobs per tenant across the fleet (0 = unlimited)")
-		maxLag     = flag.Int("max-lag", 0, "slow-subscriber drop threshold in frames (0 = default 256; negative disables dropping)")
 		journal    = flag.String("journal", "", "write-ahead journal path; enables crash-safe recovery (empty = off; sharded daemons keep one segment per shard)")
 		grace      = flag.Duration("grace", 10*time.Second, "SIGTERM drain grace for running jobs")
 		reqTimeout = flag.Duration("request-timeout", 10*time.Second, "per-request timeout for quick endpoints (negative disables)")
@@ -89,7 +88,6 @@ func main() {
 			TenantQuota:   *quota,
 		},
 		Shards:         *shards,
-		MaxLag:         *maxLag,
 		JournalPath:    *journal,
 		Grace:          *grace,
 		RequestTimeout: *reqTimeout,

@@ -184,7 +184,8 @@ func (f *Facts) DeclOf(fn *types.Func) *FuncInfo { return f.Funcs[fn] }
 // statically invokes: a plain function, a qualified pkg.Func, or a
 // method (devirtualized when the receiver is concrete). It returns nil
 // for calls through function values, builtins, and conversions.
-// Shared by errcheck, the call-graph builder, and lockheld.
+// Shared by errcheck, hotpath and lockheld; the call-graph builder
+// resolves calls through classifyCall.
 func calleeStatic(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

@@ -241,7 +241,7 @@ func (c *computeBodyChecker) check(body *ast.BlockStmt) {
 			}
 			if obj.Name() == "Job" && n.Sel.Name == "Meter" {
 				c.report(n.Pos(),
-					"compute-plane function %s reads the shared Job.Meter; fork a per-attempt meter (vtime.Fork) at decide time instead%s",
+					"compute-plane function %s reads the shared Job.Meter; fork a per-attempt meter (Meter.Fork) at decide time instead%s",
 					c.fn, c.chain)
 			}
 		case *ast.AssignStmt:

@@ -465,21 +465,6 @@ func TestGEVReducerCombinerMisuse(t *testing.T) {
 	}
 }
 
-func TestGEVReducerBlockTransform(t *testing.T) {
-	r := &ExtremeValueReducer{Min: true, AlreadyExtrema: false}
-	rng := stats.NewRand(9)
-	view := mapreduce.EstimateView{TotalMaps: 4, Dropped: 2, Confidence: 0.95}
-	r.Consume(mapOut(0, 500, 500, false, func(e mapreduce.Emitter) {
-		for i := 0; i < 500; i++ {
-			e.Emit("m", 50+rng.NormFloat64()*10)
-		}
-	}))
-	out := r.Finalize(view)
-	if len(out) != 1 || math.IsInf(out[0].Est.Err, 1) || out[0].Est.Err < 0 {
-		t.Errorf("block-transformed fit failed: %+v", out)
-	}
-}
-
 func TestTargetErrorGEVStopsEarly(t *testing.T) {
 	// Maps output minima of a search; a loose bound stops the job early.
 	blocks := 60

@@ -10,7 +10,7 @@ import (
 
 func TestMaxReducerEndToEnd(t *testing.T) {
 	r := NewMaxReducer()
-	if r.Min || !r.AlreadyExtrema {
+	if r.Min {
 		t.Fatalf("max reducer config: %+v", r)
 	}
 	rng := stats.NewRand(7)

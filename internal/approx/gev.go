@@ -13,11 +13,10 @@ import (
 // estimate time, fits a Generalized Extreme Value distribution to them
 // to bound how far the true extreme may lie beyond the observed one.
 //
-// In the common pattern each map task already outputs the min/max of
-// its own search (so the values form a sample of block extrema and
-// AlreadyExtrema should stay true); for raw value streams set
-// AlreadyExtrema to false and the reducer applies the Block
-// Minima/Maxima transform first.
+// Each map task outputs the min/max of its own search, so the values a
+// key collects are already a sample of block extrema (Section 3.2's
+// Block Minima/Maxima, with a map task as the block) and are fit as
+// they stand.
 //
 // The reported estimate is the extreme observed so far; its interval
 // half-width covers the GEV tail estimate: for a minimum,
@@ -26,11 +25,6 @@ import (
 // needs raw values — and is reported as an unbounded estimate.
 type ExtremeValueReducer struct {
 	Min bool // estimate a minimum (false: maximum)
-	// AlreadyExtrema says the values are already per-task extrema, fit
-	// in sorted order. When false, the Block Minima/Maxima transform
-	// cuts the raw values into blocks in arrival order, so the fit
-	// depends on the order map outputs arrive in.
-	AlreadyExtrema bool
 
 	tally mapreduce.Tally
 	// values holds each key's values at the key's ID in index.
@@ -40,8 +34,7 @@ type ExtremeValueReducer struct {
 }
 
 // The GEV fit's tuning: the tail percentile of the quantile it bounds,
-// and the fewest extrema it fits. The Block Minima/Maxima transform
-// cuts n raw values into ⌊√n⌋ blocks.
+// and the fewest extrema it fits.
 const (
 	tailP     = 0.01
 	minSample = 8
@@ -50,13 +43,13 @@ const (
 // NewMinReducer builds an ExtremeValueReducer for minima over per-task
 // extrema (the DC-placement pattern).
 func NewMinReducer() *ExtremeValueReducer {
-	return &ExtremeValueReducer{Min: true, AlreadyExtrema: true}
+	return &ExtremeValueReducer{Min: true}
 }
 
 // NewMaxReducer builds an ExtremeValueReducer for maxima over per-task
 // extrema.
 func NewMaxReducer() *ExtremeValueReducer {
-	return &ExtremeValueReducer{Min: false, AlreadyExtrema: true}
+	return &ExtremeValueReducer{Min: false}
 }
 
 // Consume implements mapreduce.ReduceLogic.
@@ -107,13 +100,8 @@ func (r *ExtremeValueReducer) estimate(vals []float64, view mapreduce.EstimateVi
 	// The fit reads a sorted copy of the per-task extrema: the GEV
 	// likelihood is symmetric in its sample, so sorting moves nothing
 	// but rounding, and it makes the fit independent of arrival order.
-	var sample []float64
-	if r.AlreadyExtrema {
-		sample = slices.Clone(vals)
-		slices.Sort(sample)
-	} else {
-		sample = stats.BlockExtrema(vals, int(math.Sqrt(float64(len(vals)))), r.Min)
-	}
+	sample := slices.Clone(vals)
+	slices.Sort(sample)
 	if len(sample) < minSample {
 		est.Err = math.Inf(1)
 		est.StdErr = math.Inf(1)

@@ -63,8 +63,11 @@ type KMeansConfig struct {
 	// approximate mapper, which subsamples its points 10:1 — the
 	// user-defined approximation from the technical report.
 	ApproxRatio float64
-	SubSample   float64 // fraction of points the approximate mapper uses (default 0.1)
 }
+
+// kmeansStride is the approximate k-means mapper's subsampling: it
+// processes every kmeansStride-th point.
+const kmeansStride = 10
 
 // kmeansMapper assigns points to the nearest centroid and emits the
 // per-centroid partial sums a reduce needs to recompute centroids:
@@ -107,15 +110,8 @@ func KMeansIteration(input *dfs.File, cfg KMeansConfig, opts Options) *mapreduce
 	if len(cfg.Centroids) == 0 {
 		cfg.Centroids = [][2]float64{{0, 0}, {10, 0}, {0, 10}, {10, 10}}
 	}
-	if cfg.SubSample <= 0 || cfg.SubSample > 1 {
-		cfg.SubSample = 0.1
-	}
-	stride := int(math.Round(1 / cfg.SubSample))
-	if stride < 2 {
-		stride = 2
-	}
 	precise := func() mapreduce.Mapper { return kmeansMapper(cfg, 1) }
-	approxV := func() mapreduce.Mapper { return kmeansMapper(cfg, stride) }
+	approxV := func() mapreduce.Mapper { return kmeansMapper(cfg, kmeansStride) }
 	return userDefinedJob("KMeans", input, approx.PerTaskMappers(cfg.ApproxRatio, opts.Seed, precise, approxV), opts)
 }
 
@@ -210,27 +206,26 @@ func videoMapper(passes int) mapreduce.Mapper {
 	})
 }
 
-// VideoEncodingConfig sets the precise and approximate encoder
-// settings and the fraction of tasks encoded approximately.
+// VideoEncodingConfig sets the fraction of tasks encoded
+// approximately.
 type VideoEncodingConfig struct {
-	PrecisePasses int     // default 6
-	ApproxPasses  int     // default 2
-	ApproxRatio   float64 // fraction of tasks using the approximate encoder
+	ApproxRatio float64 // fraction of tasks using the approximate encoder
 }
+
+// The encoder's motion-search passes per frame: the precise setting
+// and the cheap one approximate tasks use.
+const (
+	precisePasses = 6
+	approxPasses  = 2
+)
 
 // VideoEncoding builds the encoding job with user-defined
 // approximation: a fraction of the map tasks encode with the cheap
 // setting. Quality loss is the user's own metric (average quality of
 // the output), not a statistical bound.
 func VideoEncoding(input *dfs.File, cfg VideoEncodingConfig, opts Options) *mapreduce.Job {
-	if cfg.PrecisePasses <= 0 {
-		cfg.PrecisePasses = 6
-	}
-	if cfg.ApproxPasses <= 0 {
-		cfg.ApproxPasses = 2
-	}
-	precise := func() mapreduce.Mapper { return videoMapper(cfg.PrecisePasses) }
-	approxV := func() mapreduce.Mapper { return videoMapper(cfg.ApproxPasses) }
+	precise := func() mapreduce.Mapper { return videoMapper(precisePasses) }
+	approxV := func() mapreduce.Mapper { return videoMapper(approxPasses) }
 	return userDefinedJob("VideoEncoding", input, approx.PerTaskMappers(cfg.ApproxRatio, opts.Seed, precise, approxV), opts)
 }
 

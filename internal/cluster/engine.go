@@ -355,30 +355,8 @@ func (e *Engine) PerturbDuration(d float64) float64 {
 // when the task completes or is killed. StartTask panics if the server
 // has no free slot — the scheduler must check FreeSlots first.
 func (e *Engine) StartTask(srv *Server, kind SlotKind, duration float64, onFinish func(killed bool)) *RunningTask {
-	if srv.FreeSlots(kind) <= 0 {
-		//lint:ignore nopanic documented invariant: the API contract requires callers to check FreeSlots first
-		panic(fmt.Sprintf("cluster: no free %v slot on %s", kind, srv.ID))
-	}
-	if srv.speed > 0 {
-		duration /= srv.speed // x/1 == x exactly, so speed 1 is a no-op
-	}
-	e.accrue()
-	if kind == MapSlot {
-		srv.mapBusy++
-	} else {
-		srv.reduceBusy++
-	}
-	e.taskSeq++
-	t := &RunningTask{
-		Server:   srv,
-		Kind:     kind,
-		Start:    e.now,
-		Finish:   e.now + duration,
-		seq:      e.taskSeq,
-		onFinish: onFinish,
-	}
-	e.running[t] = true
-	e.At(t.Finish, func() { e.finish(t, false) })
+	t := e.StartOpenTask(srv, kind, onFinish)
+	e.FinishAfter(t, duration)
 	return t
 }
 

@@ -185,16 +185,15 @@ func (f *File) Size() int64 {
 	return s
 }
 
-// NameNode maintains file metadata and block replica placement, plus
-// DataNode liveness (HDFS's heartbeat view): servers marked down stop
-// counting as replica holders until marked up again.
+// NameNode maintains file metadata and block replica placement.
+// Server liveness is the cluster engine's: schedulers pass its
+// predicate to Block.Unrunnable.
 type NameNode struct {
 	mu          sync.RWMutex
 	files       map[string]*File
 	servers     []string
 	replication int
 	nextServer  int
-	down        map[string]bool
 }
 
 // NewNameNode creates a NameNode managing the given DataNode servers
@@ -212,37 +211,7 @@ func NewNameNode(servers []string, replication int) *NameNode {
 		files:       make(map[string]*File),
 		servers:     cp,
 		replication: replication,
-		down:        make(map[string]bool),
 	}
-}
-
-// MarkDown records a DataNode as dead: its replicas stop counting as
-// live until MarkUp.
-func (nn *NameNode) MarkDown(serverID string) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	nn.down[serverID] = true
-}
-
-// MarkUp records a DataNode as alive again (rejoin after recovery);
-// its replicas count as live once more, mirroring an HDFS DataNode
-// re-registering its block reports.
-func (nn *NameNode) MarkUp(serverID string) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	delete(nn.down, serverID)
-}
-
-// Alive reports whether a DataNode is currently considered live.
-func (nn *NameNode) Alive(serverID string) bool {
-	nn.mu.RLock()
-	defer nn.mu.RUnlock()
-	return !nn.down[serverID]
-}
-
-// LiveReplicas returns b's replicas on DataNodes not marked down.
-func (nn *NameNode) LiveReplicas(b *Block) []string {
-	return b.LiveReplicas(nn.Alive)
 }
 
 // Servers returns the registered DataNode server IDs.

@@ -181,7 +181,7 @@ func TestBlockID(t *testing.T) {
 }
 
 // TestReplicaLiveness covers the failure-model queries: live-replica
-// filtering, the unrunnable condition, and NameNode liveness tracking.
+// filtering and the unrunnable condition under a liveness predicate.
 func TestReplicaLiveness(t *testing.T) {
 	nn := NewNameNode([]string{"s0", "s1", "s2"}, 2)
 	f := SplitText("r.txt", []byte("a\nb\nc\nd\n"), 2)
@@ -192,22 +192,24 @@ func TestReplicaLiveness(t *testing.T) {
 	if len(b.Replicas) != 2 {
 		t.Fatalf("expected 2 replicas, got %v", b.Replicas)
 	}
-	if got := nn.LiveReplicas(b); len(got) != 2 {
+	down := map[string]bool{}
+	alive := func(id string) bool { return !down[id] }
+	if got := b.LiveReplicas(alive); len(got) != 2 {
 		t.Errorf("all replicas should be live initially: %v", got)
 	}
-	nn.MarkDown(b.Replicas[0])
-	if got := nn.LiveReplicas(b); len(got) != 1 || got[0] != b.Replicas[1] {
+	down[b.Replicas[0]] = true
+	if got := b.LiveReplicas(alive); len(got) != 1 || got[0] != b.Replicas[1] {
 		t.Errorf("one replica should survive: %v", got)
 	}
-	if b.Unrunnable(nn.Alive) {
+	if b.Unrunnable(alive) {
 		t.Error("block with a live replica must stay runnable")
 	}
-	nn.MarkDown(b.Replicas[1])
-	if !b.Unrunnable(nn.Alive) {
+	down[b.Replicas[1]] = true
+	if !b.Unrunnable(alive) {
 		t.Error("block with no live replicas must be unrunnable")
 	}
-	nn.MarkUp(b.Replicas[1])
-	if b.Unrunnable(nn.Alive) {
+	delete(down, b.Replicas[1])
+	if b.Unrunnable(alive) {
 		t.Error("recovery must restore the replica")
 	}
 	// A block never registered with a NameNode has no placement to

@@ -35,13 +35,10 @@ type Daemon struct {
 
 	// RequestTimeout bounds quick HTTP endpoints via
 	// http.TimeoutHandler (0 = unlimited); MaxBody bounds POST request
-	// bodies via http.MaxBytesReader (0 = the 4 MiB default). MaxLag is
-	// the slow-subscriber drop threshold for frame streaming (0 =
-	// DefaultMaxLag; <0 disables dropping). Set all before Handler is
-	// called; see Handler for the exempt endpoints.
+	// bodies via http.MaxBytesReader (0 = the 4 MiB default). Set both
+	// before Handler is called; see Handler for the exempt endpoints.
 	RequestTimeout time.Duration
 	MaxBody        int64
-	MaxLag         int
 }
 
 // NewFleetDaemon starts one driver goroutine per service — one service
@@ -90,17 +87,6 @@ func (d *Daemon) Fleet() *Fleet { return d.fleet }
 // hook; fleet-aware callers route through Fleet methods).
 func (d *Daemon) do(fn func()) error {
 	return d.fleet.shards[0].do(fn)
-}
-
-// maxLag resolves the configured slow-subscriber drop threshold.
-func (d *Daemon) maxLag() int {
-	if d.MaxLag == 0 {
-		return DefaultMaxLag
-	}
-	if d.MaxLag < 0 {
-		return 0
-	}
-	return d.MaxLag
 }
 
 // Stop shuts every shard driver down and wakes every stream waiter.

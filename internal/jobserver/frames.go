@@ -159,8 +159,8 @@ func synthWindowFrame(seq int, status StreamStatus) *encFrame {
 // DefaultMaxLag is the slow-subscriber drop threshold: a live
 // subscriber more than this many frames behind is skipped forward to
 // the latest frame. Generous on purpose — jobs emit tens of frames, so
-// only a genuinely wedged reader ever trips it; operators lower it per
-// daemon (-max-lag) or per request (?lag=N).
+// only a genuinely wedged reader ever trips it; a client sets its own
+// per request (?lag=N, or ?lag=off to never drop).
 const DefaultMaxLag = 256
 
 // freshFrames is the subscriber cursor over a frame log: the frames

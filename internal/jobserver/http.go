@@ -278,21 +278,18 @@ func wantBinary(r *http.Request) bool {
 }
 
 // streamLag resolves the effective slow-subscriber drop threshold for
-// one request: the daemon default, overridable per connection with
-// ?lag=N (N frames behind a live job triggers drop-to-latest; lag=off
+// one request: DefaultMaxLag, overridable per connection with ?lag=N
+// (N frames behind a live job triggers drop-to-latest; lag=off
 // disables it, e.g. for an auditing client that must see every frame).
-func (d *Daemon) streamLag(r *http.Request) int {
+func streamLag(r *http.Request) int {
 	q := r.URL.Query().Get("lag")
-	if q == "" {
-		return d.maxLag()
-	}
 	if q == "off" {
 		return 0
 	}
 	if n, err := strconv.Atoi(q); err == nil && n > 0 {
 		return n
 	}
-	return d.maxLag()
+	return DefaultMaxLag
 }
 
 // terminalStatus is what JobStatus and StreamStatus share.
@@ -332,7 +329,7 @@ func serveFrames[S terminalStatus](d *Daemon, w http.ResponseWriter, r *http.Req
 			cursor = n
 		}
 	}
-	lag := d.streamLag(r)
+	lag := streamLag(r)
 	for {
 		fresh, status, after, err := next(id, cursor, lag)
 		if err != nil {

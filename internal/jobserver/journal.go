@@ -234,17 +234,16 @@ type Journal struct {
 	path string
 	f    *os.File
 	w    *bufio.Writer
-	// dirty counts appended records not yet fsynced; SyncEvery bounds
+	// dirty counts appended records not yet fsynced; syncEvery bounds
 	// it (an append auto-commits at the threshold).
-	dirty     int
-	SyncEvery int
-	closed    bool
+	dirty  int
+	closed bool
 }
 
-// DefaultSyncEvery is the auto-commit threshold: at most this many
-// buffered records before an append forces an fsync. Submissions and
-// drains commit explicitly regardless.
-const DefaultSyncEvery = 32
+// syncEvery is the auto-commit threshold: at most this many buffered
+// records before an append forces an fsync. Submissions and drains
+// commit explicitly regardless.
+const syncEvery = 32
 
 // OpenJournal opens (creating if absent) the journal at path, replays
 // the existing records, and positions the writer at the end. A torn
@@ -275,7 +274,7 @@ func OpenJournal(path string) (*Journal, []JournalRecord, error) {
 		}
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{path: path, f: f, w: bufio.NewWriter(f), SyncEvery: DefaultSyncEvery}
+	j := &Journal{path: path, f: f, w: bufio.NewWriter(f)}
 	return j, recs, nil
 }
 
@@ -323,7 +322,7 @@ func readJournal(f *os.File) ([]JournalRecord, int64, error) {
 // Path returns the journal's file path.
 func (j *Journal) Path() string { return j.path }
 
-// Append buffers one record, auto-committing when SyncEvery records
+// Append buffers one record, auto-committing when syncEvery records
 // have accumulated. The record is not durable until the next Commit.
 func (j *Journal) Append(rec JournalRecord) error {
 	if j.closed {
@@ -340,7 +339,7 @@ func (j *Journal) Append(rec JournalRecord) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	j.dirty++
-	if j.SyncEvery > 0 && j.dirty >= j.SyncEvery {
+	if j.dirty >= syncEvery {
 		return j.Commit()
 	}
 	return nil

@@ -2,6 +2,7 @@ package jobserver
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -199,8 +200,8 @@ func TestJournalInteriorCorruptionRejected(t *testing.T) {
 	}
 }
 
-// TestJournalAutoCommitBatching: SyncEvery bounds the dirty window —
-// the auto-commit fires at the threshold, and Commit is a no-op when
+// TestJournalAutoCommitBatching: syncEvery bounds the dirty window —
+// the syncEvery-th append auto-commits, and Commit is a no-op when
 // clean.
 func TestJournalAutoCommitBatching(t *testing.T) {
 	path := tempJournal(t)
@@ -208,18 +209,19 @@ func TestJournalAutoCommitBatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SyncEvery = 2
-	if err := j.Append(JournalRecord{Op: JournalAdmit, ID: "job-0000"}); err != nil {
-		t.Fatal(err)
+	for i := range syncEvery - 1 {
+		if err := j.Append(JournalRecord{Op: JournalAdmit, ID: fmt.Sprintf("job-%04d", i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if j.dirty != 1 {
-		t.Fatalf("dirty = %d after one append, want 1", j.dirty)
+	if j.dirty != syncEvery-1 {
+		t.Fatalf("dirty = %d after %d appends, want %d", j.dirty, syncEvery-1, syncEvery-1)
 	}
-	if err := j.Append(JournalRecord{Op: JournalAdmit, ID: "job-0001"}); err != nil {
+	if err := j.Append(JournalRecord{Op: JournalAdmit, ID: fmt.Sprintf("job-%04d", syncEvery-1)}); err != nil {
 		t.Fatal(err)
 	}
 	if j.dirty != 0 {
-		t.Fatalf("dirty = %d after hitting SyncEvery, want 0 (auto-commit)", j.dirty)
+		t.Fatalf("dirty = %d after append %d, want 0 (auto-commit)", j.dirty, syncEvery)
 	}
 	if err := j.Commit(); err != nil {
 		t.Fatalf("clean commit: %v", err)

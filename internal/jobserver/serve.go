@@ -28,9 +28,6 @@ type ServeConfig struct {
 	// on JobSpec.PlacementKey. Restart with the same count — recovery
 	// refuses journal segments that would re-place recovered jobs.
 	Shards int
-	// MaxLag is the slow-subscriber drop threshold for frame streams
-	// (0 = DefaultMaxLag; negative disables dropping).
-	MaxLag int
 	// JournalPath, when non-empty, opens (creating if absent) the
 	// write-ahead journal there and recovers any previous life's jobs
 	// before serving traffic. A sharded daemon keeps one segment per
@@ -137,7 +134,6 @@ func Serve(cfg ServeConfig) error {
 	d := NewFleetDaemon(svcs, false)
 	d.RequestTimeout = cfg.RequestTimeout
 	d.MaxBody = cfg.MaxBody
-	d.MaxLag = cfg.MaxLag
 
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {

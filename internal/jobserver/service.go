@@ -360,14 +360,8 @@ func (s *Service) QueuedCount() int { return len(s.queue) }
 // fsynced before Submit returns — an acknowledged job survives a kill
 // -9 by construction.
 func (s *Service) Submit(spec JobSpec) (string, error) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		s.mu.Lock()
-		s.nRejected++
-		s.mu.Unlock()
-		return "", ErrDraining
+	if s.Draining() {
+		return s.reject(ErrDraining)
 	}
 	if spec.IdempotencyKey != "" {
 		if id, ok := s.idemp[spec.IdempotencyKey]; ok {
@@ -375,23 +369,14 @@ func (s *Service) Submit(spec JobSpec) (string, error) {
 		}
 	}
 	if len(s.queue) >= s.cfg.MaxQueue {
-		s.mu.Lock()
-		s.nRejected++
-		s.mu.Unlock()
-		return "", ErrBusy
+		return s.reject(ErrBusy)
 	}
 	job, err := spec.Build(s.cfg.Workers)
 	if err != nil {
-		s.mu.Lock()
-		s.nRejected++
-		s.mu.Unlock()
-		return "", err
+		return s.reject(err)
 	}
 	if rs := s.eng.TotalSlots(cluster.ReduceSlot); job.Reduces > rs {
-		s.mu.Lock()
-		s.nRejected++
-		s.mu.Unlock()
-		return "", fmt.Errorf("jobserver: spec wants %d reduces but the cluster has %d reduce slots", job.Reduces, rs)
+		return s.reject(fmt.Errorf("jobserver: spec wants %d reduces but the cluster has %d reduce slots", job.Reduces, rs))
 	}
 	id := fmt.Sprintf("%s%04d", s.idPrefix(), s.seq)
 	if s.journal != nil && !s.recovering {
@@ -399,14 +384,20 @@ func (s *Service) Submit(spec JobSpec) (string, error) {
 		if err := s.journalCommit(); err != nil {
 			// The job was never acknowledged and never enqueued; the
 			// client must retry (ideally elsewhere — /readyz is now 503).
-			s.mu.Lock()
-			s.nRejected++
-			s.mu.Unlock()
-			return "", fmt.Errorf("jobserver: journal write failed, submission not accepted: %w", err)
+			return s.reject(fmt.Errorf("jobserver: journal write failed, submission not accepted: %w", err))
 		}
 	}
 	s.enqueue(spec, job, id)
 	return id, nil
+}
+
+// reject counts one refused submission and returns err as Submit's
+// answer.
+func (s *Service) reject(err error) (string, error) {
+	s.mu.Lock()
+	s.nRejected++
+	s.mu.Unlock()
+	return "", err
 }
 
 // enqueue installs an already-validated, already-journaled job and

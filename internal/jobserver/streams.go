@@ -58,8 +58,9 @@ type StreamSpec struct {
 	// Capacity is the starting per-stratum reservoir size (default 64).
 	Capacity int `json:"capacity,omitempty"`
 
-	// Rate/Swing/Period shape the diurnal arrival curve (defaults
-	// 400 rec/s, 0.5 swing, 120 s period; Swing 0 is a constant rate).
+	// Rate/Swing/Period shape the arrival curve (defaults 400 rec/s
+	// and a 120 s period). Swing 0, which an unset swing is, runs the
+	// constant Rate; a swing in (0,1) runs the diurnal curve.
 	Rate   float64 `json:"rate,omitempty"`
 	Swing  float64 `json:"swing,omitempty"`
 	Period float64 `json:"period,omitempty"`
@@ -134,11 +135,10 @@ type StreamStatus string
 
 // Stream lifecycle states.
 const (
-	StreamRunning  StreamStatus = "running"
-	StreamDone     StreamStatus = "done"
-	StreamFailed   StreamStatus = "failed"
-	StreamStopped  StreamStatus = "stopped"
-	StreamRejected StreamStatus = "rejected"
+	StreamRunning StreamStatus = "running"
+	StreamDone    StreamStatus = "done"
+	StreamFailed  StreamStatus = "failed"
+	StreamStopped StreamStatus = "stopped"
 )
 
 // Terminal reports whether the status is final.

@@ -10,8 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"approxhadoop/internal/apps"
 	"approxhadoop/internal/stream"
 	"approxhadoop/internal/wire"
+	"approxhadoop/internal/workload"
 )
 
 // tinyStreamSpec is a continuous query small enough for unit tests.
@@ -133,6 +135,38 @@ func TestStreamSetValidation(t *testing.T) {
 	}
 	if _, err := s.Open(tinyStreamSpec(1)); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
+	}
+}
+
+// TestStreamSpecUnsetSwingIsConstantRate: a spec that leaves swing
+// unset runs a constant 400 rec/s, not the diurnal curve — the same
+// series apps.WebBytesStream gives at workload.ConstantRate(400) over
+// the same generator and seed.
+func TestStreamSpecUnsetSwingIsConstantRate(t *testing.T) {
+	spec := StreamSpec{App: "web-bytes", Blocks: 8, LinesPerBlock: 2000, Seed: 5, MaxWindows: 3}
+	p, err := spec.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := workload.DefaultWebLog()
+	g.Blocks, g.LinesPerBlock, g.Seed = spec.Blocks, spec.LinesPerBlock, g.Seed+spec.Seed
+	want, err := apps.WebBytesStream(g, apps.StreamOptions{
+		Seed:       spec.Seed,
+		Rate:       workload.ConstantRate(400),
+		MaxWindows: spec.MaxWindows,
+	}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("%d windows, want 3", len(got))
+	}
+	if !bytes.Equal(stream.SeriesBytes(got), stream.SeriesBytes(want)) {
+		t.Errorf("unset swing:\n%s\nconstant 400 rec/s:\n%s", stream.SeriesBytes(got), stream.SeriesBytes(want))
 	}
 }
 

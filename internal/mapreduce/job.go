@@ -99,9 +99,8 @@ type Job struct {
 	// single-threaded in virtual-time order. Results are applied in
 	// deterministic launch order, so a (job, seed) pair produces
 	// bit-identical results for any pool size. 0 = GOMAXPROCS; 1 = run
-	// attempts inline on the scheduler goroutine. Pools larger than 1
-	// require Meter to implement vtime.Forker (the built-in meters do);
-	// otherwise the job falls back to inline execution.
+	// attempts inline on the scheduler goroutine. Each attempt runs on
+	// its own Meter.Fork child, so no meter is shared across workers.
 	Workers int
 
 	// Barrier disables incremental reduces: outputs buffer until all

@@ -8,7 +8,6 @@ import (
 
 	"approxhadoop/internal/cluster"
 	"approxhadoop/internal/dfs"
-	"approxhadoop/internal/vtime"
 )
 
 // poolTestController samples at a fixed ratio and drops a fixed count
@@ -230,36 +229,6 @@ func TestPoolResultCacheReusesCompute(t *testing.T) {
 		}
 	}
 }
-
-// TestPoolFallsBackWithoutForker checks that a custom meter that
-// cannot fork forces inline execution rather than racing on shared
-// meter state.
-func TestPoolFallsBackWithoutForker(t *testing.T) {
-	input, _ := wordCountInput(t, 128)
-	job := &Job{
-		Name:      "pool-noforker",
-		Input:     input,
-		NewMapper: wordCountMapper,
-		NewReduce: func(int) ReduceLogic { return SumReduce() },
-		Meter:     nonForkingMeter{},
-		Workers:   8,
-		Seed:      3,
-	}
-	res, err := Run(testEngine(), job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counters.MapsCompleted != res.Counters.MapsTotal {
-		t.Errorf("counters: %+v", res.Counters)
-	}
-}
-
-// nonForkingMeter is a vtime.Meter without Fork support.
-type nonForkingMeter struct{}
-
-func (nonForkingMeter) Begin(op vtime.Op)                           {}
-func (nonForkingMeter) End(op vtime.Op, units, bytes int64) float64 { return 0 }
-func (nonForkingMeter) Charge(units float64)                        {}
 
 // TestFirstPassSizedFromFirstMap: before any map of a job completes, a
 // pass that issues more futures than the pool can start at once hands

@@ -213,13 +213,7 @@ func Start(eng *cluster.Engine, job *Job, opts StartOptions) (*Handle, error) {
 	if t.arb == nil {
 		t.arb = newGreedyArbiter(eng)
 	}
-	workers := job.Workers
-	if _, ok := job.Meter.(vtime.Forker); !ok {
-		// A meter that cannot fork per-attempt children would be shared
-		// across pool workers; run such jobs inline instead.
-		workers = 1
-	}
-	t.pool = newFuturePool(workers)
+	t.pool = newFuturePool(job.Workers)
 	n := len(t.blocks)
 	t.state = make([]taskState, n)
 	t.inState[taskPending] = n
@@ -694,7 +688,7 @@ func (t *tracker) newFuture(idx int, ratio float64) *mapFuture {
 		block: t.blocks[idx],
 		idx:   idx,
 		ratio: ratio,
-		meter: vtime.Fork(t.job.Meter),
+		meter: t.job.Meter.Fork(),
 		hint:  t.emitHint(),
 		proto: t.proto,
 	}
@@ -1094,7 +1088,7 @@ func (t *tracker) checkCompletion() {
 	for p, r := range t.reduces {
 		r.view, r.meter = view, t.job.Meter
 		if p > 0 && t.pool.workers > 1 {
-			r.meter = vtime.Fork(t.job.Meter)
+			r.meter = t.job.Meter.Fork()
 		}
 	}
 	submit(t.pool, t.reduces[min(1, len(t.reduces)):])

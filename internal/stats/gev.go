@@ -78,14 +78,13 @@ func (g GEV) NLL(sample []float64) float64 {
 // errors derived from the observed information matrix (inverse Hessian
 // of the negative log likelihood at the optimum).
 type GEVFit struct {
-	Dist    GEV
-	SE      [3]float64 // standard errors for (Mu, Sigma, Xi); zero if unavailable
-	N       int        // sample size used
-	NLL     float64    // negative log likelihood at the optimum
-	ForMin  bool       // fitted on negated data to model minima
-	HessOK  bool       // whether the information matrix was invertible
-	Cov     [3][3]float64
-	Confide float64 // confidence level used by interval helpers
+	Dist   GEV
+	SE     [3]float64 // standard errors for (Mu, Sigma, Xi); zero if unavailable
+	N      int        // sample size used
+	NLL    float64    // negative log likelihood at the optimum
+	ForMin bool       // fitted on negated data to model minima
+	HessOK bool       // whether the information matrix was invertible
+	Cov    [3][3]float64
 }
 
 // ErrSampleTooSmall indicates too few block extrema to fit a GEV.
@@ -257,32 +256,4 @@ func (f GEVFit) quantileGradient(p float64) [3]float64 {
 	dsigma := (lp - 1) / xi
 	dxi := -f.Dist.Sigma/(xi*xi)*(lp-1) + f.Dist.Sigma/xi*(-math.Log(l))*lp
 	return [3]float64{dmu, dsigma, dxi}
-}
-
-// BlockExtrema reduces a raw sample to m block minima or maxima
-// (Section 3.2's Block Minima/Maxima method). Values are consumed in
-// order; the final partial block, if any, is included.
-func BlockExtrema(sample []float64, blocks int, minima bool) []float64 {
-	if blocks <= 0 || len(sample) == 0 {
-		return nil
-	}
-	if blocks > len(sample) {
-		blocks = len(sample)
-	}
-	size := (len(sample) + blocks - 1) / blocks
-	var out []float64
-	for start := 0; start < len(sample); start += size {
-		end := start + size
-		if end > len(sample) {
-			end = len(sample)
-		}
-		ext := sample[start]
-		for _, v := range sample[start+1 : end] {
-			if minima && v < ext || !minima && v > ext {
-				ext = v
-			}
-		}
-		out = append(out, ext)
-	}
-	return out
 }

@@ -132,52 +132,6 @@ func TestExtremeEstimateBoundsShrinkWithSample(t *testing.T) {
 	}
 }
 
-func TestBlockExtrema(t *testing.T) {
-	xs := []float64{5, 1, 9, 3, 7, 2, 8, 6}
-	minima := BlockExtrema(xs, 4, true)
-	if len(minima) != 4 {
-		t.Fatalf("want 4 blocks, got %d", len(minima))
-	}
-	want := []float64{1, 3, 2, 6}
-	for i := range want {
-		if !AlmostEqual(minima[i], want[i], 1e-12) {
-			t.Errorf("block %d min = %v, want %v", i, minima[i], want[i])
-		}
-	}
-	maxima := BlockExtrema(xs, 2, false)
-	if !AlmostEqual(maxima[0], 9, 1e-12) || !AlmostEqual(maxima[1], 8, 1e-12) {
-		t.Errorf("maxima = %v", maxima)
-	}
-	if BlockExtrema(nil, 3, true) != nil {
-		t.Error("empty sample should give nil")
-	}
-	if got := BlockExtrema(xs, 100, true); len(got) != len(xs) {
-		t.Errorf("more blocks than samples should degrade to identity, got %d", len(got))
-	}
-}
-
-func TestBlockExtremaProperty(t *testing.T) {
-	err := quick.Check(func(raw []float64, bSeed uint8) bool {
-		xs := raw[:0]
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		blocks := int(bSeed%8) + 1
-		mins := BlockExtrema(xs, blocks, true)
-		globalMin, _ := MinMax(xs)
-		blockMin, _ := MinMax(mins)
-		return AlmostEqual(blockMin, globalMin, 0) // global min survives blocking bit-exactly
-	}, nil)
-	if err != nil {
-		t.Error(err)
-	}
-}
-
 func TestNelderMeadQuadratic(t *testing.T) {
 	f := func(x []float64) float64 {
 		return (x[0]-3)*(x[0]-3) + 2*(x[1]+1)*(x[1]+1) + 5

@@ -14,7 +14,8 @@
 // Meters are not safe for concurrent use. The simulator's scheduling
 // plane is single-threaded by design, but map-attempt compute may run
 // on a worker pool: the framework forks one child meter per attempt
-// (see Forker) so no meter instance is ever shared across goroutines.
+// (see Meter.Fork) so no meter instance is ever shared across
+// goroutines.
 package vtime
 
 import "time"
@@ -50,6 +51,12 @@ type Meter interface {
 	// Charge adds explicit user-declared work units (e.g. inner-loop
 	// iterations of a compute kernel) to the operation in progress.
 	Charge(units float64)
+	// Fork returns an independent child meter. The framework forks one
+	// child per map-task attempt so attempts can execute concurrently
+	// on a worker pool without sharing meter state (and so two jobs
+	// built from one template never alias a meter). A child starts with
+	// no operation in progress; configured rates are inherited.
+	Fork() Meter
 }
 
 // Charger is implemented by emitters handed to user map functions, so
@@ -57,28 +64,6 @@ type Meter interface {
 // instead of burning real CPU to be measured.
 type Charger interface {
 	ChargeCompute(units float64)
-}
-
-// Forker is implemented by meters that can produce independent child
-// meters. The framework forks one child per map-task attempt so
-// attempts can execute concurrently on a worker pool without sharing
-// meter state (and so two jobs built from one template never alias a
-// meter). A child starts with no operation in progress; configured
-// rates are inherited.
-type Forker interface {
-	Fork() Meter
-}
-
-// Fork returns an independent per-attempt meter derived from m: the
-// meter's own Fork when it implements Forker, otherwise m itself.
-// Callers that need concurrency safety (the map worker pool) must
-// check Forker directly and fall back to sequential execution when the
-// meter cannot fork.
-func Fork(m Meter) Meter {
-	if f, ok := m.(Forker); ok {
-		return f.Fork()
-	}
-	return m
 }
 
 // Deterministic charges fixed per-unit costs, making every measurement
@@ -136,7 +121,7 @@ func (d *Deterministic) End(op Op, units, bytes int64) float64 {
 // Charge implements Meter.
 func (d *Deterministic) Charge(units float64) { d.pending += units }
 
-// Fork implements Forker: the child inherits the configured rates and
+// Fork implements Meter: the child inherits the configured rates and
 // starts with no pending work. Because Deterministic is a pure
 // function of the work reported to it, forked children attribute
 // exactly the same seconds as the parent would have.
@@ -168,7 +153,7 @@ func (w *Wall) End(op Op, _, _ int64) float64 {
 // measured elapsed time.
 func (w *Wall) Charge(float64) {}
 
-// Fork implements Forker: each attempt gets a fresh wall-clock meter.
+// Fork implements Meter: each attempt gets a fresh wall-clock meter.
 // Wall measurements are inherently non-reproducible, concurrent or
 // not; forking only keeps the Begin/End brackets from clobbering each
 // other across attempts.

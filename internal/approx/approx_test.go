@@ -160,8 +160,9 @@ func TestSamplingRatioOneIsExhaustive(t *testing.T) {
 	f, _ := countInput(1, 100, 5)
 	rr, _ := ApproxTextInput{}.Open(f.Blocks[0], 1.0, 7)
 	defer rr.Close()
-	if rr.(*samplingReader).rng != nil {
-		t.Error("ratio 1 seeded a source it never draws from")
+	var opened mapreduce.RecordReader
+	if n := int(testing.AllocsPerRun(100, func() { opened, _ = ApproxTextInput{}.Open(f.Blocks[0], 1.0, 7) })); n != 1 || opened == nil {
+		t.Errorf("opening at ratio 1 allocates %v times, want 1: the reader, and no source it would never draw from", n)
 	}
 	n := 0
 	if ok, err := rr.Push(func(mapreduce.Record) { n++ }); !ok || err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strconv"
 	"testing"
@@ -131,20 +132,27 @@ func TestRecordKeyIsBlockAndLine(t *testing.T) {
 	}
 }
 
-// BenchmarkReaderPush measures the reader alone: one op is one
-// 2000-line block of the access log, byte-backed as the layered
-// benchmark materialises it, pushed into a sink that does nothing — so
-// what is timed is line splitting, the sampling draw, the meter
-// brackets and whatever the reader does to present a record.
-func BenchmarkReaderPush(b *testing.B) {
+// accessBlock returns the first 2000-line block of the access log,
+// byte-backed as the layered benchmark materialises it.
+func accessBlock(t testing.TB) *dfs.Block {
 	gen := workload.ScaledAccessLog(1, 1, 2000, 1).File("access").Blocks[0]
 	rc := gen.Open()
 	data, err := io.ReadAll(rc)
 	rc.Close()
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	block := dfs.NewByteBlock("access", 0, data, 2000)
+	return dfs.NewByteBlock("access", 0, data, 2000)
+}
+
+// BenchmarkReaderPush measures the reader alone: one op is one
+// 2000-line block of the access log, byte-backed as the layered
+// benchmark materialises it, pushed into a sink that does nothing — so
+// what is timed is reading the lines, the sampling draws, the meter
+// brackets and whatever the reader does to present a record. At ratio
+// 0.1 the reader visits only the lines it keeps.
+func BenchmarkReaderPush(b *testing.B) {
+	block := accessBlock(b)
 	for _, ratio := range []float64{1, 0.1} {
 		b.Run(fmt.Sprintf("ratio=%v", ratio), func(b *testing.B) {
 			b.ReportAllocs()
@@ -162,6 +170,94 @@ func BenchmarkReaderPush(b *testing.B) {
 			}
 			b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
 		})
+	}
+}
+
+// TestByteBlockSampledReadAllocs guards what a sampled read of a byte
+// block allocates: nothing per line, and per block three — the reader,
+// its source and the source's register. The reader hands itself to
+// Block.Sample as the line sink, so there is no closure to allocate and
+// no counter it would capture. The 2000-line block and a 200-line
+// prefix of it must allocate the same.
+func TestByteBlockSampledReadAllocs(t *testing.T) {
+	block := accessBlock(t)
+	rc := block.Open()
+	data, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := 0
+	for lines := 0; lines < 200; cut++ {
+		if data[cut] == '\n' {
+			lines++
+		}
+	}
+	meter := vtime.NewDeterministic()
+	for _, b := range []*dfs.Block{block, dfs.NewByteBlock("prefix", 0, data[:cut], 200)} {
+		var sampled int64
+		allocs := testing.AllocsPerRun(50, func() {
+			rr, err := ApproxTextInput{}.Open(b, 0.1, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rr.(mapreduce.MeterSetter).SetMeter(meter)
+			if ok, err := rr.Push(func(mapreduce.Record) {}); !ok || err != nil {
+				t.Fatalf("Push = %v, %v", ok, err)
+			}
+			sampled = rr.Measure().Sampled
+		})
+		if sampled == 0 {
+			t.Fatalf("%s: the read kept no line", b.ID())
+		}
+		if n := int(allocs); n != 3 {
+			t.Errorf("%s: a ratio-0.1 read allocates %v times, want 3: the reader, its source and the register", b.ID(), allocs)
+		}
+	}
+}
+
+// TestTextFormatsShareOneReader holds TextInputFormat and
+// ApproxTextInput at ratio 1 to each other: the same records and a
+// bit-identical ReaderMeasure, meter brackets included, over a
+// generated block and over a byte block copied from it.
+func TestTextFormatsShareOneReader(t *testing.T) {
+	f, _ := countInput(1, 700, 13)
+	gen := f.Blocks[0]
+	rc := gen.Open()
+	data, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(format mapreduce.InputFormat, b *dfs.Block) ([]mapreduce.Record, mapreduce.ReaderMeasure) {
+		rr, err := format.Open(b, 1, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rr.Close()
+		var recs []mapreduce.Record
+		if ok, err := rr.Push(func(rec mapreduce.Record) {
+			rec.Value = string(append([]byte(nil), rec.Value...))
+			recs = append(recs, rec)
+		}); !ok || err != nil {
+			t.Fatalf("Push = %v, %v", ok, err)
+		}
+		return recs, rr.Measure()
+	}
+	for _, b := range []*dfs.Block{gen, dfs.NewByteBlock("copy", 0, data, 700)} {
+		text, textM := read(mapreduce.TextInputFormat{}, b)
+		apx, apxM := read(ApproxTextInput{}, b)
+		if len(text) != 700 || len(apx) != len(text) {
+			t.Fatalf("%s: %d text records, %d sampling records, want 700", b.ID(), len(text), len(apx))
+		}
+		for i := range text {
+			if text[i] != apx[i] {
+				t.Fatalf("%s: record %d is %+v as text, %+v sampled at ratio 1", b.ID(), i, text[i], apx[i])
+			}
+		}
+		if textM != apxM || math.Float64bits(textM.ReadSecs) != math.Float64bits(apxM.ReadSecs) {
+			t.Errorf("%s: text measure %+v, sampling at ratio 1 %+v", b.ID(), textM, apxM)
+		}
 	}
 }
 

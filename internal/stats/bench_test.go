@@ -61,6 +61,19 @@ func BenchmarkRandSteady(b *testing.B) {
 			randSink += float64(x)
 		})
 	}
+	// What a sampled byte block pays per line for its keep-mask: one
+	// op is one draw, made 64 at a time, beside Float64 < ratio above.
+	s, th := NewSource(1), DrawThreshold(0.1)
+	for i := 0; i < 2*rngLen; i++ {
+		s.Uint64()
+	}
+	b.Run("BelowMask64/stats", func(b *testing.B) {
+		var x uint64
+		for i := 0; i < b.N; i += 64 {
+			x ^= s.BelowMask(th, 64)
+		}
+		randSink += float64(x)
+	})
 }
 
 func BenchmarkNormalQuantile(b *testing.B) {

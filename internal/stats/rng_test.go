@@ -264,22 +264,155 @@ func TestSourceInt63nMatchesRand(t *testing.T) {
 	}
 }
 
+// maskRatios are the ratios the BelowMask tests draw against: all and
+// almost none kept, the usual, and the largest ratio below 1.
+var maskRatios = []float64{1, 0x1p-60, 0.1, 0.25, 1 - 0x1p-53}
+
+// TestDrawThresholdIsExact checks the threshold against its definition
+// — t-1 scales below the ratio and t does not — at the mask ratios,
+// powers of two, random ratios, and ratios that are a scaled draw
+// exactly along with the floats on either side of them.
+func TestDrawThresholdIsExact(t *testing.T) {
+	ratios := append([]float64{0x1p-1074, 0x1p-63, 0x1p-62, 0x1p-53, 0x1p-52, 0x1p-11, 0x1p-10, 0.5, 1 - 0x1p-52}, maskRatios...)
+	r := rand.New(rand.NewSource(44))
+	for i := 0; i < 2000; i++ {
+		ratios = append(ratios, r.Float64(), math.Ldexp(r.Float64(), -r.Intn(70)))
+	}
+	// Ratios that are a scaled draw exactly, and the floats beside them.
+	for i := 0; i < 2000; i++ {
+		f := float64(r.Int63()) / (1 << 63)
+		ratios = append(ratios, f, math.Nextafter(f, 0), math.Nextafter(f, 1))
+	}
+	for _, ratio := range ratios {
+		if ratio <= 0 {
+			continue
+		}
+		th := DrawThreshold(ratio)
+		if th <= 0 || th > redrawFrom {
+			t.Fatalf("ratio %v: threshold %d outside (0, 2^63-512]", ratio, th)
+		}
+		if below, at := float64(th-1)/(1<<63), float64(th)/(1<<63); !(below < ratio && ratio <= at) {
+			t.Fatalf("ratio %v: threshold %d scales to %v, one less to %v", ratio, th, at, below)
+		}
+	}
+	if th := DrawThreshold(1); th != redrawFrom {
+		t.Errorf("DrawThreshold(1) = %d, want %d: every draw Float64 keeps is below 1", th, int64(redrawFrom))
+	}
+	for _, ratio := range []float64{0, -1, math.NaN(), math.Inf(-1)} {
+		if th := DrawThreshold(ratio); th != 0 {
+			t.Errorf("DrawThreshold(%v) = %d, want 0: no draw is below it", ratio, th)
+		}
+	}
+}
+
+// checkMask fails unless mask has bit i set for exactly the draws of
+// want, n Float64 calls, that fall below ratio.
+func checkMask(t *testing.T, mask uint64, n int, want func() float64, ratio float64, what string) {
+	t.Helper()
+	for i := 0; i < 64; i++ {
+		below := i < n && want() < ratio
+		if got := mask>>i&1 == 1; got != below {
+			t.Fatalf("%s: bit %d of %d is %v, Float64 < %v says %v", what, i, n, got, ratio, below)
+		}
+	}
+}
+
+// TestBelowMaskMatchesFloat64 holds BelowMask to Float64 < ratio over
+// the lazy pass, the register's wrap and masks of every width.
+func TestBelowMaskMatchesFloat64(t *testing.T) {
+	for _, seed := range testSeeds()[:40] {
+		for _, ratio := range maskRatios {
+			got, want := NewSource(seed), rand.New(rand.NewSource(seed))
+			th := DrawThreshold(ratio)
+			for n := 0; n <= 64; n++ {
+				checkMask(t, got.BelowMask(th, n), n, want.Float64, ratio, fmt.Sprintf("seed %d, ratio %v", seed, ratio))
+			}
+			if g, w := got.Float64(), want.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("seed %d, ratio %v: Float64 after the masks = %v, math/rand %v", seed, ratio, g, w)
+			}
+		}
+	}
+}
+
+// plantRedraw sets s's register so that its k-th next draw (k < 273,
+// so no draw before it reads or writes the words it adds) returns x.
+func plantRedraw(s *Source, k int, x int64) {
+	tap, feed := s.tap, s.feed
+	for i := 0; i < k; i++ {
+		if tap--; tap < 0 {
+			tap += rngLen
+		}
+		if feed--; feed < 0 {
+			feed += rngLen
+		}
+	}
+	s.vec[feed] = x - s.vec[tap]
+}
+
+// TestBelowMaskRedrawsLikeFloat64 plants draws whose Int63 lands on
+// both sides of 2^63-512, where Float64's scaling starts to round to 1
+// and it draws again: BelowMask must skip exactly the draws Float64
+// skips, so the masks agree and both sources end on the same draw.
+// After 2·607 draws tap is 0, so the first planted draw wraps it and
+// goes through Int63; the later ones fall in a wrap-free stretch.
+func TestBelowMaskRedrawsLikeFloat64(t *testing.T) {
+	for _, x := range []int64{redrawFrom - 1, redrawFrom, redrawFrom + 1, math.MaxInt64, -1, math.MinInt64 + redrawFrom} {
+		for _, k := range []int{1, 2, 17, 63, 64, 65} {
+			for _, ratio := range maskRatios {
+				s := NewSource(int64(k) + 3)
+				for i := 0; i < 2*rngLen; i++ {
+					s.Uint64()
+				}
+				plantRedraw(s, k, x)
+				ref, vec := *s, *s.vec
+				ref.vec = &vec
+				what := fmt.Sprintf("draw %d at %#x, ratio %v", k, x, ratio)
+				th := DrawThreshold(ratio)
+				checkMask(t, s.BelowMask(th, 64), 64, ref.Float64, ratio, what)
+				checkMask(t, s.BelowMask(th, 5), 5, ref.Float64, ratio, what+", next mask")
+				if g, w := s.Uint64(), ref.Uint64(); g != w {
+					t.Fatalf("%s: the sources part after the masks: %#x, Float64's %#x", what, g, w)
+				}
+			}
+		}
+	}
+}
+
 // FuzzSourceMatchesMathRand draws draws values, re-seeds and draws
 // again. Its seed corpus stops on both sides of each change of state:
 // the register's allocation (16, 17), the first tap that an earlier
-// draw wrote (273, 274) and the end of the lazy pass (334, 335).
+// draw wrote (273, 274) and the end of the lazy pass (334, 335). Then it
+// re-seeds once more and interleaves BelowMask, of widths up to 64 that
+// masks picks, with Float64, both held to math/rand's Float64, at a
+// ratio from maskRatios or the fuzzed one masks spells.
 func FuzzSourceMatchesMathRand(f *testing.F) {
 	for i, seed := range edgeSeeds {
-		f.Add(seed, uint16(i*97), edgeSeeds[len(edgeSeeds)-1-i])
+		f.Add(seed, uint16(i*97), edgeSeeds[len(edgeSeeds)-1-i], uint64(i)*0x9E3779B97F4A7C15)
 	}
 	for i, draws := range []uint16{0, 1, rngBatch, rngBatch + 1, rngTap, rngTap + 1, rngFeed, rngFeed + 1} {
-		f.Add(int64(i)+1, draws, int64(draws)+7)
+		f.Add(int64(i)+1, draws, int64(draws)+7, uint64(draws)<<8|uint64(i))
 	}
-	f.Add(int64(7), uint16(65535), int64(1))
-	f.Fuzz(func(t *testing.T, seed int64, draws uint16, reseed int64) {
+	f.Add(int64(7), uint16(65535), int64(1), uint64(math.MaxUint64))
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16, reseed int64, masks uint64) {
 		s := NewSource(seed)
 		sameDraws(t, s, mathRand(seed), int(draws), fmt.Sprint("seed ", seed))
 		s.Seed(reseed)
 		sameDraws(t, s, mathRand(reseed), int(draws)%1300+1, fmt.Sprintf("seed %d reseeded to %d after %d draws", seed, reseed, draws))
+
+		ratio := float64(masks>>11)/(1<<53) + 0x1p-60
+		if pick := int(draws) % (len(maskRatios) + 1); pick < len(maskRatios) {
+			ratio = maskRatios[pick]
+		}
+		th := DrawThreshold(ratio)
+		s.Seed(seed)
+		want := rand.New(rand.NewSource(seed))
+		for round := 0; round < 48; round++ {
+			n := int(masks>>(round%8*8)&0xff) % 65
+			what := fmt.Sprintf("seed %d, ratio %v, round %d", seed, ratio, round)
+			checkMask(t, s.BelowMask(th, n), n, want.Float64, ratio, what)
+			if g, w := s.Float64(), want.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: Float64 after the mask = %v, math/rand %v", what, g, w)
+			}
+		}
 	})
 }

@@ -134,6 +134,80 @@ func (s *Source) Float64() float64 {
 	}
 }
 
+// redrawFrom is where Float64's scaling of an Int63 draw rounds to 1:
+// float64(x) is 2^63 for every x from 2^63-512 up (2^63-512 is the tie
+// between 2^63-1024 and 2^63, and the even mantissa wins).
+const redrawFrom = 1<<63 - 512
+
+// DrawThreshold returns the t for which an Int63 draw x below
+// redrawFrom has x < t exactly when float64(x)/2^63 < ratio: the
+// integer form of Float64() < ratio that BelowMask compares against.
+// The scaled draw grows with x, so t is the least x at which it reaches
+// ratio; it is redrawFrom for any ratio of 1 or more and 0 for any
+// ratio of 0 or less. float64(x) is within 512 of x below 2^63, so t is
+// within 2048 of ratio·2^63, and bisection over that range finds it.
+func DrawThreshold(ratio float64) int64 {
+	if !(ratio > 0) {
+		return 0
+	}
+	if ratio >= 1 {
+		return redrawFrom
+	}
+	c := int64(ratio * (1 << 63))
+	lo, hi := max(c-2048, 0), min(c+1, redrawFrom)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(mid)/(1<<63) < ratio {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// BelowMask makes the draws of n Float64 calls, 0 <= n <= 64, and sets
+// bit i of the result when draw i is below the ratio whose threshold t
+// is (DrawThreshold): Float64() < ratio without the call per draw or
+// the float conversion. A draw at or above redrawFrom, which Float64
+// would round to 1, is drawn again as Float64 draws it again.
+//
+// Draws run in stretches over resident words where neither index
+// wraps, as adds over two slices of the register; the draw that wraps
+// or builds words goes through Int63. Each draw shifts its bit in at
+// the top of the mask, and the last shift brings draw 0 down to bit 0.
+//
+//approx:hotpath
+func (s *Source) BelowMask(t int64, n int) uint64 {
+	var mask uint64
+	for i := 0; i < n; {
+		if run := min(s.feed-s.low, s.tap); run > 0 {
+			fv, tv := s.vec[s.feed-run:s.feed], s.vec[s.tap-run:s.tap]
+			k := len(fv)
+			tv = tv[:k]
+			for k > 0 && i < n {
+				k--
+				x := fv[k] + tv[k]
+				fv[k] = x
+				if x&(1<<63-1) >= redrawFrom {
+					continue
+				}
+				// x-t, both below 2^63, is negative exactly when x < t.
+				mask = mask>>1 | uint64(x&(1<<63-1)-t)&(1<<63)
+				i++
+			}
+			s.feed -= run - k
+			s.tap -= run - k
+			continue
+		}
+		if x := s.Int63(); x < redrawFrom {
+			mask = mask>>1 | uint64(x-t)&(1<<63)
+			i++
+		}
+	}
+	return mask >> (64 - n)
+}
+
 // Int63n returns what (*rand.Rand).Int63n(n) returns over this source
 // for n > 0: Int63 masked when n is a power of two, else Int63 drawn
 // until it falls below the largest multiple of n, modulo n.

@@ -47,6 +47,7 @@ type listedPkg struct {
 	DepOnly      bool
 	GoFiles      []string
 	CgoFiles     []string
+	Imports      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
 	TestImports  []string
@@ -58,7 +59,7 @@ type listedPkg struct {
 // decodes the stream.
 func goList(dir string, extraArgs []string, patterns ...string) ([]*listedPkg, error) {
 	args := append([]string{"list", "-e", "-export",
-		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,GoFiles,CgoFiles,TestGoFiles,XTestGoFiles,TestImports,XTestImports,Error"},
+		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,GoFiles,CgoFiles,Imports,TestGoFiles,XTestGoFiles,TestImports,XTestImports,Error"},
 		extraArgs...)
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
@@ -168,11 +169,11 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	fset := token.NewFileSet()
 	imp := srcImporter{idx: idx, gc: importer.ForCompiler(fset, "gc", idx.Lookup)}
 	var out []*Package
-	// Pass 1: the targets themselves, in the dependency order go list
-	// -deps emits, so imports between targets resolve to source-checked
+	// Pass 1: the targets themselves, each after every target it imports
+	// (checkOrder), so imports between targets resolve to source-checked
 	// packages rather than export data (mixing the two gives the same
 	// type two identities).
-	for _, p := range targets {
+	for _, p := range checkOrder(targets, l.Tests) {
 		if len(p.CgoFiles) > 0 {
 			return nil, fmt.Errorf("analysis: %s uses cgo, which the loader does not support", p.ImportPath)
 		}
@@ -207,6 +208,42 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		}
 	}
 	return out, nil
+}
+
+// checkOrder returns targets with each one after every target it
+// imports. go list -deps orders them by their non-test imports only;
+// with tests, a package is checked together with its in-package test
+// files, so their imports count too. That graph is acyclic: the go
+// command rejects an in-package test whose imports lead back to its
+// package. Among unrelated targets the -deps order stands.
+func checkOrder(targets []*listedPkg, tests bool) []*listedPkg {
+	byPath := make(map[string]*listedPkg, len(targets))
+	for _, p := range targets {
+		byPath[p.ImportPath] = p
+	}
+	out := make([]*listedPkg, 0, len(targets))
+	placed := make(map[string]bool, len(targets))
+	var place func(p *listedPkg)
+	place = func(p *listedPkg) {
+		if placed[p.ImportPath] {
+			return
+		}
+		placed[p.ImportPath] = true
+		imports := p.Imports
+		if tests {
+			imports = append(imports[:len(imports):len(imports)], p.TestImports...)
+		}
+		for _, imp := range imports {
+			if q := byPath[imp]; q != nil {
+				place(q)
+			}
+		}
+		out = append(out, p)
+	}
+	for _, p := range targets {
+		place(p)
+	}
+	return out
 }
 
 // checkFiles parses the named files from dir and typechecks them as

@@ -300,7 +300,7 @@ type genSampler struct {
 func (g *genSampler) line(line []byte) error {
 	g.units++
 	g.bytes += int64(len(line)) + 1
-	if g.src == nil || g.src.BelowMask(g.keep, 1) != 0 {
+	if g.src == nil || g.src.Below(g.keep) {
 		g.sink.Line(g.index, g.units, g.bytes, line)
 		g.units, g.bytes = 0, 0
 	}

@@ -74,6 +74,24 @@ func BenchmarkRandSteady(b *testing.B) {
 		}
 		randSink += float64(x)
 	})
+	// What a sampled generated block pays per line for its draw: one
+	// Below, and BelowMask of one line, which it replaced.
+	b.Run("Below/stats", func(b *testing.B) {
+		var x int
+		for i := 0; i < b.N; i++ {
+			if s.Below(th) {
+				x++
+			}
+		}
+		randSink += float64(x)
+	})
+	b.Run("BelowMask1/stats", func(b *testing.B) {
+		var x uint64
+		for i := 0; i < b.N; i++ {
+			x += s.BelowMask(th, 1)
+		}
+		randSink += float64(x)
+	})
 }
 
 func BenchmarkNormalQuantile(b *testing.B) {
@@ -132,9 +150,29 @@ func BenchmarkRunningStatAdd(b *testing.B) {
 	}
 }
 
+// BenchmarkZipf draws ranks at the web log's path universe (1.3, 2000):
+// through the outcome table, through the exact round alone (a universe
+// above the table's cap), and from math/rand's generator, whose draws
+// the other two reproduce.
 func BenchmarkZipf(b *testing.B) {
-	z := NewZipf(NewRand(1), 1.2, 100000)
-	for i := 0; i < b.N; i++ {
-		_ = z.Next()
-	}
+	var sink uint64
+	b.Run("table", func(b *testing.B) {
+		z := NewZipf(NewRand(1), 1.3, 2000)
+		for i := 0; i < b.N; i++ {
+			sink += z.Next()
+		}
+	})
+	b.Run("exact", func(b *testing.B) {
+		z := NewZipf(NewRand(1), 1.3, zipfTableMaxN+1)
+		for i := 0; i < b.N; i++ {
+			sink += z.Next()
+		}
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		z := rand.NewZipf(NewRand(1), 1.3, 1, 1999)
+		for i := 0; i < b.N; i++ {
+			sink += z.Uint64() + 1
+		}
+	})
+	randSink += float64(sink)
 }

@@ -14,31 +14,6 @@ func NewRand(seed int64) *rand.Rand {
 	return rand.New(NewSource(seed))
 }
 
-// Zipf draws ranks in [1, n] with P(rank = k) proportional to
-// 1/k^s (s > 1). It holds math/rand's rejection-based generator by
-// value, so a Zipf kept in a local costs the one allocation
-// rand.NewZipf makes.
-type Zipf struct {
-	z rand.Zipf
-}
-
-// NewZipf constructs a Zipf sampler over {1, ..., n} with exponent s.
-// Exponents at or below 1 are clamped slightly above 1, which keeps the
-// heavy tail the popularity workloads need while staying in the
-// generator's supported range.
-func NewZipf(r *rand.Rand, s float64, n uint64) Zipf {
-	if s <= 1 {
-		s = 1.0001
-	}
-	if n == 0 {
-		n = 1
-	}
-	return Zipf{z: *rand.NewZipf(r, s, 1, n-1)}
-}
-
-// Next returns the next rank in [1, n].
-func (z *Zipf) Next() uint64 { return z.z.Uint64() + 1 }
-
 // LogNormal draws from a log-normal distribution with the given
 // location and scale of the underlying normal.
 func LogNormal(r *rand.Rand, mu, sigma float64) float64 {

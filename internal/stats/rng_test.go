@@ -352,7 +352,8 @@ func plantRedraw(s *Source, k int, x int64) {
 // TestBelowMaskRedrawsLikeFloat64 plants draws whose Int63 lands on
 // both sides of 2^63-512, where Float64's scaling starts to round to 1
 // and it draws again: BelowMask must skip exactly the draws Float64
-// skips, so the masks agree and both sources end on the same draw.
+// skips, so the masks agree and both sources end on the same draw; and
+// so must Below, drawn one at a time over the same planted register.
 // After 2·607 draws tap is 0, so the first planted draw wraps it and
 // goes through Int63; the later ones fall in a wrap-free stretch.
 func TestBelowMaskRedrawsLikeFloat64(t *testing.T) {
@@ -366,6 +367,16 @@ func TestBelowMaskRedrawsLikeFloat64(t *testing.T) {
 				plantRedraw(s, k, x)
 				ref, vec := *s, *s.vec
 				ref.vec = &vec
+				one, oneRef, vec1, vec2 := *s, *s, *s.vec, *s.vec
+				one.vec, oneRef.vec = &vec1, &vec2
+				for i := 0; i < 70; i++ {
+					if g, w := one.Below(DrawThreshold(ratio)), oneRef.Float64() < ratio; g != w {
+						t.Fatalf("draw %d at %#x, ratio %v: Below draw %d is %v, Float64 < ratio says %v", k, x, ratio, i, g, w)
+					}
+				}
+				if g, w := one.Uint64(), oneRef.Uint64(); g != w {
+					t.Fatalf("draw %d at %#x, ratio %v: the sources part after the Below draws: %#x, Float64's %#x", k, x, ratio, g, w)
+				}
 				what := fmt.Sprintf("draw %d at %#x, ratio %v", k, x, ratio)
 				th := DrawThreshold(ratio)
 				checkMask(t, s.BelowMask(th, 64), 64, ref.Float64, ratio, what)
@@ -383,8 +394,9 @@ func TestBelowMaskRedrawsLikeFloat64(t *testing.T) {
 // the register's allocation (16, 17), the first tap that an earlier
 // draw wrote (273, 274) and the end of the lazy pass (334, 335). Then it
 // re-seeds once more and interleaves BelowMask, of widths up to 64 that
-// masks picks, with Float64, both held to math/rand's Float64, at a
-// ratio from maskRatios or the fuzzed one masks spells.
+// masks picks, with Float64 and up to seven Below draws, all held to
+// math/rand's Float64, at a ratio from maskRatios or the fuzzed one
+// masks spells.
 func FuzzSourceMatchesMathRand(f *testing.F) {
 	for i, seed := range edgeSeeds {
 		f.Add(seed, uint16(i*97), edgeSeeds[len(edgeSeeds)-1-i], uint64(i)*0x9E3779B97F4A7C15)
@@ -412,6 +424,11 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 			checkMask(t, s.BelowMask(th, n), n, want.Float64, ratio, what)
 			if g, w := s.Float64(), want.Float64(); math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("%s: Float64 after the mask = %v, math/rand %v", what, g, w)
+			}
+			for i := 0; i < int(masks>>(round%8*8+3)&7); i++ {
+				if g, w := s.Below(th), want.Float64() < ratio; g != w {
+					t.Fatalf("%s: Below draw %d is %v, Float64 < ratio says %v", what, i, g, w)
+				}
 			}
 		}
 	})

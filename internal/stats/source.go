@@ -208,6 +208,20 @@ func (s *Source) BelowMask(t int64, n int) uint64 {
 	return mask >> (64 - n)
 }
 
+// Below makes the draw of one Float64 call and reports whether it is
+// below the ratio whose threshold t is (DrawThreshold): BelowMask(t, 1)
+// without the loop over a stretch, for a caller that draws one line at
+// a time.
+//
+//approx:hotpath
+func (s *Source) Below(t int64) bool {
+	for {
+		if x := s.Int63(); x < redrawFrom {
+			return x < t
+		}
+	}
+}
+
 // Int63n returns what (*rand.Rand).Int63n(n) returns over this source
 // for n > 0: Int63 masked when n is a power of two, else Int63 drawn
 // until it falls below the largest multiple of n, modulo n.

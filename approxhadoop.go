@@ -301,10 +301,13 @@ type (
 	StreamSLO = stream.SLO
 	// StreamPlan is one window's sampling plan.
 	StreamPlan = stream.PlanSpec
-	// StreamPipeline runs one StreamQuery over one StreamSource, folding
-	// each record where it routes it.
+	// StreamPipeline runs one StreamQuery over one StreamSource: one
+	// goroutine routes each record, the caller's folds it.
 	StreamPipeline = stream.Pipeline
-	// StreamSource is an event-time record stream.
+	// StreamSource is an event-time record stream. A pipeline drives
+	// its Run from a goroutine of the pipeline's own, calling fn one
+	// record at a time; the source may run ahead of the window callback
+	// by at most one ring of records.
 	StreamSource = stream.Source
 	// WindowResult is one closed window of the output series.
 	WindowResult = stream.WindowResult

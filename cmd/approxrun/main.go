@@ -34,8 +34,8 @@
 // The stream scenarios replay the app's workload file as a live,
 // diurnally paced stream and the continuous query emits one estimate
 // per event-time window. The window series is deterministic for a
-// fixed (-app, -seed, rate flags); a stream folds on one goroutine, so
-// -workers is accepted and does nothing here. -format tsv prints the
+// fixed (-app, -seed, rate flags); a stream runs on two goroutines
+// whatever -workers says, so -workers is accepted and does nothing here. -format tsv prints the
 // canonical byte-stable series for CI diffs across runs.
 package main
 

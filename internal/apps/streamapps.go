@@ -26,10 +26,10 @@ type StreamOptions struct {
 	// Capacity is the starting per-stratum reservoir size (default
 	// stream.Query default, 64).
 	Capacity int
-	// Workers is ignored: a stream folds on the goroutine that runs it
-	// (stream.Pipeline). The field stays only because bench/stream.go,
-	// frozen while PRs are measured against it, still sets it; it goes
-	// with ROADMAP item 6's ledger PR.
+	// Workers is ignored: a stream runs on two goroutines whatever it
+	// is set to (stream.Pipeline). The field stays only because
+	// bench/stream.go, frozen while PRs are measured against it, still
+	// sets it; it goes with ROADMAP item 7(e)'s ledger PR.
 	Workers int
 	// MaxWindows stops the stream after N windows (0 = drain source).
 	MaxWindows int

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"approxhadoop/internal/wire"
@@ -25,9 +26,10 @@ import (
 // Every row is a pure function of (spec, seed): batch jobs run through
 // Service.Replay on the shard's own goroutine (virtual time only), the
 // cancel lands from an engine event at a fixed virtual instant, the
-// stopped stream is stopped from its own pipeline goroutine at a fixed
-// record, and each body is read after its job or stream is terminal or
-// from a series whose last frame is born terminal.
+// stopped stream is stopped from its source at a fixed record once the
+// windows before that record are published, and each body is read after
+// its job or stream is terminal or from a series whose last frame is
+// born terminal.
 //
 // The engine does publish snapshots before the first map wave lands:
 // with a one-second period rows (a), (b) and (c) each open with two
@@ -227,8 +229,8 @@ func TestFrozenFrames(t *testing.T) {
 	}
 
 	// (f) a stream that drains its source in six windows, (i) a
-	// caught-up resume of it, (g) one stopped from its own pipeline
-	// goroutine while its fourth window is open.
+	// caught-up resume of it, (g) one stopped from its source while its
+	// fourth window is open.
 	{
 		d, ts := startDaemon(t, cfg)
 		spec := tinyStreamSpec(11)
@@ -255,10 +257,27 @@ func TestFrozenFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The source runs ahead of the window callback, so at record 7000
+		// it first waits for windows 0-2, which the records before it
+		// close, to be published. It yields lines the query drops while it
+		// waits: they push the records before 7000 to the folds and fold
+		// nowhere. Window 3 is closed by a record after 7000 and sees the
+		// stop.
+		published := func(n int) bool {
+			set.mu.Lock()
+			defer set.mu.Unlock()
+			return len(set.streams[id].frames) >= n
+		}
 		src, records := p.Source, 0
 		p.Source = runSource(func(fn func(t float64, line []byte) error) error {
 			return src.Run(func(at float64, line []byte) error {
 				if records++; records == 7000 {
+					for !published(3) {
+						if err := fn(at, nil); err != nil {
+							return err
+						}
+						runtime.Gosched()
+					}
 					if err := set.Stop(id); err != nil {
 						t.Error(err)
 					}

@@ -3,10 +3,10 @@
 // A StreamSpec is the wire-level description of one continuous
 // windowed query — a streaming sibling of JobSpec — naming a scenario
 // from the stream catalog plus window/SLO/rate settings. StreamSet
-// runs each opened stream's Pipeline on its own goroutine — the stream
-// plane's only parallelism is across streams — and accumulates the
-// emitted WindowResults as a Seq-numbered frame log that watchers
-// resume from, mirroring Service.FramesFrom.
+// runs each opened stream's Pipeline on its own goroutine (the pipeline
+// drives its source from a second one, which a stopped stream ends
+// with it) and accumulates the emitted WindowResults as a Seq-numbered
+// frame log that watchers resume from, mirroring Service.FramesFrom.
 //
 // Streams are deliberately not journaled: a window series is a pure
 // function of (spec, seed), so there is no state worth checkpointing —

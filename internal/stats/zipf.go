@@ -187,7 +187,7 @@ func newZipfTable(s float64, n uint64) *zipfTable {
 		t.outs = append(t.outs, out)
 	}
 	piece := func(lo, hi float64) {
-		a, m, b := t.code(lo), t.code(lo+(hi-lo)/2), t.code(math.Nextafter(hi, 0))
+		a, m, b := t.code(lo), t.code(lo+float64((hi-lo)/2)), t.code(math.Nextafter(hi, 0))
 		if a != m || m != b {
 			a = zipfExact
 		}

@@ -1,9 +1,7 @@
 package stream
 
 import (
-	"bytes"
 	"fmt"
-	"strconv"
 	"testing"
 )
 
@@ -19,11 +17,7 @@ type ingestFeed struct {
 
 func newIngestFeed(t *testing.T, perWindow int, q Query) *ingestFeed {
 	t.Helper()
-	q.Stratify = func(line []byte) []byte { return line[:bytes.IndexByte(line, '\t')] }
-	q.Value = func(line []byte) (float64, bool) {
-		n, err := strconv.Atoi(string(line[bytes.IndexByte(line, '\t')+1:])) // no allocation: the compiler keeps the string on the stack
-		return float64(n), err == nil
-	}
+	q = withLineFuncs(q)
 	q.Window = Window{Size: 1}
 	q.SLO = SLO{TargetRelErr: 0.05}
 	p := &Pipeline{Query: q, Source: sourceFunc(nil)}
@@ -42,19 +36,47 @@ type sourceFunc func(fn func(t float64, line []byte) error) error
 
 func (s sourceFunc) Run(fn func(t float64, line []byte) error) error { return s(fn) }
 
+// feed routes and folds the next n records, stage 1's work and stage
+// 2's on the caller's goroutine.
 func (f *ingestFeed) feed(t *testing.T, n int) {
 	for ; n > 0; n-- {
-		if err := f.st.ingest(float64(f.next)/float64(f.perWindow), f.lines[f.next%len(f.lines)]); err != nil {
+		line := f.lines[f.next%len(f.lines)]
+		key, strat, _ := f.st.q.route(line)
+		if err := f.st.ingest(float64(f.next)/float64(f.perWindow), key, line, strat); err != nil {
 			t.Fatal(err)
 		}
 		f.next++
 	}
 }
 
+// runEachAllocsPerWindow is what a window of a whole RunEach allocates,
+// both stages and the ring between them: the allocations of a run of
+// twelve windows less those of a run of four, over the eight windows
+// between, once a first run has left a ring to reuse.
+func runEachAllocsPerWindow(t *testing.T, perWindow int, q Query) float64 {
+	t.Helper()
+	q = withLineFuncs(q)
+	q.Window = Window{Size: 1}
+	q.SLO = SLO{TargetRelErr: 0.05}
+	run := func(windows int) float64 {
+		src := &lineSource{n: windows * perWindow, perWindow: perWindow, clients: 997}
+		p := &Pipeline{Query: q, Source: src}
+		return testing.AllocsPerRun(5, func() {
+			if err := p.RunEach(func(WindowResult) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	run(4)
+	return (run(12) - run(4)) / 8
+}
+
 // TestStreamIngestAllocs is the fold's allocation contract, on a run
 // warm enough that closed windows have left their reservoirs behind:
 // a record allocates nothing, and a window allocates for its strata —
-// the same whether it holds two thousand records or forty thousand.
+// the same whether it holds two thousand records or forty thousand, and
+// the same through a whole RunEach, whose stages pass records in the
+// batches of a ring that outlives the run.
 func TestStreamIngestAllocs(t *testing.T) {
 	const strata = 16
 	perWindowAllocs := func(perWindow int, q Query) float64 {
@@ -79,9 +101,10 @@ func TestStreamIngestAllocs(t *testing.T) {
 		// Per stratum the fold state and, unbucketed, the label; per
 		// window the window itself, its result's cluster list and its
 		// table, which a map grows in a logarithm of steps.
-		if limit := float64(2*n + 48); small > limit || large > limit {
-			t.Errorf("%s: %v and %v allocations per window of 2000 and 40000 records over %d strata, want at most %v", q.Name, small, large, n, limit)
+		whole := runEachAllocsPerWindow(t, 2000, q)
+		if limit := float64(2*n + 48); small > limit || large > limit || whole > limit {
+			t.Errorf("%s: %v and %v allocations per window of 2000 and 40000 records over %d strata, %v through RunEach, want at most %v", q.Name, small, large, n, whole, limit)
 		}
-		t.Logf("%s: %v allocations per window of 2000 records, %v per window of 40000", q.Name, small, large)
+		t.Logf("%s: %v allocations per window of 2000 records, %v per window of 40000, %v through RunEach", q.Name, small, large, whole)
 	}
 }

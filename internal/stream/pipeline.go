@@ -1,10 +1,14 @@
-// Pipeline execution. The goroutine driving Run does all of it: a
-// record is stratified, hashed, folded into the strata of every window
-// that contains it, and — when its timestamp moves the watermark —
-// closes the windows that have ended, feeds the controller and opens
-// the next ones under the controller's plan. Nothing sits between a
-// record and its reservoir: the value is parsed from the source's own
-// line, and only when the reservoir admits the record.
+// Pipeline execution, in two stages on two goroutines. Stage 1, a
+// goroutine of the run's own, drives the Source: it stratifies each
+// record, hashes it to its stratum key and copies it into a batch.
+// Stage 2, the goroutine that called Run, takes the batches in the
+// order they were filled and folds each record into the strata of every
+// window that contains it — and, when its timestamp moves the
+// watermark, closes the windows that have ended, feeds the controller
+// and opens the next ones under the controller's plan. Nothing stage 1
+// does reads run state, so the records reach the folds in the order the
+// source produced them, as if one goroutine did both. A record's value
+// is parsed from its copied line, and only when a reservoir admits it.
 package stream
 
 import (
@@ -15,7 +19,7 @@ import (
 	"strings"
 )
 
-// errStopIngest stops the source cleanly once MaxWindows have closed.
+// errStopIngest ends the folds cleanly once MaxWindows have closed.
 var errStopIngest = errors.New("stream: window budget reached")
 
 // Pipeline runs one Query over one Source. When the query's SLO sets a
@@ -95,21 +99,38 @@ func (p *Pipeline) Run() ([]WindowResult, error) {
 }
 
 // RunEach executes the pipeline, invoking fn once per closed window in
-// index order. fn errors abort the stream and are returned verbatim.
+// index order. fn errors abort the stream and are returned verbatim, as
+// are the source's, once the records it produced before failing are
+// folded. The source runs on a goroutine of its own, at most one ring
+// of records ahead of fn; on every way out RunEach stops it and waits
+// for its Run to return.
 func (p *Pipeline) RunEach(fn func(WindowResult) error) error {
 	st, err := p.start(fn)
 	if err != nil {
 		return err
 	}
-	err = p.Source.Run(st.ingest)
-	if err != nil {
-		if errors.Is(err, errStopIngest) {
-			return nil
+	r := startRing(p.Source, st.q)
+	defer r.close()
+	for {
+		b := r.take()
+		if err := st.ingestBatch(b); err != nil {
+			if errors.Is(err, errStopIngest) {
+				return nil
+			}
+			return err
 		}
-		return err
+		if b.last {
+			if b.err != nil {
+				return b.err
+			}
+			return st.drain()
+		}
 	}
-	// Source drained: close every open window as partial (cut by stream
-	// end rather than the watermark).
+}
+
+// drain closes every open window as partial (cut by stream end rather
+// than the watermark) once the source has run dry.
+func (st *runState) drain() error {
 	for _, w := range st.open {
 		if st.maxWindows > 0 && st.closed >= st.maxWindows {
 			break
@@ -144,23 +165,34 @@ func (p *Pipeline) start(emit func(WindowResult) error) (*runState, error) {
 	return st, nil
 }
 
-// ingest folds one record: stratify, hash to a stratum key, advance the
-// watermark when the record opens a window, then for every window that
-// contains it bump the stratum's count, offer the record to the
-// reservoir and parse its value only on admission. Folds within a
-// stratum happen in arrival order, which is all a reservoir's draws
-// depend on. This is the per-record hot loop of the plane.
+// ingestBatch folds a batch's records in the order stage 1 routed them,
+// passing over the ones Stratify dropped. It reads the batch's slices
+// once: a record's fold then touches no cache line stage 1 is writing.
+func (st *runState) ingestBatch(b *batch) error {
+	var lo int32
+	buf := b.bytes
+	for _, r := range b.recs {
+		if r.lineEnd == dropped {
+			continue
+		}
+		if err := st.ingest(r.t, r.key, buf[lo:r.lineEnd], buf[r.lineEnd:r.stratEnd]); err != nil {
+			return err
+		}
+		lo = r.stratEnd
+	}
+	return nil
+}
+
+// ingest folds one routed record: advance the watermark when the record
+// opens a window, then for every window that contains it bump the
+// stratum's count, offer the record to the reservoir and parse its
+// value only on admission. strat is the stratum's label, read only when
+// the query has no buckets. Folds within a stratum happen in arrival
+// order, which is all a reservoir's draws depend on. This is the
+// per-record hot loop of stage 2.
 //
 //approx:hotpath
-func (st *runState) ingest(t float64, line []byte) error {
-	strat := st.q.Stratify(line)
-	if strat == nil {
-		return nil
-	}
-	key := fnv1a(strat)
-	if st.q.Buckets > 0 {
-		key %= uint64(st.q.Buckets)
-	}
+func (st *runState) ingest(t float64, key uint64, line, strat []byte) error {
 	kHi := int64(math.Floor(t / st.q.Window.Slide))
 	if kHi > st.maxOpened {
 		if err := st.advance(t, kHi); err != nil {

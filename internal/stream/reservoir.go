@@ -2,7 +2,7 @@
 // streaming plane. One reservoir exists per (window, stratum); its RNG
 // is seeded from (query seed, window index, stratum key), so the
 // admission sequence depends only on the stratum's record order — the
-// stream's arrival order, since one goroutine folds every record.
+// stream's arrival order, in which one goroutine folds every record.
 package stream
 
 import "approxhadoop/internal/stats"

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -128,7 +129,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	idx := &exportIndex{files: map[string]string{}, source: map[string]*types.Package{}}
 	var targets []*listedPkg
 	var missing []string
-	seen := map[string]bool{}
+	seen := map[string]*listedPkg{}
 	for _, p := range listed {
 		if p.Error != nil {
 			return nil, fmt.Errorf("analysis: %s: %s", p.ImportPath, p.Error.Err)
@@ -136,7 +137,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		if p.Export != "" {
 			idx.files[p.ImportPath] = p.Export
 		}
-		seen[p.ImportPath] = true
+		seen[p.ImportPath] = p
 		if !p.DepOnly && !p.Standard {
 			targets = append(targets, p)
 		}
@@ -147,7 +148,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		need := map[string]bool{}
 		for _, p := range targets {
 			for _, imp := range append(append([]string{}, p.TestImports...), p.XTestImports...) {
-				if imp != "C" && !seen[imp] && !need[imp] {
+				if imp != "C" && seen[imp] == nil && !need[imp] {
 					need[imp] = true
 					missing = append(missing, imp)
 				}
@@ -162,6 +163,9 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 				if p.Export != "" {
 					idx.files[p.ImportPath] = p.Export
 				}
+				if seen[p.ImportPath] == nil {
+					seen[p.ImportPath] = p
+				}
 			}
 		}
 	}
@@ -169,16 +173,21 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	fset := token.NewFileSet()
 	imp := srcImporter{idx: idx, gc: importer.ForCompiler(fset, "gc", idx.Lookup)}
 	var out []*Package
-	// Pass 1: the targets themselves, each after every target it imports
+	// Pass 1: the targets themselves, each after every package it imports
 	// (checkOrder), so imports between targets resolve to source-checked
 	// packages rather than export data (mixing the two gives the same
-	// type two identities).
-	for _, p := range checkOrder(targets, l.Tests) {
+	// type two identities). Bridges are checked from source too, without
+	// their tests, and are not reported.
+	isTarget := make(map[string]bool, len(targets))
+	for _, p := range targets {
+		isTarget[p.ImportPath] = true
+	}
+	for _, p := range checkOrder(append(targets, bridges(seen, isTarget)...), isTarget, l.Tests) {
 		if len(p.CgoFiles) > 0 {
 			return nil, fmt.Errorf("analysis: %s uses cgo, which the loader does not support", p.ImportPath)
 		}
 		names := append([]string{}, p.GoFiles...)
-		if l.Tests {
+		if l.Tests && isTarget[p.ImportPath] {
 			names = append(names, p.TestGoFiles...)
 		}
 		pkg, err := checkFiles(fset, p.ImportPath, p.Dir, names, imp)
@@ -187,7 +196,9 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		}
 		if pkg != nil {
 			idx.source[p.ImportPath] = pkg.Types
-			out = append(out, pkg)
+			if isTarget[p.ImportPath] {
+				out = append(out, pkg)
+			}
 		}
 	}
 	// Pass 2: external test packages, after every target is source-
@@ -210,19 +221,52 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// checkOrder returns targets with each one after every target it
-// imports. go list -deps orders them by their non-test imports only;
-// with tests, a package is checked together with its in-package test
+// bridges returns the listed packages that are not targets but import a
+// target, directly or through other packages. Read from export data, such
+// a package would bring its own copy of the target's types: an external
+// test of internal/stream that imports internal/apps, which imports
+// internal/stream, would see two stream.Window types.
+func bridges(listed map[string]*listedPkg, isTarget map[string]bool) []*listedPkg {
+	reaches := map[string]bool{}
+	var reach func(path string) bool
+	reach = func(path string) bool {
+		if r, ok := reaches[path]; ok {
+			return r
+		}
+		reaches[path] = isTarget[path]
+		if p := listed[path]; p != nil && !p.Standard {
+			for _, imp := range p.Imports {
+				if reach(imp) {
+					reaches[path] = true
+					break
+				}
+			}
+		}
+		return reaches[path]
+	}
+	var out []*listedPkg
+	for path, p := range listed {
+		if !isTarget[path] && reach(path) {
+			out = append(out, p)
+		}
+	}
+	slices.SortFunc(out, func(a, b *listedPkg) int { return strings.Compare(a.ImportPath, b.ImportPath) })
+	return out
+}
+
+// checkOrder returns pkgs with each one after every package of pkgs it
+// imports. go list -deps orders targets by their non-test imports only;
+// with tests, a target is checked together with its in-package test
 // files, so their imports count too. That graph is acyclic: the go
 // command rejects an in-package test whose imports lead back to its
-// package. Among unrelated targets the -deps order stands.
-func checkOrder(targets []*listedPkg, tests bool) []*listedPkg {
-	byPath := make(map[string]*listedPkg, len(targets))
-	for _, p := range targets {
+// package. Among unrelated packages the given order stands.
+func checkOrder(pkgs []*listedPkg, isTarget map[string]bool, tests bool) []*listedPkg {
+	byPath := make(map[string]*listedPkg, len(pkgs))
+	for _, p := range pkgs {
 		byPath[p.ImportPath] = p
 	}
-	out := make([]*listedPkg, 0, len(targets))
-	placed := make(map[string]bool, len(targets))
+	out := make([]*listedPkg, 0, len(pkgs))
+	placed := make(map[string]bool, len(pkgs))
 	var place func(p *listedPkg)
 	place = func(p *listedPkg) {
 		if placed[p.ImportPath] {
@@ -230,7 +274,7 @@ func checkOrder(targets []*listedPkg, tests bool) []*listedPkg {
 		}
 		placed[p.ImportPath] = true
 		imports := p.Imports
-		if tests {
+		if tests && isTarget[p.ImportPath] {
 			imports = append(imports[:len(imports):len(imports)], p.TestImports...)
 		}
 		for _, imp := range imports {
@@ -240,7 +284,7 @@ func checkOrder(targets []*listedPkg, tests bool) []*listedPkg {
 		}
 		out = append(out, p)
 	}
-	for _, p := range targets {
+	for _, p := range pkgs {
 		place(p)
 	}
 	return out

@@ -176,3 +176,23 @@ func BenchmarkZipf(b *testing.B) {
 	})
 	randSink += float64(sink)
 }
+
+// BenchmarkPareto draws the access log's capped byte counts (800, 1.4,
+// 5 000 000): through the outcome table, and through the expression
+// the table reproduces.
+func BenchmarkPareto(b *testing.B) {
+	sink := 0
+	b.Run("table", func(b *testing.B) {
+		p := NewParetoInt(NewRand(1), 800, 1.4, 5_000_000)
+		for i := 0; i < b.N; i++ {
+			sink += p.Next()
+		}
+	})
+	b.Run("exact", func(b *testing.B) {
+		r := NewRand(1)
+		for i := 0; i < b.N; i++ {
+			sink += min(int(Pareto(r, 800, 1.4)), 5_000_000)
+		}
+	})
+	randSink += float64(sink)
+}

@@ -219,9 +219,6 @@ func TestRNGHelpers(t *testing.T) {
 	if v := Pareto(r, 10, 2); v < 10 {
 		t.Errorf("Pareto below xm: %v", v)
 	}
-	if v := LogNormal(r, 0, 1); v <= 0 {
-		t.Errorf("LogNormal non-positive: %v", v)
-	}
 	s := SampleWithoutReplacement(r, 10, 4)
 	if len(s) != 4 {
 		t.Errorf("sample size %d", len(s))

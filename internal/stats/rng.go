@@ -14,12 +14,6 @@ func NewRand(seed int64) *rand.Rand {
 	return rand.New(NewSource(seed))
 }
 
-// LogNormal draws from a log-normal distribution with the given
-// location and scale of the underlying normal.
-func LogNormal(r *rand.Rand, mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.NormFloat64())
-}
-
 // Pareto draws from a Pareto distribution with minimum xm and shape
 // alpha; heavy-tailed sizes such as request or article lengths.
 func Pareto(r *rand.Rand, xm, alpha float64) float64 {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 )
 
 // Zipf draws ranks in [1, n] with P(rank = k) proportional to 1/k^s
@@ -119,24 +118,21 @@ func (p *zipfParams) breakpoints() []float64 {
 }
 
 // A zipfTable holds the parameters of one (s, n) and, for n up to
-// zipfTableMaxN, its outcome table: piece i covers the draws r with
-// starts[i] <= r < starts[i+1] and its code is outs[i] — the rank every
-// round in it accepts, zipfReject when every round in it rejects, or
-// zipfExact when Next must run the round. guide[int(r·len(guide))] is the
-// piece holding the smallest r of that slot, so a lookup steps past
-// pieces/len(guide) < 1 starts on average. A table is immutable once
-// built and shared by every Zipf of its (s, n).
+// zipfTableMaxN, its outcome table (outcome.go): a piece's code is the
+// rank every round in it accepts, zipfReject when every round in it
+// rejects, or zipfExact when Next must run the round. A draw r's guide
+// slot is int(r·len(guide)), so a lookup steps past
+// pieces/len(guide) < 1 starts on average. Every Zipf of its (s, n)
+// shares it.
 type zipfTable struct {
 	zipfParams
-	starts []float64 // one sentinel above 1 past the last piece
-	outs   []int32
-	guide  []uint32
-	slots  float64 // len(guide)
+	outcomeTable
+	slots float64 // len(guide)
 }
 
 const (
 	zipfReject = -1
-	zipfExact  = -2
+	zipfExact  = outcomeExact
 
 	// zipfBand is the half-width of the band around each breakpoint that
 	// the table leaves to the exact round. The computed outcome switches
@@ -160,75 +156,28 @@ type zipfKey struct {
 	n uint64
 }
 
-// zipfTables maps a zipfKey to its *zipfTable, for the process.
-var zipfTables sync.Map
+var zipfTables = tableCache[zipfKey, zipfTable]{build: newZipfTable}
 
 func zipfTableFor(s float64, n uint64) *zipfTable {
-	key := zipfKey{s, n}
-	if t, ok := zipfTables.Load(key); ok {
-		return t.(*zipfTable)
-	}
-	t, _ := zipfTables.LoadOrStore(key, newZipfTable(s, n))
-	return t.(*zipfTable)
+	return zipfTables.get(zipfKey{s, n})
 }
 
-// newZipfTable builds (s, n)'s table. Every breakpoint gets a band of
-// zipfExact; each piece between bands takes the code its two ends and
-// its midpoint agree on, or zipfExact if they do not. Adjacent pieces of
-// one code merge. Above zipfTableMaxN ranks or below zipfMinTableS the
-// table is one zipfExact piece.
-func newZipfTable(s float64, n uint64) *zipfTable {
-	t := &zipfTable{zipfParams: newZipfParams(s, n)}
-	add := func(start float64, out int32) {
-		if len(t.outs) > 0 && t.outs[len(t.outs)-1] == out {
-			return
-		}
-		t.starts = append(t.starts, start)
-		t.outs = append(t.outs, out)
-	}
-	piece := func(lo, hi float64) {
-		a, m, b := t.code(lo), t.code(lo+float64((hi-lo)/2)), t.code(math.Nextafter(hi, 0))
-		if a != m || m != b {
-			a = zipfExact
-		}
-		add(lo, a)
-	}
-	if n > zipfTableMaxN || s < zipfMinTableS {
-		add(0, zipfExact)
+// newZipfTable builds k's table: every breakpoint gets a band of
+// zipfBand (outcomeTable.cut). Above zipfTableMaxN ranks or below
+// zipfMinTableS the table is one zipfExact piece.
+func newZipfTable(k zipfKey) *zipfTable {
+	t := &zipfTable{zipfParams: newZipfParams(k.s, k.n)}
+	if k.n > zipfTableMaxN || k.s < zipfMinTableS {
+		t.cut(0, nil, nil, func(float64) int32 { return zipfExact })
 	} else {
-		pos := 0.0 // where the next piece starts
-		for _, b := range t.breakpoints() {
-			if lo := b - zipfBand; lo > pos {
-				if lo >= 1 {
-					break
-				}
-				piece(pos, lo)
-				pos = lo
-			}
-			if hi := b + zipfBand; hi > pos {
-				add(pos, zipfExact)
-				pos = hi
-			}
-		}
-		if pos < 1 {
-			piece(pos, 1)
-		}
+		t.cut(0, t.breakpoints(), func(float64) float64 { return zipfBand }, t.code)
 	}
-	t.starts = append(t.starts, 2)
-
 	g := 1
 	for g < len(t.outs) {
 		g *= 2
 	}
-	t.guide = make([]uint32, g)
 	t.slots = float64(g)
-	i := 0
-	for slot := range t.guide {
-		for t.starts[i+1] <= float64(slot)/t.slots {
-			i++
-		}
-		t.guide[slot] = uint32(i)
-	}
+	t.fillGuide(g, func(slot int) float64 { return float64(slot) / t.slots })
 	return t
 }
 
@@ -248,9 +197,5 @@ func (t *zipfTable) code(r float64) int32 {
 //
 //approx:hotpath
 func (t *zipfTable) lookup(r float64) int32 {
-	i := t.guide[int(r*t.slots)]
-	for t.starts[i+1] <= r {
-		i++
-	}
-	return t.outs[i]
+	return t.from(t.guide[int(r*t.slots)], r)
 }

@@ -97,6 +97,7 @@ func (w WikiDump) File(name string) *dfs.File {
 	gen := func(idx int, r intSource, bw io.Writer) error {
 		rr := stats.NewRand(r.Int63())
 		zipf := stats.NewZipf(rr, 1.3, uint64(w.LinkUniverse))
+		links := stats.NewParetoInt(rr, float64(w.MeanLinks)/2, 1.5, 60)
 		// Intra-block locality: articles in the same block share a
 		// size regime (they were dumped together), like the paper's
 		// observation that "data within blocks usually has locality".
@@ -104,14 +105,13 @@ func (w WikiDump) File(name string) *dfs.File {
 		var lb lineBuf
 		for i := 0; i < w.ArticlesPerBlock; i++ {
 			id := idx*w.ArticlesPerBlock + i
+			// The size's xm is the block's own, so it has no table
+			// to share (stats.ParetoInt) and runs the expression.
 			size := int(stats.Pareto(rr, 300*blockBias, 1.3))
 			if size > 2_000_000 {
 				size = 2_000_000
 			}
-			nLinks := int(stats.Pareto(rr, float64(w.MeanLinks)/2, 1.5))
-			if nLinks > 60 {
-				nLinks = 60
-			}
+			nLinks := links.Next()
 			lb.reset()
 			lb.byte('A')
 			lb.int(int64(id))
@@ -250,6 +250,7 @@ func (a AccessLog) File(name string) *dfs.File {
 		rr := stats.NewRand(r.Int63())
 		projZipf := stats.NewZipf(rr, 1.4, uint64(a.Projects))
 		pageZipf := stats.NewZipf(rr, 1.2, uint64(a.Pages))
+		sizes := stats.NewParetoInt(rr, 800, 1.4, 5_000_000)
 		// Blocks are time-contiguous: entries in block idx carry
 		// timestamps from that slice of the period (locality again).
 		base := int64(idx) * 3600
@@ -258,10 +259,7 @@ func (a AccessLog) File(name string) *dfs.File {
 			ts := base + rr.Int63()%3600
 			proj := projZipf.Next()
 			page := pageZipf.Next()
-			bytes := int(stats.Pareto(rr, 800, 1.4))
-			if bytes > 5_000_000 {
-				bytes = 5_000_000
-			}
+			bytes := sizes.Next()
 			lb.reset()
 			lb.int(ts)
 			lb.str("\tproj")
@@ -561,6 +559,7 @@ func (w WebLog) File(name string) *dfs.File {
 		rr := stats.NewRand(r.Int63())
 		clientZipf := stats.NewZipf(rr, 1.1, uint64(w.Clients))
 		pathZipf := stats.NewZipf(rr, 1.3, 2000)
+		sizes := stats.NewParetoInt(rr, 500, 1.5, 2_000_000)
 		var lb lineBuf
 		for i := 0; i < w.LinesPerBlock; i++ {
 			// Draw the hour of week from the weekly shape.
@@ -571,10 +570,7 @@ func (w WebLog) File(name string) *dfs.File {
 			}
 			client := int(clientZipf.Next())
 			path := pathZipf.Next()
-			bytes := int(stats.Pareto(rr, 500, 1.5))
-			if bytes > 2_000_000 {
-				bytes = 2_000_000
-			}
+			bytes := sizes.Next()
 			agent := browsers[int(rr.Int63())%len(browsers)]
 			attack := "-"
 			if client <= w.Attackers && rr.Float64() < w.AttackRate {

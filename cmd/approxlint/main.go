@@ -1,8 +1,19 @@
 // Command approxlint runs the repository's static-analysis suite (see
 // internal/analysis): repo-specific checks that keep the simulator
 // deterministic and the statistics trustworthy, including the
-// whole-program purity, hotpath, and lockheld analyzers built on the
-// cross-package call graph.
+// whole-program purity, hotpath, lockheld and deadcode analyzers built
+// on the cross-package call graph.
+//
+// Every run typechecks the whole module around the working directory
+// from source, plus each module nested under its root (bench/, found by
+// its own go.mod outside testdata/). The package arguments only choose
+// whose findings are reported, so one package reports exactly what
+// ./... reports for it; a nested module's findings never are. deadcode
+// reports a func or method under internal/ that no non-test file of
+// that program references (a nested module's tests count), unless it
+// matches by name and signature a method of an interface the program
+// declares or imports, belongs to a type the root package exports or
+// aliases, or is main or init.
 //
 // Usage:
 //

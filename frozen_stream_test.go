@@ -67,7 +67,7 @@ var frozenStreamRows = []struct {
 		})
 	}},
 	{"edit-rate/maxwindows", []string{"degraded"}, func(seed int64) *stream.Pipeline {
-		return apps.EditRateStream(frozenEdits(), apps.StreamOptions{
+		return editRate(frozenEdits(), apps.StreamOptions{
 			Seed:       seed,
 			Rate:       workload.DiurnalRate(300, 0.5, 60),
 			Window:     stream.Window{Size: 5},
@@ -128,7 +128,7 @@ var frozenStreamRows = []struct {
 		})
 	}},
 	{"edit-rate/sliding/drained", []string{"partial"}, func(seed int64) *stream.Pipeline {
-		return apps.EditRateStream(frozenEdits(), apps.StreamOptions{
+		return editRate(frozenEdits(), apps.StreamOptions{
 			Seed:   seed,
 			Rate:   workload.ConstantRate(400),
 			Window: stream.Window{Size: 10, Slide: 2.5},
@@ -146,6 +146,12 @@ func frozenEdits() workload.EditLog {
 	e := workload.DefaultEditLog()
 	e.Blocks, e.LinesPerBlock = 10, 2000
 	return e
+}
+
+// editRate is the catalog's edit-rate stream over gen's edit log.
+func editRate(gen workload.EditLog, opts apps.StreamOptions) *stream.Pipeline {
+	e, _ := apps.Lookup("edit-rate")
+	return e.Stream(gen.File("stream-input"), opts)
 }
 
 // frozenField is the idx-th tab-separated field of line, nil when there

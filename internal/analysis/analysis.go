@@ -6,11 +6,20 @@
 // and sample draws are a pure function of the configured seed; wall
 // clocks and the global math/rand source silently break that, so the
 // analyzers here forbid them (plus a few classic correctness traps:
-// exact float comparison, stray panics, discarded errors).
+// exact float comparison, stray panics, discarded errors, and functions
+// under internal/ that nothing but tests calls).
 //
 // The engine loads packages through the go command (`go list -export`)
-// and typechecks target sources with go/types, so analyzers see fully
-// resolved types without any dependency outside the standard library.
+// and typechecks with go/types, so analyzers see fully resolved types
+// without any dependency outside the standard library. One load rule
+// holds: every run typechecks the whole module from source, plus each
+// module nested under its root (found by its own go.mod outside
+// testdata), and the package patterns only choose which packages'
+// findings are reported; a nested module's never are. The deadcode
+// analyzer's roots are the program's non-test files and every file of a
+// nested module; it keeps a method whose name and signature match a
+// method of any package-level interface the program declares or
+// imports, and a method of a type the root package exports or aliases.
 // Findings can be suppressed with
 //
 //	//lint:ignore <analyzer>[,<analyzer>...] reason
@@ -121,11 +130,6 @@ type Options struct {
 	StaleIgnores bool
 }
 
-// Run applies every analyzer to every package with default options.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunWithOptions(pkgs, analyzers, Options{})
-}
-
 // RunWithOptions builds the whole-program facts layer once, applies
 // every analyzer (per-package Run passes and whole-program RunProgram
 // passes), filters findings through lint:ignore directives, and
@@ -136,18 +140,22 @@ func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 func RunWithOptions(pkgs []*Package, analyzers []*Analyzer, opts Options) []Diagnostic {
 	facts := NewFacts(pkgs)
 
-	// All packages from one Loader share a FileSet; directives are
-	// indexed globally so program-level findings in any package can be
-	// suppressed at their position.
+	// All packages from one Loader share a FileSet. Only reported
+	// packages are analyzed one by one and have their directives
+	// indexed; a program-level finding elsewhere is dropped.
 	var all, raw []Diagnostic
 	idx := newDirectives()
 	var fset *token.FileSet
+	reported := map[string]bool{}
 	for _, pkg := range pkgs {
 		fset = pkg.Fset
+		if !pkg.Reported {
+			continue
+		}
+		for _, f := range pkg.Files {
+			reported[pkg.Fset.Position(f.Pos()).Filename] = true
+		}
 		all = append(all, idx.scan(pkg.Fset, pkg.Files)...)
-	}
-
-	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			if a.Run == nil {
 				continue
@@ -174,7 +182,7 @@ func RunWithOptions(pkgs []*Package, analyzers []*Analyzer, opts Options) []Diag
 	}
 
 	for _, d := range raw {
-		if !idx.suppresses(d) {
+		if reported[d.Pos.Filename] && !idx.suppresses(d) {
 			all = append(all, d)
 		}
 	}

@@ -16,10 +16,15 @@ import (
 	"testing"
 )
 
-// fixtureDep is a sibling fixture package a fixture imports; it is
-// typechecked first and analyzed together with the main fixture so the
-// whole-program analyzers see across the package boundary.
-type fixtureDep struct{ dir, path string }
+// fixtureDep is a sibling fixture package; it is typechecked before the
+// main fixture, in order, and analyzed together with it so the
+// whole-program analyzers see across the package boundary. A nested
+// dep poses as a nested module's package: never reported, its tests
+// count as callers.
+type fixtureDep struct {
+	dir, path string
+	nested    bool
+}
 
 // fixtureCases maps each testdata/src directory to the import path its
 // package poses as. virtualclock only fires inside simulator packages,
@@ -27,7 +32,8 @@ type fixtureDep struct{ dir, path string }
 // as the job service for the same reason. The sharedstate fixture holds
 // purity's body checks inside one package; the purity fixture spans two
 // packages, with the violation in the dep package, one import away from
-// the compute root.
+// the compute root. The deadcode fixture is a root package, the internal
+// package it aliases and calls, and a nested module's package.
 var fixtureCases = []struct {
 	dir, path string
 	deps      []fixtureDep
@@ -43,6 +49,11 @@ var fixtureCases = []struct {
 		deps: []fixtureDep{{dir: "purity/dep", path: "example.test/purity/dep"}}},
 	{dir: "hotpath", path: "example.test/hot"},
 	{dir: "lockheld", path: "approxhadoop/internal/jobserver"},
+	{dir: "deadcode", path: "example.test",
+		deps: []fixtureDep{
+			{dir: "deadcode/dead", path: "example.test/internal/dead"},
+			{dir: "deadcode/bench", path: "example.test/bench", nested: true},
+		}},
 }
 
 // wantRe matches expected-diagnostic comments in fixtures:
@@ -104,7 +115,7 @@ func parseFixtureDir(t *testing.T, fset *token.FileSet, dir string, want map[str
 }
 
 // fixtureImports lists the stdlib packages fixtures may import.
-var fixtureImports = []string{"time", "math/rand", "fmt", "strings", "errors", "sync", "strconv", "os", "hash/crc32", "hash/maphash"}
+var fixtureImports = []string{"time", "math/rand", "fmt", "strings", "errors", "sync", "strconv", "os", "hash/crc32", "hash/maphash", "encoding/json", "testing"}
 
 // loadFixture typechecks one fixture case (dep packages first, wired
 // through a registering importer) and returns the packages in
@@ -124,6 +135,7 @@ func loadFixture(t *testing.T, fset *token.FileSet, imp types.Importer, c struct
 			t.Fatal(err)
 		}
 		si.Register(pkg.Types)
+		pkg.Reported, pkg.Nested = !dep.nested, dep.nested
 		pkgs = append(pkgs, pkg)
 	}
 	files := parseFixtureDir(t, fset, c.dir, want)
@@ -147,8 +159,14 @@ func TestFixtures(t *testing.T) {
 			if len(want) == 0 {
 				t.Fatalf("fixture %s has no want comments", c.dir)
 			}
+			// The fixtures posing as internal packages declare functions
+			// only their own checks need; deadcode has its own fixture.
+			analyzers := All()
+			if c.dir != "deadcode" {
+				analyzers, _ = Select("", "deadcode")
+			}
 			got := map[string]int{}
-			for _, d := range Run(pkgs, All()) {
+			for _, d := range RunWithOptions(pkgs, analyzers, Options{}) {
 				got[fmt.Sprintf("%d:%s", d.Pos.Line, d.Analyzer)]++
 				covered[d.Analyzer] = true
 			}
@@ -196,7 +214,7 @@ func TestStaleIgnores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diags := Run([]*Package{pkg}, All()); len(diags) != 0 {
+	if diags := RunWithOptions([]*Package{pkg}, All(), Options{}); len(diags) != 0 {
 		t.Errorf("without StaleIgnores: want 0 diagnostics, got %v", diags)
 	}
 	diags := RunWithOptions([]*Package{pkg}, All(), Options{StaleIgnores: true})
@@ -283,8 +301,9 @@ func TestDeterminism(t *testing.T) {
 // detection — over the whole repository. The tree must stay
 // lint-clean: new wall-clock reads, global rand draws, exact float
 // comparisons, stray panics, dropped errors, compute-plane impurities,
-// hot-path allocations, lock-discipline breaches, and dead lint:ignore
-// comments show up here (and in CI) immediately.
+// hot-path allocations, lock-discipline breaches, functions only tests
+// call, and dead lint:ignore comments show up here (and in CI)
+// immediately.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and typechecks the whole repository")

@@ -68,53 +68,6 @@ type CallGraph struct {
 // order.
 func (g *CallGraph) CallsFrom(fn *types.Func) []Call { return g.calls[fn] }
 
-// StaticCallees returns the deduplicated CallStatic targets of fn, in
-// first-call-site order.
-func (g *CallGraph) StaticCallees(fn *types.Func) []*types.Func {
-	var out []*types.Func
-	seen := map[*types.Func]bool{}
-	for _, c := range g.calls[fn] {
-		if c.Kind == CallStatic && !seen[c.Callee] {
-			seen[c.Callee] = true
-			out = append(out, c.Callee)
-		}
-	}
-	return out
-}
-
-// Frontier returns fn's unresolvable call sites (interface and
-// func-value calls), in source order.
-func (g *CallGraph) Frontier(fn *types.Func) []Call {
-	var out []Call
-	for _, c := range g.calls[fn] {
-		if c.Kind == CallInterface || c.Kind == CallFuncValue {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// Reachable returns the set of declared functions reachable from the
-// roots over static edges, including the roots themselves.
-func (g *CallGraph) Reachable(roots []*types.Func) map[*types.Func]bool {
-	seen := map[*types.Func]bool{}
-	stack := append([]*types.Func{}, roots...)
-	for len(stack) > 0 {
-		fn := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[fn] {
-			continue
-		}
-		seen[fn] = true
-		for _, callee := range g.StaticCallees(fn) {
-			if !seen[callee] {
-				stack = append(stack, callee)
-			}
-		}
-	}
-	return seen
-}
-
 // buildCallGraph walks every declared function body and classifies its
 // call sites.
 func buildCallGraph(f *Facts) *CallGraph {

@@ -63,6 +63,32 @@ func loadCallgraphFixture(t *testing.T) (*Facts, map[string]*types.Func) {
 	return facts, byName
 }
 
+// StaticCallees returns the deduplicated CallStatic targets of fn, in
+// first-call-site order.
+func (g *CallGraph) StaticCallees(fn *types.Func) []*types.Func {
+	var out []*types.Func
+	seen := map[*types.Func]bool{}
+	for _, c := range g.calls[fn] {
+		if c.Kind == CallStatic && !seen[c.Callee] {
+			seen[c.Callee] = true
+			out = append(out, c.Callee)
+		}
+	}
+	return out
+}
+
+// unresolved returns fn's call sites the graph could not resolve
+// (interface and func-value calls), in source order.
+func unresolved(g *CallGraph, fn *types.Func) []Call {
+	var out []Call
+	for _, c := range g.CallsFrom(fn) {
+		if c.Kind == CallInterface || c.Kind == CallFuncValue {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // TestCallGraphDevirtualization: a method call on a concrete receiver
 // resolves to a static edge; plain function calls do too, including
 // from inside function literals (attributed to the enclosing
@@ -75,8 +101,8 @@ func TestCallGraphDevirtualization(t *testing.T) {
 	if len(callees) != 1 || callees[0].Name() != "Do" {
 		t.Errorf("helper static callees = %v; want the devirtualized impl.Do", callees)
 	}
-	if fr := g.Frontier(fns["helper"]); len(fr) != 0 {
-		t.Errorf("helper frontier = %v; want none", fr)
+	if fr := unresolved(g, fns["helper"]); len(fr) != 0 {
+		t.Errorf("helper unresolved calls = %v; want none", fr)
 	}
 
 	callees = g.StaticCallees(fns["direct"])
@@ -85,52 +111,36 @@ func TestCallGraphDevirtualization(t *testing.T) {
 	}
 
 	// Calls inside the literal belong to inLiteral; the call through
-	// the local variable g is frontier, but exempt-by-locality is the
+	// the local variable g is unresolved, but exempt-by-locality is the
 	// purity analyzer's policy, not the graph's.
 	callees = g.StaticCallees(fns["inLiteral"])
 	if len(callees) != 1 || callees[0] != fns["helper"] {
 		t.Errorf("inLiteral static callees = %v; want helper (literal body inlined)", callees)
 	}
-	if fr := g.Frontier(fns["inLiteral"]); len(fr) != 1 || fr[0].Kind != CallFuncValue || fr[0].Target == nil || fr[0].Target.Name() != "g" {
-		t.Errorf("inLiteral frontier = %v; want one func-value call through g", fr)
+	if fr := unresolved(g, fns["inLiteral"]); len(fr) != 1 || fr[0].Kind != CallFuncValue || fr[0].Target == nil || fr[0].Target.Name() != "g" {
+		t.Errorf("inLiteral unresolved calls = %v; want one func-value call through g", fr)
 	}
 }
 
 // TestCallGraphFrontier: interface method calls and function-value
-// calls are recorded as frontier, not dropped.
+// calls are recorded with their kinds, not dropped.
 func TestCallGraphFrontier(t *testing.T) {
 	facts, fns := loadCallgraphFixture(t)
 	g := facts.Graph()
 
-	fr := g.Frontier(fns["viaIface"])
-	if len(fr) != 1 || fr[0].Kind != CallInterface {
-		t.Fatalf("viaIface frontier = %v; want one interface call", fr)
+	calls := g.CallsFrom(fns["viaIface"])
+	if len(calls) != 1 || calls[0].Kind != CallInterface {
+		t.Fatalf("viaIface calls = %v; want one interface call", calls)
 	}
-	if fr[0].Callee == nil || fr[0].Callee.Name() != "Do" {
-		t.Errorf("viaIface frontier callee = %v; want the interface method Do", fr[0].Callee)
+	if calls[0].Callee == nil || calls[0].Callee.Name() != "Do" {
+		t.Errorf("viaIface callee = %v; want the interface method Do", calls[0].Callee)
 	}
 	if len(g.StaticCallees(fns["viaIface"])) != 0 {
 		t.Errorf("viaIface has static callees; the interface call must not devirtualize")
 	}
 
-	fr = g.Frontier(fns["viaValue"])
-	if len(fr) != 1 || fr[0].Kind != CallFuncValue || fr[0].Target == nil || fr[0].Target.Name() != "f" {
-		t.Fatalf("viaValue frontier = %v; want one func-value call through parameter f", fr)
-	}
-}
-
-// TestCallGraphReachable: reachability follows static edges only.
-func TestCallGraphReachable(t *testing.T) {
-	facts, fns := loadCallgraphFixture(t)
-	g := facts.Graph()
-
-	reach := g.Reachable([]*types.Func{fns["direct"]})
-	for _, name := range []string{"direct", "helper", "Do"} {
-		if !reach[fns[name]] {
-			t.Errorf("%s not reachable from direct", name)
-		}
-	}
-	if reach[fns["viaIface"]] || reach[fns["viaValue"]] {
-		t.Errorf("unrelated functions reported reachable: %v", reach)
+	calls = g.CallsFrom(fns["viaValue"])
+	if len(calls) != 1 || calls[0].Kind != CallFuncValue || calls[0].Target == nil || calls[0].Target.Name() != "f" {
+		t.Fatalf("viaValue calls = %v; want one func-value call through parameter f", calls)
 	}
 }

@@ -10,10 +10,10 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"strings"
 )
 
@@ -24,52 +24,62 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// Reported packages are the ones whose findings a run reports: those
+	// the load patterns match. The others complete the program for the
+	// whole-program analyzers.
+	Reported bool
+	// Nested marks a package of a module nested under the loaded one.
+	// Its files, tests included, count as callers of the loaded module.
+	Nested bool
 }
 
 // Loader resolves package patterns through the go command and
-// typechecks their sources with go/types. Dependencies are imported
-// from compiler export data (`go list -export`), so only the target
-// packages themselves are parsed — no network, no third-party tooling.
+// typechecks with go/types the whole module they belong to, plus every
+// module nested under its root, from source. Packages outside those
+// modules (the standard library) are imported from compiler export
+// data (`go list -export`): no network, no third-party tooling. So one
+// package is analyzed in the same program as `./...`, and the patterns
+// only choose which packages' findings are reported.
 type Loader struct {
 	// Dir is the directory go list runs in (the module root, usually).
 	Dir string
-	// Tests includes _test.go files: in-package test files are checked
-	// together with the package, external ones as a separate package.
+	// Tests includes the loaded module's _test.go files: in-package
+	// test files are checked together with the package, external ones
+	// as a separate package. A nested module's tests are always loaded.
 	Tests bool
 }
 
 // listedPkg is the subset of `go list -json` output the loader needs.
 type listedPkg struct {
-	ImportPath   string
-	Name         string
-	Dir          string
-	Export       string
-	Standard     bool
-	DepOnly      bool
+	ImportPath string
+	Dir        string
+	Export     string
+	Module     *struct {
+		Main bool
+		Dir  string
+	}
 	GoFiles      []string
 	CgoFiles     []string
 	Imports      []string
 	TestGoFiles  []string
 	XTestGoFiles []string
 	TestImports  []string
-	XTestImports []string
 	Error        *struct{ Err string }
 }
 
-// goList runs `go list -e -export -deps -json` on the patterns and
-// decodes the stream.
-func goList(dir string, extraArgs []string, patterns ...string) ([]*listedPkg, error) {
-	args := append([]string{"list", "-e", "-export",
-		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,GoFiles,CgoFiles,Imports,TestGoFiles,XTestGoFiles,TestImports,XTestImports,Error"},
-		extraArgs...)
-	args = append(args, patterns...)
+// goList runs `go list -e -json` with args in dir and decodes the
+// stream. A package go list could not load is an error.
+func goList(dir string, args ...string) ([]*listedPkg, error) {
+	args = append([]string{"list", "-e",
+		"-json=ImportPath,Dir,Export,Module,GoFiles,CgoFiles,Imports,TestGoFiles,XTestGoFiles,TestImports,Error"},
+		args...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("analysis: go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
+		return nil, fmt.Errorf("analysis: go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 	}
 	var pkgs []*listedPkg
 	dec := json.NewDecoder(bytes.NewReader(out))
@@ -79,6 +89,9 @@ func goList(dir string, extraArgs []string, patterns ...string) ([]*listedPkg, e
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("analysis: decoding go list output: %v", err)
+		}
+		if p.Error != nil {
+			return nil, fmt.Errorf("analysis: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		pkgs = append(pkgs, p)
 	}
@@ -101,9 +114,10 @@ func (x *exportIndex) Lookup(path string) (io.ReadCloser, error) {
 	return os.Open(f)
 }
 
-// srcImporter prefers in-memory source-checked packages (needed so
-// external test packages see identifiers declared in in-package test
-// files) and falls back to export data.
+// srcImporter prefers in-memory source-checked packages and falls back
+// to export data. Mixing the two for one package would give its types
+// two identities, so every package of a loaded module is checked from
+// source before anything imports it.
 type srcImporter struct {
 	idx *exportIndex
 	gc  types.Importer
@@ -116,151 +130,143 @@ func (si srcImporter) Import(path string) (*types.Package, error) {
 	return si.gc.Import(path)
 }
 
-// Load lists, parses and typechecks the packages matching patterns
-// (default "./...").
+// Load typechecks the module around Dir and the modules nested under
+// its root, and returns their packages with Reported set on those the
+// patterns (default "./...") match.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	listed, err := goList(l.Dir, []string{"-deps"}, patterns...)
+	matched, err := goList(l.Dir, append([]string{"-find"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
-	idx := &exportIndex{files: map[string]string{}, source: map[string]*types.Package{}}
-	var targets []*listedPkg
-	var missing []string
-	seen := map[string]*listedPkg{}
-	for _, p := range listed {
-		if p.Error != nil {
-			return nil, fmt.Errorf("analysis: %s: %s", p.ImportPath, p.Error.Err)
-		}
-		if p.Export != "" {
-			idx.files[p.ImportPath] = p.Export
-		}
-		seen[p.ImportPath] = p
-		if !p.DepOnly && !p.Standard {
-			targets = append(targets, p)
-		}
-	}
-	// Test-only imports are not part of the -deps closure; resolve
-	// their export data in one extra go list call.
-	if l.Tests {
-		need := map[string]bool{}
-		for _, p := range targets {
-			for _, imp := range append(append([]string{}, p.TestImports...), p.XTestImports...) {
-				if imp != "C" && seen[imp] == nil && !need[imp] {
-					need[imp] = true
-					missing = append(missing, imp)
-				}
-			}
-		}
-		if len(missing) > 0 {
-			extra, err := goList(l.Dir, []string{"-deps"}, missing...)
-			if err != nil {
-				return nil, err
-			}
-			for _, p := range extra {
-				if p.Export != "" {
-					idx.files[p.ImportPath] = p.Export
-				}
-				if seen[p.ImportPath] == nil {
-					seen[p.ImportPath] = p
-				}
-			}
-		}
+	report := map[string]bool{}
+	for _, p := range matched {
+		report[p.ImportPath] = true
 	}
 
 	fset := token.NewFileSet()
+	idx := &exportIndex{files: map[string]string{}, source: map[string]*types.Package{}}
 	imp := srcImporter{idx: idx, gc: importer.ForCompiler(fset, "gc", idx.Lookup)}
-	var out []*Package
-	// Pass 1: the targets themselves, each after every package it imports
-	// (checkOrder), so imports between targets resolve to source-checked
-	// packages rather than export data (mixing the two gives the same
-	// type two identities). Bridges are checked from source too, without
-	// their tests, and are not reported.
-	isTarget := make(map[string]bool, len(targets))
-	for _, p := range targets {
-		isTarget[p.ImportPath] = true
+	own, err := listModule(l.Dir, idx)
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range checkOrder(append(targets, bridges(seen, isTarget)...), isTarget, l.Tests) {
+	out, err := checkModule(fset, imp, own, l.Tests)
+	if err != nil {
+		return nil, err
+	}
+	for _, pkg := range out {
+		pkg.Reported = report[strings.TrimSuffix(pkg.Path, "_test")]
+	}
+	if len(own) == 0 {
+		return out, nil
+	}
+	nested, err := nestedModules(own[0].Module.Dir)
+	if err != nil {
+		return nil, err
+	}
+	for _, dir := range nested {
+		own, err := listModule(dir, idx)
+		if err != nil {
+			return nil, err
+		}
+		pkgs, err := checkModule(fset, imp, own, true)
+		if err != nil {
+			return nil, err
+		}
+		for _, pkg := range pkgs {
+			pkg.Reported, pkg.Nested = false, true
+		}
+		out = append(out, pkgs...)
+	}
+	return out, nil
+}
+
+// listModule lists the module around dir with everything its packages
+// and their tests import, records the export data of what lies outside
+// it, and returns the module's own packages in dependency order.
+func listModule(dir string, idx *exportIndex) ([]*listedPkg, error) {
+	listed, err := goList(dir, "-export", "-deps", "all")
+	if err != nil {
+		return nil, err
+	}
+	var own []*listedPkg
+	for _, p := range listed {
+		if p.Module != nil && p.Module.Main {
+			own = append(own, p)
+		} else if p.Export != "" && idx.files[p.ImportPath] == "" {
+			idx.files[p.ImportPath] = p.Export
+		}
+	}
+	return own, nil
+}
+
+// nestedModules returns the directories under root that hold a go.mod
+// of their own, skipping testdata and the directories the go command
+// ignores (names starting with "." or "_").
+func nestedModules(root string) ([]string, error) {
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() || path == root {
+			return err
+		}
+		if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	return dirs, err
+}
+
+// checkModule typechecks one module's packages from source: each one,
+// with its in-package test files when tests is set, after every package
+// of the module it imports; then the external test packages, which may
+// import any package of the module.
+func checkModule(fset *token.FileSet, imp srcImporter, pkgs []*listedPkg, tests bool) ([]*Package, error) {
+	var out []*Package
+	for _, p := range checkOrder(pkgs, tests) {
 		if len(p.CgoFiles) > 0 {
 			return nil, fmt.Errorf("analysis: %s uses cgo, which the loader does not support", p.ImportPath)
 		}
-		names := append([]string{}, p.GoFiles...)
-		if l.Tests && isTarget[p.ImportPath] {
-			names = append(names, p.TestGoFiles...)
+		names := p.GoFiles
+		if tests {
+			names = append(names[:len(names):len(names)], p.TestGoFiles...)
 		}
 		pkg, err := checkFiles(fset, p.ImportPath, p.Dir, names, imp)
 		if err != nil {
 			return nil, err
 		}
 		if pkg != nil {
-			idx.source[p.ImportPath] = pkg.Types
-			if isTarget[p.ImportPath] {
-				out = append(out, pkg)
-			}
+			imp.idx.source[p.ImportPath] = pkg.Types
+			out = append(out, pkg)
 		}
 	}
-	// Pass 2: external test packages, after every target is source-
-	// checked. An external test may import sibling targets beyond the
-	// package under test (a stream test driving the apps catalog);
-	// checking it inside pass 1 would resolve later siblings from
-	// export data and collide with their source-checked identities.
-	if l.Tests {
-		for _, p := range targets {
-			if len(p.XTestGoFiles) == 0 {
-				continue
-			}
+	if tests {
+		for _, p := range pkgs {
 			xpkg, err := checkFiles(fset, p.ImportPath+"_test", p.Dir, p.XTestGoFiles, imp)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, xpkg)
+			if xpkg != nil {
+				out = append(out, xpkg)
+			}
 		}
 	}
 	return out, nil
 }
 
-// bridges returns the listed packages that are not targets but import a
-// target, directly or through other packages. Read from export data, such
-// a package would bring its own copy of the target's types: an external
-// test of internal/stream that imports internal/apps, which imports
-// internal/stream, would see two stream.Window types.
-func bridges(listed map[string]*listedPkg, isTarget map[string]bool) []*listedPkg {
-	reaches := map[string]bool{}
-	var reach func(path string) bool
-	reach = func(path string) bool {
-		if r, ok := reaches[path]; ok {
-			return r
-		}
-		reaches[path] = isTarget[path]
-		if p := listed[path]; p != nil && !p.Standard {
-			for _, imp := range p.Imports {
-				if reach(imp) {
-					reaches[path] = true
-					break
-				}
-			}
-		}
-		return reaches[path]
-	}
-	var out []*listedPkg
-	for path, p := range listed {
-		if !isTarget[path] && reach(path) {
-			out = append(out, p)
-		}
-	}
-	slices.SortFunc(out, func(a, b *listedPkg) int { return strings.Compare(a.ImportPath, b.ImportPath) })
-	return out
-}
-
 // checkOrder returns pkgs with each one after every package of pkgs it
-// imports. go list -deps orders targets by their non-test imports only;
-// with tests, a target is checked together with its in-package test
+// imports. go list -deps orders packages by their non-test imports only;
+// with tests, a package is checked together with its in-package test
 // files, so their imports count too. That graph is acyclic: the go
 // command rejects an in-package test whose imports lead back to its
 // package. Among unrelated packages the given order stands.
-func checkOrder(pkgs []*listedPkg, isTarget map[string]bool, tests bool) []*listedPkg {
+func checkOrder(pkgs []*listedPkg, tests bool) []*listedPkg {
 	byPath := make(map[string]*listedPkg, len(pkgs))
 	for _, p := range pkgs {
 		byPath[p.ImportPath] = p
@@ -274,7 +280,7 @@ func checkOrder(pkgs []*listedPkg, isTarget map[string]bool, tests bool) []*list
 		}
 		placed[p.ImportPath] = true
 		imports := p.Imports
-		if tests && isTarget[p.ImportPath] {
+		if tests {
 			imports = append(imports[:len(imports):len(imports)], p.TestImports...)
 		}
 		for _, imp := range imports {
@@ -321,49 +327,5 @@ func CheckParsed(fset *token.FileSet, path string, files []*ast.File, imp types.
 	if err != nil {
 		return nil, fmt.Errorf("analysis: typechecking %s: %v", path, err)
 	}
-	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// SourceImporter resolves registered source-checked packages first and
-// falls back to a base importer. Multi-package fixture tests use it so
-// a fixture package can import a sibling fixture package that was
-// typechecked in memory.
-type SourceImporter struct {
-	Base types.Importer
-	pkgs map[string]*types.Package
-}
-
-// NewSourceImporter wraps base.
-func NewSourceImporter(base types.Importer) *SourceImporter {
-	return &SourceImporter{Base: base, pkgs: map[string]*types.Package{}}
-}
-
-// Register makes pkg resolvable by its import path.
-func (s *SourceImporter) Register(pkg *types.Package) { s.pkgs[pkg.Path()] = pkg }
-
-// Import implements types.Importer.
-func (s *SourceImporter) Import(path string) (*types.Package, error) {
-	if p, ok := s.pkgs[path]; ok {
-		return p, nil
-	}
-	return s.Base.Import(path)
-}
-
-// StdImporter builds an importer that resolves the given import paths
-// (plus their dependencies) from compiler export data. Fixture tests
-// use it to typecheck standalone files.
-func StdImporter(dir string, fset *token.FileSet, paths ...string) (types.Importer, error) {
-	idx := &exportIndex{files: map[string]string{}, source: map[string]*types.Package{}}
-	if len(paths) > 0 {
-		listed, err := goList(dir, []string{"-deps"}, paths...)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range listed {
-			if p.Export != "" {
-				idx.files[p.ImportPath] = p.Export
-			}
-		}
-	}
-	return srcImporter{idx: idx, gc: importer.ForCompiler(fset, "gc", idx.Lookup)}, nil
+	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info, Reported: true}, nil
 }

@@ -16,6 +16,7 @@ func All() []*Analyzer {
 		Purity,
 		Hotpath,
 		Lockheld,
+		Deadcode,
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"approxhadoop/internal/cluster"
@@ -550,27 +551,6 @@ type emitterFunc func(string, float64)
 
 func (f emitterFunc) Emit(k string, v float64) { f(k, v) }
 
-func TestRatioOfEstimates(t *testing.T) {
-	num := stats.Estimate{Value: 100, Err: 10, Conf: 0.95}
-	den := stats.Estimate{Value: 50, Err: 5, Conf: 0.95}
-	r := RatioOfEstimates(num, den)
-	if !stats.AlmostEqual(r.Value, 2, 1e-12) {
-		t.Errorf("ratio = %v", r.Value)
-	}
-	// Extremes: 90/55 ~ 1.636, 110/45 ~ 2.444 -> half-width >= 0.444.
-	if r.Err < 0.44 || r.Err > 0.6 {
-		t.Errorf("ratio error %v implausible", r.Err)
-	}
-	z := RatioOfEstimates(num, stats.Estimate{Value: 0})
-	if z.Value != 0 {
-		t.Error("zero denominator should yield zero value sentinel")
-	}
-	s := RatioOfEstimates(num, stats.Estimate{Value: 1, Err: 2})
-	if !math.IsInf(s.Err, 1) {
-		t.Error("denominator straddling zero should be unbounded")
-	}
-}
-
 func TestStaticClamps(t *testing.T) {
 	s := NewStatic(-0.5, 2)
 	if !stats.AlmostEqual(s.SampleRatio, 1, 1e-12) || !stats.AlmostEqual(s.DropRatio, 1, 1e-12) {
@@ -596,4 +576,18 @@ func TestStaticDropEverything(t *testing.T) {
 	if res.Counters.MapsCompleted != 0 || res.Counters.MapsDropped != 6 {
 		t.Errorf("drop-all counters: %+v", res.Counters)
 	}
+}
+
+// Observed returns the raw extreme seen so far for a key.
+func (r *ExtremeValueReducer) Observed(key string) (float64, bool) {
+	for id := range r.values {
+		if r.index.Key(int32(id)) != key {
+			continue
+		}
+		if r.Min {
+			return slices.Min(r.values[id]), true
+		}
+		return slices.Max(r.values[id]), true
+	}
+	return 0, false
 }

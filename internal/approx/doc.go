@@ -38,9 +38,9 @@
 //
 // Beyond the paper's core mechanisms, the package implements the
 // mitigations Section 3.1 sketches for missed intermediate keys:
-// FinalizeWithKnownKeys reports unobserved known keys as 0 plus a
-// bound, and DistinctKeys extrapolates the total key-space size with
-// the Chao1 estimator (the paper cites Haas et al. for this). The
+// MissingKeyBound bounds a key the sample never saw, and DistinctKeys
+// extrapolates the total key-space size with the Chao1 estimator (the
+// paper cites Haas et al. for this). The
 // opt-in ThreeStageReducer estimates per-pair means when the
 // population units are the intermediate pairs rather than the input
 // items (three-stage sampling).

@@ -39,7 +39,7 @@ func TestSampledUnitsAccumulates(t *testing.T) {
 	r := NewMultiStageReducer(OpSum)
 	r.Consume(mapOut(0, 100, 40, true, func(mapreduce.Emitter) {}))
 	r.Consume(mapOut(1, 100, 25, true, func(mapreduce.Emitter) {}))
-	if got := r.SampledUnits(); got != 65 {
+	if got := r.tally.SampledUnits(); got != 65 {
 		t.Errorf("SampledUnits = %d, want 65", got)
 	}
 }

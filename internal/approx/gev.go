@@ -68,19 +68,6 @@ func (r *ExtremeValueReducer) Consume(out *mapreduce.MapOutput) {
 	})
 }
 
-// Observed returns the raw extreme seen so far for a key.
-func (r *ExtremeValueReducer) Observed(key string) (float64, bool) {
-	id, ok := r.index.Find(key)
-	if !ok {
-		return 0, false
-	}
-	lo, hi := stats.MinMax(r.values[id])
-	if r.Min {
-		return lo, true
-	}
-	return hi, true
-}
-
 func (r *ExtremeValueReducer) estimate(vals []float64, view mapreduce.EstimateView) (stats.Estimate, bool) {
 	obs := vals[0]
 	for _, v := range vals[1:] {

@@ -12,15 +12,11 @@ import (
 //
 //  1. If the set of all keys is known a priori, keys absent from the
 //     sample can be reported as 0 plus a bound at the job's confidence
-//     level (KnownKeys / MissingKeyBound).
+//     level (MissingKeyBound).
 //  2. Otherwise, the overall number of distinct keys can be estimated
 //     by extrapolating from the sample (the paper cites Haas et al.,
 //     VLDB'95); DistinctKeys implements the Chao1 abundance estimator
 //     with its standard variance.
-
-// SampledUnits returns the total number of units actually processed
-// across consumed clusters (sum of m_i).
-func (r *MultiStageReducer) SampledUnits() int64 { return r.tally.SampledUnits() }
 
 // MissingKeyBound bounds the total value of a key that was never
 // observed in the sample, assuming at most one occurrence per input
@@ -56,27 +52,6 @@ func (r *MultiStageReducer) MissingKeyBound(view mapreduce.EstimateView) stats.E
 	est.Err = tHat * pMax
 	est.StdErr = est.Err / 2 // nominal; the bound itself is the deliverable
 	return est
-}
-
-// FinalizeWithKnownKeys is Finalize plus zero-estimates for every key
-// in known that the sample never observed.
-func (r *MultiStageReducer) FinalizeWithKnownKeys(view mapreduce.EstimateView, known []string) []mapreduce.KeyEstimate {
-	out := r.Finalize(view)
-	if len(known) == 0 {
-		return out
-	}
-	missingBound := r.MissingKeyBound(view)
-	seen := make(map[string]bool, len(out))
-	for _, o := range out {
-		seen[o.Key] = true
-	}
-	for _, k := range known {
-		if !seen[k] {
-			out = append(out, mapreduce.KeyEstimate{Key: k, Est: missingBound, Exact: r.tally.Exact(view)})
-		}
-	}
-	mapreduce.SortByKey(out)
-	return out
 }
 
 // DistinctKeys estimates the number of distinct keys in the whole

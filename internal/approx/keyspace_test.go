@@ -62,30 +62,6 @@ func TestMissingKeyBoundNoSamples(t *testing.T) {
 	}
 }
 
-func TestFinalizeWithKnownKeys(t *testing.T) {
-	r := NewMultiStageReducer(OpSum)
-	view := mapreduce.EstimateView{TotalMaps: 10, Confidence: 0.95}
-	feedClusters(r, 5, 100, 50, emitValues("seen", 3, 4))
-	out := r.FinalizeWithKnownKeys(view, []string{"seen", "never-a", "never-b"})
-	if len(out) != 3 {
-		t.Fatalf("outputs = %d, want 3", len(out))
-	}
-	found := map[string]mapreduce.KeyEstimate{}
-	for _, o := range out {
-		found[o.Key] = o
-	}
-	if found["never-a"].Est.Value != 0 || found["never-a"].Est.Err <= 0 {
-		t.Errorf("missing key estimate: %+v", found["never-a"].Est)
-	}
-	if found["seen"].Est.Value <= 0 {
-		t.Errorf("seen key estimate: %+v", found["seen"].Est)
-	}
-	// Without known keys it's plain Finalize.
-	if got := r.FinalizeWithKnownKeys(view, nil); len(got) != 1 {
-		t.Errorf("nil known keys should be plain finalize: %d", len(got))
-	}
-}
-
 func TestDistinctKeysChao(t *testing.T) {
 	// Population with 200 distinct keys, Zipf-ish unit frequencies;
 	// sample a fraction of units and check the Chao estimate recovers

@@ -12,8 +12,7 @@ import (
 type AggOp int
 
 // Supported aggregation operations (Section 3.1: sum, count, average;
-// ratios combine two sum estimates, see stats.TwoStageRatio and
-// RatioOfEstimates).
+// ratios combine two sum estimates, see stats.TwoStageRatio).
 const (
 	OpSum AggOp = iota
 	OpCount

@@ -74,7 +74,6 @@ func TestPropertyConsumeOrderInvariance(t *testing.T) {
 		{"precise sum", func() mapreduce.ReduceLogic { return mapreduce.SumReduce() }, estimatesIdentical},
 		{"precise mean", func() mapreduce.ReduceLogic { return mapreduce.MeanReduce() }, estimatesIdentical},
 		{"precise min", func() mapreduce.ReduceLogic { return mapreduce.MinReduce() }, estimatesIdentical},
-		{"precise max", func() mapreduce.ReduceLogic { return mapreduce.MaxReduce() }, estimatesIdentical},
 		{"gev min", func() mapreduce.ReduceLogic { return NewMinReducer() }, estimatesIdentical},
 		{"gev max", func() mapreduce.ReduceLogic { return NewMaxReducer() }, estimatesIdentical},
 	} {

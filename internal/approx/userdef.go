@@ -1,8 +1,6 @@
 package approx
 
 import (
-	"math"
-
 	"approxhadoop/internal/mapreduce"
 	"approxhadoop/internal/stats"
 )
@@ -31,37 +29,4 @@ func PerTaskMappers(approxRatio float64, seed int64, precise, approximate func()
 		}
 		return precise()
 	}
-}
-
-// RatioOfEstimates combines two interval estimates a/b into a ratio
-// estimate with conservatively propagated bounds (interval division).
-// Useful for derived metrics such as "average request size" = total
-// bytes / total requests, each a MultiStageReducer sum.
-func RatioOfEstimates(num, den stats.Estimate) stats.Estimate {
-	out := stats.Estimate{Conf: num.Conf, DF: num.DF}
-	if den.Value == 0 {
-		out.Value = 0
-		out.Err = 0
-		return out
-	}
-	out.Value = num.Value / den.Value
-	// Interval arithmetic: widest deviation of (num±e1)/(den∓e2).
-	denLo := den.Lo()
-	denHi := den.Hi()
-	if denLo <= 0 && denHi >= 0 {
-		// Denominator interval straddles zero: unbounded ratio.
-		out.Err = math.Inf(1)
-		return out
-	}
-	candidates := []float64{
-		num.Lo() / denLo, num.Lo() / denHi,
-		num.Hi() / denLo, num.Hi() / denHi,
-	}
-	lo, hi := stats.MinMax(candidates)
-	half := hi - out.Value
-	if out.Value-lo > half {
-		half = out.Value - lo
-	}
-	out.Err = half
-	return out
 }

@@ -62,14 +62,10 @@ func (o StreamOptions) pipeline(q stream.Query, input *dfs.File) *stream.Pipelin
 	}
 }
 
-// EditRateStream counts wiki edits per window, stratified by project
-// (the EditLog's ~40 natural substreams): a live edits-per-interval
+// editRate counts wiki edits per window, stratified by project (the
+// EditLog's ~40 natural substreams): a live edits-per-interval
 // dashboard. Count queries sample nothing per-unit; their only
 // degradation lever is stratum shedding under latency pressure.
-func EditRateStream(gen workload.EditLog, opts StreamOptions) *stream.Pipeline {
-	return editRate(gen.File("stream-input"), opts)
-}
-
 func editRate(input *dfs.File, opts StreamOptions) *stream.Pipeline {
 	opts = opts.withDefaults()
 	q := stream.Query{

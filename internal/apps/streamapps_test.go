@@ -57,7 +57,7 @@ func overflows(b []byte) bool {
 
 // The two apps' queries, for their extractors.
 var (
-	editQuery = EditRateStream(workload.EditLog{}, StreamOptions{}).Query
+	editQuery = editRate(workload.EditLog{}.File("stream-input"), StreamOptions{}).Query
 	webQuery  = WebBytesStream(workload.WebLog{}, StreamOptions{}).Query
 )
 

@@ -97,12 +97,6 @@ type AnalyticCost struct {
 	RedPerK   float64 // reduce seconds per 1000 pairs
 }
 
-// DefaultAnalyticCost returns constants producing paper-scale runtimes
-// for the synthetic workloads in this repository.
-func DefaultAnalyticCost() AnalyticCost {
-	return AnalyticCost{T0: 1.5, Tr: 4e-5, Tp: 4e-4, RedPerK: 0.02}
-}
-
 // PaperCost returns the analytic cost model calibrated so the default
 // synthetic WikiLength job (161 maps over 80 slots) lands near the
 // paper's ~180 s precise runtime.

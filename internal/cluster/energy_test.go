@@ -26,8 +26,8 @@ func TestEnergyBreakdown(t *testing.T) {
 	if b.IdleJ != 0 {
 		t.Errorf("IdleJ = %v, want 0", b.IdleJ)
 	}
-	if math.Abs(b.TotalJ()-e.EnergyJoules()) > 1e-9 {
-		t.Errorf("breakdown %v != total %v", b.TotalJ(), e.EnergyJoules())
+	if total := b.BusyJ + b.IdleJ + b.SleepJ; math.Abs(total-e.EnergyJoules()) > 1e-9 {
+		t.Errorf("breakdown %v != total %v", total, e.EnergyJoules())
 	}
 }
 

@@ -99,9 +99,6 @@ type Server struct {
 	speed      float64 // duration divisor; 1 = nominal
 }
 
-// Speed returns the server's speed factor (1 = nominal).
-func (s *Server) Speed() float64 { return s.speed }
-
 // Dead reports whether the server has fail-stopped.
 func (s *Server) Dead() bool { return s.dead }
 
@@ -185,17 +182,11 @@ type RunningTask struct {
 	onFinish func(killed bool)
 }
 
-// Killed reports whether the task was killed before completing.
-func (t *RunningTask) Killed() bool { return t.killed }
-
 // Failed reports whether the task was terminated by a fault — a
 // transient task fault or its server's death — rather than a
 // deliberate Kill. Schedulers use this to choose re-execution over
 // drop accounting.
 func (t *RunningTask) Failed() bool { return t.failed }
-
-// Done reports whether the task has finished or been killed.
-func (t *RunningTask) Done() bool { return t.done }
 
 // EnergyBreakdown splits integrated energy by server state.
 type EnergyBreakdown struct {
@@ -203,9 +194,6 @@ type EnergyBreakdown struct {
 	IdleJ  float64 // awake servers with no busy slots
 	SleepJ float64 // servers in S3
 }
-
-// TotalJ returns the total integrated energy in joules.
-func (b EnergyBreakdown) TotalJ() float64 { return b.BusyJ + b.IdleJ + b.SleepJ }
 
 // Engine is the discrete-event cluster simulator.
 type Engine struct {
@@ -252,9 +240,6 @@ func New(cfg Config) *Engine {
 	}
 	return e
 }
-
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Servers returns the simulated servers.
 func (e *Engine) Servers() []*Server { return e.servers }
@@ -447,9 +432,6 @@ func (e *Engine) finish(t *RunningTask, killed bool) {
 	}
 }
 
-// RunningTasks returns the number of currently running tasks.
-func (e *Engine) RunningTasks() int { return len(e.running) }
-
 // tasksOn returns the running tasks hosted by s in start order (the
 // deterministic order required for fault callbacks — e.running is a
 // map, and map iteration order must never leak into the schedule).
@@ -517,16 +499,6 @@ func (e *Engine) FailRandomMapTask(s *Server) bool {
 	t.failed = true
 	e.finish(t, true)
 	return true
-}
-
-// ScheduleFailure arranges a fail-stop of server s at virtual time at.
-func (e *Engine) ScheduleFailure(s *Server, at float64) {
-	e.At(at, func() { e.FailServer(s) })
-}
-
-// ScheduleRecovery arranges a rejoin of server s at virtual time at.
-func (e *Engine) ScheduleRecovery(s *Server, at float64) {
-	e.At(at, func() { e.RecoverServer(s) })
 }
 
 // Sleep transitions an idle server to the S3 state. It fails if the

@@ -63,11 +63,11 @@ func TestTaskLifecycle(t *testing.T) {
 	if srv.FreeSlots(MapSlot) != 1 {
 		t.Errorf("slot not occupied")
 	}
-	if e.RunningTasks() != 1 {
+	if len(e.running) != 1 {
 		t.Error("running count wrong")
 	}
 	e.Run()
-	if !finished || !task.Done() || task.Killed() {
+	if !finished || !task.done || task.killed {
 		t.Error("task should complete normally")
 	}
 	if srv.FreeSlots(MapSlot) != 2 {
@@ -270,8 +270,5 @@ func TestAnalyticCost(t *testing.T) {
 	_, tr2, _ := cb.Params([]TaskMeasure{{Items: 10, Bytes: 1000}})
 	if math.Abs(tr2-(0.01+0.1)) > 1e-12 {
 		t.Errorf("byte-folded tr = %v", tr2)
-	}
-	if DefaultAnalyticCost().T0 <= 0 {
-		t.Error("default analytic cost should have positive setup")
 	}
 }

@@ -55,8 +55,8 @@ func TestServerRecovery(t *testing.T) {
 	cfg.MapSlotsPerServer = 2
 	eng := New(cfg)
 	s := eng.Servers()[0]
-	eng.ScheduleFailure(s, 10)
-	eng.ScheduleRecovery(s, 30)
+	eng.At(10, func() { eng.FailServer(s) })
+	eng.At(30, func() { eng.RecoverServer(s) })
 	eng.At(50, func() {})
 	eng.Run()
 	if s.Dead() {
@@ -95,7 +95,7 @@ func TestSetSpeedAffectsFutureTasks(t *testing.T) {
 		t.Errorf("slowed task finished at %v, want 20", after.Finish)
 	}
 	eng.SetSpeed(s, 0) // ignored
-	if !stats.AlmostEqual(s.Speed(), 0.5, 0) {
+	if !stats.AlmostEqual(s.speed, 0.5, 0) {
 		t.Error("non-positive speed factor must be ignored")
 	}
 }
@@ -118,7 +118,7 @@ func TestFaultPlanInjection(t *testing.T) {
 	eng.At(20, func() {})
 	eng.Run()
 	ss := eng.Servers()
-	if !stats.AlmostEqual(ss[0].Speed(), 0.5, 0) {
+	if !stats.AlmostEqual(ss[0].speed, 0.5, 0) {
 		t.Error("slowdown not applied")
 	}
 	if !ss[1].Dead() {
@@ -192,7 +192,7 @@ func TestFailServerDeterministicVictimOrder(t *testing.T) {
 				}
 			})
 		}
-		eng.ScheduleFailure(s, 1)
+		eng.At(1, func() { eng.FailServer(s) })
 		eng.Run()
 		return order
 	}

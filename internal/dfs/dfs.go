@@ -422,15 +422,6 @@ func NewNameNode(servers []string, replication int) *NameNode {
 	}
 }
 
-// Servers returns the registered DataNode server IDs.
-func (nn *NameNode) Servers() []string {
-	nn.mu.RLock()
-	defer nn.mu.RUnlock()
-	out := make([]string, len(nn.servers))
-	copy(out, nn.servers)
-	return out
-}
-
 // Register places the blocks on DataNodes (round-robin with the
 // replication factor, approximating HDFS placement) and records the
 // file. It fails if a file with the same name already exists.
@@ -460,17 +451,6 @@ func (nn *NameNode) File(name string) (*File, error) {
 		return nil, fmt.Errorf("dfs: file %q not found", name)
 	}
 	return f, nil
-}
-
-// Delete removes a file's metadata.
-func (nn *NameNode) Delete(name string) error {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	if _, ok := nn.files[name]; !ok {
-		return fmt.Errorf("dfs: file %q not found", name)
-	}
-	delete(nn.files, name)
-	return nil
 }
 
 // List returns the names of all registered files in sorted order.

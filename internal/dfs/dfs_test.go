@@ -151,12 +151,6 @@ func TestNameNodePlacement(t *testing.T) {
 	if names := nn.List(); len(names) != 1 || names[0] != "f.txt" {
 		t.Errorf("List = %v", names)
 	}
-	if err := nn.Delete("f.txt"); err != nil {
-		t.Error(err)
-	}
-	if err := nn.Delete("f.txt"); err == nil {
-		t.Error("double delete should fail")
-	}
 }
 
 func TestNameNodeReplicationClamp(t *testing.T) {
@@ -167,9 +161,6 @@ func TestNameNodeReplicationClamp(t *testing.T) {
 	}
 	if len(f.Blocks[0].Replicas) != 1 {
 		t.Errorf("replication should clamp to server count")
-	}
-	if got := nn.Servers(); len(got) != 1 || got[0] != "only" {
-		t.Errorf("Servers = %v", got)
 	}
 }
 

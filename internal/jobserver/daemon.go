@@ -73,21 +73,8 @@ func ShardConfigs(cfg Config, shards int) []Config {
 	return out
 }
 
-// Streams returns the continuous-query registry.
-func (d *Daemon) Streams() *StreamSet { return d.streams }
-
-// Service returns shard 0's service — the only shard of a standalone
-// daemon (read-only methods are safe from any goroutine).
-func (d *Daemon) Service() *Service { return d.fleet.Shard(0) }
-
 // Fleet returns the shard router.
 func (d *Daemon) Fleet() *Fleet { return d.fleet }
-
-// do runs fn on shard 0's driver goroutine and waits for it (test
-// hook; fleet-aware callers route through Fleet methods).
-func (d *Daemon) do(fn func()) error {
-	return d.fleet.shards[0].do(fn)
-}
 
 // Stop shuts every shard driver down and wakes every stream waiter.
 // Running continuous queries are stopped at their next window.

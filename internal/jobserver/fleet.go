@@ -86,9 +86,6 @@ func shardMember(i int) string {
 	return fmt.Sprintf("shard-%d", i)
 }
 
-// Size returns the number of shards.
-func (f *Fleet) Size() int { return len(f.shards) }
-
 // Shard exposes shard i's service for tests and in-process callers.
 func (f *Fleet) Shard(i int) *Service { return f.shards[i].svc }
 
@@ -178,13 +175,6 @@ func (f *Fleet) releaseJob(st *JobState) {
 		}
 	}
 	f.qmu.Unlock()
-}
-
-// TenantInFlight reports tenant's current in-flight count (tests).
-func (f *Fleet) TenantInFlight(tenant string) int {
-	f.qmu.Lock()
-	defer f.qmu.Unlock()
-	return f.tenants[tenant]
 }
 
 // Submit places spec on its shard and admits it there, enforcing the

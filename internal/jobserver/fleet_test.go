@@ -249,3 +249,10 @@ func TestRecoverRejectsForeignShardRecords(t *testing.T) {
 		t.Fatalf("Recover accepted a foreign shard's record (err = %v)", err)
 	}
 }
+
+// TenantInFlight reports tenant's current in-flight count (tests).
+func (f *Fleet) TenantInFlight(tenant string) int {
+	f.qmu.Lock()
+	defer f.qmu.Unlock()
+	return f.tenants[tenant]
+}

@@ -124,11 +124,11 @@ func windowFrames(t *testing.T, body []byte) []*wire.WindowFrame {
 func replayOn(t *testing.T, d *Daemon, before func(*Service), specs ...JobSpec) []JobState {
 	t.Helper()
 	var states []JobState
-	if err := d.do(func() {
+	if err := d.fleet.shards[0].do(func() {
 		if before != nil {
-			before(d.Service())
+			before(d.fleet.Shard(0))
 		}
-		states = d.Service().Replay(specs)
+		states = d.fleet.Shard(0).Replay(specs)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestFrozenFrames(t *testing.T) {
 		}
 
 		const id = "stream-by-hand"
-		set := d.Streams()
+		set := d.streams
 		p, err := tinyStreamSpec(11).Build()
 		if err != nil {
 			t.Fatal(err)

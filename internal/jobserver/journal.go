@@ -231,9 +231,8 @@ func (jr *JournalResult) Restore() *mapreduce.Result {
 // journal deliberately has no mutex so that misuse shows up under the
 // race detector instead of hiding behind accidental serialization.
 type Journal struct {
-	path string
-	f    *os.File
-	w    *bufio.Writer
+	f *os.File
+	w *bufio.Writer
 	// dirty counts appended records not yet fsynced; syncEvery bounds
 	// it (an append auto-commits at the threshold).
 	dirty  int
@@ -274,7 +273,7 @@ func OpenJournal(path string) (*Journal, []JournalRecord, error) {
 		}
 		return nil, nil, fmt.Errorf("journal: %w", err)
 	}
-	j := &Journal{path: path, f: f, w: bufio.NewWriter(f)}
+	j := &Journal{f: f, w: bufio.NewWriter(f)}
 	return j, recs, nil
 }
 
@@ -318,9 +317,6 @@ func readJournal(f *os.File) ([]JournalRecord, int64, error) {
 	}
 	return recs, keep, nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Append buffers one record, auto-committing when syncEvery records
 // have accumulated. The record is not durable until the next Commit.

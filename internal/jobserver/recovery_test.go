@@ -310,8 +310,8 @@ func TestDrainQueuedJobsRecovered(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	if svc.ActiveCount() != 1 || svc.QueuedCount() != 1 {
-		t.Fatalf("active %d queued %d, want 1/1", svc.ActiveCount(), svc.QueuedCount())
+	if svc.ActiveCount() != 1 || len(svc.queue) != 1 {
+		t.Fatalf("active %d queued %d, want 1/1", svc.ActiveCount(), len(svc.queue))
 	}
 
 	svc.StartDrain()
@@ -360,7 +360,7 @@ func TestDrainHTTP503RetryAfter(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/readyz", nil); code != http.StatusOK {
 		t.Fatalf("readyz before drain: %d", code)
 	}
-	d.Service().StartDrain()
+	d.fleet.Shard(0).StartDrain()
 
 	buf := mustJSON(t, JobSpec{App: "total-size", Blocks: 8, LinesPerBlock: 50, Seed: 1})
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(buf))

@@ -301,9 +301,6 @@ func (s *Service) JournalErr() error {
 // Engine exposes the shared engine for the goroutine driving it.
 func (s *Service) Engine() *cluster.Engine { return s.eng }
 
-// Policy returns the configured scheduling policy.
-func (s *Service) Policy() Policy { return s.cfg.Policy }
-
 // Close marks the service shut down, wakes every stream waiter, and
 // commits and closes the journal. Idempotent: daemon teardown, signal
 // handlers, and tests may all call it; only the first call acts. The
@@ -344,10 +341,6 @@ func (s *Service) Draining() bool {
 // ActiveCount returns the number of running jobs. Engine goroutine
 // only (the drain loop samples it through the daemon mailbox).
 func (s *Service) ActiveCount() int { return len(s.active) }
-
-// QueuedCount returns the number of admitted-but-unstarted jobs.
-// Engine goroutine only.
-func (s *Service) QueuedCount() int { return len(s.queue) }
 
 // Submit validates and enqueues one job at the current virtual time,
 // dispatching immediately if capacity allows. Engine goroutine only.

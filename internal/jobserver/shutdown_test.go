@@ -80,11 +80,11 @@ func TestCloseWakesStreamWaiters(t *testing.T) {
 // deadlock.
 func TestShutdownCompletesInflightStream(t *testing.T) {
 	d, ts := startDaemon(t, Config{SnapshotEvery: 5})
-	svc := d.Service()
+	svc := d.fleet.Shard(0)
 	// Freeze a job in the queue: drain blocks dispatch, so the enqueued
 	// job can never start, and its stream never produces a frame.
 	svc.StartDrain()
-	if err := d.do(func() {
+	if err := d.fleet.shards[0].do(func() {
 		spec := JobSpec{Name: "frozen", App: "total-size", Blocks: 8, LinesPerBlock: 50, Seed: 2}
 		job, err := spec.Build(1)
 		if err != nil {

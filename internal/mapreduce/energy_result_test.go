@@ -27,7 +27,7 @@ func TestResultEnergyBreakdown(t *testing.T) {
 	if res.Energy.SleepJ <= 0 {
 		t.Errorf("S3 job should record sleep energy: %+v", res.Energy)
 	}
-	if math.Abs(res.Energy.TotalJ()/3600-res.EnergyWh) > 1e-9 {
-		t.Errorf("breakdown %v Wh != total %v Wh", res.Energy.TotalJ()/3600, res.EnergyWh)
+	if b := res.Energy; math.Abs((b.BusyJ+b.IdleJ+b.SleepJ)/3600-res.EnergyWh) > 1e-9 {
+		t.Errorf("breakdown %v Wh != total %v Wh", (b.BusyJ+b.IdleJ+b.SleepJ)/3600, res.EnergyWh)
 	}
 }

@@ -16,3 +16,6 @@ func Merge(runs [][]KeyEstimate, prefixes [][]uint64) []KeyEstimate {
 	mergeByKey(out, runs, prefixes)
 	return out
 }
+
+// Progress reports the job's counters so far (a copy).
+func (h *Handle) Progress() Counters { return h.t.counters }

@@ -20,7 +20,7 @@ func TestMapTaskReexecutionOnServerFailure(t *testing.T) {
 	// Reduces are placed round-robin from server 0; with Reduces=2 they
 	// land on servers 0 and 1, so server 3 is a map-only victim. Fail
 	// it midway through the first wave.
-	eng.ScheduleFailure(eng.Servers()[3], 0.5)
+	eng.At(0.5, func() { eng.FailServer(eng.Servers()[3]) })
 
 	var failures int
 	job := &Job{
@@ -69,7 +69,7 @@ func TestReduceServerFailureFailsJob(t *testing.T) {
 	eng := cluster.New(cfg)
 	// Reduces are placed round-robin from server 0; with Reduces=1 the
 	// only reduce lands on server 0.
-	eng.ScheduleFailure(eng.Servers()[0], 1.0)
+	eng.At(1.0, func() { eng.FailServer(eng.Servers()[0]) })
 	job := &Job{
 		Input:     input,
 		NewMapper: wordCountMapper,
@@ -96,7 +96,7 @@ func TestReduceServerFailureEvenWithDegrade(t *testing.T) {
 	cfg.Servers = 4
 	cfg.MapSlotsPerServer = 2
 	eng := cluster.New(cfg)
-	eng.ScheduleFailure(eng.Servers()[0], 1.0)
+	eng.At(1.0, func() { eng.FailServer(eng.Servers()[0]) })
 	job := &Job{
 		Input:         input,
 		NewMapper:     wordCountMapper,
@@ -122,7 +122,7 @@ func TestServerFailureAfterCompletionHarmless(t *testing.T) {
 	cfg.Servers = 4
 	cfg.MapSlotsPerServer = 2
 	eng := cluster.New(cfg)
-	eng.ScheduleFailure(eng.Servers()[0], 1e6)
+	eng.At(1e6, func() { eng.FailServer(eng.Servers()[0]) })
 	job := &Job{
 		Input:     input,
 		NewMapper: wordCountMapper,
@@ -154,8 +154,8 @@ func TestAllServersFailed(t *testing.T) {
 	eng := cluster.New(cfg)
 	// Kill the non-reduce-hosting server mid-run and the reduce host
 	// later; between them every map slot disappears.
-	eng.ScheduleFailure(eng.Servers()[1], 0.5)
-	eng.ScheduleFailure(eng.Servers()[0], 1.0)
+	eng.At(0.5, func() { eng.FailServer(eng.Servers()[1]) })
+	eng.At(1.0, func() { eng.FailServer(eng.Servers()[0]) })
 	job := &Job{
 		Input:     input,
 		NewMapper: wordCountMapper,

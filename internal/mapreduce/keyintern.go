@@ -51,21 +51,6 @@ func (x *KeyIndex) Cap() int { return len(x.slots) / 2 }
 // Key returns the key with the given ID.
 func (x *KeyIndex) Key(id int32) string { return x.keys[id] }
 
-// Find returns key's ID, or false if the index does not hold key.
-func (x *KeyIndex) Find(key string) (int32, bool) {
-	if len(x.slots) == 0 {
-		return -1, false
-	}
-	h := hashKey(key)
-	mask := uint32(len(x.slots) - 1)
-	for i := h & mask; x.slots[i] != 0; i = (i + 1) & mask {
-		if s := x.slots[i]; uint32(s>>32) == h && x.keys[uint32(s)-1] == key {
-			return int32(uint32(s) - 1), true
-		}
-	}
-	return -1, false
-}
-
 // Insert returns key's ID, giving it the next one on first sight;
 // added reports a first sight, where key itself is stored.
 //

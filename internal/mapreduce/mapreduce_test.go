@@ -477,11 +477,6 @@ func TestPreciseReduceHelpers(t *testing.T) {
 	if len(out) != 1 || !stats.AlmostEqual(out[0].Est.Value, 2, 1e-12) {
 		t.Errorf("MinReduce = %+v", out)
 	}
-	max := MaxReduce()
-	max.Consume(mapOutput(t, 0, 2, 2, false, nil, emitValues("k", 5, 2)))
-	if got := max.Finalize(view); !stats.AlmostEqual(got[0].Est.Value, 5, 1e-12) {
-		t.Errorf("MaxReduce = %+v", got)
-	}
 	mean := MeanReduce()
 	mean.Consume(mapOutput(t, 0, 2, 2, false, nil, emitValues("k", 4, 8)))
 	if got := mean.Finalize(view); !stats.AlmostEqual(got[0].Est.Value, 6, 1e-12) {

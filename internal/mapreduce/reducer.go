@@ -138,16 +138,3 @@ func MinReduce() *PreciseReduce {
 		return m
 	})
 }
-
-// MaxReduce returns a PreciseReduce taking each key's maximum.
-func MaxReduce() *PreciseReduce {
-	return NewPreciseReduce(func(_ string, vals []float64) float64 {
-		m := math.Inf(-1)
-		for _, v := range vals {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	})
-}

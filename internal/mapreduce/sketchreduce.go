@@ -314,9 +314,7 @@ func (r *TopKReduce) Finalize(view EstimateView) []KeyEstimate {
 
 // MembershipReduce answers membership per group: the output value per
 // group is the estimated distinct member count (linear counting over
-// the Bloom bit load for sketches, exact set size for pairs), and
-// Contains answers point queries after the job — definitive negatives,
-// positives correct up to the filter's FPR.
+// the Bloom bit load for sketches, exact set size for pairs).
 type MembershipReduce struct {
 	tally Tally
 	bloom map[string]*sketch.Bloom
@@ -340,24 +338,6 @@ func (r *MembershipReduce) Consume(out *MapOutput) {
 		return
 	}
 	r.exact.add(out)
-}
-
-// Contains reports whether element was observed in group, with the
-// false-positive probability of a true answer (0 for exact sets; a
-// sampled job can also have missed the element entirely, which this
-// does not account for).
-func (r *MembershipReduce) Contains(group, element string) (bool, float64) {
-	if b, ok := r.bloom[group]; ok {
-		if !b.Contains(element) {
-			return false, 0
-		}
-		return true, b.FPR()
-	}
-	if set, ok := r.exact[group]; ok {
-		_, in := set[element]
-		return in, 0
-	}
-	return false, 0
 }
 
 // Estimates implements ReduceLogic.

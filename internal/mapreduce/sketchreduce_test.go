@@ -333,15 +333,6 @@ func TestMembershipReduce(t *testing.T) {
 	if v := outs[0].Est.Value; math.Abs(v-400)/400 > 0.2 {
 		t.Errorf("member count estimate %.0f, want ≈400", v)
 	}
-	for j := 0; j < 400; j++ {
-		if in, _ := r.Contains("seen", fmt.Sprintf("user%d", j)); !in {
-			t.Fatalf("false negative for user%d", j)
-		}
-	}
-	in, fpr := r.Contains("seen", "user401")
-	if in && fpr <= 0 {
-		t.Error("positive answer without an FPR")
-	}
 
 	// Pairs path: exact sets.
 	rp := NewMembershipReduce()
@@ -353,12 +344,6 @@ func TestMembershipReduce(t *testing.T) {
 	//lint:ignore nofloateq the pairs path counts an integer-valued exact set
 	if len(pouts) != 1 || !pouts[0].Exact || pouts[0].Est.Value != 2 {
 		t.Errorf("pairs membership: %+v", pouts)
-	}
-	if in, fpr := rp.Contains("g", "alice"); !in || fpr != 0 {
-		t.Errorf("exact Contains(alice) = %v, %v", in, fpr)
-	}
-	if in, _ := rp.Contains("g", "carol"); in {
-		t.Error("exact Contains(carol) = true")
 	}
 }
 

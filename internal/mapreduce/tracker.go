@@ -139,9 +139,6 @@ type Handle struct {
 	t *tracker
 }
 
-// Job returns the job this handle tracks.
-func (h *Handle) Job() *Job { return h.t.job }
-
 // Done reports whether the job has completed or failed.
 func (h *Handle) Done() bool { return h.t.result != nil || h.t.failErr != nil }
 
@@ -156,9 +153,6 @@ func (h *Handle) Outcome() (*Result, error) {
 	}
 	return h.t.result, nil
 }
-
-// Progress reports the job's counters so far (a copy).
-func (h *Handle) Progress() Counters { return h.t.counters }
 
 // MapDemand returns the number of map tasks the job still wants to
 // launch (pending, including queued retries). Arbiters use it to tell

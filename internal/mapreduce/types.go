@@ -225,6 +225,8 @@ type MapOutput struct {
 // read. It runs the emitter a job runs, so keys reach the reducer in
 // first-emit order here as there. plan is normalized in place, as
 // Job.Validate would.
+//
+//lint:ignore deadcode internal/approx's tests drive reducers by hand through it
 func NewMapOutput(taskID int, items, sampled int64, combine bool, plan *SketchPlan, emit func(Emitter)) (*MapOutput, error) {
 	e := newMapEmitter(1, combine, vtime.NewDeterministic(), emitHint{})
 	if plan != nil {

@@ -6,7 +6,7 @@
 // function of (seed, member set, key): the same ring built twice — or
 // rebuilt after a daemon restart — routes every key identically.
 // Virtual points smooth the load split and bound how many keys move
-// when a member is added or removed to roughly 1/N of the keyspace,
+// when a member is added to roughly 1/N of the keyspace,
 // which is what keeps idempotency-key dedup meaningful across small
 // topology changes.
 package ring
@@ -93,23 +93,6 @@ func (r *Ring) Add(member string) {
 	})
 }
 
-// Remove deletes a member and all its virtual points. Keys that
-// hashed to the removed member redistribute to their next clockwise
-// points; everyone else's placement is untouched.
-func (r *Ring) Remove(member string) {
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Lookup returns the member owning key: the first virtual point at or
 // clockwise of the key's hash. It returns "" on an empty ring.
 func (r *Ring) Lookup(key string) string {
@@ -123,16 +106,3 @@ func (r *Ring) Lookup(key string) string {
 	}
 	return r.points[i].member
 }
-
-// Members returns the member set in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Size reports the member count.
-func (r *Ring) Size() int { return len(r.members) }

@@ -97,29 +97,6 @@ func TestBoundedMovementOnAdd(t *testing.T) {
 }
 
 // Removing a member must only reassign that member's keys.
-func TestBoundedMovementOnRemove(t *testing.T) {
-	const n = 5
-	r := New(11, 0)
-	for i := 0; i < n; i++ {
-		r.Add(fmt.Sprintf("shard-%d", i))
-	}
-	ks := keys(4000)
-	before := make([]string, len(ks))
-	for i, k := range ks {
-		before[i] = r.Lookup(k)
-	}
-	r.Remove("shard-2")
-	for i, k := range ks {
-		after := r.Lookup(k)
-		if before[i] != "shard-2" && after != before[i] {
-			t.Fatalf("key %q not owned by removed member moved: %q -> %q", k, before[i], after)
-		}
-		if after == "shard-2" {
-			t.Fatalf("key %q still routed to removed member", k)
-		}
-	}
-}
-
 // Virtual points must spread load: no member of a 4-shard ring should
 // own a wildly disproportionate share of a uniform keyspace.
 func TestLoadSpread(t *testing.T) {
@@ -155,11 +132,9 @@ func TestEmptyAndSingleton(t *testing.T) {
 			t.Fatal("singleton ring must own every key")
 		}
 	}
-	if got := r.Members(); len(got) != 1 || got[0] != "only" {
-		t.Fatalf("Members = %v", got)
-	}
+	points := len(r.points)
 	r.Add("only") // duplicate add is a no-op
-	if r.Size() != 1 {
-		t.Fatalf("duplicate add changed size to %d", r.Size())
+	if len(r.members) != 1 || len(r.points) != points {
+		t.Fatalf("duplicate add changed the ring to %d members, %d points", len(r.members), len(r.points))
 	}
 }

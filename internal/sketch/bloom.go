@@ -6,9 +6,8 @@ import (
 )
 
 // Bloom is a standard Bloom filter: mbits bits, hashes probes per
-// element. Contains never reports a false negative; the false-positive
-// rate after folding is estimated from the observed bit load as
-// (ones/m)^hashes. Merge is bit-OR — trivially commutative and
+// element. A job reads it through CountEstimate, linear counting over
+// the observed bit load. Merge is bit-OR — trivially commutative and
 // associative, so the filter is merge-order independent by
 // construction.
 type Bloom struct {
@@ -38,12 +37,6 @@ func NewBloom(bitCount uint64, hashes uint32, seed uint64) (*Bloom, error) {
 // Kind implements Sketch.
 func (f *Bloom) Kind() Kind { return KindBloom }
 
-// Bits returns the filter size in bits.
-func (f *Bloom) Bits() uint64 { return f.mbits }
-
-// Hashes returns the probe count.
-func (f *Bloom) Hashes() uint32 { return f.hashes }
-
 // Fold implements Sketch: count is ignored (membership is
 // presence-only).
 //
@@ -56,21 +49,6 @@ func (f *Bloom) Fold(element string, _ uint64) {
 	}
 }
 
-// Contains reports whether element may have been folded: false is
-// definitive, true is correct up to FPR.
-//
-//approx:hotpath
-func (f *Bloom) Contains(element string) bool {
-	h := hash64(f.seed, element)
-	for i := uint64(0); i < uint64(f.hashes); i++ {
-		bit := doubleHash(h, i, f.mbits)
-		if f.words[bit>>6]&(1<<(bit&63)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Ones returns the number of set bits.
 func (f *Bloom) Ones() uint64 {
 	n := uint64(0)
@@ -78,12 +56,6 @@ func (f *Bloom) Ones() uint64 {
 		n += uint64(bits.OnesCount64(w))
 	}
 	return n
-}
-
-// FPR returns the current false-positive rate estimate (ones/m)^hashes.
-func (f *Bloom) FPR() float64 {
-	load := float64(f.Ones()) / float64(f.mbits)
-	return math.Pow(load, float64(f.hashes))
 }
 
 // CountEstimate returns the linear-counting estimate of the distinct

@@ -36,15 +36,6 @@ func NewCMS(width, depth uint32, seed uint64) (*CMS, error) {
 // Kind implements Sketch.
 func (c *CMS) Kind() Kind { return KindCMS }
 
-// Width and Depth expose the grid parameters.
-func (c *CMS) Width() uint32 { return c.width }
-
-// Depth returns the number of hash rows.
-func (c *CMS) Depth() uint32 { return c.depth }
-
-// Weight returns the total folded count W.
-func (c *CMS) Weight() uint64 { return c.weight }
-
 // Fold implements Sketch: adds count to one counter per row.
 //
 //approx:hotpath
@@ -55,16 +46,8 @@ func (c *CMS) Fold(element string, count uint64) {
 	c.foldHash(hash64(c.seed, element), count)
 }
 
-// Count returns the (over-)estimate of element's folded weight: the
-// minimum counter across rows.
-//
-//approx:hotpath
-func (c *CMS) Count(element string) uint64 {
-	return c.countHash(hash64(c.seed, element))
-}
-
 // foldHash adds count to the cell of element hash h in every row and
-// returns the smallest updated cell, which is Count of that element
+// returns the smallest updated cell, which is countHash of that element
 // after the fold: TopK.Fold gets its estimate without a second hash.
 // Row r's cell is doubleHash(h, r, width), walked incrementally.
 //
@@ -83,7 +66,8 @@ func (c *CMS) foldHash(h, count uint64) uint64 {
 	return min
 }
 
-// countHash is Count for an element whose hash64 the caller kept.
+// countHash returns the (over-)estimate of the folded weight of the
+// element whose hash64 is h: the minimum counter across rows.
 //
 //approx:hotpath
 func (c *CMS) countHash(h uint64) uint64 {

@@ -47,9 +47,6 @@ func NewHLL(p uint8, seed uint64) (*HLL, error) {
 // Kind implements Sketch.
 func (h *HLL) Kind() Kind { return KindHLL }
 
-// Precision returns p (m = 2^p registers).
-func (h *HLL) Precision() uint8 { return h.p }
-
 // m returns the register count.
 func (h *HLL) m() int { return 1 << h.p }
 

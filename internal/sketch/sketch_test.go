@@ -358,3 +358,27 @@ func TestBadParams(t *testing.T) {
 		t.Errorf("Bloom 8 bits: got %v", err)
 	}
 }
+
+// Count returns the (over-)estimate of element's folded weight.
+func (c *CMS) Count(element string) uint64 {
+	return c.countHash(hash64(c.seed, element))
+}
+
+// Contains reports whether element may have been folded: false is
+// definitive, true is correct up to FPR.
+func (f *Bloom) Contains(element string) bool {
+	h := hash64(f.seed, element)
+	for i := uint64(0); i < uint64(f.hashes); i++ {
+		bit := doubleHash(h, i, f.mbits)
+		if f.words[bit>>6]&(1<<(bit&63)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// FPR returns the current false-positive rate estimate (ones/m)^hashes.
+func (f *Bloom) FPR() float64 {
+	load := float64(f.Ones()) / float64(f.mbits)
+	return math.Pow(load, float64(f.hashes))
+}

@@ -226,9 +226,6 @@ func NewTopK(k, maxCand, width, depth uint32, seed uint64) (*TopK, error) {
 // Kind implements Sketch.
 func (t *TopK) Kind() Kind { return KindTopK }
 
-// K returns the query size k.
-func (t *TopK) K() int { return int(t.k) }
-
 // CMS exposes the underlying Count-Min sketch (for its error story).
 func (t *TopK) CMS() *CMS { return t.cms }
 

@@ -9,6 +9,8 @@ import "math"
 // float ==/!= at: estimator outputs travel through enough
 // transcendental math that bit-exact equality is never the right
 // question.
+//
+//lint:ignore deadcode the tests of 29 files across the module compare floats through it
 func AlmostEqual(a, b, tol float64) bool {
 	//lint:ignore nofloateq identical values (including infinities) are equal by definition
 	if a == b {

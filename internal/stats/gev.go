@@ -16,22 +16,6 @@ type GEV struct {
 	Xi    float64
 }
 
-// CDF returns P(X <= x).
-func (g GEV) CDF(x float64) float64 {
-	s := (x - g.Mu) / g.Sigma
-	if g.Xi == 0 {
-		return math.Exp(-math.Exp(-s))
-	}
-	t := 1 + g.Xi*s
-	if t <= 0 {
-		if g.Xi > 0 {
-			return 0 // below the lower endpoint
-		}
-		return 1 // above the upper endpoint
-	}
-	return math.Exp(-math.Pow(t, -1/g.Xi))
-}
-
 // Quantile returns the value x with CDF(x) = p for p in (0, 1).
 func (g GEV) Quantile(p float64) float64 {
 	if p <= 0 || p >= 1 {

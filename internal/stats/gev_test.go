@@ -233,15 +233,6 @@ func TestRNGHelpers(t *testing.T) {
 	if got := SampleWithoutReplacement(r, 3, 10); len(got) != 3 {
 		t.Error("k>n should return n items")
 	}
-	trues := 0
-	for i := 0; i < 1000; i++ {
-		if Bernoulli(r, 0.3) {
-			trues++
-		}
-	}
-	if trues < 200 || trues > 400 {
-		t.Errorf("Bernoulli(0.3) rate %d/1000 implausible", trues)
-	}
 }
 
 func TestDeterministicRand(t *testing.T) {
@@ -251,4 +242,20 @@ func TestDeterministicRand(t *testing.T) {
 			t.Fatal("same seed must give same stream")
 		}
 	}
+}
+
+// CDF returns P(X <= x).
+func (g GEV) CDF(x float64) float64 {
+	s := (x - g.Mu) / g.Sigma
+	if g.Xi == 0 {
+		return math.Exp(-math.Exp(-s))
+	}
+	t := 1 + g.Xi*s
+	if t <= 0 {
+		if g.Xi > 0 {
+			return 0 // below the lower endpoint
+		}
+		return 1 // above the upper endpoint
+	}
+	return math.Exp(-math.Pow(t, -1/g.Xi))
 }

@@ -251,12 +251,10 @@ func (ts TwoStage) Sum(confidence float64) Estimate {
 	return a.Sum(&d)
 }
 
-// Count is an alias for Sum for indicator-valued computations (the
-// count of units matching a predicate is the sum of 0/1 values).
-func (ts TwoStage) Count(confidence float64) Estimate { return ts.Sum(confidence) }
-
 // Mean estimates the per-unit mean of the key's values; see
 // ClusterSums.Mean.
+//
+//lint:ignore deadcode internal/approx's crosscheck_test holds the reducers' mean to it
 func (ts TwoStage) Mean(confidence float64) Estimate {
 	a, d := ts.fold(confidence)
 	return a.Mean(&d)

@@ -272,3 +272,14 @@ func TestThreeStageMean(t *testing.T) {
 		t.Errorf("three-stage mean %v, want 2", est.Value)
 	}
 }
+
+// SampleWithoutReplacement returns k distinct integers drawn uniformly
+// from [0, n) in random order (a partial Fisher-Yates shuffle). If
+// k >= n it returns a permutation of all n integers.
+func SampleWithoutReplacement(r *rand.Rand, n, k int) []int {
+	if k > n {
+		k = n
+	}
+	perm := r.Perm(n)
+	return perm[:k]
+}

@@ -23,19 +23,3 @@ func Pareto(r *rand.Rand, xm, alpha float64) float64 {
 	}
 	return xm / math.Pow(u, 1/alpha)
 }
-
-// SampleWithoutReplacement returns k distinct integers drawn uniformly
-// from [0, n) in random order (a partial Fisher-Yates shuffle). If
-// k >= n it returns a permutation of all n integers.
-func SampleWithoutReplacement(r *rand.Rand, n, k int) []int {
-	if k > n {
-		k = n
-	}
-	perm := r.Perm(n)
-	return perm[:k]
-}
-
-// Bernoulli returns true with probability p.
-func Bernoulli(r *rand.Rand, p float64) bool {
-	return r.Float64() < p
-}

@@ -28,6 +28,12 @@ func smallEdits() workload.EditLog {
 	return e
 }
 
+// editRate is the catalog's edit-rate stream over gen's edit log.
+func editRate(gen workload.EditLog, opts apps.StreamOptions) *stream.Pipeline {
+	e, _ := apps.Lookup("edit-rate")
+	return e.Stream(gen.File("stream-input"), opts)
+}
+
 func mustRun(t *testing.T, p *stream.Pipeline) []stream.WindowResult {
 	t.Helper()
 	series, err := p.Run()
@@ -49,7 +55,7 @@ func TestTumblingWindows(t *testing.T) {
 		Rate:   workload.ConstantRate(300),
 		Window: stream.Window{Size: 10},
 	}
-	series := mustRun(t, apps.EditRateStream(smallEdits(), opts))
+	series := mustRun(t, editRate(smallEdits(), opts))
 	var total int64
 	for i, r := range series {
 		if r.Index != int64(i) {
@@ -79,7 +85,7 @@ func TestSlidingWindows(t *testing.T) {
 		Rate:   workload.ConstantRate(400),
 		Window: stream.Window{Size: 10, Slide: 5},
 	}
-	series := mustRun(t, apps.EditRateStream(smallEdits(), opts))
+	series := mustRun(t, editRate(smallEdits(), opts))
 	var total int64
 	for i, r := range series {
 		if r.Index != int64(i) {
@@ -207,7 +213,7 @@ func TestMaxWindowsStopsEarly(t *testing.T) {
 		Window:     stream.Window{Size: 5},
 		MaxWindows: 4,
 	}
-	series := mustRun(t, apps.EditRateStream(smallEdits(), opts))
+	series := mustRun(t, editRate(smallEdits(), opts))
 	if len(series) != 4 {
 		t.Fatalf("got %d windows; want 4", len(series))
 	}

@@ -78,6 +78,8 @@ var encodes atomic.Uint64
 // Encodes reports the number of binary frame encodes performed by this
 // process. Tests and benchmarks diff it around a fan-out to prove
 // O(1) encodes per sequence number regardless of subscriber count.
+//
+//lint:ignore deadcode internal/jobserver's TestStreamEncodeOnceFanout counts a fan-out's encodes through it
 func Encodes() uint64 { return encodes.Load() }
 
 // Estimate is one key's value and confidence interval.
